@@ -1,10 +1,15 @@
-"""Dense complex matrices with labeled block structure.
+"""Labelled dense containers for the pipeline's operators.
 
 Index spaces are ordered label lists (field, channel-1, channel-2, bin)
-flattened into one axis; every matrix carries its row and column space so
-that compositions are dimension- and meaning-checked.  Two channel
-conventions appear: mode spaces label (direction, polarization) per field
-and continuity-row spaces label (field class 'E'|'H', polarization).
+flattened into one axis; every matrix carries its row and column space,
+which name its blocks and label its CSV dump.  Two channel conventions
+appear: mode spaces label (direction, polarization) per field and
+continuity-row spaces label (field class 'E'|'H', polarization).
+
+The linear maps are computed per frequency bin as 2x2 arrays (see
+``matrixcore``) and expanded into diagonal blocks here only on demand;
+the pair-emission maps fill dense signal-idler blocks.  No algebra is
+done on the dense form.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import SingularMatrix
 
 FIELDS = ("s", "i")  # 'i' entries carry idler creation-operator components
 MODE_CHANNELS = (("F", "x"), ("B", "x"), ("F", "y"), ("B", "y"))
@@ -85,12 +88,26 @@ class BlockMatrix:
     def add_block(self, rlabel, clabel, values):
         self.data[self.row.offset(*rlabel), self.col.offset(*clabel)] += values
 
-    def __matmul__(self, other: "BlockMatrix") -> "BlockMatrix":
-        if not self.col.compatible(other.row):
-            raise ValueError(
-                f"cannot compose {self.col.name} with {other.row.name}"
-            )
-        return BlockMatrix(self.row, other.col, self.data @ other.data)
+    @classmethod
+    def from_bins(cls, row: Space, col: Space, maps) -> "BlockMatrix":
+        """Labelled dense form of per-bin 2x2 maps.
+
+        maps[field] has shape (2, 2, bins) over (row kind, column kind,
+        bin), kinds in channel order (F/B for modes, E/H for continuity
+        rows).  Each (kind, kind) entry becomes a diagonal block, the
+        same for every polarization; field sectors and polarizations do
+        not mix.
+        """
+        out = cls(row, col)
+        row_kinds = tuple(dict.fromkeys(c1 for c1, _ in row.channels))
+        col_kinds = tuple(dict.fromkeys(c1 for c1, _ in col.channels))
+        for f in FIELDS:
+            for pol in dict.fromkeys(c2 for _, c2 in row.channels):
+                for r, rk in enumerate(row_kinds):
+                    for c, ck in enumerate(col_kinds):
+                        out.set_block((f, rk, pol), (f, ck, pol),
+                                      np.diag(maps[f][r, c]))
+        return out
 
     def __add__(self, other: "BlockMatrix") -> "BlockMatrix":
         return BlockMatrix(self.row, self.col, self.data + other.data)
@@ -98,42 +115,8 @@ class BlockMatrix:
     def __sub__(self, other: "BlockMatrix") -> "BlockMatrix":
         return BlockMatrix(self.row, self.col, self.data - other.data)
 
-    def __neg__(self) -> "BlockMatrix":
-        return BlockMatrix(self.row, self.col, -self.data)
-
-    def scaled(self, factor) -> "BlockMatrix":
-        return BlockMatrix(self.row, self.col, factor * self.data)
-
-    def solve(self, rhs: "BlockMatrix", context="") -> "BlockMatrix":
-        """self^{-1} @ rhs with a singularity check."""
-        if not self.row.compatible(rhs.row):
-            raise ValueError("row spaces differ in solve")
-        try:
-            out = np.linalg.solve(self.data, rhs.data)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix(f"singular matrix {context or self.row.name}") from exc
-        if not np.all(np.isfinite(out)):
-            raise SingularMatrix(f"non-finite solve result {context}")
-        return BlockMatrix(self.col, rhs.col, out)
-
-    def inv(self, context="") -> "BlockMatrix":
-        return self.solve(BlockMatrix.identity(self.row), context)
-
-    def condition_number(self) -> float:
-        """1-norm condition estimate (exact inverse; matrices are small)."""
-        try:
-            inv = np.linalg.inv(self.data)
-        except np.linalg.LinAlgError:
-            return np.inf
-        return float(
-            np.linalg.norm(self.data, 1) * np.linalg.norm(inv, 1)
-        )
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
 
     def copy(self) -> "BlockMatrix":
         return BlockMatrix(self.row, self.col, self.data.copy())

@@ -1,8 +1,7 @@
 """Command-line interface.
 
 Subcommands: simulate, scan, transmission-map, verify, dump-matrix.
-Every run is deterministic (no randomness anywhere); --seedless merely
-records that assertion in the output summary.
+Every run is deterministic (no randomness anywhere).
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ def _add_common(p):
     p.add_argument("--structure", default=None,
                    help="JSON file whose 'structure' (and optional "
                         "'materials') sections override the config")
-    p.add_argument("--seedless", action="store_true",
-                   help="assert the run uses no randomness (always true)")
 
 
 def build_parser():

@@ -189,10 +189,10 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("observe polarizations must be 'x' or 'y'")
     cond = obs.get("conditional_t_idler_fs")
     attribution = raw.get("surface_attribution", "local-jump")
-    if attribution not in ("local-jump", "local-jump-flipped", "per-slot"):
+    if attribution not in ("local-jump", "per-slot"):
         raise ConfigError(
-            f"surface_attribution must be 'local-jump', 'local-jump-flipped'"
-            f" or 'per-slot', got {attribution!r}"
+            f"surface_attribution must be 'local-jump' or 'per-slot', "
+            f"got {attribution!r}"
         )
     scan = None
     if "scan" in raw:

@@ -54,7 +54,8 @@ def _crossing(n_from, n_to, convention):
     return out
 
 
-def _mat2_mul(a, b):
+def mat2_mul(a, b):
+    """Product of 2x2 maps stacked over the trailing axes."""
     out = np.empty_like(a)
     out[0, 0] = a[0, 0] * b[0, 0] + a[0, 1] * b[1, 0]
     out[0, 1] = a[0, 0] * b[0, 1] + a[0, 1] * b[1, 1]
@@ -63,24 +64,44 @@ def _mat2_mul(a, b):
     return out
 
 
+def mat2_inv(m, context=""):
+    """Inverse of 2x2 maps stacked over the trailing axes (adjugate over
+    determinant); raises SingularMatrix if any map is singular."""
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if np.any(det == 0.0) or not np.all(np.isfinite(det)):
+        raise SingularMatrix(f"singular matrix {context}")
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+
+
+def layer_transfers(structure: StructureSpec, omega, convention="field"):
+    """Cumulative 2x2 transfers from medium-0 amplitudes at z_1 into every
+    layer, vectorized over omega.
+
+    Returns (at_left, at_right), each of shape (N+2, 2, 2, len(omega)):
+    the amplitudes of layer l at its left boundary z_l and at its right
+    boundary z_{l+1}.  The ambient media have zero length, so both
+    coincide there; at_left[N+1] is the total transfer.
+    """
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    n_tot = structure.n_layers + 2
+    at_left = np.zeros((n_tot, 2, 2, omega.size), dtype=complex)
+    at_left[0, 0, 0] = at_left[0, 1, 1] = 1.0
+    at_right = at_left.copy()
+    n_prev = refractive_index(structure.material(0), omega) + 0j
+    for l in range(1, n_tot):
+        n_here = refractive_index(structure.material(l), omega) + 0j
+        at_left[l] = mat2_mul(_crossing(n_prev, n_here, convention),
+                              at_right[l - 1])
+        phase = np.exp(1j * omega / CONSTANTS.c * n_here * structure.length(l))
+        at_right[l] = np.array([phase, 1.0 / phase])[:, None] * at_left[l]
+        n_prev = n_here
+    return at_left, at_right
+
+
 def total_transfer(structure: StructureSpec, omega, convention="field"):
     """2x2 transfer mapping medium-0 amplitudes at z_1 to medium-(N+1)
     amplitudes at z_{N+1}, vectorized over omega."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    n_prev = refractive_index(structure.material(0), omega) + 0j
-    m = None
-    for l in range(1, structure.n_layers + 2):
-        n_here = refractive_index(structure.material(l), omega) + 0j
-        d = _crossing(n_prev, n_here, convention)
-        m = d if m is None else _mat2_mul(d, m)
-        if l <= structure.n_layers:
-            phase = np.exp(1j * omega / CONSTANTS.c * n_here * structure.length(l))
-            prop = np.zeros_like(d)
-            prop[0, 0] = phase
-            prop[1, 1] = 1.0 / phase
-            m = _mat2_mul(prop, m)
-        n_prev = n_here
-    return m
+    return layer_transfers(structure, omega, convention)[0][-1]
 
 
 def scalar_layer_amplitudes(

@@ -1,11 +1,15 @@
-"""Block-matrix assembly of the layered-structure pair-emission operators.
+"""Layered-structure pair-emission operators on per-frequency arrays.
 
 The mode super-space stacks the signal annihilation sector and the idler
 creation sector, each with channels (F,x), (B,x), (F,y), (B,y) times the
-frequency bins.  All linear maps are block-diagonal in the field sector;
-because the idler entries are creation operators, every idler block is
-the complex conjugate of the corresponding annihilation-operator block.
-Pair sources are anti-diagonal in the field sector.
+frequency bins.  At normal incidence in isotropic layers every linear map
+is a 2x2 per field and frequency bin, identical for both polarizations,
+so it is stored as an array of shape (2, 2, K) over (row channel, column
+channel, bin).  The transfers come from ``linear.layer_transfers`` in the
+flux convention; because the idler entries are creation operators, every
+idler map is the complex conjugate of the same map on the idler basis.
+Only the pair sources are dense (signal bin x idler bin); they are
+anti-diagonal in the field sector.
 
 Boundary continuity (electric and magnetic rows, both polarizations,
 both fields) yields, per boundary l between layers l-1 and l:
@@ -19,29 +23,35 @@ both fields) yields, per boundary l between layers l-1 and l:
 The emitted pair waves of one boundary propagate as free fields to the
 structure outputs.  Writing the left-going part through the forward
 transfer of the left segment and the right-going part through the
-backward transfer of the right segment gives a square response operator
-per boundary whose inverse maps continuity sources to output amplitudes.
+backward transfer of the right segment gives a 2x2 response per bin
+whose inverse maps continuity sources to output amplitudes.  Each
+boundary source is therefore the dense kernel blocks scaled by columns
+with the per-bin feed of their input modes and by rows with the per-bin
+inverse response: O(N K^2) work and no matrix solve.  F, G_V, G_S and
+the kept boundary sources are returned as labelled ``BlockMatrix``
+containers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmatrix import (
-    FIELDS,
-    MODE_CHANNELS,
-    BlockMatrix,
-    Space,
-    mode_space,
-    row_space,
-)
+from .blockmatrix import BlockMatrix, mode_space
 from .constants import CONSTANTS
-from .errors import ConfigError
-from .linear import PumpField, PumpSpec, propagate_pump
+from .errors import ConfigError, SingularMatrix
+from .linear import (
+    PumpField,
+    PumpSpec,
+    layer_transfers,
+    mat2_inv,
+    mat2_mul,
+    propagate_pump,
+)
 from .materials import refractive_index
 from .spectral import (
+    DIRS,
     POLS,
     LayerCoupling,
     SpectralBasis,
@@ -65,184 +75,112 @@ def overlap_matrices(material, basis: SpectralBasis):
     return i_e, i_h_f, -i_h_f
 
 
-def interface_matrix(material, basis_s, basis_i, rows: Space, cols: Space):
-    """Boundary-continuity matrix of one layer (rows E/H x pol, cols modes).
+def interface_bins(material, basis: SpectralBasis):
+    """Boundary-continuity map L of one layer per bin: (E, H) rows from
+    (F, B) mode amplitudes, shape (2, 2, K)."""
+    i_e, i_h_f, i_h_b = overlap_matrices(material, basis)
+    return np.array([[i_e, i_e], [i_h_f, i_h_b]])
 
-    The idler sector is conjugated because it acts on creation operators.
+
+def propagator_bins(material, length, basis: SpectralBasis):
+    """Free propagation across one layer per bin: diag(e^{ikL}, e^{-ikL})."""
+    k = basis.centers / CONSTANTS.c * refractive_index(material, basis.centers)
+    phase = np.exp(1j * k * length)
+    zero = np.zeros_like(phase)
+    return np.array([[phase, zero], [zero, 1.0 / phase]])
+
+
+def input_output_map(t):
+    """Scattering form F of the full transfer, per bin.
+
+    Inputs are the forward mode at z_1 and the backward mode at z_{N+1};
+    outputs the forward mode at z_{N+1} and the backward mode at z_1.
     """
-    out = BlockMatrix(rows, cols)
-    for f, basis in (("s", basis_s), ("i", basis_i)):
-        i_e, i_h_f, i_h_b = overlap_matrices(material, basis)
-        if f == "i":
-            i_e, i_h_f, i_h_b = np.conj(i_e), np.conj(i_h_f), np.conj(i_h_b)
-        for pol in POLS:
-            for a, i_h in (("F", i_h_f), ("B", i_h_b)):
-                out.set_block((f, "E", pol), (f, a, pol), np.diag(i_e))
-                out.set_block((f, "H", pol), (f, a, pol), np.diag(i_h))
-    return out
+    if np.any(t[1, 1] == 0.0):
+        raise SingularMatrix("singular matrix input-output")
+    det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
+    return np.array([[det, t[0, 1]], [-t[1, 0], np.ones_like(det)]]) / t[1, 1]
 
 
-def layer_propagator(material, length, basis_s, basis_i, space: Space):
-    """Free propagation across one layer: diagonal phases exp(i k_a L)."""
-    out = BlockMatrix(space, space)
-    for f, basis in (("s", basis_s), ("i", basis_i)):
-        w = basis.centers
-        n = refractive_index(material, w)
-        for a, sign in (("F", 1.0), ("B", -1.0)):
-            phase = np.exp(1j * sign * w / CONSTANTS.c * n * length)
-            if f == "i":
-                phase = np.conj(phase)
-            for pol in POLS:
-                out.set_block((f, a, pol), (f, a, pol), np.diag(phase))
-    return out
+def feed_in_map(f):
+    """W per bin: medium-0 modes at z_1 from the inputs (the forward mode
+    passes the input through, the backward mode is F's left-exit row)."""
+    one = np.ones_like(f[0, 0])
+    return np.array([[one, np.zeros_like(one)], f[1]])
 
 
-@dataclass
-class TransferChain:
-    """Interface/propagator matrices and cumulative transfers of a stack."""
+@dataclass(frozen=True)
+class FieldMaps:
+    """Per-bin 2x2 linear maps of one field sector, flux convention.
 
-    structure: StructureSpec
-    basis_s: SpectralBasis
-    basis_i: SpectralBasis
-    interface: list = field(default_factory=list)   # L^(l), l = 0..N+1
-    propagator: list = field(default_factory=list)  # P^(l)
-    from_left: list = field(default_factory=list)   # layer l at z_l <- medium 0 at z_1
-    from_right: list = field(default_factory=list)  # layer l at z_l <- medium N+1 at z_N+1
-
-    @classmethod
-    def build(cls, structure, basis_s, basis_i):
-        if basis_s.bins != basis_i.bins:
-            raise ConfigError("signal and idler bases must share the bin count")
-        bins = basis_s.bins
-        modes = mode_space("modes", bins)
-        rows = row_space("continuity", bins)
-        chain = cls(structure, basis_s, basis_i)
-        n_tot = structure.n_layers + 2
-        for l in range(n_tot):
-            mat = structure.material(l)
-            chain.interface.append(
-                interface_matrix(mat, basis_s, basis_i, rows, modes)
-            )
-            chain.propagator.append(
-                layer_propagator(mat, structure.length(l), basis_s, basis_i, modes)
-            )
-        ident = BlockMatrix.identity(modes)
-        chain.from_left = [ident]
-        for l in range(1, n_tot):
-            step = chain.interface[l].solve(
-                chain.interface[l - 1] @ chain.propagator[l - 1] @ chain.from_left[l - 1],
-                context=f"interface L{l}",
-            )
-            chain.from_left.append(step)
-        chain.from_right = [None] * n_tot
-        chain.from_right[n_tot - 1] = ident
-        for l in range(n_tot - 2, -1, -1):
-            across = chain.interface[l].solve(
-                chain.interface[l + 1] @ chain.from_right[l + 1],
-                context=f"interface L{l}",
-            )
-            chain.from_right[l] = chain.propagator[l].inv() @ across
-        return chain
-
-    def tilde_from_left(self, l: int) -> BlockMatrix:
-        """Layer-l modes at z_{l+1} from medium-0 modes at z_1."""
-        return self.propagator[l] @ self.from_left[l]
-
-
-def transfer_compose(chain: TransferChain, n: int, m: int) -> BlockMatrix:
-    """General transfer: layer-n modes at z_n from layer-m modes at z_{m+1}.
-
-    Folds interface and propagator matrices right-to-left over the layers
-    strictly between m and n; the empty product (n = m + 1) is unity.
+    at_left[l] / at_right[l]: layer-l modes at z_l / z_{l+1} from medium-0
+    modes at z_1; interface[l]: L of layer l (stacks of shape
+    (N+2, 2, 2, K)).  scatter: F; feed: W (shape (2, 2, K)).
     """
-    if not n > m:
-        raise ConfigError("transfer needs n > m")
-    acc = chain.interface[m].copy()
-    for l in range(m + 1, n):
-        acc = chain.interface[l] @ (
-            chain.propagator[l] @ chain.interface[l].solve(acc, context=f"L{l}")
-        )
-    return chain.interface[n].solve(acc, context=f"L{n}")
+
+    at_left: np.ndarray
+    at_right: np.ndarray
+    interface: np.ndarray
+    scatter: np.ndarray
+    feed: np.ndarray
+
+    def response(self, l: int):
+        """E/H continuity rows at boundary l from the outputs reached by
+        the pair waves emitted there: the forward output seen through the
+        right segment (medium N+1 back to layer l at z_l) minus the
+        backward output seen through the left segment (medium 0 on to
+        layer l-1 at z_l)."""
+        from_right = mat2_mul(self.at_left[l],
+                              mat2_inv(self.at_left[-1], "full transfer"))
+        forward = mat2_mul(self.interface[l], from_right)[:, 0]
+        backward = mat2_mul(self.interface[l - 1], self.at_right[l - 1])[:, 1]
+        return np.stack((forward, -backward), axis=1)
 
 
-def input_output_map(t_full: BlockMatrix) -> BlockMatrix:
-    """Scattering form of the full transfer: outputs from inputs.
-
-    Inputs are the forward modes at z_1 and backward modes at z_{N+1};
-    outputs the forward modes at z_{N+1} and backward modes at z_1.
-    """
-    bins = t_full.row.bins
-    eq = mode_space("scatter-rows", bins)
-    out_sp = mode_space("out", bins)
-    in_sp = mode_space("in", bins)
-    u = BlockMatrix(eq, out_sp)
-    v = BlockMatrix(eq, in_sp)
-    eye = np.eye(bins)
-    for f in FIELDS:
-        for c in MODE_CHANNELS:
-            for c2 in MODE_CHANNELS:
-                blk = t_full.block((f,) + c, (f,) + c2)
-                if c2[0] == "B":
-                    u.add_block((f,) + c, (f,) + c2, -blk)
-                else:
-                    v.add_block((f,) + c, (f,) + c2, blk)
-        for pol in POLS:
-            u.add_block((f, "F", pol), (f, "F", pol), eye)
-            v.add_block((f, "B", pol), (f, "B", pol), -eye)
-    f_map = u.solve(v, context="input-output")
-    return BlockMatrix(out_sp, in_sp, f_map.data)
+def field_maps(structure: StructureSpec, basis: SpectralBasis,
+               conjugate: bool = False) -> FieldMaps:
+    """Linear maps of one field on its basis (conjugated for the idler)."""
+    at_left, at_right = layer_transfers(structure, basis.centers, "flux")
+    interface = np.array([
+        interface_bins(structure.material(l), basis)
+        for l in range(structure.n_layers + 2)
+    ])
+    if conjugate:
+        at_left, at_right = np.conj(at_left), np.conj(at_right)
+        interface = np.conj(interface)
+    scatter = input_output_map(at_left[-1])
+    return FieldMaps(at_left, at_right, interface, scatter, feed_in_map(scatter))
 
 
-def feed_in_map(f_map: BlockMatrix) -> BlockMatrix:
-    """Medium-0 modes at z_1 from input modes (forward rows pass through,
-    backward rows are the left-exit rows of the scattering map)."""
-    bins = f_map.row.bins
-    w = BlockMatrix(mode_space("medium0", bins), f_map.col)
-    eye = np.eye(bins)
-    for f in FIELDS:
-        for pol in POLS:
-            w.set_block((f, "F", pol), (f, "F", pol), eye)
-            for c2 in MODE_CHANNELS:
-                w.set_block((f, "B", pol), (f,) + c2,
-                            f_map.block((f, "B", pol), (f,) + c2))
-    return w
+def linear_maps(structure: StructureSpec, basis_s: SpectralBasis,
+                basis_i: SpectralBasis) -> dict:
+    """{'s': signal maps on basis_s, 'i': conjugated maps on basis_i}."""
+    if basis_s.bins != basis_i.bins:
+        raise ConfigError("signal and idler bases must share the bin count")
+    return {"s": field_maps(structure, basis_s),
+            "i": field_maps(structure, basis_i, conjugate=True)}
 
 
-def outward_maps(chain: TransferChain, f_map: BlockMatrix, l: int):
-    """(X(z_l), Y, Z): free propagation of emitted pairs to the outputs.
+def outward_maps(maps: FieldMaps, l: int):
+    """(X(z_l), Y, Z) per bin: free propagation of emitted pairs to the outputs.
 
     Z inverts the scattering map; Y rebuilds the medium-0 mode vector of
     the equivalent-input solution from the outputs (backward outputs
     already sit at z_1); X carries that vector to the outgoing modes at
-    boundary l (forward rows in layer l, backward rows in layer l-1).
+    boundary l (forward row in layer l, backward row in layer l-1).
     """
-    z_map = f_map.inv(context="scattering map")
-    bins = f_map.row.bins
-    y = BlockMatrix(mode_space("medium0", bins), f_map.row)
-    eye = np.eye(bins)
-    for f in FIELDS:
-        for pol in POLS:
-            for c2 in MODE_CHANNELS:
-                y.set_block((f, "F", pol), (f,) + c2,
-                            z_map.block((f, "F", pol), (f,) + c2))
-            y.set_block((f, "B", pol), (f, "B", pol), eye)
-    x = BlockMatrix(mode_space(f"outgoing-z{l}", bins), mode_space("medium0", bins))
-    left_tilde = chain.tilde_from_left(l - 1)
-    right = chain.from_left[l]
-    for f in FIELDS:
-        for pol in POLS:
-            for c2 in MODE_CHANNELS:
-                x.set_block((f, "F", pol), (f,) + c2,
-                            right.block((f, "F", pol), (f,) + c2))
-                x.set_block((f, "B", pol), (f,) + c2,
-                            left_tilde.block((f, "B", pol), (f,) + c2))
+    z_map = mat2_inv(maps.scatter, "scattering map")
+    one = np.ones_like(z_map[0, 0])
+    y = np.array([z_map[0], [np.zeros_like(one), one]])
+    x = np.array([maps.at_left[l][0], maps.at_right[l - 1][1]])
     return x, y, z_map
 
 
-def _source_matrix(coupling: LayerCoupling, edge: str, rows: Space, cols: Space,
-                   magnetic_sources=True, convention="local-jump"):
-    """(J_volume, J_surface) of one layer side, mapping that layer's free
-    modes at the boundary to continuity-row sources.
+def _side_kernels(coupling: LayerCoupling, edge: str, magnetic_sources=True,
+                  convention="local-jump"):
+    """(J_volume, J_surface) of one layer side per (row field, row pol,
+    col pol), mapping that layer's free modes at the boundary to
+    continuity-row sources; each is (E/H row, F/B column, K, K).
 
     Volume rows: electric = arriving kernel content, magnetic = its
     i k chi part minus the bare source coefficient.  Surface rows:
@@ -251,31 +189,26 @@ def _source_matrix(coupling: LayerCoupling, edge: str, rows: Space, cols: Space,
     sector is conjugated (creation-operator components); its row index
     pairs with signal-mode columns.
     """
-    j_v = BlockMatrix(rows, cols)
-    j_s = BlockMatrix(rows, cols)
-    if coupling.is_dark():
-        return j_v, j_s
     blocks = project_to_basis(coupling, edge, convention)
-    for row_field in FIELDS:
-        col_field = "i" if row_field == "s" else "s"
-        basis_row = coupling.basis_s if row_field == "s" else coupling.basis_i
+    kernels = {}
+    for row_field, basis_row in (("s", coupling.basis_s),
+                                 ("i", coupling.basis_i)):
         n_row = refractive_index(coupling.material, basis_row.centers)
         pref = (1.0 / np.sqrt(n_row))[:, None]
-        for (rf, b, alpha, beta), arr in blocks.volume_e.items():
-            if rf != row_field:
-                continue
-            ve = pref * arr
-            vh = pref * blocks.volume_h[(rf, b, alpha, beta)]
-            sh = pref * blocks.surface_h[(rf, b, alpha, beta)]
-            if row_field == "i":
-                ve, vh, sh = np.conj(ve), np.conj(vh), np.conj(sh)
-            # key convention: alpha = row pol, beta = column pol
-            row_pol, col_pol = alpha, beta
-            j_v.add_block((row_field, "E", row_pol), (col_field, b, col_pol), ve)
-            if magnetic_sources:
-                j_v.add_block((row_field, "H", row_pol), (col_field, b, col_pol), vh)
-                j_s.add_block((row_field, "H", row_pol), (col_field, b, col_pol), sh)
-    return j_v, j_s
+        for alpha in POLS:  # row pol
+            for beta in POLS:  # column pol
+                keys = [(row_field, b, alpha, beta) for b in DIRS]
+                ve = np.array([pref * blocks.volume_e[k] for k in keys])
+                vh = np.array([pref * blocks.volume_h[k] for k in keys])
+                sh = np.array([pref * blocks.surface_h[k] for k in keys])
+                zero = np.zeros_like(ve)
+                if not magnetic_sources:
+                    vh = sh = zero
+                j_v, j_s = np.array([ve, vh]), np.array([zero, sh])
+                if row_field == "i":
+                    j_v, j_s = np.conj(j_v), np.conj(j_s)
+                kernels[(row_field, alpha, beta)] = (j_v, j_s)
+    return kernels
 
 
 @dataclass
@@ -309,19 +242,16 @@ def build_emission(
     convention: str = "local-jump",
 ) -> EmissionOperators:
     """Assemble the scattering map and the volume/surface emission maps."""
+    maps = linear_maps(structure, basis_s, basis_i)
     sums = np.unique(
         (basis_s.centers[:, None] + basis_i.centers[None, :]).ravel()
     )
     pump = propagate_pump(structure, pump_spec, sums)
-    chain = TransferChain.build(structure, basis_s, basis_i)
     n_tot = structure.n_layers + 2
-    bins = basis_s.bins
-    t_full = chain.from_left[n_tot - 1]
-    f_map = input_output_map(t_full)
-    w_map = feed_in_map(f_map)
-    rows = row_space("continuity", bins)
-    modes = mode_space("modes", bins)
-    out_sp, in_sp = f_map.row, f_map.col
+    out_sp = mode_space("out", basis_s.bins)
+    in_sp = mode_space("in", basis_s.bins)
+    f_map = BlockMatrix.from_bins(out_sp, in_sp,
+                                  {f: m.scatter for f, m in maps.items()})
 
     couplings = [
         LayerCoupling(structure, l, basis_s, basis_i, pump, area)
@@ -331,45 +261,55 @@ def build_emission(
     g_s = BlockMatrix(out_sp, in_sp)
     sources = {}
     warnings = []
-    b_emb = BlockMatrix(modes, out_sp)
-    g_emb = BlockMatrix(modes, out_sp)
-    eye = np.eye(bins)
-    for f in FIELDS:
-        for pol in POLS:
-            b_emb.set_block((f, "B", pol), (f, "B", pol), eye)
-            g_emb.set_block((f, "F", pol), (f, "F", pol), eye)
-
     for l in range(1, n_tot):
         left, right = couplings[l - 1], couplings[l]
-        feed_left = chain.tilde_from_left(l - 1) @ w_map
-        feed_right = chain.from_left[l] @ w_map
         if left.is_dark() and right.is_dark():
             if keep_sources:
-                sources[l] = (BlockMatrix(out_sp, in_sp), BlockMatrix(out_sp, in_sp))
+                sources[l] = (BlockMatrix(out_sp, in_sp),
+                              BlockMatrix(out_sp, in_sp))
             continue
-        response = (
-            chain.interface[l] @ chain.from_right[l] @ g_emb
-            - chain.interface[l - 1] @ chain.tilde_from_left(l - 1) @ b_emb
-        )
-        cond = response.condition_number()
+        inverse, cond = {}, 0.0
+        for f, m in maps.items():
+            response = m.response(l)
+            inverse[f] = mat2_inv(response, f"boundary {l} response")
+            # exact 1-norm condition number per bin: largest column sums
+            norm_r, norm_inv = (np.abs(a).sum(axis=0).max(axis=0)
+                                for a in (response, inverse[f]))
+            cond = max(cond, float(np.max(norm_r * norm_inv)))
         if cond > CONDITION_WARN:
             warnings.append(
                 f"boundary {l}: response condition number {cond:.2e}"
             )
-        jv_left, js_left = _source_matrix(
-            left, "right", rows, modes, magnetic_sources, convention
-        )
-        jv_right, js_right = _source_matrix(
-            right, "left", rows, modes, magnetic_sources, convention
-        )
-        k_v = jv_left @ feed_left - jv_right @ feed_right
-        k_s = js_left @ feed_left - js_right @ feed_right
-        s_v = response.solve(k_v, context=f"boundary {l} response")
-        s_s = response.solve(k_s, context=f"boundary {l} response")
-        s_v = BlockMatrix(out_sp, in_sp, s_v.data)
-        s_s = BlockMatrix(out_sp, in_sp, s_s.data)
-        g_v = g_v + s_v
-        g_s = g_s + s_s
+        # continuity-row sources: the kernels of each side, scaled by
+        # columns with the feed of that side's modes from the inputs
+        feeds = {f: (mat2_mul(m.at_right[l - 1], m.feed),
+                     mat2_mul(m.at_left[l], m.feed)) for f, m in maps.items()}
+        k_rows = {}
+        for side, (coupling, edge, sign) in enumerate(
+                ((left, "right", 1.0), (right, "left", -1.0))):
+            if coupling.is_dark():
+                continue
+            kernels = _side_kernels(coupling, edge, magnetic_sources, convention)
+            for (row_field, alpha, beta), pair in kernels.items():
+                feed = feeds["i" if row_field == "s" else "s"][side]
+                terms = [sign * np.einsum("xbkn,bcn->xckn", j, feed)
+                         for j in pair]
+                key = (row_field, alpha, beta)
+                k_rows[key] = [a + b for a, b in
+                               zip(k_rows.get(key, (0.0, 0.0)), terms)]
+        # output amplitudes: rows scaled with the inverse response
+        s_v = BlockMatrix(out_sp, in_sp)
+        s_s = BlockMatrix(out_sp, in_sp)
+        for (row_field, alpha, beta), pair in k_rows.items():
+            col_field = "i" if row_field == "s" else "s"
+            for k_mat, target in zip(pair, (s_v, s_s)):
+                s = np.einsum("dxk,xckn->dckn", inverse[row_field], k_mat)
+                for d, a in enumerate(DIRS):
+                    for c, b in enumerate(DIRS):
+                        target.set_block((row_field, a, alpha),
+                                         (col_field, b, beta), s[d, c])
+        g_v.data += s_v.data
+        g_s.data += s_s.data
         if keep_sources:
             sources[l] = (s_v, s_s)
 
@@ -388,10 +328,3 @@ def build_emission(
         warnings=warnings,
         area=area,
     )
-
-
-def pair_source(emission: EmissionOperators, l: int, kind: str) -> BlockMatrix:
-    """Per-boundary source map (requires keep_sources=True at build)."""
-    if l not in emission.boundary_sources:
-        raise ConfigError(f"boundary {l} sources were not retained")
-    return emission.boundary_sources[l][{"V": 0, "S": 1}[kind]]

@@ -14,15 +14,15 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
+from .blockmatrix import BlockMatrix, mode_space, row_space
 from .config import RunConfig
 from .errors import ConfigError, NoPeak
 from .linear import linear_transmission
 from .matrixcore import (
-    TransferChain,
     build_emission,
-    feed_in_map,
-    input_output_map,
+    linear_maps,
     outward_maps,
+    propagator_bins,
 )
 from .observables import (
     antidiagonal_profile,
@@ -485,44 +485,47 @@ MATRIX_NAMES = (
 
 
 def dump_matrix(cfg: RunConfig, name: str, out_path, bins=None):
-    """Write one named pipeline matrix with labeled rows/columns to CSV."""
+    """Write one named pipeline matrix with labeled rows/columns to CSV.
+
+    The linear maps (T, P, L, F, W, Z, Y, X) are expanded from their
+    per-bin 2x2 form into labelled diagonal blocks.
+    """
     basis = cfg.basis(bins)
-    chain = TransferChain.build(cfg.structure, basis, basis)
-    n_tot = cfg.structure.n_layers + 2
-    t_full = chain.from_left[n_tot - 1]
-    f_map = input_output_map(t_full)
+    structure = cfg.structure
     parts = name.split(":")
     key = parts[0].upper()
     idx = int(parts[1]) if len(parts) > 1 else None
-    if key in ("GV", "GS", "SV", "SS"):
+    modes = mode_space("modes", basis.bins)
+    picks = {  # per-bin maps of one field sector
+        "T": lambda m: m.at_left[-1 if idx is None else idx],
+        "L": lambda m: m.interface[idx],
+        "F": lambda m: m.scatter,
+        "W": lambda m: m.feed,
+        "X": lambda m: outward_maps(m, idx)[0],
+        "Y": lambda m: outward_maps(m, 1)[1],
+        "Z": lambda m: outward_maps(m, 1)[2],
+    }
+    if key in picks:
+        maps = linear_maps(structure, basis, basis)
+        rows = row_space("continuity", basis.bins) if key == "L" else modes
+        mat = BlockMatrix.from_bins(
+            rows, modes, {f: picks[key](m) for f, m in maps.items()}
+        )
+    elif key == "P":
+        p = propagator_bins(structure.material(idx), structure.length(idx),
+                            basis)
+        mat = BlockMatrix.from_bins(modes, modes, {"s": p, "i": np.conj(p)})
+    elif key in ("GV", "GS", "SV", "SS"):
         emission = build_emission(
-            cfg.structure, cfg.pump, basis, basis, keep_sources=True,
+            structure, cfg.pump, basis, basis, keep_sources=True,
             convention=cfg.attribution,
         )
-    if key == "T" and idx is None:
-        mat = t_full
-    elif key == "T":
-        mat = chain.from_left[idx]
-    elif key == "P":
-        mat = chain.propagator[idx]
-    elif key == "L":
-        mat = chain.interface[idx]
-    elif key == "F":
-        mat = f_map
-    elif key == "W":
-        mat = feed_in_map(f_map)
-    elif key == "Z":
-        mat = f_map.inv()
-    elif key == "Y":
-        _, mat, _ = outward_maps(chain, f_map, 1)
-    elif key == "X":
-        mat, _, _ = outward_maps(chain, f_map, idx)
-    elif key == "GV":
-        mat = emission.g_volume
-    elif key == "GS":
-        mat = emission.g_surface
-    elif key in ("SV", "SS"):
-        mat = emission.boundary_sources[idx][0 if key == "SV" else 1]
+        if key == "GV":
+            mat = emission.g_volume
+        elif key == "GS":
+            mat = emission.g_surface
+        else:
+            mat = emission.boundary_sources[idx][0 if key == "SV" else 1]
     else:
         raise ConfigError(
             f"unknown matrix {name!r}; known: {', '.join(MATRIX_NAMES)}"

@@ -122,60 +122,6 @@ def _masked_wavenumber(material, omega, direction, mask):
     return np.where(mask, k, 0.0)
 
 
-def _pump_grid_index(pump: PumpField, total):
-    """Indices of the sum frequencies on the pump grid (must lie on it)."""
-    flat = np.atleast_1d(total).ravel()
-    idx = np.searchsorted(pump.omega, flat)
-    idx = np.clip(idx, 0, pump.omega.size - 1)
-    left = np.clip(idx - 1, 0, pump.omega.size - 1)
-    idx = np.where(
-        np.abs(pump.omega[left] - flat) < np.abs(pump.omega[idx] - flat), left, idx
-    )
-    if np.any(np.abs(pump.omega[idx] - flat) > 1e-6 * np.abs(flat)):
-        raise ConfigError("sum frequency not on the pump grid")
-    return idx
-
-
-def nonlinear_coupling(
-    structure: StructureSpec,
-    l: int,
-    pump: PumpField,
-    g: str,
-    gamma: str,
-    alpha: str,
-    beta: str,
-    omega_s,
-    omega_i,
-    area: float = 1.0,
-):
-    """Pump-weighted pair coupling of layer l, units 1/m per (rad/s).
-
-    T_g = (4 i pi eps0 A / hbar) tau_s tau_i chi2(gamma; alpha, beta)
-          * poling * conj(A_pump,g(w_s + w_i)).
-
-    The pump amplitude is looked up on the pump frequency grid; the sum
-    frequency must lie on it (the grid is built from the bin sums).
-    """
-    mat = structure.material(l)
-    d = mat.chi2.get((gamma, alpha, beta), 0.0)
-    if d == 0.0 or gamma != pump.polarization:
-        return np.zeros(np.broadcast(np.asarray(omega_s), np.asarray(omega_i)).shape,
-                        dtype=complex)
-    omega_s = np.asarray(omega_s, dtype=float)
-    omega_i = np.asarray(omega_i, dtype=float)
-    total = np.atleast_1d(omega_s + omega_i)
-    idx = _pump_grid_index(pump, total)
-    a_g = pump.amps[l, {"F": 0, "B": 1}[g], idx].reshape(total.shape)
-    tau_s = photon_amplitude_tau(mat, omega_s, area)
-    tau_i = photon_amplitude_tau(mat, omega_i, area)
-    base = (
-        4.0j * np.pi * CONSTANTS.eps0 * area / CONSTANTS.hbar
-        * tau_s * tau_i * d * structure.poling(l)
-    )
-    out = base * np.conj(a_g)
-    return out if out.shape else complex(out)
-
-
 @dataclass
 class LayerCoupling:
     """Cached pair-coupling data of one finite layer on the bin grids.
@@ -348,23 +294,21 @@ def phase_functions(coupling: LayerCoupling, a, b, alpha, beta, z,
 class CouplingBlocks:
     """Basis-projected kernel blocks of one layer at one edge.
 
-    lam_e[(a, b, alpha, beta)] projects the kernel chi; lam_h the total
-    magnetic content per mode slot.  volume_e/volume_h/surface_h carry
-    the boundary-source attribution actually used to assemble the pair
-    sources (see module docstring); keys (row_field, b, alpha, beta)
-    with the row direction fixed by the edge (forward kernels survive at
-    the right edge, backward at the left edge).
+    volume_e projects the arriving kernel chi; volume_h/surface_h carry
+    the magnetic boundary-source attribution used to assemble the pair
+    sources (see module docstring), and their sum is the total magnetic
+    content of the mode slot.  Keys (row_field, b, alpha, beta) with the
+    row direction fixed by the edge (forward kernels survive at the right
+    edge, backward at the left edge).
     """
 
     edge: str
-    lam_e: dict
-    lam_h: dict
     volume_e: dict
     volume_h: dict
     surface_h: dict
 
 
-SPLIT_CONVENTIONS = ("local-jump", "local-jump-flipped", "per-slot")
+SPLIT_CONVENTIONS = ("local-jump", "per-slot")
 
 
 def _edge_kernels(coupling: LayerCoupling, edge: str, row_field: str,
@@ -381,9 +325,6 @@ def _edge_kernels(coupling: LayerCoupling, edge: str, row_field: str,
       drive is the cross-boundary jump of Q (zero at a fictitious
       boundary, proportional to the material discontinuity at a real
       one).
-    * 'local-jump-flipped': the same with the global sign of the
-      surface channel reversed (kept for sensitivity studies; flips the
-      volume-surface interference).
     * 'per-slot': the literal magnetic content of each mode slot
       (volume rows i k chi + [+-1]_a Q of the arriving slot, surface
       rows the departing slot's [+-1]_a Q).  Not fictitious-boundary
@@ -429,8 +370,6 @@ def _edge_kernels(coupling: LayerCoupling, edge: str, row_field: str,
                     )
                 if convention == "local-jump":
                     sigma = -1.0
-                elif convention == "local-jump-flipped":
-                    sigma = 1.0
                 else:  # per-slot: [+-1]_a of the arriving direction
                     sigma = 1.0 if edge == "right" else -1.0
                 out_e[(b, alpha, beta)] = chi
@@ -450,25 +389,18 @@ def project_to_basis(coupling: LayerCoupling, edge: str,
     """
     if edge not in ("left", "right"):
         raise ConfigError("edge must be 'left' or 'right'")
-    lam_e, lam_h = {}, {}
     vol_e, vol_h, sur_h = {}, {}, {}
     for row_field in ("s", "i"):
         basis_row = coupling.basis_s if row_field == "s" else coupling.basis_i
         basis_col = coupling.basis_i if row_field == "s" else coupling.basis_s
         weight = np.sqrt(basis_row.widths[:, None] * basis_col.widths[None, :])
         chi, hv, hs = _edge_kernels(coupling, edge, row_field, convention)
-        a = "F" if edge == "right" else "B"
         for (b, alpha, beta), arr in chi.items():
-            lam_e[(row_field, a, b, alpha, beta)] = arr * weight
             vol_e[(row_field, b, alpha, beta)] = arr * weight
         for (b, alpha, beta), arr in hv.items():
             vol_h[(row_field, b, alpha, beta)] = arr * weight
-            lam_h[(row_field, a, b, alpha, beta)] = (
-                arr + hs[(b, alpha, beta)]
-            ) * weight
         for (b, alpha, beta), arr in hs.items():
             sur_h[(row_field, b, alpha, beta)] = arr * weight
     return CouplingBlocks(
-        edge=edge, lam_e=lam_e, lam_h=lam_h,
-        volume_e=vol_e, volume_h=vol_h, surface_h=sur_h
+        edge=edge, volume_e=vol_e, volume_h=vol_h, surface_h=sur_h
     )

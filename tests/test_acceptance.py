@@ -14,11 +14,12 @@ import os
 import numpy as np
 import pytest
 
+from spdc1d.blockmatrix import BlockMatrix, mode_space
 from spdc1d.config import load_config, parse_config
 from spdc1d.constants import CONSTANTS
 from spdc1d.linear import PumpSpec, linear_transmission
 from spdc1d.materials import constant_material
-from spdc1d.matrixcore import TransferChain, build_emission, input_output_map
+from spdc1d.matrixcore import build_emission, linear_maps
 from spdc1d.observables import (
     antidiagonal_profile,
     count_peaks,
@@ -72,8 +73,10 @@ def test_unitarity_and_energy_conservation():
         omega = OMEGA_P0 * (0.3 + 1.2 * rng.rand())
         _, _, big_t, big_r = linear_transmission(st, omega)
         worst_tr = max(worst_tr, abs(big_t + big_r - 1.0))
-        chain = TransferChain.build(st, basis, basis)
-        f = input_output_map(chain.from_left[st.n_layers + 1])
+        f = BlockMatrix.from_bins(
+            mode_space("out", basis.bins), mode_space("in", basis.bins),
+            {fld: m.scatter for fld, m in linear_maps(st, basis, basis).items()},
+        )
         half = f.row.dim // 2
         sig = f.data[:half, :half]
         worst_unitary = max(

@@ -7,7 +7,15 @@ import pytest
 import spdc1d.spectral as spectral_mod
 from spdc1d.cli import main
 from spdc1d.config import ConfigError, load_config, parse_config
-from spdc1d.runner import simulate, track_ridges, transmission_map, verify
+from spdc1d.blockmatrix import mode_space, row_space
+from spdc1d.matrixcore import build_emission
+from spdc1d.runner import (
+    MATRIX_NAMES,
+    simulate,
+    track_ridges,
+    transmission_map,
+    verify,
+)
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs",
                        "gan_aln_20layer.json")
@@ -77,10 +85,11 @@ def test_missing_and_invalid_values_rejected():
     raw["structure"]["layers"][0]["material"] = "nope"
     with pytest.raises(ConfigError, match="unknown material"):
         parse_config(raw)
-    raw = _tiny_config()
-    raw["surface_attribution"] = "bogus"
-    with pytest.raises(ConfigError, match="surface_attribution"):
-        parse_config(raw)
+    for bad in ("bogus", "local-jump-flipped"):
+        raw = _tiny_config()
+        raw["surface_attribution"] = bad
+        with pytest.raises(ConfigError, match="surface_attribution"):
+            parse_config(raw)
 
 
 def test_nonlinear_ambient_rejected():
@@ -186,8 +195,7 @@ def test_cli_simulate_and_dump_and_verify(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_tiny_config()))
     out = tmp_path / "out"
-    rc = main(["simulate", "--config", str(cfg_path), "--out-dir", str(out),
-               "--seedless"])
+    rc = main(["simulate", "--config", str(cfg_path), "--out-dir", str(out)])
     assert rc == 0
     assert (out / "summary.json").exists()
     rc = main(["dump-matrix", "--config", str(cfg_path), "--name", "F",
@@ -200,6 +208,34 @@ def test_cli_simulate_and_dump_and_verify(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "missing.json"),
                "--out-dir", str(out)])
     assert rc == 2
+
+
+def _labels(space):
+    return ["/".join(map(str, lab)) for lab in space.labels()]
+
+
+@pytest.mark.parametrize("name", MATRIX_NAMES)
+def test_cli_dump_matrix_every_name(tmp_path, name):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    name = name.replace(":l", ":1")  # boundary / layer 1 exists in the stack
+    out = tmp_path / "m.csv"
+    rc = main(["dump-matrix", "--config", str(cfg_path), "--name", name,
+               "--out", str(out), "--bins", "2"])
+    assert rc == 0
+    lines = [line.split(",") for line in out.read_text().splitlines()]
+    rows = row_space("r", 2) if name.startswith("L") else mode_space("r", 2)
+    assert lines[0] == ["row\\col"] + _labels(mode_space("c", 2))
+    assert [line[0] for line in lines[1:]] == _labels(rows)
+    values = np.array([[complex(v) for v in line[1:]] for line in lines[1:]])
+    assert np.all(np.isfinite(values))
+    if name in ("F", "GV"):
+        cfg = parse_config(_tiny_config())
+        basis = cfg.basis(2)
+        em = build_emission(cfg.structure, cfg.pump, basis, basis,
+                            convention=cfg.attribution)
+        expected = em.f_linear if name == "F" else em.g_volume
+        assert np.array_equal(values, expected.data)
 
 
 def test_cli_window_override(tmp_path):

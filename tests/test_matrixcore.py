@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
-from spdc1d.blockmatrix import BlockMatrix, mode_space
+from spdc1d.blockmatrix import BlockMatrix, mode_space, row_space
 from spdc1d.constants import CONSTANTS
-from spdc1d.linear import PumpSpec, linear_transmission
+from spdc1d.linear import PumpSpec, linear_transmission, mat2_inv, mat2_mul
 from spdc1d.materials import constant_material
 from spdc1d.matrixcore import (
-    TransferChain,
     build_emission,
     feed_in_map,
+    field_maps,
     input_output_map,
-    interface_matrix,
-    layer_propagator,
+    interface_bins,
+    linear_maps,
     outward_maps,
     overlap_matrices,
-    pair_source,
-    transfer_compose,
+    propagator_bins,
 )
 from spdc1d.spectral import SpectralBasis
 from spdc1d.structure import StructureSpec
@@ -32,6 +31,11 @@ def _stack(layers, n_in=1.0, n_out=None):
     amb = constant_material("in", n_in)
     out = amb if n_out is None else constant_material("out", n_out)
     return StructureSpec(tuple(layers), amb, out)
+
+
+def _eye2(bins):
+    """Per-bin 2x2 identity maps, shape (2, 2, bins)."""
+    return np.broadcast_to(np.eye(2)[:, :, None], (2, 2, bins))
 
 
 def test_overlap_matrices_constant_index():
@@ -58,13 +62,12 @@ def test_overlap_matrices_sellmeier_per_bin(gan):
 
 
 def test_interface_matrix_k1_layout():
-    from spdc1d.blockmatrix import mode_space, row_space
-
     b = _basis(1, 0.499, 0.501)
     omega = b.centers[0]
     k = omega / C
-    mat = interface_matrix(constant_material("v", 1.0), b, b,
-                           row_space("rows", 1), mode_space("modes", 1))
+    per_bin = interface_bins(constant_material("v", 1.0), b)
+    mat = BlockMatrix.from_bins(row_space("rows", 1), mode_space("modes", 1),
+                                {"s": per_bin, "i": np.conj(per_bin)})
     sig = mat.data[:4, :4]
     expected = np.array(
         [
@@ -78,87 +81,101 @@ def test_interface_matrix_k1_layout():
     # idler sector conjugated
     idl = mat.data[4:, 4:]
     assert np.allclose(idl, np.conj(expected), rtol=1e-14)
+    # the field sectors do not mix
+    assert np.all(mat.data[:4, 4:] == 0.0) and np.all(mat.data[4:, :4] == 0.0)
 
 
 def test_interface_matrix_invertible_random_lossless():
     rng = np.random.RandomState(11)
     b = _basis(3)
-    from spdc1d.blockmatrix import mode_space, row_space
-
     for _ in range(20):
         n = 1.0 + 3.0 * rng.rand()
-        mat = interface_matrix(constant_material("m", n), b, b,
-                               row_space("rows", 3), mode_space("modes", 3))
+        per_bin = np.moveaxis(interface_bins(constant_material("m", n), b),
+                              -1, 0)
         # rows carry the physical k scale (~1e7/m); normalize before
         # conditioning so the check probes genuine rank, not units
-        scale = np.abs(mat.data).max(axis=1, keepdims=True)
-        assert np.linalg.cond(mat.data / scale) < 1e3
+        scale = np.abs(per_bin).max(axis=2, keepdims=True)
+        assert np.all(np.linalg.cond(per_bin / scale) < 1e3)
 
 
 def test_identical_adjacent_layers_same_interface(gan):
     b = _basis(3)
-    from spdc1d.blockmatrix import mode_space, row_space
-
-    m1 = interface_matrix(gan, b, b, row_space("r", 3), mode_space("m", 3))
-    m2 = interface_matrix(gan, b, b, row_space("r", 3), mode_space("m", 3))
-    assert np.array_equal(m1.data, m2.data)
+    assert np.array_equal(interface_bins(gan, b), interface_bins(gan, b))
 
 
 def test_propagator_identity_additivity_unimodular(gan):
     b = _basis(5)
-    space = mode_space("modes", 5)
-    p0 = layer_propagator(gan, 0.0, b, b, space)
-    assert np.allclose(p0.data, np.eye(space.dim))
-    p1 = layer_propagator(gan, 40e-9, b, b, space)
-    p2 = layer_propagator(gan, 75e-9, b, b, space)
-    p12 = layer_propagator(gan, 115e-9, b, b, space)
-    assert np.allclose((p1 @ p2).data, p12.data, rtol=1e-12)
-    diag = np.diag(p1.data)
+    eye = _eye2(5)
+    assert np.allclose(propagator_bins(gan, 0.0, b), eye)
+    p1 = propagator_bins(gan, 40e-9, b)
+    p2 = propagator_bins(gan, 75e-9, b)
+    p12 = propagator_bins(gan, 115e-9, b)
+    assert np.allclose(mat2_mul(p1, p2), p12, rtol=1e-12)
+    assert np.all(p1[0, 1] == 0.0) and np.all(p1[1, 0] == 0.0)
+    diag = np.array([p1[0, 0], p1[1, 1]])
     assert np.allclose(np.abs(diag), 1.0, rtol=1e-14)
+
+
+def _folded_transfer(structure, b, n, m):
+    """Layer-n modes at z_n from layer-m modes at z_{m+1}, folded from
+    the per-bin continuity rows and propagators of the layers between."""
+    acc = interface_bins(structure.material(m), b)
+    for l in range(m + 1, n):
+        lay = interface_bins(structure.material(l), b)
+        prop = propagator_bins(structure.material(l), structure.length(l), b)
+        acc = mat2_mul(lay, mat2_mul(prop, mat2_mul(mat2_inv(lay), acc)))
+    return mat2_mul(mat2_inv(interface_bins(structure.material(n), b)), acc)
 
 
 def test_transfer_adjacent_identical_materials_is_identity():
     m = constant_material("m", 1.7)
     st = _stack([(m, 50e-9, 1), (m, 80e-9, 1)], n_in=1.7)
     b = _basis(3)
-    chain = TransferChain.build(st, b, b)
-    t10 = transfer_compose(chain, 1, 0)
-    assert np.allclose(t10.data, np.eye(t10.row.dim), atol=1e-13)
+    eye = _eye2(3)
+    assert np.allclose(_folded_transfer(st, b, 1, 0), eye, atol=1e-13)
+    assert np.allclose(field_maps(st, b).at_left[1], eye, atol=1e-13)
 
 
 def test_transfer_split_composition(stack4):
     b = _basis(3)
-    chain = TransferChain.build(stack4, b, b)
-    whole = chain.from_left[stack4.n_layers + 1]
-    split = stack4.split_layer(2, 0.35)
-    chain_s = TransferChain.build(split, b, b)
-    whole_s = chain_s.from_left[split.n_layers + 1]
-    assert np.allclose(whole.data, whole_s.data, rtol=1e-12)
+    whole = field_maps(stack4, b).at_left[-1]
+    whole_s = field_maps(stack4.split_layer(2, 0.35), b).at_left[-1]
+    assert np.allclose(whole, whole_s, rtol=1e-12)
 
 
 def test_transfer_general_compose_consistency(stack4):
     b = _basis(2)
-    chain = TransferChain.build(stack4, b, b)
-    # T^(n,0) composed in two hops equals the cumulative map
-    t30 = transfer_compose(chain, 3, 0)
-    assert np.allclose(t30.data, chain.from_left[3].data, rtol=1e-12)
-    # backward map inverts the full transfer at the input medium
-    full = chain.from_left[stack4.n_layers + 1]
-    r0 = chain.from_right[0]
-    assert np.allclose((r0 @ full).data, np.eye(full.row.dim), atol=1e-10)
+    maps = field_maps(stack4, b)
+    # T^(n,0) folded from the continuity rows equals the marched transfer
+    for n in (1, 3, stack4.n_layers + 1):
+        assert np.allclose(_folded_transfer(stack4, b, n, 0), maps.at_left[n],
+                           rtol=1e-12)
+    # the right edge of a layer is its left edge advanced by the propagator
+    for l in (1, 2):
+        prop = propagator_bins(stack4.material(l), stack4.length(l), b)
+        assert np.allclose(mat2_mul(prop, maps.at_left[l]), maps.at_right[l],
+                           rtol=1e-12)
+    # the backward fold inverts the full transfer at the input medium
+    n_out = stack4.n_layers + 1
+    r0 = mat2_inv(_folded_transfer(stack4, b, n_out, 0))
+    eye = _eye2(2)
+    assert np.allclose(mat2_mul(r0, maps.at_left[-1]), eye, atol=1e-10)
 
 
 def test_input_output_identity_for_identity_transfer():
+    eye = _eye2(2).astype(complex)
+    assert np.allclose(input_output_map(eye), eye, atol=1e-14)
     space = mode_space("modes", 2)
-    t = BlockMatrix.identity(space)
-    f = input_output_map(t)
+    f = BlockMatrix.from_bins(space, space, {"s": eye, "i": eye})
     assert np.allclose(f.data, np.eye(space.dim), atol=1e-14)
 
 
 def test_scattering_unitary_and_transmission_crosscheck(stack4):
     b = _basis(1, 0.497, 0.503)
-    chain = TransferChain.build(stack4, b, b)
-    f = input_output_map(chain.from_left[stack4.n_layers + 1])
+    f = BlockMatrix.from_bins(
+        mode_space("out", 1), mode_space("in", 1),
+        {fld: m.scatter for fld, m in linear_maps(stack4, b, b).items()},
+    )
     dev = np.abs(f.data @ f.data.conj().T - np.eye(f.row.dim)).max()
     assert dev < 1e-9
     t, r, big_t, big_r = linear_transmission(stack4, b.centers[0])
@@ -175,43 +192,27 @@ def test_scattering_unitary_and_transmission_crosscheck(stack4):
 
 def test_feed_in_and_outward_maps(stack4):
     b = _basis(2)
-    chain = TransferChain.build(stack4, b, b)
-    f = input_output_map(chain.from_left[stack4.n_layers + 1])
-    w = feed_in_map(f)
-    # forward rows pass inputs through
-    blk = w.block(("s", "F", "x"), ("s", "F", "x"))
-    assert np.allclose(blk, np.eye(2))
-    assert np.allclose(w.block(("s", "F", "x"), ("s", "B", "x")), 0.0)
-    # backward rows reproduce the scattering map rows
-    assert np.allclose(
-        w.block(("i", "B", "y"), ("i", "F", "y")),
-        f.block(("i", "B", "y"), ("i", "F", "y")),
-    )
-    x, y, z = outward_maps(chain, f, stack4.n_layers + 1)
-    assert np.allclose((z @ f).data, np.eye(f.row.dim), atol=1e-10)
-    xy = x @ y
-    for fld in ("s", "i"):
-        for pol in ("x", "y"):
-            assert np.allclose(
-                xy.block((fld, "F", pol), (fld, "F", pol)), np.eye(2),
-                atol=1e-10,
-            )
-            assert np.allclose(
-                xy.block((fld, "F", pol), (fld, "B", pol)), 0.0, atol=1e-10
-            )
+    eye = _eye2(2)
+    for field, maps in linear_maps(stack4, b, b).items():
+        f, w = maps.scatter, maps.feed
+        # forward rows pass inputs through
+        assert np.allclose(w[0], eye[0])
+        # backward rows reproduce the scattering map rows
+        assert np.allclose(w[1], f[1])
+        assert np.allclose(w, feed_in_map(f))
+        x, y, z = outward_maps(maps, stack4.n_layers + 1)
+        assert np.allclose(mat2_mul(z, f), eye, atol=1e-10)
+        xy = mat2_mul(x, y)
+        assert np.allclose(xy[0], eye[0], atol=1e-10), field
 
 
 def test_trivial_structure_feed_has_no_reflection_coupling():
     m = constant_material("m", 1.3)
     st = _stack([(m, 120e-9, 1)], n_in=1.3)
     b = _basis(2)
-    chain = TransferChain.build(st, b, b)
-    f = input_output_map(chain.from_left[st.n_layers + 1])
-    w = feed_in_map(f)
-    assert np.allclose(w.block(("s", "B", "x"), ("s", "F", "x")), 0.0,
-                       atol=1e-12)
-    bb = w.block(("s", "B", "x"), ("s", "B", "x"))
-    assert np.allclose(np.abs(np.diag(bb)), 1.0, rtol=1e-12)
+    w = field_maps(st, b).feed
+    assert np.allclose(w[1, 0], 0.0, atol=1e-12)
+    assert np.allclose(np.abs(w[1, 1]), 1.0, rtol=1e-12)
 
 
 def test_pair_sources_zero_for_linear_layers(aln, air, pump400):
@@ -232,10 +233,10 @@ def test_fictitious_boundary_surface_source_null(gan, aln, air, pump400):
     em_split = build_emission(st.split_layer(1, 0.5), pump400, b, b,
                               keep_sources=True)
     scale = (em.g_volume + em.g_surface).norm()
-    s_s = pair_source(em_split, 2, "S")
+    s_v, s_s = em_split.boundary_sources[2]
     assert s_s.norm() / scale < 1e-10
     # the volume handover at the fictitious boundary is nonzero
-    assert pair_source(em_split, 2, "V").norm() / scale > 1e-3
+    assert s_v.norm() / scale > 1e-3
 
 
 def test_electric_only_ablation_kills_surface(gan, aln, air, pump400):

@@ -8,7 +8,6 @@ from spdc1d.materials import constant_material
 from spdc1d.spectral import (
     LayerCoupling,
     SpectralBasis,
-    nonlinear_coupling,
     phase_functions,
     photon_amplitude_tau,
     project_to_basis,
@@ -67,27 +66,22 @@ def _toy(chi=4e-12, n=2.0, length=1e-6, bins=5, window=(0.3, 0.7)):
 
 def test_coupling_zero_cases_and_linearity():
     st, pump, basis, field = _toy(chi=0.0)
-    t = nonlinear_coupling(st, 1, field, "F", "y", "x", "y",
-                           basis.centers[2], basis.centers[2])
+    t = LayerCoupling(st, 1, basis, basis, field).tstar("F", "x", "y")
     assert np.all(t == 0.0)
 
     st, pump, basis, field = _toy()
-    args = (st, 1, field, "F", "y", "x", "y", basis.centers[2],
-            basis.centers[2])
-    t1 = nonlinear_coupling(*args)
+    coup = LayerCoupling(st, 1, basis, basis, field)
+    t1 = coup.tstar("F", "x", "y")[2, 2]
     assert t1 != 0.0
     # absent pol triple
-    assert nonlinear_coupling(st, 1, field, "F", "y", "y", "y",
-                              basis.centers[2], basis.centers[2]) == 0.0
+    assert coup.tstar("F", "y", "y")[2, 2] == 0.0
     # backward pump amplitude vanishes in an index-matched stack
-    assert nonlinear_coupling(st, 1, field, "B", "y", "x", "y",
-                              basis.centers[2], basis.centers[2]) == 0.0
+    assert coup.tstar("B", "x", "y")[2, 2] == 0.0
     # doubling the pump amplitude doubles |T| (energy x4)
     pump4 = PumpSpec(omega0=pump.omega0, sigma=pump.sigma,
                      energy_per_area=4e3)
     field4 = propagate_pump(st, pump4, field.omega)
-    t4 = nonlinear_coupling(st, 1, field4, "F", "y", "x", "y",
-                            basis.centers[2], basis.centers[2])
+    t4 = LayerCoupling(st, 1, basis, basis, field4).tstar("F", "x", "y")[2, 2]
     assert abs(t4) == pytest.approx(2 * abs(t1), rel=1e-12)
 
 
@@ -190,8 +184,9 @@ def test_project_to_basis_zero_for_linear_layer(aln, air, pump400):
     field = propagate_pump(st, pump400, sums)
     coup = LayerCoupling(st, 1, basis, basis, field)
     blocks = project_to_basis(coup, "right")
-    assert all(np.all(v == 0.0) for v in blocks.lam_e.values())
-    assert all(np.all(v == 0.0) for v in blocks.lam_h.values())
+    assert all(np.all(v == 0.0) for v in blocks.volume_e.values())
+    assert all(np.all(blocks.volume_h[k] + blocks.surface_h[k] == 0.0)
+               for k in blocks.volume_h)
 
 
 def test_project_single_bin_identity():
@@ -203,7 +198,7 @@ def test_project_single_bin_identity():
     k_s = coup.k_signed("s", "F")[0]
     k_i = coup.k_signed("i", "F")[0]
     chi = np.conj(phi[0, 0]) * np.exp(1j * (k_s + k_i) * st.length(1))
-    lam = blocks.lam_e[("s", "F", "F", "x", "y")][0, 0]
+    lam = blocks.volume_e[("s", "F", "x", "y")][0, 0]
     assert lam == pytest.approx(chi * basis.widths[0], rel=1e-12)
 
 
@@ -215,9 +210,12 @@ def test_projection_linear_in_pump_amplitude():
     coup2 = LayerCoupling(st, 1, basis, basis, field4)
     b1 = project_to_basis(coup1, "left")
     b2 = project_to_basis(coup2, "left")
-    for key in b1.lam_e:
-        assert np.allclose(b2.lam_e[key], 2.0 * b1.lam_e[key], rtol=1e-12)
-        assert np.allclose(b2.lam_h[key], 2.0 * b1.lam_h[key], rtol=1e-12)
+    for key in b1.volume_e:
+        assert np.allclose(b2.volume_e[key], 2.0 * b1.volume_e[key],
+                           rtol=1e-12)
+        assert np.allclose(b2.volume_h[key] + b2.surface_h[key],
+                           2.0 * (b1.volume_h[key] + b1.surface_h[key]),
+                           rtol=1e-12)
 
 
 def test_projection_refinement_error_model(gan, air, pump400):
@@ -240,9 +238,9 @@ def test_projection_refinement_error_model(gan, air, pump400):
         fine = LayerCoupling(st, 1, sub, sub, field)
         b_coarse = project_to_basis(coarse, "right")
         b_fine = project_to_basis(fine, "right")
-        key = ("s", "F", "F", "x", "y")
-        lam_c = b_coarse.lam_e[key] / basis.widths[0]
-        lam_f = b_fine.lam_e[key] / sub.widths[0]
+        key = ("s", "F", "x", "y")
+        lam_c = b_coarse.volume_e[key] / basis.widths[0]
+        lam_f = b_fine.volume_e[key] / sub.widths[0]
         # average the fine kernel over each coarse bin
         m = 16
         avg = lam_f.reshape(bins, m, bins, m).mean(axis=(1, 3))
