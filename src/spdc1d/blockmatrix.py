@@ -1,4 +1,4 @@
-"""Labelled dense containers for the pipeline's operators.
+"""Labelled dense forms for F and dumps.
 
 Index spaces are ordered label lists (field, channel-1, channel-2, bin)
 flattened into one axis; every matrix carries its row and column space,
@@ -6,14 +6,15 @@ which name its blocks and label its CSV dump.  Two channel conventions
 appear: mode spaces label (direction, polarization) per field and
 continuity-row spaces label (field class 'E'|'H', polarization).
 
-The linear maps are computed per frequency bin as 2x2 arrays (see
-``matrixcore``) and expanded into diagonal blocks here only on demand;
-the pair-emission maps fill dense signal-idler blocks.  No algebra is
-done on the dense form.
+The operators are computed as per-bin 2x2 maps and as pair arrays (see
+``matrixcore``) and expanded here only on demand: ``from_bins`` into
+diagonal blocks, ``from_pairs`` into dense signal-idler blocks.  No
+algebra is done on the dense form.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,6 @@ class Space:
                 for k in range(self.bins):
                     yield (f, c1, c2, k)
 
-    def compatible(self, other: "Space") -> bool:
-        return self.bins == other.bins and self.channels == other.channels
-
 
 def mode_space(name: str, bins: int) -> Space:
     return Space(name, bins, MODE_CHANNELS)
@@ -75,18 +73,11 @@ class BlockMatrix:
             )
         self.data = data
 
-    @classmethod
-    def identity(cls, space: Space) -> "BlockMatrix":
-        return cls(space, space, np.eye(space.dim, dtype=complex))
-
     def block(self, rlabel, clabel):
         return self.data[self.row.offset(*rlabel), self.col.offset(*clabel)]
 
     def set_block(self, rlabel, clabel, values):
         self.data[self.row.offset(*rlabel), self.col.offset(*clabel)] = values
-
-    def add_block(self, rlabel, clabel, values):
-        self.data[self.row.offset(*rlabel), self.col.offset(*clabel)] += values
 
     @classmethod
     def from_bins(cls, row: Space, col: Space, maps) -> "BlockMatrix":
@@ -109,17 +100,20 @@ class BlockMatrix:
                                       np.diag(maps[f][r, c]))
         return out
 
-    def __add__(self, other: "BlockMatrix") -> "BlockMatrix":
-        return BlockMatrix(self.row, self.col, self.data + other.data)
-
-    def __sub__(self, other: "BlockMatrix") -> "BlockMatrix":
-        return BlockMatrix(self.row, self.col, self.data - other.data)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-    def copy(self) -> "BlockMatrix":
-        return BlockMatrix(self.row, self.col, self.data.copy())
+    @classmethod
+    def from_pairs(cls, row: Space, col: Space, pairs) -> "BlockMatrix":
+        """Labelled dense form of a pair array (layout in ``matrixcore``):
+        block (f, a, alpha), (f', b, beta) with f' the other field is
+        pairs[f, a, alpha, b, beta]; same-field blocks stay zero."""
+        out = cls(row, col)
+        dirs, pols = (tuple(dict.fromkeys(ch[i] for ch in MODE_CHANNELS))
+                      for i in (0, 1))
+        for (fi, f), (a, alpha), (b, beta) in itertools.product(
+                enumerate(FIELDS), MODE_CHANNELS, MODE_CHANNELS):
+            out.set_block((f, a, alpha), (FIELDS[1 - fi], b, beta),
+                          pairs[fi, dirs.index(a), pols.index(alpha),
+                                dirs.index(b), pols.index(beta)])
+        return out
 
     def write_csv(self, path):
         """Dump with human-readable row/column labels."""

@@ -10,9 +10,5 @@ class PhysicalConstants:
     eps0: float = 8.8541878128e-12  # vacuum permittivity, F/m
     mu0: float = 1.25663706212e-6   # vacuum permeability, H/m
 
-    @property
-    def vacuum_impedance(self) -> float:
-        return (self.mu0 / self.eps0) ** 0.5
-
 
 CONSTANTS = PhysicalConstants()

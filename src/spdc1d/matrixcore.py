@@ -8,8 +8,17 @@ so it is stored as an array of shape (2, 2, K) over (row channel, column
 channel, bin).  The transfers come from ``linear.layer_transfers`` in the
 flux convention; because the idler entries are creation operators, every
 idler map is the complex conjugate of the same map on the idler basis.
-Only the pair sources are dense (signal bin x idler bin); they are
-anti-diagonal in the field sector.
+
+The pair operators G_V, G_S and the per-boundary sources map one
+field's inputs to the other field's outputs.  Each is one complex array
+of shape (2, 2, 2, 2, 2, K, K) over
+
+    (row field, row dir, row pol, col dir, col pol, row bin, col bin)
+
+in ``FIELDS``/``DIRS``/``POLS`` order; the column field is always the
+other field (signal rows take idler columns and vice versa).
+``pair_block`` reads one K x K block and ``BlockMatrix.from_pairs``
+expands an array into the labelled dense form.
 
 Boundary continuity (electric and magnetic rows, both polarizations,
 both fields) yields, per boundary l between layers l-1 and l:
@@ -25,11 +34,10 @@ structure outputs.  Writing the left-going part through the forward
 transfer of the left segment and the right-going part through the
 backward transfer of the right segment gives a 2x2 response per bin
 whose inverse maps continuity sources to output amplitudes.  Each
-boundary source is therefore the dense kernel blocks scaled by columns
-with the per-bin feed of their input modes and by rows with the per-bin
-inverse response: O(N K^2) work and no matrix solve.  F, G_V, G_S and
-the kept boundary sources are returned as labelled ``BlockMatrix``
-containers.
+boundary source is therefore the kernel array scaled by columns with the
+per-bin feed of its input modes and by rows with the per-bin inverse
+response, accumulated straight into G_V and G_S: O(N K^2) work and no
+matrix solve.  Only F is returned as a labelled ``BlockMatrix``.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmatrix import BlockMatrix, mode_space
+from .blockmatrix import FIELDS, BlockMatrix, mode_space
 from .constants import CONSTANTS
 from .errors import ConfigError, SingularMatrix
 from .linear import (
@@ -176,11 +184,21 @@ def outward_maps(maps: FieldMaps, l: int):
     return x, y, z_map
 
 
+def pair_block(pairs, row, col):
+    """K x K block of a pair array: row label (field, dir, pol), column
+    label (dir, pol) of the other field."""
+    field, a, alpha = row
+    b, beta = col
+    return pairs[FIELDS.index(field), DIRS.index(a), POLS.index(alpha),
+                 DIRS.index(b), POLS.index(beta)]
+
+
 def _side_kernels(coupling: LayerCoupling, edge: str, magnetic_sources=True,
                   convention="local-jump"):
-    """(J_volume, J_surface) of one layer side per (row field, row pol,
-    col pol), mapping that layer's free modes at the boundary to
-    continuity-row sources; each is (E/H row, F/B column, K, K).
+    """(J_volume, J_surface) of one layer side, mapping that layer's free
+    modes of the column field at the boundary to continuity-row sources
+    of the row field; pair-array layout with E/H in place of the row
+    direction.
 
     Volume rows: electric = arriving kernel content, magnetic = its
     i k chi part minus the bare source coefficient.  Surface rows:
@@ -190,25 +208,25 @@ def _side_kernels(coupling: LayerCoupling, edge: str, magnetic_sources=True,
     pairs with signal-mode columns.
     """
     blocks = project_to_basis(coupling, edge, convention)
-    kernels = {}
-    for row_field, basis_row in (("s", coupling.basis_s),
-                                 ("i", coupling.basis_i)):
-        n_row = refractive_index(coupling.material, basis_row.centers)
-        pref = (1.0 / np.sqrt(n_row))[:, None]
-        for alpha in POLS:  # row pol
-            for beta in POLS:  # column pol
-                keys = [(row_field, b, alpha, beta) for b in DIRS]
-                ve = np.array([pref * blocks.volume_e[k] for k in keys])
-                vh = np.array([pref * blocks.volume_h[k] for k in keys])
-                sh = np.array([pref * blocks.surface_h[k] for k in keys])
-                zero = np.zeros_like(ve)
-                if not magnetic_sources:
-                    vh = sh = zero
-                j_v, j_s = np.array([ve, vh]), np.array([zero, sh])
-                if row_field == "i":
-                    j_v, j_s = np.conj(j_v), np.conj(j_s)
-                kernels[(row_field, alpha, beta)] = (j_v, j_s)
-    return kernels
+    pref = np.array([
+        1.0 / np.sqrt(refractive_index(coupling.material, basis.centers))
+        for basis in (coupling.basis_s, coupling.basis_i)
+    ])[:, None, None, None, :, None]
+
+    def stack(kernels):
+        return pref * np.array([[[[kernels[(f, b, alpha, beta)]
+                                   for beta in POLS] for b in DIRS]
+                                 for alpha in POLS] for f in FIELDS])
+
+    ve, vh, sh = (stack(k) for k in
+                  (blocks.volume_e, blocks.volume_h, blocks.surface_h))
+    zero = np.zeros_like(ve)
+    if not magnetic_sources:
+        vh = sh = zero
+    j_v, j_s = np.stack((ve, vh), axis=1), np.stack((zero, sh), axis=1)
+    for j in (j_v, j_s):
+        j[1] = np.conj(j[1])
+    return j_v, j_s
 
 
 @dataclass
@@ -219,10 +237,10 @@ class EmissionOperators:
     basis_s: SpectralBasis
     basis_i: SpectralBasis
     pump: PumpField
-    f_linear: BlockMatrix
-    g_volume: BlockMatrix
-    g_surface: BlockMatrix
-    boundary_sources: dict
+    f_linear: BlockMatrix  # labelled dense F
+    g_volume: np.ndarray  # pair arrays (see the module docstring)
+    g_surface: np.ndarray
+    boundary_sources: dict  # l -> (volume, surface) pair arrays
     warnings: list
     area: float = 1.0
 
@@ -257,24 +275,26 @@ def build_emission(
         LayerCoupling(structure, l, basis_s, basis_i, pump, area)
         for l in range(n_tot)
     ]
-    g_v = BlockMatrix(out_sp, in_sp)
-    g_s = BlockMatrix(out_sp, in_sp)
+    shape = (2,) * 5 + (basis_s.bins, basis_i.bins)
+    g_v = np.zeros(shape, dtype=complex)
+    g_s = np.zeros(shape, dtype=complex)
+    col_maps = [maps["i"], maps["s"]]  # column field of each row field
     sources = {}
     warnings = []
     for l in range(1, n_tot):
         left, right = couplings[l - 1], couplings[l]
         if left.is_dark() and right.is_dark():
             if keep_sources:
-                sources[l] = (BlockMatrix(out_sp, in_sp),
-                              BlockMatrix(out_sp, in_sp))
+                sources[l] = (np.zeros(shape, dtype=complex),
+                              np.zeros(shape, dtype=complex))
             continue
-        inverse, cond = {}, 0.0
-        for f, m in maps.items():
-            response = m.response(l)
-            inverse[f] = mat2_inv(response, f"boundary {l} response")
+        inverse, cond = [], 0.0
+        for f in FIELDS:
+            response = maps[f].response(l)
+            inverse.append(mat2_inv(response, f"boundary {l} response"))
             # exact 1-norm condition number per bin: largest column sums
             norm_r, norm_inv = (np.abs(a).sum(axis=0).max(axis=0)
-                                for a in (response, inverse[f]))
+                                for a in (response, inverse[-1]))
             cond = max(cond, float(np.max(norm_r * norm_inv)))
         if cond > CONDITION_WARN:
             warnings.append(
@@ -282,39 +302,28 @@ def build_emission(
             )
         # continuity-row sources: the kernels of each side, scaled by
         # columns with the feed of that side's modes from the inputs
-        feeds = {f: (mat2_mul(m.at_right[l - 1], m.feed),
-                     mat2_mul(m.at_left[l], m.feed)) for f, m in maps.items()}
-        k_rows = {}
-        for side, (coupling, edge, sign) in enumerate(
-                ((left, "right", 1.0), (right, "left", -1.0))):
+        k_v = k_s = 0.0
+        for coupling, edge, sign, modes in (
+                (left, "right", 1.0, [m.at_right[l - 1] for m in col_maps]),
+                (right, "left", -1.0, [m.at_left[l] for m in col_maps])):
             if coupling.is_dark():
                 continue
-            kernels = _side_kernels(coupling, edge, magnetic_sources, convention)
-            for (row_field, alpha, beta), pair in kernels.items():
-                feed = feeds["i" if row_field == "s" else "s"][side]
-                terms = [sign * np.einsum("xbkn,bcn->xckn", j, feed)
-                         for j in pair]
-                key = (row_field, alpha, beta)
-                k_rows[key] = [a + b for a, b in
-                               zip(k_rows.get(key, (0.0, 0.0)), terms)]
+            feed = np.array([mat2_mul(t, m.feed)
+                             for t, m in zip(modes, col_maps)])
+            j_v, j_s = _side_kernels(coupling, edge, magnetic_sources,
+                                     convention)
+            k_v = k_v + sign * np.einsum("fxpbqkn,fbcn->fxpcqkn", j_v, feed)
+            k_s = k_s + sign * np.einsum("fxpbqkn,fbcn->fxpcqkn", j_s, feed)
         # output amplitudes: rows scaled with the inverse response
-        s_v = BlockMatrix(out_sp, in_sp)
-        s_s = BlockMatrix(out_sp, in_sp)
-        for (row_field, alpha, beta), pair in k_rows.items():
-            col_field = "i" if row_field == "s" else "s"
-            for k_mat, target in zip(pair, (s_v, s_s)):
-                s = np.einsum("dxk,xckn->dckn", inverse[row_field], k_mat)
-                for d, a in enumerate(DIRS):
-                    for c, b in enumerate(DIRS):
-                        target.set_block((row_field, a, alpha),
-                                         (col_field, b, beta), s[d, c])
-        g_v.data += s_v.data
-        g_s.data += s_s.data
+        s_v, s_s = (np.einsum("fdxk,fxpcqkn->fdpcqkn", inverse, k)
+                    for k in (k_v, k_s))
+        g_v += s_v
+        g_s += s_s
         if keep_sources:
             sources[l] = (s_v, s_s)
 
-    for name, mat in (("F", f_map), ("G_V", g_v), ("G_S", g_s)):
-        if not np.all(np.isfinite(mat.data)):
+    for name, mat in (("F", f_map.data), ("G_V", g_v), ("G_S", g_s)):
+        if not np.all(np.isfinite(mat)):
             raise ConfigError(f"non-finite entries in {name}")
     return EmissionOperators(
         structure=structure,

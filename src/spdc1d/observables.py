@@ -1,7 +1,9 @@
 """Measurable pair quantities derived from the emission operators.
 
-For an output channel (signal direction a, pol alpha; idler direction b,
-pol beta) two branch contractions are formed per contribution w:
+G_V and G_S are read as pair arrays (layout in ``matrixcore``), F as
+its labelled dense form.  For an output channel (signal direction a,
+pol alpha; idler direction b, pol beta) two branch contractions are
+formed per contribution w:
 
 * the signal-branch factor, the two-photon amplitude: pair born into the
   idler-creation rows, signal scattered linearly;
@@ -27,13 +29,9 @@ import numpy as np
 
 from .blockmatrix import MODE_CHANNELS
 from .errors import ConfigError, GridTooCoarse, NoPeak
-from .matrixcore import EmissionOperators
+from .matrixcore import EmissionOperators, pair_block
 
 CONTRIBUTIONS = ("V", "S")
-
-
-def _g_of(emission, w):
-    return {"V": emission.g_volume, "S": emission.g_surface}[w]
 
 
 def branch_amplitudes(emission: EmissionOperators, channel, w: str):
@@ -44,17 +42,17 @@ def branch_amplitudes(emission: EmissionOperators, channel, w: str):
     contribution w.
     """
     a, b, alpha, beta = channel
-    g = _g_of(emission, w)
+    g = {"V": emission.g_volume, "S": emission.g_surface}[w]
     f = emission.f_linear
     k = emission.bins
     idler_branch = np.zeros((k, k), dtype=complex)
     signal_branch = np.zeros((k, k), dtype=complex)
     for c1, c2 in MODE_CHANNELS:
-        g_s_row = g.block(("s", a, alpha), ("i", c1, c2))
+        g_s_row = pair_block(g, ("s", a, alpha), (c1, c2))
         f_i = f.block(("i", b, beta), ("i", c1, c2))
         idler_branch += np.conj(g_s_row) @ f_i.T
         f_s = f.block(("s", a, alpha), ("s", c1, c2))
-        g_i_row = g.block(("i", b, beta), ("s", c1, c2))
+        g_i_row = pair_block(g, ("i", b, beta), (c1, c2))
         signal_branch += f_s @ np.conj(g_i_row).T
     return idler_branch, signal_branch
 
@@ -80,26 +78,17 @@ class JointSpectralAmplitude:
 
 def two_photon_amplitude(emission: EmissionOperators, channel):
     """Per-contribution and total two-photon amplitudes of one channel."""
-    out = {}
-    total = np.zeros((emission.bins, emission.bins), dtype=complex)
-    for w in CONTRIBUTIONS:
-        _, signal_branch = branch_amplitudes(emission, channel, w)
-        out[w] = JointSpectralAmplitude(
-            channel=channel,
-            contribution=w,
-            matrix=signal_branch,
-            omega_s=emission.basis_s.centers,
-            omega_i=emission.basis_i.centers,
-            widths_s=emission.basis_s.widths,
-            widths_i=emission.basis_i.widths,
+    matrices = {w: branch_amplitudes(emission, channel, w)[1]
+                for w in CONTRIBUTIONS}
+    matrices["SV"] = matrices["V"] + matrices["S"]
+    return {
+        w: JointSpectralAmplitude(
+            channel=channel, contribution=w, matrix=m,
+            omega_s=emission.basis_s.centers, omega_i=emission.basis_i.centers,
+            widths_s=emission.basis_s.widths, widths_i=emission.basis_i.widths,
         )
-        total = total + signal_branch
-    out["SV"] = JointSpectralAmplitude(
-        channel=channel, contribution="SV", matrix=total,
-        omega_s=emission.basis_s.centers, omega_i=emission.basis_i.centers,
-        widths_s=emission.basis_s.widths, widths_i=emission.basis_i.widths,
-    )
-    return out
+        for w, m in matrices.items()
+    }
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Integrates the coupled first-order mode equations on a fine z grid
 through the whole stack, applying electric/magnetic continuity
 numerically as 2x2 mode re-mixing at every boundary, without using the
-closed-form layer kernels or any of the block-matrix machinery.  Only
-the total (volume plus surface) output amplitude is physical at the
-structure ports, and that is what this module produces.
+closed-form layer kernels or the emission-operator assembly (only
+compare_with_emission reads its pair arrays).  Only the total (volume
+plus surface) output amplitude is physical at the structure ports, and
+that is what this module produces.
 
 Method: the pair coefficients C(z) of the propagating field against the
 fixed input modes of the partner field obey
@@ -29,6 +30,7 @@ from .constants import CONSTANTS
 from .errors import StepTooCoarse
 from .linear import PumpSpec, _crossing, propagate_pump, scalar_layer_amplitudes
 from .materials import refractive_index
+from .matrixcore import pair_block
 from .spectral import DIR_SIGN, DIRS, LayerCoupling, SpectralBasis
 from .structure import StructureSpec
 
@@ -164,7 +166,7 @@ def reference_pair_amplitude(
     match the signal-row blocks of G_V + G_S against idler input channel
     (b0, beta); 'i' entries (b, beta, a0, alpha) match the idler
     creation-sector rows against signal inputs.  All matrices carry the
-    sqrt(dw dw) bin projection of the block matrices.
+    sqrt(dw dw) bin projection of the pair arrays.
     """
     min_len = min(structure.length(l) for l in range(1, structure.n_layers + 1))
     if step > min_len / 16.0:
@@ -218,11 +220,11 @@ def compare_with_emission(reference, emission):
     diff_sq = 0.0
     ref_sq = 0.0
     for (a, alpha, b0, beta), ref in reference["s"].items():
-        blk = total.block(("s", a, alpha), ("i", b0, beta))
+        blk = pair_block(total, ("s", a, alpha), (b0, beta))
         diff_sq += float(np.sum(np.abs(blk - ref) ** 2))
         ref_sq += float(np.sum(np.abs(ref) ** 2))
     for (b, beta, a0, alpha), ref in reference["i"].items():
-        blk = total.block(("i", b, beta), ("s", a0, alpha))
+        blk = pair_block(total, ("i", b, beta), (a0, alpha))
         diff_sq += float(np.sum(np.abs(blk - ref) ** 2))
         ref_sq += float(np.sum(np.abs(ref) ** 2))
     if ref_sq == 0.0:

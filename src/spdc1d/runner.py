@@ -387,25 +387,16 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
                                      convention="local-jump")
     else:
         emission_lj = emission
-    scale_g = max(np.linalg.norm((emission.g_volume + emission.g_surface).data),
+    scale_g = max(np.linalg.norm(emission.g_volume + emission.g_surface),
                   1e-300)
-    checks["split_invariance_GV"] = {
-        "error": float(
-            np.linalg.norm(em_split.g_volume.data - emission_lj.g_volume.data)
-            / scale_g
-        ),
-        "tol": 1e-9,
-    }
-    checks["split_invariance_GS"] = {
-        "error": float(
-            np.linalg.norm(em_split.g_surface.data - emission_lj.g_surface.data)
-            / scale_g
-        ),
-        "tol": 1e-9,
-    }
+    for name, attr in (("GV", "g_volume"), ("GS", "g_surface")):
+        diff = getattr(em_split, attr) - getattr(emission_lj, attr)
+        checks[f"split_invariance_{name}"] = {
+            "error": float(np.linalg.norm(diff) / scale_g), "tol": 1e-9
+        }
     s_s = em_split.boundary_sources[mid + 1][1]
     checks["fictitious_surface_null"] = {
-        "error": float(np.linalg.norm(s_s.data) / scale_g), "tol": 1e-10
+        "error": float(np.linalg.norm(s_s) / scale_g), "tol": 1e-10
     }
 
     min_len = min(structure.length(l) for l in range(1, structure.n_layers + 1))
@@ -482,19 +473,33 @@ MATRIX_NAMES = (
     "T", "F", "W", "Z", "Y", "GV", "GS", "T:l", "P:l", "L:l", "X:l",
     "SV:l", "SS:l",
 )
+# first ':l' of the indexed names: layers 0..N+1, boundaries 1..N+1
+INDEX_START = {"T": 0, "P": 0, "L": 0, "X": 1, "SV": 1, "SS": 1}
 
 
 def dump_matrix(cfg: RunConfig, name: str, out_path, bins=None):
     """Write one named pipeline matrix with labeled rows/columns to CSV.
 
     The linear maps (T, P, L, F, W, Z, Y, X) are expanded from their
-    per-bin 2x2 form into labelled diagonal blocks.
+    per-bin 2x2 form into labelled diagonal blocks, the pair maps (GV,
+    GS, SV, SS) from their pair arrays into dense signal-idler blocks.
     """
     basis = cfg.basis(bins)
     structure = cfg.structure
-    parts = name.split(":")
-    key = parts[0].upper()
-    idx = int(parts[1]) if len(parts) > 1 else None
+    key, colon, text = name.partition(":")
+    key = key.upper()
+    if key not in MATRIX_NAMES and key not in INDEX_START:
+        raise ConfigError(
+            f"unknown matrix {name!r}; known: {', '.join(MATRIX_NAMES)}"
+        )
+    idx = None
+    if colon or key not in MATRIX_NAMES:  # T alone is the full transfer
+        if key not in INDEX_START:
+            raise ConfigError(f"matrix {key} takes no index, got {name!r}")
+        lo, hi = INDEX_START[key], structure.n_layers + 1
+        idx = int(text) if text.isdecimal() else -1
+        if not lo <= idx <= hi:
+            raise ConfigError(f"{name!r}: {key} needs an index in {lo}..{hi}")
     modes = mode_space("modes", basis.bins)
     picks = {  # per-bin maps of one field sector
         "T": lambda m: m.at_left[-1 if idx is None else idx],
@@ -515,20 +520,17 @@ def dump_matrix(cfg: RunConfig, name: str, out_path, bins=None):
         p = propagator_bins(structure.material(idx), structure.length(idx),
                             basis)
         mat = BlockMatrix.from_bins(modes, modes, {"s": p, "i": np.conj(p)})
-    elif key in ("GV", "GS", "SV", "SS"):
+    else:  # GV, GS, SV, SS
         emission = build_emission(
             structure, cfg.pump, basis, basis, keep_sources=True,
             convention=cfg.attribution,
         )
         if key == "GV":
-            mat = emission.g_volume
+            pairs = emission.g_volume
         elif key == "GS":
-            mat = emission.g_surface
+            pairs = emission.g_surface
         else:
-            mat = emission.boundary_sources[idx][0 if key == "SV" else 1]
-    else:
-        raise ConfigError(
-            f"unknown matrix {name!r}; known: {', '.join(MATRIX_NAMES)}"
-        )
+            pairs = emission.boundary_sources[idx][0 if key == "SV" else 1]
+        mat = BlockMatrix.from_pairs(modes, modes, pairs)
     mat.write_csv(out_path)
     return out_path

@@ -7,7 +7,7 @@ import pytest
 import spdc1d.spectral as spectral_mod
 from spdc1d.cli import main
 from spdc1d.config import ConfigError, load_config, parse_config
-from spdc1d.blockmatrix import mode_space, row_space
+from spdc1d.blockmatrix import BlockMatrix, mode_space, row_space
 from spdc1d.matrixcore import build_emission
 from spdc1d.runner import (
     MATRIX_NAMES,
@@ -229,13 +229,34 @@ def test_cli_dump_matrix_every_name(tmp_path, name):
     assert [line[0] for line in lines[1:]] == _labels(rows)
     values = np.array([[complex(v) for v in line[1:]] for line in lines[1:]])
     assert np.all(np.isfinite(values))
-    if name in ("F", "GV"):
+    if name in ("F", "GV", "GS", "SV:1", "SS:1"):
         cfg = parse_config(_tiny_config())
         basis = cfg.basis(2)
         em = build_emission(cfg.structure, cfg.pump, basis, basis,
-                            convention=cfg.attribution)
-        expected = em.f_linear if name == "F" else em.g_volume
+                            keep_sources=True, convention=cfg.attribution)
+        pairs = {"GV": em.g_volume, "GS": em.g_surface,
+                 "SV:1": em.boundary_sources[1][0],
+                 "SS:1": em.boundary_sources[1][1]}
+        expected = em.f_linear if name == "F" else BlockMatrix.from_pairs(
+            mode_space("r", 2), mode_space("c", 2), pairs[name])
         assert np.array_equal(values, expected.data)
+
+
+@pytest.mark.parametrize("name", [
+    "L", "X", "P", "SV", "SS",  # index missing
+    "L:x", "P:1.5", "SV:", "T:one",  # index not an integer
+    "T:-1", "T:99", "P:4", "L:4", "X:0", "SV:0", "SS:4",  # out of range
+    "F:x", "W:1", "Y:1", "Z:1", "GV:1", "GS:0",  # index on a plain name
+])
+def test_cli_dump_matrix_bad_name_is_config_error(tmp_path, capsys, name):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))  # 2 layers
+    out = tmp_path / "m.csv"
+    rc = main(["dump-matrix", "--config", str(cfg_path), "--name", name,
+               "--out", str(out), "--bins", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_window_override(tmp_path):

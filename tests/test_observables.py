@@ -6,7 +6,7 @@ from spdc1d.constants import CONSTANTS
 from spdc1d.errors import GridTooCoarse, NoPeak
 from spdc1d.linear import PumpSpec
 from spdc1d.materials import constant_material
-from spdc1d.matrixcore import build_emission
+from spdc1d.matrixcore import build_emission, pair_block
 from spdc1d.observables import (
     JointDensity,
     JointSpectralAmplitude,
@@ -27,27 +27,27 @@ C = CONSTANTS.c
 OMEGA_P0 = 2 * np.pi * C / 400e-9
 
 
+def _zero_pairs(bins):
+    return np.zeros((2,) * 5 + (bins, bins), dtype=complex)
+
+
 class FakeEmission:
     def __init__(self, bins, f=None, g_v=None, g_s=None, seed=0):
-        space_out = mode_space("out", bins)
-        space_in = mode_space("in", bins)
         rng = np.random.RandomState(seed)
 
-        def rand_block():
-            m = BlockMatrix(space_out, space_in)
-            for fld_r, fld_c in (("s", "i"), ("i", "s")):
-                for c1 in MODE_CHANNELS:
-                    for c2 in MODE_CHANNELS:
-                        m.set_block(
-                            (fld_r,) + c1, (fld_c,) + c2,
-                            rng.randn(bins, bins) + 1j * rng.randn(bins, bins),
-                        )
-            return m
+        def rand_pairs():
+            shape = (2,) * 5 + (bins, bins)
+            return rng.randn(*shape) + 1j * rng.randn(*shape)
 
+        if f is None:
+            eye = np.eye(2)[:, :, None] * np.ones(bins)
+            f = BlockMatrix.from_bins(mode_space("out", bins),
+                                      mode_space("in", bins),
+                                      {"s": eye, "i": eye})
         self.bins = bins
-        self.f_linear = f if f is not None else BlockMatrix.identity(space_out)
-        self.g_volume = g_v if g_v is not None else rand_block()
-        self.g_surface = g_s if g_s is not None else rand_block()
+        self.f_linear = f
+        self.g_volume = g_v if g_v is not None else rand_pairs()
+        self.g_surface = g_s if g_s is not None else rand_pairs()
         lo, hi = 0.4 * OMEGA_P0, 0.6 * OMEGA_P0
         self.basis_s = SpectralBasis(lo, hi, bins)
         self.basis_i = SpectralBasis(lo, hi, bins)
@@ -57,8 +57,7 @@ CHANNEL = ("F", "F", "x", "y")
 
 
 def test_branch_factors_zero_for_zero_g():
-    space = mode_space("out", 3)
-    zero = BlockMatrix(space, mode_space("in", 3))
+    zero = _zero_pairs(3)
     em = FakeEmission(3, g_v=zero, g_s=zero.copy())
     f1, f2 = branch_amplitudes(em, CHANNEL, "V")
     assert np.all(f1 == 0.0) and np.all(f2 == 0.0)
@@ -69,8 +68,9 @@ def test_branch_factors_identity_scattering_reduce_to_g_blocks():
     f1, f2 = branch_amplitudes(em, CHANNEL, "V")
     g = em.g_volume
     a, b, alpha, beta = CHANNEL
-    assert np.allclose(f1, np.conj(g.block(("s", a, alpha), ("i", b, beta))))
-    assert np.allclose(f2, np.conj(g.block(("i", b, beta), ("s", a, alpha))).T)
+    assert np.allclose(f1, np.conj(pair_block(g, ("s", a, alpha), (b, beta))))
+    assert np.allclose(f2,
+                       np.conj(pair_block(g, ("i", b, beta), (a, alpha))).T)
 
 
 def test_branch_factors_match_naive_loop(stack4, pump400):
@@ -82,10 +82,10 @@ def test_branch_factors_match_naive_loop(stack4, pump400):
     naive1 = np.zeros((k, k), dtype=complex)
     naive2 = np.zeros((k, k), dtype=complex)
     for g_dir, g_pol in MODE_CHANNELS:
-        gs = em.g_volume.block(("s", a, alpha), ("i", g_dir, g_pol))
+        gs = pair_block(em.g_volume, ("s", a, alpha), (g_dir, g_pol))
         fi = em.f_linear.block(("i", b, beta), ("i", g_dir, g_pol))
         fs = em.f_linear.block(("s", a, alpha), ("s", g_dir, g_pol))
-        gi = em.g_volume.block(("i", b, beta), ("s", g_dir, g_pol))
+        gi = pair_block(em.g_volume, ("i", b, beta), (g_dir, g_pol))
         for kk in range(k):
             for nn in range(k):
                 for mm in range(k):
@@ -101,9 +101,7 @@ def test_joint_density_structure_and_identity():
     assert np.array_equal(jd.n_total,
                           jd.n_volume + jd.n_surface + jd.n_interf)
     # volume-only emission
-    space = mode_space("out", 4)
-    zero = BlockMatrix(space, mode_space("in", 4))
-    em_v = FakeEmission(4, g_s=zero)
+    em_v = FakeEmission(4, g_s=_zero_pairs(4))
     jd_v = joint_density(em_v, CHANNEL)
     assert np.all(jd_v.n_surface == 0.0)
     assert np.all(jd_v.n_interf == 0.0)
