@@ -17,7 +17,7 @@ from .constants import CONSTANTS
 from .errors import ConfigError
 from .linear import PumpSpec
 from .materials import MaterialModel, constant_material, sellmeier_material
-from .spectral import SpectralBasis
+from .spectral import SPLIT_CONVENTIONS, SpectralBasis
 from .structure import StructureSpec
 
 
@@ -189,7 +189,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("observe polarizations must be 'x' or 'y'")
     cond = obs.get("conditional_t_idler_fs")
     attribution = raw.get("surface_attribution", "local-jump")
-    if attribution not in ("local-jump", "per-slot"):
+    if attribution not in SPLIT_CONVENTIONS:
         raise ConfigError(
             f"surface_attribution must be 'local-jump' or 'per-slot', "
             f"got {attribution!r}"

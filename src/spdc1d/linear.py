@@ -155,29 +155,6 @@ def scalar_layer_amplitudes(
     return amps
 
 
-def continuity_residual(structure, amps, omega, convention="field"):
-    """Max relative interface residual of a layer-amplitude solution."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    worst = 0.0
-    z = structure.boundaries
-    for b in range(structure.n_layers + 1):
-        l, r = b, b + 1
-        n_l = refractive_index(structure.material(l), omega)
-        n_r = refractive_index(structure.material(r), omega)
-        w_l, v_l = _interface_weights(n_l, convention)
-        w_r, v_r = _interface_weights(n_r, convention)
-        ph = np.exp(
-            1j * omega / CONSTANTS.c * n_l * (z[b] - structure.z_reference(l))
-        )
-        lf, lb = amps[l, 0] * ph, amps[l, 1] / ph
-        rf, rb = amps[r, 0], amps[r, 1]
-        scale = max(np.max(np.abs(amps[l])), np.max(np.abs(amps[r])), 1e-300)
-        res_e = np.abs(w_l * (lf + lb) - w_r * (rf + rb))
-        res_h = np.abs(v_l * (lf - lb) - v_r * (rf - rb))
-        worst = max(worst, res_e.max() / scale, res_h.max() / scale)
-    return worst
-
-
 def linear_transmission(structure: StructureSpec, omega, side="F"):
     """Complex t, r and intensity coefficients T, R at given frequencies.
 

@@ -193,8 +193,7 @@ def pair_block(pairs, row, col):
                  DIRS.index(b), POLS.index(beta)]
 
 
-def _side_kernels(coupling: LayerCoupling, edge: str, magnetic_sources=True,
-                  convention="local-jump"):
+def _side_kernels(coupling: LayerCoupling, edge: str, convention="local-jump"):
     """(J_volume, J_surface) of one layer side, mapping that layer's free
     modes of the column field at the boundary to continuity-row sources
     of the row field; pair-array layout with E/H in place of the row
@@ -207,22 +206,11 @@ def _side_kernels(coupling: LayerCoupling, edge: str, magnetic_sources=True,
     sector is conjugated (creation-operator components); its row index
     pairs with signal-mode columns.
     """
-    blocks = project_to_basis(coupling, edge, convention)
-    pref = np.array([
-        1.0 / np.sqrt(refractive_index(coupling.material, basis.centers))
-        for basis in (coupling.basis_s, coupling.basis_i)
-    ])[:, None, None, None, :, None]
-
-    def stack(kernels):
-        return pref * np.array([[[[kernels[(f, b, alpha, beta)]
-                                   for beta in POLS] for b in DIRS]
-                                 for alpha in POLS] for f in FIELDS])
-
-    ve, vh, sh = (stack(k) for k in
-                  (blocks.volume_e, blocks.volume_h, blocks.surface_h))
+    pref = np.array([overlap_matrices(coupling.material, basis)[0]
+                     for basis in (coupling.basis_s, coupling.basis_i)])
+    ve, vh, sh = (pref[:, None, None, None, :, None] * kern
+                  for kern in project_to_basis(coupling, edge, convention))
     zero = np.zeros_like(ve)
-    if not magnetic_sources:
-        vh = sh = zero
     j_v, j_s = np.stack((ve, vh), axis=1), np.stack((zero, sh), axis=1)
     for j in (j_v, j_s):
         j[1] = np.conj(j[1])
@@ -242,7 +230,6 @@ class EmissionOperators:
     g_surface: np.ndarray
     boundary_sources: dict  # l -> (volume, surface) pair arrays
     warnings: list
-    area: float = 1.0
 
     @property
     def bins(self) -> int:
@@ -254,8 +241,6 @@ def build_emission(
     pump_spec: PumpSpec,
     basis_s: SpectralBasis,
     basis_i: SpectralBasis,
-    area: float = 1.0,
-    magnetic_sources: bool = True,
     keep_sources: bool = False,
     convention: str = "local-jump",
 ) -> EmissionOperators:
@@ -272,7 +257,7 @@ def build_emission(
                                   {f: m.scatter for f, m in maps.items()})
 
     couplings = [
-        LayerCoupling(structure, l, basis_s, basis_i, pump, area)
+        LayerCoupling(structure, l, basis_s, basis_i, pump)
         for l in range(n_tot)
     ]
     shape = (2,) * 5 + (basis_s.bins, basis_i.bins)
@@ -310,8 +295,7 @@ def build_emission(
                 continue
             feed = np.array([mat2_mul(t, m.feed)
                              for t, m in zip(modes, col_maps)])
-            j_v, j_s = _side_kernels(coupling, edge, magnetic_sources,
-                                     convention)
+            j_v, j_s = _side_kernels(coupling, edge, convention)
             k_v = k_v + sign * np.einsum("fxpbqkn,fbcn->fxpcqkn", j_v, feed)
             k_s = k_s + sign * np.einsum("fxpbqkn,fbcn->fxpcqkn", j_s, feed)
         # output amplitudes: rows scaled with the inverse response
@@ -335,5 +319,4 @@ def build_emission(
         g_surface=g_s,
         boundary_sources=sources,
         warnings=warnings,
-        area=area,
     )

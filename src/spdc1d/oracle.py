@@ -157,7 +157,6 @@ def reference_pair_amplitude(
     basis_s: SpectralBasis,
     basis_i: SpectralBasis,
     step: float,
-    area: float = 1.0,
     richardson: bool = True,
 ):
     """Total output pair amplitude, directly comparable to the emission maps.
@@ -178,7 +177,7 @@ def reference_pair_amplitude(
     )
     pump = propagate_pump(structure, pump_spec, sums)
     couplings = [
-        LayerCoupling(structure, l, basis_s, basis_i, pump, area)
+        LayerCoupling(structure, l, basis_s, basis_i, pump)
         for l in range(structure.n_layers + 2)
     ]
     idler_partner = {

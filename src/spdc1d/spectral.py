@@ -27,6 +27,18 @@ driving the surface channel with its jump ('local-jump') makes a
 fictitious boundary inside homogeneous material source nothing, while
 the literal per-mode assignment ('per-slot') reproduces the published
 volume/surface bookkeeping.  Only the summed output is observable.
+
+The layers are isotropic, so T_g depends on the polarizations only
+through the scalar chi2 coefficient: every kernel is one
+polarization-free grid times the layer's 2x2 matrix d[signal pol, idler
+pol] (its transpose for idler rows).  The kernels of one edge are arrays
+of shape (2, 2, 2, 2, K, K) over
+
+    (row field, row pol, col dir, col pol, row bin, col bin)
+
+in ``FIELDS``/``POLS``/``DIRS`` order: ``matrixcore``'s pair layout
+without the row direction, which the edge fixes (forward rows at the
+right edge, backward rows at the left edge).
 """
 
 from __future__ import annotations
@@ -35,10 +47,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blockmatrix import FIELDS
 from .constants import CONSTANTS
 from .errors import ConfigError
 from .linear import PumpField
-from .materials import MaterialModel, refractive_index
+from .materials import MaterialModel, chi2_effective, refractive_index
 from .structure import StructureSpec
 
 DIRS = ("F", "B")
@@ -75,13 +88,6 @@ class SpectralBasis:
     def widths(self) -> np.ndarray:
         e = self.edges
         return np.diff(e)
-
-    def eval_basis(self, k: int, omega):
-        """f_k(omega): indicator of bin k normalized to unit L2 norm."""
-        e = self.edges
-        omega = np.asarray(omega, dtype=float)
-        inside = (omega >= e[k]) & (omega < e[k + 1])
-        return np.where(inside, 1.0 / np.sqrt(self.widths[k]), 0.0)
 
 
 def photon_amplitude_tau(material: MaterialModel, omega, area: float):
@@ -126,10 +132,13 @@ def _masked_wavenumber(material, omega, direction, mask):
 class LayerCoupling:
     """Cached pair-coupling data of one finite layer on the bin grids.
 
-    Arrays are indexed (signal bin k, idler bin n).  tstar[g] holds
-    conj(T_g) per pump direction for the layer's own chi2 contraction of
-    each polarization pair; pump wavenumbers are zero where the pump is
-    dark (the coupling vanishes there too).
+    Grids are indexed (signal bin k, idler bin n).  tstar_unit(g) is
+    conj(T_g) per unit chi2 for pump direction g, chi2_matrix() the
+    layer's d[signal pol, idler pol]; conj(T_g) of one polarization pair
+    is their product.  Pump wavenumbers are zero where the pump is dark
+    (the coupling vanishes there too).  The photon amplitudes tau are
+    taken at a 1 m^2 cross-section: T_g holds A tau_s tau_i, in which
+    the area cancels.
     """
 
     structure: StructureSpec
@@ -137,7 +146,6 @@ class LayerCoupling:
     basis_s: SpectralBasis
     basis_i: SpectralBasis
     pump: PumpField
-    area: float = 1.0
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -191,7 +199,7 @@ class LayerCoupling:
         if key not in self._cache:
             basis = self.basis_s if which == "s" else self.basis_i
             self._cache[key] = photon_amplitude_tau(
-                self.material, basis.centers, self.area
+                self.material, basis.centers, 1.0
             )
         return self._cache[key]
 
@@ -203,32 +211,40 @@ class LayerCoupling:
             self._cache[key] = DIR_SIGN[a] * basis.centers / CONSTANTS.c * n
         return self._cache[key]
 
+    def chi2_matrix(self):
+        """d[signal pol, idler pol] for the pump polarization, m/V."""
+        key = "d"
+        if key not in self._cache:
+            gamma = self.pump.polarization
+            self._cache[key] = np.array([
+                [chi2_effective(self.material, gamma, a, b) for b in POLS]
+                for a in POLS
+            ])
+        return self._cache[key]
+
+    def tstar_unit(self, g):
+        """conj(T_g) per unit chi2 on the (signal bin, idler bin) grid."""
+        key = ("tstar_unit", g)
+        if key not in self._cache:
+            base = (
+                4.0 * np.pi * CONSTANTS.eps0 / CONSTANTS.hbar
+                * self.tau("s")[:, None]
+                * self.tau("i")[None, :]
+                * self.structure.poling(self.l)
+            )
+            self._cache[key] = -1j * base * self.pump_amp(g)
+        return self._cache[key]
+
     def tstar(self, g, alpha, beta):
         """conj(T_g) on the (signal bin, idler bin) grid for pols (alpha, beta)."""
         key = ("tstar", g, alpha, beta)
         if key not in self._cache:
-            gamma = self.pump.polarization
-            d = self.material.chi2.get((gamma, alpha, beta), 0.0)
-            if d == 0.0:
-                self._cache[key] = np.zeros_like(self.sum_grid(), dtype=complex)
-            else:
-                base = (
-                    4.0 * np.pi * CONSTANTS.eps0 * self.area / CONSTANTS.hbar
-                    * self.tau("s")[:, None]
-                    * self.tau("i")[None, :]
-                    * d
-                    * self.structure.poling(self.l)
-                )
-                self._cache[key] = -1j * base * self.pump_amp(g)
+            d = self.chi2_matrix()[POLS.index(alpha), POLS.index(beta)]
+            self._cache[key] = d * self.tstar_unit(g)
         return self._cache[key]
 
     def is_dark(self):
-        gamma = self.pump.polarization
-        return all(
-            self.material.chi2.get((gamma, a, b), 0.0) == 0.0
-            for a in POLS
-            for b in POLS
-        )
+        return not np.any(self.chi2_matrix())
 
     def delta_k(self, a, b, g, row_field="s"):
         """dk = k_p,g - k_s,a - k_i,b on the (row, col) bin grid.
@@ -244,70 +260,6 @@ class LayerCoupling:
         return kp.T - ki[:, None] - ks[None, :]
 
 
-def phase_functions(coupling: LayerCoupling, a, b, alpha, beta, z,
-                    row_field="s"):
-    """Pair phase function Phi and its exact z-derivative at position z.
-
-    Phi is the accumulated first-order kernel of the layer referenced to
-    the mode entry z_a (left edge for forward, right edge for backward),
-    with the idler operator referenced at the layer's left boundary:
-
-        Phi = i [+-1]_a sum_g T_g e^{-i phi_g} (e^{-i dk (z - z_a)} - 1)/dk
-
-    phi_g = 0 for a = 'F' and (k_p,g - k_other,b) L for a = 'B'.
-    Arrays are (signal bin, idler bin) for row_field 's'.
-    """
-    l_len = coupling.length
-    z_ref = coupling.structure.z_reference(coupling.l)
-    if not (z_ref - 1e-15 <= z <= z_ref + l_len + 1e-15):
-        raise ConfigError("z outside the layer")
-    z_a = z_ref if a == "F" else z_ref + l_len
-    k_col = coupling.k_signed("i" if row_field == "s" else "s", b)
-    phi = np.zeros(
-        (
-            coupling.basis_s.bins if row_field == "s" else coupling.basis_i.bins,
-            coupling.basis_i.bins if row_field == "s" else coupling.basis_s.bins,
-        ),
-        dtype=complex,
-    )
-    dphi = np.zeros_like(phi)
-    for g in DIRS:
-        if row_field == "s":
-            t_g = np.conj(coupling.tstar(g, alpha, beta))
-        else:
-            t_g = np.conj(coupling.tstar(g, beta, alpha)).T
-        if not np.any(t_g):
-            continue
-        dk = coupling.delta_k(a, b, g, row_field)
-        if a == "F":
-            phase = 1.0
-        else:
-            # phi_g = (k_p,g - k_col,b) L for backward rows
-            kp = coupling.pump_k(g) if row_field == "s" else coupling.pump_k(g).T
-            phase = np.exp(-1j * (kp - k_col[None, :]) * l_len)
-        phi += 1j * DIR_SIGN[a] * t_g * phase * (-_bracket(-dk, z - z_a))
-        dphi += DIR_SIGN[a] * t_g * phase * np.exp(-1j * dk * (z - z_a))
-    return phi, dphi
-
-
-@dataclass(frozen=True)
-class CouplingBlocks:
-    """Basis-projected kernel blocks of one layer at one edge.
-
-    volume_e projects the arriving kernel chi; volume_h/surface_h carry
-    the magnetic boundary-source attribution used to assemble the pair
-    sources (see module docstring), and their sum is the total magnetic
-    content of the mode slot.  Keys (row_field, b, alpha, beta) with the
-    row direction fixed by the edge (forward kernels survive at the right
-    edge, backward at the left edge).
-    """
-
-    edge: str
-    volume_e: dict
-    volume_h: dict
-    surface_h: dict
-
-
 SPLIT_CONVENTIONS = ("local-jump", "per-slot")
 
 
@@ -315,10 +267,13 @@ def _edge_kernels(coupling: LayerCoupling, edge: str, row_field: str,
                   convention: str = "local-jump"):
     """Arriving kernel chi and the volume/surface magnetic attributions.
 
-    Returns (chi, hv, hs) dicts keyed (col_dir, row_pol, col_pol); chi is
-    the electric content of the mode arriving at the edge, hv/hs the
-    magnetic content assigned to the volume/surface equations.  Per side
-    hv + hs always equals the exact total i k chi; the conventions
+    Returns (chi, hv, hs) for one row field, each of shape
+    (2, 2, 2, K_row, K_col) over (row pol, col dir, col pol, row bin,
+    col bin); chi is the electric content of the mode arriving at the
+    edge, hv/hs the magnetic content assigned to the volume/surface
+    equations.  Q and chi are computed once per column direction on the
+    polarization-free grid and multiplied by d (d.T for idler rows).  Per
+    side hv + hs always equals the exact total i k chi; the conventions
     distribute the bare source coefficient Q differently:
 
     * 'local-jump': surface rows carry +Q on both sides, so the surface
@@ -334,73 +289,56 @@ def _edge_kernels(coupling: LayerCoupling, edge: str, row_field: str,
         raise ConfigError(f"unknown split convention {convention!r}")
     l_len = coupling.length
     a = "F" if edge == "right" else "B"
-    basis_row = coupling.basis_s if row_field == "s" else coupling.basis_i
-    basis_col = coupling.basis_i if row_field == "s" else coupling.basis_s
+    col_field = "i" if row_field == "s" else "s"
     k_row = coupling.k_signed(row_field, a)
-    k_col = {b: coupling.k_signed("i" if row_field == "s" else "s", b) for b in DIRS}
-    out_e, out_hv, out_hs = {}, {}, {}
-    for alpha in POLS:
-        for beta in POLS:
-            if row_field == "s":
-                tst = {g: coupling.tstar(g, alpha, beta) for g in DIRS}
-            else:
-                tst = {g: coupling.tstar(g, beta, alpha).T for g in DIRS}
-            if not any(np.any(v) for v in tst.values()):
-                zero = np.zeros((basis_row.bins, basis_col.bins), dtype=complex)
-                for b in DIRS:
-                    out_e[(b, alpha, beta)] = zero
-                    out_hv[(b, alpha, beta)] = zero
-                    out_hs[(b, alpha, beta)] = zero
-                continue
-            # bare source coefficient Q at the edge (same for both cols)
-            q = np.zeros((basis_row.bins, basis_col.bins), dtype=complex)
-            for g in DIRS:
-                kp = coupling.pump_k(g) if row_field == "s" else coupling.pump_k(g).T
-                shift = l_len if edge == "right" else 0.0
-                q += tst[g] * np.exp(1j * kp * shift)
-            for b in DIRS:
-                chi = np.zeros((basis_row.bins, basis_col.bins), dtype=complex)
-                for g in DIRS:
-                    dk = coupling.delta_k(a, b, g, row_field)
-                    chi += tst[g] * _bracket(dk, l_len)
-                chi *= -1j
-                if edge == "right":
-                    chi = chi * np.exp(
-                        1j * (k_row[:, None] + k_col[b][None, :]) * l_len
-                    )
-                if convention == "local-jump":
-                    sigma = -1.0
-                else:  # per-slot: [+-1]_a of the arriving direction
-                    sigma = 1.0 if edge == "right" else -1.0
-                out_e[(b, alpha, beta)] = chi
-                out_hv[(b, alpha, beta)] = 1j * k_row[:, None] * chi + sigma * q
-                out_hs[(b, alpha, beta)] = -sigma * q
-    return out_e, out_hv, out_hs
+    d = coupling.chi2_matrix()
+    tst = {g: coupling.tstar_unit(g) for g in DIRS}
+    kp = {g: coupling.pump_k(g) for g in DIRS}
+    if row_field == "i":  # idler rows: (idler, signal) grids and pols
+        d = d.T
+        tst = {g: t.T for g, t in tst.items()}
+        kp = {g: k.T for g, k in kp.items()}
+    # bare source coefficient Q at the edge (same for both cols)
+    shift = l_len if edge == "right" else 0.0
+    q = sum(tst[g] * np.exp(1j * kp[g] * shift) for g in DIRS)
+    chi = []
+    for b in DIRS:
+        c = -1j * sum(tst[g] * _bracket(coupling.delta_k(a, b, g, row_field),
+                                        l_len) for g in DIRS)
+        if edge == "right":
+            k_col = coupling.k_signed(col_field, b)
+            c = c * np.exp(1j * (k_row[:, None] + k_col[None, :]) * l_len)
+        chi.append(c)
+    chi = np.array(chi)
+    if convention == "local-jump":
+        sigma = -1.0
+    else:  # per-slot: [+-1]_a of the arriving direction
+        sigma = 1.0 if edge == "right" else -1.0
+    hv = 1j * k_row[:, None] * chi + sigma * q
+    hs = np.broadcast_to(-sigma * q, chi.shape)
+    return tuple(d[:, None, :, None, None] * kern[None, :, None]
+                 for kern in (chi, hv, hs))
 
 
 def project_to_basis(coupling: LayerCoupling, edge: str,
-                     convention: str = "local-jump") -> CouplingBlocks:
+                     convention: str = "local-jump"):
     """Project the layer kernels at one edge onto the bin bases.
 
-    Every block is multiplied by sqrt(dw_row dw_col) (midpoint-rule
-    projection onto the top-hat bases).  Blocks for both row fields are
-    produced; idler-row blocks are NOT yet conjugated (assembly into the
-    creation-operator sector conjugates them).
+    Returns (volume_e, volume_h, surface_h) in the kernel layout of the
+    module docstring.  volume_e projects the arriving kernel chi;
+    volume_h/surface_h carry the magnetic boundary-source attribution,
+    and their sum is the total magnetic content of the mode slot.  Every
+    block is multiplied by sqrt(dw_row dw_col) (midpoint-rule projection
+    onto the top-hat bases).  Idler-row blocks are NOT yet conjugated
+    (assembly into the creation-operator sector conjugates them).
     """
     if edge not in ("left", "right"):
         raise ConfigError("edge must be 'left' or 'right'")
-    vol_e, vol_h, sur_h = {}, {}, {}
-    for row_field in ("s", "i"):
+    per_field = []
+    for row_field in FIELDS:
         basis_row = coupling.basis_s if row_field == "s" else coupling.basis_i
         basis_col = coupling.basis_i if row_field == "s" else coupling.basis_s
         weight = np.sqrt(basis_row.widths[:, None] * basis_col.widths[None, :])
-        chi, hv, hs = _edge_kernels(coupling, edge, row_field, convention)
-        for (b, alpha, beta), arr in chi.items():
-            vol_e[(row_field, b, alpha, beta)] = arr * weight
-        for (b, alpha, beta), arr in hv.items():
-            vol_h[(row_field, b, alpha, beta)] = arr * weight
-        for (b, alpha, beta), arr in hs.items():
-            sur_h[(row_field, b, alpha, beta)] = arr * weight
-    return CouplingBlocks(
-        edge=edge, volume_e=vol_e, volume_h=vol_h, surface_h=sur_h
-    )
+        per_field.append([kern * weight for kern in
+                          _edge_kernels(coupling, edge, row_field, convention)])
+    return tuple(np.array(kerns) for kerns in zip(*per_field))

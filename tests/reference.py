@@ -1,0 +1,93 @@
+"""Independent references used only by the tests.
+
+These evaluate the physics directly instead of through the production
+path: the top-hat basis functions on a frequency grid, the interface
+continuity residual of a layer-amplitude solution, and the pair phase
+function of one layer with its exact z-derivative.
+"""
+
+import numpy as np
+
+from spdc1d.constants import CONSTANTS
+from spdc1d.errors import ConfigError
+from spdc1d.linear import _interface_weights
+from spdc1d.materials import refractive_index
+from spdc1d.spectral import DIR_SIGN, DIRS, LayerCoupling, _bracket
+
+
+def eval_basis(basis, k: int, omega):
+    """f_k(omega) of a SpectralBasis: indicator of bin k normalized to
+    unit L2 norm."""
+    e = basis.edges
+    omega = np.asarray(omega, dtype=float)
+    inside = (omega >= e[k]) & (omega < e[k + 1])
+    return np.where(inside, 1.0 / np.sqrt(basis.widths[k]), 0.0)
+
+
+def continuity_residual(structure, amps, omega, convention="field"):
+    """Max relative interface residual of a layer-amplitude solution."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    worst = 0.0
+    z = structure.boundaries
+    for b in range(structure.n_layers + 1):
+        l, r = b, b + 1
+        n_l = refractive_index(structure.material(l), omega)
+        n_r = refractive_index(structure.material(r), omega)
+        w_l, v_l = _interface_weights(n_l, convention)
+        w_r, v_r = _interface_weights(n_r, convention)
+        ph = np.exp(
+            1j * omega / CONSTANTS.c * n_l * (z[b] - structure.z_reference(l))
+        )
+        lf, lb = amps[l, 0] * ph, amps[l, 1] / ph
+        rf, rb = amps[r, 0], amps[r, 1]
+        scale = max(np.max(np.abs(amps[l])), np.max(np.abs(amps[r])), 1e-300)
+        res_e = np.abs(w_l * (lf + lb) - w_r * (rf + rb))
+        res_h = np.abs(v_l * (lf - lb) - v_r * (rf - rb))
+        worst = max(worst, res_e.max() / scale, res_h.max() / scale)
+    return worst
+
+
+def phase_functions(coupling: LayerCoupling, a, b, alpha, beta, z,
+                    row_field="s"):
+    """Pair phase function Phi and its exact z-derivative at position z.
+
+    Phi is the accumulated first-order kernel of the layer referenced to
+    the mode entry z_a (left edge for forward, right edge for backward),
+    with the idler operator referenced at the layer's left boundary:
+
+        Phi = i [+-1]_a sum_g T_g e^{-i phi_g} (e^{-i dk (z - z_a)} - 1)/dk
+
+    phi_g = 0 for a = 'F' and (k_p,g - k_other,b) L for a = 'B'.
+    Arrays are (signal bin, idler bin) for row_field 's'.
+    """
+    l_len = coupling.length
+    z_ref = coupling.structure.z_reference(coupling.l)
+    if not (z_ref - 1e-15 <= z <= z_ref + l_len + 1e-15):
+        raise ConfigError("z outside the layer")
+    z_a = z_ref if a == "F" else z_ref + l_len
+    k_col = coupling.k_signed("i" if row_field == "s" else "s", b)
+    phi = np.zeros(
+        (
+            coupling.basis_s.bins if row_field == "s" else coupling.basis_i.bins,
+            coupling.basis_i.bins if row_field == "s" else coupling.basis_s.bins,
+        ),
+        dtype=complex,
+    )
+    dphi = np.zeros_like(phi)
+    for g in DIRS:
+        if row_field == "s":
+            t_g = np.conj(coupling.tstar(g, alpha, beta))
+        else:
+            t_g = np.conj(coupling.tstar(g, beta, alpha)).T
+        if not np.any(t_g):
+            continue
+        dk = coupling.delta_k(a, b, g, row_field)
+        if a == "F":
+            phase = 1.0
+        else:
+            # phi_g = (k_p,g - k_col,b) L for backward rows
+            kp = coupling.pump_k(g) if row_field == "s" else coupling.pump_k(g).T
+            phase = np.exp(-1j * (kp - k_col[None, :]) * l_len)
+        phi += 1j * DIR_SIGN[a] * t_g * phase * (-_bracket(-dk, z - z_a))
+        dphi += DIR_SIGN[a] * t_g * phase * np.exp(-1j * dk * (z - z_a))
+    return phi, dphi

@@ -4,13 +4,14 @@ import pytest
 from spdc1d.constants import CONSTANTS
 from spdc1d.linear import (
     PumpSpec,
-    continuity_residual,
     linear_transmission,
     propagate_pump,
     scalar_layer_amplitudes,
 )
 from spdc1d.materials import constant_material
 from spdc1d.structure import StructureSpec
+
+from reference import continuity_residual
 
 C = CONSTANTS.c
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from spdc1d.linear import PumpSpec
 from spdc1d.materials import constant_material
 from spdc1d.matrixcore import build_emission
 from spdc1d.oracle import compare_with_emission, reference_pair_amplitude
-from spdc1d.spectral import SpectralBasis
+from spdc1d.spectral import SPLIT_CONVENTIONS, SpectralBasis
 from spdc1d.structure import StructureSpec
 
 C = CONSTANTS.c
@@ -62,6 +64,28 @@ def test_oracle_matches_pipeline_on_reflecting_stack(stack4, pump400):
     em = build_emission(stack4, pump400, basis, basis)
     ref = reference_pair_amplitude(stack4, pump400, basis, basis,
                                    step=50e-9 / 20)
+    assert compare_with_emission(ref, em) < 1e-4
+
+
+@pytest.mark.parametrize("convention", SPLIT_CONVENTIONS)
+def test_oracle_matches_pipeline_with_full_chi2_tensor(stack4, pump400,
+                                                        convention):
+    # distinct entries for every (signal, idler) polarization pair, so a
+    # kernel that mixes up d and its transpose on idler rows shows
+    chi2 = {
+        "GaN": {("y", "x", "y"): 4e-12, ("y", "y", "x"): 1.5e-12,
+                ("y", "x", "x"): 2.5e-12, ("y", "y", "y"): -1e-12},
+        "AlN": {("y", "y", "x"): 2e-12},
+    }
+    layers = tuple((replace(mat, chi2=chi2[mat.name]), length, poling)
+                   for mat, length, poling in stack4.layers)
+    st = StructureSpec(layers, stack4.ambient_in, stack4.ambient_out)
+    basis = SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 8)
+    em = build_emission(st, pump400, basis, basis, convention=convention)
+    ref = reference_pair_amplitude(st, pump400, basis, basis,
+                                   step=50e-9 / 20)
+    # 4 pol pairs x 2 output dirs x 2 input dirs per row field
+    assert len(ref["s"]) == len(ref["i"]) == 16
     assert compare_with_emission(ref, em) < 1e-4
 
 

@@ -6,13 +6,17 @@ from spdc1d.errors import ConfigError
 from spdc1d.linear import PumpSpec, propagate_pump
 from spdc1d.materials import constant_material
 from spdc1d.spectral import (
+    DIRS,
+    FIELDS,
+    POLS,
     LayerCoupling,
     SpectralBasis,
-    phase_functions,
     photon_amplitude_tau,
     project_to_basis,
 )
 from spdc1d.structure import StructureSpec
+
+from reference import eval_basis, phase_functions
 
 C = CONSTANTS.c
 
@@ -22,9 +26,9 @@ def test_basis_orthonormal_and_covering():
     omega = np.linspace(1e15, 3e15, 200001)
     d = omega[1] - omega[0]
     for k in (0, 7, 15):
-        fk = b.eval_basis(k, omega)
+        fk = eval_basis(b, k, omega)
         for n in (0, 7, 15):
-            fn = b.eval_basis(n, omega)
+            fn = eval_basis(b, n, omega)
             overlap = np.sum(fk * fn) * d
             assert overlap == pytest.approx(1.0 if k == n else 0.0, abs=2e-4)
     assert b.edges[0] == 1e15 and b.edges[-1] == 3e15
@@ -52,8 +56,11 @@ def test_tau_scalings_and_value():
     )
 
 
-def _toy(chi=4e-12, n=2.0, length=1e-6, bins=5, window=(0.3, 0.7)):
-    mat = constant_material("nl", n, chi2={("y", "x", "y"): chi} if chi else {})
+def _toy(chi=4e-12, n=2.0, length=1e-6, bins=5, window=(0.3, 0.7),
+         chi2=None):
+    if chi2 is None:
+        chi2 = {("y", "x", "y"): chi} if chi else {}
+    mat = constant_material("nl", n, chi2=chi2)
     amb = constant_material("amb", n)
     st = StructureSpec(((mat, length, 1),), amb, amb)
     omega_p0 = 2 * np.pi * C / 400e-9
@@ -183,23 +190,42 @@ def test_project_to_basis_zero_for_linear_layer(aln, air, pump400):
     sums = np.unique((basis.centers[:, None] + basis.centers[None, :]).ravel())
     field = propagate_pump(st, pump400, sums)
     coup = LayerCoupling(st, 1, basis, basis, field)
-    blocks = project_to_basis(coup, "right")
-    assert all(np.all(v == 0.0) for v in blocks.volume_e.values())
-    assert all(np.all(blocks.volume_h[k] + blocks.surface_h[k] == 0.0)
-               for k in blocks.volume_h)
+    vol_e, vol_h, sur_h = project_to_basis(coup, "right")
+    assert vol_e.shape == (2, 2, 2, 2, 3, 3)
+    assert np.all(vol_e == 0.0)
+    assert np.all(vol_h + sur_h == 0.0)
 
 
 def test_project_single_bin_identity():
-    st, pump, basis, field = _toy(bins=1, window=(0.45, 0.55))
+    # two distinct couplings, so the idler rows must use d transposed;
+    # (x, x) and (y, y) stay zero blocks
+    chi2 = {("y", "x", "y"): 4e-12, ("y", "y", "x"): 1.5e-12}
+    st, pump, basis, field = _toy(bins=1, window=(0.45, 0.55), chi2=chi2)
     coup = LayerCoupling(st, 1, basis, basis, field)
-    blocks = project_to_basis(coup, "right")
-    z_r = st.z_reference(1) + st.length(1)
-    phi, _ = phase_functions(coup, "F", "F", "x", "y", z_r)
-    k_s = coup.k_signed("s", "F")[0]
-    k_i = coup.k_signed("i", "F")[0]
-    chi = np.conj(phi[0, 0]) * np.exp(1j * (k_s + k_i) * st.length(1))
-    lam = blocks.volume_e[("s", "F", "x", "y")][0, 0]
-    assert lam == pytest.approx(chi * basis.widths[0], rel=1e-12)
+    length = st.length(1)
+    z_l = st.z_reference(1)
+    # forward rows exit at the right edge, backward rows at the left one;
+    # chi is conj(Phi) at the exit with the kernel's reference phase
+    for edge, a, z in (("right", "F", z_l + length), ("left", "B", z_l)):
+        vol_e, _, _ = project_to_basis(coup, edge)
+        assert vol_e.shape == (len(FIELDS), 2, 2, 2, 1, 1)
+        nonzero = 0
+        for fi, (row, col) in enumerate((("s", "i"), ("i", "s"))):
+            k_row = coup.k_signed(row, a)[0]
+            for bi, b in enumerate(DIRS):
+                k_col = coup.k_signed(col, b)[0]
+                phase = (k_row + k_col) * length if a == "F" else -k_row * length
+                for pi, alpha in enumerate(POLS):
+                    for qi, beta in enumerate(POLS):
+                        phi, _ = phase_functions(coup, a, b, alpha, beta, z,
+                                                 row_field=row)
+                        chi = np.conj(phi[0, 0]) * np.exp(1j * phase)
+                        lam = vol_e[fi, pi, bi, qi, 0, 0]
+                        assert lam == pytest.approx(
+                            chi * basis.widths[0], rel=1e-12
+                        ), (edge, row, b, alpha, beta)
+                        nonzero += lam != 0.0
+        assert nonzero == 8  # (x, y) and (y, x) per row field and col dir
 
 
 def test_projection_linear_in_pump_amplitude():
@@ -208,14 +234,10 @@ def test_projection_linear_in_pump_amplitude():
     pump4 = PumpSpec(omega0=pump.omega0, sigma=pump.sigma, energy_per_area=4e3)
     field4 = propagate_pump(st, pump4, field.omega)
     coup2 = LayerCoupling(st, 1, basis, basis, field4)
-    b1 = project_to_basis(coup1, "left")
-    b2 = project_to_basis(coup2, "left")
-    for key in b1.volume_e:
-        assert np.allclose(b2.volume_e[key], 2.0 * b1.volume_e[key],
-                           rtol=1e-12)
-        assert np.allclose(b2.volume_h[key] + b2.surface_h[key],
-                           2.0 * (b1.volume_h[key] + b1.surface_h[key]),
-                           rtol=1e-12)
+    ve1, vh1, sh1 = project_to_basis(coup1, "left")
+    ve2, vh2, sh2 = project_to_basis(coup2, "left")
+    assert np.allclose(ve2, 2.0 * ve1, rtol=1e-12)
+    assert np.allclose(vh2 + sh2, 2.0 * (vh1 + sh1), rtol=1e-12)
 
 
 def test_projection_refinement_error_model(gan, air, pump400):
@@ -236,11 +258,9 @@ def test_projection_refinement_error_model(gan, air, pump400):
                                    basis.centers[:, None]
                                    + basis.centers[None, :]).ravel()))
         fine = LayerCoupling(st, 1, sub, sub, field)
-        b_coarse = project_to_basis(coarse, "right")
-        b_fine = project_to_basis(fine, "right")
-        key = ("s", "F", "x", "y")
-        lam_c = b_coarse.volume_e[key] / basis.widths[0]
-        lam_f = b_fine.volume_e[key] / sub.widths[0]
+        block = (0, 0, 0, 1)  # signal rows, col dir F, pols (x, y)
+        lam_c = project_to_basis(coarse, "right")[0][block] / basis.widths[0]
+        lam_f = project_to_basis(fine, "right")[0][block] / sub.widths[0]
         # average the fine kernel over each coarse bin
         m = 16
         avg = lam_f.reshape(bins, m, bins, m).mean(axis=(1, 3))
