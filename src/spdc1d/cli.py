@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .config import load_config, parse_config
+from .config import load_config, parse_config, read_json
 from .errors import SpdcError
 from .runner import MATRIX_NAMES, dump_matrix, scan, simulate, transmission_map, verify
 
@@ -92,8 +92,7 @@ def _override_scan_ranges(cfg, args):
 def _apply_structure_override(cfg, args):
     if getattr(args, "structure", None) is None:
         return cfg
-    with open(args.structure, "r", encoding="utf-8") as fh:
-        override = json.load(fh)
+    override = read_json(args.structure, "structure file")
     raw = json.loads(json.dumps(cfg.raw))
     if "structure" in override:
         raw["structure"] = override["structure"]
@@ -129,7 +128,8 @@ def main(argv=None) -> int:
             print(f"tracked {summary['ridges_tracked']} ridges "
                   f"({lost} flagged lost), scanned {summary['cells']} cells")
         elif args.command == "verify":
-            report, ok = verify(cfg, bins=args.bins or 16,
+            bins = 16 if args.bins is None else args.bins
+            report, ok = verify(cfg, bins=bins,
                                 step_fraction=args.step_fraction,
                                 out_path=args.out)
             for name, chk in report["checks"].items():

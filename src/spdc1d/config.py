@@ -30,6 +30,16 @@ def _require_keys(obj: dict, allowed, required, where: str):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _integer(value, least: int, where: str) -> int:
+    """A JSON integer >= least; anything else is a ConfigError."""
+    whole = (isinstance(value, int) and not isinstance(value, bool)
+             or isinstance(value, float) and value.is_integer())
+    if not whole or value < least:
+        raise ConfigError(f"{where} must be an integer >= {least}, "
+                          f"got {value!r}")
+    return int(value)
+
+
 def _parse_pol_triple(s: str):
     """'y;xy' -> ('y', 'x', 'y'): pump pol; signal pol, idler pol."""
     try:
@@ -119,7 +129,7 @@ class RunConfig:
         return self.pump.omega0
 
     def basis(self, bins=None, window=None) -> SpectralBasis:
-        bins = bins or self.bins
+        bins = self.bins if bins is None else bins
         lo, hi = window or self.window
         return SpectralBasis(lo * self.omega_p0, hi * self.omega_p0, bins)
 
@@ -213,33 +223,41 @@ def parse_config(raw: dict) -> RunConfig:
             pairs=int(s["pairs"]),
             l1_nm=tuple(s["l1_nm"]),
             l2_nm=tuple(s["l2_nm"]),
-            bins=int(s.get("bins", 12)),
+            bins=_integer(s.get("bins", 12), 1, "scan.bins"),
             ridge_max_jump=int(s.get("ridge_max_jump", 2)),
         )
     return RunConfig(
         materials=materials,
         structure=structure,
         pump=pump,
-        bins=int(b["bins"]),
+        bins=_integer(b["bins"], 1, "basis.bins"),
         window=window,
         channel=channel,
         attribution=attribution,
-        time_points=int(obs.get("time_points", 2048)),
+        time_points=_integer(obs.get("time_points", 2048), 2,
+                             "observe.time_points"),
         conditional_t_idler=None if cond is None else float(cond) * 1e-15,
         scan=scan,
         raw=raw,
     )
 
 
-def load_config(path) -> RunConfig:
+def read_json(path, what: str = "config") -> dict:
+    """The JSON object in a file; ConfigError if unreadable or not one."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     with fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, "
                               f"column {exc.colno}: {exc.msg}") from exc
-    return parse_config(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: {what} must be a JSON object")
+    return raw
+
+
+def load_config(path) -> RunConfig:
+    return parse_config(read_json(path))

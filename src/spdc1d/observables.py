@@ -187,7 +187,7 @@ def marginals_and_counts(jd: JointDensity):
 
 @dataclass(frozen=True)
 class TemporalProfile:
-    """Joint detection-time density on a uniform grid.
+    """Joint detection-time density on the alias-exact grid.
 
     p integrates to one over the grid; p_signal is its t_s marginal.
     """
@@ -196,7 +196,6 @@ class TemporalProfile:
     p: np.ndarray
     p_signal: np.ndarray
     dt: float
-    amplitude: np.ndarray  # complex two-photon amplitude on the grid
     parseval_ratio: float
 
     def conditional_cut(self, t_idler: float):
@@ -221,20 +220,17 @@ def default_time_grid(widths, n_time: int = 2048):
     return t
 
 
-def temporal_profiles(jsa: JointSpectralAmplitude, time_grid=None,
+def temporal_profiles(jsa: JointSpectralAmplitude,
                       n_time: int = 2048) -> TemporalProfile:
     """Fourier-transform a two-photon amplitude to detection times.
 
     Uses the explicit kernel exp(-i w_s t_s - i w_i t_i) from the bin
-    centers.  The default grid is alias-exact (see default_time_grid);
-    any grid must satisfy dt <= pi / max(w) (GridTooCoarse otherwise).
+    centers on the n_time-point alias-exact grid (see default_time_grid);
+    raises GridTooCoarse when its dt exceeds pi / max(w).  The complex
+    amplitude on the grid is not kept: only p is returned.
     """
-    if time_grid is None:
-        time_grid = default_time_grid(jsa.widths_s, n_time)
-    t = np.asarray(time_grid, dtype=float)
+    t = default_time_grid(jsa.widths_s, n_time)
     dt = float(t[1] - t[0])
-    if not np.allclose(np.diff(t), dt, rtol=1e-9):
-        raise ConfigError("time grid must be uniform")
     w_max = max(jsa.omega_s.max(), jsa.omega_i.max())
     if dt > np.pi / w_max:
         raise GridTooCoarse(
@@ -244,21 +240,21 @@ def temporal_profiles(jsa: JointSpectralAmplitude, time_grid=None,
     kernel_s = np.exp(-1j * np.outer(t, jsa.omega_s)) * jsa.widths_s[None, :]
     kernel_i = np.exp(-1j * np.outer(t, jsa.omega_i)) * jsa.widths_i[None, :]
     amp = kernel_s @ cont @ kernel_i.T
-    intensity = np.abs(amp) ** 2
-    norm = intensity.sum() * dt * dt
+    p = np.abs(amp) ** 2
+    del amp
+    norm = p.sum() * dt * dt
     if norm <= 0.0:
         raise NoPeak("two-photon amplitude is identically zero")
-    p = intensity / norm
+    p /= norm
     p_signal = p.sum(axis=1) * dt
     spectral_power = float(np.sum(np.abs(jsa.matrix) ** 2))
     parseval = (
-        intensity.sum() * dt * dt / (2.0 * np.pi) ** 2 / spectral_power
+        norm / (2.0 * np.pi) ** 2 / spectral_power
         if spectral_power > 0
         else float("nan")
     )
     return TemporalProfile(
-        t=t, p=p, p_signal=p_signal, dt=dt, amplitude=amp,
-        parseval_ratio=parseval,
+        t=t, p=p, p_signal=p_signal, dt=dt, parseval_ratio=parseval,
     )
 
 
@@ -292,16 +288,6 @@ def width_fwhm(x, y) -> float:
         frac = (y[j] - half) / (y[j] - y[j + 1])
         right = x[j] + frac * (x[j + 1] - x[j])
     return float(right - left)
-
-
-def count_peaks(y, floor_fraction: float = 1e-3) -> int:
-    """Number of strict local maxima above a floor relative to the max."""
-    y = np.asarray(y, dtype=float)
-    if y.size < 3:
-        return 0
-    floor = floor_fraction * y.max()
-    inner = (y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:]) & (y[1:-1] > floor)
-    return int(np.count_nonzero(inner))
 
 
 def antidiagonal_profile(jd_or_matrix, omega_s, omega_i, omega_sum: float):

@@ -59,9 +59,10 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def _safe_fwhm(x, y):
+def _fwhm_fs(t, y):
+    """FWHM of y(t) in fs, or None when y has no usable peak."""
     try:
-        return width_fwhm(x, y)
+        return width_fwhm(t, y) * 1e15
     except NoPeak:
         return None
 
@@ -104,25 +105,31 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
     )
 
     amps = two_photon_amplitude(emission, channel)
-    profiles = {}
-    for w in ("V", "S", "SV"):
+    curves, peaks, cond_widths = {}, {}, {}
+    t_cond = cfg.conditional_t_idler
+    for w in ("SV", "V", "S"):  # SV first: its joint peak sets t_cond
         if np.max(np.abs(amps[w].matrix)) == 0.0:
-            profiles[w] = None
             continue
-        profiles[w] = temporal_profiles(amps[w], n_time=cfg.time_points)
-    flux_cols, flux_names = [], ["t_s"]
-    t_ref = None
-    for w in ("V", "S", "SV"):
-        if profiles[w] is None:
-            continue
-        if t_ref is None:
-            t_ref = profiles[w].t
-            flux_cols.append(t_ref)
-        flux_names.append(f"p_s_{w}_per_s")
-        flux_cols.append(profiles[w].p_signal)
-    if t_ref is not None:
+        prof = temporal_profiles(amps[w], n_time=cfg.time_points)
+        t = prof.t
+        peak = np.unravel_index(np.argmax(prof.p), prof.p.shape)
+        if t_cond is None:
+            t_cond = t[peak[1]]
+        _, cut = prof.conditional_cut(t_cond)
+        curves[w] = (prof.p_signal, cut)
+        peaks[w] = {
+            "joint_peak_t_s_fs": t[peak[0]] * 1e15,
+            "joint_peak_t_i_fs": t[peak[1]] * 1e15,
+            "flux_fwhm_fs": _fwhm_fs(t, prof.p_signal),
+            "parseval_ratio": prof.parseval_ratio,
+        }
+        cond_widths[w] = _fwhm_fs(t, cut)
+        del prof  # drop the time_points^2 grid before the next is built
+    shown = [w for w in ("V", "S", "SV") if w in curves]
+    if shown:
         write_csv(os.path.join(out_dir, "temporal_flux.csv"),
-                  flux_names, flux_cols)
+                  ["t_s"] + [f"p_s_{w}_per_s" for w in shown],
+                  [t] + [curves[w][0] for w in shown])
 
     summary = {
         "version": __version__,
@@ -145,47 +152,10 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
         "no_emission": bool(stats["counts"]["SV"] == 0.0),
     }
 
-    profile_sv = profiles.get("SV")
-    if profile_sv is not None:
-        t = profile_sv.t
-        peaks = {}
-        for w, prof in profiles.items():
-            if prof is None:
-                continue
-            joint_peak = np.unravel_index(np.argmax(prof.p), prof.p.shape)
-            peaks[w] = {
-                "joint_peak_t_s_fs": t[joint_peak[0]] * 1e15,
-                "joint_peak_t_i_fs": t[joint_peak[1]] * 1e15,
-                "flux_fwhm_fs": (
-                    None
-                    if (fw := _safe_fwhm(t, prof.p_signal)) is None
-                    else fw * 1e15
-                ),
-                "parseval_ratio": prof.parseval_ratio,
-            }
-        t_cond = (
-            cfg.conditional_t_idler
-            if cfg.conditional_t_idler is not None
-            else t[np.unravel_index(np.argmax(profile_sv.p),
-                                    profile_sv.p.shape)[1]]
-        )
-        cond_names, cond_cols = ["t_s"], []
-        tc = None
-        cond_widths = {}
-        for w, prof in profiles.items():
-            if prof is None:
-                continue
-            tx, cut = prof.conditional_cut(t_cond)
-            if tc is None:
-                tc = tx
-                cond_cols.append(tc)
-            cond_names.append(f"p_cond_{w}_per_s")
-            cond_cols.append(cut)
-            cond_widths[w] = (
-                None if (fw := _safe_fwhm(tx, cut)) is None else fw * 1e15
-            )
+    if "SV" in curves:
         write_csv(os.path.join(out_dir, "temporal_conditional.csv"),
-                  cond_names, cond_cols)
+                  ["t_s"] + [f"p_cond_{w}_per_s" for w in shown],
+                  [t] + [curves[w][1] for w in shown])
         summary["temporal"] = {
             "grid_points": int(t.size),
             "grid_span_fs": float((t[-1] - t[0]) * 1e15),
@@ -361,6 +331,9 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
     Returns (report, ok); every check carries its measured error and
     tolerance.  Intended for small structures (N <= 6 recommended).
     """
+    if bins < 2:
+        raise ConfigError("verify needs at least 2 bins: its refinement "
+                          "study also runs at half the bin count")
     basis = cfg.basis(bins=bins)
     structure = cfg.structure
     checks = {}

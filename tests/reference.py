@@ -2,8 +2,9 @@
 
 These evaluate the physics directly instead of through the production
 path: the top-hat basis functions on a frequency grid, the interface
-continuity residual of a layer-amplitude solution, and the pair phase
-function of one layer with its exact z-derivative.
+continuity residual of a layer-amplitude solution, the pair phase
+function of one layer with its exact z-derivative, and a peak counter
+for the qualitative spectral checks.
 """
 
 import numpy as np
@@ -91,3 +92,13 @@ def phase_functions(coupling: LayerCoupling, a, b, alpha, beta, z,
         phi += 1j * DIR_SIGN[a] * t_g * phase * (-_bracket(-dk, z - z_a))
         dphi += DIR_SIGN[a] * t_g * phase * np.exp(-1j * dk * (z - z_a))
     return phi, dphi
+
+
+def count_peaks(y, floor_fraction: float = 1e-3) -> int:
+    """Number of strict local maxima above a floor relative to the max."""
+    y = np.asarray(y, dtype=float)
+    if y.size < 3:
+        return 0
+    floor = floor_fraction * y.max()
+    inner = (y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:]) & (y[1:-1] > floor)
+    return int(np.count_nonzero(inner))

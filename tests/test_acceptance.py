@@ -22,7 +22,6 @@ from spdc1d.materials import constant_material
 from spdc1d.matrixcore import build_emission, linear_maps, pair_block
 from spdc1d.observables import (
     antidiagonal_profile,
-    count_peaks,
     joint_density,
     marginals_and_counts,
     temporal_profiles,
@@ -33,6 +32,8 @@ from spdc1d.oracle import compare_with_emission, reference_pair_amplitude
 from spdc1d.runner import _scan_cell, simulate, track_ridges, transmission_map
 from spdc1d.spectral import SpectralBasis
 from spdc1d.structure import StructureSpec
+
+from reference import count_peaks
 
 C = CONSTANTS.c
 OMEGA_P0 = 2 * np.pi * C / 400e-9

@@ -9,6 +9,11 @@ from spdc1d.cli import main
 from spdc1d.config import ConfigError, load_config, parse_config
 from spdc1d.blockmatrix import BlockMatrix, mode_space, row_space
 from spdc1d.matrixcore import build_emission
+from spdc1d.observables import (
+    temporal_profiles,
+    two_photon_amplitude,
+    width_fwhm,
+)
 from spdc1d.runner import (
     MATRIX_NAMES,
     simulate,
@@ -89,6 +94,20 @@ def test_missing_and_invalid_values_rejected():
         raw = _tiny_config()
         raw["surface_attribution"] = bad
         with pytest.raises(ConfigError, match="surface_attribution"):
+            parse_config(raw)
+    for bad in (1, 0, -5, "abc", 2.5, "256", True, None):
+        raw = _tiny_config()
+        raw["observe"]["time_points"] = bad
+        with pytest.raises(ConfigError, match="observe.time_points"):
+            parse_config(raw)
+    for bad in (0, -1, "abc", 1.5, "6"):
+        raw = _tiny_config()
+        raw["basis"]["bins"] = bad
+        with pytest.raises(ConfigError, match="basis.bins"):
+            parse_config(raw)
+        raw = _tiny_config()
+        raw["scan"]["bins"] = bad
+        with pytest.raises(ConfigError, match="scan.bins"):
             parse_config(raw)
 
 
@@ -256,6 +275,84 @@ def test_cli_dump_matrix_bad_name_is_config_error(tmp_path, capsys, name):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["simulate", "--bins", "0"],
+                                     ["verify", "--bins", "1"]])
+def test_cli_too_few_bins_is_config_error(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    argv = command + ["--config", str(cfg_path)]
+    if command[0] == "simulate":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("content", [None, "{ not json }", "[1, 2]"])
+def test_cli_bad_structure_file_is_config_error(tmp_path, capsys, content):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    structure = tmp_path / "structure.json"
+    if content is not None:
+        structure.write_text(content)
+    rc = main(["simulate", "--config", str(cfg_path), "--structure",
+               str(structure), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "structure.json" in err
+
+
+@pytest.mark.parametrize("t_idler_fs", [None, 3.0])
+def test_simulate_temporal_outputs_match_per_profile_reference(tmp_path,
+                                                               t_idler_fs):
+    """temporal_flux.csv, temporal_conditional.csv and summary["temporal"]
+    equal a reference built from one temporal_profiles call per
+    contribution, with every cut taken at the SV joint peak's idler time
+    unless observe.conditional_t_idler_fs sets it."""
+    raw = _tiny_config()
+    if t_idler_fs is not None:
+        raw["observe"]["conditional_t_idler_fs"] = t_idler_fs
+    cfg = parse_config(raw)
+    _, emission, _ = simulate(cfg, tmp_path)
+    amps = two_photon_amplitude(emission, cfg.channel)
+    ws = ("V", "S", "SV")
+    profs = {w: temporal_profiles(amps[w], n_time=cfg.time_points) for w in ws}
+    t = profs["SV"].t
+    peaks = {w: np.unravel_index(np.argmax(profs[w].p), profs[w].p.shape)
+             for w in ws}
+    t_cond = (t[peaks["SV"][1]] if t_idler_fs is None
+              else cfg.conditional_t_idler)
+    cuts = {w: profs[w].conditional_cut(t_cond)[1] for w in ws}
+    if t_idler_fs is None:  # the cuts of V and S are not at their own peak
+        assert peaks["V"][1] != peaks["SV"][1]
+
+    for name, prefix, cols in (
+        ("temporal_flux.csv", "p_s", {w: profs[w].p_signal for w in ws}),
+        ("temporal_conditional.csv", "p_cond", cuts),
+    ):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0].split(",") == ["t_s"] + [f"{prefix}_{w}_per_s"
+                                                 for w in ws]
+        data = np.array([[float(v) for v in line.split(",")]
+                         for line in lines[1:]])
+        assert np.array_equal(data, np.column_stack([t] + [cols[w]
+                                                           for w in ws]))
+
+    temporal = json.loads((tmp_path / "summary.json").read_text())["temporal"]
+    assert temporal["grid_points"] == cfg.time_points
+    assert temporal["grid_span_fs"] == float((t[-1] - t[0]) * 1e15)
+    assert temporal["conditional_t_idler_fs"] == float(t_cond * 1e15)
+    for w in ws:
+        assert temporal["peaks"][w] == {
+            "joint_peak_t_s_fs": t[peaks[w][0]] * 1e15,
+            "joint_peak_t_i_fs": t[peaks[w][1]] * 1e15,
+            "flux_fwhm_fs": width_fwhm(t, profs[w].p_signal) * 1e15,
+            "parseval_ratio": profs[w].parseval_ratio,
+        }
+        assert temporal["conditional_fwhm_fs"][w] == (
+            width_fwhm(t, cuts[w]) * 1e15)
 
 
 def test_cli_window_override(tmp_path):
