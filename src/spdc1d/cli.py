@@ -11,7 +11,7 @@ import json
 import sys
 
 from .config import load_config, parse_config, read_json
-from .errors import SpdcError
+from .errors import ConfigError, SpdcError
 from .runner import MATRIX_NAMES, dump_matrix, scan, simulate, transmission_map, verify
 
 
@@ -93,6 +93,9 @@ def _apply_structure_override(cfg, args):
     if getattr(args, "structure", None) is None:
         return cfg
     override = read_json(args.structure, "structure file")
+    unknown = set(override) - {"structure", "materials"}
+    if unknown:
+        raise ConfigError(f"{args.structure}: unknown keys {sorted(unknown)}")
     raw = json.loads(json.dumps(cfg.raw))
     if "structure" in override:
         raw["structure"] = override["structure"]

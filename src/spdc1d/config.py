@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,45 @@ def _integer(value, least: int, where: str) -> int:
     return int(value)
 
 
+def _number(value, where: str) -> float:
+    """A finite JSON number; strings, booleans, NaN and inf are a
+    ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, count: int, where: str) -> tuple:
+    """A JSON list of exactly count finite numbers."""
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise ConfigError(f"{where} must be a list of {count} numbers, "
+                          f"got {value!r}")
+    return tuple(_number(x, where) for x in value)
+
+
+def _window_um(value, where: str) -> tuple:
+    """(lo, hi) validity window in um: 0 < lo < hi."""
+    lo, hi = _numbers(value, 2, where)
+    if not 0.0 < lo < hi:
+        raise ConfigError(f"{where} must be increasing positive wavelengths, "
+                          f"got {value!r}")
+    return lo, hi
+
+
+def _scan_range(value, where: str) -> tuple:
+    """(lo, hi, count) of a geometry axis: finite ends, count >= 1."""
+    lo, hi, count = _numbers(value, 3, where)
+    return lo, hi, _integer(count, 1, f"{where} count")
+
+
+def _poling(value, where: str) -> int:
+    """A poling sign: exactly +1 or -1."""
+    if isinstance(value, bool) or value not in (-1, 1):
+        raise ConfigError(f"{where} poling must be +1 or -1, got {value!r}")
+    return int(value)
+
+
 def _parse_pol_triple(s: str):
     """'y;xy' -> ('y', 'x', 'y'): pump pol; signal pol, idler pol."""
     try:
@@ -57,23 +97,31 @@ def parse_material(name: str, obj: dict) -> MaterialModel:
     for entry in obj.get("chi2", []):
         _require_keys(entry, ("pol", "d_m_per_V"), ("pol", "d_m_per_V"),
                       f"material {name} chi2 entry")
-        chi2[_parse_pol_triple(entry["pol"])] = float(entry["d_m_per_V"])
+        chi2[_parse_pol_triple(entry["pol"])] = _number(
+            entry["d_m_per_V"], f"material {name} chi2 d_m_per_V")
     kind = disp.get("type")
     if kind == "constant":
         _require_keys(disp, ("type", "n", "window_um"), ("type", "n"),
                       f"material {name} dispersion")
         window = (0.0, np.inf)
         if "window_um" in disp:
-            lo, hi = disp["window_um"]
+            lo, hi = _window_um(disp["window_um"],
+                                f"material {name} window_um")
             two_pi_c_um = 2 * np.pi * CONSTANTS.c * 1e6
             window = (two_pi_c_um / hi, two_pi_c_um / lo)
-        return constant_material(name, float(disp["n"]), chi2, window)
+        return constant_material(
+            name, _number(disp["n"], f"material {name} dispersion n"), chi2,
+            window)
     if kind == "sellmeier":
         _require_keys(disp, ("type", "A", "terms", "window_um"),
                       ("type", "A", "terms", "window_um"),
                       f"material {name} dispersion")
+        if not isinstance(disp["terms"], list):
+            raise ConfigError(f"material {name} terms must be a list")
         return sellmeier_material(
-            name, disp["A"], disp["terms"], chi2, tuple(disp["window_um"])
+            name, _number(disp["A"], f"material {name} A"),
+            [_numbers(t, 2, f"material {name} terms") for t in disp["terms"]],
+            chi2, _window_um(disp["window_um"], f"material {name} window_um"),
         )
     raise ConfigError(f"material {name}: dispersion type must be "
                       f"'constant' or 'sellmeier', got {kind!r}")
@@ -84,7 +132,7 @@ def _expand_layers(items, materials, where="structure.layers"):
     for item in items:
         if "repeat" in item:
             _require_keys(item, ("repeat", "layers"), ("repeat", "layers"), where)
-            for _ in range(int(item["repeat"])):
+            for _ in range(_integer(item["repeat"], 1, f"{where} repeat")):
                 out.extend(_expand_layers(item["layers"], materials, where))
             continue
         _require_keys(item, ("material", "length_nm", "poling"),
@@ -93,8 +141,9 @@ def _expand_layers(items, materials, where="structure.layers"):
         if mat not in materials:
             raise ConfigError(f"{where}: unknown material {mat!r}")
         out.append(
-            (materials[mat], float(item["length_nm"]) * 1e-9,
-             int(item.get("poling", 1)))
+            (materials[mat],
+             _number(item["length_nm"], f"{where} length_nm") * 1e-9,
+             _poling(item.get("poling", 1), where))
         )
     return out
 
@@ -167,16 +216,17 @@ def parse_config(raw: dict) -> RunConfig:
         "pump",
     )
     pump = PumpSpec.from_wavelength(
-        float(p["wavelength_nm"]) * 1e-9,
-        float(p["fwhm_nm"]) * 1e-9,
-        float(p["energy_J_per_m2"]),
+        _number(p["wavelength_nm"], "pump.wavelength_nm") * 1e-9,
+        _number(p["fwhm_nm"], "pump.fwhm_nm") * 1e-9,
+        _number(p["energy_J_per_m2"], "pump.energy_J_per_m2"),
         polarization=p.get("polarization", "y"),
         side=p.get("side", "F"),
-        cutoff_nsigma=float(p.get("cutoff_nsigma", 8.0)),
+        cutoff_nsigma=_number(p.get("cutoff_nsigma", 8.0),
+                              "pump.cutoff_nsigma"),
     )
     b = raw["basis"]
     _require_keys(b, ("bins", "window"), ("bins", "window"), "basis")
-    window = tuple(float(x) for x in b["window"])
+    window = _numbers(b["window"], 2, "basis.window")
     if not (0.0 < window[0] < window[1]):
         raise ConfigError("basis.window must be increasing positive fractions")
     obs = raw.get("observe", {})
@@ -220,11 +270,12 @@ def parse_config(raw: dict) -> RunConfig:
         scan = ScanSpec(
             material_a=s["material_a"],
             material_b=s["material_b"],
-            pairs=int(s["pairs"]),
-            l1_nm=tuple(s["l1_nm"]),
-            l2_nm=tuple(s["l2_nm"]),
+            pairs=_integer(s["pairs"], 1, "scan.pairs"),
+            l1_nm=_scan_range(s["l1_nm"], "scan.l1_nm"),
+            l2_nm=_scan_range(s["l2_nm"], "scan.l2_nm"),
             bins=_integer(s.get("bins", 12), 1, "scan.bins"),
-            ridge_max_jump=int(s.get("ridge_max_jump", 2)),
+            ridge_max_jump=_integer(s.get("ridge_max_jump", 2), 0,
+                                    "scan.ridge_max_jump"),
         )
     return RunConfig(
         materials=materials,
@@ -236,7 +287,8 @@ def parse_config(raw: dict) -> RunConfig:
         attribution=attribution,
         time_points=_integer(obs.get("time_points", 2048), 2,
                              "observe.time_points"),
-        conditional_t_idler=None if cond is None else float(cond) * 1e-15,
+        conditional_t_idler=None if cond is None else _number(
+            cond, "observe.conditional_t_idler_fs") * 1e-15,
         scan=scan,
         raw=raw,
     )

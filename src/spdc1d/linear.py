@@ -73,6 +73,12 @@ def mat2_inv(m, context=""):
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
 
 
+def _layer_indices(structure: StructureSpec, omega):
+    """Complex n of layers 0..N+1 on omega, once per distinct material."""
+    return structure.per_material(
+        lambda mat: refractive_index(mat, omega) + 0j)
+
+
 def layer_transfers(structure: StructureSpec, omega, convention="field"):
     """Cumulative 2x2 transfers from medium-0 amplitudes at z_1 into every
     layer, vectorized over omega.
@@ -87,14 +93,19 @@ def layer_transfers(structure: StructureSpec, omega, convention="field"):
     at_left = np.zeros((n_tot, 2, 2, omega.size), dtype=complex)
     at_left[0, 0, 0] = at_left[0, 1, 1] = 1.0
     at_right = at_left.copy()
-    n_prev = refractive_index(structure.material(0), omega) + 0j
+    n = _layer_indices(structure, omega)
+    # one crossing and phase per (material pair, length); n holds one
+    # array per material, so the ids of its entries name the materials
+    steps = {}
     for l in range(1, n_tot):
-        n_here = refractive_index(structure.material(l), omega) + 0j
-        at_left[l] = mat2_mul(_crossing(n_prev, n_here, convention),
-                              at_right[l - 1])
-        phase = np.exp(1j * omega / CONSTANTS.c * n_here * structure.length(l))
-        at_right[l] = np.array([phase, 1.0 / phase])[:, None] * at_left[l]
-        n_prev = n_here
+        key = (id(n[l - 1]), id(n[l]), structure.length(l))
+        if key not in steps:
+            phase = np.exp(1j * omega / CONSTANTS.c * n[l] * structure.length(l))
+            steps[key] = (_crossing(n[l - 1], n[l], convention),
+                          np.array([phase, 1.0 / phase])[:, None])
+        crossing, propagate = steps[key]
+        at_left[l] = mat2_mul(crossing, at_right[l - 1])
+        at_right[l] = propagate * at_left[l]
     return at_left, at_right
 
 
@@ -131,11 +142,10 @@ def scalar_layer_amplitudes(
     else:
         raise ConfigError(f"side must be 'F' or 'B', got {side!r}")
 
-    n_prev = refractive_index(structure.material(0), omega) + 0j
+    n = _layer_indices(structure, omega)
     current = amps[0].copy()
     for l in range(1, structure.n_layers + 2):
-        n_here = refractive_index(structure.material(l), omega) + 0j
-        d = _crossing(n_prev, n_here, convention)
+        d = _crossing(n[l - 1], n[l], convention)
         current = np.stack(
             (
                 d[0, 0] * current[0] + d[0, 1] * current[1],
@@ -144,9 +154,8 @@ def scalar_layer_amplitudes(
         )
         amps[l] = current
         if l <= structure.n_layers:
-            phase = np.exp(1j * omega / CONSTANTS.c * n_here * structure.length(l))
+            phase = np.exp(1j * omega / CONSTANTS.c * n[l] * structure.length(l))
             current = np.stack((current[0] * phase, current[1] / phase))
-        n_prev = n_here
     # the undriven side is exactly dark; remove marching roundoff
     if side == "F":
         amps[-1, 1] = 0.0

@@ -36,8 +36,17 @@ backward transfer of the right segment gives a 2x2 response per bin
 whose inverse maps continuity sources to output amplitudes.  Each
 boundary source is therefore the kernel array scaled by columns with the
 per-bin feed of its input modes and by rows with the per-bin inverse
-response, accumulated straight into G_V and G_S: O(N K^2) work and no
-matrix solve.  Only F is returned as a labelled ``BlockMatrix``.
+response: O(N K^2) work and no matrix solve.  Only F is returned as a
+labelled ``BlockMatrix``.
+
+None of these maps depends on polarization, and every kernel is one
+polarization-free grid times the layer's chi2 matrix d (``spectral``).
+So the feed and inverse-response scalings run on polarization-free
+arrays of shape (2, 2, 2, K, K) over (row field, row dir, col dir, row
+bin, col bin), summed per distinct d; d is applied only in ``_expand``,
+once per distinct d for G_V and G_S and once per kept boundary source.
+The layer couplings of one build share their per-(material, length)
+kernel factors (``spectral.layer_couplings``).
 """
 
 from __future__ import annotations
@@ -63,6 +72,7 @@ from .spectral import (
     POLS,
     LayerCoupling,
     SpectralBasis,
+    layer_couplings,
     project_to_basis,
 )
 from .structure import StructureSpec
@@ -132,27 +142,34 @@ class FieldMaps:
     scatter: np.ndarray
     feed: np.ndarray
 
-    def response(self, l: int):
+    def response(self, l):
         """E/H continuity rows at boundary l from the outputs reached by
         the pair waves emitted there: the forward output seen through the
         right segment (medium N+1 back to layer l at z_l) minus the
         backward output seen through the left segment (medium 0 on to
-        layer l-1 at z_l)."""
-        from_right = mat2_mul(self.at_left[l],
+        layer l-1 at z_l).  For an index array l the boundaries run along
+        the second-to-last axis: shape (2, 2, len(l), K)."""
+        at_left, at_right, interface = (np.moveaxis(a, 0, 2) for a in (
+            self.at_left, self.at_right, self.interface))
+        from_right = mat2_mul(at_left[:, :, l],
                               mat2_inv(self.at_left[-1], "full transfer"))
-        forward = mat2_mul(self.interface[l], from_right)[:, 0]
-        backward = mat2_mul(self.interface[l - 1], self.at_right[l - 1])[:, 1]
+        forward = mat2_mul(interface[:, :, l], from_right)[:, 0]
+        backward = mat2_mul(interface[:, :, l - 1], at_right[:, :, l - 1])[:, 1]
         return np.stack((forward, -backward), axis=1)
+
+    def fed(self, edge: str):
+        """Layer modes at their left or right edge from the inputs, every
+        layer at once: shape (2, 2, N+2, K)."""
+        at = self.at_left if edge == "left" else self.at_right
+        return mat2_mul(np.moveaxis(at, 0, 2), self.feed)
 
 
 def field_maps(structure: StructureSpec, basis: SpectralBasis,
                conjugate: bool = False) -> FieldMaps:
     """Linear maps of one field on its basis (conjugated for the idler)."""
     at_left, at_right = layer_transfers(structure, basis.centers, "flux")
-    interface = np.array([
-        interface_bins(structure.material(l), basis)
-        for l in range(structure.n_layers + 2)
-    ])
+    interface = np.array(
+        structure.per_material(lambda mat: interface_bins(mat, basis)))
     if conjugate:
         at_left, at_right = np.conj(at_left), np.conj(at_right)
         interface = np.conj(interface)
@@ -194,27 +211,68 @@ def pair_block(pairs, row, col):
 
 
 def _side_kernels(coupling: LayerCoupling, edge: str, convention="local-jump"):
-    """(J_volume, J_surface) of one layer side, mapping that layer's free
-    modes of the column field at the boundary to continuity-row sources
-    of the row field; pair-array layout with E/H in place of the row
-    direction.
+    """(J_volume, J_surface, d) of one layer side, mapping that layer's
+    free modes of the column field at the boundary to continuity-row
+    sources of the row field, polarization-free.
 
-    Volume rows: electric = arriving kernel content, magnetic = its
-    i k chi part minus the bare source coefficient.  Surface rows:
-    electric zero, magnetic = the bare source coefficient (whose jump
-    across the boundary is the only net surface drive).  The idler-row
-    sector is conjugated (creation-operator components); its row index
-    pairs with signal-mode columns.
+    J_volume has shape (2, 2, 2, K, K) over (row field, E/H row, col dir,
+    row bin, col bin): electric = arriving kernel content, magnetic = its
+    i k chi part minus the bare source coefficient.  J_surface has shape
+    (2, 2, K, K) without the E/H axis: its electric rows are zero, its
+    magnetic rows the bare source coefficient (whose jump across the
+    boundary is the only net surface drive).  The idler-row sector is
+    conjugated (creation-operator components); its row index pairs with
+    signal-mode columns.  d (real) is project_to_basis's chi2 matrix per
+    row field.
     """
-    pref = np.array([overlap_matrices(coupling.material, basis)[0]
-                     for basis in (coupling.basis_s, coupling.basis_i)])
-    ve, vh, sh = (pref[:, None, None, None, :, None] * kern
-                  for kern in project_to_basis(coupling, edge, convention))
-    zero = np.zeros_like(ve)
-    j_v, j_s = np.stack((ve, vh), axis=1), np.stack((zero, sh), axis=1)
+    (ve, vh, sh), d = project_to_basis(coupling, edge, convention)
+    pref = np.array([coupling.inv_sqrt_index(f)
+                     for f in FIELDS])[:, None, :, None]
+    j_v = np.stack((ve, vh), axis=1) * pref[:, None]
+    j_s = sh * pref
     for j in (j_v, j_s):
         j[1] = np.conj(j[1])
-    return j_v, j_s
+    return j_v, j_s, d
+
+
+def _expand(parts, shape):
+    """(volume, surface) pair arrays sum_m d_m (x) P_m from (d, P) parts:
+    d of shape (2, 2, 2) over (row field, row pol, col pol), P of shape
+    (2, 2, 2, 2, K, K) over (volume/surface, row field, row dir, col dir,
+    row bin, col bin)."""
+    out = np.zeros((2,) + shape, dtype=complex)
+    for d, p in parts:
+        for f, alpha, beta in zip(*np.nonzero(d)):
+            out[:, f, :, alpha, :, beta] += d[f, alpha, beta] * p[:, f]
+    return out[0], out[1]
+
+
+def _boundary_sources(couplings, l, fed, inverse, convention):
+    """Output sources of boundary l as polarization-free (d, P) parts (see
+    ``_expand``), one per distinct chi2 matrix d of its two sides.
+
+    The kernels of each side are scaled by columns with the feed of that
+    side's modes from the inputs (``fed``: per edge, shape (row field,
+    col dir, channel, layer, bin)), then by rows with the boundary's
+    inverse response (shape (row field, out dir, E/H, bin)); surface
+    sources drive magnetic rows only.
+    """
+    rows = {}
+    for coupling, edge, sign in ((couplings[l - 1], "right", 1.0),
+                                 (couplings[l], "left", -1.0)):
+        if coupling.is_dark():
+            continue
+        feed = fed[edge][:, :, :, coupling.l]
+        j_v, j_s, d = _side_kernels(coupling, edge, convention)
+        k_v = sign * np.einsum("fxbkn,fbcn->fxckn", j_v, feed)
+        k_s = sign * np.einsum("fbkn,fbcn->fckn", j_s, feed)
+        if d.tobytes() in rows:
+            _, k_v0, k_s0 = rows[d.tobytes()]
+            k_v, k_s = k_v0 + k_v, k_s0 + k_s
+        rows[d.tobytes()] = (d, k_v, k_s)
+    return [(d, np.stack((np.einsum("fdxk,fxckn->fdckn", inverse, k_v),
+                          inverse[:, :, 1, None, :, None] * k_s[:, None])))
+            for d, k_v, k_s in rows.values()]
 
 
 @dataclass
@@ -256,55 +314,47 @@ def build_emission(
     f_map = BlockMatrix.from_bins(out_sp, in_sp,
                                   {f: m.scatter for f, m in maps.items()})
 
-    couplings = [
-        LayerCoupling(structure, l, basis_s, basis_i, pump)
-        for l in range(n_tot)
-    ]
+    couplings = layer_couplings(structure, basis_s, basis_i, pump)
+    active = [l for l in range(1, n_tot)
+              if not (couplings[l - 1].is_dark() and couplings[l].is_dark())]
+    # inverse responses of every active boundary, with their exact 1-norm
+    # condition numbers (largest column sums per bin)
+    inverse = []
+    cond = np.zeros(len(active))
+    for f in FIELDS:
+        response = maps[f].response(np.array(active, dtype=int))
+        try:
+            inverse.append(mat2_inv(response, "boundary response"))
+        except SingularMatrix:
+            for i, l in enumerate(active):  # name the first bad boundary
+                mat2_inv(response[:, :, i], f"boundary {l} response")
+            raise
+        norm_r, norm_inv = (np.abs(a).sum(axis=0).max(axis=0)
+                            for a in (response, inverse[-1]))
+        cond = np.maximum(cond, (norm_r * norm_inv).max(axis=-1))
+    inverse = np.array(inverse)  # (row field, out dir, E/H, boundary, bin)
+    # feed of every layer's modes at each edge, per row field (from the
+    # maps of its column field)
+    fed = {edge: np.array([maps[c].fed(edge) for c in ("i", "s")])
+           for edge in ("left", "right")}
     shape = (2,) * 5 + (basis_s.bins, basis_i.bins)
-    g_v = np.zeros(shape, dtype=complex)
-    g_s = np.zeros(shape, dtype=complex)
-    col_maps = [maps["i"], maps["s"]]  # column field of each row field
-    sources = {}
+    totals = {}  # d.tobytes() -> [d, polarization-free sum of its parts]
+    sources = {l: _expand((), shape)
+               for l in range(1, n_tot)} if keep_sources else {}
     warnings = []
-    for l in range(1, n_tot):
-        left, right = couplings[l - 1], couplings[l]
-        if left.is_dark() and right.is_dark():
-            if keep_sources:
-                sources[l] = (np.zeros(shape, dtype=complex),
-                              np.zeros(shape, dtype=complex))
-            continue
-        inverse, cond = [], 0.0
-        for f in FIELDS:
-            response = maps[f].response(l)
-            inverse.append(mat2_inv(response, f"boundary {l} response"))
-            # exact 1-norm condition number per bin: largest column sums
-            norm_r, norm_inv = (np.abs(a).sum(axis=0).max(axis=0)
-                                for a in (response, inverse[-1]))
-            cond = max(cond, float(np.max(norm_r * norm_inv)))
-        if cond > CONDITION_WARN:
+    for i, l in enumerate(active):
+        if cond[i] > CONDITION_WARN:
             warnings.append(
-                f"boundary {l}: response condition number {cond:.2e}"
+                f"boundary {l}: response condition number {cond[i]:.2e}"
             )
-        # continuity-row sources: the kernels of each side, scaled by
-        # columns with the feed of that side's modes from the inputs
-        k_v = k_s = 0.0
-        for coupling, edge, sign, modes in (
-                (left, "right", 1.0, [m.at_right[l - 1] for m in col_maps]),
-                (right, "left", -1.0, [m.at_left[l] for m in col_maps])):
-            if coupling.is_dark():
-                continue
-            feed = np.array([mat2_mul(t, m.feed)
-                             for t, m in zip(modes, col_maps)])
-            j_v, j_s = _side_kernels(coupling, edge, convention)
-            k_v = k_v + sign * np.einsum("fxpbqkn,fbcn->fxpcqkn", j_v, feed)
-            k_s = k_s + sign * np.einsum("fxpbqkn,fbcn->fxpcqkn", j_s, feed)
-        # output amplitudes: rows scaled with the inverse response
-        s_v, s_s = (np.einsum("fdxk,fxpcqkn->fdpcqkn", inverse, k)
-                    for k in (k_v, k_s))
-        g_v += s_v
-        g_s += s_s
+        parts = _boundary_sources(couplings, l, fed, inverse[:, :, :, i],
+                                  convention)
         if keep_sources:
-            sources[l] = (s_v, s_s)
+            sources[l] = _expand(parts, shape)
+        for d, p in parts:
+            total = totals.setdefault(d.tobytes(), [d, 0.0])
+            total[1] += p
+    g_v, g_s = _expand(totals.values(), shape)
 
     for name, mat in (("F", f_map.data), ("G_V", g_v), ("G_S", g_s)):
         if not np.all(np.isfinite(mat)):

@@ -3,7 +3,8 @@
 The signal and idler fields are discretized on orthonormal top-hat
 frequency bins f_k (height 1/sqrt(dw_k) on bin k), which makes every
 single-frequency overlap matrix diagonal and turns basis projection into
-midpoint sampling times sqrt(dw_k dw_n).
+midpoint sampling times sqrt(dw_k dw_n).  A basis computes its edges,
+centers and widths once and hands out the same read-only arrays.
 
 Inside a nonlinear layer the first-order solution for a signal mode
 (direction a, polarization alpha) acquires a pair term
@@ -31,19 +32,29 @@ volume/surface bookkeeping.  Only the summed output is observable.
 The layers are isotropic, so T_g depends on the polarizations only
 through the scalar chi2 coefficient: every kernel is one
 polarization-free grid times the layer's 2x2 matrix d[signal pol, idler
-pol] (its transpose for idler rows).  The kernels of one edge are arrays
-of shape (2, 2, 2, 2, K, K) over
+pol] (its transpose for idler rows).  ``project_to_basis`` returns the
+polarization-free kernels of one edge, arrays of shape (2, 2, K, K) over
 
-    (row field, row pol, col dir, col pol, row bin, col bin)
+    (row field, col dir, row bin, col bin)
 
-in ``FIELDS``/``POLS``/``DIRS`` order: ``matrixcore``'s pair layout
-without the row direction, which the edge fixes (forward rows at the
-right edge, backward rows at the left edge).
+in ``FIELDS``/``DIRS`` order (forward rows at the right edge, backward
+rows at the left edge), together with each row field's d; ``matrixcore``
+applies d only when it expands its sums into pair arrays.
+
+Everything but the pump weight conj(T_g) depends on the layer only
+through its (material, length): the wave numbers, photon amplitudes,
+1/sqrt(n) prefactors and pump wave numbers per material, and the
+brackets (e^{i dk L} - 1)/dk with the right-edge phase per (material,
+length).  Couplings made by ``layer_couplings`` share these for the
+length of one emission build, keyed on the material object, never on its
+name; conj(T_g), which carries the layer's pump amplitude and poling
+sign, is computed per layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +72,11 @@ DIR_SIGN = {"F": 1.0, "B": -1.0}
 _BRACKET_SWITCH = 1e-6  # |dk * zeta| below which the series expansion is used
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class SpectralBasis:
     """Uniform top-hat frequency bins on [omega_min, omega_max]."""
@@ -75,31 +91,34 @@ class SpectralBasis:
         if self.bins < 1:
             raise ConfigError("need at least one bin")
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
-        return np.linspace(self.omega_min, self.omega_max, self.bins + 1)
+        return _read_only(
+            np.linspace(self.omega_min, self.omega_max, self.bins + 1))
 
-    @property
+    @cached_property
     def centers(self) -> np.ndarray:
         e = self.edges
-        return 0.5 * (e[:-1] + e[1:])
+        return _read_only(0.5 * (e[:-1] + e[1:]))
 
-    @property
+    @cached_property
     def widths(self) -> np.ndarray:
-        e = self.edges
-        return np.diff(e)
+        return _read_only(np.diff(self.edges))
+
+
+def _tau(omega, n, area):
+    return np.sqrt(
+        CONSTANTS.hbar
+        * np.asarray(omega)
+        / (4.0 * np.pi * CONSTANTS.eps0 * CONSTANTS.c * n * area)
+    )
 
 
 def photon_amplitude_tau(material: MaterialModel, omega, area: float):
     """Electric-field amplitude per photon: sqrt(hbar w / (4 pi eps0 c n A))."""
     if area <= 0.0:
         raise ConfigError("quantization area must be positive")
-    n = refractive_index(material, omega)
-    return np.sqrt(
-        CONSTANTS.hbar
-        * np.asarray(omega)
-        / (4.0 * np.pi * CONSTANTS.eps0 * CONSTANTS.c * n * area)
-    )
+    return _tau(omega, refractive_index(material, omega), area)
 
 
 def _bracket(delta_k, zeta):
@@ -117,20 +136,21 @@ def _bracket(delta_k, zeta):
     return np.where(small, series, exact)
 
 
-def _masked_wavenumber(material, omega, direction, mask):
-    """Signed wave number where mask, zero elsewhere (no window check)."""
+def _masked_wavenumbers(material, omega, mask):
+    """Forward and backward wave numbers where mask, zero elsewhere (no
+    window check outside the mask)."""
     omega = np.asarray(omega, dtype=float)
     lo, hi = material.window
     hi_eff = min(hi, 1e18)
     clipped = np.clip(omega, lo * (1 + 1e-12) if lo > 0 else 1e6, hi_eff * (1 - 1e-12))
     n = refractive_index(material, clipped)
-    k = DIR_SIGN[direction] * clipped / CONSTANTS.c * n
-    return np.where(mask, k, 0.0)
+    return {g: np.where(mask, DIR_SIGN[g] * clipped / CONSTANTS.c * n, 0.0)
+            for g in DIRS}
 
 
 @dataclass
 class LayerCoupling:
-    """Cached pair-coupling data of one finite layer on the bin grids.
+    """Pair-coupling data of one finite layer on the bin grids.
 
     Grids are indexed (signal bin k, idler bin n).  tstar_unit(g) is
     conj(T_g) per unit chi2 for pump direction g, chi2_matrix() the
@@ -139,6 +159,10 @@ class LayerCoupling:
     (the coupling vanishes there too).  The photon amplitudes tau are
     taken at a 1 m^2 cross-section: T_g holds A tau_s tau_i, in which
     the area cancels.
+
+    ``shared`` holds what depends only on the bases, the pump and the
+    layer's (material, length), per material object (see the module
+    docstring); couplings that share it must share bases and pump.
     """
 
     structure: StructureSpec
@@ -146,6 +170,7 @@ class LayerCoupling:
     basis_s: SpectralBasis
     basis_i: SpectralBasis
     pump: PumpField
+    shared: dict = field(default_factory=dict, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -156,84 +181,96 @@ class LayerCoupling:
     def length(self):
         return self.structure.length(self.l)
 
+    def _per_material(self, key, compute):
+        """compute() once per material object and key in ``shared``; the
+        entry holds the material, so its id stays unique while the store
+        lives."""
+        mat = self.material
+        if id(mat) not in self.shared:
+            self.shared[id(mat)] = (mat, {})
+        cache = self.shared[id(mat)][1]
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
+
+    def _basis(self, which):
+        return self.basis_s if which == "s" else self.basis_i
+
     def sum_grid(self):
-        key = "sum"
-        if key not in self._cache:
-            self._cache[key] = (
+        if "sum" not in self.shared:
+            self.shared["sum"] = (
                 self.basis_s.centers[:, None] + self.basis_i.centers[None, :]
             )
-        return self._cache[key]
+        return self.shared["sum"]
 
-    def pump_k(self, g):
-        key = ("kp", g)
-        if key not in self._cache:
-            total = self.sum_grid()
-            flat = total.ravel()
-            idx = np.searchsorted(self.pump.omega, flat)
-            idx = np.clip(idx, 0, self.pump.omega.size - 1)
-            left = np.clip(idx - 1, 0, self.pump.omega.size - 1)
+    def _pump_index(self):
+        """Pump-grid index of every bin sum (flattened)."""
+        if "pidx" not in self.shared:
+            flat = self.sum_grid().ravel()
+            omega = self.pump.omega
+            idx = np.clip(np.searchsorted(omega, flat), 0, omega.size - 1)
+            left = np.clip(idx - 1, 0, omega.size - 1)
             idx = np.where(
-                np.abs(self.pump.omega[left] - flat)
-                < np.abs(self.pump.omega[idx] - flat),
+                np.abs(omega[left] - flat) < np.abs(omega[idx] - flat),
                 left,
                 idx,
             )
-            if np.any(np.abs(self.pump.omega[idx] - flat) > 1e-6 * flat):
+            if np.any(np.abs(omega[idx] - flat) > 1e-6 * flat):
                 raise ConfigError("pump grid does not contain the bin sums")
-            self._cache[("pidx",)] = idx
-            mask = self.pump.mask[idx].reshape(total.shape)
-            self._cache[key] = _masked_wavenumber(self.material, total, g, mask)
-        return self._cache[key]
+            self.shared["pidx"] = idx
+        return self.shared["pidx"]
+
+    def pump_k(self, g):
+        def compute():
+            total = self.sum_grid()
+            mask = self.pump.mask[self._pump_index()].reshape(total.shape)
+            return _masked_wavenumbers(self.material, total, mask)
+        return self._per_material("kp", compute)[g]
 
     def pump_amp(self, g):
-        key = ("ap", g)
-        if key not in self._cache:
-            self.pump_k(g)  # ensures index cache
-            idx = self._cache[("pidx",)]
-            amp = self.pump.amps[self.l, {"F": 0, "B": 1}[g], idx]
-            self._cache[key] = amp.reshape(self.sum_grid().shape)
-        return self._cache[key]
+        amp = self.pump.amps[self.l, {"F": 0, "B": 1}[g], self._pump_index()]
+        return amp.reshape(self.sum_grid().shape)
+
+    def index(self, which):
+        """Refractive index on the bin centers of field 's' or 'i'."""
+        basis = self._basis(which)
+        return self._per_material(
+            ("n", basis), lambda: refractive_index(self.material, basis.centers))
+
+    def inv_sqrt_index(self, which):
+        """1/sqrt(n) on the bin centers (flux normalization of the modes)."""
+        return self._per_material(("pref", self._basis(which)),
+                                  lambda: 1.0 / np.sqrt(self.index(which)))
 
     def tau(self, which):
-        key = ("tau", which)
-        if key not in self._cache:
-            basis = self.basis_s if which == "s" else self.basis_i
-            self._cache[key] = photon_amplitude_tau(
-                self.material, basis.centers, 1.0
-            )
-        return self._cache[key]
+        basis = self._basis(which)
+        return self._per_material(
+            ("tau", basis), lambda: _tau(basis.centers, self.index(which), 1.0))
 
     def k_signed(self, which, a):
-        key = ("k", which, a)
-        if key not in self._cache:
-            basis = self.basis_s if which == "s" else self.basis_i
-            n = refractive_index(self.material, basis.centers)
-            self._cache[key] = DIR_SIGN[a] * basis.centers / CONSTANTS.c * n
-        return self._cache[key]
+        basis = self._basis(which)
+        return self._per_material(
+            ("k", basis, a),
+            lambda: DIR_SIGN[a] * basis.centers / CONSTANTS.c * self.index(which))
 
     def chi2_matrix(self):
         """d[signal pol, idler pol] for the pump polarization, m/V."""
-        key = "d"
-        if key not in self._cache:
-            gamma = self.pump.polarization
-            self._cache[key] = np.array([
-                [chi2_effective(self.material, gamma, a, b) for b in POLS]
-                for a in POLS
-            ])
-        return self._cache[key]
+        gamma = self.pump.polarization
+        return self._per_material("d", lambda: np.array([
+            [chi2_effective(self.material, gamma, a, b) for b in POLS]
+            for a in POLS
+        ]))
 
     def tstar_unit(self, g):
-        """conj(T_g) per unit chi2 on the (signal bin, idler bin) grid."""
-        key = ("tstar_unit", g)
-        if key not in self._cache:
-            base = (
-                4.0 * np.pi * CONSTANTS.eps0 / CONSTANTS.hbar
-                * self.tau("s")[:, None]
-                * self.tau("i")[None, :]
-                * self.structure.poling(self.l)
-            )
-            self._cache[key] = -1j * base * self.pump_amp(g)
-        return self._cache[key]
+        """conj(T_g) per unit chi2 on the (signal bin, idler bin) grid.
+
+        Computed on every call: it is the one per-layer factor, and
+        keeping it would hold a K x K grid per layer and direction."""
+        tau2 = self._per_material("tau2", lambda: (
+            4.0 * np.pi * CONSTANTS.eps0 / CONSTANTS.hbar
+            * self.tau("s")[:, None] * self.tau("i")[None, :]))
+        base = tau2 * self.structure.poling(self.l)
+        return -1j * base * self.pump_amp(g)
 
     def tstar(self, g, alpha, beta):
         """conj(T_g) on the (signal bin, idler bin) grid for pols (alpha, beta)."""
@@ -260,20 +297,67 @@ class LayerCoupling:
         return kp.T - ki[:, None] - ks[None, :]
 
 
+def layer_couplings(structure: StructureSpec, basis_s: SpectralBasis,
+                    basis_i: SpectralBasis, pump: PumpField):
+    """Couplings of layers 0..N+1 sharing one per-(material, length) store."""
+    shared = {}
+    return [LayerCoupling(structure, l, basis_s, basis_i, pump, shared)
+            for l in range(structure.n_layers + 2)]
+
+
 SPLIT_CONVENTIONS = ("local-jump", "per-slot")
 
 
-def _edge_kernels(coupling: LayerCoupling, edge: str, row_field: str,
-                  convention: str = "local-jump"):
-    """Arriving kernel chi and the volume/surface magnetic attributions.
+def _edge_factors(coupling: LayerCoupling, edge: str):
+    """Factors of the projected kernels at one edge; they depend on the
+    layer only through its (material, length).
 
-    Returns (chi, hv, hs) for one row field, each of shape
-    (2, 2, 2, K_row, K_col) over (row pol, col dir, col pol, row bin,
-    col bin); chi is the electric content of the mode arriving at the
-    edge, hv/hs the magnetic content assigned to the volume/surface
-    equations.  Q and chi are computed once per column direction on the
-    polarization-free grid and multiplied by d (d.T for idler rows).  Per
-    side hv + hs always equals the exact total i k chi; the conventions
+    Returns (chi_fac, q_fac, k_row) over row fields: chi_fac (2, 2, 2, K,
+    K) over (row field, pump dir g, col dir), -i (e^{i dk L} - 1)/dk with
+    the right-edge phase; q_fac (2, 2, K, K) over (row field, g), the
+    pump phase of Q at the edge; both times sqrt(dw_row dw_col).  k_row
+    (2, K) is the signed wave number of the rows.  chi = sum_g conj(T_g)
+    chi_fac and Q = sum_g conj(T_g) q_fac.
+    """
+    l_len = coupling.length
+    a = "F" if edge == "right" else "B"
+    shift = l_len if edge == "right" else 0.0
+    chi_fac, q_fac, k_rows = [], [], []
+    for row_field in FIELDS:
+        col_field = "i" if row_field == "s" else "s"
+        basis_row, basis_col = coupling._basis(row_field), coupling._basis(col_field)
+        weight = np.sqrt(basis_row.widths[:, None] * basis_col.widths[None, :])
+        k_row = coupling.k_signed(row_field, a)
+        per_g = []
+        for g in DIRS:
+            per_b = []
+            for b in DIRS:
+                c = -1j * _bracket(coupling.delta_k(a, b, g, row_field), l_len)
+                if edge == "right":
+                    k_col = coupling.k_signed(col_field, b)
+                    c = c * np.exp(1j * (k_row[:, None] + k_col[None, :]) * l_len)
+                per_b.append(c * weight)
+            per_g.append(per_b)
+        kp = [coupling.pump_k(g) for g in DIRS]
+        if row_field == "i":
+            kp = [k.T for k in kp]
+        chi_fac.append(per_g)
+        q_fac.append([np.exp(1j * k * shift) * weight for k in kp])
+        k_rows.append(k_row)
+    return np.array(chi_fac), np.array(q_fac), np.array(k_rows)
+
+
+def _edge_kernels(coupling: LayerCoupling, edge: str,
+                  convention: str = "local-jump"):
+    """Projected arriving kernel chi and the volume/surface magnetic
+    attributions at one edge.
+
+    Returns (chi, hv, hs), each of shape (2, 2, K_row, K_col) over (row
+    field, col dir, row bin, col bin) and polarization-free (per unit
+    chi2); idler rows use the transposed (idler, signal) grids.  chi is
+    the electric content of the mode arriving at the edge, hv/hs the
+    magnetic content assigned to the volume/surface equations.  Per side
+    hv + hs always equals the exact total i k chi; the conventions
     distribute the bare source coefficient Q differently:
 
     * 'local-jump': surface rows carry +Q on both sides, so the surface
@@ -287,58 +371,38 @@ def _edge_kernels(coupling: LayerCoupling, edge: str, row_field: str,
     """
     if convention not in SPLIT_CONVENTIONS:
         raise ConfigError(f"unknown split convention {convention!r}")
-    l_len = coupling.length
-    a = "F" if edge == "right" else "B"
-    col_field = "i" if row_field == "s" else "s"
-    k_row = coupling.k_signed(row_field, a)
-    d = coupling.chi2_matrix()
-    tst = {g: coupling.tstar_unit(g) for g in DIRS}
-    kp = {g: coupling.pump_k(g) for g in DIRS}
-    if row_field == "i":  # idler rows: (idler, signal) grids and pols
-        d = d.T
-        tst = {g: t.T for g, t in tst.items()}
-        kp = {g: k.T for g, k in kp.items()}
-    # bare source coefficient Q at the edge (same for both cols)
-    shift = l_len if edge == "right" else 0.0
-    q = sum(tst[g] * np.exp(1j * kp[g] * shift) for g in DIRS)
-    chi = []
-    for b in DIRS:
-        c = -1j * sum(tst[g] * _bracket(coupling.delta_k(a, b, g, row_field),
-                                        l_len) for g in DIRS)
-        if edge == "right":
-            k_col = coupling.k_signed(col_field, b)
-            c = c * np.exp(1j * (k_row[:, None] + k_col[None, :]) * l_len)
-        chi.append(c)
-    chi = np.array(chi)
+    chi_fac, q_fac, k_row = coupling._per_material(
+        ("edge", coupling.length, edge), lambda: _edge_factors(coupling, edge))
+    tst = [coupling.tstar_unit(g) for g in DIRS]
+    tst = np.array([tst, [t.T for t in tst]])  # (row field, g, row, col)
+    chi = tst[:, 0, None] * chi_fac[:, 0] + tst[:, 1, None] * chi_fac[:, 1]
+    q = (tst[:, 0] * q_fac[:, 0] + tst[:, 1] * q_fac[:, 1])[:, None]
     if convention == "local-jump":
         sigma = -1.0
     else:  # per-slot: [+-1]_a of the arriving direction
         sigma = 1.0 if edge == "right" else -1.0
-    hv = 1j * k_row[:, None] * chi + sigma * q
+    hv = 1j * k_row[:, None, :, None] * chi + sigma * q
     hs = np.broadcast_to(-sigma * q, chi.shape)
-    return tuple(d[:, None, :, None, None] * kern[None, :, None]
-                 for kern in (chi, hv, hs))
+    return chi, hv, hs
 
 
 def project_to_basis(coupling: LayerCoupling, edge: str,
                      convention: str = "local-jump"):
     """Project the layer kernels at one edge onto the bin bases.
 
-    Returns (volume_e, volume_h, surface_h) in the kernel layout of the
-    module docstring.  volume_e projects the arriving kernel chi;
-    volume_h/surface_h carry the magnetic boundary-source attribution,
-    and their sum is the total magnetic content of the mode slot.  Every
-    block is multiplied by sqrt(dw_row dw_col) (midpoint-rule projection
-    onto the top-hat bases).  Idler-row blocks are NOT yet conjugated
-    (assembly into the creation-operator sector conjugates them).
+    Returns ((volume_e, volume_h, surface_h), d): polarization-free
+    kernels in the layout of the module docstring, and d of shape (2, 2,
+    2) over (row field, row pol, col pol), the layer's chi2 matrix for
+    signal rows and its transpose for idler rows.  A kernel block of
+    polarizations (p, q) is d[field, p, q] times the kernel.  volume_e
+    projects the arriving kernel chi; volume_h/surface_h carry the
+    magnetic boundary-source attribution, and their sum is the total
+    magnetic content of the mode slot.  Every kernel carries sqrt(dw_row
+    dw_col) (midpoint-rule projection onto the top-hat bases).
+    Idler-row kernels are NOT yet conjugated (assembly into the
+    creation-operator sector conjugates them).
     """
     if edge not in ("left", "right"):
         raise ConfigError("edge must be 'left' or 'right'")
-    per_field = []
-    for row_field in FIELDS:
-        basis_row = coupling.basis_s if row_field == "s" else coupling.basis_i
-        basis_col = coupling.basis_i if row_field == "s" else coupling.basis_s
-        weight = np.sqrt(basis_row.widths[:, None] * basis_col.widths[None, :])
-        per_field.append([kern * weight for kern in
-                          _edge_kernels(coupling, edge, row_field, convention)])
-    return tuple(np.array(kerns) for kerns in zip(*per_field))
+    d = coupling.chi2_matrix()
+    return _edge_kernels(coupling, edge, convention), np.array([d, d.T])

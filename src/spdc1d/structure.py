@@ -66,6 +66,18 @@ class StructureSpec:
             return 1
         return self.layers[l - 1][2]
 
+    def per_material(self, fn) -> list:
+        """[fn(material(l)) for l in 0..N+1], calling fn once per distinct
+        material object (never merged by name)."""
+        done = {}
+        out = []
+        for l in range(self.n_layers + 2):
+            mat = self.material(l)
+            if id(mat) not in done:
+                done[id(mat)] = fn(mat)
+            out.append(done[id(mat)])
+        return out
+
     def z_reference(self, l: int) -> float:
         """Left-boundary reference of layer l (z_1 for the input medium)."""
         z = self.boundaries

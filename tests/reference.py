@@ -94,6 +94,14 @@ def phase_functions(coupling: LayerCoupling, a, b, alpha, beta, z,
     return phi, dphi
 
 
+def polarized_kernels(projection):
+    """project_to_basis's (kernels, d) in the polarization-resolved
+    layout (row field, row pol, col dir, col pol, row bin, col bin):
+    block (p, q) of row field f is d[f, p, q] times the kernel."""
+    kernels, d = projection
+    return tuple(np.einsum("fpq,fbkn->fpbqkn", d, k) for k in kernels)
+
+
 def count_peaks(y, floor_fraction: float = 1e-3) -> int:
     """Number of strict local maxima above a floor relative to the max."""
     y = np.asarray(y, dtype=float)

@@ -109,6 +109,85 @@ def test_missing_and_invalid_values_rejected():
         raw["scan"]["bins"] = bad
         with pytest.raises(ConfigError, match="scan.bins"):
             parse_config(raw)
+    for bad in (0, -2, "abc", 2.5, "3", True, None):
+        for section, key in (("scan", "pairs"), ("layer", "repeat")):
+            raw = _tiny_config()
+            if section == "scan":
+                raw["scan"]["pairs"] = bad
+            else:
+                raw["structure"]["layers"] = [
+                    {"repeat": bad, "layers": raw["structure"]["layers"]}]
+            with pytest.raises(ConfigError, match=key):
+                parse_config(raw)
+    for bad in (-1, "abc", 1.5, "2", None):
+        raw = _tiny_config()
+        raw["scan"]["ridge_max_jump"] = bad
+        with pytest.raises(ConfigError, match="scan.ridge_max_jump"):
+            parse_config(raw)
+    for bad in (0, 0.5, 2, -1.5, "abc", "1", True, None):
+        raw = _tiny_config()
+        raw["structure"]["layers"][0]["poling"] = bad
+        with pytest.raises(ConfigError, match="poling"):
+            parse_config(raw)
+    nonfinite = ("abc", "400", True, None, float("nan"), float("inf"),
+                 float("-inf"))
+    pump_keys = ("wavelength_nm", "fwhm_nm", "energy_J_per_m2",
+                 "cutoff_nsigma")
+    for bad in nonfinite:
+        for key in pump_keys:
+            raw = _tiny_config()
+            raw["pump"][key] = bad
+            with pytest.raises(ConfigError, match=f"pump.{key}"):
+                parse_config(raw)
+        raw = _tiny_config()
+        raw["structure"]["layers"][0]["length_nm"] = bad
+        with pytest.raises(ConfigError, match="length_nm"):
+            parse_config(raw)
+        raw = _tiny_config()
+        raw["basis"]["window"] = [0.35, bad]
+        with pytest.raises(ConfigError, match="basis.window"):
+            parse_config(raw)
+        raw = _tiny_config()
+        raw["materials"]["nl"]["chi2"][0]["d_m_per_V"] = bad
+        with pytest.raises(ConfigError, match="d_m_per_V"):
+            parse_config(raw)
+        raw = _tiny_config()
+        raw["materials"]["lin"]["dispersion"]["n"] = bad
+        with pytest.raises(ConfigError, match="dispersion n"):
+            parse_config(raw)
+        raw = _tiny_config()
+        raw["observe"]["conditional_t_idler_fs"] = bad
+        if bad is not None:  # null means "use the default"
+            with pytest.raises(ConfigError,
+                               match="observe.conditional_t_idler_fs"):
+                parse_config(raw)
+    for bad in ([0.35], [0.35, 0.5, 0.65], "0.35"):
+        raw = _tiny_config()
+        raw["basis"]["window"] = bad
+        with pytest.raises(ConfigError, match="basis.window"):
+            parse_config(raw)
+    for bad in ([20.0, 100.0], [20.0, "abc", 9], [20.0, 100.0, 9.5],
+                [20.0, 100.0, 0], [float("nan"), 100.0, 9], "20,100,9"):
+        for key in ("l1_nm", "l2_nm"):
+            raw = _tiny_config()
+            raw["scan"][key] = bad
+            with pytest.raises(ConfigError, match=f"scan.{key}"):
+                parse_config(raw)
+    sellmeier = {"type": "sellmeier", "A": 2.0, "terms": [[1.0, 0.01]],
+                 "window_um": [0.3, 9.0]}
+    for key, bad in (("A", "abc"), ("A", float("nan")), ("terms", "abc"),
+                     ("terms", [[1.0]]), ("terms", [[1.0, "x"]]),
+                     ("window_um", [0.3, "x"]), ("window_um", [0.3]),
+                     ("window_um", [0.0, 9.0])):
+        raw = _tiny_config()
+        raw["materials"]["sm"] = {"dispersion": dict(sellmeier, **{key: bad})}
+        with pytest.raises(ConfigError, match=f"material sm {key}"):
+            parse_config(raw)
+    for bad in ([0.3, None], [0.0, 9.0], [9.0, 0.3]):
+        raw = _tiny_config()
+        raw["materials"]["lin"]["dispersion"]["window_um"] = bad
+        with pytest.raises(ConfigError, match="material lin window_um"):
+            parse_config(raw)
 
 
 def test_nonlinear_ambient_rejected():
@@ -199,8 +278,8 @@ def test_verify_detects_corrupted_kernels(monkeypatch):
     cfg = parse_config(_tiny_config())
     orig = spectral_mod._edge_kernels
 
-    def corrupted(coupling, edge, row_field, convention="local-jump"):
-        chi, hv, hs = orig(coupling, edge, row_field, convention)
+    def corrupted(coupling, edge, convention="local-jump"):
+        chi, hv, hs = orig(coupling, edge, convention)
         return 1.02 * chi, hv, hs
 
     monkeypatch.setattr(spectral_mod, "_edge_kernels", corrupted)
@@ -302,6 +381,29 @@ def test_cli_bad_structure_file_is_config_error(tmp_path, capsys, content):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "structure.json" in err
+
+
+def test_cli_structure_file_unknown_key_is_config_error(tmp_path, capsys):
+    raw = _tiny_config()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    structure = tmp_path / "structure.json"
+    structure.write_text(json.dumps({"structur": raw["structure"]}))
+    for command in (["simulate", "--out-dir", str(tmp_path / "out")],
+                    ["transmission-map", "--out-dir", str(tmp_path / "map")]):
+        rc = main(command + ["--config", str(cfg_path),
+                             "--structure", str(structure)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "structur" in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "map").exists()
+    # the two known keys still apply
+    structure.write_text(json.dumps({"structure": raw["structure"],
+                                     "materials": raw["materials"]}))
+    assert main(["transmission-map", "--config", str(cfg_path),
+                 "--structure", str(structure),
+                 "--out-dir", str(tmp_path / "map")]) == 0
 
 
 @pytest.mark.parametrize("t_idler_fs", [None, 3.0])

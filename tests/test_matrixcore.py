@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,8 @@ from spdc1d.spectral import (
     project_to_basis,
 )
 from spdc1d.structure import StructureSpec
+
+from reference import polarized_kernels
 
 C = CONSTANTS.c
 OMEGA_P0 = 2 * np.pi * C / 400e-9
@@ -250,15 +254,16 @@ def test_boundary_sources_sum_to_emission_maps(stack4, pump400):
         assert np.linalg.norm(total - g) <= 1e-13 * np.linalg.norm(g)
 
 
-def test_boundary_sources_match_per_block_loop(stack4, pump400):
+def _assert_sources_match_per_block_loop(structure, pump_spec, b):
     """Every kept source against a plain loop over (row field, row pol,
-    col pol) built from the basis-projected kernel arrays: columns scaled
-    by the feed of the other field, rows by the inverse response."""
-    b = _basis(3)
-    em = build_emission(stack4, pump400, b, b, keep_sources=True)
-    maps = linear_maps(stack4, b, b)
-    couplings = [LayerCoupling(stack4, l, b, b, em.pump)
-                 for l in range(stack4.n_layers + 2)]
+    col pol) built from the basis-projected kernel arrays of couplings
+    that share nothing: columns scaled by the feed of the other field,
+    rows by the inverse response."""
+    em = build_emission(structure, pump_spec, b, b, keep_sources=True)
+    maps = linear_maps(structure, b, b)
+    couplings = [LayerCoupling(structure, l, b, b, em.pump)
+                 for l in range(structure.n_layers + 2)]
+    k = b.bins
     for l, kept in em.boundary_sources.items():
         sides = ((couplings[l - 1], "right", 1.0, l - 1),
                  (couplings[l], "left", -1.0, l))
@@ -267,11 +272,12 @@ def test_boundary_sources_match_per_block_loop(stack4, pump400):
             for pi in range(len(POLS)):
                 for qi in range(len(POLS)):
                     # rows[w, E/H, col channel]: continuity-row sources
-                    rows = np.zeros((2, 2, 2, 3, 3), dtype=complex)
+                    rows = np.zeros((2, 2, 2, k, k), dtype=complex)
                     for coup, edge, sign, idx in sides:
                         if coup.is_dark():
                             continue
-                        vol_e, vol_h, sur_h = project_to_basis(coup, edge)
+                        vol_e, vol_h, sur_h = polarized_kernels(
+                            project_to_basis(coup, edge))
                         pref = 1.0 / np.sqrt(
                             refractive_index(coup.material, b.centers))
                         at = (maps[col_f].at_right[idx] if edge == "right"
@@ -298,6 +304,28 @@ def test_boundary_sources_match_per_block_loop(stack4, pump400):
                                 got = kept[w][fi, d, pi, c, qi]
                                 scale = max(np.abs(ref).max(), 1e-300)
                                 assert np.abs(got - ref).max() <= 1e-13 * scale
+
+
+def test_boundary_sources_match_per_block_loop(stack4, pump400):
+    _assert_sources_match_per_block_loop(stack4, pump400, _basis(3))
+
+
+def test_boundary_sources_reuse_kernels_across_repeated_layers(
+        gan, aln, air, pump400):
+    """Repeated (material, length) layers share their kernels within a
+    build; the pump weight and poling stay per layer, and materials are
+    told apart by identity: an AlN made nonlinear at GaN's length, and a
+    second material named 'GaN' with other chi2 entries (distinct for
+    every polarization pair, so d and d.T differ)."""
+    aln_nl = replace(aln, chi2={("y", "x", "y"): 2e-12})
+    gan_b = replace(gan, chi2={("y", "x", "y"): 1e-12, ("y", "y", "x"): 3e-12,
+                               ("y", "x", "x"): -2e-12, ("y", "y", "y"): 5e-13})
+    assert gan_b.name == gan.name
+    layers = ((gan, 60e-9, 1), (aln_nl, 60e-9, 1), (gan, 60e-9, -1),
+              (gan_b, 60e-9, 1), (gan, 60e-9, 1), (aln, 12e-9, 1),
+              (gan_b, 60e-9, -1), (gan, 45e-9, 1))
+    st = StructureSpec(layers, air, air)
+    _assert_sources_match_per_block_loop(st, pump400, _basis(4))
 
 
 def test_fictitious_boundary_surface_source_null(gan, aln, air, pump400):

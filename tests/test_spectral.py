@@ -16,7 +16,7 @@ from spdc1d.spectral import (
 )
 from spdc1d.structure import StructureSpec
 
-from reference import eval_basis, phase_functions
+from reference import eval_basis, phase_functions, polarized_kernels
 
 C = CONSTANTS.c
 
@@ -190,7 +190,10 @@ def test_project_to_basis_zero_for_linear_layer(aln, air, pump400):
     sums = np.unique((basis.centers[:, None] + basis.centers[None, :]).ravel())
     field = propagate_pump(st, pump400, sums)
     coup = LayerCoupling(st, 1, basis, basis, field)
-    vol_e, vol_h, sur_h = project_to_basis(coup, "right")
+    (kernel, _, _), d = project_to_basis(coup, "right")
+    assert kernel.shape == (2, 2, 3, 3) and d.shape == (2, 2, 2)
+    assert np.all(d == 0.0)
+    vol_e, vol_h, sur_h = polarized_kernels(project_to_basis(coup, "right"))
     assert vol_e.shape == (2, 2, 2, 2, 3, 3)
     assert np.all(vol_e == 0.0)
     assert np.all(vol_h + sur_h == 0.0)
@@ -207,7 +210,7 @@ def test_project_single_bin_identity():
     # forward rows exit at the right edge, backward rows at the left one;
     # chi is conj(Phi) at the exit with the kernel's reference phase
     for edge, a, z in (("right", "F", z_l + length), ("left", "B", z_l)):
-        vol_e, _, _ = project_to_basis(coup, edge)
+        vol_e, _, _ = polarized_kernels(project_to_basis(coup, edge))
         assert vol_e.shape == (len(FIELDS), 2, 2, 2, 1, 1)
         nonzero = 0
         for fi, (row, col) in enumerate((("s", "i"), ("i", "s"))):
@@ -234,8 +237,8 @@ def test_projection_linear_in_pump_amplitude():
     pump4 = PumpSpec(omega0=pump.omega0, sigma=pump.sigma, energy_per_area=4e3)
     field4 = propagate_pump(st, pump4, field.omega)
     coup2 = LayerCoupling(st, 1, basis, basis, field4)
-    ve1, vh1, sh1 = project_to_basis(coup1, "left")
-    ve2, vh2, sh2 = project_to_basis(coup2, "left")
+    ve1, vh1, sh1 = polarized_kernels(project_to_basis(coup1, "left"))
+    ve2, vh2, sh2 = polarized_kernels(project_to_basis(coup2, "left"))
     assert np.allclose(ve2, 2.0 * ve1, rtol=1e-12)
     assert np.allclose(vh2 + sh2, 2.0 * (vh1 + sh1), rtol=1e-12)
 
@@ -259,8 +262,10 @@ def test_projection_refinement_error_model(gan, air, pump400):
                                    + basis.centers[None, :]).ravel()))
         fine = LayerCoupling(st, 1, sub, sub, field)
         block = (0, 0, 0, 1)  # signal rows, col dir F, pols (x, y)
-        lam_c = project_to_basis(coarse, "right")[0][block] / basis.widths[0]
-        lam_f = project_to_basis(fine, "right")[0][block] / sub.widths[0]
+        lam_c = (polarized_kernels(project_to_basis(coarse, "right"))[0][block]
+                 / basis.widths[0])
+        lam_f = (polarized_kernels(project_to_basis(fine, "right"))[0][block]
+                 / sub.widths[0])
         # average the fine kernel over each coarse bin
         m = 16
         avg = lam_f.reshape(bins, m, bins, m).mean(axis=(1, 3))
@@ -271,6 +276,18 @@ def test_projection_refinement_error_model(gan, air, pump400):
     e16 = lam_error(16)
     assert e16 < e8  # refinement reduces the quadrature error
     assert e8 / e16 > 2.0  # consistent with second-order convergence
+
+
+def test_basis_arrays_computed_once_and_read_only():
+    b = SpectralBasis(1e15, 3e15, 8)
+    for name in ("edges", "centers", "widths"):
+        arr = getattr(b, name)
+        assert getattr(b, name) is arr
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+    assert b.edges[0] == 1e15 and b.widths[0] == pytest.approx(0.25e15)
 
 
 def test_basis_validation():
