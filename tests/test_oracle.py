@@ -8,6 +8,7 @@ from spdc1d.errors import StepTooCoarse
 from spdc1d.linear import PumpSpec
 from spdc1d.materials import constant_material
 from spdc1d.matrixcore import build_emission
+from spdc1d import oracle
 from spdc1d.oracle import compare_with_emission, reference_pair_amplitude
 from spdc1d.spectral import SPLIT_CONVENTIONS, SpectralBasis
 from spdc1d.structure import StructureSpec
@@ -67,19 +68,25 @@ def test_oracle_matches_pipeline_on_reflecting_stack(stack4, pump400):
     assert compare_with_emission(ref, em) < 1e-4
 
 
-@pytest.mark.parametrize("convention", SPLIT_CONVENTIONS)
-def test_oracle_matches_pipeline_with_full_chi2_tensor(stack4, pump400,
-                                                        convention):
-    # distinct entries for every (signal, idler) polarization pair, so a
-    # kernel that mixes up d and its transpose on idler rows shows
+def _full_chi2(structure):
+    """The GaN/AlN stack with distinct chi2 entries for every (signal,
+    idler) polarization pair in GaN and one pair only in AlN, so a kernel
+    that mixes up d and its transpose on idler rows shows, and AlN is
+    linear for three of the four pairs."""
     chi2 = {
         "GaN": {("y", "x", "y"): 4e-12, ("y", "y", "x"): 1.5e-12,
                 ("y", "x", "x"): 2.5e-12, ("y", "y", "y"): -1e-12},
         "AlN": {("y", "y", "x"): 2e-12},
     }
     layers = tuple((replace(mat, chi2=chi2[mat.name]), length, poling)
-                   for mat, length, poling in stack4.layers)
-    st = StructureSpec(layers, stack4.ambient_in, stack4.ambient_out)
+                   for mat, length, poling in structure.layers)
+    return StructureSpec(layers, structure.ambient_in, structure.ambient_out)
+
+
+@pytest.mark.parametrize("convention", SPLIT_CONVENTIONS)
+def test_oracle_matches_pipeline_with_full_chi2_tensor(stack4, pump400,
+                                                        convention):
+    st = _full_chi2(stack4)
     basis = SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 8)
     em = build_emission(st, pump400, basis, basis, convention=convention)
     ref = reference_pair_amplitude(st, pump400, basis, basis,
@@ -87,6 +94,25 @@ def test_oracle_matches_pipeline_with_full_chi2_tensor(stack4, pump400,
     # 4 pol pairs x 2 output dirs x 2 input dirs per row field
     assert len(ref["s"]) == len(ref["i"]) == 16
     assert compare_with_emission(ref, em) < 1e-4
+
+
+def test_block_size_does_not_change_oracle(gan, aln, air, pump400,
+                                           monkeypatch):
+    # at step 2 nm and its Richardson half step the layers take 20/40,
+    # 64/128 and 100/200 sub-steps: below, at and above BLOCK = 64, the
+    # last not a multiple of it
+    assert oracle.BLOCK == 64
+    st = _full_chi2(StructureSpec(
+        ((gan, 40e-9, 1), (aln, 128e-9, 1), (gan, 200e-9, 1)), air, air))
+    basis = SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 4)
+    blocked = reference_pair_amplitude(st, pump400, basis, basis, step=2e-9)
+    monkeypatch.setattr(oracle, "BLOCK", 1)
+    stepwise = reference_pair_amplitude(st, pump400, basis, basis, step=2e-9)
+    for field in ("s", "i"):
+        assert len(blocked[field]) == 16
+        assert list(blocked[field]) == list(stepwise[field])
+        for key, got in blocked[field].items():
+            assert np.array_equal(got, stepwise[field][key]), (field, key)
 
 
 def test_oracle_convergence_is_second_order(gan, aln, air, pump400):
