@@ -39,18 +39,13 @@ from .structure import StructureSpec
 M2_PER_MM2 = 1e-6  # counts per quantization area (1 m^2) -> per mm^2
 
 
-def _fmt(x) -> str:
-    if isinstance(x, complex):
-        return f"{x.real:.17g}{x.imag:+.17g}j"
-    return f"{x:.17g}"
-
-
 def write_csv(path, header, columns):
-    rows = len(columns[0])
+    """Real-valued array columns, one %.17g-formatted row per line."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        fh.writelines(row % values
+                      for values in zip(*(col.tolist() for col in columns)))
 
 
 def write_json(path, obj):
