@@ -129,7 +129,8 @@ def scalar_layer_amplitudes(
     if a_in is None:
         a_in = np.ones_like(omega, dtype=complex)
     a_in = np.broadcast_to(np.asarray(a_in, dtype=complex), omega.shape)
-    m = total_transfer(structure, omega, convention)
+    at_left = layer_transfers(structure, omega, convention)[0]
+    m = at_left[-1]
     if np.any(np.abs(m[1, 1]) < 1e-300):
         raise SingularMatrix("degenerate stack: transfer M22 = 0")
     amps = np.zeros((structure.n_layers + 2, 2, omega.size), dtype=complex)
@@ -141,21 +142,7 @@ def scalar_layer_amplitudes(
         amps[0, 1] = a_in / m[1, 1]
     else:
         raise ConfigError(f"side must be 'F' or 'B', got {side!r}")
-
-    n = _layer_indices(structure, omega)
-    current = amps[0].copy()
-    for l in range(1, structure.n_layers + 2):
-        d = _crossing(n[l - 1], n[l], convention)
-        current = np.stack(
-            (
-                d[0, 0] * current[0] + d[0, 1] * current[1],
-                d[1, 0] * current[0] + d[1, 1] * current[1],
-            )
-        )
-        amps[l] = current
-        if l <= structure.n_layers:
-            phase = np.exp(1j * omega / CONSTANTS.c * n[l] * structure.length(l))
-            current = np.stack((current[0] * phase, current[1] / phase))
+    amps[1:] = np.einsum("lijw,jw->liw", at_left[1:], amps[0])
     # the undriven side is exactly dark; remove marching roundoff
     if side == "F":
         amps[-1, 1] = 0.0
