@@ -324,7 +324,7 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
     """Consistency report: oracle match, invariances, unitarity, Parseval.
 
     Returns (report, ok); every check carries its measured error and
-    tolerance.  Intended for small structures (N <= 6 recommended).
+    tolerance.
     """
     if bins < 2:
         raise ConfigError("verify needs at least 2 bins: its refinement "
