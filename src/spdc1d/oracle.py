@@ -77,7 +77,6 @@ def _march_once(structure, couplings, basis_row, basis_col, row_field,
     shape = (w_row.size, w_col.size)
     # state[p, b0, a]: pol pair p, partner input b0, propagation direction a
     state = np.zeros((len(row_pairs), 2, 2) + shape, dtype=complex)
-    sign = [DIR_SIGN[a] for a in DIRS]
 
     for l in range(1, structure.n_layers + 2):
         # continuity jump from layer l-1 into layer l at boundary z_l
@@ -137,8 +136,8 @@ def _march_once(structure, couplings, basis_row, basis_col, row_field,
                     src = np.zeros((zeta.size,) + shape, dtype=complex)
                     for f in factor:
                         src += f * part
-                    for a_idx, sgn in enumerate(sign):
-                        out[:, p_idx, b_idx, a_idx] = sgn * src
+                    for a_idx, a in enumerate(DIRS):
+                        out[:, p_idx, b_idx, a_idx] = DIR_SIGN[a] * src
             return out.reshape((zeta.size, -1, 2) + shape)
 
         ika = 1j * k_row
