@@ -44,8 +44,8 @@ def write_csv(path, header, columns):
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % values
-                      for values in zip(*(col.tolist() for col in columns)))
+        fh.writelines(row % values for values in
+                      zip(*(col.tolist() for col in columns), strict=True))
 
 
 def write_json(path, obj):

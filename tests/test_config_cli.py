@@ -20,6 +20,7 @@ from spdc1d.runner import (
     track_ridges,
     transmission_map,
     verify,
+    write_csv,
 )
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -221,6 +222,20 @@ def test_simulate_writes_bundle_and_is_deterministic(tmp_path):
         assert b1 == b2, f"{name} not byte-identical"
     assert summary1["counts_per_mm2"]["SV"] > 0
     assert not summary1["no_emission"]
+
+
+def test_write_csv_rows_are_round_trip_exact(tmp_path):
+    values = np.array([0.0, -0.0, 1e-300, 1.2e17, 0.1, -1.0 / 3.0])
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], [values, values[::-1]])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "a,b"
+    assert lines[1:3] == ["0,-0.33333333333333331", "-0,0.10000000000000001"]
+    assert lines[4] == "1.2e+17,1e-300"
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(back[:, 0], values)
+    with pytest.raises(ValueError):
+        write_csv(path, ["a", "b"], [values, values[:-1]])
 
 
 def test_simulate_all_linear_flags_no_emission(tmp_path):
