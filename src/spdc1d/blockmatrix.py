@@ -1,15 +1,15 @@
-"""Labelled dense forms for F and dumps.
+"""Labelled dense forms, for matrix dumps only.
 
 Index spaces are ordered label lists (field, channel-1, channel-2, bin)
 flattened into one axis; every matrix carries its row and column space,
-which name its blocks and label its CSV dump.  Two channel conventions
-appear: mode spaces label (direction, polarization) per field and
-continuity-row spaces label (field class 'E'|'H', polarization).
+which label its CSV dump.  Two channel conventions appear: mode spaces
+label (direction, polarization) per field and continuity-row spaces
+label (field class 'E'|'H', polarization).
 
-The operators are computed as per-bin 2x2 maps and as pair arrays (see
-``matrixcore``) and expanded here only on demand: ``from_bins`` into
-diagonal blocks, ``from_pairs`` into dense signal-idler blocks.  No
-algebra is done on the dense form.
+The operators are computed and used as per-bin 2x2 maps and as pair
+arrays (see ``matrixcore``); they are expanded here only to be written
+out: ``from_bins`` into diagonal blocks, ``from_pairs`` into dense
+signal-idler blocks.  No module computes with the dense form.
 """
 
 from __future__ import annotations
@@ -73,10 +73,7 @@ class BlockMatrix:
             )
         self.data = data
 
-    def block(self, rlabel, clabel):
-        return self.data[self.row.offset(*rlabel), self.col.offset(*clabel)]
-
-    def set_block(self, rlabel, clabel, values):
+    def _set_block(self, rlabel, clabel, values):
         self.data[self.row.offset(*rlabel), self.col.offset(*clabel)] = values
 
     @classmethod
@@ -96,8 +93,8 @@ class BlockMatrix:
             for pol in dict.fromkeys(c2 for _, c2 in row.channels):
                 for r, rk in enumerate(row_kinds):
                     for c, ck in enumerate(col_kinds):
-                        out.set_block((f, rk, pol), (f, ck, pol),
-                                      np.diag(maps[f][r, c]))
+                        out._set_block((f, rk, pol), (f, ck, pol),
+                                       np.diag(maps[f][r, c]))
         return out
 
     @classmethod
@@ -110,9 +107,9 @@ class BlockMatrix:
                       for i in (0, 1))
         for (fi, f), (a, alpha), (b, beta) in itertools.product(
                 enumerate(FIELDS), MODE_CHANNELS, MODE_CHANNELS):
-            out.set_block((f, a, alpha), (FIELDS[1 - fi], b, beta),
-                          pairs[fi, dirs.index(a), pols.index(alpha),
-                                dirs.index(b), pols.index(beta)])
+            out._set_block((f, a, alpha), (FIELDS[1 - fi], b, beta),
+                           pairs[fi, dirs.index(a), pols.index(alpha),
+                                 dirs.index(b), pols.index(beta)])
         return out
 
     def write_csv(self, path):

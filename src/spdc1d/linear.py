@@ -14,6 +14,10 @@ Two amplitude conventions are used:
 
 All per-layer amplitudes are referenced at the layer's left boundary
 (z_1 for the input medium, z_{N+1} for the output medium).
+
+The one scattering solve is here: the scattering form F
+(``input_output_map``) and the feed W (``feed_in_map``) of the total
+transfer serve both the pump and the per-bin maps of ``matrixcore``.
 """
 
 from __future__ import annotations
@@ -115,6 +119,26 @@ def total_transfer(structure: StructureSpec, omega, convention="field"):
     return layer_transfers(structure, omega, convention)[0][-1]
 
 
+def input_output_map(t):
+    """Scattering form F of total transfers t, per frequency.
+
+    Inputs are the forward mode at z_1 and the backward mode at z_{N+1};
+    outputs the forward mode at z_{N+1} and the backward mode at z_1.
+    """
+    if np.any(np.abs(t[1, 1]) < 1e-300):
+        raise SingularMatrix("degenerate stack: transfer M22 = 0")
+    det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
+    return np.array([[det, t[0, 1]], [-t[1, 0], np.ones_like(det)]]) / t[1, 1]
+
+
+def feed_in_map(f):
+    """W per frequency: medium-0 modes at z_1 from the inputs (the forward
+    mode passes the input through, the backward mode is F's left-exit
+    row)."""
+    one = np.ones_like(f[0, 0])
+    return np.array([[one, np.zeros_like(one)], f[1]])
+
+
 def scalar_layer_amplitudes(
     structure: StructureSpec, omega, convention="field", side="F", a_in=None
 ):
@@ -125,24 +149,16 @@ def scalar_layer_amplitudes(
     from the left with amplitude a_in (default 1), side='B' from the
     right; the opposite incoming amplitude is zero.
     """
+    if side not in ("F", "B"):
+        raise ConfigError(f"side must be 'F' or 'B', got {side!r}")
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if a_in is None:
         a_in = np.ones_like(omega, dtype=complex)
     a_in = np.broadcast_to(np.asarray(a_in, dtype=complex), omega.shape)
     at_left = layer_transfers(structure, omega, convention)[0]
-    m = at_left[-1]
-    if np.any(np.abs(m[1, 1]) < 1e-300):
-        raise SingularMatrix("degenerate stack: transfer M22 = 0")
-    amps = np.zeros((structure.n_layers + 2, 2, omega.size), dtype=complex)
-    if side == "F":
-        amps[0, 0] = a_in
-        amps[0, 1] = -m[1, 0] / m[1, 1] * a_in
-    elif side == "B":
-        amps[0, 0] = 0.0
-        amps[0, 1] = a_in / m[1, 1]
-    else:
-        raise ConfigError(f"side must be 'F' or 'B', got {side!r}")
-    amps[1:] = np.einsum("lijw,jw->liw", at_left[1:], amps[0])
+    feed = feed_in_map(input_output_map(at_left[-1]))
+    amps = np.einsum("lijw,jw->liw", at_left,
+                     feed[:, ("F", "B").index(side)] * a_in)
     # the undriven side is exactly dark; remove marching roundoff
     if side == "F":
         amps[-1, 1] = 0.0
@@ -243,11 +259,6 @@ class PumpField:
     amps: np.ndarray
     polarization: str
     mask: np.ndarray
-
-    def amplitude(self, l: int, g: str, pol: str | None = None):
-        if pol is not None and pol != self.polarization:
-            return np.zeros_like(self.omega, dtype=complex)
-        return self.amps[l, {"F": 0, "B": 1}[g]]
 
 
 def propagate_pump(structure: StructureSpec, pump: PumpSpec, omega) -> PumpField:

@@ -36,8 +36,10 @@ backward transfer of the right segment gives a 2x2 response per bin
 whose inverse maps continuity sources to output amplitudes.  Each
 boundary source is therefore the kernel array scaled by columns with the
 per-bin feed of its input modes and by rows with the per-bin inverse
-response: O(N K^2) work and no matrix solve.  Only F is returned as a
-labelled ``BlockMatrix``.
+response: O(N K^2) work and no matrix solve.  F, the scattering form
+from ``linear.input_output_map``, is kept as it is computed: one (2, 2, K)
+array per field over (out dir, in dir, bin), the same for both
+polarizations.
 
 None of these maps depends on polarization, and every kernel is one
 polarization-free grid times the layer's chi2 matrix d (``spectral``).
@@ -61,6 +63,8 @@ from .errors import ConfigError, SingularMatrix
 from .linear import (
     PumpField,
     PumpSpec,
+    feed_in_map,
+    input_output_map,
     layer_transfers,
     mat2_inv,
     mat2_mul,
@@ -106,25 +110,6 @@ def propagator_bins(material, length, basis: SpectralBasis):
     phase = np.exp(1j * k * length)
     zero = np.zeros_like(phase)
     return np.array([[phase, zero], [zero, 1.0 / phase]])
-
-
-def input_output_map(t):
-    """Scattering form F of the full transfer, per bin.
-
-    Inputs are the forward mode at z_1 and the backward mode at z_{N+1};
-    outputs the forward mode at z_{N+1} and the backward mode at z_1.
-    """
-    if np.any(t[1, 1] == 0.0):
-        raise SingularMatrix("singular matrix input-output")
-    det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
-    return np.array([[det, t[0, 1]], [-t[1, 0], np.ones_like(det)]]) / t[1, 1]
-
-
-def feed_in_map(f):
-    """W per bin: medium-0 modes at z_1 from the inputs (the forward mode
-    passes the input through, the backward mode is F's left-exit row)."""
-    one = np.ones_like(f[0, 0])
-    return np.array([[one, np.zeros_like(one)], f[1]])
 
 
 @dataclass(frozen=True)
@@ -283,7 +268,7 @@ class EmissionOperators:
     basis_s: SpectralBasis
     basis_i: SpectralBasis
     pump: PumpField
-    f_linear: BlockMatrix  # labelled dense F
+    scatter: dict  # field -> per-bin F, shape (2, 2, K)
     g_volume: np.ndarray  # pair arrays (see the module docstring)
     g_surface: np.ndarray
     boundary_sources: dict  # l -> (volume, surface) pair arrays
@@ -292,6 +277,12 @@ class EmissionOperators:
     @property
     def bins(self) -> int:
         return self.basis_s.bins
+
+    @property
+    def f_linear(self) -> BlockMatrix:
+        """Labelled dense form of F, for readers outside the package."""
+        return BlockMatrix.from_bins(mode_space("out", self.bins),
+                                     mode_space("in", self.bins), self.scatter)
 
 
 def build_emission(
@@ -309,10 +300,7 @@ def build_emission(
     )
     pump = propagate_pump(structure, pump_spec, sums)
     n_tot = structure.n_layers + 2
-    out_sp = mode_space("out", basis_s.bins)
-    in_sp = mode_space("in", basis_s.bins)
-    f_map = BlockMatrix.from_bins(out_sp, in_sp,
-                                  {f: m.scatter for f, m in maps.items()})
+    scatter = {f: m.scatter for f, m in maps.items()}
 
     couplings = layer_couplings(structure, basis_s, basis_i, pump)
     active = [l for l in range(1, n_tot)
@@ -356,7 +344,8 @@ def build_emission(
             total[1] += p
     g_v, g_s = _expand(totals.values(), shape)
 
-    for name, mat in (("F", f_map.data), ("G_V", g_v), ("G_S", g_s)):
+    for name, mat in (("F", list(scatter.values())), ("G_V", g_v),
+                      ("G_S", g_s)):
         if not np.all(np.isfinite(mat)):
             raise ConfigError(f"non-finite entries in {name}")
     return EmissionOperators(
@@ -364,7 +353,7 @@ def build_emission(
         basis_s=basis_s,
         basis_i=basis_i,
         pump=pump,
-        f_linear=f_map,
+        scatter=scatter,
         g_volume=g_v,
         g_surface=g_s,
         boundary_sources=sources,

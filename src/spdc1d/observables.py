@@ -1,9 +1,10 @@
 """Measurable pair quantities derived from the emission operators.
 
-G_V and G_S are read as pair arrays (layout in ``matrixcore``), F as
-its labelled dense form.  For an output channel (signal direction a,
-pol alpha; idler direction b, pol beta) two branch contractions are
-formed per contribution w:
+G_V and G_S are read as pair arrays (layout in ``matrixcore``), F as its
+per-bin 2x2 maps per field.  F keeps the polarization and is diagonal in
+the bin, so for an output channel (signal direction a, pol alpha; idler
+direction b, pol beta) each branch contraction of contribution w sums
+over the input direction of the scattered photon only:
 
 * the signal-branch factor, the two-photon amplitude: pair born into the
   idler-creation rows, signal scattered linearly;
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmatrix import MODE_CHANNELS
 from .errors import ConfigError, GridTooCoarse, NoPeak
-from .matrixcore import EmissionOperators, pair_block
+from .matrixcore import EmissionOperators
+from .spectral import DIRS, POLS
 
 CONTRIBUTIONS = ("V", "S")
 
@@ -41,19 +42,14 @@ def branch_amplitudes(emission: EmissionOperators, channel, w: str):
     arrays; the signal-branch factor is the two-photon amplitude of
     contribution w.
     """
-    a, b, alpha, beta = channel
+    a, b = (DIRS.index(d) for d in channel[:2])
+    alpha, beta = (POLS.index(p) for p in channel[2:])
     g = {"V": emission.g_volume, "S": emission.g_surface}[w]
-    f = emission.f_linear
-    k = emission.bins
-    idler_branch = np.zeros((k, k), dtype=complex)
-    signal_branch = np.zeros((k, k), dtype=complex)
-    for c1, c2 in MODE_CHANNELS:
-        g_s_row = pair_block(g, ("s", a, alpha), (c1, c2))
-        f_i = f.block(("i", b, beta), ("i", c1, c2))
-        idler_branch += np.conj(g_s_row) @ f_i.T
-        f_s = f.block(("s", a, alpha), ("s", c1, c2))
-        g_i_row = pair_block(g, ("i", b, beta), (c1, c2))
-        signal_branch += f_s @ np.conj(g_i_row).T
+    f = emission.scatter
+    idler_branch = np.einsum("ckn,cn->kn", np.conj(g[0, a, alpha, :, beta]),
+                             f["i"][b])
+    signal_branch = np.einsum("ck,cnk->kn", f["s"][a],
+                              np.conj(g[1, b, beta, :, alpha]))
     return idler_branch, signal_branch
 
 

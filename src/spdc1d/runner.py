@@ -335,8 +335,10 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
 
     emission = build_emission(structure, cfg.pump, basis, basis,
                               convention=cfg.attribution)
-    f = emission.f_linear.data
-    dev = np.max(np.abs(f @ f.conj().T - np.eye(f.shape[0])))
+    # F is 2x2 per bin and field: check F F-dagger = 1 block by block
+    dev = max(np.max(np.abs(np.einsum("ijk,ljk->ilk", f, np.conj(f))
+                            - np.eye(2)[:, :, None]))
+              for f in emission.scatter.values())
     checks["scattering_unitary"] = {"error": float(dev), "tol": 1e-9}
 
     omega_probe = np.linspace(basis.omega_min, basis.omega_max, 7)

@@ -3,17 +3,24 @@
 These evaluate the physics directly instead of through the production
 path: the top-hat basis functions on a frequency grid, the interface
 continuity residual of a layer-amplitude solution, the pair phase
-function of one layer with its exact z-derivative, and a peak counter
-for the qualitative spectral checks.
+function of one layer with its exact z-derivative, the branch
+contractions by plain loops over the labelled dense F, and a peak
+counter for the qualitative spectral checks.  ``full_chi2`` gives a
+stack whose every (signal, idler) polarization pair emits.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
+from spdc1d.blockmatrix import MODE_CHANNELS
 from spdc1d.constants import CONSTANTS
 from spdc1d.errors import ConfigError
 from spdc1d.linear import _interface_weights
 from spdc1d.materials import refractive_index
+from spdc1d.matrixcore import pair_block
 from spdc1d.spectral import DIR_SIGN, DIRS, LayerCoupling, _bracket
+from spdc1d.structure import StructureSpec
 
 
 def eval_basis(basis, k: int, omega):
@@ -100,6 +107,44 @@ def polarized_kernels(projection):
     block (p, q) of row field f is d[f, p, q] times the kernel."""
     kernels, d = projection
     return tuple(np.einsum("fpq,fbkn->fpbqkn", d, k) for k in kernels)
+
+
+def full_chi2(structure):
+    """The GaN/AlN stack with distinct chi2 entries for every (signal,
+    idler) polarization pair in GaN and one pair only in AlN, so a kernel
+    that mixes up d and its transpose on idler rows shows, and AlN is
+    linear for three of the four pairs."""
+    chi2 = {
+        "GaN": {("y", "x", "y"): 4e-12, ("y", "y", "x"): 1.5e-12,
+                ("y", "x", "x"): 2.5e-12, ("y", "y", "y"): -1e-12},
+        "AlN": {("y", "y", "x"): 2e-12},
+    }
+    layers = tuple((replace(mat, chi2=chi2[mat.name]), length, poling)
+                   for mat, length, poling in structure.layers)
+    return StructureSpec(layers, structure.ambient_in, structure.ambient_out)
+
+
+def dense_branch_amplitudes(emission, channel, w):
+    """(idler-branch, signal-branch) bin matrices of one channel by plain
+    loops over every mode channel and bin of the labelled dense F and the
+    K x K blocks of G."""
+    a, b, alpha, beta = channel
+    g = {"V": emission.g_volume, "S": emission.g_surface}[w]
+    f = emission.f_linear
+    k = emission.bins
+    idler = np.zeros((k, k), dtype=complex)
+    signal = np.zeros((k, k), dtype=complex)
+    for g_dir, g_pol in MODE_CHANNELS:
+        gs = pair_block(g, ("s", a, alpha), (g_dir, g_pol))
+        fi = f.data[f.row.offset("i", b, beta), f.col.offset("i", g_dir, g_pol)]
+        fs = f.data[f.row.offset("s", a, alpha), f.col.offset("s", g_dir, g_pol)]
+        gi = pair_block(g, ("i", b, beta), (g_dir, g_pol))
+        for kk in range(k):
+            for nn in range(k):
+                for mm in range(k):
+                    idler[kk, nn] += np.conj(gs[kk, mm]) * fi[nn, mm]
+                    signal[kk, nn] += fs[kk, mm] * np.conj(gi[nn, mm])
+    return idler, signal
 
 
 def count_peaks(y, floor_fraction: float = 1e-3) -> int:

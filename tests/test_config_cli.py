@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import spdc1d.matrixcore as matrixcore_mod
 import spdc1d.spectral as spectral_mod
 from spdc1d.cli import main
 from spdc1d.config import ConfigError, load_config, parse_config
@@ -301,6 +302,16 @@ def test_verify_detects_corrupted_kernels(monkeypatch):
     report, ok = verify(cfg, bins=6)
     assert not ok
     assert report["checks"]["oracle_total_amplitude"]["error"] > 1e-4
+
+
+def test_verify_detects_non_unitary_scattering(monkeypatch):
+    cfg = parse_config(_tiny_config())
+    orig = matrixcore_mod.input_output_map
+    monkeypatch.setattr(matrixcore_mod, "input_output_map",
+                        lambda t: 1.001 * orig(t))
+    report, ok = verify(cfg, bins=6)
+    assert report["checks"]["scattering_unitary"]["error"] > 1e-9
+    assert ok is False
 
 
 def test_cli_simulate_and_dump_and_verify(tmp_path, capsys):

@@ -1,7 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from spdc1d.blockmatrix import BlockMatrix, MODE_CHANNELS, mode_space
 from spdc1d.constants import CONSTANTS
 from spdc1d.errors import GridTooCoarse, NoPeak
 from spdc1d.linear import PumpSpec
@@ -19,10 +20,10 @@ from spdc1d.observables import (
     two_photon_amplitude,
     width_fwhm,
 )
-from spdc1d.spectral import SpectralBasis
+from spdc1d.spectral import DIRS, POLS, SpectralBasis
 from spdc1d.structure import StructureSpec
 
-from reference import count_peaks
+from reference import count_peaks, dense_branch_amplitudes, full_chi2
 
 C = CONSTANTS.c
 OMEGA_P0 = 2 * np.pi * C / 400e-9
@@ -33,20 +34,16 @@ def _zero_pairs(bins):
 
 
 class FakeEmission:
-    def __init__(self, bins, f=None, g_v=None, g_s=None, seed=0):
+    def __init__(self, bins, g_v=None, g_s=None, seed=0):
         rng = np.random.RandomState(seed)
 
         def rand_pairs():
             shape = (2,) * 5 + (bins, bins)
             return rng.randn(*shape) + 1j * rng.randn(*shape)
 
-        if f is None:
-            eye = np.eye(2)[:, :, None] * np.ones(bins)
-            f = BlockMatrix.from_bins(mode_space("out", bins),
-                                      mode_space("in", bins),
-                                      {"s": eye, "i": eye})
+        eye = np.eye(2)[:, :, None] * np.ones(bins)
         self.bins = bins
-        self.f_linear = f
+        self.scatter = {"s": eye, "i": eye}
         self.g_volume = g_v if g_v is not None else rand_pairs()
         self.g_surface = g_s if g_s is not None else rand_pairs()
         lo, hi = 0.4 * OMEGA_P0, 0.6 * OMEGA_P0
@@ -78,22 +75,31 @@ def test_branch_factors_match_naive_loop(stack4, pump400):
     basis = SpectralBasis(0.4 * OMEGA_P0, 0.6 * OMEGA_P0, 4)
     em = build_emission(stack4, pump400, basis, basis)
     f1, f2 = branch_amplitudes(em, CHANNEL, "V")
-    k = basis.bins
-    a, b, alpha, beta = CHANNEL
-    naive1 = np.zeros((k, k), dtype=complex)
-    naive2 = np.zeros((k, k), dtype=complex)
-    for g_dir, g_pol in MODE_CHANNELS:
-        gs = pair_block(em.g_volume, ("s", a, alpha), (g_dir, g_pol))
-        fi = em.f_linear.block(("i", b, beta), ("i", g_dir, g_pol))
-        fs = em.f_linear.block(("s", a, alpha), ("s", g_dir, g_pol))
-        gi = pair_block(em.g_volume, ("i", b, beta), (g_dir, g_pol))
-        for kk in range(k):
-            for nn in range(k):
-                for mm in range(k):
-                    naive1[kk, nn] += np.conj(gs[kk, mm]) * fi[nn, mm]
-                    naive2[kk, nn] += fs[kk, mm] * np.conj(gi[nn, mm])
+    naive1, naive2 = dense_branch_amplitudes(em, CHANNEL, "V")
     assert np.allclose(f1, naive1, rtol=1e-12)
     assert np.allclose(f2, naive2, rtol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def full_chi2_emission(stack4, pump400):
+    basis = SpectralBasis(0.4 * OMEGA_P0, 0.6 * OMEGA_P0, 4)
+    return build_emission(full_chi2(stack4), pump400, basis, basis)
+
+
+@pytest.mark.parametrize("w", ["V", "S"])
+@pytest.mark.parametrize("channel",
+                         list(itertools.product(DIRS, DIRS, POLS, POLS)),
+                         ids="".join)
+def test_branch_factors_match_dense_loop_on_every_channel(
+        full_chi2_emission, channel, w):
+    # every (signal, idler) polarization pair emits in GaN, so a swapped
+    # polarization or an exchanged signal/idler F changes the result
+    em = full_chi2_emission
+    got = branch_amplitudes(em, channel, w)
+    for branch, naive in zip(got, dense_branch_amplitudes(em, channel, w)):
+        scale = np.max(np.abs(naive))
+        assert scale > 0.0
+        assert np.allclose(branch, naive, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_joint_density_structure_and_identity():

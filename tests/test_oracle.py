@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -12,6 +10,8 @@ from spdc1d import oracle
 from spdc1d.oracle import compare_with_emission, reference_pair_amplitude
 from spdc1d.spectral import SPLIT_CONVENTIONS, SpectralBasis
 from spdc1d.structure import StructureSpec
+
+from reference import full_chi2
 
 C = CONSTANTS.c
 OMEGA_P0 = 2 * np.pi * C / 400e-9
@@ -68,25 +68,10 @@ def test_oracle_matches_pipeline_on_reflecting_stack(stack4, pump400):
     assert compare_with_emission(ref, em) < 1e-4
 
 
-def _full_chi2(structure):
-    """The GaN/AlN stack with distinct chi2 entries for every (signal,
-    idler) polarization pair in GaN and one pair only in AlN, so a kernel
-    that mixes up d and its transpose on idler rows shows, and AlN is
-    linear for three of the four pairs."""
-    chi2 = {
-        "GaN": {("y", "x", "y"): 4e-12, ("y", "y", "x"): 1.5e-12,
-                ("y", "x", "x"): 2.5e-12, ("y", "y", "y"): -1e-12},
-        "AlN": {("y", "y", "x"): 2e-12},
-    }
-    layers = tuple((replace(mat, chi2=chi2[mat.name]), length, poling)
-                   for mat, length, poling in structure.layers)
-    return StructureSpec(layers, structure.ambient_in, structure.ambient_out)
-
-
 @pytest.mark.parametrize("convention", SPLIT_CONVENTIONS)
 def test_oracle_matches_pipeline_with_full_chi2_tensor(stack4, pump400,
                                                         convention):
-    st = _full_chi2(stack4)
+    st = full_chi2(stack4)
     basis = SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 8)
     em = build_emission(st, pump400, basis, basis, convention=convention)
     ref = reference_pair_amplitude(st, pump400, basis, basis,
@@ -102,7 +87,7 @@ def test_block_size_does_not_change_oracle(gan, aln, air, pump400,
     # 64/128 and 100/200 sub-steps: below, at and above BLOCK = 64, the
     # last not a multiple of it
     assert oracle.BLOCK == 64
-    st = _full_chi2(StructureSpec(
+    st = full_chi2(StructureSpec(
         ((gan, 40e-9, 1), (aln, 128e-9, 1), (gan, 200e-9, 1)), air, air))
     basis = SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 4)
     blocked = reference_pair_amplitude(st, pump400, basis, basis, step=2e-9)
