@@ -31,9 +31,6 @@ from .errors import ConfigError, SingularMatrix
 from .materials import refractive_index
 from .structure import StructureSpec
 
-CONVENTIONS = ("field", "flux")
-
-
 def _interface_weights(n, convention):
     if convention == "field":
         return np.ones_like(n), n
@@ -113,12 +110,6 @@ def layer_transfers(structure: StructureSpec, omega, convention="field"):
     return at_left, at_right
 
 
-def total_transfer(structure: StructureSpec, omega, convention="field"):
-    """2x2 transfer mapping medium-0 amplitudes at z_1 to medium-(N+1)
-    amplitudes at z_{N+1}, vectorized over omega."""
-    return layer_transfers(structure, omega, convention)[0][-1]
-
-
 def input_output_map(t):
     """Scattering form F of total transfers t, per frequency.
 
@@ -174,7 +165,7 @@ def linear_transmission(structure: StructureSpec, omega, side="F"):
     factor so that T + R = 1 for lossless stacks.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    m = total_transfer(structure, omega, "field")
+    m = layer_transfers(structure, omega, "field")[0][-1]  # total transfer
     if np.any(np.abs(m[1, 1]) < 1e-300):
         raise SingularMatrix("degenerate stack: transfer M22 = 0")
     n_in = refractive_index(structure.material(0), omega)

@@ -5,9 +5,10 @@ creation sector, each with channels (F,x), (B,x), (F,y), (B,y) times the
 frequency bins.  At normal incidence in isotropic layers every linear map
 is a 2x2 per field and frequency bin, identical for both polarizations,
 so it is stored as an array of shape (2, 2, K) over (row channel, column
-channel, bin).  The transfers come from ``linear.layer_transfers`` in the
-flux convention; because the idler entries are creation operators, every
-idler map is the complex conjugate of the same map on the idler basis.
+channel, bin).  Signal and idler share one spectral basis, so the
+transfers come from one ``linear.layer_transfers`` march in the flux
+convention; because the idler entries are creation operators, every
+idler map is built from the complex conjugates of the signal transfers.
 
 The pair operators G_V, G_S and the per-boundary sources map one
 field's inputs to the other field's outputs.  Each is one complex array
@@ -149,26 +150,18 @@ class FieldMaps:
         return mat2_mul(np.moveaxis(at, 0, 2), self.feed)
 
 
-def field_maps(structure: StructureSpec, basis: SpectralBasis,
-               conjugate: bool = False) -> FieldMaps:
-    """Linear maps of one field on its basis (conjugated for the idler)."""
+def linear_maps(structure: StructureSpec, basis: SpectralBasis) -> dict:
+    """{'s': signal maps, 'i': idler maps from the conjugated transfers}."""
     at_left, at_right = layer_transfers(structure, basis.centers, "flux")
     interface = np.array(
         structure.per_material(lambda mat: interface_bins(mat, basis)))
-    if conjugate:
-        at_left, at_right = np.conj(at_left), np.conj(at_right)
-        interface = np.conj(interface)
-    scatter = input_output_map(at_left[-1])
-    return FieldMaps(at_left, at_right, interface, scatter, feed_in_map(scatter))
-
-
-def linear_maps(structure: StructureSpec, basis_s: SpectralBasis,
-                basis_i: SpectralBasis) -> dict:
-    """{'s': signal maps on basis_s, 'i': conjugated maps on basis_i}."""
-    if basis_s.bins != basis_i.bins:
-        raise ConfigError("signal and idler bases must share the bin count")
-    return {"s": field_maps(structure, basis_s),
-            "i": field_maps(structure, basis_i, conjugate=True)}
+    maps = {}
+    for f, arrays in (("s", (at_left, at_right, interface)),
+                      ("i", (np.conj(at_left), np.conj(at_right),
+                             np.conj(interface)))):
+        scatter = input_output_map(arrays[0][-1])
+        maps[f] = FieldMaps(*arrays, scatter, feed_in_map(scatter))
+    return maps
 
 
 def outward_maps(maps: FieldMaps, l: int):
@@ -211,9 +204,8 @@ def _side_kernels(coupling: LayerCoupling, edge: str, convention="local-jump"):
     row field.
     """
     (ve, vh, sh), d = project_to_basis(coupling, edge, convention)
-    pref = np.array([coupling.inv_sqrt_index(f)
-                     for f in FIELDS])[:, None, :, None]
-    j_v = np.stack((ve, vh), axis=1) * pref[:, None]
+    pref = coupling.inv_sqrt_index()[:, None]  # on the row bins
+    j_v = np.stack((ve, vh), axis=1) * pref
     j_s = sh * pref
     for j in (j_v, j_s):
         j[1] = np.conj(j[1])
@@ -265,8 +257,7 @@ class EmissionOperators:
     """Linear scattering and first-order pair-emission maps of a stack."""
 
     structure: StructureSpec
-    basis_s: SpectralBasis
-    basis_i: SpectralBasis
+    basis: SpectralBasis
     pump: PumpField
     scatter: dict  # field -> per-bin F, shape (2, 2, K)
     g_volume: np.ndarray  # pair arrays (see the module docstring)
@@ -276,7 +267,7 @@ class EmissionOperators:
 
     @property
     def bins(self) -> int:
-        return self.basis_s.bins
+        return self.basis.bins
 
     @property
     def f_linear(self) -> BlockMatrix:
@@ -288,21 +279,18 @@ class EmissionOperators:
 def build_emission(
     structure: StructureSpec,
     pump_spec: PumpSpec,
-    basis_s: SpectralBasis,
-    basis_i: SpectralBasis,
+    basis: SpectralBasis,
     keep_sources: bool = False,
     convention: str = "local-jump",
 ) -> EmissionOperators:
     """Assemble the scattering map and the volume/surface emission maps."""
-    maps = linear_maps(structure, basis_s, basis_i)
-    sums = np.unique(
-        (basis_s.centers[:, None] + basis_i.centers[None, :]).ravel()
-    )
+    maps = linear_maps(structure, basis)
+    sums = np.unique((basis.centers[:, None] + basis.centers[None, :]).ravel())
     pump = propagate_pump(structure, pump_spec, sums)
     n_tot = structure.n_layers + 2
     scatter = {f: m.scatter for f, m in maps.items()}
 
-    couplings = layer_couplings(structure, basis_s, basis_i, pump)
+    couplings = layer_couplings(structure, basis, pump)
     active = [l for l in range(1, n_tot)
               if not (couplings[l - 1].is_dark() and couplings[l].is_dark())]
     # inverse responses of every active boundary, with their exact 1-norm
@@ -325,7 +313,7 @@ def build_emission(
     # maps of its column field)
     fed = {edge: np.array([maps[c].fed(edge) for c in ("i", "s")])
            for edge in ("left", "right")}
-    shape = (2,) * 5 + (basis_s.bins, basis_i.bins)
+    shape = (2,) * 5 + (basis.bins, basis.bins)
     totals = {}  # d.tobytes() -> [d, polarization-free sum of its parts]
     sources = {l: _expand((), shape)
                for l in range(1, n_tot)} if keep_sources else {}
@@ -350,8 +338,7 @@ def build_emission(
             raise ConfigError(f"non-finite entries in {name}")
     return EmissionOperators(
         structure=structure,
-        basis_s=basis_s,
-        basis_i=basis_i,
+        basis=basis,
         pump=pump,
         scatter=scatter,
         g_volume=g_v,

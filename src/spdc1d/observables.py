@@ -17,6 +17,10 @@ to the observable density of the complete process.  First-order
 consistency makes the idler-branch factor the conjugate of the
 signal-branch one, so the diagonal densities are nonnegative.
 
+Signal and idler share one spectral basis, so every (signal bin, idler
+bin) matrix here carries one frequency axis ``omega`` with bin widths
+``widths`` for both of its axes.
+
 Units: bin-matrix amplitudes are dimensionless; continuous amplitudes
 carry s (per sqrt bin width per field) and continuous densities s^2.
 Pair counts integrate the continuous density over both frequencies.
@@ -60,15 +64,13 @@ class JointSpectralAmplitude:
     channel: tuple
     contribution: str
     matrix: np.ndarray  # dimensionless bin matrix
-    omega_s: np.ndarray
-    omega_i: np.ndarray
-    widths_s: np.ndarray
-    widths_i: np.ndarray
+    omega: np.ndarray  # bin centers of both axes
+    widths: np.ndarray
 
     @property
     def continuous(self) -> np.ndarray:
         """Amplitude density, units s."""
-        scale = np.sqrt(self.widths_s[:, None] * self.widths_i[None, :])
+        scale = np.sqrt(self.widths[:, None] * self.widths[None, :])
         return self.matrix / scale
 
 
@@ -80,8 +82,7 @@ def two_photon_amplitude(emission: EmissionOperators, channel):
     return {
         w: JointSpectralAmplitude(
             channel=channel, contribution=w, matrix=m,
-            omega_s=emission.basis_s.centers, omega_i=emission.basis_i.centers,
-            widths_s=emission.basis_s.widths, widths_i=emission.basis_i.widths,
+            omega=emission.basis.centers, widths=emission.basis.widths,
         )
         for w, m in matrices.items()
     }
@@ -99,10 +100,8 @@ class JointDensity:
     n_volume: np.ndarray
     n_surface: np.ndarray
     n_interf: np.ndarray
-    omega_s: np.ndarray
-    omega_i: np.ndarray
-    widths_s: np.ndarray
-    widths_i: np.ndarray
+    omega: np.ndarray  # bin centers of both axes
+    widths: np.ndarray
 
     @property
     def n_total(self) -> np.ndarray:
@@ -117,7 +116,7 @@ class JointDensity:
         }[which]
 
     def continuous(self, which: str) -> np.ndarray:
-        area = self.widths_s[:, None] * self.widths_i[None, :]
+        area = self.widths[:, None] * self.widths[None, :]
         return self.bin_matrix(which) / area
 
 
@@ -139,10 +138,8 @@ def joint_density(emission: EmissionOperators, channel) -> JointDensity:
         n_volume=n_v,
         n_surface=n_s,
         n_interf=n_i,
-        omega_s=emission.basis_s.centers,
-        omega_i=emission.basis_i.centers,
-        widths_s=emission.basis_s.widths,
-        widths_i=emission.basis_i.widths,
+        omega=emission.basis.centers,
+        widths=emission.basis.widths,
     )
 
 
@@ -160,9 +157,9 @@ def marginals_and_counts(jd: JointDensity):
     counts = {}
     for which in ("V", "S", "I", "SV"):
         cont = jd.continuous(which)
-        marg = cont @ jd.widths_i
+        marg = cont @ jd.widths
         marginals[which] = marg
-        counts[which] = float(marg @ jd.widths_s)
+        counts[which] = float(marg @ jd.widths)
     floor = ETA_FLOOR * max(np.max(np.abs(marginals["V"])), 1e-300)
     valid = np.abs(marginals["V"]) > floor
     eta = np.zeros_like(marginals["V"])
@@ -225,17 +222,16 @@ def temporal_profiles(jsa: JointSpectralAmplitude,
     raises GridTooCoarse when its dt exceeds pi / max(w).  The complex
     amplitude on the grid is not kept: only p is returned.
     """
-    t = default_time_grid(jsa.widths_s, n_time)
+    t = default_time_grid(jsa.widths, n_time)
     dt = float(t[1] - t[0])
-    w_max = max(jsa.omega_s.max(), jsa.omega_i.max())
+    w_max = jsa.omega.max()
     if dt > np.pi / w_max:
         raise GridTooCoarse(
             f"dt = {dt:.3e} s exceeds Nyquist limit {np.pi / w_max:.3e} s"
         )
     cont = jsa.continuous
-    kernel_s = np.exp(-1j * np.outer(t, jsa.omega_s)) * jsa.widths_s[None, :]
-    kernel_i = np.exp(-1j * np.outer(t, jsa.omega_i)) * jsa.widths_i[None, :]
-    amp = kernel_s @ cont @ kernel_i.T
+    kernel = np.exp(-1j * np.outer(t, jsa.omega)) * jsa.widths[None, :]
+    amp = kernel @ cont @ kernel.T
     p = np.abs(amp) ** 2
     del amp
     norm = p.sum() * dt * dt
@@ -286,21 +282,21 @@ def width_fwhm(x, y) -> float:
     return float(right - left)
 
 
-def antidiagonal_profile(jd_or_matrix, omega_s, omega_i, omega_sum: float):
-    """Profile of a bin matrix along w_s + w_i = omega_sum.
+def antidiagonal_profile(matrix, omega, omega_sum: float):
+    """Profile of a (signal bin, idler bin) matrix along w_s + w_i =
+    omega_sum, on the bin centers omega of both axes.
 
     For every signal bin picks the idler bin closest to the difference;
     returns (omega_s, values) restricted to in-window idler partners.
     """
-    matrix = jd_or_matrix
-    half_bin = 0.5 * float(np.median(np.diff(omega_i))) if omega_i.size > 1 \
+    half_bin = 0.5 * float(np.median(np.diff(omega))) if omega.size > 1 \
         else np.inf
-    values = np.full(omega_s.size, np.nan)
-    for k, ws in enumerate(omega_s):
+    values = np.full(omega.size, np.nan)
+    for k, ws in enumerate(omega):
         wi = omega_sum - ws
-        if wi < omega_i[0] - half_bin or wi > omega_i[-1] + half_bin:
+        if wi < omega[0] - half_bin or wi > omega[-1] + half_bin:
             continue
-        n = int(np.argmin(np.abs(omega_i - wi)))
+        n = int(np.argmin(np.abs(omega - wi)))
         values[k] = matrix[k, n]
     mask = np.isfinite(values)
-    return omega_s[mask], values[mask]
+    return omega[mask], values[mask]

@@ -18,8 +18,10 @@ inside each layer (M_partner = linear scattering solution of the partner
 field, flux-normalized).  A fixed-step midpoint rule integrates each
 layer; a particular solution marched from zero at z_1 is corrected by a
 homogeneous (linear-scattering) solution to enforce outgoing boundary
-conditions.  Step halving plus Richardson extrapolation removes the
-leading O(h^2) error.
+conditions.  Signal and idler share one spectral basis, so one linear
+solution per input side serves as the partner of either propagating
+field and as its outgoing-wave correction.  Step halving plus
+Richardson extrapolation removes the leading O(h^2) error.
 
 The sources are evaluated for a block of up to BLOCK sub-steps at once,
 on the z_n and z_n + h/2 grids, for every key (pol pair, partner input)
@@ -37,6 +39,7 @@ from .errors import StepTooCoarse
 from .linear import PumpSpec, _crossing, propagate_pump, scalar_layer_amplitudes
 from .materials import refractive_index
 from .matrixcore import pair_block
+from .blockmatrix import FIELDS
 from .spectral import DIR_SIGN, DIRS, LayerCoupling, SpectralBasis
 from .structure import StructureSpec
 
@@ -54,17 +57,17 @@ def _active_pol_pairs(structure, pump_pol):
     return sorted(pairs)
 
 
-def _march_once(structure, couplings, basis_row, basis_col, row_field,
-                partner_amps, step):
+def _march_once(structure, couplings, basis, row_field, partner_amps, step):
     """Particular pair solution for one propagating field, all pol pairs.
 
-    partner_amps[b0] = flux-normalized layer amplitudes of the partner
-    field for unit input in channel b0 ('F' at z_1, 'B' at z_{N+1}),
-    shape (N+2, 2, K_col).  Returns the corrected output coefficients
-    out[(a_out, alpha, b0, beta)] as continuous kernels at bin centers.
+    partner_amps[b0] = flux-normalized layer amplitudes for unit input in
+    channel b0 ('F' at z_1, 'B' at z_{N+1}) on the bin centers, shape
+    (N+2, 2, K): the partner field's modes, and with b0 = 'B' the
+    outgoing-wave correction of the propagating field.  Returns the
+    corrected output coefficients out[(a_out, alpha, b0, beta)] as
+    continuous kernels at bin centers.
     """
-    w_row = basis_row.centers
-    w_col = basis_col.centers
+    w = basis.centers
     pump_pol = couplings[1].pump.polarization
     pairs = _active_pol_pairs(structure, pump_pol)
     if not pairs:
@@ -74,14 +77,14 @@ def _march_once(structure, couplings, basis_row, basis_col, row_field,
         row_pairs = [(beta, alpha) for (alpha, beta) in pairs]
     else:
         row_pairs = pairs
-    shape = (w_row.size, w_col.size)
+    shape = (w.size, w.size)
     # state[p, b0, a]: pol pair p, partner input b0, propagation direction a
     state = np.zeros((len(row_pairs), 2, 2) + shape, dtype=complex)
 
     for l in range(1, structure.n_layers + 2):
         # continuity jump from layer l-1 into layer l at boundary z_l
-        n_from = refractive_index(structure.material(l - 1), w_row)
-        n_to = refractive_index(structure.material(l), w_row)
+        n_from = refractive_index(structure.material(l - 1), w)
+        n_to = refractive_index(structure.material(l), w)
         d = _crossing(n_from + 0j, n_to + 0j, "flux")
         c_f, c_b = state[:, :, 0], state[:, :, 1]
         state = np.stack((d[0, 0][:, None] * c_f + d[0, 1][:, None] * c_b,
@@ -93,12 +96,10 @@ def _march_once(structure, couplings, basis_row, basis_col, row_field,
         n_sub = max(1, int(np.ceil(length / step)))
         h = length / n_sub
         coup = couplings[l]
-        k_row = np.stack([
-            DIR_SIGN[a] * w_row / CONSTANTS.c
-            * refractive_index(coup.material, w_row)
-            for a in DIRS
-        ])[:, :, None]
-        k_col_f = w_col / CONSTANTS.c * refractive_index(coup.material, w_col)
+        n = refractive_index(coup.material, w)
+        k_row = np.stack([DIR_SIGN[a] * w / CONSTANTS.c * n
+                          for a in DIRS])[:, :, None]
+        k_col_f = w / CONSTANTS.c * n
         if row_field == "s":
             kp = {g: coup.pump_k(g) for g in DIRS}
             tstar = [{g: coup.tstar(g, pr, pc) for g in DIRS}
@@ -155,7 +156,7 @@ def _march_once(structure, couplings, basis_row, basis_col, row_field,
         state[active] = c.reshape((len(active), 2, 2) + shape)
 
     # enforce outgoing boundary conditions with a homogeneous correction
-    sig_b = scalar_layer_amplitudes(structure, w_row, "flux", side="B")
+    sig_b = partner_amps["B"]
     refl_right = sig_b[structure.n_layers + 1, 0]  # F amp at z_N+1 per unit B in
     tran_left = sig_b[0, 1]                        # B amp at z_1 per unit B in
     out = {}
@@ -170,8 +171,7 @@ def _march_once(structure, couplings, basis_row, basis_col, row_field,
 def reference_pair_amplitude(
     structure: StructureSpec,
     pump_spec: PumpSpec,
-    basis_s: SpectralBasis,
-    basis_i: SpectralBasis,
+    basis: SpectralBasis,
     step: float,
     richardson: bool = True,
 ):
@@ -188,45 +188,31 @@ def reference_pair_amplitude(
         raise StepTooCoarse(
             f"step {step:.3e} m exceeds min layer length / 16 = {min_len / 16:.3e} m"
         )
-    sums = np.unique(
-        (basis_s.centers[:, None] + basis_i.centers[None, :]).ravel()
-    )
+    centers, widths = basis.centers, basis.widths
+    sums = np.unique((centers[:, None] + centers[None, :]).ravel())
     pump = propagate_pump(structure, pump_spec, sums)
     couplings = [
-        LayerCoupling(structure, l, basis_s, basis_i, pump)
+        LayerCoupling(structure, l, basis, pump)
         for l in range(structure.n_layers + 2)
     ]
-    idler_partner = {
-        b0: scalar_layer_amplitudes(structure, basis_i.centers, "flux", side=b0)
-        for b0 in DIRS
-    }
-    signal_partner = {
-        b0: scalar_layer_amplitudes(structure, basis_s.centers, "flux", side=b0)
+    partner = {
+        b0: scalar_layer_amplitudes(structure, centers, "flux", side=b0)
         for b0 in DIRS
     }
 
     def run(h):
-        res_s = _march_once(
-            structure, couplings, basis_s, basis_i, "s", idler_partner, h
-        )
-        res_i = _march_once(
-            structure, couplings, basis_i, basis_s, "i", signal_partner, h
-        )
-        return res_s, res_i
+        return {f: _march_once(structure, couplings, basis, f, partner, h)
+                for f in FIELDS}
 
-    res_s, res_i = run(step)
+    res = run(step)
     if richardson:
-        res_s2, res_i2 = run(step / 2.0)
-        res_s = {k: (4.0 * res_s2[k] - v) / 3.0 for k, v in res_s.items()}
-        res_i = {k: (4.0 * res_i2[k] - v) / 3.0 for k, v in res_i.items()}
+        res2 = run(step / 2.0)
+        res = {f: {k: (4.0 * res2[f][k] - v) / 3.0 for k, v in r.items()}
+               for f, r in res.items()}
 
-    weight_si = np.sqrt(
-        basis_s.widths[:, None] * basis_i.widths[None, :]
-    )
-    weight_is = weight_si.T
-    out_s = {k: v * weight_si for k, v in res_s.items()}
-    out_i = {k: np.conj(v) * weight_is for k, v in res_i.items()}
-    return {"s": out_s, "i": out_i}
+    weight = np.sqrt(widths[:, None] * widths[None, :])
+    return {"s": {k: v * weight for k, v in res["s"].items()},
+            "i": {k: np.conj(v) * weight for k, v in res["i"].items()}}
 
 
 def compare_with_emission(reference, emission):

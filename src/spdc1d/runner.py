@@ -71,7 +71,7 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
     """Full single-structure run; writes CSV arrays plus a JSON summary."""
     os.makedirs(out_dir, exist_ok=True)
     basis = cfg.basis(bins, window)
-    emission = build_emission(cfg.structure, cfg.pump, basis, basis,
+    emission = build_emission(cfg.structure, cfg.pump, basis,
                               convention=cfg.attribution)
     channel = cfg.channel
     jd = joint_density(emission, channel)
@@ -82,8 +82,8 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
     stats = marginals_and_counts(jd)
 
     k = basis.bins
-    ws = np.repeat(jd.omega_s, k)
-    wi = np.tile(jd.omega_i, k)
+    ws = np.repeat(jd.omega, k)
+    wi = np.tile(jd.omega, k)
     write_csv(
         os.path.join(out_dir, "joint_density.csv"),
         ["omega_s_rad_s", "omega_i_rad_s", "n_V_s2", "n_S_s2", "n_I_s2",
@@ -94,7 +94,7 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
         os.path.join(out_dir, "marginals.csv"),
         ["omega_s_rad_s", "n_s_V", "n_s_S", "n_s_I", "n_s_SV", "eta_s",
          "eta_valid"],
-        [jd.omega_s]
+        [jd.omega]
         + [stats["marginals"][w] for w in ("V", "S", "I", "SV")]
         + [stats["eta_s"], stats["eta_valid"].astype(float)],
     )
@@ -159,16 +159,13 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
             "peaks": peaks,
         }
 
-    anti_ws, anti_v = antidiagonal_profile(
-        jd.continuous("V"), jd.omega_s, jd.omega_i, cfg.omega_p0
-    )
+    anti_ws, anti_v = antidiagonal_profile(jd.continuous("V"), jd.omega,
+                                           cfg.omega_p0)
     if anti_ws.size:
-        _, anti_s = antidiagonal_profile(
-            jd.continuous("S"), jd.omega_s, jd.omega_i, cfg.omega_p0
-        )
-        _, anti_sv = antidiagonal_profile(
-            jd.continuous("SV"), jd.omega_s, jd.omega_i, cfg.omega_p0
-        )
+        _, anti_s = antidiagonal_profile(jd.continuous("S"), jd.omega,
+                                         cfg.omega_p0)
+        _, anti_sv = antidiagonal_profile(jd.continuous("SV"), jd.omega,
+                                          cfg.omega_p0)
         write_csv(
             os.path.join(out_dir, "antidiagonal.csv"),
             ["omega_s_rad_s", "n_V_s2", "n_S_s2", "n_SV_s2"],
@@ -259,8 +256,7 @@ def _scan_cell(args):
     cfg, l1_nm, l2_nm = args
     st = _pair_stack(cfg, l1_nm * 1e-9, l2_nm * 1e-9)
     basis = cfg.basis(bins=cfg.scan.bins)
-    emission = build_emission(st, cfg.pump, basis, basis,
-                              convention=cfg.attribution)
+    emission = build_emission(st, cfg.pump, basis, convention=cfg.attribution)
     jd = joint_density(emission, cfg.channel)
     stats = marginals_and_counts(jd)
     return {
@@ -333,7 +329,7 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
     structure = cfg.structure
     checks = {}
 
-    emission = build_emission(structure, cfg.pump, basis, basis,
+    emission = build_emission(structure, cfg.pump, basis,
                               convention=cfg.attribution)
     # F is 2x2 per bin and field: check F F-dagger = 1 block by block
     dev = max(np.max(np.abs(np.einsum("ijk,ljk->ilk", f, np.conj(f))
@@ -349,11 +345,11 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
 
     mid = max(1, structure.n_layers // 2)
     em_split = build_emission(
-        structure.split_layer(mid, 0.5), cfg.pump, basis, basis,
+        structure.split_layer(mid, 0.5), cfg.pump, basis,
         keep_sources=True, convention="local-jump",
     )
     if cfg.attribution != "local-jump":
-        emission_lj = build_emission(structure, cfg.pump, basis, basis,
+        emission_lj = build_emission(structure, cfg.pump, basis,
                                      convention="local-jump")
     else:
         emission_lj = emission
@@ -371,7 +367,7 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
 
     min_len = min(structure.length(l) for l in range(1, structure.n_layers + 1))
     ref = reference_pair_amplitude(
-        structure, cfg.pump, basis, basis, step=min_len / step_fraction
+        structure, cfg.pump, basis, step=min_len / step_fraction
     )
     checks["oracle_total_amplitude"] = {
         "error": float(compare_with_emission(ref, emission)), "tol": 1e-4
@@ -402,13 +398,16 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
         "error": float(np.max(np.abs(tot1 - np.conj(tot2))) / scale), "tol": 1e-8
     }
 
-    # bin-refinement study: pair counts converge as the midpoint rule
+    # bin-refinement study: pair counts converge as the midpoint rule;
+    # the middle level is the emission already built at `bins`
     counts = []
     for k_ref in (bins // 2, bins, 2 * bins):
-        em_k = build_emission(structure, cfg.pump, cfg.basis(bins=k_ref),
-                              cfg.basis(bins=k_ref),
-                              convention=cfg.attribution)
-        jd_k = joint_density(em_k, cfg.channel)
+        if k_ref == bins:
+            jd_k = jd
+        else:
+            jd_k = joint_density(
+                build_emission(structure, cfg.pump, cfg.basis(bins=k_ref),
+                               convention=cfg.attribution), cfg.channel)
         counts.append(marginals_and_counts(jd_k)["counts"]["SV"])
     d_coarse = abs(counts[1] - counts[0])
     d_fine = abs(counts[2] - counts[1])
@@ -481,7 +480,7 @@ def dump_matrix(cfg: RunConfig, name: str, out_path, bins=None):
         "Z": lambda m: outward_maps(m, 1)[2],
     }
     if key in picks:
-        maps = linear_maps(structure, basis, basis)
+        maps = linear_maps(structure, basis)
         rows = row_space("continuity", basis.bins) if key == "L" else modes
         mat = BlockMatrix.from_bins(
             rows, modes, {f: picks[key](m) for f, m in maps.items()}
@@ -492,7 +491,7 @@ def dump_matrix(cfg: RunConfig, name: str, out_path, bins=None):
         mat = BlockMatrix.from_bins(modes, modes, {"s": p, "i": np.conj(p)})
     else:  # GV, GS, SV, SS
         emission = build_emission(
-            structure, cfg.pump, basis, basis, keep_sources=True,
+            structure, cfg.pump, basis, keep_sources=True,
             convention=cfg.attribution,
         )
         if key == "GV":

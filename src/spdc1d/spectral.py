@@ -1,9 +1,11 @@
 """Spectral basis, pair-generation kernels, and their basis projections.
 
-The signal and idler fields are discretized on orthonormal top-hat
-frequency bins f_k (height 1/sqrt(dw_k) on bin k), which makes every
-single-frequency overlap matrix diagonal and turns basis projection into
-midpoint sampling times sqrt(dw_k dw_n).  A basis computes its edges,
+The signal and idler fields are discretized on one shared basis of
+orthonormal top-hat frequency bins f_k (height 1/sqrt(dw_k) on bin k),
+so every per-frequency quantity (index, wave number, photon amplitude,
+bin weight) is one array serving both fields.  The top-hat bins make
+every single-frequency overlap matrix diagonal and turn basis projection
+into midpoint sampling times sqrt(dw_k dw_n).  A basis computes its edges,
 centers and widths once and hands out the same read-only arrays.
 
 Inside a nonlinear layer the first-order solution for a signal mode
@@ -150,7 +152,7 @@ def _masked_wavenumbers(material, omega, mask):
 
 @dataclass
 class LayerCoupling:
-    """Pair-coupling data of one finite layer on the bin grids.
+    """Pair-coupling data of one finite layer on the bin grid.
 
     Grids are indexed (signal bin k, idler bin n).  tstar_unit(g) is
     conj(T_g) per unit chi2 for pump direction g, chi2_matrix() the
@@ -160,15 +162,14 @@ class LayerCoupling:
     taken at a 1 m^2 cross-section: T_g holds A tau_s tau_i, in which
     the area cancels.
 
-    ``shared`` holds what depends only on the bases, the pump and the
+    ``shared`` holds what depends only on the basis, the pump and the
     layer's (material, length), per material object (see the module
-    docstring); couplings that share it must share bases and pump.
+    docstring); couplings that share it must share basis and pump.
     """
 
     structure: StructureSpec
     l: int
-    basis_s: SpectralBasis
-    basis_i: SpectralBasis
+    basis: SpectralBasis
     pump: PumpField
     shared: dict = field(default_factory=dict, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
@@ -193,14 +194,10 @@ class LayerCoupling:
             cache[key] = compute()
         return cache[key]
 
-    def _basis(self, which):
-        return self.basis_s if which == "s" else self.basis_i
-
     def sum_grid(self):
         if "sum" not in self.shared:
-            self.shared["sum"] = (
-                self.basis_s.centers[:, None] + self.basis_i.centers[None, :]
-            )
+            centers = self.basis.centers
+            self.shared["sum"] = centers[:, None] + centers[None, :]
         return self.shared["sum"]
 
     def _pump_index(self):
@@ -231,27 +228,23 @@ class LayerCoupling:
         amp = self.pump.amps[self.l, {"F": 0, "B": 1}[g], self._pump_index()]
         return amp.reshape(self.sum_grid().shape)
 
-    def index(self, which):
-        """Refractive index on the bin centers of field 's' or 'i'."""
-        basis = self._basis(which)
+    def index(self):
+        """Refractive index on the bin centers."""
         return self._per_material(
-            ("n", basis), lambda: refractive_index(self.material, basis.centers))
+            "n", lambda: refractive_index(self.material, self.basis.centers))
 
-    def inv_sqrt_index(self, which):
+    def inv_sqrt_index(self):
         """1/sqrt(n) on the bin centers (flux normalization of the modes)."""
-        return self._per_material(("pref", self._basis(which)),
-                                  lambda: 1.0 / np.sqrt(self.index(which)))
+        return self._per_material("pref", lambda: 1.0 / np.sqrt(self.index()))
 
-    def tau(self, which):
-        basis = self._basis(which)
+    def tau(self):
         return self._per_material(
-            ("tau", basis), lambda: _tau(basis.centers, self.index(which), 1.0))
+            "tau", lambda: _tau(self.basis.centers, self.index(), 1.0))
 
-    def k_signed(self, which, a):
-        basis = self._basis(which)
+    def k_signed(self, a):
         return self._per_material(
-            ("k", basis, a),
-            lambda: DIR_SIGN[a] * basis.centers / CONSTANTS.c * self.index(which))
+            ("k", a),
+            lambda: DIR_SIGN[a] * self.basis.centers / CONSTANTS.c * self.index())
 
     def chi2_matrix(self):
         """d[signal pol, idler pol] for the pump polarization, m/V."""
@@ -268,7 +261,7 @@ class LayerCoupling:
         keeping it would hold a K x K grid per layer and direction."""
         tau2 = self._per_material("tau2", lambda: (
             4.0 * np.pi * CONSTANTS.eps0 / CONSTANTS.hbar
-            * self.tau("s")[:, None] * self.tau("i")[None, :]))
+            * self.tau()[:, None] * self.tau()[None, :]))
         base = tau2 * self.structure.poling(self.l)
         return -1j * base * self.pump_amp(g)
 
@@ -284,24 +277,21 @@ class LayerCoupling:
         return not np.any(self.chi2_matrix())
 
     def delta_k(self, a, b, g, row_field="s"):
-        """dk = k_p,g - k_s,a - k_i,b on the (row, col) bin grid.
+        """dk = k_p,g - k_a - k_b on the (row, col) bin grid: row direction
+        a, column direction b.
 
         For row_field 's' rows are signal bins and cols idler bins; for
-        'i' the roles (and the grid orientation) are swapped.
+        'i' the roles (and the pump grid orientation) are swapped.
         """
-        ks = self.k_signed("s", a if row_field == "s" else b)
-        ki = self.k_signed("i", b if row_field == "s" else a)
-        kp = self.pump_k(g)
-        if row_field == "s":
-            return kp - ks[:, None] - ki[None, :]
-        return kp.T - ki[:, None] - ks[None, :]
+        kp = self.pump_k(g) if row_field == "s" else self.pump_k(g).T
+        return kp - self.k_signed(a)[:, None] - self.k_signed(b)[None, :]
 
 
-def layer_couplings(structure: StructureSpec, basis_s: SpectralBasis,
-                    basis_i: SpectralBasis, pump: PumpField):
+def layer_couplings(structure: StructureSpec, basis: SpectralBasis,
+                    pump: PumpField):
     """Couplings of layers 0..N+1 sharing one per-(material, length) store."""
     shared = {}
-    return [LayerCoupling(structure, l, basis_s, basis_i, pump, shared)
+    return [LayerCoupling(structure, l, basis, pump, shared)
             for l in range(structure.n_layers + 2)]
 
 
@@ -312,29 +302,28 @@ def _edge_factors(coupling: LayerCoupling, edge: str):
     """Factors of the projected kernels at one edge; they depend on the
     layer only through its (material, length).
 
-    Returns (chi_fac, q_fac, k_row) over row fields: chi_fac (2, 2, 2, K,
-    K) over (row field, pump dir g, col dir), -i (e^{i dk L} - 1)/dk with
-    the right-edge phase; q_fac (2, 2, K, K) over (row field, g), the
-    pump phase of Q at the edge; both times sqrt(dw_row dw_col).  k_row
-    (2, K) is the signed wave number of the rows.  chi = sum_g conj(T_g)
+    Returns (chi_fac, q_fac, k_row): chi_fac (2, 2, 2, K, K) over (row
+    field, pump dir g, col dir), -i (e^{i dk L} - 1)/dk with the
+    right-edge phase; q_fac (2, 2, K, K) over (row field, g), the pump
+    phase of Q at the edge; both times sqrt(dw_row dw_col).  k_row (K,)
+    is the signed wave number of the rows.  chi = sum_g conj(T_g)
     chi_fac and Q = sum_g conj(T_g) q_fac.
     """
     l_len = coupling.length
     a = "F" if edge == "right" else "B"
     shift = l_len if edge == "right" else 0.0
-    chi_fac, q_fac, k_rows = [], [], []
+    widths = coupling.basis.widths
+    weight = np.sqrt(widths[:, None] * widths[None, :])
+    k_row = coupling.k_signed(a)
+    chi_fac, q_fac = [], []
     for row_field in FIELDS:
-        col_field = "i" if row_field == "s" else "s"
-        basis_row, basis_col = coupling._basis(row_field), coupling._basis(col_field)
-        weight = np.sqrt(basis_row.widths[:, None] * basis_col.widths[None, :])
-        k_row = coupling.k_signed(row_field, a)
         per_g = []
         for g in DIRS:
             per_b = []
             for b in DIRS:
                 c = -1j * _bracket(coupling.delta_k(a, b, g, row_field), l_len)
                 if edge == "right":
-                    k_col = coupling.k_signed(col_field, b)
+                    k_col = coupling.k_signed(b)
                     c = c * np.exp(1j * (k_row[:, None] + k_col[None, :]) * l_len)
                 per_b.append(c * weight)
             per_g.append(per_b)
@@ -343,8 +332,7 @@ def _edge_factors(coupling: LayerCoupling, edge: str):
             kp = [k.T for k in kp]
         chi_fac.append(per_g)
         q_fac.append([np.exp(1j * k * shift) * weight for k in kp])
-        k_rows.append(k_row)
-    return np.array(chi_fac), np.array(q_fac), np.array(k_rows)
+    return np.array(chi_fac), np.array(q_fac), k_row
 
 
 def _edge_kernels(coupling: LayerCoupling, edge: str,
@@ -381,14 +369,14 @@ def _edge_kernels(coupling: LayerCoupling, edge: str,
         sigma = -1.0
     else:  # per-slot: [+-1]_a of the arriving direction
         sigma = 1.0 if edge == "right" else -1.0
-    hv = 1j * k_row[:, None, :, None] * chi + sigma * q
+    hv = 1j * k_row[:, None] * chi + sigma * q
     hs = np.broadcast_to(-sigma * q, chi.shape)
     return chi, hv, hs
 
 
 def project_to_basis(coupling: LayerCoupling, edge: str,
                      convention: str = "local-jump"):
-    """Project the layer kernels at one edge onto the bin bases.
+    """Project the layer kernels at one edge onto the bin basis.
 
     Returns ((volume_e, volume_h, surface_h), d): polarization-free
     kernels in the layout of the module docstring, and d of shape (2, 2,

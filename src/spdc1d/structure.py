@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
 from .materials import MaterialModel
 
@@ -43,12 +41,6 @@ class StructureSpec:
     def n_layers(self) -> int:
         return len(self.layers)
 
-    @property
-    def boundaries(self) -> np.ndarray:
-        """z_1..z_{N+1}; z_1 = 0."""
-        lengths = [length for _, length, _ in self.layers]
-        return np.concatenate([[0.0], np.cumsum(lengths)])
-
     def material(self, l: int) -> MaterialModel:
         if l == 0:
             return self.ambient_in
@@ -77,15 +69,6 @@ class StructureSpec:
                 done[id(mat)] = fn(mat)
             out.append(done[id(mat)])
         return out
-
-    def z_reference(self, l: int) -> float:
-        """Left-boundary reference of layer l (z_1 for the input medium)."""
-        z = self.boundaries
-        if l == 0:
-            return z[0]
-        if l == self.n_layers + 1:
-            return z[-1]
-        return z[l - 1]
 
     def split_layer(self, l: int, fraction: float = 0.5) -> "StructureSpec":
         """Return a copy with finite layer l split at the given fraction."""

@@ -1,7 +1,8 @@
 """Independent references used only by the tests.
 
 These evaluate the physics directly instead of through the production
-path: the top-hat basis functions on a frequency grid, the interface
+path: the layer boundary positions, the top-hat basis functions on a
+frequency grid, the interface
 continuity residual of a layer-amplitude solution, the pair phase
 function of one layer with its exact z-derivative, the branch
 contractions by plain loops over the labelled dense F, and a peak
@@ -23,6 +24,22 @@ from spdc1d.spectral import DIR_SIGN, DIRS, LayerCoupling, _bracket
 from spdc1d.structure import StructureSpec
 
 
+def boundaries(structure: StructureSpec) -> np.ndarray:
+    """z_1..z_{N+1}; z_1 = 0."""
+    lengths = [length for _, length, _ in structure.layers]
+    return np.concatenate([[0.0], np.cumsum(lengths)])
+
+
+def z_reference(structure: StructureSpec, l: int) -> float:
+    """Left-boundary reference of layer l (z_1 for the input medium)."""
+    z = boundaries(structure)
+    if l == 0:
+        return z[0]
+    if l == structure.n_layers + 1:
+        return z[-1]
+    return z[l - 1]
+
+
 def eval_basis(basis, k: int, omega):
     """f_k(omega) of a SpectralBasis: indicator of bin k normalized to
     unit L2 norm."""
@@ -36,7 +53,7 @@ def continuity_residual(structure, amps, omega, convention="field"):
     """Max relative interface residual of a layer-amplitude solution."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     worst = 0.0
-    z = structure.boundaries
+    z = boundaries(structure)
     for b in range(structure.n_layers + 1):
         l, r = b, b + 1
         n_l = refractive_index(structure.material(l), omega)
@@ -44,7 +61,7 @@ def continuity_residual(structure, amps, omega, convention="field"):
         w_l, v_l = _interface_weights(n_l, convention)
         w_r, v_r = _interface_weights(n_r, convention)
         ph = np.exp(
-            1j * omega / CONSTANTS.c * n_l * (z[b] - structure.z_reference(l))
+            1j * omega / CONSTANTS.c * n_l * (z[b] - z_reference(structure, l))
         )
         lf, lb = amps[l, 0] * ph, amps[l, 1] / ph
         rf, rb = amps[r, 0], amps[r, 1]
@@ -69,18 +86,12 @@ def phase_functions(coupling: LayerCoupling, a, b, alpha, beta, z,
     Arrays are (signal bin, idler bin) for row_field 's'.
     """
     l_len = coupling.length
-    z_ref = coupling.structure.z_reference(coupling.l)
+    z_ref = z_reference(coupling.structure, coupling.l)
     if not (z_ref - 1e-15 <= z <= z_ref + l_len + 1e-15):
         raise ConfigError("z outside the layer")
     z_a = z_ref if a == "F" else z_ref + l_len
-    k_col = coupling.k_signed("i" if row_field == "s" else "s", b)
-    phi = np.zeros(
-        (
-            coupling.basis_s.bins if row_field == "s" else coupling.basis_i.bins,
-            coupling.basis_i.bins if row_field == "s" else coupling.basis_s.bins,
-        ),
-        dtype=complex,
-    )
+    k_col = coupling.k_signed(b)
+    phi = np.zeros((coupling.basis.bins,) * 2, dtype=complex)
     dphi = np.zeros_like(phi)
     for g in DIRS:
         if row_field == "s":

@@ -76,7 +76,7 @@ def test_unitarity_and_energy_conservation():
         worst_tr = max(worst_tr, abs(big_t + big_r - 1.0))
         f = BlockMatrix.from_bins(
             mode_space("out", basis.bins), mode_space("in", basis.bins),
-            {fld: m.scatter for fld, m in linear_maps(st, basis, basis).items()},
+            {fld: m.scatter for fld, m in linear_maps(st, basis).items()},
         )
         half = f.row.dim // 2
         sig = f.data[:half, :half]
@@ -104,9 +104,9 @@ def test_split_layer_invariance():
         st = _random_stack(rng, max_layers=4, nonlinear=True)
         l_split = rng.randint(1, st.n_layers + 1)
         frac = 0.2 + 0.6 * rng.rand()
-        em = build_emission(st, pump, basis, basis)
+        em = build_emission(st, pump, basis)
         em2 = build_emission(st.split_layer(l_split, frac), pump, basis,
-                             basis, keep_sources=True)
+                             keep_sources=True)
         maps = {"f_linear": em.f_linear.data, "g_volume": em.g_volume,
                 "g_surface": em.g_surface}
         maps2 = {"f_linear": em2.f_linear.data, "g_volume": em2.g_volume,
@@ -136,8 +136,8 @@ def test_oracle_equivalence(gan, aln, air, pump400):
         air, air,
     )
     basis = SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 16)
-    em = build_emission(st, pump400, basis, basis)
-    ref = reference_pair_amplitude(st, pump400, basis, basis, step=50e-9 / 16)
+    em = build_emission(st, pump400, basis)
+    ref = reference_pair_amplitude(st, pump400, basis, step=50e-9 / 16)
     err = compare_with_emission(ref, em)
     _report("oracle-equivalence", err < 1e-4,
             f"relative mismatch = {err:.2e} (tol 1e-4), 4 layers, 16 bins")
@@ -155,10 +155,10 @@ def test_bulk_phase_matching_limit():
     pump = PumpSpec.from_wavelength(400e-9, 7e-9, 1e3)
     bins = 16
     basis = SpectralBasis(0.30 * OMEGA_P0, 0.70 * OMEGA_P0, bins)
-    em = build_emission(st, pump, basis, basis)
+    em = build_emission(st, pump, basis)
     from spdc1d.spectral import LayerCoupling
 
-    coup = LayerCoupling(st, 1, basis, basis, em.pump)
+    coup = LayerCoupling(st, 1, basis, em.pump)
     tst = coup.tstar("F", "x", "y")
     ws, wi = basis.centers[:, None], basis.centers[None, :]
     k_s = ws * n0 / C
@@ -181,7 +181,7 @@ def test_bulk_phase_matching_limit():
 def test_decomposition_identity(stack4, pump400):
     """n_SV = n_V + n_S + n_I entrywise at machine precision."""
     basis = SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 8)
-    em = build_emission(stack4, pump400, basis, basis)
+    em = build_emission(stack4, pump400, basis)
     jd = joint_density(em, ("F", "F", "x", "y"))
     resid = np.max(np.abs(jd.n_total - (jd.n_volume + jd.n_surface
                                         + jd.n_interf)))
@@ -193,7 +193,7 @@ def test_temporal_consistency(stack4, pump400):
     """Parseval within 1e-8, unit time normalization within 1e-6, and
     analytic Gaussian Fourier widths within 1e-4."""
     basis = SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 12)
-    em = build_emission(stack4, pump400, basis, basis)
+    em = build_emission(stack4, pump400, basis)
     amps = two_photon_amplitude(em, ("F", "F", "x", "y"))
     prof = temporal_profiles(amps["SV"], n_time=1024)
     parseval_err = abs(prof.parseval_ratio - 1.0)
@@ -210,8 +210,7 @@ def test_temporal_consistency(stack4, pump400):
     jsa = JointSpectralAmplitude(
         channel=("F", "F", "x", "y"), contribution="SV",
         matrix=cont * np.sqrt(gb.widths[:, None] * gb.widths[None, :]),
-        omega_s=gb.centers, omega_i=gb.centers,
-        widths_s=gb.widths, widths_i=gb.widths,
+        omega=gb.centers, widths=gb.widths,
     )
     gprof = temporal_profiles(jsa, n_time=8192)
     var_ts = 0.25 * (1 / sig_sum**2 + 1 / sig_dif**2)
@@ -230,7 +229,7 @@ def test_temporal_consistency(stack4, pump400):
 def example_run():
     cfg = load_config(EXAMPLE)
     basis = cfg.basis()
-    em = build_emission(cfg.structure, cfg.pump, basis, basis,
+    em = build_emission(cfg.structure, cfg.pump, basis,
                         convention=cfg.attribution)
     jd = joint_density(em, cfg.channel)
     return cfg, em, jd
@@ -241,12 +240,12 @@ def test_qualitative_spectral_interference(example_run):
     resonant peaks than the complete density, whose center lies below the
     volume density (destructive interference)."""
     cfg, em, jd = example_run
-    ws, prof_v = antidiagonal_profile(jd.continuous("V"), jd.omega_s,
-                                      jd.omega_i, cfg.omega_p0)
-    _, prof_s = antidiagonal_profile(jd.continuous("S"), jd.omega_s,
-                                     jd.omega_i, cfg.omega_p0)
-    _, prof_sv = antidiagonal_profile(jd.continuous("SV"), jd.omega_s,
-                                      jd.omega_i, cfg.omega_p0)
+    ws, prof_v = antidiagonal_profile(jd.continuous("V"), jd.omega,
+                                      cfg.omega_p0)
+    _, prof_s = antidiagonal_profile(jd.continuous("S"), jd.omega,
+                                     cfg.omega_p0)
+    _, prof_sv = antidiagonal_profile(jd.continuous("SV"), jd.omega,
+                                      cfg.omega_p0)
     n_v = count_peaks(prof_v, 0.01)
     n_s = count_peaks(prof_s, 0.01)
     n_sv = count_peaks(prof_sv, 0.01)

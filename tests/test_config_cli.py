@@ -1,10 +1,12 @@
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import spdc1d.matrixcore as matrixcore_mod
+import spdc1d.runner as runner_mod
 import spdc1d.spectral as spectral_mod
 from spdc1d.cli import main
 from spdc1d.config import ConfigError, load_config, parse_config
@@ -290,6 +292,26 @@ def test_verify_passes_on_small_config():
     assert ok, report["checks"]
 
 
+@pytest.mark.parametrize("attribution", ["local-jump", "per-slot"])
+def test_verify_builds_each_emission_once(monkeypatch, attribution):
+    """The bin-refinement study reuses the main emission at `bins`; the
+    other builds at `bins` are the split stack and, for per-slot, the
+    local-jump reference of the split-invariance check."""
+    cfg = parse_config(_tiny_config(surface_attribution=attribution))
+    built = []
+    orig = runner_mod.build_emission
+
+    def counting(structure, pump, basis, *args, **kwargs):
+        built.append(basis.bins)
+        return orig(structure, pump, basis, *args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "build_emission", counting)
+    report, ok = verify(cfg, bins=6)
+    assert ok, report["checks"]
+    at_bins = 3 if attribution == "per-slot" else 2
+    assert Counter(built) == {3: 1, 6: at_bins, 12: 1}
+
+
 def test_verify_detects_corrupted_kernels(monkeypatch):
     cfg = parse_config(_tiny_config())
     orig = spectral_mod._edge_kernels
@@ -355,7 +377,7 @@ def test_cli_dump_matrix_every_name(tmp_path, name):
     if name in ("F", "GV", "GS", "SV:1", "SS:1"):
         cfg = parse_config(_tiny_config())
         basis = cfg.basis(2)
-        em = build_emission(cfg.structure, cfg.pump, basis, basis,
+        em = build_emission(cfg.structure, cfg.pump, basis,
                             keep_sources=True, convention=cfg.attribution)
         pairs = {"GV": em.g_volume, "GS": em.g_surface,
                  "SV:1": em.boundary_sources[1][0],

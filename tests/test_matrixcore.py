@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import spdc1d.matrixcore as matrixcore_mod
 from spdc1d.blockmatrix import BlockMatrix, mode_space, row_space
 from spdc1d.constants import CONSTANTS
 from spdc1d.linear import (
@@ -16,7 +17,6 @@ from spdc1d.linear import (
 from spdc1d.materials import constant_material, refractive_index
 from spdc1d.matrixcore import (
     build_emission,
-    field_maps,
     interface_bins,
     linear_maps,
     outward_maps,
@@ -155,19 +155,19 @@ def test_transfer_adjacent_identical_materials_is_identity():
     b = _basis(3)
     eye = _eye2(3)
     assert np.allclose(_folded_transfer(st, b, 1, 0), eye, atol=1e-13)
-    assert np.allclose(field_maps(st, b).at_left[1], eye, atol=1e-13)
+    assert np.allclose(linear_maps(st, b)["s"].at_left[1], eye, atol=1e-13)
 
 
 def test_transfer_split_composition(stack4):
     b = _basis(3)
-    whole = field_maps(stack4, b).at_left[-1]
-    whole_s = field_maps(stack4.split_layer(2, 0.35), b).at_left[-1]
+    whole = linear_maps(stack4, b)["s"].at_left[-1]
+    whole_s = linear_maps(stack4.split_layer(2, 0.35), b)["s"].at_left[-1]
     assert np.allclose(whole, whole_s, rtol=1e-12)
 
 
 def test_transfer_general_compose_consistency(stack4):
     b = _basis(2)
-    maps = field_maps(stack4, b)
+    maps = linear_maps(stack4, b)["s"]
     # T^(n,0) folded from the continuity rows equals the marched transfer
     for n in (1, 3, stack4.n_layers + 1):
         assert np.allclose(_folded_transfer(stack4, b, n, 0), maps.at_left[n],
@@ -184,6 +184,31 @@ def test_transfer_general_compose_consistency(stack4):
     assert np.allclose(mat2_mul(r0, maps.at_left[-1]), eye, atol=1e-10)
 
 
+def test_one_flux_transfer_march_per_build(stack4, pump400, monkeypatch):
+    """Signal and idler share one basis, so a build marches the flux
+    transfers once; the pump's field-convention march runs in linear."""
+    calls = []
+    orig = matrixcore_mod.layer_transfers
+
+    def counting(structure, omega, convention="field"):
+        calls.append(convention)
+        return orig(structure, omega, convention)
+
+    monkeypatch.setattr(matrixcore_mod, "layer_transfers", counting)
+    build_emission(stack4, pump400, _basis(3))
+    assert calls == ["flux"]
+
+
+def test_idler_maps_are_conjugated_signal_maps(stack4):
+    maps = linear_maps(stack4, _basis(3))
+    for name in ("at_left", "at_right", "interface", "scatter"):
+        signal, idler = getattr(maps["s"], name), getattr(maps["i"], name)
+        assert idler.tobytes() == np.conj(signal).tobytes(), name
+    # the feed's pass-through entries 1 and 0 are built, not conjugated,
+    # so only the signs of their zero imaginary parts may differ
+    assert np.array_equal(maps["i"].feed, np.conj(maps["s"].feed))
+
+
 def test_input_output_identity_for_identity_transfer():
     eye = _eye2(2).astype(complex)
     assert np.allclose(input_output_map(eye), eye, atol=1e-14)
@@ -194,7 +219,7 @@ def test_input_output_identity_for_identity_transfer():
 
 def test_scattering_unitary_and_transmission_crosscheck(stack4):
     b = _basis(1, 0.497, 0.503)
-    scatter = {fld: m.scatter for fld, m in linear_maps(stack4, b, b).items()}
+    scatter = {fld: m.scatter for fld, m in linear_maps(stack4, b).items()}
     f = BlockMatrix.from_bins(mode_space("out", 1), mode_space("in", 1),
                               scatter)
     dev = np.abs(f.data @ f.data.conj().T - np.eye(f.row.dim)).max()
@@ -213,7 +238,7 @@ def test_scattering_unitary_and_transmission_crosscheck(stack4):
 def test_feed_in_and_outward_maps(stack4):
     b = _basis(2)
     eye = _eye2(2)
-    for field, maps in linear_maps(stack4, b, b).items():
+    for field, maps in linear_maps(stack4, b).items():
         f, w = maps.scatter, maps.feed
         # forward rows pass inputs through
         assert np.allclose(w[0], eye[0])
@@ -230,7 +255,7 @@ def test_trivial_structure_feed_has_no_reflection_coupling():
     m = constant_material("m", 1.3)
     st = _stack([(m, 120e-9, 1)], n_in=1.3)
     b = _basis(2)
-    w = field_maps(st, b).feed
+    w = linear_maps(st, b)["s"].feed
     assert np.allclose(w[1, 0], 0.0, atol=1e-12)
     assert np.allclose(np.abs(w[1, 1]), 1.0, rtol=1e-12)
 
@@ -238,7 +263,7 @@ def test_trivial_structure_feed_has_no_reflection_coupling():
 def test_pair_sources_zero_for_linear_layers(aln, air, pump400):
     st = StructureSpec(((aln, 60e-9, 1), (aln, 40e-9, 1)), air, air)
     b = _basis(3)
-    em = build_emission(st, pump400, b, b, keep_sources=True)
+    em = build_emission(st, pump400, b, keep_sources=True)
     assert np.linalg.norm(em.g_volume) == 0.0
     assert np.linalg.norm(em.g_surface) == 0.0
     for l in em.boundary_sources:
@@ -248,7 +273,7 @@ def test_pair_sources_zero_for_linear_layers(aln, air, pump400):
 
 def test_boundary_sources_sum_to_emission_maps(stack4, pump400):
     b = _basis(5)
-    em = build_emission(stack4, pump400, b, b, keep_sources=True)
+    em = build_emission(stack4, pump400, b, keep_sources=True)
     assert sorted(em.boundary_sources) == list(range(1, stack4.n_layers + 2))
     for w, g in enumerate((em.g_volume, em.g_surface)):
         total = sum(pair[w] for pair in em.boundary_sources.values())
@@ -262,9 +287,9 @@ def _assert_sources_match_per_block_loop(structure, pump_spec, b):
     col pol) built from the basis-projected kernel arrays of couplings
     that share nothing: columns scaled by the feed of the other field,
     rows by the inverse response."""
-    em = build_emission(structure, pump_spec, b, b, keep_sources=True)
-    maps = linear_maps(structure, b, b)
-    couplings = [LayerCoupling(structure, l, b, b, em.pump)
+    em = build_emission(structure, pump_spec, b, keep_sources=True)
+    maps = linear_maps(structure, b)
+    couplings = [LayerCoupling(structure, l, b, em.pump)
                  for l in range(structure.n_layers + 2)]
     k = b.bins
     for l, kept in em.boundary_sources.items():
@@ -334,8 +359,8 @@ def test_boundary_sources_reuse_kernels_across_repeated_layers(
 def test_fictitious_boundary_surface_source_null(gan, aln, air, pump400):
     st = StructureSpec(((gan, 60e-9, 1), (aln, 40e-9, 1)), air, air)
     b = _basis(4)
-    em = build_emission(st, pump400, b, b)
-    em_split = build_emission(st.split_layer(1, 0.5), pump400, b, b,
+    em = build_emission(st, pump400, b)
+    em_split = build_emission(st.split_layer(1, 0.5), pump400, b,
                               keep_sources=True)
     scale = np.linalg.norm(em.g_volume + em.g_surface)
     s_v, s_s = em_split.boundary_sources[2]
@@ -349,9 +374,9 @@ def test_split_layer_invariance_all_maps(gan, aln, air, pump400):
         ((gan, 55e-9, 1), (aln, 35e-9, 1), (gan, 70e-9, 1)), air, air
     )
     b = _basis(4)
-    em = build_emission(st, pump400, b, b)
+    em = build_emission(st, pump400, b)
     for l, frac in ((1, 0.5), (2, 0.25), (3, 0.7)):
-        em2 = build_emission(st.split_layer(l, frac), pump400, b, b)
+        em2 = build_emission(st.split_layer(l, frac), pump400, b)
         for name, a in _maps(em).items():
             c = _maps(em2)[name]
             scale = max(np.linalg.norm(a), 1e-300)
@@ -361,10 +386,10 @@ def test_split_layer_invariance_all_maps(gan, aln, air, pump400):
 def test_pump_energy_scaling_sqrt(gan, aln, air, pump400):
     st = StructureSpec(((gan, 60e-9, 1), (aln, 40e-9, 1)), air, air)
     b = _basis(3)
-    em1 = build_emission(st, pump400, b, b)
+    em1 = build_emission(st, pump400, b)
     pump4 = PumpSpec(omega0=pump400.omega0, sigma=pump400.sigma,
                      energy_per_area=4e3)
-    em4 = build_emission(st, pump4, b, b)
+    em4 = build_emission(st, pump4, b)
     assert np.allclose(em4.g_volume, 2.0 * em1.g_volume, rtol=1e-12)
     assert np.allclose(em4.g_surface, 2.0 * em1.g_surface, rtol=1e-12)
 
@@ -380,9 +405,9 @@ def test_per_layer_chi_superposition(gan, gan_linear, aln, air, pump400):
         ((gan_linear, 60e-9, 1), (aln, 30e-9, 1), (gan, 45e-9, 1)), air, air
     )
     b = _basis(3)
-    g_full = build_emission(st_full, pump400, b, b)
-    g_first = build_emission(st_first, pump400, b, b)
-    g_last = build_emission(st_last, pump400, b, b)
+    g_full = build_emission(st_full, pump400, b)
+    g_first = build_emission(st_first, pump400, b)
+    g_last = build_emission(st_last, pump400, b)
     for name in ("g_volume", "g_surface"):
         total = getattr(g_first, name) + getattr(g_last, name)
         assert np.allclose(total, getattr(g_full, name), rtol=1e-11)
@@ -392,8 +417,8 @@ def test_poling_sign_flips_source_amplitude(gan, air, pump400):
     st_pos = StructureSpec(((gan, 80e-9, 1),), air, air)
     st_neg = StructureSpec(((gan, 80e-9, -1),), air, air)
     b = _basis(3)
-    em_p = build_emission(st_pos, pump400, b, b)
-    em_n = build_emission(st_neg, pump400, b, b)
+    em_p = build_emission(st_pos, pump400, b)
+    em_n = build_emission(st_neg, pump400, b)
     assert np.allclose(em_n.g_volume, -em_p.g_volume, rtol=1e-12)
     assert np.allclose(em_n.g_surface, -em_p.g_surface, rtol=1e-12)
     assert np.allclose(em_n.f_linear.data, em_p.f_linear.data, rtol=1e-14)
@@ -406,10 +431,10 @@ def test_bulk_sinc_limit_exact():
     st = StructureSpec(((mat, 2e-6, 1),), amb, amb)
     pump = PumpSpec.from_wavelength(400e-9, 7e-9, 1e3)
     b = SpectralBasis(0.3 * OMEGA_P0, 0.7 * OMEGA_P0, 16)
-    em = build_emission(st, pump, b, b)
+    em = build_emission(st, pump, b)
     from spdc1d.spectral import LayerCoupling
 
-    coup = LayerCoupling(st, 1, b, b, em.pump)
+    coup = LayerCoupling(st, 1, b, em.pump)
     tst = coup.tstar("F", "x", "y")
     ws = b.centers[:, None]
     wi = b.centers[None, :]
@@ -432,6 +457,6 @@ def test_bulk_sinc_limit_exact():
 
 def test_all_matrices_finite(stack20, pump400):
     b = _basis(6, 0.1, 0.9)
-    em = build_emission(stack20, pump400, b, b)
+    em = build_emission(stack20, pump400, b)
     for mat in _maps(em).values():
         assert np.all(np.isfinite(mat))

@@ -47,8 +47,7 @@ class FakeEmission:
         self.g_volume = g_v if g_v is not None else rand_pairs()
         self.g_surface = g_s if g_s is not None else rand_pairs()
         lo, hi = 0.4 * OMEGA_P0, 0.6 * OMEGA_P0
-        self.basis_s = SpectralBasis(lo, hi, bins)
-        self.basis_i = SpectralBasis(lo, hi, bins)
+        self.basis = SpectralBasis(lo, hi, bins)
 
 
 CHANNEL = ("F", "F", "x", "y")
@@ -73,7 +72,7 @@ def test_branch_factors_identity_scattering_reduce_to_g_blocks():
 
 def test_branch_factors_match_naive_loop(stack4, pump400):
     basis = SpectralBasis(0.4 * OMEGA_P0, 0.6 * OMEGA_P0, 4)
-    em = build_emission(stack4, pump400, basis, basis)
+    em = build_emission(stack4, pump400, basis)
     f1, f2 = branch_amplitudes(em, CHANNEL, "V")
     naive1, naive2 = dense_branch_amplitudes(em, CHANNEL, "V")
     assert np.allclose(f1, naive1, rtol=1e-12)
@@ -83,7 +82,7 @@ def test_branch_factors_match_naive_loop(stack4, pump400):
 @pytest.fixture(scope="module")
 def full_chi2_emission(stack4, pump400):
     basis = SpectralBasis(0.4 * OMEGA_P0, 0.6 * OMEGA_P0, 4)
-    return build_emission(full_chi2(stack4), pump400, basis, basis)
+    return build_emission(full_chi2(stack4), pump400, basis)
 
 
 @pytest.mark.parametrize("w", ["V", "S"])
@@ -125,7 +124,7 @@ def test_identical_contributions_double_interference():
 
 def test_density_nonnegative_and_total_is_amplitude_squared(stack4, pump400):
     basis = SpectralBasis(0.3 * OMEGA_P0, 0.7 * OMEGA_P0, 8)
-    em = build_emission(stack4, pump400, basis, basis)
+    em = build_emission(stack4, pump400, basis)
     jd = joint_density(em, CHANNEL)
     floor = -1e-15 * jd.n_total.max()
     assert jd.n_volume.min() >= floor
@@ -145,7 +144,7 @@ def test_exchange_symmetric_configuration(air, pump400):
     lin = constant_material("lin", 1.9)
     st = StructureSpec(((mat, 70e-9, 1), (lin, 40e-9, 1)), air, air)
     basis = SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 6)
-    em = build_emission(st, pump400, basis, basis)
+    em = build_emission(st, pump400, basis)
     amp_xy = two_photon_amplitude(em, ("F", "F", "x", "y"))["SV"].matrix
     amp_yx = two_photon_amplitude(em, ("F", "F", "y", "x"))["SV"].matrix
     scale = np.abs(amp_xy).max()
@@ -162,8 +161,7 @@ def _synthetic_density(n_v, n_s, n_i, lo=0.4, hi=0.6, bins=None):
     basis = SpectralBasis(lo * OMEGA_P0, hi * OMEGA_P0, bins)
     return JointDensity(
         channel=CHANNEL, n_volume=n_v, n_surface=n_s, n_interf=n_i,
-        omega_s=basis.centers, omega_i=basis.centers,
-        widths_s=basis.widths, widths_i=basis.widths,
+        omega=basis.centers, widths=basis.widths,
     )
 
 
@@ -201,8 +199,7 @@ def _jsa_from_matrix(matrix, lo, hi):
     basis = SpectralBasis(lo, hi, bins)
     return JointSpectralAmplitude(
         channel=CHANNEL, contribution="SV", matrix=matrix,
-        omega_s=basis.centers, omega_i=basis.centers,
-        widths_s=basis.widths, widths_i=basis.widths,
+        omega=basis.centers, widths=basis.widths,
     )
 
 
@@ -247,7 +244,7 @@ def test_gaussian_amplitude_analytic_widths():
 
 def test_parseval_identity_on_alias_grid(stack4, pump400):
     basis = SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 12)
-    em = build_emission(stack4, pump400, basis, basis)
+    em = build_emission(stack4, pump400, basis)
     amps = two_photon_amplitude(em, CHANNEL)
     prof = temporal_profiles(amps["SV"], n_time=512)
     assert abs(prof.parseval_ratio - 1.0) < 1e-10
@@ -302,8 +299,7 @@ def test_antidiagonal_profile_extraction():
     bins = 16
     basis = SpectralBasis(0.2 * OMEGA_P0, 0.8 * OMEGA_P0, bins)
     mat = np.arange(bins * bins, dtype=float).reshape(bins, bins)
-    ws, vals = antidiagonal_profile(mat, basis.centers, basis.centers,
-                                    OMEGA_P0)
+    ws, vals = antidiagonal_profile(mat, basis.centers, OMEGA_P0)
     assert ws.size == bins  # symmetric window: every signal bin pairs up
     for w, v in zip(ws, vals):
         k = np.argmin(np.abs(basis.centers - w))
@@ -313,10 +309,10 @@ def test_antidiagonal_profile_extraction():
 
 def test_density_linear_in_pump_energy(stack4, pump400):
     basis = SpectralBasis(0.4 * OMEGA_P0, 0.6 * OMEGA_P0, 4)
-    em1 = build_emission(stack4, pump400, basis, basis)
+    em1 = build_emission(stack4, pump400, basis)
     pump4 = PumpSpec(omega0=pump400.omega0, sigma=pump400.sigma,
                      energy_per_area=4e3)
-    em4 = build_emission(stack4, pump4, basis, basis)
+    em4 = build_emission(stack4, pump4, basis)
     jd1 = joint_density(em1, CHANNEL)
     jd4 = joint_density(em4, CHANNEL)
     assert np.allclose(jd4.n_total, 4.0 * jd1.n_total, rtol=1e-11)

@@ -16,7 +16,12 @@ from spdc1d.spectral import (
 )
 from spdc1d.structure import StructureSpec
 
-from reference import eval_basis, phase_functions, polarized_kernels
+from reference import (
+    eval_basis,
+    phase_functions,
+    polarized_kernels,
+    z_reference,
+)
 
 C = CONSTANTS.c
 
@@ -73,11 +78,11 @@ def _toy(chi=4e-12, n=2.0, length=1e-6, bins=5, window=(0.3, 0.7),
 
 def test_coupling_zero_cases_and_linearity():
     st, pump, basis, field = _toy(chi=0.0)
-    t = LayerCoupling(st, 1, basis, basis, field).tstar("F", "x", "y")
+    t = LayerCoupling(st, 1, basis, field).tstar("F", "x", "y")
     assert np.all(t == 0.0)
 
     st, pump, basis, field = _toy()
-    coup = LayerCoupling(st, 1, basis, basis, field)
+    coup = LayerCoupling(st, 1, basis, field)
     t1 = coup.tstar("F", "x", "y")[2, 2]
     assert t1 != 0.0
     # absent pol triple
@@ -88,14 +93,14 @@ def test_coupling_zero_cases_and_linearity():
     pump4 = PumpSpec(omega0=pump.omega0, sigma=pump.sigma,
                      energy_per_area=4e3)
     field4 = propagate_pump(st, pump4, field.omega)
-    t4 = LayerCoupling(st, 1, basis, basis, field4).tstar("F", "x", "y")[2, 2]
+    t4 = LayerCoupling(st, 1, basis, field4).tstar("F", "x", "y")[2, 2]
     assert abs(t4) == pytest.approx(2 * abs(t1), rel=1e-12)
 
 
 def test_phase_function_vanishes_at_reference_point():
     st, pump, basis, field = _toy()
-    coup = LayerCoupling(st, 1, basis, basis, field)
-    z0 = st.z_reference(1)
+    coup = LayerCoupling(st, 1, basis, field)
+    z0 = z_reference(st, 1)
     for a, z in (("F", z0), ("B", z0 + st.length(1))):
         phi, _ = phase_functions(coup, a, "F", "x", "y", z)
         assert np.max(np.abs(phi)) == 0.0
@@ -104,12 +109,12 @@ def test_phase_function_vanishes_at_reference_point():
 def test_phase_function_degenerate_mismatch_limit():
     # constant index, omega_p = omega_s + omega_i -> dk = 0 exactly
     st, pump, basis, field = _toy(n=2.0)
-    coup = LayerCoupling(st, 1, basis, basis, field)
-    z = st.z_reference(1) + 0.37 * st.length(1)
+    coup = LayerCoupling(st, 1, basis, field)
+    z = z_reference(st, 1) + 0.37 * st.length(1)
     phi, _ = phase_functions(coup, "F", "F", "x", "y", z)
     tst = coup.tstar("F", "x", "y")
     t_g = np.conj(tst)
-    expected = -1j * t_g * (z - st.z_reference(1))
+    expected = -1j * t_g * (z - z_reference(st, 1))
     nz = np.abs(expected) > 0
     assert np.allclose(phi[nz], expected[nz], rtol=1e-9)
 
@@ -121,8 +126,8 @@ def test_phase_function_matches_green_function_quadrature(gan, aln, air,
     basis = SpectralBasis(0.4 * omega_p0, 0.6 * omega_p0, 4)
     sums = np.unique((basis.centers[:, None] + basis.centers[None, :]).ravel())
     field = propagate_pump(st, pump400, sums)
-    coup = LayerCoupling(st, 1, basis, basis, field)
-    z_l = st.z_reference(1)
+    coup = LayerCoupling(st, 1, basis, field)
+    z_l = z_reference(st, 1)
     length = st.length(1)
     for a, z_a in (("F", z_l), ("B", z_l + length)):
         z = z_l + 0.61 * length
@@ -132,8 +137,8 @@ def test_phase_function_matches_green_function_quadrature(gan, aln, air,
         #   [+-1]_a sum_g T*_g e^{i (k_pg - k_ib)(z' - z_l)} dz'
         sgn = 1.0 if a == "F" else -1.0
         zp = np.linspace(z_a, z, 20001)
-        k_s = coup.k_signed("s", a)
-        k_i = coup.k_signed("i", "B")
+        k_s = coup.k_signed(a)
+        k_i = coup.k_signed("B")
         acc = np.zeros_like(phi)
         for g in ("F", "B"):
             tst = coup.tstar(g, "x", "y")
@@ -154,8 +159,8 @@ def test_phase_function_matches_green_function_quadrature(gan, aln, air,
 
 def test_phase_function_derivative_matches_finite_difference():
     st, pump, basis, field = _toy(n=2.3, length=500e-9)
-    coup = LayerCoupling(st, 1, basis, basis, field)
-    z = st.z_reference(1) + 0.4 * st.length(1)
+    coup = LayerCoupling(st, 1, basis, field)
+    z = z_reference(st, 1) + 0.4 * st.length(1)
     h = 1e-12
     for a in ("F", "B"):
         phi_p, _ = phase_functions(coup, a, "F", "x", "y", z + h)
@@ -168,10 +173,10 @@ def test_phase_function_derivative_matches_finite_difference():
 
 def test_phase_function_derivative_finite_at_reference_point():
     st, pump, basis, field = _toy(n=2.3, length=500e-9)
-    coup = LayerCoupling(st, 1, basis, basis, field)
+    coup = LayerCoupling(st, 1, basis, field)
     h = 1e-12
-    for a, z_a, sgn in (("F", st.z_reference(1), 1.0),
-                        ("B", st.z_reference(1) + st.length(1), -1.0)):
+    for a, z_a, sgn in (("F", z_reference(st, 1), 1.0),
+                        ("B", z_reference(st, 1) + st.length(1), -1.0)):
         _, dphi = phase_functions(coup, a, "F", "x", "y", z_a)
         assert np.all(np.isfinite(dphi))
         assert np.max(np.abs(dphi)) > 0.0
@@ -189,7 +194,7 @@ def test_project_to_basis_zero_for_linear_layer(aln, air, pump400):
     basis = SpectralBasis(0.4 * pump400.omega0, 0.6 * pump400.omega0, 3)
     sums = np.unique((basis.centers[:, None] + basis.centers[None, :]).ravel())
     field = propagate_pump(st, pump400, sums)
-    coup = LayerCoupling(st, 1, basis, basis, field)
+    coup = LayerCoupling(st, 1, basis, field)
     (kernel, _, _), d = project_to_basis(coup, "right")
     assert kernel.shape == (2, 2, 3, 3) and d.shape == (2, 2, 2)
     assert np.all(d == 0.0)
@@ -204,19 +209,19 @@ def test_project_single_bin_identity():
     # (x, x) and (y, y) stay zero blocks
     chi2 = {("y", "x", "y"): 4e-12, ("y", "y", "x"): 1.5e-12}
     st, pump, basis, field = _toy(bins=1, window=(0.45, 0.55), chi2=chi2)
-    coup = LayerCoupling(st, 1, basis, basis, field)
+    coup = LayerCoupling(st, 1, basis, field)
     length = st.length(1)
-    z_l = st.z_reference(1)
+    z_l = z_reference(st, 1)
     # forward rows exit at the right edge, backward rows at the left one;
     # chi is conj(Phi) at the exit with the kernel's reference phase
     for edge, a, z in (("right", "F", z_l + length), ("left", "B", z_l)):
         vol_e, _, _ = polarized_kernels(project_to_basis(coup, edge))
         assert vol_e.shape == (len(FIELDS), 2, 2, 2, 1, 1)
         nonzero = 0
-        for fi, (row, col) in enumerate((("s", "i"), ("i", "s"))):
-            k_row = coup.k_signed(row, a)[0]
+        k_row = coup.k_signed(a)[0]
+        for fi, row in enumerate(FIELDS):
             for bi, b in enumerate(DIRS):
-                k_col = coup.k_signed(col, b)[0]
+                k_col = coup.k_signed(b)[0]
                 phase = (k_row + k_col) * length if a == "F" else -k_row * length
                 for pi, alpha in enumerate(POLS):
                     for qi, beta in enumerate(POLS):
@@ -233,10 +238,10 @@ def test_project_single_bin_identity():
 
 def test_projection_linear_in_pump_amplitude():
     st, pump, basis, field = _toy()
-    coup1 = LayerCoupling(st, 1, basis, basis, field)
+    coup1 = LayerCoupling(st, 1, basis, field)
     pump4 = PumpSpec(omega0=pump.omega0, sigma=pump.sigma, energy_per_area=4e3)
     field4 = propagate_pump(st, pump4, field.omega)
-    coup2 = LayerCoupling(st, 1, basis, basis, field4)
+    coup2 = LayerCoupling(st, 1, basis, field4)
     ve1, vh1, sh1 = polarized_kernels(project_to_basis(coup1, "left"))
     ve2, vh2, sh2 = polarized_kernels(project_to_basis(coup2, "left"))
     assert np.allclose(ve2, 2.0 * ve1, rtol=1e-12)
@@ -256,11 +261,11 @@ def test_projection_refinement_error_model(gan, air, pump400):
             (sub.centers[:, None] + sub.centers[None, :]).ravel()
         )
         field = propagate_pump(st, pump400, sums)
-        coarse = LayerCoupling(st, 1, basis, basis,
+        coarse = LayerCoupling(st, 1, basis,
                                propagate_pump(st, pump400, np.unique(
                                    basis.centers[:, None]
                                    + basis.centers[None, :]).ravel()))
-        fine = LayerCoupling(st, 1, sub, sub, field)
+        fine = LayerCoupling(st, 1, sub, field)
         block = (0, 0, 0, 1)  # signal rows, col dir F, pols (x, y)
         lam_c = (polarized_kernels(project_to_basis(coarse, "right"))[0][block]
                  / basis.widths[0])
