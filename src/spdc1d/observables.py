@@ -178,24 +178,69 @@ def marginals_and_counts(jd: JointDensity):
     }
 
 
+_PEAK_ROWS = 64  # grid rows per matmul in TemporalProfile.peak
+
+
 @dataclass(frozen=True)
 class TemporalProfile:
-    """Joint detection-time density on the alias-exact grid.
+    """Joint detection-time density on the alias-exact grid, held as its
+    half transform.
 
-    p integrates to one over the grid; p_signal is its t_s marginal.
+    ``half`` = kernel @ cont is the amplitude transformed over w_s only:
+    (t_s, idler bin), with ``kernel`` (t, bin) = exp(-i w t) dw.  The
+    joint amplitude is half @ kernel.T, and its density |.|^2 / norm
+    integrates to one over the grid; only ``rows`` and the one column of
+    ``conditional_cut`` form its values.  norm and the t_s marginal
+    p_signal come from discrete Parseval over t_i (see
+    temporal_profiles), so no n x n array is needed for them, for the
+    conditional cut or for the peak.
     """
 
     t: np.ndarray
-    p: np.ndarray
+    kernel: np.ndarray
+    half: np.ndarray
+    widths: np.ndarray
+    norm: float
     p_signal: np.ndarray
     dt: float
     parseval_ratio: float
 
+    def rows(self, idx) -> np.ndarray:
+        """Joint density p[t_s, t_i] on the rows idx, over all t_i."""
+        return np.abs(self.half[idx] @ self.kernel.T) ** 2 / self.norm
+
     def conditional_cut(self, t_idler: float):
         idx = int(np.argmin(np.abs(self.t - t_idler)))
-        cut = self.p[:, idx]
+        cut = np.abs(self.half @ self.kernel[idx]) ** 2 / self.norm
         norm = cut.sum() * self.dt
         return self.t, cut / norm if norm > 0 else cut
+
+    def peak(self):
+        """(t_s, t_i) grid indices of the joint density's maximum.
+
+        Exact pruned search: a row's maximum is at most (sum_m |half[t,
+        m]| dw_m)^2 / norm, so rows are evaluated, _PEAK_ROWS per matmul,
+        in order of falling bound until the next bound is below the best
+        value found.  The bound is raised by a rounding allowance, so no
+        unevaluated row can hold a larger or tied computed value.  Ties
+        go to the lowest (row, col), as np.argmax of the full grid.
+        """
+        slack = 1.0 + 8.0 * (self.widths.size + 4) * np.finfo(float).eps
+        bound = (np.abs(self.half) @ self.widths) ** 2 / self.norm * slack
+        order = np.argsort(-bound, kind="stable")
+        best, row, col = -np.inf, -1, -1
+        for start in range(0, order.size, _PEAK_ROWS):
+            idx = order[start:start + _PEAK_ROWS]
+            if bound[idx[0]] < best:
+                break
+            p = self.rows(idx)
+            cols = np.argmax(p, axis=1)
+            vals = p[np.arange(idx.size), cols]
+            top = vals.max()
+            i = min(np.flatnonzero(vals == top), key=lambda h: idx[h])
+            if top > best or (top == best and idx[i] < row):
+                best, row, col = top, int(idx[i]), int(cols[i])
+        return row, col
 
 
 def default_time_grid(widths, n_time: int = 2048):
@@ -217,10 +262,20 @@ def temporal_profiles(jsa: JointSpectralAmplitude,
                       n_time: int = 2048) -> TemporalProfile:
     """Fourier-transform a two-photon amplitude to detection times.
 
-    Uses the explicit kernel exp(-i w_s t_s - i w_i t_i) from the bin
-    centers on the n_time-point alias-exact grid (see default_time_grid);
-    raises GridTooCoarse when its dt exceeds pi / max(w).  The complex
-    amplitude on the grid is not kept: only p is returned.
+    Uses the explicit kernel exp(-i w t) dw from the bin centers on the
+    n_time-point alias-exact grid (see default_time_grid); raises
+    GridTooCoarse when its dt exceeds pi / max(w).  Only the half
+    transform over w_s, half = kernel @ cont, is formed.
+
+    The sum over t_i needs no second transform: on this grid (uniform
+    bins, n dt dw = 2 pi) discrete Parseval gives
+    sum_j |sum_m half[t, m] dw_m e^{-i w_m t_j}|^2 = n sum_m
+    |half[t, m] dw_m|^2 exactly whenever n >= K, and the Nyquist guard
+    already implies it: w_max >= (K - 1/2) dw, so n >= 2 w_max / dw >=
+    2K - 1.  That row power gives the grid norm and p_signal at O(nK).
+    parseval_ratio = norm / (2 pi)^2 / sum |matrix|^2 is therefore one
+    up to rounding when the t_s transform preserves the spectral power;
+    it tests that transform (the t_i one is exact by construction).
     """
     t = default_time_grid(jsa.widths, n_time)
     dt = float(t[1] - t[0])
@@ -229,16 +284,12 @@ def temporal_profiles(jsa: JointSpectralAmplitude,
         raise GridTooCoarse(
             f"dt = {dt:.3e} s exceeds Nyquist limit {np.pi / w_max:.3e} s"
         )
-    cont = jsa.continuous
     kernel = np.exp(-1j * np.outer(t, jsa.omega)) * jsa.widths[None, :]
-    amp = kernel @ cont @ kernel.T
-    p = np.abs(amp) ** 2
-    del amp
-    norm = p.sum() * dt * dt
+    half = kernel @ jsa.continuous
+    row_power = t.size * (np.abs(half * jsa.widths) ** 2).sum(axis=1)
+    norm = float(row_power.sum() * dt * dt)
     if norm <= 0.0:
         raise NoPeak("two-photon amplitude is identically zero")
-    p /= norm
-    p_signal = p.sum(axis=1) * dt
     spectral_power = float(np.sum(np.abs(jsa.matrix) ** 2))
     parseval = (
         norm / (2.0 * np.pi) ** 2 / spectral_power
@@ -246,7 +297,8 @@ def temporal_profiles(jsa: JointSpectralAmplitude,
         else float("nan")
     )
     return TemporalProfile(
-        t=t, p=p, p_signal=p_signal, dt=dt, parseval_ratio=parseval,
+        t=t, kernel=kernel, half=half, widths=jsa.widths, norm=norm,
+        p_signal=row_power * dt / norm, dt=dt, parseval_ratio=parseval,
     )
 
 

@@ -107,7 +107,7 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
             continue
         prof = temporal_profiles(amps[w], n_time=cfg.time_points)
         t = prof.t
-        peak = np.unravel_index(np.argmax(prof.p), prof.p.shape)
+        peak = prof.peak()
         if t_cond is None:
             t_cond = t[peak[1]]
         _, cut = prof.conditional_cut(t_cond)
@@ -119,7 +119,6 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
             "parseval_ratio": prof.parseval_ratio,
         }
         cond_widths[w] = _fwhm_fs(t, cut)
-        del prof  # drop the time_points^2 grid before the next is built
     shown = [w for w in ("V", "S", "SV") if w in curves]
     if shown:
         write_csv(os.path.join(out_dir, "temporal_flux.csv"),
@@ -380,7 +379,9 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
             "error": float(abs(prof.parseval_ratio - 1.0)), "tol": 1e-8
         }
         checks["time_normalization"] = {
-            "error": float(abs(prof.p.sum() * prof.dt**2 - 1.0)), "tol": 1e-6
+            "error": float(abs(prof.rows(np.arange(prof.t.size)).sum()
+                               * prof.dt**2 - 1.0)),
+            "tol": 1e-6,
         }
     jd = joint_density(emission, cfg.channel)
     checks["decomposition_identity"] = {

@@ -60,7 +60,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .blockmatrix import FIELDS
 from .constants import CONSTANTS
 from .errors import ConfigError
 from .linear import PumpField
@@ -276,15 +275,12 @@ class LayerCoupling:
     def is_dark(self):
         return not np.any(self.chi2_matrix())
 
-    def delta_k(self, a, b, g, row_field="s"):
+    def delta_k(self, a, b, g):
         """dk = k_p,g - k_a - k_b on the (row, col) bin grid: row direction
-        a, column direction b.
-
-        For row_field 's' rows are signal bins and cols idler bins; for
-        'i' the roles (and the pump grid orientation) are swapped.
-        """
-        kp = self.pump_k(g) if row_field == "s" else self.pump_k(g).T
-        return kp - self.k_signed(a)[:, None] - self.k_signed(b)[None, :]
+        a, column direction b.  The pump grid is symmetric, so this holds
+        for signal and idler rows alike."""
+        return (self.pump_k(g) - self.k_signed(a)[:, None]
+                - self.k_signed(b)[None, :])
 
 
 def layer_couplings(structure: StructureSpec, basis: SpectralBasis,
@@ -302,12 +298,14 @@ def _edge_factors(coupling: LayerCoupling, edge: str):
     """Factors of the projected kernels at one edge; they depend on the
     layer only through its (material, length).
 
-    Returns (chi_fac, q_fac, k_row): chi_fac (2, 2, 2, K, K) over (row
-    field, pump dir g, col dir), -i (e^{i dk L} - 1)/dk with the
-    right-edge phase; q_fac (2, 2, K, K) over (row field, g), the pump
-    phase of Q at the edge; both times sqrt(dw_row dw_col).  k_row (K,)
-    is the signed wave number of the rows.  chi = sum_g conj(T_g)
-    chi_fac and Q = sum_g conj(T_g) q_fac.
+    Returns (chi_fac, q_fac, k_row): chi_fac (2, 2, K, K) over (pump dir
+    g, col dir), -i (e^{i dk L} - 1)/dk with the right-edge phase; q_fac
+    (2, K, K) over g, the pump phase of Q at the edge; both times
+    sqrt(dw_row dw_col).  k_row (K,) is the signed wave number of the
+    rows.  chi = sum_g conj(T_g) chi_fac and Q = sum_g conj(T_g) q_fac.
+    Signal and idler rows share the factors: the pump wave numbers live
+    on the bin-sum grid, which is exactly symmetric, so the idler rows'
+    transposed pump grid and dk equal the signal rows' ones.
     """
     l_len = coupling.length
     a = "F" if edge == "right" else "B"
@@ -315,23 +313,17 @@ def _edge_factors(coupling: LayerCoupling, edge: str):
     widths = coupling.basis.widths
     weight = np.sqrt(widths[:, None] * widths[None, :])
     k_row = coupling.k_signed(a)
-    chi_fac, q_fac = [], []
-    for row_field in FIELDS:
-        per_g = []
-        for g in DIRS:
-            per_b = []
-            for b in DIRS:
-                c = -1j * _bracket(coupling.delta_k(a, b, g, row_field), l_len)
-                if edge == "right":
-                    k_col = coupling.k_signed(b)
-                    c = c * np.exp(1j * (k_row[:, None] + k_col[None, :]) * l_len)
-                per_b.append(c * weight)
-            per_g.append(per_b)
-        kp = [coupling.pump_k(g) for g in DIRS]
-        if row_field == "i":
-            kp = [k.T for k in kp]
-        chi_fac.append(per_g)
-        q_fac.append([np.exp(1j * k * shift) * weight for k in kp])
+    chi_fac = []
+    for g in DIRS:
+        per_b = []
+        for b in DIRS:
+            c = -1j * _bracket(coupling.delta_k(a, b, g), l_len)
+            if edge == "right":
+                k_col = coupling.k_signed(b)
+                c = c * np.exp(1j * (k_row[:, None] + k_col[None, :]) * l_len)
+            per_b.append(c * weight)
+        chi_fac.append(per_b)
+    q_fac = [np.exp(1j * coupling.pump_k(g) * shift) * weight for g in DIRS]
     return np.array(chi_fac), np.array(q_fac), k_row
 
 
@@ -363,8 +355,8 @@ def _edge_kernels(coupling: LayerCoupling, edge: str,
         ("edge", coupling.length, edge), lambda: _edge_factors(coupling, edge))
     tst = [coupling.tstar_unit(g) for g in DIRS]
     tst = np.array([tst, [t.T for t in tst]])  # (row field, g, row, col)
-    chi = tst[:, 0, None] * chi_fac[:, 0] + tst[:, 1, None] * chi_fac[:, 1]
-    q = (tst[:, 0] * q_fac[:, 0] + tst[:, 1] * q_fac[:, 1])[:, None]
+    chi = tst[:, 0, None] * chi_fac[0] + tst[:, 1, None] * chi_fac[1]
+    q = (tst[:, 0] * q_fac[0] + tst[:, 1] * q_fac[1])[:, None]
     if convention == "local-jump":
         sigma = -1.0
     else:  # per-slot: [+-1]_a of the arriving direction

@@ -7,7 +7,8 @@ continuity residual of a layer-amplitude solution, the pair phase
 function of one layer with its exact z-derivative, the branch
 contractions by plain loops over the labelled dense F, and a peak
 counter for the qualitative spectral checks.  ``full_chi2`` gives a
-stack whose every (signal, idler) polarization pair emits.
+stack whose every (signal, idler) polarization pair emits, and
+``explicit_time_grid`` the full n x n detection-time density.
 """
 
 from dataclasses import replace
@@ -20,6 +21,7 @@ from spdc1d.errors import ConfigError
 from spdc1d.linear import _interface_weights
 from spdc1d.materials import refractive_index
 from spdc1d.matrixcore import pair_block
+from spdc1d.observables import default_time_grid
 from spdc1d.spectral import DIR_SIGN, DIRS, LayerCoupling, _bracket
 from spdc1d.structure import StructureSpec
 
@@ -100,12 +102,12 @@ def phase_functions(coupling: LayerCoupling, a, b, alpha, beta, z,
             t_g = np.conj(coupling.tstar(g, beta, alpha)).T
         if not np.any(t_g):
             continue
-        dk = coupling.delta_k(a, b, g, row_field)
+        kp = coupling.pump_k(g) if row_field == "s" else coupling.pump_k(g).T
+        dk = kp - coupling.k_signed(a)[:, None] - k_col[None, :]
         if a == "F":
             phase = 1.0
         else:
             # phi_g = (k_p,g - k_col,b) L for backward rows
-            kp = coupling.pump_k(g) if row_field == "s" else coupling.pump_k(g).T
             phase = np.exp(-1j * (kp - k_col[None, :]) * l_len)
         phi += 1j * DIR_SIGN[a] * t_g * phase * (-_bracket(-dk, z - z_a))
         dphi += DIR_SIGN[a] * t_g * phase * np.exp(-1j * dk * (z - z_a))
@@ -156,6 +158,21 @@ def dense_branch_amplitudes(emission, channel, w):
                     idler[kk, nn] += np.conj(gs[kk, mm]) * fi[nn, mm]
                     signal[kk, nn] += fs[kk, mm] * np.conj(gi[nn, mm])
     return idler, signal
+
+
+def explicit_time_grid(jsa, n_time: int) -> np.ndarray:
+    """|kernel @ cont @ kernel.T|^2 on the n_time-point alias-exact grid:
+    the unnormalized joint detection-time density by the full double
+    transform (both time axes explicit, no Parseval).  Filled in blocks
+    of rows so that only the real grid is held at full size."""
+    t = default_time_grid(jsa.widths, n_time)
+    kernel = np.exp(-1j * np.outer(t, jsa.omega)) * jsa.widths[None, :]
+    half = kernel @ jsa.continuous
+    grid = np.empty((n_time, n_time))
+    for start in range(0, n_time, 512):
+        block = slice(start, start + 512)
+        grid[block] = np.abs(half[block] @ kernel.T) ** 2
+    return grid
 
 
 def count_peaks(y, floor_fraction: float = 1e-3) -> int:

@@ -26,6 +26,8 @@ from spdc1d.runner import (
     write_csv,
 )
 
+from reference import explicit_time_grid
+
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs",
                        "gan_aln_20layer.json")
 
@@ -470,7 +472,8 @@ def test_simulate_temporal_outputs_match_per_profile_reference(tmp_path,
     ws = ("V", "S", "SV")
     profs = {w: temporal_profiles(amps[w], n_time=cfg.time_points) for w in ws}
     t = profs["SV"].t
-    peaks = {w: np.unravel_index(np.argmax(profs[w].p), profs[w].p.shape)
+    grids = {w: explicit_time_grid(amps[w], cfg.time_points) for w in ws}
+    peaks = {w: np.unravel_index(np.argmax(grids[w]), grids[w].shape)
              for w in ws}
     t_cond = (t[peaks["SV"][1]] if t_idler_fs is None
               else cfg.conditional_t_idler)

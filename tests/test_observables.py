@@ -1,8 +1,11 @@
 import itertools
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spdc1d.config import load_config
 from spdc1d.constants import CONSTANTS
 from spdc1d.errors import GridTooCoarse, NoPeak
 from spdc1d.linear import PumpSpec
@@ -11,6 +14,7 @@ from spdc1d.matrixcore import build_emission, pair_block
 from spdc1d.observables import (
     JointDensity,
     JointSpectralAmplitude,
+    TemporalProfile,
     antidiagonal_profile,
     branch_amplitudes,
     default_time_grid,
@@ -23,7 +27,12 @@ from spdc1d.observables import (
 from spdc1d.spectral import DIRS, POLS, SpectralBasis
 from spdc1d.structure import StructureSpec
 
-from reference import count_peaks, dense_branch_amplitudes, full_chi2
+from reference import (
+    count_peaks,
+    dense_branch_amplitudes,
+    explicit_time_grid,
+    full_chi2,
+)
 
 C = CONSTANTS.c
 OMEGA_P0 = 2 * np.pi * C / 400e-9
@@ -208,8 +217,10 @@ def test_single_bin_amplitude_gives_flat_time_density():
     m[0, 0] = 1.0
     jsa = _jsa_from_matrix(m, 0.49 * OMEGA_P0, 0.51 * OMEGA_P0)
     prof = temporal_profiles(jsa, n_time=256)
-    assert np.ptp(prof.p) < 1e-12 * prof.p.mean()
-    assert prof.p.sum() * prof.dt**2 == pytest.approx(1.0, abs=1e-12)
+    p = explicit_time_grid(jsa, 256) / prof.norm
+    assert np.ptp(p) < 1e-12 * p.mean()
+    assert p.sum() * prof.dt**2 == pytest.approx(1.0, abs=1e-12)
+    assert np.ptp(prof.p_signal) < 1e-12 * prof.p_signal.mean()
 
 
 def test_gaussian_amplitude_analytic_widths():
@@ -229,7 +240,9 @@ def test_gaussian_amplitude_analytic_widths():
     jsa = _jsa_from_matrix(matrix, lo, hi)
     prof = temporal_profiles(jsa, n_time=8192)
     assert abs(prof.parseval_ratio - 1.0) < 1e-8
-    assert prof.p.sum() * prof.dt**2 == pytest.approx(1.0, abs=1e-6)
+    p = explicit_time_grid(jsa, 8192) / prof.norm
+    assert p.sum() * prof.dt**2 == pytest.approx(1.0, abs=1e-6)
+    del p
     # p_s is Gaussian with variance (1/sig_sum^2 + 1/sig_dif^2)/4
     var_ts = 0.25 * (1.0 / sig_sum**2 + 1.0 / sig_dif**2)
     expected_flux_fwhm = 2.0 * np.sqrt(2 * np.log(2) * var_ts)
@@ -263,6 +276,103 @@ def test_default_time_grid_alias_exact():
     t = default_time_grid(basis.widths, 1024)
     dt = t[1] - t[0]
     assert 1024 * dt == pytest.approx(2 * np.pi / basis.widths[0], rel=1e-12)
+
+
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs",
+                       "gan_aln_20layer.json")
+
+
+@pytest.fixture(scope="module")
+def shipped_amplitudes():
+    """SV/V/S two-photon amplitudes of the shipped config at 64 bins."""
+    cfg = load_config(SHIPPED)
+    em = build_emission(cfg.structure, cfg.pump, cfg.basis(64, None),
+                        convention=cfg.attribution)
+    return cfg.time_points, two_photon_amplitude(em, cfg.channel)
+
+
+def _random_jsa(seed, bins):
+    rng = np.random.RandomState(seed)
+    m = rng.randn(bins, bins) + 1j * rng.randn(bins, bins)
+    return _jsa_from_matrix(m, 0.35 * OMEGA_P0, 0.65 * OMEGA_P0)
+
+
+def _fast_and_explicit_cases(shipped_amplitudes):
+    n_time, amps = shipped_amplitudes
+    cases = [(amps[w], n_time) for w in ("SV", "V", "S")]
+    cases += [(_random_jsa(seed, bins), 128)
+              for seed, bins in ((1, 5), (2, 8), (3, 12))]
+    return cases
+
+
+def test_parseval_marginal_norm_and_cut_match_explicit_grid(
+        shipped_amplitudes):
+    for jsa, n_time in _fast_and_explicit_cases(shipped_amplitudes):
+        prof = temporal_profiles(jsa, n_time=n_time)
+        grid = explicit_time_grid(jsa, n_time)
+        norm = grid.sum() * prof.dt**2
+        assert abs(prof.norm - norm) <= 1e-12 * norm
+        p = grid / norm
+        p_signal = p.sum(axis=1) * prof.dt
+        assert (np.max(np.abs(prof.p_signal - p_signal))
+                <= 1e-12 * p_signal.max())
+        i, j = np.unravel_index(np.argmax(p), p.shape)
+        assert np.max(np.abs(prof.rows([i]) - p[i])) <= 1e-12 * p[i, j]
+        for col in (j, n_time // 3):
+            _, cut = prof.conditional_cut(prof.t[col])
+            ref = p[:, col] / (p[:, col].sum() * prof.dt)
+            assert np.max(np.abs(cut - ref)) <= 1e-12 * ref.max()
+
+
+def test_pruned_peak_equals_explicit_argmax(shipped_amplitudes, monkeypatch):
+    evaluated = []
+    rows = TemporalProfile.rows
+
+    def counting_rows(self, idx):
+        evaluated.append(len(idx))
+        return rows(self, idx)
+
+    monkeypatch.setattr(TemporalProfile, "rows", counting_rows)
+    n_shipped = shipped_amplitudes[0]
+    for jsa, n_time in _fast_and_explicit_cases(shipped_amplitudes):
+        evaluated.clear()
+        peak = temporal_profiles(jsa, n_time=n_time).peak()
+        grid = explicit_time_grid(jsa, n_time)
+        assert peak == np.unravel_index(np.argmax(grid), grid.shape)
+        assert sum(evaluated) <= n_time
+        if n_time == n_shipped:
+            assert sum(evaluated) < n_time
+
+
+def test_peak_tie_goes_to_lowest_row():
+    bins, n_time = 6, 128
+    basis = SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, bins)
+    t = default_time_grid(basis.widths, n_time)
+    kernel = np.exp(-1j * np.outer(t, basis.centers)) * basis.widths
+    rng = np.random.RandomState(7)
+    half = 1e-3 * (rng.randn(n_time, bins) + 1j * rng.randn(n_time, bins))
+    half[90] = rng.randn(bins) + 1j * rng.randn(bins)
+    half[17] = half[90]
+    prof = TemporalProfile(t=t, kernel=kernel, half=half, widths=basis.widths,
+                           norm=1.0, p_signal=np.zeros(n_time),
+                           dt=float(t[1] - t[0]), parseval_ratio=1.0)
+    p = prof.rows(np.arange(n_time))
+    assert np.array_equal(p[17], p[90])
+    assert prof.peak() == (17, int(np.argmax(p[17])))
+
+
+def test_simulate_profile_forms_no_time_grid(shipped_amplitudes):
+    """Transform, peak and conditional cut at n = 2048 allocate less than
+    half of one real n x n array (32 MiB); they hold (n, K) arrays."""
+    n_time, amps = shipped_amplitudes
+    tracemalloc.start()
+    try:
+        prof = temporal_profiles(amps["SV"], n_time=n_time)
+        prof.conditional_cut(prof.t[prof.peak()[1]])
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak_bytes < n_time * n_time * 8 / 2
 
 
 def test_width_fwhm_triangle_and_gaussian():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from spdc1d.blockmatrix import FIELDS
 from spdc1d.constants import CONSTANTS
 from spdc1d.errors import ConfigError
 from spdc1d.linear import PumpSpec, propagate_pump
 from spdc1d.materials import constant_material
 from spdc1d.spectral import (
     DIRS,
-    FIELDS,
     POLS,
     LayerCoupling,
     SpectralBasis,
@@ -234,6 +234,25 @@ def test_project_single_bin_identity():
                         ), (edge, row, b, alpha, beta)
                         nonzero += lam != 0.0
         assert nonzero == 8  # (x, y) and (y, x) per row field and col dir
+
+
+def test_pump_wavenumbers_exactly_symmetric_on_bin_sum_grid(gan, aln):
+    """Idler rows reuse the signal rows' edge factors; that needs the pump
+    wave numbers on the (signal bin, idler bin) grid to equal their
+    transpose bitwise, for a dispersive material too."""
+    amb = constant_material("amb", 1.0)
+    st = StructureSpec(((gan, 60e-9, 1), (aln, 12e-9, 1)), amb, amb)
+    omega_p0 = 2 * np.pi * C / 400e-9
+    basis = SpectralBasis(0.05 * omega_p0, 0.95 * omega_p0, 64)
+    sums = np.unique((basis.centers[:, None] + basis.centers[None, :]).ravel())
+    field = propagate_pump(st, PumpSpec.from_wavelength(400e-9, 7e-9, 1e3),
+                           sums)
+    for l in (1, 2):
+        coup = LayerCoupling(st, l, basis, field)
+        for g in DIRS:
+            kp = coup.pump_k(g)
+            assert np.any(kp)
+            assert np.array_equal(kp, kp.T)
 
 
 def test_projection_linear_in_pump_amplitude():
