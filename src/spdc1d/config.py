@@ -68,8 +68,12 @@ def _window_um(value, where: str) -> tuple:
 
 
 def _scan_range(value, where: str) -> tuple:
-    """(lo, hi, count) of a geometry axis: finite ends, count >= 1."""
+    """(lo, hi, count) of a geometry axis: finite positive ends (layer
+    lengths), count >= 1."""
     lo, hi, count = _numbers(value, 3, where)
+    if lo <= 0.0 or hi <= 0.0:
+        raise ConfigError(f"{where} ends must be positive lengths, "
+                          f"got {value!r}")
     return lo, hi, _integer(count, 1, f"{where} count")
 
 

@@ -56,9 +56,11 @@ def _crossing(n_from, n_to, convention):
 
 
 def mat2_mul(a, b):
-    """Product of 2x2 maps stacked over the trailing axes."""
-    out = np.empty_like(a)
-    out[0, 0] = a[0, 0] * b[0, 0] + a[0, 1] * b[1, 0]
+    """Product of 2x2 maps stacked over the trailing axes, which
+    broadcast."""
+    first = a[0, 0] * b[0, 0] + a[0, 1] * b[1, 0]
+    out = np.empty((2, 2) + first.shape, dtype=first.dtype)
+    out[0, 0] = first
     out[0, 1] = a[0, 0] * b[0, 1] + a[0, 1] * b[1, 1]
     out[1, 0] = a[1, 0] * b[0, 0] + a[1, 1] * b[1, 0]
     out[1, 1] = a[1, 0] * b[0, 1] + a[1, 1] * b[1, 1]
@@ -87,21 +89,32 @@ def layer_transfers(structure: StructureSpec, omega, convention="field"):
     Returns (at_left, at_right), each of shape (N+2, 2, 2, len(omega)):
     the amplitudes of layer l at its left boundary z_l and at its right
     boundary z_{l+1}.  The ambient media have zero length, so both
-    coincide there; at_left[N+1] is the total transfer.
+    coincide there; at_left[N+1] is the total transfer.  Layer lengths
+    may be arrays over a geometry grid that broadcast together to a shape
+    G; one march then serves every geometry, with G before the frequency
+    axis: (N+2, 2, 2, *G, len(omega)).
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     n_tot = structure.n_layers + 2
-    at_left = np.zeros((n_tot, 2, 2, omega.size), dtype=complex)
+    lengths = [structure.length(l) for l in range(n_tot)]
+    grid = np.broadcast_shapes(*(length.shape for length in lengths
+                                 if isinstance(length, np.ndarray)))
+    at_left = np.zeros((n_tot, 2, 2) + grid + (omega.size,), dtype=complex)
     at_left[0, 0, 0] = at_left[0, 1, 1] = 1.0
     at_right = at_left.copy()
     n = _layer_indices(structure, omega)
     # one crossing and phase per (material pair, length); n holds one
-    # array per material, so the ids of its entries name the materials
+    # array per material, so the ids of its entries name the materials,
+    # and a geometry-grid length is named by its array object
     steps = {}
     for l in range(1, n_tot):
-        key = (id(n[l - 1]), id(n[l]), structure.length(l))
+        length = lengths[l]
+        key = (id(n[l - 1]), id(n[l]),
+               id(length) if isinstance(length, np.ndarray) else length)
         if key not in steps:
-            phase = np.exp(1j * omega / CONSTANTS.c * n[l] * structure.length(l))
+            axes = (1,) * (len(grid) - np.ndim(length)) + np.shape(length)
+            phase = np.exp(1j * omega / CONSTANTS.c * n[l]
+                           * np.reshape(length, axes + (1,)))
             steps[key] = (_crossing(n[l - 1], n[l], convention),
                           np.array([phase, 1.0 / phase])[:, None])
         crossing, propagate = steps[key]
@@ -162,7 +175,10 @@ def linear_transmission(structure: StructureSpec, omega, side="F"):
     """Complex t, r and intensity coefficients T, R at given frequencies.
 
     t and r are field-amplitude ratios; T includes the n_out/n_in flux
-    factor so that T + R = 1 for lossless stacks.
+    factor so that T + R = 1 for lossless stacks.  Each is an array over
+    (*G, len(omega)) for layer lengths over a geometry grid G (see
+    ``layer_transfers``), and a plain number for scalar lengths and one
+    frequency.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     m = layer_transfers(structure, omega, "field")[0][-1]  # total transfer
@@ -181,7 +197,7 @@ def linear_transmission(structure: StructureSpec, omega, side="F"):
     else:
         raise ConfigError(f"side must be 'F' or 'B', got {side!r}")
     big_r = np.abs(r) ** 2
-    if omega.size == 1:
+    if t.shape == (1,):
         return complex(t[0]), complex(r[0]), float(big_t[0]), float(big_r[0])
     return t, r, big_t, big_r
 

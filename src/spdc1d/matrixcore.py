@@ -45,11 +45,34 @@ polarizations.
 None of these maps depends on polarization, and every kernel is one
 polarization-free grid times the layer's chi2 matrix d (``spectral``).
 So the feed and inverse-response scalings run on polarization-free
-arrays of shape (2, 2, 2, K, K) over (row field, row dir, col dir, row
-bin, col bin), summed per distinct d; d is applied only in ``_expand``,
-once per distinct d for G_V and G_S and once per kept boundary source.
-The layer couplings of one build share their per-(material, length)
-kernel factors (``spectral.layer_couplings``).
+arrays of shape (2, 2, 2, K, K) over (volume/surface, row dir, col dir,
+row bin, col bin), summed per distinct d; d is applied only in
+``_expand``, once per distinct d for G_V and G_S and once per kept
+boundary source.
+
+Only the signal rows are assembled.  The idler maps are the complex
+conjugates of the signal maps, so the idler rows' boundary responses,
+their inverses, condition numbers and feeds are those of the signal
+rows conjugated (exactly); and the bin-sum grid is exactly symmetric,
+so the idler rows' kernels equal the signal rows'.  The idler rows of
+every source are therefore conj(P) with d.T, formed in ``_expand``.
+
+A layer's kernels depend on the layer only through its (material,
+length) class, except for the pump weight a_g, its poling sign times
+the pump amplitude of direction g (``spectral.class_kernels``,
+``spectral.pump_weights``).  So the sources come from one class pass
+per nonlinear (material object, length) and edge: the class kernels are
+formed once; each layer's kernels are sum_g a_g kernels[g], scaled by
+columns with that layer's feed and by rows with the inverse response of
+its boundary (the right edge of layer l sits at boundary l+1 with sign
++, the left edge at boundary l with sign -) times 1/sqrt(n); and the
+layers are summed inside the contraction.  The layers go through in
+chunks of at most ``_CLASS_CHUNK`` // K^2 layers (at least one), so a
+pass holds a bounded number of K x K grids: at K = 12 the 10 GaN layers
+of the example form one chunk, at K >= 64 every layer is its own.  With
+``keep_sources`` the same pass runs one layer per chunk and each result
+is also kept for its boundary.  The physics (kernels, feeds, responses)
+is the same on both paths.
 """
 
 from __future__ import annotations
@@ -75,14 +98,16 @@ from .materials import refractive_index
 from .spectral import (
     DIRS,
     POLS,
-    LayerCoupling,
     SpectralBasis,
+    class_kernels,
     layer_couplings,
-    project_to_basis,
+    pump_weights,
+    weighted_kernels,
 )
 from .structure import StructureSpec
 
 CONDITION_WARN = 1e12
+_CLASS_CHUNK = 4096  # layers x K^2 per class pass: the chunk's element budget
 
 
 def overlap_matrices(material, basis: SpectralBasis):
@@ -188,68 +213,35 @@ def pair_block(pairs, row, col):
                  DIRS.index(b), POLS.index(beta)]
 
 
-def _side_kernels(coupling: LayerCoupling, edge: str, convention="local-jump"):
-    """(J_volume, J_surface, d) of one layer side, mapping that layer's
-    free modes of the column field at the boundary to continuity-row
-    sources of the row field, polarization-free.
-
-    J_volume has shape (2, 2, 2, K, K) over (row field, E/H row, col dir,
-    row bin, col bin): electric = arriving kernel content, magnetic = its
-    i k chi part minus the bare source coefficient.  J_surface has shape
-    (2, 2, K, K) without the E/H axis: its electric rows are zero, its
-    magnetic rows the bare source coefficient (whose jump across the
-    boundary is the only net surface drive).  The idler-row sector is
-    conjugated (creation-operator components); its row index pairs with
-    signal-mode columns.  d (real) is project_to_basis's chi2 matrix per
-    row field.
-    """
-    (ve, vh, sh), d = project_to_basis(coupling, edge, convention)
-    pref = coupling.inv_sqrt_index()[:, None]  # on the row bins
-    j_v = np.stack((ve, vh), axis=1) * pref
-    j_s = sh * pref
-    for j in (j_v, j_s):
-        j[1] = np.conj(j[1])
-    return j_v, j_s, d
-
-
 def _expand(parts, shape):
-    """(volume, surface) pair arrays sum_m d_m (x) P_m from (d, P) parts:
-    d of shape (2, 2, 2) over (row field, row pol, col pol), P of shape
-    (2, 2, 2, 2, K, K) over (volume/surface, row field, row dir, col dir,
-    row bin, col bin)."""
+    """(volume, surface) pair arrays sum_m d_m (x) P_m from signal-row
+    (d, P) parts: d of shape (2, 2) over (signal pol, idler pol), P of
+    shape (2, 2, 2, K, K) over (volume/surface, row dir, col dir, row bin,
+    col bin).  The idler rows are conj(P) with d.T."""
     out = np.zeros((2,) + shape, dtype=complex)
     for d, p in parts:
-        for f, alpha, beta in zip(*np.nonzero(d)):
-            out[:, f, :, alpha, :, beta] += d[f, alpha, beta] * p[:, f]
+        for f, (d_f, p_f) in enumerate(((d, p), (d.T, np.conj(p)))):
+            for alpha, beta in zip(*np.nonzero(d_f)):
+                out[:, f, :, alpha, :, beta] += d_f[alpha, beta] * p_f
     return out[0], out[1]
 
 
-def _boundary_sources(couplings, l, fed, inverse, convention):
-    """Output sources of boundary l as polarization-free (d, P) parts (see
-    ``_expand``), one per distinct chi2 matrix d of its two sides.
+def _class_pass(kernels, weights, feed, rows):
+    """Signal-row output sources of a chunk of layers of one class at one
+    edge, summed over the layers (see ``_expand`` for the layout).
 
-    The kernels of each side are scaled by columns with the feed of that
-    side's modes from the inputs (``fed``: per edge, shape (row field,
-    col dir, channel, layer, bin)), then by rows with the boundary's
-    inverse response (shape (row field, out dir, E/H, bin)); surface
-    sources drive magnetic rows only.
+    kernels: ``class_kernels`` of the class; weights: the layers'
+    ``pump_weights``, shape (L, g, K, K); feed: the layers' modes at the
+    edge from the inputs, shape (col dir, channel, L, col bin); rows: the
+    inverse response of each layer's boundary times 1/sqrt(n), shape
+    (out dir, E/H, L, row bin).  Surface sources drive magnetic rows only,
+    and their kernel is the same for both column directions.
     """
-    rows = {}
-    for coupling, edge, sign in ((couplings[l - 1], "right", 1.0),
-                                 (couplings[l], "left", -1.0)):
-        if coupling.is_dark():
-            continue
-        feed = fed[edge][:, :, :, coupling.l]
-        j_v, j_s, d = _side_kernels(coupling, edge, convention)
-        k_v = sign * np.einsum("fxbkn,fbcn->fxckn", j_v, feed)
-        k_s = sign * np.einsum("fbkn,fbcn->fckn", j_s, feed)
-        if d.tobytes() in rows:
-            _, k_v0, k_s0 = rows[d.tobytes()]
-            k_v, k_s = k_v0 + k_v, k_s0 + k_s
-        rows[d.tobytes()] = (d, k_v, k_s)
-    return [(d, np.stack((np.einsum("fdxk,fxckn->fdckn", inverse, k_v),
-                          inverse[:, :, 1, None, :, None] * k_s[:, None])))
-            for d, k_v, k_s in rows.values()]
+    j_v, j_s = weighted_kernels(kernels, weights)
+    k_v = np.einsum("lxbkn,bcln->lxckn", j_v, feed)
+    p_v = np.einsum("dxlk,lxckn->dckn", rows, k_v)
+    p_s = np.einsum("dlk,lkn,cln->dckn", rows[:, 1], j_s, feed.sum(axis=0))
+    return np.stack((p_v, p_s))
 
 
 @dataclass
@@ -291,45 +283,54 @@ def build_emission(
     scatter = {f: m.scatter for f, m in maps.items()}
 
     couplings = layer_couplings(structure, basis, pump)
-    active = [l for l in range(1, n_tot)
-              if not (couplings[l - 1].is_dark() and couplings[l].is_dark())]
-    # inverse responses of every active boundary, with their exact 1-norm
-    # condition numbers (largest column sums per bin)
-    inverse = []
-    cond = np.zeros(len(active))
-    for f in FIELDS:
-        response = maps[f].response(np.array(active, dtype=int))
-        try:
-            inverse.append(mat2_inv(response, "boundary response"))
-        except SingularMatrix:
-            for i, l in enumerate(active):  # name the first bad boundary
-                mat2_inv(response[:, :, i], f"boundary {l} response")
-            raise
-        norm_r, norm_inv = (np.abs(a).sum(axis=0).max(axis=0)
-                            for a in (response, inverse[-1]))
-        cond = np.maximum(cond, (norm_r * norm_inv).max(axis=-1))
-    inverse = np.array(inverse)  # (row field, out dir, E/H, boundary, bin)
-    # feed of every layer's modes at each edge, per row field (from the
-    # maps of its column field)
-    fed = {edge: np.array([maps[c].fed(edge) for c in ("i", "s")])
-           for edge in ("left", "right")}
+    dark = [c.is_dark() for c in couplings]
+    active = [l for l in range(1, n_tot) if not (dark[l - 1] and dark[l])]
+    # inverse responses of the signal rows at every active boundary, with
+    # their exact 1-norm condition numbers (largest column sums per bin);
+    # the idler rows' are the complex conjugates
+    response = maps["s"].response(np.array(active, dtype=int))
+    try:
+        inverse = mat2_inv(response, "boundary response")
+    except SingularMatrix:
+        for i, l in enumerate(active):  # name the first bad boundary
+            mat2_inv(response[:, :, i], f"boundary {l} response")
+        raise
+    norm_r, norm_inv = (np.abs(a).sum(axis=0).max(axis=0)
+                        for a in (response, inverse))
+    cond = (norm_r * norm_inv).max(axis=-1)
+    warnings = [f"boundary {l}: response condition number {c:.2e}"
+                for l, c in zip(active, cond) if c > CONDITION_WARN]
+    # feed of every layer's modes at each edge for the signal rows, from
+    # the idler maps (their column field)
+    fed = {edge: maps["i"].fed(edge) for edge in ("left", "right")}
+    position = {l: i for i, l in enumerate(active)}
+    classes = {}  # (material object, length) -> nonlinear couplings
+    for coupling, is_dark in zip(couplings[1:-1], dark[1:-1]):
+        if not is_dark:
+            classes.setdefault((id(coupling.material), coupling.length),
+                               []).append(coupling)
+    per_chunk = 1 if keep_sources else max(1, _CLASS_CHUNK // basis.bins**2)
     shape = (2,) * 5 + (basis.bins, basis.bins)
-    totals = {}  # d.tobytes() -> [d, polarization-free sum of its parts]
-    sources = {l: _expand((), shape)
-               for l in range(1, n_tot)} if keep_sources else {}
-    warnings = []
-    for i, l in enumerate(active):
-        if cond[i] > CONDITION_WARN:
-            warnings.append(
-                f"boundary {l}: response condition number {cond[i]:.2e}"
-            )
-        parts = _boundary_sources(couplings, l, fed, inverse[:, :, :, i],
-                                  convention)
-        if keep_sources:
-            sources[l] = _expand(parts, shape)
-        for d, p in parts:
-            total = totals.setdefault(d.tobytes(), [d, 0.0])
-            total[1] += p
+    totals = {}  # d.tobytes() -> [d, signal-row sum of its parts]
+    kept = {l: [] for l in range(1, n_tot)}  # boundary -> its (d, P) parts
+    for members in classes.values():
+        d = members[0].chi2_matrix()
+        pref = members[0].inv_sqrt_index()
+        # a layer's right edge is boundary l + 1, its left edge boundary l
+        for edge, sign, shift in (("right", 1.0, 1), ("left", -1.0, 0)):
+            kernels = class_kernels(members[0], edge, convention)
+            for start in range(0, len(members), per_chunk):
+                chunk = members[start:start + per_chunk]
+                ls = [c.l for c in chunk]
+                rows = inverse[:, :, [position[l + shift] for l in ls]] * pref
+                p = sign * _class_pass(kernels, pump_weights(chunk),
+                                       fed[edge][:, :, ls], rows)
+                total = totals.setdefault(d.tobytes(), [d, 0.0])
+                total[1] = total[1] + p
+                if keep_sources:
+                    kept[ls[0] + shift].append((d, p))
+    sources = ({l: _expand(parts, shape) for l, parts in kept.items()}
+               if keep_sources else {})
     g_v, g_s = _expand(totals.values(), shape)
 
     for name, mat in (("F", list(scatter.values())), ("G_V", g_v),

@@ -258,14 +258,16 @@ def default_time_grid(widths, n_time: int = 2048):
     return t
 
 
-def temporal_profiles(jsa: JointSpectralAmplitude,
-                      n_time: int = 2048) -> TemporalProfile:
+def temporal_profiles(jsa: JointSpectralAmplitude, n_time: int = 2048,
+                      kernel=None) -> TemporalProfile:
     """Fourier-transform a two-photon amplitude to detection times.
 
     Uses the explicit kernel exp(-i w t) dw from the bin centers on the
     n_time-point alias-exact grid (see default_time_grid); raises
     GridTooCoarse when its dt exceeds pi / max(w).  Only the half
-    transform over w_s, half = kernel @ cont, is formed.
+    transform over w_s, half = kernel @ cont, is formed.  ``kernel`` may
+    pass the ``kernel`` of an earlier profile on the same bins and
+    n_time, so that amplitudes of one emission share one kernel.
 
     The sum over t_i needs no second transform: on this grid (uniform
     bins, n dt dw = 2 pi) discrete Parseval gives
@@ -284,7 +286,11 @@ def temporal_profiles(jsa: JointSpectralAmplitude,
         raise GridTooCoarse(
             f"dt = {dt:.3e} s exceeds Nyquist limit {np.pi / w_max:.3e} s"
         )
-    kernel = np.exp(-1j * np.outer(t, jsa.omega)) * jsa.widths[None, :]
+    if kernel is None:
+        kernel = np.exp(-1j * np.outer(t, jsa.omega)) * jsa.widths[None, :]
+    elif kernel.shape != (t.size, jsa.omega.size):
+        raise ValueError(f"time kernel of shape {kernel.shape}, expected "
+                         f"{(t.size, jsa.omega.size)}")
     half = kernel @ jsa.continuous
     row_power = t.size * (np.abs(half * jsa.widths) ** 2).sum(axis=1)
     norm = float(row_power.sum() * dt * dt)

@@ -102,10 +102,13 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
     amps = two_photon_amplitude(emission, channel)
     curves, peaks, cond_widths = {}, {}, {}
     t_cond = cfg.conditional_t_idler
+    kernel = None  # one time kernel for all three, one profile held at a time
     for w in ("SV", "V", "S"):  # SV first: its joint peak sets t_cond
         if np.max(np.abs(amps[w].matrix)) == 0.0:
             continue
-        prof = temporal_profiles(amps[w], n_time=cfg.time_points)
+        prof = temporal_profiles(amps[w], n_time=cfg.time_points,
+                                 kernel=kernel)
+        kernel = prof.kernel
         t = prof.t
         peak = prof.peak()
         if t_cond is None:
@@ -191,12 +194,9 @@ def transmission_map(cfg: RunConfig, out_dir=None):
     lo2, hi2, n2 = cfg.scan.l2_nm
     l1 = np.linspace(lo1, hi1, int(n1))
     l2 = np.linspace(lo2, hi2, int(n2))
-    tmap = np.empty((l1.size, l2.size))
-    for i, a in enumerate(l1):
-        for j, b in enumerate(l2):
-            st = _pair_stack(cfg, a * 1e-9, b * 1e-9)
-            _, _, big_t, _ = linear_transmission(st, cfg.omega_p0)
-            tmap[i, j] = big_t
+    # one transfer march over the whole grid: l1 on rows, l2 on columns
+    st = _pair_stack(cfg, l1[:, None] * 1e-9, l2[None, :] * 1e-9)
+    tmap = linear_transmission(st, cfg.omega_p0)[2][..., 0]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_csv(

@@ -24,7 +24,7 @@ content of the pair terms per side sums to i k_s,a chi exactly; the bare
 source coefficient Q(z) = sum_g T_g^* exp(i k_p,g (z - z_l)), which is
 the local pump field times tau_s tau_i chi2, can be distributed between the
 volume and surface channels in more than one exact way, which is what
-the surface-attribution conventions of _edge_kernels select.  Q is
+the surface-attribution conventions of class_kernels select.  Q is
 continuous across a boundary up to the jump of the material factors, so
 driving the surface channel with its jump ('local-jump') makes a
 fictitious boundary inside homogeneous material source nothing, while
@@ -35,7 +35,8 @@ The layers are isotropic, so T_g depends on the polarizations only
 through the scalar chi2 coefficient: every kernel is one
 polarization-free grid times the layer's 2x2 matrix d[signal pol, idler
 pol] (its transpose for idler rows).  ``project_to_basis`` returns the
-polarization-free kernels of one edge, arrays of shape (2, 2, K, K) over
+polarization-free kernels of one layer and edge, arrays of shape (2, 2,
+K, K) over
 
     (row field, col dir, row bin, col bin)
 
@@ -43,14 +44,17 @@ in ``FIELDS``/``DIRS`` order (forward rows at the right edge, backward
 rows at the left edge), together with each row field's d; ``matrixcore``
 applies d only when it expands its sums into pair arrays.
 
-Everything but the pump weight conj(T_g) depends on the layer only
-through its (material, length): the wave numbers, photon amplitudes,
-1/sqrt(n) prefactors and pump wave numbers per material, and the
-brackets (e^{i dk L} - 1)/dk with the right-edge phase per (material,
-length).  Couplings made by ``layer_couplings`` share these for the
-length of one emission build, keyed on the material object, never on its
-name; conj(T_g), which carries the layer's pump amplitude and poling
-sign, is computed per layer.
+Everything but the pump weight depends on the layer only through its
+(material, length): the wave numbers, photon amplitudes and pump wave
+numbers per material, and the brackets (e^{i dk L} - 1)/dk with the
+right-edge phase per (material, length).  ``class_kernels`` therefore
+forms the kernels of a whole (material, length) class at one edge once,
+per unit pump weight; a layer's kernels are sum_g a_g times them
+(``weighted_kernels``), with a_g = poling x pump amplitude of direction g
+on the bin-sum grid (``pump_weights``), the one per-layer factor of
+conj(T_g).  Couplings made by ``layer_couplings`` share the
+per-material arrays for the length of one emission build, keyed on the
+material object, never on its name.
 """
 
 from __future__ import annotations
@@ -162,8 +166,8 @@ class LayerCoupling:
     the area cancels.
 
     ``shared`` holds what depends only on the basis, the pump and the
-    layer's (material, length), per material object (see the module
-    docstring); couplings that share it must share basis and pump.
+    layer's material, per material object (see the module docstring);
+    couplings that share it must share basis and pump.
     """
 
     structure: StructureSpec
@@ -253,15 +257,19 @@ class LayerCoupling:
             for a in POLS
         ]))
 
+    def tau2(self):
+        """tau_s tau_i (4 pi eps0 / hbar) on the (signal bin, idler bin) grid."""
+        return self._per_material("tau2", lambda: (
+            4.0 * np.pi * CONSTANTS.eps0 / CONSTANTS.hbar
+            * self.tau()[:, None] * self.tau()[None, :]))
+
     def tstar_unit(self, g):
         """conj(T_g) per unit chi2 on the (signal bin, idler bin) grid.
 
-        Computed on every call: it is the one per-layer factor, and
-        keeping it would hold a K x K grid per layer and direction."""
-        tau2 = self._per_material("tau2", lambda: (
-            4.0 * np.pi * CONSTANTS.eps0 / CONSTANTS.hbar
-            * self.tau()[:, None] * self.tau()[None, :]))
-        base = tau2 * self.structure.poling(self.l)
+        Computed on every call and read by the z-grid oracle; the emission
+        assembly takes the same factor as the class kernels' tau2 product
+        times ``pump_weights``."""
+        base = self.tau2() * self.structure.poling(self.l)
         return -1j * base * self.pump_amp(g)
 
     def tstar(self, g, alpha, beta):
@@ -285,7 +293,7 @@ class LayerCoupling:
 
 def layer_couplings(structure: StructureSpec, basis: SpectralBasis,
                     pump: PumpField):
-    """Couplings of layers 0..N+1 sharing one per-(material, length) store."""
+    """Couplings of layers 0..N+1 sharing one per-material store."""
     shared = {}
     return [LayerCoupling(structure, l, basis, pump, shared)
             for l in range(structure.n_layers + 2)]
@@ -327,18 +335,21 @@ def _edge_factors(coupling: LayerCoupling, edge: str):
     return np.array(chi_fac), np.array(q_fac), k_row
 
 
-def _edge_kernels(coupling: LayerCoupling, edge: str,
+def class_kernels(coupling: LayerCoupling, edge: str,
                   convention: str = "local-jump"):
-    """Projected arriving kernel chi and the volume/surface magnetic
-    attributions at one edge.
+    """Projected kernels at one edge of every layer of the coupling's
+    (material, length) class, per unit pump weight.
 
-    Returns (chi, hv, hs), each of shape (2, 2, K_row, K_col) over (row
-    field, col dir, row bin, col bin) and polarization-free (per unit
-    chi2); idler rows use the transposed (idler, signal) grids.  chi is
-    the electric content of the mode arriving at the edge, hv/hs the
-    magnetic content assigned to the volume/surface equations.  Per side
-    hv + hs always equals the exact total i k chi; the conventions
-    distribute the bare source coefficient Q differently:
+    Returns (volume, surface): volume of shape (2, 2, 2, K, K) over (pump
+    dir g, E/H row, col dir, row bin, col bin), surface of shape (2, K, K)
+    over g.  A layer of the class with pump weights a_g
+    (``pump_weights``) has the kernels sum_g a_g volume[g] and sum_g a_g
+    surface[g] (``weighted_kernels``).  The electric row is the arriving
+    kernel chi, the magnetic row its volume attribution; surface is the
+    magnetic surface attribution, the same for both column directions.
+    Per side the two magnetic attributions always sum to the exact total
+    i k chi; the conventions distribute the bare source coefficient Q
+    differently:
 
     * 'local-jump': surface rows carry +Q on both sides, so the surface
       drive is the cross-boundary jump of Q (zero at a fictitious
@@ -348,27 +359,52 @@ def _edge_kernels(coupling: LayerCoupling, edge: str,
       (volume rows i k chi + [+-1]_a Q of the arriving slot, surface
       rows the departing slot's [+-1]_a Q).  Not fictitious-boundary
       null; kept for comparison only.
+
+    The kernels are polarization-free (per unit chi2) signal rows; idler
+    rows are the same grids, because the bin-sum grid is exactly
+    symmetric.
     """
+    if edge not in ("left", "right"):
+        raise ConfigError("edge must be 'left' or 'right'")
     if convention not in SPLIT_CONVENTIONS:
         raise ConfigError(f"unknown split convention {convention!r}")
-    chi_fac, q_fac, k_row = coupling._per_material(
-        ("edge", coupling.length, edge), lambda: _edge_factors(coupling, edge))
-    tst = [coupling.tstar_unit(g) for g in DIRS]
-    tst = np.array([tst, [t.T for t in tst]])  # (row field, g, row, col)
-    chi = tst[:, 0, None] * chi_fac[0] + tst[:, 1, None] * chi_fac[1]
-    q = (tst[:, 0] * q_fac[0] + tst[:, 1] * q_fac[1])[:, None]
+    chi_fac, q_fac, k_row = _edge_factors(coupling, edge)
+    unit = -1j * coupling.tau2()  # conj(T_g) per unit chi2 and pump weight
+    chi = unit * chi_fac
+    q = unit * q_fac
     if convention == "local-jump":
         sigma = -1.0
     else:  # per-slot: [+-1]_a of the arriving direction
         sigma = 1.0 if edge == "right" else -1.0
-    hv = 1j * k_row[:, None] * chi + sigma * q
-    hs = np.broadcast_to(-sigma * q, chi.shape)
-    return chi, hv, hs
+    hv = 1j * k_row[:, None] * chi + sigma * q[:, None]
+    return np.stack((chi, hv), axis=1), -sigma * q
+
+
+def pump_weights(couplings):
+    """a_g = poling times the pump amplitude of direction g on the (signal
+    bin, idler bin) grid, for couplings of one build: shape (L, 2, K, K)
+    over (layer, g, row bin, col bin).  conj(T_g) per unit chi2 is
+    -i tau_s tau_i (4 pi eps0 / hbar) a_g (``tstar_unit``)."""
+    first = couplings[0]
+    ls = [c.l for c in couplings]
+    poling = np.array([first.structure.poling(l) for l in ls], dtype=float)
+    amps = first.pump.amps[ls][:, :, first._pump_index()]
+    return (poling[:, None, None] * amps).reshape(
+        (len(ls), 2) + first.sum_grid().shape)
+
+
+def weighted_kernels(kernels, weights):
+    """Per-layer kernels sum_g a_g kernels[g] from ``class_kernels`` and
+    pump weights of shape (L, 2, K, K): (volume (L, 2, 2, K, K) over
+    (layer, E/H row, col dir, row bin, col bin), surface (L, K, K))."""
+    volume, surface = kernels
+    return (np.einsum("lgkn,gxbkn->lxbkn", weights, volume),
+            np.einsum("lgkn,gkn->lkn", weights, surface))
 
 
 def project_to_basis(coupling: LayerCoupling, edge: str,
                      convention: str = "local-jump"):
-    """Project the layer kernels at one edge onto the bin basis.
+    """Project the kernels of one layer at one edge onto the bin basis.
 
     Returns ((volume_e, volume_h, surface_h), d): polarization-free
     kernels in the layout of the module docstring, and d of shape (2, 2,
@@ -376,13 +412,16 @@ def project_to_basis(coupling: LayerCoupling, edge: str,
     signal rows and its transpose for idler rows.  A kernel block of
     polarizations (p, q) is d[field, p, q] times the kernel.  volume_e
     projects the arriving kernel chi; volume_h/surface_h carry the
-    magnetic boundary-source attribution, and their sum is the total
-    magnetic content of the mode slot.  Every kernel carries sqrt(dw_row
-    dw_col) (midpoint-rule projection onto the top-hat bases).
-    Idler-row kernels are NOT yet conjugated (assembly into the
-    creation-operator sector conjugates them).
+    magnetic boundary-source attribution (``class_kernels``), and their
+    sum is the total magnetic content of the mode slot.  Every kernel
+    carries sqrt(dw_row dw_col) (midpoint-rule projection onto the
+    top-hat bases).  Idler-row kernels equal the signal-row ones and are
+    NOT yet conjugated (assembly into the creation-operator sector
+    conjugates them).
     """
-    if edge not in ("left", "right"):
-        raise ConfigError("edge must be 'left' or 'right'")
+    volume, surface = weighted_kernels(
+        class_kernels(coupling, edge, convention), pump_weights([coupling]))
+    chi, hv = volume[0]
+    hs = np.broadcast_to(surface[0], chi.shape)
     d = coupling.chi2_matrix()
-    return _edge_kernels(coupling, edge, convention), np.array([d, d.T])
+    return tuple(np.array([k, k]) for k in (chi, hv, hs)), np.array([d, d.T])

@@ -11,13 +11,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError
 from .materials import MaterialModel
 
 
+def _nonpositive(length) -> bool:
+    """Whether a layer length, a number or an array over a geometry grid,
+    has an entry <= 0."""
+    if isinstance(length, np.ndarray):
+        return bool(np.any(length <= 0.0))
+    return length <= 0.0
+
+
 @dataclass(frozen=True)
 class StructureSpec:
-    """Ordered stack of (material, length, poling sign) plus ambients."""
+    """Ordered stack of (material, length, poling sign) plus ambients.
+
+    A length may be an array over a geometry grid (every entry positive,
+    all lengths broadcasting together); only the linear transfers
+    (``linear.layer_transfers``, ``linear.linear_transmission``) accept
+    such a stack.
+    """
 
     layers: tuple  # ((MaterialModel, length_m, poling), ...)
     ambient_in: MaterialModel
@@ -27,7 +43,7 @@ class StructureSpec:
         if len(self.layers) < 1:
             raise ConfigError("structure needs at least one layer")
         for mat, length, poling in self.layers:
-            if length <= 0.0:
+            if _nonpositive(length):
                 raise ConfigError(f"layer of {mat.name} has nonpositive length")
             if poling not in (-1, 1):
                 raise ConfigError(f"poling sign must be +-1, got {poling}")

@@ -7,7 +7,6 @@ import pytest
 
 import spdc1d.matrixcore as matrixcore_mod
 import spdc1d.runner as runner_mod
-import spdc1d.spectral as spectral_mod
 from spdc1d.cli import main
 from spdc1d.config import ConfigError, load_config, parse_config
 from spdc1d.blockmatrix import BlockMatrix, mode_space, row_space
@@ -316,13 +315,15 @@ def test_verify_builds_each_emission_once(monkeypatch, attribution):
 
 def test_verify_detects_corrupted_kernels(monkeypatch):
     cfg = parse_config(_tiny_config())
-    orig = spectral_mod._edge_kernels
+    orig = matrixcore_mod.class_kernels
 
     def corrupted(coupling, edge, convention="local-jump"):
-        chi, hv, hs = orig(coupling, edge, convention)
-        return 1.02 * chi, hv, hs
+        volume, surface = orig(coupling, edge, convention)
+        volume = volume.copy()
+        volume[:, 0] *= 1.02  # the arriving kernel chi (electric rows)
+        return volume, surface
 
-    monkeypatch.setattr(spectral_mod, "_edge_kernels", corrupted)
+    monkeypatch.setattr(matrixcore_mod, "class_kernels", corrupted)
     report, ok = verify(cfg, bins=6)
     assert not ok
     assert report["checks"]["oracle_total_amplitude"]["error"] > 1e-4
@@ -536,6 +537,31 @@ def test_scan_cli_and_worker_independence(tmp_path):
     assert (out1 / "ridge_scan.csv").read_bytes() == (
         out2 / "ridge_scan.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("key", ["l1_nm", "l2_nm"])
+def test_nonpositive_scan_range_end_rejected_at_parse_time(key):
+    for bad in ([0.0, 100.0, 9], [20.0, -5.0, 9], [-20.0, 100.0, 1]):
+        raw = _tiny_config()
+        raw["scan"][key] = bad
+        with pytest.raises(ConfigError, match=f"scan.{key} ends must be "
+                                              "positive"):
+            parse_config(raw)
+
+
+@pytest.mark.parametrize("command", ["scan", "transmission-map"])
+@pytest.mark.parametrize("flag,key", [("--l1-range", "l1_nm"),
+                                      ("--l2-range", "l2_nm")])
+def test_cli_nonpositive_scan_range_exits_2(tmp_path, capsys, command, flag,
+                                            key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg_path), "--out-dir", str(out),
+               flag, "0", "90", "5"])
+    assert rc == 2
+    assert f"scan.{key} ends must be positive" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any output is written
 
 
 def test_backward_pump_and_backward_channel(tmp_path):

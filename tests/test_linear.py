@@ -169,3 +169,26 @@ def test_flux_convention_unitary_scattering():
     t_b, r_b = amps_b[0, 1, 0], amps_b[-1, 0, 0]
     s = np.array([[r_f, t_b], [t_f, r_b]])
     assert np.max(np.abs(s @ s.conj().T - np.eye(2))) < 1e-12
+
+
+@pytest.mark.parametrize("side", ["F", "B"])
+def test_geometry_grid_transmission_equals_per_structure_loop(gan, aln, air,
+                                                              side):
+    """Layer lengths over a (l1, l2) grid run as one transfer march whose
+    t, r, T and R are bitwise those of one march per structure."""
+    l1 = np.linspace(40e-9, 80e-9, 4)
+    l2 = np.linspace(8e-9, 20e-9, 3)
+    omega = np.linspace(0.9, 1.1, 5) * 2 * np.pi * C / 400e-9
+
+    def pairs(a, b):
+        return StructureSpec(((gan, a, 1), (aln, b, 1)) * 3, air, air)
+
+    batched = linear_transmission(pairs(l1[:, None], l2[None, :]), omega,
+                                  side)
+    for got in batched:
+        assert got.shape == (l1.size, l2.size, omega.size)
+    for i, a in enumerate(l1):
+        for j, b in enumerate(l2):
+            single = linear_transmission(pairs(a, b), omega, side)
+            for got, ref in zip(batched, single):
+                assert np.array_equal(got[i, j], ref)

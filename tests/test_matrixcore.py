@@ -282,16 +282,21 @@ def test_boundary_sources_sum_to_emission_maps(stack4, pump400):
         assert np.linalg.norm(total - g) <= 1e-13 * np.linalg.norm(g)
 
 
-def _assert_sources_match_per_block_loop(structure, pump_spec, b):
-    """Every kept source against a plain loop over (row field, row pol,
-    col pol) built from the basis-projected kernel arrays of couplings
-    that share nothing: columns scaled by the feed of the other field,
-    rows by the inverse response."""
-    em = build_emission(structure, pump_spec, b, keep_sources=True)
+def _assert_sources_match_per_block_loop(structure, pump_spec, b,
+                                         convention="local-jump"):
+    """Every kept source, and G_V/G_S of a build that keeps none (so its
+    class passes run in chunks of layers), against a plain loop over (row
+    field, row pol, col pol) built from the basis-projected kernel arrays
+    of couplings that share nothing: columns scaled by the feed of the
+    other field, rows by the inverse response."""
+    em = build_emission(structure, pump_spec, b, keep_sources=True,
+                        convention=convention)
+    chunked = build_emission(structure, pump_spec, b, convention=convention)
     maps = linear_maps(structure, b)
     couplings = [LayerCoupling(structure, l, b, em.pump)
                  for l in range(structure.n_layers + 2)]
     k = b.bins
+    totals = np.zeros((2,) * 6 + (k, k), dtype=complex)
     for l, kept in em.boundary_sources.items():
         sides = ((couplings[l - 1], "right", 1.0, l - 1),
                  (couplings[l], "left", -1.0, l))
@@ -305,7 +310,7 @@ def _assert_sources_match_per_block_loop(structure, pump_spec, b):
                         if coup.is_dark():
                             continue
                         vol_e, vol_h, sur_h = polarized_kernels(
-                            project_to_basis(coup, edge))
+                            project_to_basis(coup, edge, convention))
                         pref = 1.0 / np.sqrt(
                             refractive_index(coup.material, b.centers))
                         at = (maps[col_f].at_right[idx] if edge == "right"
@@ -329,9 +334,15 @@ def _assert_sources_match_per_block_loop(structure, pump_spec, b):
                             for c in range(2):
                                 ref = (inv[d, 0][:, None] * rows[w, 0, c]
                                        + inv[d, 1][:, None] * rows[w, 1, c])
+                                totals[w, fi, d, pi, c, qi] += ref
                                 got = kept[w][fi, d, pi, c, qi]
                                 scale = max(np.abs(ref).max(), 1e-300)
                                 assert np.abs(got - ref).max() <= 1e-13 * scale
+    for w, g in enumerate((chunked.g_volume, chunked.g_surface)):
+        for block in np.ndindex((2,) * 5):
+            ref = totals[w][block]
+            scale = max(np.abs(ref).max(), 1e-300)
+            assert np.abs(g[block] - ref).max() <= 1e-13 * scale
 
 
 def test_boundary_sources_match_per_block_loop(stack4, pump400):
@@ -354,6 +365,58 @@ def test_boundary_sources_reuse_kernels_across_repeated_layers(
               (gan_b, 60e-9, -1), (gan, 45e-9, 1))
     st = StructureSpec(layers, air, air)
     _assert_sources_match_per_block_loop(st, pump400, _basis(4))
+
+
+@pytest.mark.parametrize("convention", ["local-jump", "per-slot"])
+def test_class_pass_two_classes_mixed_poling(gan, aln, air, pump400,
+                                             convention):
+    """Two nonlinear classes with distinct d (GaN with every polarization
+    pair, AlN with one) and mixed poling inside each class, under both
+    attributions."""
+    gan_full = replace(gan, chi2={("y", "x", "y"): 4e-12,
+                                  ("y", "y", "x"): 1.5e-12,
+                                  ("y", "x", "x"): 2.5e-12,
+                                  ("y", "y", "y"): -1e-12})
+    aln_nl = replace(aln, chi2={("y", "y", "x"): 2e-12})
+    layers = ((gan_full, 60e-9, 1), (aln_nl, 25e-9, -1),
+              (gan_full, 60e-9, -1), (aln_nl, 25e-9, 1),
+              (gan_full, 60e-9, 1), (aln_nl, 25e-9, -1))
+    st = StructureSpec(layers, air, air)
+    _assert_sources_match_per_block_loop(st, pump400, _basis(4), convention)
+
+
+@pytest.mark.parametrize("convention", ["local-jump", "per-slot"])
+def test_class_pass_partial_last_chunk(gan, aln, air, pump400, convention):
+    """At 36 bins a class pass takes 3 layers per chunk, so the 4 GaN
+    layers of this stack run as one full chunk and a partial one."""
+    bins, members = 36, 4
+    per_chunk = matrixcore_mod._CLASS_CHUNK // bins**2
+    assert 1 < per_chunk < members and members % per_chunk
+    layers = tuple(((gan, 60e-9, (-1) ** i), (aln, 12e-9, 1))
+                   for i in range(members))
+    st = StructureSpec(sum(layers, ()), air, air)
+    _assert_sources_match_per_block_loop(st, pump400, _basis(bins),
+                                         convention)
+
+
+@pytest.mark.parametrize("bins", [12, 64])
+def test_idler_rows_are_conjugated_signal_rows(stack20, pump400, bins):
+    """The emission assembly builds boundary responses, their inverses and
+    the feeds for the signal rows only and takes the idler rows' as
+    complex conjugates: exact at every boundary and both edges, and so
+    are the idler rows of G_V and G_S (with the pols swapped, d.T)."""
+    b = _basis(bins, 0.35, 0.65)
+    maps = linear_maps(stack20, b)
+    boundaries = np.arange(1, stack20.n_layers + 2)
+    r_s, r_i = (maps[f].response(boundaries) for f in ("s", "i"))
+    assert np.array_equal(r_i, np.conj(r_s))
+    assert np.array_equal(mat2_inv(r_i), np.conj(mat2_inv(r_s)))
+    for edge in ("left", "right"):
+        assert np.array_equal(maps["s"].fed(edge), np.conj(maps["i"].fed(edge)))
+    em = build_emission(stack20, pump400, b)
+    for g in (em.g_volume, em.g_surface):
+        assert np.any(g[0])
+        assert np.array_equal(g[1], np.conj(g[0]).swapaxes(1, 3))
 
 
 def test_fictitious_boundary_surface_source_null(gan, aln, air, pump400):

@@ -48,3 +48,13 @@ def test_validation_errors():
         StructureSpec(((_mat(), 1e-9, 1),), nl, _mat())
     with pytest.raises(ConfigError):
         StructureSpec(((_mat(), 10e-9, 1),), _mat(), _mat()).split_layer(2)
+
+
+def test_geometry_grid_lengths_reject_any_nonpositive_entry():
+    good = np.array([[20e-9], [40e-9]])
+    st = StructureSpec(((_mat(), good, 1), (_mat(1.5), 30e-9, 1)),
+                       _mat(1.0), _mat(1.0))
+    assert st.length(1) is good
+    for bad in (np.array([20e-9, 0.0]), np.array([[30e-9, -1e-9]])):
+        with pytest.raises(ConfigError, match="nonpositive length"):
+            StructureSpec(((_mat(), bad, 1),), _mat(1.0), _mat(1.0))
