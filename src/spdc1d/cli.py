@@ -28,6 +28,12 @@ def _add_common(p):
                         "'materials') sections override the config")
 
 
+def _add_scan_ranges(p):
+    for flag, key in (("--l1-range", "l1_nm"), ("--l2-range", "l2_nm")):
+        p.add_argument(flag, type=float, nargs=3, metavar=("LO", "HI", "N"),
+                       default=None, help=f"override scan.{key} (nm)")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="spdc1d",
@@ -43,16 +49,12 @@ def build_parser():
     _add_common(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--l1-range", type=float, nargs=3, metavar=("LO", "HI", "N"),
-                   default=None, help="override scan.l1_nm (nm)")
-    p.add_argument("--l2-range", type=float, nargs=3, metavar=("LO", "HI", "N"),
-                   default=None, help="override scan.l2_nm (nm)")
+    _add_scan_ranges(p)
 
     p = sub.add_parser("transmission-map", help="pump transmission over (l1, l2)")
     _add_common(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--l1-range", type=float, nargs=3, default=None)
-    p.add_argument("--l2-range", type=float, nargs=3, default=None)
+    _add_scan_ranges(p)
 
     p = sub.add_parser("verify", help="oracle and invariant checks")
     _add_common(p)
@@ -72,16 +74,16 @@ def _window(args):
     if args.window_lo is None and args.window_hi is None:
         return None
     if args.window_lo is None or args.window_hi is None:
-        raise SystemExit("--window-lo and --window-hi must be given together")
+        raise ConfigError("--window-lo and --window-hi must be given together")
     return (args.window_lo, args.window_hi)
 
 
 def _override_scan_ranges(cfg, args):
-    if getattr(args, "l1_range", None) is None and getattr(args, "l2_range", None) is None:
+    if args.l1_range is None and args.l2_range is None:
         return cfg
     raw = json.loads(json.dumps(cfg.raw))  # deep copy
     if "scan" not in raw:
-        raise SystemExit("config has no scan section to override")
+        raise ConfigError("config has no scan section to override")
     if args.l1_range is not None:
         raw["scan"]["l1_nm"] = list(args.l1_range)
     if args.l2_range is not None:

@@ -60,19 +60,20 @@ every source are therefore conj(P) with d.T, formed in ``_expand``.
 A layer's kernels depend on the layer only through its (material,
 length) class, except for the pump weight a_g, its poling sign times
 the pump amplitude of direction g (``spectral.class_kernels``,
-``spectral.pump_weights``).  So the sources come from one class pass
-per nonlinear (material object, length) and edge: the class kernels are
-formed once; each layer's kernels are sum_g a_g kernels[g], scaled by
-columns with that layer's feed and by rows with the inverse response of
-its boundary (the right edge of layer l sits at boundary l+1 with sign
-+, the left edge at boundary l with sign -) times 1/sqrt(n); and the
-layers are summed inside the contraction.  The layers go through in
-chunks of at most ``_CLASS_CHUNK`` // K^2 layers (at least one), so a
-pass holds a bounded number of K x K grids: at K = 12 the 10 GaN layers
-of the example form one chunk, at K >= 64 every layer is its own.  With
-``keep_sources`` the same pass runs one layer per chunk and each result
-is also kept for its boundary.  The physics (kernels, feeds, responses)
-is the same on both paths.
+``spectral.pump_weights``).  ``build_emission`` groups the nonlinear
+layers into these classes, keyed on the material object and the length,
+and runs one class pass per class and edge: the class kernels of both
+edges are formed once; each layer's kernels are sum_g a_g kernels[g],
+scaled by columns with that layer's feed and by rows with the inverse
+response of its boundary (the right edge of layer l sits at boundary
+l+1 with sign +, the left edge at boundary l with sign -) times
+1/sqrt(n); and the layers are summed inside the contraction.  The
+layers go through in chunks of at most ``_CLASS_CHUNK`` // K^2 layers
+(at least one), so a pass holds a bounded number of K x K grids: at K =
+12 the 10 GaN layers of the example form one chunk, at K >= 64 every
+layer is its own.  With ``keep_sources`` the same pass runs one layer
+per chunk and each result is also kept for its boundary.  The physics
+(kernels, feeds, responses) is the same on both paths.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ from .spectral import (
     DIRS,
     POLS,
     SpectralBasis,
+    bin_sum_index,
+    chi2_matrix,
     class_kernels,
-    layer_couplings,
     pump_weights,
     weighted_kernels,
 )
@@ -282,8 +284,10 @@ def build_emission(
     n_tot = structure.n_layers + 2
     scatter = {f: m.scatter for f, m in maps.items()}
 
-    couplings = layer_couplings(structure, basis, pump)
-    dark = [c.is_dark() for c in couplings]
+    index = bin_sum_index(pump, basis)
+    d_of = structure.per_material(
+        lambda mat: chi2_matrix(mat, pump.polarization))
+    dark = [not np.any(d) for d in d_of]
     active = [l for l in range(1, n_tot) if not (dark[l - 1] and dark[l])]
     # inverse responses of the signal rows at every active boundary, with
     # their exact 1-norm condition numbers (largest column sums per bin);
@@ -304,26 +308,26 @@ def build_emission(
     # the idler maps (their column field)
     fed = {edge: maps["i"].fed(edge) for edge in ("left", "right")}
     position = {l: i for i, l in enumerate(active)}
-    classes = {}  # (material object, length) -> nonlinear couplings
-    for coupling, is_dark in zip(couplings[1:-1], dark[1:-1]):
-        if not is_dark:
-            classes.setdefault((id(coupling.material), coupling.length),
-                               []).append(coupling)
+    classes = {}  # (material object, length) -> its nonlinear layers
+    for l in range(1, n_tot - 1):
+        if not dark[l]:
+            key = (id(structure.material(l)), structure.length(l))
+            classes.setdefault(key, []).append(l)
     per_chunk = 1 if keep_sources else max(1, _CLASS_CHUNK // basis.bins**2)
     shape = (2,) * 5 + (basis.bins, basis.bins)
     totals = {}  # d.tobytes() -> [d, signal-row sum of its parts]
     kept = {l: [] for l in range(1, n_tot)}  # boundary -> its (d, P) parts
-    for members in classes.values():
-        d = members[0].chi2_matrix()
-        pref = members[0].inv_sqrt_index()
+    for (_, length), members in classes.items():
+        mat, d = structure.material(members[0]), d_of[members[0]]
+        pref = 1.0 / np.sqrt(refractive_index(mat, basis.centers))
+        kernels = class_kernels(mat, length, basis, pump, index, convention)
         # a layer's right edge is boundary l + 1, its left edge boundary l
         for edge, sign, shift in (("right", 1.0, 1), ("left", -1.0, 0)):
-            kernels = class_kernels(members[0], edge, convention)
             for start in range(0, len(members), per_chunk):
-                chunk = members[start:start + per_chunk]
-                ls = [c.l for c in chunk]
+                ls = members[start:start + per_chunk]
                 rows = inverse[:, :, [position[l + shift] for l in ls]] * pref
-                p = sign * _class_pass(kernels, pump_weights(chunk),
+                weights = pump_weights(structure, pump, index, ls)
+                p = sign * _class_pass(kernels[edge], weights,
                                        fed[edge][:, :, ls], rows)
                 total = totals.setdefault(d.tobytes(), [d, 0.0])
                 total[1] = total[1] + p

@@ -35,12 +35,22 @@ from __future__ import annotations
 import numpy as np
 
 from .constants import CONSTANTS
-from .errors import StepTooCoarse
+from .errors import ConfigError, StepTooCoarse
 from .linear import PumpSpec, _crossing, propagate_pump, scalar_layer_amplitudes
 from .materials import refractive_index
 from .matrixcore import pair_block
 from .blockmatrix import FIELDS
-from .spectral import DIR_SIGN, DIRS, LayerCoupling, SpectralBasis
+from .spectral import (
+    DIR_SIGN,
+    DIRS,
+    POLS,
+    SpectralBasis,
+    bin_sum_index,
+    chi2_matrix,
+    coupling_unit,
+    pump_weights,
+    pump_wavenumbers,
+)
 from .structure import StructureSpec
 
 # sub-steps per vectorized source evaluation; bounds the source grids to
@@ -48,18 +58,12 @@ from .structure import StructureSpec
 BLOCK = 64
 
 
-def _active_pol_pairs(structure, pump_pol):
-    pairs = set()
-    for l in range(1, structure.n_layers + 1):
-        for (gamma, alpha, beta), d in structure.material(l).chi2.items():
-            if d != 0.0 and gamma == pump_pol:
-                pairs.add((alpha, beta))
-    return sorted(pairs)
-
-
-def _march_once(structure, couplings, basis, row_field, partner_amps, step):
+def _march_once(structure, layers, basis, row_field, partner_amps, step):
     """Particular pair solution for one propagating field, all pol pairs.
 
+    layers[l] = (d, k_p, t_unit) of layer l: its chi2 matrix d[signal pol,
+    idler pol], pump wave numbers k_p[g] and conj(T_g) per unit chi2
+    t_unit[g], both on the (signal bin, idler bin) grid.
     partner_amps[b0] = flux-normalized layer amplitudes for unit input in
     channel b0 ('F' at z_1, 'B' at z_{N+1}) on the bin centers, shape
     (N+2, 2, K): the partner field's modes, and with b0 = 'B' the
@@ -68,8 +72,8 @@ def _march_once(structure, couplings, basis, row_field, partner_amps, step):
     continuous kernels at bin centers.
     """
     w = basis.centers
-    pump_pol = couplings[1].pump.polarization
-    pairs = _active_pol_pairs(structure, pump_pol)
+    pairs = sorted({(POLS[i], POLS[j]) for d, _, _ in layers[1:-1]
+                    for i, j in zip(*np.nonzero(d))})
     if not pairs:
         return {}
     if row_field == "i":
@@ -95,19 +99,19 @@ def _march_once(structure, couplings, basis, row_field, partner_amps, step):
         length = structure.length(l)
         n_sub = max(1, int(np.ceil(length / step)))
         h = length / n_sub
-        coup = couplings[l]
-        n = refractive_index(coup.material, w)
+        chi2, k_p, t_unit = layers[l]
+        n = refractive_index(structure.material(l), w)
         k_row = np.stack([DIR_SIGN[a] * w / CONSTANTS.c * n
                           for a in DIRS])[:, :, None]
         k_col_f = w / CONSTANTS.c * n
         if row_field == "s":
-            kp = {g: coup.pump_k(g) for g in DIRS}
-            tstar = [{g: coup.tstar(g, pr, pc) for g in DIRS}
-                     for pr, pc in row_pairs]
+            kp = k_p
+            tstar = [{g: chi2[POLS.index(pr), POLS.index(pc)] * t_unit[g]
+                      for g in DIRS} for pr, pc in row_pairs]
         else:
-            kp = {g: coup.pump_k(g).T for g in DIRS}
-            tstar = [{g: coup.tstar(g, pc, pr).T for g in DIRS}
-                     for pr, pc in row_pairs]
+            kp = {g: k_p[g].T for g in DIRS}
+            tstar = [{g: (chi2[POLS.index(pc), POLS.index(pr)] * t_unit[g]).T
+                      for g in DIRS} for pr, pc in row_pairs]
         tstar = [{g: t for g, t in ts.items() if np.any(t)} for ts in tstar]
         active = [p for p, ts in enumerate(tstar) if ts]
         linear = [p for p, ts in enumerate(tstar) if not ts]
@@ -183,6 +187,8 @@ def reference_pair_amplitude(
     creation-sector rows against signal inputs.  All matrices carry the
     sqrt(dw dw) bin projection of the pair arrays.
     """
+    if not 0.0 < step < np.inf:
+        raise ConfigError(f"z-step must be finite and positive, got {step}")
     min_len = min(structure.length(l) for l in range(1, structure.n_layers + 1))
     if step > min_len / 16.0:
         raise StepTooCoarse(
@@ -191,17 +197,22 @@ def reference_pair_amplitude(
     centers, widths = basis.centers, basis.widths
     sums = np.unique((centers[:, None] + centers[None, :]).ravel())
     pump = propagate_pump(structure, pump_spec, sums)
-    couplings = [
-        LayerCoupling(structure, l, basis, pump)
-        for l in range(structure.n_layers + 2)
-    ]
+    index = bin_sum_index(pump, basis)
+    weights = pump_weights(structure, pump, index,
+                           list(range(structure.n_layers + 2)))
+    per_material = structure.per_material(lambda mat: (
+        chi2_matrix(mat, pump.polarization),
+        pump_wavenumbers(mat, basis, pump, index),
+        coupling_unit(mat, basis)))
+    layers = [(d, k_p, {g: unit * a for g, a in zip(DIRS, weights[l])})
+              for l, (d, k_p, unit) in enumerate(per_material)]
     partner = {
         b0: scalar_layer_amplitudes(structure, centers, "flux", side=b0)
         for b0 in DIRS
     }
 
     def run(h):
-        return {f: _march_once(structure, couplings, basis, f, partner, h)
+        return {f: _march_once(structure, layers, basis, f, partner, h)
                 for f in FIELDS}
 
     res = run(step)

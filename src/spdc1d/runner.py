@@ -324,6 +324,9 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
     if bins < 2:
         raise ConfigError("verify needs at least 2 bins: its refinement "
                           "study also runs at half the bin count")
+    if not 0.0 < step_fraction < np.inf:
+        raise ConfigError(
+            f"step fraction must be finite and positive, got {step_fraction}")
     basis = cfg.basis(bins=bins)
     structure = cfg.structure
     checks = {}

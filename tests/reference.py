@@ -6,7 +6,9 @@ frequency grid, the interface
 continuity residual of a layer-amplitude solution, the pair phase
 function of one layer with its exact z-derivative, the branch
 contractions by plain loops over the labelled dense F, and a peak
-counter for the qualitative spectral checks.  ``full_chi2`` gives a
+counter for the qualitative spectral checks.  ``LayerView`` reads one
+layer's coupling data (conj(T_g), wave numbers, kernels) through the
+pure functions of ``spectral``.  ``full_chi2`` gives a
 stack whose every (signal, idler) polarization pair emits, and
 ``explicit_time_grid`` the full n x n detection-time density.
 """
@@ -18,11 +20,24 @@ import numpy as np
 from spdc1d.blockmatrix import MODE_CHANNELS
 from spdc1d.constants import CONSTANTS
 from spdc1d.errors import ConfigError
-from spdc1d.linear import _interface_weights
-from spdc1d.materials import refractive_index
+from spdc1d.linear import PumpField, _interface_weights
+from spdc1d.materials import refractive_index, wavenumber
 from spdc1d.matrixcore import pair_block
 from spdc1d.observables import default_time_grid
-from spdc1d.spectral import DIR_SIGN, DIRS, LayerCoupling, _bracket
+from spdc1d.spectral import (
+    DIR_SIGN,
+    DIRS,
+    POLS,
+    SpectralBasis,
+    _bracket,
+    bin_sum_index,
+    chi2_matrix,
+    class_kernels,
+    coupling_unit,
+    pump_weights,
+    pump_wavenumbers,
+    weighted_kernels,
+)
 from spdc1d.structure import StructureSpec
 
 
@@ -74,7 +89,51 @@ def continuity_residual(structure, amps, omega, convention="field"):
     return worst
 
 
-def phase_functions(coupling: LayerCoupling, a, b, alpha, beta, z,
+class LayerView:
+    """One layer's coupling data on the (signal bin, idler bin) grid, read
+    through the pure functions of ``spectral``."""
+
+    def __init__(self, structure: StructureSpec, l: int,
+                 basis: SpectralBasis, pump: PumpField):
+        self.structure, self.l = structure, l
+        self.basis, self.pump = basis, pump
+        self.material, self.length = structure.material(l), structure.length(l)
+        self.d = chi2_matrix(self.material, pump.polarization)
+        self.index = bin_sum_index(pump, basis)
+        self.weights = pump_weights(structure, pump, self.index, [l])
+        # conj(T_g) per unit chi2, over g
+        self.t_unit = coupling_unit(self.material, basis) * self.weights[0]
+
+    def is_dark(self):
+        return not np.any(self.d)
+
+    def k_signed(self, a):
+        return wavenumber(self.material, self.basis.centers, a)
+
+    def pump_k(self, g):
+        return pump_wavenumbers(self.material, self.basis, self.pump,
+                                self.index)[g]
+
+    def tstar(self, g, alpha, beta):
+        """conj(T_g) for polarizations (alpha, beta)."""
+        return (self.d[POLS.index(alpha), POLS.index(beta)]
+                * self.t_unit[DIRS.index(g)])
+
+    def project(self, edge, convention="local-jump"):
+        """((volume_e, volume_h, surface_h), d) at one edge: kernels of
+        shape (2, 2, K, K) over (row field, col dir, row bin, col bin),
+        the same for both row fields, and d of shape (2, 2, 2) over (row
+        field, row pol, col pol), d.T for idler rows."""
+        kernels = class_kernels(self.material, self.length, self.basis,
+                                self.pump, self.index, convention)[edge]
+        volume, surface = weighted_kernels(kernels, self.weights)
+        chi, hv = volume[0]
+        hs = np.broadcast_to(surface[0], chi.shape)
+        return (tuple(np.array([k, k]) for k in (chi, hv, hs)),
+                np.array([self.d, self.d.T]))
+
+
+def phase_functions(coupling: LayerView, a, b, alpha, beta, z,
                     row_field="s"):
     """Pair phase function Phi and its exact z-derivative at position z.
 
@@ -115,7 +174,7 @@ def phase_functions(coupling: LayerCoupling, a, b, alpha, beta, z,
 
 
 def polarized_kernels(projection):
-    """project_to_basis's (kernels, d) in the polarization-resolved
+    """LayerView.project's (kernels, d) in the polarization-resolved
     layout (row field, row pol, col dir, col pol, row bin, col bin):
     block (p, q) of row field f is d[f, p, q] times the kernel."""
     kernels, d = projection

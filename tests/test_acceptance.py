@@ -156,9 +156,9 @@ def test_bulk_phase_matching_limit():
     bins = 16
     basis = SpectralBasis(0.30 * OMEGA_P0, 0.70 * OMEGA_P0, bins)
     em = build_emission(st, pump, basis)
-    from spdc1d.spectral import LayerCoupling
+    from reference import LayerView
 
-    coup = LayerCoupling(st, 1, basis, em.pump)
+    coup = LayerView(st, 1, basis, em.pump)
     tst = coup.tstar("F", "x", "y")
     ws, wi = basis.centers[:, None], basis.centers[None, :]
     k_s = ws * n0 / C

@@ -317,11 +317,13 @@ def test_verify_detects_corrupted_kernels(monkeypatch):
     cfg = parse_config(_tiny_config())
     orig = matrixcore_mod.class_kernels
 
-    def corrupted(coupling, edge, convention="local-jump"):
-        volume, surface = orig(coupling, edge, convention)
-        volume = volume.copy()
-        volume[:, 0] *= 1.02  # the arriving kernel chi (electric rows)
-        return volume, surface
+    def corrupted(*args, **kwargs):
+        out = {}
+        for edge, (volume, surface) in orig(*args, **kwargs).items():
+            volume = volume.copy()
+            volume[:, 0] *= 1.02  # the arriving kernel chi (electric rows)
+            out[edge] = (volume, surface)
+        return out
 
     monkeypatch.setattr(matrixcore_mod, "class_kernels", corrupted)
     report, ok = verify(cfg, bins=6)
@@ -583,3 +585,47 @@ def test_backward_pump_and_backward_channel(tmp_path):
     a = summary["pairs_per_pulse"]["SV"]
     b = summary2["pairs_per_pulse"]["SV"]
     assert abs(a - b) / b < 1e-10
+
+
+@pytest.mark.parametrize("fraction", ["0", "nan", "-20"])
+def test_cli_verify_bad_step_fraction_exits_2(tmp_path, capsys, fraction):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--config", str(cfg_path), "--bins", "4",
+               "--step-fraction", fraction, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "step fraction" in err
+    assert not out.exists()
+
+
+def test_cli_window_lo_without_hi_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg_path), "--out-dir", str(out),
+               "--window-lo", "0.4"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--window-hi" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["scan", "transmission-map"])
+@pytest.mark.parametrize("flag", ["--l1-range", "--l2-range"])
+def test_cli_scan_range_without_scan_section_exits_2(tmp_path, capsys,
+                                                     command, flag):
+    raw = _tiny_config()
+    del raw["scan"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    argv = [command, "--config", str(cfg_path), "--out-dir"]
+    # without the override it is already a config error
+    assert main(argv + [str(tmp_path / "plain")]) == 2
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(argv + [str(out), flag, "30", "90", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no scan section" in err
+    assert not out.exists()

@@ -27,13 +27,11 @@ from spdc1d.matrixcore import (
 from spdc1d.spectral import (
     DIRS,
     POLS,
-    LayerCoupling,
     SpectralBasis,
-    project_to_basis,
 )
 from spdc1d.structure import StructureSpec
 
-from reference import polarized_kernels
+from reference import LayerView, polarized_kernels
 
 C = CONSTANTS.c
 OMEGA_P0 = 2 * np.pi * C / 400e-9
@@ -293,7 +291,7 @@ def _assert_sources_match_per_block_loop(structure, pump_spec, b,
                         convention=convention)
     chunked = build_emission(structure, pump_spec, b, convention=convention)
     maps = linear_maps(structure, b)
-    couplings = [LayerCoupling(structure, l, b, em.pump)
+    couplings = [LayerView(structure, l, b, em.pump)
                  for l in range(structure.n_layers + 2)]
     k = b.bins
     totals = np.zeros((2,) * 6 + (k, k), dtype=complex)
@@ -310,7 +308,7 @@ def _assert_sources_match_per_block_loop(structure, pump_spec, b,
                         if coup.is_dark():
                             continue
                         vol_e, vol_h, sur_h = polarized_kernels(
-                            project_to_basis(coup, edge, convention))
+                            coup.project(edge, convention))
                         pref = 1.0 / np.sqrt(
                             refractive_index(coup.material, b.centers))
                         at = (maps[col_f].at_right[idx] if edge == "right"
@@ -495,9 +493,7 @@ def test_bulk_sinc_limit_exact():
     pump = PumpSpec.from_wavelength(400e-9, 7e-9, 1e3)
     b = SpectralBasis(0.3 * OMEGA_P0, 0.7 * OMEGA_P0, 16)
     em = build_emission(st, pump, b)
-    from spdc1d.spectral import LayerCoupling
-
-    coup = LayerCoupling(st, 1, b, em.pump)
+    coup = LayerView(st, 1, b, em.pump)
     tst = coup.tstar("F", "x", "y")
     ws = b.centers[:, None]
     wi = b.centers[None, :]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spdc1d.constants import CONSTANTS
-from spdc1d.errors import StepTooCoarse
+from spdc1d.errors import ConfigError, StepTooCoarse
 from spdc1d.linear import PumpSpec
 from spdc1d.materials import constant_material
 from spdc1d.matrixcore import build_emission
@@ -41,11 +41,11 @@ def test_index_matched_bulk_sinc_lineshape():
     # analytic first-order bulk amplitude (flux normalization drops out
     # for index-matched media)
     from spdc1d.linear import propagate_pump
-    from spdc1d.spectral import LayerCoupling
+    from reference import LayerView
 
     sums = np.unique((basis.centers[:, None] + basis.centers[None, :]).ravel())
     field = propagate_pump(st, pump, sums)
-    coup = LayerCoupling(st, 1, basis, field)
+    coup = LayerView(st, 1, basis, field)
     tst = coup.tstar("F", "x", "y")
     ws, wi = basis.centers[:, None], basis.centers[None, :]
     dk = ((ws + wi) - ws - wi) * n0 / C  # exactly zero for constant index
@@ -136,3 +136,10 @@ def test_step_too_coarse_raises(stack4, pump400):
     basis = SpectralBasis(0.45 * OMEGA_P0, 0.55 * OMEGA_P0, 2)
     with pytest.raises(StepTooCoarse):
         reference_pair_amplitude(stack4, pump400, basis, step=10e-9)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-9, float("nan"), float("inf")])
+def test_nonpositive_or_nonfinite_step_raises(stack4, pump400, step):
+    basis = SpectralBasis(0.45 * OMEGA_P0, 0.55 * OMEGA_P0, 2)
+    with pytest.raises(ConfigError, match="finite and positive"):
+        reference_pair_amplitude(stack4, pump400, basis, step=step)

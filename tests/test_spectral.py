@@ -9,14 +9,14 @@ from spdc1d.materials import constant_material
 from spdc1d.spectral import (
     DIRS,
     POLS,
-    LayerCoupling,
     SpectralBasis,
+    bin_sum_index,
     photon_amplitude_tau,
-    project_to_basis,
 )
 from spdc1d.structure import StructureSpec
 
 from reference import (
+    LayerView,
     eval_basis,
     phase_functions,
     polarized_kernels,
@@ -78,11 +78,11 @@ def _toy(chi=4e-12, n=2.0, length=1e-6, bins=5, window=(0.3, 0.7),
 
 def test_coupling_zero_cases_and_linearity():
     st, pump, basis, field = _toy(chi=0.0)
-    t = LayerCoupling(st, 1, basis, field).tstar("F", "x", "y")
+    t = LayerView(st, 1, basis, field).tstar("F", "x", "y")
     assert np.all(t == 0.0)
 
     st, pump, basis, field = _toy()
-    coup = LayerCoupling(st, 1, basis, field)
+    coup = LayerView(st, 1, basis, field)
     t1 = coup.tstar("F", "x", "y")[2, 2]
     assert t1 != 0.0
     # absent pol triple
@@ -93,13 +93,23 @@ def test_coupling_zero_cases_and_linearity():
     pump4 = PumpSpec(omega0=pump.omega0, sigma=pump.sigma,
                      energy_per_area=4e3)
     field4 = propagate_pump(st, pump4, field.omega)
-    t4 = LayerCoupling(st, 1, basis, field4).tstar("F", "x", "y")[2, 2]
+    t4 = LayerView(st, 1, basis, field4).tstar("F", "x", "y")[2, 2]
     assert abs(t4) == pytest.approx(2 * abs(t1), rel=1e-12)
+
+
+def test_bin_sum_index_rejects_pump_grid_without_bin_sums():
+    st, pump, basis, field = _toy()
+    assert np.array_equal(field.omega[bin_sum_index(field, basis)],
+                          basis.centers[:, None] + basis.centers[None, :])
+    shifted = propagate_pump(st, pump, field.omega * (1 + 1e-4))
+    with pytest.raises(ConfigError,
+                       match="pump grid does not contain the bin sums"):
+        bin_sum_index(shifted, basis)
 
 
 def test_phase_function_vanishes_at_reference_point():
     st, pump, basis, field = _toy()
-    coup = LayerCoupling(st, 1, basis, field)
+    coup = LayerView(st, 1, basis, field)
     z0 = z_reference(st, 1)
     for a, z in (("F", z0), ("B", z0 + st.length(1))):
         phi, _ = phase_functions(coup, a, "F", "x", "y", z)
@@ -109,7 +119,7 @@ def test_phase_function_vanishes_at_reference_point():
 def test_phase_function_degenerate_mismatch_limit():
     # constant index, omega_p = omega_s + omega_i -> dk = 0 exactly
     st, pump, basis, field = _toy(n=2.0)
-    coup = LayerCoupling(st, 1, basis, field)
+    coup = LayerView(st, 1, basis, field)
     z = z_reference(st, 1) + 0.37 * st.length(1)
     phi, _ = phase_functions(coup, "F", "F", "x", "y", z)
     tst = coup.tstar("F", "x", "y")
@@ -126,7 +136,7 @@ def test_phase_function_matches_green_function_quadrature(gan, aln, air,
     basis = SpectralBasis(0.4 * omega_p0, 0.6 * omega_p0, 4)
     sums = np.unique((basis.centers[:, None] + basis.centers[None, :]).ravel())
     field = propagate_pump(st, pump400, sums)
-    coup = LayerCoupling(st, 1, basis, field)
+    coup = LayerView(st, 1, basis, field)
     z_l = z_reference(st, 1)
     length = st.length(1)
     for a, z_a in (("F", z_l), ("B", z_l + length)):
@@ -159,7 +169,7 @@ def test_phase_function_matches_green_function_quadrature(gan, aln, air,
 
 def test_phase_function_derivative_matches_finite_difference():
     st, pump, basis, field = _toy(n=2.3, length=500e-9)
-    coup = LayerCoupling(st, 1, basis, field)
+    coup = LayerView(st, 1, basis, field)
     z = z_reference(st, 1) + 0.4 * st.length(1)
     h = 1e-12
     for a in ("F", "B"):
@@ -173,7 +183,7 @@ def test_phase_function_derivative_matches_finite_difference():
 
 def test_phase_function_derivative_finite_at_reference_point():
     st, pump, basis, field = _toy(n=2.3, length=500e-9)
-    coup = LayerCoupling(st, 1, basis, field)
+    coup = LayerView(st, 1, basis, field)
     h = 1e-12
     for a, z_a, sgn in (("F", z_reference(st, 1), 1.0),
                         ("B", z_reference(st, 1) + st.length(1), -1.0)):
@@ -194,11 +204,11 @@ def test_project_to_basis_zero_for_linear_layer(aln, air, pump400):
     basis = SpectralBasis(0.4 * pump400.omega0, 0.6 * pump400.omega0, 3)
     sums = np.unique((basis.centers[:, None] + basis.centers[None, :]).ravel())
     field = propagate_pump(st, pump400, sums)
-    coup = LayerCoupling(st, 1, basis, field)
-    (kernel, _, _), d = project_to_basis(coup, "right")
+    coup = LayerView(st, 1, basis, field)
+    (kernel, _, _), d = coup.project("right")
     assert kernel.shape == (2, 2, 3, 3) and d.shape == (2, 2, 2)
     assert np.all(d == 0.0)
-    vol_e, vol_h, sur_h = polarized_kernels(project_to_basis(coup, "right"))
+    vol_e, vol_h, sur_h = polarized_kernels(coup.project("right"))
     assert vol_e.shape == (2, 2, 2, 2, 3, 3)
     assert np.all(vol_e == 0.0)
     assert np.all(vol_h + sur_h == 0.0)
@@ -209,13 +219,13 @@ def test_project_single_bin_identity():
     # (x, x) and (y, y) stay zero blocks
     chi2 = {("y", "x", "y"): 4e-12, ("y", "y", "x"): 1.5e-12}
     st, pump, basis, field = _toy(bins=1, window=(0.45, 0.55), chi2=chi2)
-    coup = LayerCoupling(st, 1, basis, field)
+    coup = LayerView(st, 1, basis, field)
     length = st.length(1)
     z_l = z_reference(st, 1)
     # forward rows exit at the right edge, backward rows at the left one;
     # chi is conj(Phi) at the exit with the kernel's reference phase
     for edge, a, z in (("right", "F", z_l + length), ("left", "B", z_l)):
-        vol_e, _, _ = polarized_kernels(project_to_basis(coup, edge))
+        vol_e, _, _ = polarized_kernels(coup.project(edge))
         assert vol_e.shape == (len(FIELDS), 2, 2, 2, 1, 1)
         nonzero = 0
         k_row = coup.k_signed(a)[0]
@@ -248,7 +258,7 @@ def test_pump_wavenumbers_exactly_symmetric_on_bin_sum_grid(gan, aln):
     field = propagate_pump(st, PumpSpec.from_wavelength(400e-9, 7e-9, 1e3),
                            sums)
     for l in (1, 2):
-        coup = LayerCoupling(st, l, basis, field)
+        coup = LayerView(st, l, basis, field)
         for g in DIRS:
             kp = coup.pump_k(g)
             assert np.any(kp)
@@ -257,12 +267,12 @@ def test_pump_wavenumbers_exactly_symmetric_on_bin_sum_grid(gan, aln):
 
 def test_projection_linear_in_pump_amplitude():
     st, pump, basis, field = _toy()
-    coup1 = LayerCoupling(st, 1, basis, field)
+    coup1 = LayerView(st, 1, basis, field)
     pump4 = PumpSpec(omega0=pump.omega0, sigma=pump.sigma, energy_per_area=4e3)
     field4 = propagate_pump(st, pump4, field.omega)
-    coup2 = LayerCoupling(st, 1, basis, field4)
-    ve1, vh1, sh1 = polarized_kernels(project_to_basis(coup1, "left"))
-    ve2, vh2, sh2 = polarized_kernels(project_to_basis(coup2, "left"))
+    coup2 = LayerView(st, 1, basis, field4)
+    ve1, vh1, sh1 = polarized_kernels(coup1.project("left"))
+    ve2, vh2, sh2 = polarized_kernels(coup2.project("left"))
     assert np.allclose(ve2, 2.0 * ve1, rtol=1e-12)
     assert np.allclose(vh2 + sh2, 2.0 * (vh1 + sh1), rtol=1e-12)
 
@@ -280,15 +290,15 @@ def test_projection_refinement_error_model(gan, air, pump400):
             (sub.centers[:, None] + sub.centers[None, :]).ravel()
         )
         field = propagate_pump(st, pump400, sums)
-        coarse = LayerCoupling(st, 1, basis,
+        coarse = LayerView(st, 1, basis,
                                propagate_pump(st, pump400, np.unique(
                                    basis.centers[:, None]
                                    + basis.centers[None, :]).ravel()))
-        fine = LayerCoupling(st, 1, sub, field)
+        fine = LayerView(st, 1, sub, field)
         block = (0, 0, 0, 1)  # signal rows, col dir F, pols (x, y)
-        lam_c = (polarized_kernels(project_to_basis(coarse, "right"))[0][block]
+        lam_c = (polarized_kernels(coarse.project("right"))[0][block]
                  / basis.widths[0])
-        lam_f = (polarized_kernels(project_to_basis(fine, "right"))[0][block]
+        lam_f = (polarized_kernels(fine.project("right"))[0][block]
                  / sub.widths[0])
         # average the fine kernel over each coarse bin
         m = 16
