@@ -19,10 +19,6 @@ def _add_common(p):
     p.add_argument("--config", required=True, help="JSON run configuration")
     p.add_argument("--bins", type=int, default=None,
                    help="override basis bin count")
-    p.add_argument("--window-lo", type=float, default=None,
-                   help="window lower edge as a fraction of the pump frequency")
-    p.add_argument("--window-hi", type=float, default=None,
-                   help="window upper edge as a fraction of the pump frequency")
     p.add_argument("--structure", default=None,
                    help="JSON file whose 'structure' (and optional "
                         "'materials') sections override the config")
@@ -44,11 +40,16 @@ def build_parser():
     p = sub.add_parser("simulate", help="single-structure SPDC run")
     _add_common(p)
     p.add_argument("--out-dir", required=True)
+    p.add_argument("--window-lo", type=float, default=None,
+                   help="window lower edge as a fraction of the pump frequency")
+    p.add_argument("--window-hi", type=float, default=None,
+                   help="window upper edge as a fraction of the pump frequency")
 
     p = sub.add_parser("scan", help="(l1, l2) transmission map + ridge yields")
     _add_common(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes over the chunks of ridge cells (>= 1)")
     _add_scan_ranges(p)
 
     p = sub.add_parser("transmission-map", help="pump transmission over (l1, l2)")

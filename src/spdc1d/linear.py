@@ -97,8 +97,7 @@ def layer_transfers(structure: StructureSpec, omega, convention="field"):
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     n_tot = structure.n_layers + 2
     lengths = [structure.length(l) for l in range(n_tot)]
-    grid = np.broadcast_shapes(*(length.shape for length in lengths
-                                 if isinstance(length, np.ndarray)))
+    grid = structure.grid
     at_left = np.zeros((n_tot, 2, 2) + grid + (omega.size,), dtype=complex)
     at_left[0, 0, 0] = at_left[0, 1, 1] = 1.0
     at_right = at_left.copy()
@@ -148,8 +147,9 @@ def scalar_layer_amplitudes(
 ):
     """Solve the scattering problem and return per-layer amplitudes.
 
-    Returns an array of shape (N+2, 2, len(omega)); axis 1 is (F, B),
-    amplitudes referenced at each layer's left boundary.  side='F' drives
+    Returns an array of shape (N+2, 2, *G, len(omega)); axis 1 is (F, B),
+    amplitudes referenced at each layer's left boundary, G the geometry
+    grid of the layer lengths (see ``layer_transfers``).  side='F' drives
     from the left with amplitude a_in (default 1), side='B' from the
     right; the opposite incoming amplitude is zero.
     """
@@ -161,7 +161,7 @@ def scalar_layer_amplitudes(
     a_in = np.broadcast_to(np.asarray(a_in, dtype=complex), omega.shape)
     at_left = layer_transfers(structure, omega, convention)[0]
     feed = feed_in_map(input_output_map(at_left[-1]))
-    amps = np.einsum("lijw,jw->liw", at_left,
+    amps = np.einsum("lij...w,j...w->li...w", at_left,
                      feed[:, ("F", "B").index(side)] * a_in)
     # the undriven side is exactly dark; remove marching roundoff
     if side == "F":
@@ -257,9 +257,10 @@ class PumpSpec:
 class PumpField:
     """Pump spectral amplitudes per layer on a frequency grid.
 
-    amps has shape (N+2, 2, n_omega): layer, direction (F, B), frequency;
-    referenced at each layer's left boundary.  Frequencies outside the
-    pump cutoff carry exactly zero amplitude.
+    amps has shape (N+2, 2, *G, n_omega): layer, direction (F, B), the
+    geometry grid G of the stack's layer lengths, frequency; referenced at
+    each layer's left boundary.  Frequencies outside the pump cutoff
+    carry exactly zero amplitude.
     """
 
     omega: np.ndarray
@@ -277,14 +278,15 @@ def propagate_pump(structure: StructureSpec, pump: PumpSpec, omega) -> PumpField
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     mask = pump.active_mask(omega)
-    amps = np.zeros((structure.n_layers + 2, 2, omega.size), dtype=complex)
+    amps = np.zeros((structure.n_layers + 2, 2) + structure.grid
+                    + (omega.size,), dtype=complex)
     if np.any(mask):
         sub = omega[mask]
         a_in = pump.amplitude(sub)
         solved = scalar_layer_amplitudes(
             structure, sub, convention="field", side=pump.side, a_in=a_in
         )
-        amps[:, :, mask] = solved
+        amps[..., mask] = solved
     return PumpField(
         omega=omega, amps=amps, polarization=pump.polarization, mask=mask
     )

@@ -74,6 +74,18 @@ layers go through in chunks of at most ``_CLASS_CHUNK`` // K^2 layers
 layer is its own.  With ``keep_sources`` the same pass runs one layer
 per chunk and each result is also kept for its boundary.  The physics
 (kernels, feeds, responses) is the same on both paths.
+
+A stack whose layer lengths are arrays over a geometry grid G
+(``StructureSpec.grid``) is built once for every geometry: each array
+then carries the axes *G just before its bin axes, so G_V is
+(2, 2, 2, 2, 2, *G, K, K), F is (2, 2, *G, K) per field, a boundary
+response (2, 2, *G, K) and a class pass holds its chunk's layers for
+every geometry.  A geometry-grid length keys its class by its array
+object, as in ``linear.layer_transfers``; the interface maps and the
+kernels of a scalar-length class carry unit or no G axes and broadcast;
+the condition warning of a boundary reports its worst geometry.  With
+G = () every shape is the single-structure one.  The caller bounds the
+size of G (``runner.scan`` builds its ridge cells in chunks).
 """
 
 from __future__ import annotations
@@ -145,8 +157,10 @@ class FieldMaps:
     """Per-bin 2x2 linear maps of one field sector, flux convention.
 
     at_left[l] / at_right[l]: layer-l modes at z_l / z_{l+1} from medium-0
-    modes at z_1; interface[l]: L of layer l (stacks of shape
-    (N+2, 2, 2, K)).  scatter: F; feed: W (shape (2, 2, K)).
+    modes at z_1 (stacks of shape (N+2, 2, 2, *G, K) over a geometry grid
+    G, () for scalar lengths); interface[l]: L of layer l, the same for
+    every geometry (unit G axes).  scatter: F; feed: W (shape
+    (2, 2, *G, K)).
     """
 
     at_left: np.ndarray
@@ -161,7 +175,7 @@ class FieldMaps:
         right segment (medium N+1 back to layer l at z_l) minus the
         backward output seen through the left segment (medium 0 on to
         layer l-1 at z_l).  For an index array l the boundaries run along
-        the second-to-last axis: shape (2, 2, len(l), K)."""
+        axis 2: shape (2, 2, len(l), *G, K)."""
         at_left, at_right, interface = (np.moveaxis(a, 0, 2) for a in (
             self.at_left, self.at_right, self.interface))
         from_right = mat2_mul(at_left[:, :, l],
@@ -172,7 +186,7 @@ class FieldMaps:
 
     def fed(self, edge: str):
         """Layer modes at their left or right edge from the inputs, every
-        layer at once: shape (2, 2, N+2, K)."""
+        layer at once: shape (2, 2, N+2, *G, K)."""
         at = self.at_left if edge == "left" else self.at_right
         return mat2_mul(np.moveaxis(at, 0, 2), self.feed)
 
@@ -182,6 +196,8 @@ def linear_maps(structure: StructureSpec, basis: SpectralBasis) -> dict:
     at_left, at_right = layer_transfers(structure, basis.centers, "flux")
     interface = np.array(
         structure.per_material(lambda mat: interface_bins(mat, basis)))
+    interface = interface.reshape(interface.shape[:3]
+                                  + (1,) * len(structure.grid) + (-1,))
     maps = {}
     for f, arrays in (("s", (at_left, at_right, interface)),
                       ("i", (np.conj(at_left), np.conj(at_right),
@@ -218,8 +234,8 @@ def pair_block(pairs, row, col):
 def _expand(parts, shape):
     """(volume, surface) pair arrays sum_m d_m (x) P_m from signal-row
     (d, P) parts: d of shape (2, 2) over (signal pol, idler pol), P of
-    shape (2, 2, 2, K, K) over (volume/surface, row dir, col dir, row bin,
-    col bin).  The idler rows are conj(P) with d.T."""
+    shape (2, 2, 2, *G, K, K) over (volume/surface, row dir, col dir,
+    geometry, row bin, col bin).  The idler rows are conj(P) with d.T."""
     out = np.zeros((2,) + shape, dtype=complex)
     for d, p in parts:
         for f, (d_f, p_f) in enumerate(((d, p), (d.T, np.conj(p)))):
@@ -233,16 +249,17 @@ def _class_pass(kernels, weights, feed, rows):
     edge, summed over the layers (see ``_expand`` for the layout).
 
     kernels: ``class_kernels`` of the class; weights: the layers'
-    ``pump_weights``, shape (L, g, K, K); feed: the layers' modes at the
-    edge from the inputs, shape (col dir, channel, L, col bin); rows: the
-    inverse response of each layer's boundary times 1/sqrt(n), shape
-    (out dir, E/H, L, row bin).  Surface sources drive magnetic rows only,
-    and their kernel is the same for both column directions.
+    ``pump_weights``, shape (L, g, *G, K, K); feed: the layers' modes at
+    the edge from the inputs, shape (col dir, channel, L, *G, col bin);
+    rows: the inverse response of each layer's boundary times 1/sqrt(n),
+    shape (out dir, E/H, L, *G, row bin).  Surface sources drive magnetic
+    rows only, and their kernel is the same for both column directions.
     """
     j_v, j_s = weighted_kernels(kernels, weights)
-    k_v = np.einsum("lxbkn,bcln->lxckn", j_v, feed)
-    p_v = np.einsum("dxlk,lxckn->dckn", rows, k_v)
-    p_s = np.einsum("dlk,lkn,cln->dckn", rows[:, 1], j_s, feed.sum(axis=0))
+    k_v = np.einsum("lxb...kn,bcl...n->lxc...kn", j_v, feed)
+    p_v = np.einsum("dxl...k,lxc...kn->dc...kn", rows, k_v)
+    p_s = np.einsum("dl...k,l...kn,cl...n->dc...kn", rows[:, 1], j_s,
+                    feed.sum(axis=0))
     return np.stack((p_v, p_s))
 
 
@@ -265,9 +282,12 @@ class EmissionOperators:
 
     @property
     def f_linear(self) -> BlockMatrix:
-        """Labelled dense form of F, for readers outside the package."""
-        return BlockMatrix.from_bins(mode_space("out", self.bins),
-                                     mode_space("in", self.bins), self.scatter)
+        """Labelled dense form of F, for readers outside the package.  Over
+        a geometry grid its bins run over (geometry, bin) in C order."""
+        bins = self.scatter["s"][0, 0].size
+        return BlockMatrix.from_bins(
+            mode_space("out", bins), mode_space("in", bins),
+            {f: m.reshape(2, 2, bins) for f, m in self.scatter.items()})
 
 
 def build_emission(
@@ -301,24 +321,30 @@ def build_emission(
         raise
     norm_r, norm_inv = (np.abs(a).sum(axis=0).max(axis=0)
                         for a in (response, inverse))
-    cond = (norm_r * norm_inv).max(axis=-1)
+    cond = norm_r * norm_inv  # per boundary, its worst geometry and bin
+    cond = cond.max(axis=tuple(range(1, cond.ndim)))
     warnings = [f"boundary {l}: response condition number {c:.2e}"
                 for l, c in zip(active, cond) if c > CONDITION_WARN]
     # feed of every layer's modes at each edge for the signal rows, from
     # the idler maps (their column field)
     fed = {edge: maps["i"].fed(edge) for edge in ("left", "right")}
     position = {l: i for i, l in enumerate(active)}
-    classes = {}  # (material object, length) -> its nonlinear layers
+    # (material object, length) -> its nonlinear layers; a geometry-grid
+    # length is named by its array object, as in ``layer_transfers``
+    classes = {}
     for l in range(1, n_tot - 1):
         if not dark[l]:
-            key = (id(structure.material(l)), structure.length(l))
+            length = structure.length(l)
+            key = (id(structure.material(l)),
+                   id(length) if isinstance(length, np.ndarray) else length)
             classes.setdefault(key, []).append(l)
     per_chunk = 1 if keep_sources else max(1, _CLASS_CHUNK // basis.bins**2)
-    shape = (2,) * 5 + (basis.bins, basis.bins)
+    shape = (2,) * 5 + structure.grid + (basis.bins, basis.bins)
     totals = {}  # d.tobytes() -> [d, signal-row sum of its parts]
     kept = {l: [] for l in range(1, n_tot)}  # boundary -> its (d, P) parts
-    for (_, length), members in classes.items():
+    for members in classes.values():
         mat, d = structure.material(members[0]), d_of[members[0]]
+        length = structure.length(members[0])
         pref = 1.0 / np.sqrt(refractive_index(mat, basis.centers))
         kernels = class_kernels(mat, length, basis, pump, index, convention)
         # a layer's right edge is boundary l + 1, its left edge boundary l

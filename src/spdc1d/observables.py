@@ -19,7 +19,10 @@ signal-branch one, so the diagonal densities are nonnegative.
 
 Signal and idler share one spectral basis, so every (signal bin, idler
 bin) matrix here carries one frequency axis ``omega`` with bin widths
-``widths`` for both of its axes.
+``widths`` for both of its axes.  An emission built over a geometry grid
+G (see ``matrixcore``) gives branch amplitudes and joint densities of
+shape (*G, K, K) and counts and ratios of shape G, one per geometry;
+with G = () they are single matrices and plain floats.
 
 Units: bin-matrix amplitudes are dimensionless; continuous amplitudes
 carry s (per sqrt bin width per field) and continuous densities s^2.
@@ -42,7 +45,7 @@ CONTRIBUTIONS = ("V", "S")
 def branch_amplitudes(emission: EmissionOperators, channel, w: str):
     """(idler-branch, signal-branch) bin matrices for one channel.
 
-    channel = (a, b, alpha, beta).  Both are (signal bin, idler bin)
+    channel = (a, b, alpha, beta).  Both are (*G, signal bin, idler bin)
     arrays; the signal-branch factor is the two-photon amplitude of
     contribution w.
     """
@@ -50,9 +53,9 @@ def branch_amplitudes(emission: EmissionOperators, channel, w: str):
     alpha, beta = (POLS.index(p) for p in channel[2:])
     g = {"V": emission.g_volume, "S": emission.g_surface}[w]
     f = emission.scatter
-    idler_branch = np.einsum("ckn,cn->kn", np.conj(g[0, a, alpha, :, beta]),
-                             f["i"][b])
-    signal_branch = np.einsum("ck,cnk->kn", f["s"][a],
+    idler_branch = np.einsum("c...kn,c...n->...kn",
+                             np.conj(g[0, a, alpha, :, beta]), f["i"][b])
+    signal_branch = np.einsum("c...k,c...nk->...kn", f["s"][a],
                               np.conj(g[1, b, beta, :, alpha]))
     return idler_branch, signal_branch
 
@@ -92,8 +95,9 @@ def two_photon_amplitude(emission: EmissionOperators, channel):
 class JointDensity:
     """Joint spectral photon-number densities of one output channel.
 
-    Bin matrices (real); n_total = n_volume + n_surface + n_interf holds
-    entrywise by construction.  continuous() converts to per-(rad/s)^2.
+    Bin matrices (real, shape (*G, K, K) over a geometry grid G);
+    n_total = n_volume + n_surface + n_interf holds entrywise by
+    construction.  continuous() converts to per-(rad/s)^2.
     """
 
     channel: tuple
@@ -146,12 +150,19 @@ def joint_density(emission: EmissionOperators, channel) -> JointDensity:
 ETA_FLOOR = 1e-12
 
 
+def _plain(a):
+    """A plain float for a 0-d result, else the array."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
 def marginals_and_counts(jd: JointDensity):
     """Signal marginals, pair counts, surface/volume ratios.
 
     Returns a dict with per-contribution marginal densities n_s(w_s)
     (units s), counts N (per quantization area), the pointwise ratio
-    eta_s with its validity mask, and R = N_S / N_V.
+    eta_s with its validity mask, and R = N_S / N_V.  Over a geometry
+    grid G the marginals, eta_s and its mask have shape (*G, K) and the
+    counts and R shape G; with G = () counts and R are plain floats.
     """
     marginals = {}
     counts = {}
@@ -159,16 +170,17 @@ def marginals_and_counts(jd: JointDensity):
         cont = jd.continuous(which)
         marg = cont @ jd.widths
         marginals[which] = marg
-        counts[which] = float(marg @ jd.widths)
-    floor = ETA_FLOOR * max(np.max(np.abs(marginals["V"])), 1e-300)
-    valid = np.abs(marginals["V"]) > floor
+        counts[which] = _plain(marg @ jd.widths)
+    peak = np.abs(marginals["V"]).max(axis=-1, keepdims=True)
+    valid = np.abs(marginals["V"]) > ETA_FLOOR * np.maximum(peak, 1e-300)
     eta = np.zeros_like(marginals["V"])
     eta[valid] = marginals["S"][valid] / marginals["V"][valid]
     tiny = 1e-300
-    if abs(counts["V"]) > tiny:
-        ratio = counts["S"] / counts["V"]
-    else:
-        ratio = 0.0 if abs(counts["S"]) <= tiny else float("inf")
+    v, s = np.asarray(counts["V"]), np.asarray(counts["S"])
+    emits = np.abs(v) > tiny
+    ratio = _plain(np.where(
+        emits, s / np.where(emits, v, 1.0),
+        np.where(np.abs(s) <= tiny, 0.0, np.inf)))
     return {
         "marginals": marginals,
         "counts": counts,

@@ -1,8 +1,9 @@
 """High-level runs: single simulations, geometry scans, verification.
 
 All outputs are deterministic: fixed float formatting, sorted JSON keys,
-no randomness anywhere in the pipeline; scan cells are independent and
-merged in index order regardless of worker scheduling.
+no randomness anywhere in the pipeline; scan cells go in fixed chunks,
+one emission build each, merged in index order regardless of worker
+scheduling.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .oracle import compare_with_emission, reference_pair_amplitude
 from .structure import StructureSpec
 
 M2_PER_MM2 = 1e-6  # counts per quantization area (1 m^2) -> per mm^2
+_SCAN_CHUNK = 32768  # layers x cells x K^2 per emission build of a scan
 
 
 def write_csv(path, header, columns):
@@ -251,65 +254,65 @@ def track_ridges(l1, l2, tmap, max_jump=2, floor=0.05):
     return ridges
 
 
-def _scan_cell(args):
-    cfg, l1_nm, l2_nm = args
-    st = _pair_stack(cfg, l1_nm * 1e-9, l2_nm * 1e-9)
-    basis = cfg.basis(bins=cfg.scan.bins)
-    emission = build_emission(st, cfg.pump, basis, convention=cfg.attribution)
-    jd = joint_density(emission, cfg.channel)
-    stats = marginals_and_counts(jd)
+def ridge_yields(cfg: RunConfig, l1_nm, l2_nm):
+    """Pair yields of the scan's pair stacks with lengths (l1_nm[c],
+    l2_nm[c]) nm, every cell c in one emission build over a geometry
+    axis.  Returns {column: array over the cells} for the yield columns
+    of ``ridge_scan.csv``; R is -1 where it is not finite."""
+    st = _pair_stack(cfg, np.asarray(l1_nm) * 1e-9,
+                     np.asarray(l2_nm) * 1e-9)
+    emission = build_emission(st, cfg.pump, cfg.basis(bins=cfg.scan.bins),
+                              convention=cfg.attribution)
+    stats = marginals_and_counts(joint_density(emission, cfg.channel))
+    counts, ratio = stats["counts"], stats["ratio_surface_volume"]
     return {
-        "l1_nm": l1_nm,
-        "l2_nm": l2_nm,
-        "N_SV_per_mm2": stats["counts"]["SV"] * M2_PER_MM2,
-        "N_V_per_mm2": stats["counts"]["V"] * M2_PER_MM2,
-        "N_S_per_mm2": stats["counts"]["S"] * M2_PER_MM2,
-        "R": stats["ratio_surface_volume"] if np.isfinite(
-            stats["ratio_surface_volume"]) else -1.0,
+        "N_SV_per_mm2": counts["SV"] * M2_PER_MM2,
+        "N_V_per_mm2": counts["V"] * M2_PER_MM2,
+        "N_S_per_mm2": counts["S"] * M2_PER_MM2,
+        "R": np.where(np.isfinite(ratio), ratio, -1.0),
     }
 
 
 def scan(cfg: RunConfig, out_dir, workers=1, min_ridge_points=4):
-    """Transmission map, ridge tracking, and SPDC yields along ridges."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Transmission map, ridge tracking, and SPDC yields along ridges.
+
+    The ridge cells go through ``ridge_yields`` in chunks of at most
+    ``_SCAN_CHUNK`` // (layers K^2) cells (at least one), which bounds a
+    build's memory; with workers > 1 a process pool maps over the chunks.
+    The chunks and their results do not depend on the worker count.
+    """
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    # transmission_map checks for a scan section before making out_dir
     l1, l2, tmap = transmission_map(cfg, out_dir)
     ridges = track_ridges(l1, l2, tmap, max_jump=cfg.scan.ridge_max_jump)
-    jobs = []
-    meta = []
-    for rid, ridge in enumerate(ridges):
-        if len(ridge["points"]) < min_ridge_points:
-            continue
-        for (i, j) in ridge["points"]:
-            jobs.append((cfg, float(l1[i]), float(l2[j])))
-            meta.append((rid, i, j, ridge["lost"]))
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_cell, jobs))
+    cells = np.array([(rid, i, j, ridge["lost"])
+                      for rid, ridge in enumerate(ridges)
+                      if len(ridge["points"]) >= min_ridge_points
+                      for (i, j) in ridge["points"]], dtype=int).reshape(-1, 4)
+    rid, i, j, lost = cells.T
+    per_chunk = max(1, _SCAN_CHUNK // (2 * cfg.scan.pairs * cfg.scan.bins**2))
+    starts = range(0, len(cells), per_chunk)
+    chunks = ([l1[i[s:s + per_chunk]] for s in starts],
+              [l2[j[s:s + per_chunk]] for s in starts])
+    if workers > 1 and len(starts) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+            results = list(pool.map(ridge_yields, repeat(cfg), *chunks))
     else:
-        results = [_scan_cell(j) for j in jobs]
-    rows = {
-        "ridge": [], "lost_flag": [], "l1_nm": [], "l2_nm": [], "T_p": [],
-        "N_SV_per_mm2": [], "N_V_per_mm2": [], "N_S_per_mm2": [], "R": [],
-    }
-    for (rid, i, j, lost), res in zip(meta, results):
-        rows["ridge"].append(float(rid))
-        rows["lost_flag"].append(float(lost))
-        rows["l1_nm"].append(res["l1_nm"])
-        rows["l2_nm"].append(res["l2_nm"])
-        rows["T_p"].append(tmap[i, j])
-        for key in ("N_SV_per_mm2", "N_V_per_mm2", "N_S_per_mm2", "R"):
-            rows[key].append(res[key])
-    write_csv(
-        os.path.join(out_dir, "ridge_scan.csv"),
-        list(rows.keys()),
-        [np.asarray(v) for v in rows.values()],
-    )
+        results = list(map(ridge_yields, repeat(cfg), *chunks))
+    rows = {"ridge": rid.astype(float), "lost_flag": lost.astype(float),
+            "l1_nm": l1[i], "l2_nm": l2[j], "T_p": tmap[i, j]}
+    for key in ("N_SV_per_mm2", "N_V_per_mm2", "N_S_per_mm2", "R"):
+        rows[key] = (np.concatenate([r[key] for r in results]) if results
+                     else np.zeros(0))
+    write_csv(os.path.join(out_dir, "ridge_scan.csv"), list(rows.keys()),
+              list(rows.values()))
     summary = {
         "version": __version__,
         "config_hash": cfg.config_hash(),
         "ridges_tracked": len(ridges),
-        "ridges_scanned": len({m[0] for m in meta}),
-        "cells": len(jobs),
+        "ridges_scanned": len(set(rid.tolist())),
+        "cells": len(cells),
     }
     write_json(os.path.join(out_dir, "scan_summary.json"), summary)
     return ridges, rows, summary

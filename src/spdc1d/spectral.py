@@ -127,8 +127,9 @@ def photon_amplitude_tau(material: MaterialModel, omega, area: float):
 def _bracket(delta_k, zeta):
     """(exp(i dk zeta) - 1)/dk with a series for small |dk zeta|.
 
-    zeta may be scalar, delta_k an array.  Relative error of the series
-    at the switch point is below 1e-12.
+    zeta and delta_k broadcast together (zeta a scalar, or an array over
+    a geometry grid with trailing unit axes for delta_k's).  Relative
+    error of the series at the switch point is below 1e-12.
     """
     delta_k = np.asarray(delta_k, dtype=complex)
     x = delta_k * zeta
@@ -184,26 +185,30 @@ def pump_wavenumbers(material: MaterialModel, basis: SpectralBasis,
 def pump_weights(structure: StructureSpec, pump: PumpField,
                  index: np.ndarray, ls) -> np.ndarray:
     """a_g = poling times the pump amplitude of direction g on the (signal
-    bin, idler bin) grid, for layers ls: shape (L, 2, K, K) over (layer, g,
-    row bin, col bin).  conj(T_g) per unit chi2 is ``coupling_unit`` * a_g."""
+    bin, idler bin) grid, for layers ls: shape (L, 2, *G, K, K) over (layer,
+    g, the pump's geometry grid, row bin, col bin).  conj(T_g) per unit
+    chi2 is ``coupling_unit`` * a_g."""
+    amps = pump.amps[ls][..., index]
     poling = np.array([structure.poling(l) for l in ls], dtype=float)
-    return poling[:, None, None, None] * pump.amps[ls][:, :, index]
+    return poling.reshape((-1,) + (1,) * (amps.ndim - 1)) * amps
 
 
 SPLIT_CONVENTIONS = ("local-jump", "per-slot")
 
 
-def class_kernels(material: MaterialModel, length: float,
+def class_kernels(material: MaterialModel, length,
                   basis: SpectralBasis, pump: PumpField, index: np.ndarray,
                   convention: str = "local-jump") -> dict:
     """Projected kernels at both edges of every layer of one (material,
     length) class, per unit pump weight: {edge: (volume, surface)}.
 
-    volume has shape (2, 2, 2, K, K) over (pump dir g, E/H row, col dir,
-    row bin, col bin), surface (2, K, K) over g; forward rows sit at the
-    right edge, backward rows at the left one.  A layer of the class with
-    pump weights a_g (``pump_weights``) has the kernels sum_g a_g
-    volume[g] and sum_g a_g surface[g] (``weighted_kernels``).  The
+    volume has shape (2, 2, 2, *G, K, K) over (pump dir g, E/H row, col
+    dir, geometry, row bin, col bin), surface (2, *G, K, K) over g, where
+    G is the shape of length (() for a scalar; an array length spans a
+    geometry grid); forward rows sit at the right edge, backward rows at
+    the left one.  A layer of the class with pump weights a_g
+    (``pump_weights``) has the kernels sum_g a_g volume[g] and sum_g a_g
+    surface[g] (``weighted_kernels``).  The
     electric row is the arriving kernel chi, the magnetic row its volume
     attribution; surface is the magnetic surface attribution, the same
     for both column directions.  Every kernel carries sqrt(dw_row dw_col)
@@ -233,9 +238,12 @@ def class_kernels(material: MaterialModel, length: float,
     k = {a: DIR_SIGN[a] * k_f for a in DIRS}
     k_p = pump_wavenumbers(material, basis, pump, index)
     unit = coupling_unit(material, basis)
+    if isinstance(length, np.ndarray):  # geometry axes before the bin axes
+        length = length[..., None, None]
     out = {}
+    # the left edge's zero pump phase shift keeps length's geometry axes
     for edge, a, shift, slot in (("right", "F", length, 1.0),
-                                 ("left", "B", 0.0, -1.0)):
+                                 ("left", "B", 0.0 * length, -1.0)):
         chi = []  # -i (e^{i dk L} - 1)/dk, the right edge with its phase
         for g in DIRS:
             per_b = []
@@ -259,8 +267,9 @@ def class_kernels(material: MaterialModel, length: float,
 
 def weighted_kernels(kernels, weights):
     """Per-layer kernels sum_g a_g kernels[g] from ``class_kernels`` and
-    pump weights of shape (L, 2, K, K): (volume (L, 2, 2, K, K) over
-    (layer, E/H row, col dir, row bin, col bin), surface (L, K, K))."""
+    pump weights of shape (L, 2, *G, K, K): (volume (L, 2, 2, *G, K, K)
+    over (layer, E/H row, col dir, geometry, row bin, col bin), surface
+    (L, *G, K, K))."""
     volume, surface = kernels
-    return (np.einsum("lgkn,gxbkn->lxbkn", weights, volume),
-            np.einsum("lgkn,gkn->lkn", weights, surface))
+    return (np.einsum("lg...kn,gxb...kn->lxb...kn", weights, volume),
+            np.einsum("lg...kn,g...kn->l...kn", weights, surface))

@@ -10,6 +10,7 @@ medium).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,9 +31,10 @@ class StructureSpec:
     """Ordered stack of (material, length, poling sign) plus ambients.
 
     A length may be an array over a geometry grid (every entry positive,
-    all lengths broadcasting together); only the linear transfers
-    (``linear.layer_transfers``, ``linear.linear_transmission``) accept
-    such a stack.
+    all lengths broadcasting together to the shape ``grid``).  The linear
+    transfers, the pump, ``matrixcore.build_emission`` and the pair
+    observables accept such a stack and carry the grid axes just before
+    their frequency or bin axes; a stack of scalar lengths has grid ().
     """
 
     layers: tuple  # ((MaterialModel, length_m, poling), ...)
@@ -56,6 +58,13 @@ class StructureSpec:
     @property
     def n_layers(self) -> int:
         return len(self.layers)
+
+    @cached_property
+    def grid(self) -> tuple:
+        """Geometry-grid shape G that the layer lengths broadcast to."""
+        return np.broadcast_shapes(*(length.shape
+                                     for _, length, _ in self.layers
+                                     if isinstance(length, np.ndarray)))
 
     def material(self, l: int) -> MaterialModel:
         if l == 0:

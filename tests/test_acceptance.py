@@ -29,7 +29,7 @@ from spdc1d.observables import (
     width_fwhm,
 )
 from spdc1d.oracle import compare_with_emission, reference_pair_amplitude
-from spdc1d.runner import _scan_cell, simulate, track_ridges, transmission_map
+from spdc1d.runner import ridge_yields, simulate, track_ridges, transmission_map
 from spdc1d.spectral import SpectralBasis
 from spdc1d.structure import StructureSpec
 
@@ -272,11 +272,11 @@ def test_qualitative_ridge_directions(example_run):
     details = []
     for ridge in long_ridges[:3]:
         pts = ridge["points"][:: max(1, len(ridge["points"]) // 5)][:6]
-        res = [_scan_cell((cfg, float(l1[i]), float(l2[j])))
-               for (i, j) in pts]
-        l1s = np.array([r["l1_nm"] for r in res])
-        nsv = np.array([r["N_SV_per_mm2"] for r in res])
-        ratio = np.array([r["R"] for r in res])
+        i, j = np.array(pts).T
+        res = ridge_yields(cfg, l1[i], l2[j])
+        l1s = l1[i]
+        nsv = res["N_SV_per_mm2"]
+        ratio = res["R"]
         slope_n = np.polyfit(l1s, nsv, 1)[0]
         slope_r = np.polyfit(l1s, ratio, 1)[0]
         details.append(f"slopes N_SV {slope_n:+.1e}, R {slope_r:+.1e}")

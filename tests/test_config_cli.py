@@ -621,11 +621,50 @@ def test_cli_scan_range_without_scan_section_exits_2(tmp_path, capsys,
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     argv = [command, "--config", str(cfg_path), "--out-dir"]
-    # without the override it is already a config error
-    assert main(argv + [str(tmp_path / "plain")]) == 2
-    capsys.readouterr()
+    # without the override it is already a config error, raised before
+    # the output directory is made
+    plain = tmp_path / "plain"
+    assert main(argv + [str(plain)]) == 2
+    assert "no 'scan' section" in capsys.readouterr().err
+    assert not plain.exists()
     out = tmp_path / "out"
     assert main(argv + [str(out), flag, "30", "90", "5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no scan section" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,args", [
+    ("verify", []),
+    ("scan", ["--out-dir", "OUT"]),
+    ("transmission-map", ["--out-dir", "OUT"]),
+    ("dump-matrix", ["--name", "F", "--out", "OUT"]),
+])
+@pytest.mark.parametrize("flag", ["--window-lo", "--window-hi"])
+def test_cli_window_flags_only_on_simulate(tmp_path, capsys, command, args,
+                                           flag):
+    """Only simulate reads the spectral window; elsewhere argparse rejects
+    the flags (exit 2) instead of ignoring them."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    out = tmp_path / "out"
+    argv = ([command, "--config", str(cfg_path), "--bins", "2"]
+            + [str(out) if a == "OUT" else a for a in args] + [flag, "0.4"])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_scan_workers_below_one_exits_2(tmp_path, capsys, workers):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    out = tmp_path / "out"
+    rc = main(["scan", "--config", str(cfg_path), "--out-dir", str(out),
+               "--workers", workers])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "workers must be at least 1" in err
     assert not out.exists()
