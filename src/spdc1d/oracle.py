@@ -23,11 +23,21 @@ solution per input side serves as the partner of either propagating
 field and as its outgoing-wave correction.  Step halving plus
 Richardson extrapolation removes the leading O(h^2) error.
 
-The sources are evaluated for a block of up to BLOCK sub-steps at once,
-on the z_n and z_n + h/2 grids, for every key (pol pair, partner input)
-together; the midpoint march itself stays sequential, one update of the
-stacked state per sub-step, so the block size does not change a bit of
-the result.
+The midpoint update of a sub-step of size h is c_{n+1} = A c_n + b_n
+with A = 1 + ikh + (ikh)^2/2 and b_n = h s(zeta_n + h/2)
++ (h^2/2) ik s(zeta_n), so a layer of N sub-steps is summed in closed
+form: c_N = A^N c_0 + sum_n A^(N-1-n) b_n.  The source is sum_g
+T_g^* e^{i k_p,g zeta} conj(amp_F e^{ik zeta} + amp_B e^{-ik zeta});
+of its factors only T_g^* (poling times pump weight) and the partner
+amplitudes amp change from layer to layer.  The z-sums of everything
+else (pump and partner phases times A^(N-1-n)) are therefore done once
+per (material object, length) class and step size, and each layer then
+costs one K x K contraction with its own T_g^* and amp.  The pump phases
+are evaluated once per distinct bin sum and gathered onto the grid; the
+bin-sum grid is exactly symmetric, so the idler rows share the signal
+rows' sums.  Each class sum runs over chunks of at most BLOCK sub-steps,
+reduced in order on top of the running sum, so the block size does not
+change a bit of the result.
 """
 
 from __future__ import annotations
@@ -53,26 +63,63 @@ from .spectral import (
 )
 from .structure import StructureSpec
 
-# sub-steps per vectorized source evaluation; bounds the source grids to
-# BLOCK x keys x 2 x K_row x K_col complex values each
+# sub-steps per chunk of a class sum; bounds its terms to
+# BLOCK x 8 x K_row x K_col complex values
 BLOCK = 64
 
 
-def _march_once(structure, layers, basis, row_field, partner_amps, step):
+def _class_sums(k, kp_sums, index, length, step):
+    """Closed-form midpoint sums of one (material, length) class.
+
+    k: forward wave number on the bin centers (K,); kp_sums: signed pump
+    wave numbers per distinct bin sum (2, S) over g, gathered onto the
+    (row bin, col bin) grid by index.  Returns (growth, weighted): growth
+    = A^N of shape (2, K, 1) over (direction a, row bin), and weighted of
+    shape (2, 2, 2, K, K) over (a, pump dir g, partner dir s): sgn_a sum_n
+    A^(N-1-n) (h E(zeta_n + h/2) + (h^2/2) i k_a E(zeta_n)) with E(zeta)
+    = e^{i k_p,g zeta} e^{-+i k zeta} (-i for s = F, whose partner mode
+    is conj(amp_F e^{ik zeta})).
+    """
+    n_sub = max(1, int(np.ceil(length / step)))
+    h = length / n_sub
+    ik = 1j * np.stack((k, -k))[:, :, None]
+    x = ik * h
+    growth = 1.0 + x + 0.5 * x * x
+    ik_part = np.stack((-1j * k, 1j * k))  # (s, K)
+    total = np.zeros((2, 2, 2) + index.shape, dtype=complex)
+    for n0 in range(0, n_sub, BLOCK):
+        n = np.arange(n0, min(n0 + BLOCK, n_sub))
+        zeta = n * h
+        pump = np.exp(1j * kp_sums[:, None, :] * zeta[:, None])[..., index]
+        part = np.exp(ik_part[:, None, :] * zeta[:, None])
+        phase = pump[:, None] * part[None, :, :, None, :]  # (g, s, n, K, K)
+        decay = growth ** (n_sub - 1 - n)[:, None, None, None]  # (n, a, K, 1)
+        terms = decay[:, :, None, None] * np.moveaxis(phase, 2, 0)[:, None]
+        terms[0] += total
+        total = np.add.reduce(terms, axis=0)
+    half = (np.exp(1j * kp_sums[:, None, :] * (0.5 * h))[..., index]
+            * np.exp(ik_part * (0.5 * h))[None, :, None, :])  # E(h/2)
+    sign = np.array([DIR_SIGN[a] for a in DIRS])[:, None, None, None, None]
+    weight = sign * (h * half + 0.5 * h * h * ik[:, None, None])
+    return growth ** n_sub, weight * total
+
+
+def _march_once(structure, layers, row_field, partner_amps, class_sums):
     """Particular pair solution for one propagating field, all pol pairs.
 
-    layers[l] = (d, k_p, t_unit) of layer l: its chi2 matrix d[signal pol,
-    idler pol], pump wave numbers k_p[g] and conj(T_g) per unit chi2
-    t_unit[g], both on the (signal bin, idler bin) grid.
-    partner_amps[b0] = flux-normalized layer amplitudes for unit input in
-    channel b0 ('F' at z_1, 'B' at z_{N+1}) on the bin centers, shape
-    (N+2, 2, K): the partner field's modes, and with b0 = 'B' the
-    outgoing-wave correction of the propagating field.  Returns the
-    corrected output coefficients out[(a_out, alpha, b0, beta)] as
-    continuous kernels at bin centers.
+    layers[l] = (d, k, t_unit, crossing) of layer l: its material's chi2
+    matrix d[signal pol, idler pol] and forward wave number on the bin
+    centers, conj(T_g) per unit chi2 t_unit, shape (2, K, K) over (g,
+    signal bin, idler bin), and the flux 2x2 map from layer l-1 into
+    layer l.  partner_amps[b0] = flux-normalized layer amplitudes for
+    unit input in channel b0 ('F' at z_1, 'B' at z_{N+1}) on the bin
+    centers, shape (N+2, 2, K): the partner field's modes, and with b0 =
+    'B' the outgoing-wave correction of the propagating field.
+    class_sums[(material id, length)] = _class_sums of every nonlinear
+    class at this step.  Returns the corrected output coefficients
+    out[(a_out, alpha, b0, beta)] as continuous kernels at bin centers.
     """
-    w = basis.centers
-    pairs = sorted({(POLS[i], POLS[j]) for d, _, _ in layers[1:-1]
+    pairs = sorted({(POLS[i], POLS[j]) for d, _, _, _ in layers[1:-1]
                     for i, j in zip(*np.nonzero(d))})
     if not pairs:
         return {}
@@ -81,15 +128,13 @@ def _march_once(structure, layers, basis, row_field, partner_amps, step):
         row_pairs = [(beta, alpha) for (alpha, beta) in pairs]
     else:
         row_pairs = pairs
-    shape = (w.size, w.size)
+    shape = layers[0][2].shape[1:]
     # state[p, b0, a]: pol pair p, partner input b0, propagation direction a
     state = np.zeros((len(row_pairs), 2, 2) + shape, dtype=complex)
 
     for l in range(1, structure.n_layers + 2):
         # continuity jump from layer l-1 into layer l at boundary z_l
-        n_from = refractive_index(structure.material(l - 1), w)
-        n_to = refractive_index(structure.material(l), w)
-        d = _crossing(n_from + 0j, n_to + 0j, "flux")
+        chi2, k, t_unit, d = layers[l]
         c_f, c_b = state[:, :, 0], state[:, :, 1]
         state = np.stack((d[0, 0][:, None] * c_f + d[0, 1][:, None] * c_b,
                           d[1, 0][:, None] * c_f + d[1, 1][:, None] * c_b),
@@ -97,67 +142,22 @@ def _march_once(structure, layers, basis, row_field, partner_amps, step):
         if l == structure.n_layers + 1:
             break
         length = structure.length(l)
-        n_sub = max(1, int(np.ceil(length / step)))
-        h = length / n_sub
-        chi2, k_p, t_unit = layers[l]
-        n = refractive_index(structure.material(l), w)
-        k_row = np.stack([DIR_SIGN[a] * w / CONSTANTS.c * n
-                          for a in DIRS])[:, :, None]
-        k_col_f = w / CONSTANTS.c * n
-        if row_field == "s":
-            kp = k_p
-            tstar = [{g: chi2[POLS.index(pr), POLS.index(pc)] * t_unit[g]
-                      for g in DIRS} for pr, pc in row_pairs]
-        else:
-            kp = {g: k_p[g].T for g in DIRS}
-            tstar = [{g: (chi2[POLS.index(pc), POLS.index(pr)] * t_unit[g]).T
-                      for g in DIRS} for pr, pc in row_pairs]
-        tstar = [{g: t for g, t in ts.items() if np.any(t)} for ts in tstar]
-        active = [p for p, ts in enumerate(tstar) if ts]
-        linear = [p for p, ts in enumerate(tstar) if not ts]
+        if row_field == "i":
+            chi2, t_unit = chi2.T, np.swapaxes(t_unit, 1, 2)
+        coef = [chi2[POLS.index(pr), POLS.index(pc)] for pr, pc in row_pairs]
+        active = [p for p, c in enumerate(coef) if c != 0.0]
+        linear = [p for p, c in enumerate(coef) if c == 0.0]
         if linear:
             # linear layer for these pairs: free phases only
+            k_row = np.stack((k, -k))[:, :, None]
             state[linear] *= np.exp(1j * k_row * length)
         if not active:
             continue
-
-        amps = [partner_amps[b0][l] for b0 in DIRS]
-        ik_col, mik_col = 1j * k_col_f, -1j * k_col_f
-        ik_pump = {g: 1j * kp[g] for g in DIRS}
-
-        def sources(zeta):
-            """sgn_a * source on the zeta grid, (n, key, a, K_row, K_col)."""
-            col = zeta[:, None]
-            e_f, e_b = np.exp(ik_col * col), np.exp(mik_col * col)
-            partner = [np.conj(amp[0] * e_f + amp[1] * e_b)[:, None, :]
-                       for amp in amps]
-            pump = {g: np.exp(ik_pump[g] * zeta[:, None, None]) for g in DIRS}
-            out = np.empty((zeta.size, len(active), 2, 2) + shape,
-                           dtype=complex)
-            for p_idx, p in enumerate(active):
-                # t_g e^{i k_p,g zeta} is shared by both partner inputs
-                factor = [t * pump[g] for g, t in tstar[p].items()]
-                for b_idx, part in enumerate(partner):
-                    src = np.zeros((zeta.size,) + shape, dtype=complex)
-                    for f in factor:
-                        src += f * part
-                    for a_idx, a in enumerate(DIRS):
-                        out[:, p_idx, b_idx, a_idx] = DIR_SIGN[a] * src
-            return out.reshape((zeta.size, -1, 2) + shape)
-
-        ika = 1j * k_row
-        half_h = 0.5 * h
-        c = state[active].reshape((-1, 2) + shape)
-        for n0 in range(0, n_sub, BLOCK):
-            zeta = np.arange(n0, min(n0 + BLOCK, n_sub)) * h
-            s0 = sources(zeta)
-            sm = sources(zeta + half_h)
-            for n in range(zeta.size):
-                f0 = ika * c + s0[n]
-                mid = c + half_h * f0
-                fm = ika * mid + sm[n]
-                c = c + h * fm
-        state[active] = c.reshape((len(active), 2, 2) + shape)
+        growth, weighted = class_sums[(id(structure.material(l)), length)]
+        amps = np.conj(np.stack([partner_amps[b0][l] for b0 in DIRS]))
+        source = np.einsum("agskm,gkm,bsm->bakm", weighted, t_unit, amps)
+        for p in active:
+            state[p] = growth * state[p] + coef[p] * source
 
     # enforce outgoing boundary conditions with a homogeneous correction
     sig_b = partner_amps["B"]
@@ -200,19 +200,37 @@ def reference_pair_amplitude(
     index = bin_sum_index(pump, basis)
     weights = pump_weights(structure, pump, index,
                            list(range(structure.n_layers + 2)))
-    per_material = structure.per_material(lambda mat: (
-        chi2_matrix(mat, pump.polarization),
-        pump_wavenumbers(mat, basis, pump, index),
-        coupling_unit(mat, basis)))
-    layers = [(d, k_p, {g: unit * a for g, a in zip(DIRS, weights[l])})
-              for l, (d, k_p, unit) in enumerate(per_material)]
+
+    def material_data(mat):
+        # n on the bin centers, and the pump wave numbers per bin sum
+        n = refractive_index(mat, centers)
+        k_p = pump_wavenumbers(mat, basis, pump, index)
+        kp_sums = np.zeros((2, sums.size))
+        kp_sums[:, index] = [k_p[g] for g in DIRS]
+        return (chi2_matrix(mat, pump.polarization), n,
+                centers / CONSTANTS.c * n, kp_sums, coupling_unit(mat, basis))
+
+    per_material = structure.per_material(material_data)
+    classes = {}  # (material id, length) of each nonlinear layer
+    layers = []
+    for l, (d, n, k, kp_sums, unit) in enumerate(per_material):
+        # the flux map into layer l across boundary z_l
+        cross = (_crossing(per_material[l - 1][1] + 0j, n + 0j, "flux")
+                 if l else None)
+        layers.append((d, k, unit * weights[l], cross))
+        if np.any(d):  # never an ambient: those are linear
+            length = structure.length(l)
+            classes[(id(structure.material(l)), length)] = (k, kp_sums,
+                                                            length)
     partner = {
         b0: scalar_layer_amplitudes(structure, centers, "flux", side=b0)
         for b0 in DIRS
     }
 
     def run(h):
-        return {f: _march_once(structure, layers, basis, f, partner, h)
+        class_sums = {key: _class_sums(k, kp_sums, index, length, h)
+                      for key, (k, kp_sums, length) in classes.items()}
+        return {f: _march_once(structure, layers, f, partner, class_sums)
                 for f in FIELDS}
 
     res = run(step)

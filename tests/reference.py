@@ -5,8 +5,10 @@ path: the layer boundary positions, the top-hat basis functions on a
 frequency grid, the interface
 continuity residual of a layer-amplitude solution, the pair phase
 function of one layer with its exact z-derivative, the branch
-contractions by plain loops over the labelled dense F, and a peak
-counter for the qualitative spectral checks.  ``LayerView`` reads one
+contractions by plain loops over the labelled dense F, a peak
+counter for the qualitative spectral checks, and the stepwise z-march
+of the oracle (``stepwise_pair_amplitude``), one midpoint update per
+sub-step.  ``LayerView`` reads one
 layer's coupling data (conj(T_g), wave numbers, kernels) through the
 pure functions of ``spectral``.  ``full_chi2`` gives a
 stack whose every (signal, idler) polarization pair emits, and
@@ -17,10 +19,16 @@ from dataclasses import replace
 
 import numpy as np
 
-from spdc1d.blockmatrix import MODE_CHANNELS
+from spdc1d.blockmatrix import FIELDS, MODE_CHANNELS
 from spdc1d.constants import CONSTANTS
 from spdc1d.errors import ConfigError
-from spdc1d.linear import PumpField, _interface_weights
+from spdc1d.linear import (
+    PumpField,
+    _crossing,
+    _interface_weights,
+    propagate_pump,
+    scalar_layer_amplitudes,
+)
 from spdc1d.materials import refractive_index, wavenumber
 from spdc1d.matrixcore import pair_block
 from spdc1d.observables import default_time_grid
@@ -242,3 +250,137 @@ def count_peaks(y, floor_fraction: float = 1e-3) -> int:
     floor = floor_fraction * y.max()
     inner = (y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:]) & (y[1:-1] > floor)
     return int(np.count_nonzero(inner))
+
+
+def _stepwise_march(structure, layers, basis, row_field, partner_amps, step):
+    """Particular pair solution of one row field by one sequential
+    midpoint update per sub-step, corrected to outgoing boundary
+    conditions: out[(a_out, alpha, b0, beta)] at bin centers.
+
+    layers[l] = (d, k_p, t_unit): chi2 matrix d[signal pol, idler pol],
+    pump wave numbers k_p[g] and conj(T_g) per unit chi2 t_unit[g] on the
+    (signal bin, idler bin) grid.  partner_amps[b0] = flux-normalized
+    layer amplitudes (N+2, 2, K) for unit input in channel b0.
+    """
+    w = basis.centers
+    pairs = sorted({(POLS[i], POLS[j]) for d, _, _ in layers[1:-1]
+                    for i, j in zip(*np.nonzero(d))})
+    if not pairs:
+        return {}
+    if row_field == "i":
+        row_pairs = [(beta, alpha) for (alpha, beta) in pairs]
+    else:
+        row_pairs = pairs
+    shape = (w.size, w.size)
+    # state[p, b0, a]: pol pair p, partner input b0, propagation direction a
+    state = np.zeros((len(row_pairs), 2, 2) + shape, dtype=complex)
+
+    for l in range(1, structure.n_layers + 2):
+        n_from = refractive_index(structure.material(l - 1), w)
+        n_to = refractive_index(structure.material(l), w)
+        d = _crossing(n_from + 0j, n_to + 0j, "flux")
+        c_f, c_b = state[:, :, 0], state[:, :, 1]
+        state = np.stack((d[0, 0][:, None] * c_f + d[0, 1][:, None] * c_b,
+                          d[1, 0][:, None] * c_f + d[1, 1][:, None] * c_b),
+                         axis=2)
+        if l == structure.n_layers + 1:
+            break
+        length = structure.length(l)
+        n_sub = max(1, int(np.ceil(length / step)))
+        h = length / n_sub
+        chi2, k_p, t_unit = layers[l]
+        n = refractive_index(structure.material(l), w)
+        k_row = np.stack([DIR_SIGN[a] * w / CONSTANTS.c * n
+                          for a in DIRS])[:, :, None]
+        k_col_f = w / CONSTANTS.c * n
+        if row_field == "s":
+            kp = k_p
+            tstar = [{g: chi2[POLS.index(pr), POLS.index(pc)] * t_unit[g]
+                      for g in DIRS} for pr, pc in row_pairs]
+        else:
+            kp = {g: k_p[g].T for g in DIRS}
+            tstar = [{g: (chi2[POLS.index(pc), POLS.index(pr)] * t_unit[g]).T
+                      for g in DIRS} for pr, pc in row_pairs]
+        tstar = [{g: t for g, t in ts.items() if np.any(t)} for ts in tstar]
+        active = [p for p, ts in enumerate(tstar) if ts]
+        linear = [p for p, ts in enumerate(tstar) if not ts]
+        if linear:
+            state[linear] *= np.exp(1j * k_row * length)
+        if not active:
+            continue
+        amps = [partner_amps[b0][l] for b0 in DIRS]
+
+        def sources(zeta):
+            """sgn_a * source on the zeta grid, (n, key, a, K_row, K_col)."""
+            col = zeta[:, None]
+            e_f = np.exp(1j * k_col_f * col)
+            e_b = np.exp(-1j * k_col_f * col)
+            partner = [np.conj(amp[0] * e_f + amp[1] * e_b)[:, None, :]
+                       for amp in amps]
+            pump = {g: np.exp(1j * kp[g] * zeta[:, None, None]) for g in DIRS}
+            out = np.empty((zeta.size, len(active), 2, 2) + shape,
+                           dtype=complex)
+            for p_idx, p in enumerate(active):
+                factor = [t * pump[g] for g, t in tstar[p].items()]
+                for b_idx, part in enumerate(partner):
+                    src = np.zeros((zeta.size,) + shape, dtype=complex)
+                    for f in factor:
+                        src += f * part
+                    for a_idx, a in enumerate(DIRS):
+                        out[:, p_idx, b_idx, a_idx] = DIR_SIGN[a] * src
+            return out.reshape((zeta.size, -1, 2) + shape)
+
+        ika = 1j * k_row
+        zeta = np.arange(n_sub) * h
+        s0, sm = sources(zeta), sources(zeta + 0.5 * h)
+        c = state[active].reshape((-1, 2) + shape)
+        for n in range(n_sub):
+            mid = c + 0.5 * h * (ika * c + s0[n])
+            c = c + h * (ika * mid + sm[n])
+        state[active] = c.reshape((len(active), 2, 2) + shape)
+
+    sig_b = partner_amps["B"]
+    refl_right = sig_b[structure.n_layers + 1, 0]
+    tran_left = sig_b[0, 1]
+    out = {}
+    for (pol_row, pol_col), c_pair in zip(row_pairs, state):
+        for b0, c in zip(DIRS, c_pair):
+            c_corr = -c[1]  # cancel the backward amplitude at z_{N+1}
+            out[("F", pol_row, b0, pol_col)] = c[0] + refl_right[:, None] * c_corr
+            out[("B", pol_row, b0, pol_col)] = tran_left[:, None] * c_corr
+    return out
+
+
+def stepwise_pair_amplitude(structure, pump_spec, basis, step,
+                            richardson=True):
+    """``oracle.reference_pair_amplitude`` with the z-march stepped one
+    midpoint update at a time: the same {'s': ..., 'i': ...} layout,
+    Richardson extrapolation and bin weights."""
+    centers, widths = basis.centers, basis.widths
+    sums = np.unique((centers[:, None] + centers[None, :]).ravel())
+    pump = propagate_pump(structure, pump_spec, sums)
+    index = bin_sum_index(pump, basis)
+    weights = pump_weights(structure, pump, index,
+                           list(range(structure.n_layers + 2)))
+    layers = []
+    for l in range(structure.n_layers + 2):
+        mat = structure.material(l)
+        unit = coupling_unit(mat, basis)
+        layers.append((chi2_matrix(mat, pump.polarization),
+                       pump_wavenumbers(mat, basis, pump, index),
+                       {g: unit * a for g, a in zip(DIRS, weights[l])}))
+    partner = {b0: scalar_layer_amplitudes(structure, centers, "flux", side=b0)
+               for b0 in DIRS}
+
+    def run(h):
+        return {f: _stepwise_march(structure, layers, basis, f, partner, h)
+                for f in FIELDS}
+
+    res = run(step)
+    if richardson:
+        res2 = run(step / 2.0)
+        res = {f: {k: (4.0 * res2[f][k] - v) / 3.0 for k, v in r.items()}
+               for f, r in res.items()}
+    weight = np.sqrt(widths[:, None] * widths[None, :])
+    return {"s": {k: v * weight for k, v in res["s"].items()},
+            "i": {k: np.conj(v) * weight for k, v in res["i"].items()}}

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from spdc1d.oracle import compare_with_emission, reference_pair_amplitude
 from spdc1d.spectral import SPLIT_CONVENTIONS, SpectralBasis
 from spdc1d.structure import StructureSpec
 
-from reference import full_chi2
+from reference import full_chi2, stepwise_pair_amplitude
 
 C = CONSTANTS.c
 OMEGA_P0 = 2 * np.pi * C / 400e-9
@@ -96,6 +98,49 @@ def test_block_size_does_not_change_oracle(gan, aln, air, pump400,
         assert list(blocked[field]) == list(stepwise[field])
         for key, got in blocked[field].items():
             assert np.array_equal(got, stepwise[field][key]), (field, key)
+
+
+def _assert_matches_stepwise(st, pump, basis, step):
+    got = reference_pair_amplitude(st, pump, basis, step=step)
+    want = stepwise_pair_amplitude(st, pump, basis, step=step)
+    for field in ("s", "i"):
+        assert len(got[field]) == 16
+        assert list(got[field]) == list(want[field])
+        for key, ref in want[field].items():
+            peak = np.max(np.abs(ref))
+            assert peak > 0.0
+            assert np.max(np.abs(got[field][key] - ref)) <= 1e-12 * peak, \
+                (field, key)
+
+
+def test_closed_form_march_matches_stepwise_reference(gan, aln, air,
+                                                      pump400):
+    st = full_chi2(StructureSpec(
+        ((gan, 40e-9, 1), (aln, 128e-9, 1), (gan, 200e-9, 1)), air, air))
+    basis = SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 4)
+    _assert_matches_stepwise(st, pump400, basis, step=2e-9)
+
+
+@pytest.mark.parametrize("side", ["F", "B"])
+def test_closed_form_march_shares_class_sums_across_layers(gan, aln, air,
+                                                           side):
+    # layers 1/3/5 and 2/4 are one (material, length) class each, with
+    # opposite poling and, through the pump, different weights per layer
+    st = full_chi2(StructureSpec(
+        ((gan, 50e-9, 1), (aln, 30e-9, 1), (gan, 50e-9, -1),
+         (aln, 30e-9, -1), (gan, 50e-9, 1)), air, air))
+    pump = PumpSpec.from_wavelength(400e-9, 7e-9, 1e3, polarization="y",
+                                    side=side)
+    basis = SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 5)
+    _assert_matches_stepwise(st, pump, basis, step=30e-9 / 20)
+
+
+def test_oracle_is_independent_of_the_emission_path():
+    source = inspect.getsource(oracle)
+    for name in ("class_kernels", "_class_pass", "weighted_kernels",
+                 "_bracket", "build_emission"):
+        assert name not in source, name
+        assert not hasattr(oracle, name), name
 
 
 def test_oracle_convergence_is_second_order(gan, aln, air, pump400):
