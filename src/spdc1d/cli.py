@@ -61,7 +61,8 @@ def build_parser():
     _add_common(p)
     p.add_argument("--out", default=None, help="write JSON report here")
     p.add_argument("--step-fraction", type=float, default=20.0,
-                   help="z-step = min layer length / this")
+                   help="z-step = min(thinnest layer, 1 / largest lit "
+                        "pump wave number) / this")
 
     p = sub.add_parser("dump-matrix", help="dump one pipeline matrix to CSV")
     _add_common(p)

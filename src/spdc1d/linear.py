@@ -17,7 +17,7 @@ All per-layer amplitudes are referenced at the layer's left boundary
 
 The one scattering solve is here: the scattering form F
 (``input_output_map``) and the feed W (``feed_in_map``) of the total
-transfer serve both the pump and the per-bin maps of ``matrixcore``.
+transfer serve the pump, ``linear_transmission`` and ``matrixcore``.
 """
 
 from __future__ import annotations
@@ -174,25 +174,21 @@ def scalar_layer_amplitudes(
 def linear_transmission(structure: StructureSpec, omega, side="F"):
     """Complex t, r and intensity coefficients T, R at given frequencies.
 
-    t and r are field-amplitude ratios; T includes the n_out/n_in flux
-    factor so that T + R = 1 for lossless stacks.  Each is an array over
-    (*G, len(omega)) for layer lengths over a geometry grid G (see
-    ``layer_transfers``), and a plain number for scalar lengths and one
-    frequency.
+    t and r are field-amplitude ratios read from F; T includes the
+    n_out/n_in flux factor so that T + R = 1 for lossless stacks.  Each
+    is an array over (*G, len(omega)) for layer lengths over a geometry
+    grid G (see ``layer_transfers``), and a plain number for scalar
+    lengths and one frequency.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    m = layer_transfers(structure, omega, "field")[0][-1]  # total transfer
-    if np.any(np.abs(m[1, 1]) < 1e-300):
-        raise SingularMatrix("degenerate stack: transfer M22 = 0")
+    f = input_output_map(layer_transfers(structure, omega, "field")[0][-1])
     n_in = refractive_index(structure.material(0), omega)
     n_out = refractive_index(structure.material(structure.n_layers + 1), omega)
     if side == "F":
-        r = -m[1, 0] / m[1, 1]
-        t = m[0, 0] + m[0, 1] * r
+        t, r = f[0, 0], f[1, 0]
         big_t = np.abs(t) ** 2 * n_out / n_in
     elif side == "B":
-        t = 1.0 / m[1, 1]
-        r = m[0, 1] / m[1, 1]
+        t, r = f[1, 1], f[0, 1]
         big_t = np.abs(t) ** 2 * n_in / n_out
     else:
         raise ConfigError(f"side must be 'F' or 'B', got {side!r}")

@@ -31,16 +31,19 @@ both fields) yields, per boundary l between layers l-1 and l:
   coefficient across the boundary.
 
 The emitted pair waves of one boundary propagate as free fields to the
-structure outputs.  Writing the left-going part through the forward
-transfer of the left segment and the right-going part through the
-backward transfer of the right segment gives a 2x2 response per bin
-whose inverse maps continuity sources to output amplitudes.  Each
-boundary source is therefore the kernel array scaled by columns with the
-per-bin feed of its input modes and by rows with the per-bin inverse
-response: O(N K^2) work and no matrix solve.  F, the scattering form
-from ``linear.input_output_map``, is kept as it is computed: one (2, 2, K)
-array per field over (out dir, in dir, bin), the same for both
-polarizations.
+structure outputs.  A continuity source s at boundary l is matched by the
+medium-0 modes c = (L_l at_left[l])^-1 s at z_1, and these leave as t c_F
+forward and r c_F - c_B backward, with t = F[0, 0] and r = F[1, 0] of the
+one scattering solve.  So the inverse response, from continuity sources
+to outputs, is [[t, 0], [r, -1]] (L_l at_left[l])^-1 per bin.  The flux
+transfers are unimodular, so det(L_l at_left[l]) = det(L_l) = -2iw/c at
+every boundary (one Wronskian per bin), and det(response_l) =
+-det(L_0)/t.  Each boundary source is therefore the kernel array scaled
+by columns with the per-bin feed of its input modes and by rows with the
+per-bin inverse response: O(N K^2) work and no matrix solve.  F, the
+scattering form from ``linear.input_output_map``, is kept as it is
+computed: one (2, 2, K) array per field over (out dir, in dir, bin), the
+same for both polarizations.
 
 None of these maps depends on polarization, and every kernel is one
 polarization-free grid times the layer's chi2 matrix d (``spectral``).
@@ -105,14 +108,13 @@ from .linear import (
     layer_transfers,
     mat2_inv,
     mat2_mul,
-    propagate_pump,
 )
 from .materials import refractive_index
 from .spectral import (
     DIRS,
     POLS,
     SpectralBasis,
-    bin_sum_index,
+    bin_sum_pump,
     chi2_matrix,
     class_kernels,
     pump_weights,
@@ -124,24 +126,15 @@ CONDITION_WARN = 1e12
 _CLASS_CHUNK = 4096  # layers x K^2 per class pass: the chunk's element budget
 
 
-def overlap_matrices(material, basis: SpectralBasis):
-    """Diagonal single-frequency overlaps of the top-hat basis.
-
-    Returns (i_e, i_h_f, i_h_b): entries 1/sqrt(n(w_k)) and
-    +-i k(w_k)/sqrt(n(w_k)) on the bin centers.
-    """
-    w = basis.centers
-    n = refractive_index(material, w)
-    i_e = 1.0 / np.sqrt(n)
-    i_h_f = 1j * w / CONSTANTS.c * n / np.sqrt(n)
-    return i_e, i_h_f, -i_h_f
-
-
 def interface_bins(material, basis: SpectralBasis):
     """Boundary-continuity map L of one layer per bin: (E, H) rows from
-    (F, B) mode amplitudes, shape (2, 2, K)."""
-    i_e, i_h_f, i_h_b = overlap_matrices(material, basis)
-    return np.array([[i_e, i_e], [i_h_f, i_h_b]])
+    (F, B) mode amplitudes, shape (2, 2, K).  Its entries are the diagonal
+    single-frequency overlaps of the top-hat basis on the bin centers:
+    1/sqrt(n(w_k)) in the E row, +-i k(w_k)/sqrt(n(w_k)) in the H row."""
+    n = refractive_index(material, basis.centers)
+    i_e = 1.0 / np.sqrt(n)
+    i_h = 1j * basis.centers / CONSTANTS.c * n / np.sqrt(n)
+    return np.array([[i_e, i_e], [i_h, -i_h]])
 
 
 def propagator_bins(material, length, basis: SpectralBasis):
@@ -160,7 +153,7 @@ class FieldMaps:
     modes at z_1 (stacks of shape (N+2, 2, 2, *G, K) over a geometry grid
     G, () for scalar lengths); interface[l]: L of layer l, the same for
     every geometry (unit G axes).  scatter: F; feed: W (shape
-    (2, 2, *G, K)).
+    (2, 2, *G, K)).  The boundary responses read t and r from F.
     """
 
     at_left: np.ndarray
@@ -169,20 +162,22 @@ class FieldMaps:
     scatter: np.ndarray
     feed: np.ndarray
 
-    def response(self, l):
-        """E/H continuity rows at boundary l from the outputs reached by
-        the pair waves emitted there: the forward output seen through the
-        right segment (medium N+1 back to layer l at z_l) minus the
-        backward output seen through the left segment (medium 0 on to
-        layer l-1 at z_l).  For an index array l the boundaries run along
-        axis 2: shape (2, 2, len(l), *G, K)."""
-        at_left, at_right, interface = (np.moveaxis(a, 0, 2) for a in (
-            self.at_left, self.at_right, self.interface))
-        from_right = mat2_mul(at_left[:, :, l],
-                              mat2_inv(self.at_left[-1], "full transfer"))
-        forward = mat2_mul(interface[:, :, l], from_right)[:, 0]
-        backward = mat2_mul(interface[:, :, l - 1], at_right[:, :, l - 1])[:, 1]
-        return np.stack((forward, -backward), axis=1)
+    def boundary_rows(self, l):
+        """L_l at_left[l]: E/H rows at boundary l of the medium-0 modes at
+        z_1.  For an index array l the boundaries run along axis 2: shape
+        (2, 2, len(l), *G, K)."""
+        at_left, interface = (np.moveaxis(a, 0, 2)[:, :, l]
+                              for a in (self.at_left, self.interface))
+        return mat2_mul(interface, at_left)
+
+    def inverse_response(self, l, context="boundary response"):
+        """Output amplitudes (forward, backward) from E/H continuity
+        sources at boundary l: [[t, 0], [r, -1]] (L_l at_left[l])^-1 with
+        t = F[0, 0] and r = F[1, 0], shaped as ``boundary_rows``."""
+        t, r = self.scatter[0, 0], self.scatter[1, 0]
+        zero = np.zeros_like(t)
+        return mat2_mul(np.array([[t, zero], [r, zero - 1.0]]),
+                        mat2_inv(self.boundary_rows(l), context))
 
     def fed(self, edge: str):
         """Layer modes at their left or right edge from the inputs, every
@@ -220,6 +215,28 @@ def outward_maps(maps: FieldMaps, l: int):
     y = np.array([z_map[0], [np.zeros_like(one), one]])
     x = np.array([maps.at_left[l][0], maps.at_right[l - 1][1]])
     return x, y, z_map
+
+
+def inverse_responses(maps: FieldMaps, boundaries):
+    """(inverse, cond): ``FieldMaps.inverse_response`` of the boundaries
+    along axis 2, and the exact 1-norm condition number of each response
+    L_l at_left[l] [[1/t, 0], [r/t, -1]] at its worst geometry and bin.
+    A singular response raises SingularMatrix naming its boundary."""
+    ls = np.array(boundaries, dtype=int)
+    try:
+        inverse = maps.inverse_response(ls)
+    except SingularMatrix:
+        for l in boundaries:  # name the first bad boundary
+            maps.inverse_response(l, f"boundary {l} response")
+        raise
+    t, r = maps.scatter[0, 0], maps.scatter[1, 0]
+    zero = np.zeros_like(t)
+    response = mat2_mul(maps.boundary_rows(ls),
+                        np.array([[1.0 / t, zero], [r / t, zero - 1.0]]))
+    norm_r, norm_inv = (np.abs(a).sum(axis=0).max(axis=0)
+                        for a in (response, inverse))
+    cond = norm_r * norm_inv
+    return inverse, cond.max(axis=tuple(range(1, cond.ndim)))
 
 
 def pair_block(pairs, row, col):
@@ -299,30 +316,17 @@ def build_emission(
 ) -> EmissionOperators:
     """Assemble the scattering map and the volume/surface emission maps."""
     maps = linear_maps(structure, basis)
-    sums = np.unique((basis.centers[:, None] + basis.centers[None, :]).ravel())
-    pump = propagate_pump(structure, pump_spec, sums)
+    pump, index = bin_sum_pump(structure, pump_spec, basis)
     n_tot = structure.n_layers + 2
     scatter = {f: m.scatter for f, m in maps.items()}
 
-    index = bin_sum_index(pump, basis)
     d_of = structure.per_material(
         lambda mat: chi2_matrix(mat, pump.polarization))
     dark = [not np.any(d) for d in d_of]
     active = [l for l in range(1, n_tot) if not (dark[l - 1] and dark[l])]
-    # inverse responses of the signal rows at every active boundary, with
-    # their exact 1-norm condition numbers (largest column sums per bin);
-    # the idler rows' are the complex conjugates
-    response = maps["s"].response(np.array(active, dtype=int))
-    try:
-        inverse = mat2_inv(response, "boundary response")
-    except SingularMatrix:
-        for i, l in enumerate(active):  # name the first bad boundary
-            mat2_inv(response[:, :, i], f"boundary {l} response")
-        raise
-    norm_r, norm_inv = (np.abs(a).sum(axis=0).max(axis=0)
-                        for a in (response, inverse))
-    cond = norm_r * norm_inv  # per boundary, its worst geometry and bin
-    cond = cond.max(axis=tuple(range(1, cond.ndim)))
+    # inverse responses of the signal rows at every active boundary; the
+    # idler rows' are the complex conjugates
+    inverse, cond = inverse_responses(maps["s"], active)
     warnings = [f"boundary {l}: response condition number {c:.2e}"
                 for l, c in zip(active, cond) if c > CONDITION_WARN]
     # feed of every layer's modes at each edge for the signal rows, from

@@ -46,7 +46,7 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ConfigError, StepTooCoarse
-from .linear import PumpSpec, _crossing, propagate_pump, scalar_layer_amplitudes
+from .linear import PumpSpec, _crossing, scalar_layer_amplitudes
 from .materials import refractive_index
 from .matrixcore import pair_block
 from .blockmatrix import FIELDS
@@ -55,7 +55,7 @@ from .spectral import (
     DIRS,
     POLS,
     SpectralBasis,
-    bin_sum_index,
+    bin_sum_pump,
     chi2_matrix,
     coupling_unit,
     pump_weights,
@@ -195,20 +195,16 @@ def reference_pair_amplitude(
             f"step {step:.3e} m exceeds min layer length / 16 = {min_len / 16:.3e} m"
         )
     centers, widths = basis.centers, basis.widths
-    sums = np.unique((centers[:, None] + centers[None, :]).ravel())
-    pump = propagate_pump(structure, pump_spec, sums)
-    index = bin_sum_index(pump, basis)
+    pump, index = bin_sum_pump(structure, pump_spec, basis)
     weights = pump_weights(structure, pump, index,
                            list(range(structure.n_layers + 2)))
 
     def material_data(mat):
         # n on the bin centers, and the pump wave numbers per bin sum
         n = refractive_index(mat, centers)
-        k_p = pump_wavenumbers(mat, basis, pump, index)
-        kp_sums = np.zeros((2, sums.size))
-        kp_sums[:, index] = [k_p[g] for g in DIRS]
         return (chi2_matrix(mat, pump.polarization), n,
-                centers / CONSTANTS.c * n, kp_sums, coupling_unit(mat, basis))
+                centers / CONSTANTS.c * n, pump_wavenumbers(mat, pump),
+                coupling_unit(mat, basis))
 
     per_material = structure.per_material(material_data)
     classes = {}  # (material id, length) of each nonlinear layer

@@ -36,6 +36,7 @@ from .observables import (
     width_fwhm,
 )
 from .oracle import compare_with_emission, reference_pair_amplitude
+from .spectral import pump_wavenumbers
 from .structure import StructureSpec
 
 M2_PER_MM2 = 1e-6  # counts per quantization area (1 m^2) -> per mm^2
@@ -370,10 +371,13 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
         "error": float(np.linalg.norm(s_s) / scale_g), "tol": 1e-10
     }
 
-    min_len = min(structure.length(l) for l in range(1, structure.n_layers + 1))
-    ref = reference_pair_amplitude(
-        structure, cfg.pump, basis, step=min_len / step_fraction
-    )
+    # the z-step resolves the thinnest layer and the largest lit pump k
+    k_p = max(k.max() for k in structure.per_material(
+        lambda mat: pump_wavenumbers(mat, emission.pump))[1:-1])
+    scale = min([structure.length(l) for l in range(1, structure.n_layers + 1)]
+                + ([1.0 / k_p] if k_p > 0.0 else []))
+    ref = reference_pair_amplitude(structure, cfg.pump, basis,
+                                   step=scale / step_fraction)
     checks["oracle_total_amplitude"] = {
         "error": float(compare_with_emission(ref, emission)), "tol": 1e-4
     }

@@ -39,8 +39,8 @@ idler pol] (``chi2_matrix``; its transpose for idler rows), and
 
 Per unit chi2, conj(T_g) = -i tau_s tau_i (4 pi eps0 / hbar) a_g
 (``coupling_unit`` times a_g), where a_g, the poling sign times the pump
-amplitude of direction g on the bin-sum grid (``pump_weights``, located
-on the pump grid by ``bin_sum_index``), is the one per-layer factor.
+amplitude of direction g on the bin-sum grid (``pump_weights``, gathered
+from the distinct sums by ``bin_sum_pump``), is the one per-layer factor.
 Everything else depends on a layer only through its material and length:
 the photon amplitudes, the signal/idler and pump wave numbers
 (``pump_wavenumbers``) and the brackets (e^{i dk L} - 1)/dk with the
@@ -59,7 +59,7 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ConfigError
-from .linear import PumpField
+from .linear import PumpField, PumpSpec, propagate_pump
 from .materials import (
     MaterialModel,
     chi2_effective,
@@ -140,18 +140,16 @@ def _bracket(delta_k, zeta):
     return np.where(small, series, exact)
 
 
-def bin_sum_index(pump: PumpField, basis: SpectralBasis) -> np.ndarray:
-    """Pump-grid index of every bin sum w_k + w_n, shape (K, K)."""
+def bin_sum_pump(structure: StructureSpec, pump_spec: PumpSpec,
+                 basis: SpectralBasis):
+    """(pump, index): the pump on the distinct bin sums w_k + w_n, and the
+    (K, K) index of every sum on that grid, so pump.omega[index] is the
+    bin-sum grid exactly."""
     centers = basis.centers
-    total = centers[:, None] + centers[None, :]
-    omega = pump.omega
-    idx = np.clip(np.searchsorted(omega, total), 0, omega.size - 1)
-    left = np.clip(idx - 1, 0, omega.size - 1)
-    idx = np.where(np.abs(omega[left] - total) < np.abs(omega[idx] - total),
-                   left, idx)
-    if np.any(np.abs(omega[idx] - total) > 1e-6 * total):
-        raise ConfigError("pump grid does not contain the bin sums")
-    return idx
+    sums, index = np.unique((centers[:, None] + centers[None, :]).ravel(),
+                            return_inverse=True)
+    return (propagate_pump(structure, pump_spec, sums),
+            index.reshape(basis.bins, basis.bins))
 
 
 def chi2_matrix(material: MaterialModel, pump_pol: str) -> np.ndarray:
@@ -169,17 +167,14 @@ def coupling_unit(material: MaterialModel, basis: SpectralBasis) -> np.ndarray:
                   * tau[:, None] * tau[None, :])
 
 
-def pump_wavenumbers(material: MaterialModel, basis: SpectralBasis,
-                     pump: PumpField, index: np.ndarray) -> dict:
-    """{g: signed pump wave number on the bin-sum grid}, zero where the pump
-    is dark (no window check there).  The grid is exactly symmetric."""
-    centers = basis.centers
-    total = centers[:, None] + centers[None, :]
-    lo, hi = material.window
-    clipped = np.clip(total, lo * (1 + 1e-12) if lo > 0 else 1e6,
-                      min(hi, 1e18) * (1 - 1e-12))
-    k_f, mask = wavenumber(material, clipped, "F"), pump.mask[index]
-    return {g: np.where(mask, DIR_SIGN[g] * k_f, 0.0) for g in DIRS}
+def pump_wavenumbers(material: MaterialModel, pump: PumpField) -> np.ndarray:
+    """Signed pump wave numbers on the pump grid, shape (2, n_omega) over
+    the pump direction g; evaluated only where the pump is lit, as in
+    ``propagate_pump``, and zero where it is dark."""
+    lit = pump.mask
+    k_p = np.zeros((len(DIRS),) + pump.omega.shape)
+    k_p[:, lit] = [wavenumber(material, pump.omega[lit], g) for g in DIRS]
+    return k_p
 
 
 def pump_weights(structure: StructureSpec, pump: PumpField,
@@ -200,7 +195,8 @@ def class_kernels(material: MaterialModel, length,
                   basis: SpectralBasis, pump: PumpField, index: np.ndarray,
                   convention: str = "local-jump") -> dict:
     """Projected kernels at both edges of every layer of one (material,
-    length) class, per unit pump weight: {edge: (volume, surface)}.
+    length) class, per unit pump weight, from ``bin_sum_pump``'s pump and
+    index: {edge: (volume, surface)}.
 
     volume has shape (2, 2, 2, *G, K, K) over (pump dir g, E/H row, col
     dir, geometry, row bin, col bin), surface (2, *G, K, K) over g, where
@@ -236,7 +232,7 @@ def class_kernels(material: MaterialModel, length,
     weight = np.sqrt(widths[:, None] * widths[None, :])
     k_f = wavenumber(material, basis.centers, "F")
     k = {a: DIR_SIGN[a] * k_f for a in DIRS}
-    k_p = pump_wavenumbers(material, basis, pump, index)
+    k_p = pump_wavenumbers(material, pump)[:, index]
     unit = coupling_unit(material, basis)
     if isinstance(length, np.ndarray):  # geometry axes before the bin axes
         length = length[..., None, None]
@@ -245,10 +241,10 @@ def class_kernels(material: MaterialModel, length,
     for edge, a, shift, slot in (("right", "F", length, 1.0),
                                  ("left", "B", 0.0 * length, -1.0)):
         chi = []  # -i (e^{i dk L} - 1)/dk, the right edge with its phase
-        for g in DIRS:
+        for kp_g in k_p:
             per_b = []
             for b in DIRS:
-                dk = k_p[g] - k[a][:, None] - k[b][None, :]
+                dk = kp_g - k[a][:, None] - k[b][None, :]
                 c = -1j * _bracket(dk, length)
                 if edge == "right":
                     c = c * np.exp(1j * (k[a][:, None] + k[b][None, :])
@@ -256,8 +252,8 @@ def class_kernels(material: MaterialModel, length,
                 per_b.append(c * weight)
             chi.append(per_b)
         chi = unit * np.array(chi)
-        q = unit * np.array([np.exp(1j * k_p[g] * shift) * weight
-                             for g in DIRS])
+        q = unit * np.array([np.exp(1j * kp_g * shift) * weight
+                             for kp_g in k_p])
         # per-slot: [+-1]_a of the arriving direction
         sigma = -1.0 if convention == "local-jump" else slot
         hv = 1j * k[a][:, None] * chi + sigma * q[:, None]

@@ -2,16 +2,16 @@
 
 These evaluate the physics directly instead of through the production
 path: the layer boundary positions, the top-hat basis functions on a
-frequency grid, the interface
-continuity residual of a layer-amplitude solution, the pair phase
-function of one layer with its exact z-derivative, the branch
-contractions by plain loops over the labelled dense F, a peak
-counter for the qualitative spectral checks, and the stepwise z-march
-of the oracle (``stepwise_pair_amplitude``), one midpoint update per
-sub-step.  ``LayerView`` reads one
-layer's coupling data (conj(T_g), wave numbers, kernels) through the
-pure functions of ``spectral``.  ``full_chi2`` gives a
-stack whose every (signal, idler) polarization pair emits, and
+frequency grid, the interface continuity residual of a layer-amplitude
+solution, the pair phase function of one layer with its exact
+z-derivative, the branch contractions by plain loops over the labelled
+dense F, a peak counter for the qualitative spectral checks, the
+boundary response through the left and right segments
+(``segment_response``), and the stepwise z-march of the oracle
+(``stepwise_pair_amplitude``), one midpoint update per sub-step.
+``LayerView`` reads one layer's coupling data (conj(T_g), wave numbers,
+kernels) through the pure functions of ``spectral``.  ``full_chi2``
+gives a stack whose every (signal, idler) polarization pair emits, and
 ``explicit_time_grid`` the full n x n detection-time density.
 """
 
@@ -26,7 +26,8 @@ from spdc1d.linear import (
     PumpField,
     _crossing,
     _interface_weights,
-    propagate_pump,
+    mat2_inv,
+    mat2_mul,
     scalar_layer_amplitudes,
 )
 from spdc1d.materials import refractive_index, wavenumber
@@ -38,7 +39,7 @@ from spdc1d.spectral import (
     POLS,
     SpectralBasis,
     _bracket,
-    bin_sum_index,
+    bin_sum_pump,
     chi2_matrix,
     class_kernels,
     coupling_unit,
@@ -107,7 +108,10 @@ class LayerView:
         self.basis, self.pump = basis, pump
         self.material, self.length = structure.material(l), structure.length(l)
         self.d = chi2_matrix(self.material, pump.polarization)
-        self.index = bin_sum_index(pump, basis)
+        # the pump grid holds every bin sum exactly
+        total = basis.centers[:, None] + basis.centers[None, :]
+        self.index = np.searchsorted(pump.omega, total)
+        assert np.array_equal(pump.omega[self.index], total)
         self.weights = pump_weights(structure, pump, self.index, [l])
         # conj(T_g) per unit chi2, over g
         self.t_unit = coupling_unit(self.material, basis) * self.weights[0]
@@ -119,8 +123,8 @@ class LayerView:
         return wavenumber(self.material, self.basis.centers, a)
 
     def pump_k(self, g):
-        return pump_wavenumbers(self.material, self.basis, self.pump,
-                                self.index)[g]
+        return pump_wavenumbers(self.material,
+                                self.pump)[DIRS.index(g)][self.index]
 
     def tstar(self, g, alpha, beta):
         """conj(T_g) for polarizations (alpha, beta)."""
@@ -139,6 +143,19 @@ class LayerView:
         hs = np.broadcast_to(surface[0], chi.shape)
         return (tuple(np.array([k, k]) for k in (chi, hv, hs)),
                 np.array([self.d, self.d.T]))
+
+
+def segment_response(maps, l):
+    """E/H continuity rows at boundary l from the output amplitudes of the
+    pair waves emitted there, through the segments on either side: the
+    forward output seen through the right segment (the inverse total
+    transfer, then on to layer l at z_l) minus the backward output seen
+    through the left segment (medium 0 on to layer l-1 at z_l).  Its
+    inverse is ``FieldMaps.inverse_response(l)``."""
+    from_right = mat2_mul(maps.at_left[l], mat2_inv(maps.at_left[-1]))
+    forward = mat2_mul(maps.interface[l], from_right)[:, 0]
+    backward = mat2_mul(maps.interface[l - 1], maps.at_right[l - 1])[:, 1]
+    return np.stack((forward, -backward), axis=1)
 
 
 def phase_functions(coupling: LayerView, a, b, alpha, beta, z,
@@ -357,9 +374,7 @@ def stepwise_pair_amplitude(structure, pump_spec, basis, step,
     midpoint update at a time: the same {'s': ..., 'i': ...} layout,
     Richardson extrapolation and bin weights."""
     centers, widths = basis.centers, basis.widths
-    sums = np.unique((centers[:, None] + centers[None, :]).ravel())
-    pump = propagate_pump(structure, pump_spec, sums)
-    index = bin_sum_index(pump, basis)
+    pump, index = bin_sum_pump(structure, pump_spec, basis)
     weights = pump_weights(structure, pump, index,
                            list(range(structure.n_layers + 2)))
     layers = []
@@ -367,7 +382,7 @@ def stepwise_pair_amplitude(structure, pump_spec, basis, step,
         mat = structure.material(l)
         unit = coupling_unit(mat, basis)
         layers.append((chi2_matrix(mat, pump.polarization),
-                       pump_wavenumbers(mat, basis, pump, index),
+                       dict(zip(DIRS, pump_wavenumbers(mat, pump)[:, index])),
                        {g: unit * a for g, a in zip(DIRS, weights[l])}))
     partner = {b0: scalar_layer_amplitudes(structure, centers, "flux", side=b0)
                for b0 in DIRS}

@@ -600,6 +600,28 @@ def test_cli_verify_bad_step_fraction_exits_2(tmp_path, capsys, fraction):
     assert not out.exists()
 
 
+def test_cli_verify_long_slab_oracle_step(tmp_path, capsys):
+    """A 400 nm n = 2.4 slab over the example config: the oracle step must
+    resolve the pump phase across the slab, not only the thinnest layer
+    (which is the slab itself), or the oracle misses the emission maps
+    by about 1e-2."""
+    slab = tmp_path / "slab.json"
+    slab.write_text(json.dumps({
+        "materials": {"slab": {"dispersion": {"type": "constant", "n": 2.4},
+                               "chi2": [{"pol": "y;xy",
+                                         "d_m_per_V": 4e-12}]}},
+        "structure": {"ambient_in": "air", "ambient_out": "air",
+                      "layers": [{"material": "slab", "length_nm": 400.0,
+                                  "poling": 1}]}}))
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--config", EXAMPLE, "--structure", str(slab),
+               "--bins", "8", "--out", str(out)])
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert rc == 0 and report["ok"]
+    assert report["checks"]["oracle_total_amplitude"]["error"] < 1e-5
+
+
 def test_cli_window_lo_without_hi_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_tiny_config()))

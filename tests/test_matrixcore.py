@@ -1,10 +1,13 @@
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import spdc1d.matrixcore as matrixcore_mod
+import spdc1d.runner as runner_mod
 from spdc1d.blockmatrix import BlockMatrix, mode_space, row_space
+from spdc1d.config import load_config
 from spdc1d.constants import CONSTANTS
 from spdc1d.linear import (
     PumpSpec,
@@ -19,8 +22,8 @@ from spdc1d.matrixcore import (
     build_emission,
     interface_bins,
     linear_maps,
+    inverse_responses,
     outward_maps,
-    overlap_matrices,
     pair_block,
     propagator_bins,
 )
@@ -31,9 +34,11 @@ from spdc1d.spectral import (
 )
 from spdc1d.structure import StructureSpec
 
-from reference import LayerView, polarized_kernels
+from reference import LayerView, polarized_kernels, segment_response
 
 C = CONSTANTS.c
+EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs",
+                       "gan_aln_20layer.json")
 OMEGA_P0 = 2 * np.pi * C / 400e-9
 
 
@@ -59,20 +64,22 @@ def _eye2(bins):
 
 
 def test_overlap_matrices_constant_index():
+    """The entries of the interface map are the single-frequency overlaps
+    of the top-hat basis: 1/sqrt(n) in the E row, +-i k/sqrt(n) in the H
+    row."""
     b = _basis(6)
-    i_e, i_hf, i_hb = overlap_matrices(constant_material("v", 1.0), b)
+    (i_e, i_e2), (i_hf, i_hb) = interface_bins(constant_material("v", 1.0), b)
     assert np.allclose(i_e, 1.0)
-    i_e4, _, _ = overlap_matrices(constant_material("m", 4.0), b)
+    assert np.array_equal(i_e2, i_e)
+    (i_e4, _), _ = interface_bins(constant_material("m", 4.0), b)
     assert np.allclose(i_e4, 0.5)
     assert np.allclose(i_hb, -i_hf)
     assert np.allclose(i_hf, 1j * b.centers / C * 1.0)
 
 
 def test_overlap_matrices_sellmeier_per_bin(gan):
-    from spdc1d.materials import refractive_index
-
     b = SpectralBasis(0.3 * OMEGA_P0, 0.8 * OMEGA_P0, 16)
-    i_e, i_hf, _ = overlap_matrices(gan, b)
+    (i_e, _), (i_hf, _) = interface_bins(gan, b)
     for k in range(16):
         n_k = refractive_index(gan, b.centers[k])
         assert i_e[k] == pytest.approx(1.0 / np.sqrt(n_k), rel=1e-14)
@@ -299,7 +306,7 @@ def _assert_sources_match_per_block_loop(structure, pump_spec, b,
         sides = ((couplings[l - 1], "right", 1.0, l - 1),
                  (couplings[l], "left", -1.0, l))
         for fi, (row_f, col_f) in enumerate((("s", "i"), ("i", "s"))):
-            inv = mat2_inv(maps[row_f].response(l))
+            inv = mat2_inv(segment_response(maps[row_f], l))
             for pi in range(len(POLS)):
                 for qi in range(len(POLS)):
                     # rows[w, E/H, col channel]: continuity-row sources
@@ -399,22 +406,96 @@ def test_class_pass_partial_last_chunk(gan, aln, air, pump400, convention):
 
 @pytest.mark.parametrize("bins", [12, 64])
 def test_idler_rows_are_conjugated_signal_rows(stack20, pump400, bins):
-    """The emission assembly builds boundary responses, their inverses and
-    the feeds for the signal rows only and takes the idler rows' as
-    complex conjugates: exact at every boundary and both edges, and so
-    are the idler rows of G_V and G_S (with the pols swapped, d.T)."""
+    """The emission assembly builds the inverse boundary responses and the
+    feeds for the signal rows only and takes the idler rows' as complex
+    conjugates: exact at every boundary and both edges, and so are the
+    idler rows of G_V and G_S (with the pols swapped, d.T)."""
     b = _basis(bins, 0.35, 0.65)
     maps = linear_maps(stack20, b)
     boundaries = np.arange(1, stack20.n_layers + 2)
-    r_s, r_i = (maps[f].response(boundaries) for f in ("s", "i"))
-    assert np.array_equal(r_i, np.conj(r_s))
-    assert np.array_equal(mat2_inv(r_i), np.conj(mat2_inv(r_s)))
+    inv_s, inv_i = (maps[f].inverse_response(boundaries) for f in ("s", "i"))
+    assert np.array_equal(inv_i, np.conj(inv_s))
     for edge in ("left", "right"):
         assert np.array_equal(maps["s"].fed(edge), np.conj(maps["i"].fed(edge)))
     em = build_emission(stack20, pump400, b)
     for g in (em.g_volume, em.g_surface):
         assert np.any(g[0])
         assert np.array_equal(g[1], np.conj(g[0]).swapaxes(1, 3))
+
+
+def _wronskian_defect(maps, boundaries):
+    """max |det(L_l at_left[l]) / det(L_0) - 1| over the boundaries, the
+    geometry grid and the bins; det(L_0) = -2iw/c per bin."""
+    rows = maps.boundary_rows(boundaries)
+    det = rows[0, 0] * rows[1, 1] - rows[0, 1] * rows[1, 0]
+    l0 = maps.interface[0]
+    det0 = l0[0, 0] * l0[1, 1] - l0[0, 1] * l0[1, 0]
+    return np.abs(det / det0 - 1.0).max()
+
+
+def test_boundary_wronskian_is_the_ambient_one(stack4):
+    """The flux transfers are unimodular, so every boundary's E/H rows of
+    the medium-0 modes have the determinant of the ambient interface map:
+    one Wronskian per bin, for both fields, on the shipped config, stack4
+    and the scan's pair stack over an (l1, l2) grid."""
+    cfg = load_config(EXAMPLE)
+    lengths = np.linspace(10e-9, 100e-9, 4)
+    grid = runner_mod._pair_stack(cfg, lengths[:, None], lengths[None, :])
+    for st, b in ((cfg.structure, cfg.basis(bins=16)), (stack4, _basis(8)),
+                  (grid, cfg.basis(bins=cfg.scan.bins))):
+        boundaries = np.arange(1, st.n_layers + 2)
+        for field, maps in linear_maps(st, b).items():
+            l0 = maps.interface[0]
+            det0 = (l0[0, 0] * l0[1, 1] - l0[0, 1] * l0[1, 0]).ravel()
+            sign = 1.0 if field == "s" else -1.0
+            assert np.allclose(det0, -2j * sign * b.centers / C, rtol=1e-14)
+            assert _wronskian_defect(maps, boundaries) < 1e-12
+
+
+# the parent formula's condition numbers of the boundaries that warn,
+# per number of periods of the quarter-wave stack
+QUARTER_WAVE_CONDITION = {
+    25: {1: 2765259490606.1885, 48: 2239704515489.1484,
+         50: 6220306917302.886},
+    30: {1: 35612979228930.305, 3: 12823144381071.742,
+         5: 4617222024263.065, 7: 1662520426944.7075,
+         52: 1341322178313.4292, 54: 3725409376562.487,
+         56: 10346647253437.834, 58: 28745794324390.453,
+         60: 79867604779640.64},
+}
+
+
+@pytest.mark.parametrize("periods", sorted(QUARTER_WAVE_CONDITION))
+def test_condition_warning_on_quarter_wave_stacks(air, pump400, periods):
+    """Quarter-wave n = 2.5/1.5 stacks at 800 nm in air warn at the
+    boundaries whose response condition number exceeds CONDITION_WARN,
+    with the pinned numbers.  Near the stop band the double-precision
+    march holds those numbers only to its own accuracy, which is what the
+    Wronskian defect of the stack measures (2e-5 at 25 periods, 2e-3 at
+    30), so that defect bounds each one's relative deviation."""
+    hi = constant_material("hi", 2.5, chi2={("y", "x", "y"): 1e-12})
+    lo = constant_material("lo", 1.5)
+    w800 = 2 * np.pi * C / 800e-9
+    b = SpectralBasis(0.975 * w800, 1.025 * w800, 8)
+    st = StructureSpec(((hi, 80e-9, 1), (lo, 800e-9 / 6, 1)) * periods,
+                       air, air)
+    expected = QUARTER_WAVE_CONDITION[periods]
+    em = build_emission(st, pump400, b)
+    assert em.warnings == [f"boundary {l}: response condition number {c:.2e}"
+                           for l, c in expected.items()]
+    # every boundary but the last, which joins linear n = 1.5 and air
+    active = list(range(1, st.n_layers + 1))
+    maps = linear_maps(st, b)["s"]
+    _, cond = inverse_responses(maps, active)
+    assert [l for l, c in zip(active, cond)
+            if c > matrixcore_mod.CONDITION_WARN] == list(expected)
+    defect = _wronskian_defect(maps, np.array(active))
+    assert 1e-6 < defect < 1e-2
+    for l, c in expected.items():
+        assert cond[l - 1] == pytest.approx(c, rel=defect)
+    cfg = load_config(EXAMPLE)
+    assert build_emission(cfg.structure, cfg.pump,
+                          cfg.basis(bins=12)).warnings == []
 
 
 def test_fictitious_boundary_surface_source_null(gan, aln, air, pump400):

@@ -3,15 +3,16 @@ import pytest
 
 from spdc1d.blockmatrix import FIELDS
 from spdc1d.constants import CONSTANTS
-from spdc1d.errors import ConfigError
+from spdc1d.errors import ConfigError, OutOfWindow
 from spdc1d.linear import PumpSpec, propagate_pump
 from spdc1d.materials import constant_material
 from spdc1d.spectral import (
     DIRS,
     POLS,
     SpectralBasis,
-    bin_sum_index,
+    bin_sum_pump,
     photon_amplitude_tau,
+    pump_wavenumbers,
 )
 from spdc1d.structure import StructureSpec
 
@@ -97,14 +98,33 @@ def test_coupling_zero_cases_and_linearity():
     assert abs(t4) == pytest.approx(2 * abs(t1), rel=1e-12)
 
 
-def test_bin_sum_index_rejects_pump_grid_without_bin_sums():
+def test_bin_sum_pump_index_reads_exact_bin_sums():
     st, pump, basis, field = _toy()
-    assert np.array_equal(field.omega[bin_sum_index(field, basis)],
+    got, index = bin_sum_pump(st, pump, basis)
+    assert index.shape == (basis.bins, basis.bins)
+    assert np.array_equal(got.omega[index],
                           basis.centers[:, None] + basis.centers[None, :])
-    shifted = propagate_pump(st, pump, field.omega * (1 + 1e-4))
-    with pytest.raises(ConfigError,
-                       match="pump grid does not contain the bin sums"):
-        bin_sum_index(shifted, basis)
+    # one pump solve per distinct bin sum
+    assert np.array_equal(got.omega, field.omega)
+    assert np.array_equal(got.amps, field.amps)
+
+
+def test_pump_wavenumbers_only_where_the_pump_is_lit():
+    """The pump wave numbers are evaluated on the lit pump frequencies
+    only, so a material valid there but not on every bin sum is fine,
+    and the dark sums read zero."""
+    st, pump, basis, field = _toy(bins=12, window=(0.05, 0.95))
+    lit = field.mask
+    assert lit.any() and not lit.all()
+    narrow = constant_material("narrow", 2.0, window=(
+        field.omega[lit].min(), field.omega[lit].max()))
+    with pytest.raises(OutOfWindow):
+        narrow.check_window(field.omega)
+    k_p = pump_wavenumbers(narrow, field)
+    assert k_p.shape == (2, field.omega.size)
+    k = field.omega[lit] / C * 2.0
+    assert np.array_equal(k_p[:, lit], [k, -k])
+    assert np.all(k_p[:, ~lit] == 0.0)
 
 
 def test_phase_function_vanishes_at_reference_point():
