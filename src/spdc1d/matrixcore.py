@@ -70,13 +70,20 @@ edges are formed once; each layer's kernels are sum_g a_g kernels[g],
 scaled by columns with that layer's feed and by rows with the inverse
 response of its boundary (the right edge of layer l sits at boundary
 l+1 with sign +, the left edge at boundary l with sign -) times
-1/sqrt(n); and the layers are summed inside the contraction.  The
-layers go through in chunks of at most ``_CLASS_CHUNK`` // K^2 layers
-(at least one), so a pass holds a bounded number of K x K grids: at K =
-12 the 10 GaN layers of the example form one chunk, at K >= 64 every
-layer is its own.  With ``keep_sources`` the same pass runs one layer
-per chunk and each result is also kept for its boundary.  The physics
-(kernels, feeds, responses) is the same on both paths.
+1/sqrt(n); and the layers are summed.  The class kernels hold the
+arriving kernel chi and the surface kernel s only; the magnetic volume
+row is i k_a chi - s, so a pass forms the total source from the rows
+E + i k_a H times the fed chi and the surface source from the H rows
+times the fed s, and takes volume = total - surface.  A pass is plain
+broadcast arithmetic on arrays with the layer axis leading, (L, ...,
+*G, K, K), summed over that axis: a few multiply-adds per (layer,
+geometry, bin pair).  The layers go through in chunks of at most
+``_CLASS_CHUNK`` // K^2 layers (at least one), so a pass holds a
+bounded number of K x K grids: at K = 12 the 10 GaN layers of the
+example form one chunk, at K >= 64 every layer is its own.  With
+``keep_sources`` the same pass runs one layer per chunk and each result
+is also kept for its boundary.  The physics (kernels, feeds, responses)
+is the same on both paths.
 
 A stack whose layer lengths are arrays over a geometry grid G
 (``StructureSpec.grid``) is built once for every geometry: each array
@@ -84,11 +91,13 @@ then carries the axes *G just before its bin axes, so G_V is
 (2, 2, 2, 2, 2, *G, K, K), F is (2, 2, *G, K) per field, a boundary
 response (2, 2, *G, K) and a class pass holds its chunk's layers for
 every geometry.  A geometry-grid length keys its class by its array
-object, as in ``linear.layer_transfers``; the interface maps and the
-kernels of a scalar-length class carry unit or no G axes and broadcast;
-the condition warning of a boundary reports its worst geometry.  With
-G = () every shape is the single-structure one.  The caller bounds the
-size of G (``runner.scan`` builds its ridge cells in chunks).
+object, as in ``linear.layer_transfers``; the interface maps carry
+unit G axes, and a class length with fewer axes than G (a scalar among
+them) is given unit axes for the missing ones before its kernels are
+formed, so both broadcast; the condition warning of a boundary reports
+its worst geometry.  With G = () every shape is the single-structure
+one.  The caller bounds the size of G (``runner.scan`` builds its ridge
+cells in chunks).
 """
 
 from __future__ import annotations
@@ -118,7 +127,6 @@ from .spectral import (
     chi2_matrix,
     class_kernels,
     pump_weights,
-    weighted_kernels,
 )
 from .structure import StructureSpec
 
@@ -265,19 +273,26 @@ def _class_pass(kernels, weights, feed, rows):
     """Signal-row output sources of a chunk of layers of one class at one
     edge, summed over the layers (see ``_expand`` for the layout).
 
-    kernels: ``class_kernels`` of the class; weights: the layers'
-    ``pump_weights``, shape (L, g, *G, K, K); feed: the layers' modes at
-    the edge from the inputs, shape (col dir, channel, L, *G, col bin);
-    rows: the inverse response of each layer's boundary times 1/sqrt(n),
-    shape (out dir, E/H, L, *G, row bin).  Surface sources drive magnetic
-    rows only, and their kernel is the same for both column directions.
+    kernels: ``class_kernels`` of the class at the edge, (chi, surface,
+    ik); weights: the layers' ``pump_weights``, shape (L, g, *G, K, K);
+    feed: the layers' modes at the edge from the inputs, shape (col dir,
+    channel, L, *G, col bin); rows: the inverse response of each layer's
+    boundary times 1/sqrt(n), shape (out dir, E/H, L, *G, row bin).
+    Volume is the total (E + ik H rows times the fed chi) minus the
+    surface source (H rows times the fed surface kernel).
     """
-    j_v, j_s = weighted_kernels(kernels, weights)
-    k_v = np.einsum("lxb...kn,bcl...n->lxc...kn", j_v, feed)
-    p_v = np.einsum("dxl...k,lxc...kn->dc...kn", rows, k_v)
-    p_s = np.einsum("dl...k,l...kn,cl...n->dc...kn", rows[:, 1], j_s,
-                    feed.sum(axis=0))
-    return np.stack((p_v, p_s))
+    chi, surface, ik = kernels
+    a = weights[:, :, None]
+    j0 = a[:, 0] * chi[0] + a[:, 1] * chi[1]  # (L, col dir, *G, K, K)
+    j_s = weights[:, 0] * surface[0] + weights[:, 1] * surface[1]
+    fed = np.moveaxis(feed, 2, 0)[..., None, :]  # (L, b, c, *G, 1, K)
+    k0 = j0[:, :1] * fed[:, 0] + j0[:, 1:] * fed[:, 1]  # (L, c, ...)
+    r = np.moveaxis(rows, 2, 0)[..., None]  # (L, d, E/H, *G, K, 1)
+    r_t = r[:, :, 0] + ik[:, None] * r[:, :, 1]
+    p_total = (r_t[:, :, None] * k0[:, None]).sum(axis=0)
+    p_s = (r[:, :, 1, None]
+           * (j_s[:, None] * (fed[:, 0] + fed[:, 1]))[:, None]).sum(axis=0)
+    return np.stack((p_total - p_s, p_s))
 
 
 @dataclass
@@ -348,15 +363,19 @@ def build_emission(
     kept = {l: [] for l in range(1, n_tot)}  # boundary -> its (d, P) parts
     for members in classes.values():
         mat, d = structure.material(members[0]), d_of[members[0]]
+        # unit axes for the grid's dimensions that the length lacks
         length = structure.length(members[0])
+        length = np.reshape(length, (1,) * (len(structure.grid)
+                                            - np.ndim(length))
+                            + np.shape(length))
         pref = 1.0 / np.sqrt(refractive_index(mat, basis.centers))
         kernels = class_kernels(mat, length, basis, pump, index, convention)
-        # a layer's right edge is boundary l + 1, its left edge boundary l
-        for edge, sign, shift in (("right", 1.0, 1), ("left", -1.0, 0)):
-            for start in range(0, len(members), per_chunk):
-                ls = members[start:start + per_chunk]
+        for start in range(0, len(members), per_chunk):
+            ls = members[start:start + per_chunk]
+            weights = pump_weights(structure, pump, index, ls)
+            # a layer's right edge is boundary l + 1, its left edge boundary l
+            for edge, sign, shift in (("right", 1.0, 1), ("left", -1.0, 0)):
                 rows = inverse[:, :, [position[l + shift] for l in ls]] * pref
-                weights = pump_weights(structure, pump, index, ls)
                 p = sign * _class_pass(kernels[edge], weights,
                                        fed[edge][:, :, ls], rows)
                 total = totals.setdefault(d.tobytes(), [d, 0.0])

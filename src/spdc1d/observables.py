@@ -14,8 +14,10 @@ over the input direction of the scattered photon only:
 Their products (plus conjugate) give the joint spectral photon-number
 densities n^V, n^S and the interference term n^I; the three sum exactly
 to the observable density of the complete process.  First-order
-consistency makes the idler-branch factor the conjugate of the
-signal-branch one, so the diagonal densities are nonnegative.
+consistency makes the idler-branch factor of the total (V + S) the
+conjugate of its signal-branch one, so the total density is
+nonnegative.  The V and S factors alone are not conjugate, so n^V and
+n^S may dip below zero; only their sum with n^I is observable.
 
 Signal and idler share one spectral basis, so every (signal bin, idler
 bin) matrix here carries one frequency axis ``omega`` with bin widths

@@ -46,8 +46,18 @@ the photon amplitudes, the signal/idler and pump wave numbers
 (``pump_wavenumbers``) and the brackets (e^{i dk L} - 1)/dk with the
 right-edge phase.  So ``class_kernels`` forms the kernels of a whole
 (material, length) class at both edges per unit pump weight, and a
-layer's kernels are sum_g a_g times them (``weighted_kernels``).  All of
-these are pure functions; nothing is kept between calls.
+layer's kernels are sum_g a_g times them.  All of these are pure
+functions; nothing is kept between calls.
+
+The class kernels of one edge are three arrays: the arriving kernel chi
+(g, col dir, *G, K, K), the surface kernel (g, *G, K, K) and i k_a per
+row bin.  The magnetic volume row is i k_a chi - surface under either
+attribution, so it is not stored.  Their phases are separable: e^{i dk
+L} is e^{i k_p L} e^{-i k_a L} e^{-i k_b L}, and the right-edge phase
+e^{i (k_a + k_b) L}, so the exponentials run once per bin and once per
+distinct bin sum (gathered through the bin-sum index), never per K x K
+entry; the bracket's series runs only on the entries near phase
+matching.
 """
 
 from __future__ import annotations
@@ -124,20 +134,29 @@ def photon_amplitude_tau(material: MaterialModel, omega, area: float):
     return _tau(omega, refractive_index(material, omega), area)
 
 
-def _bracket(delta_k, zeta):
-    """(exp(i dk zeta) - 1)/dk with a series for small |dk zeta|.
+def _bracket(delta_k, zeta, numerator, phase):
+    """(exp(i dk zeta) - 1)/dk times phase, from numerator = (exp(i dk
+    zeta) - 1) phase formed from separable unit phases; the series
+    replaces the entries where |dk zeta| < _BRACKET_SWITCH.
 
-    zeta and delta_k broadcast together (zeta a scalar, or an array over
-    a geometry grid with trailing unit axes for delta_k's).  Relative
-    error of the series at the switch point is below 1e-12.
+    delta_k carries unit axes where zeta carries geometry axes, and
+    delta_k * zeta spans the shape of numerator; phase broadcasts to it.
+    The series is exact to about (dk zeta)^4/120, far below rounding at
+    the switch.  The exact branch loses about eps/|dk zeta| of relative
+    accuracy (times the size of the phases' arguments) to the
+    cancellation in its numerator, so about 1e-10 just above the switch.
     """
-    delta_k = np.asarray(delta_k, dtype=complex)
+    inverse = np.divide(1.0, delta_k, out=np.zeros_like(delta_k),
+                        where=delta_k != 0.0)
+    out = numerator * inverse
     x = delta_k * zeta
-    small = np.abs(x) < _BRACKET_SWITCH
-    safe = np.where(small, 1.0, delta_k)
-    exact = (np.exp(1j * x) - 1.0) / safe
-    series = zeta * (1j - x / 2.0 - 1j * x**2 / 6.0 + x**3 / 24.0)
-    return np.where(small, series, exact)
+    small = np.nonzero(np.abs(x) < _BRACKET_SWITCH)
+    if small[0].size:
+        x = x[small]
+        out[small] = (np.broadcast_to(zeta, out.shape)[small]
+                      * (1j - x / 2.0 - 1j * x**2 / 6.0 + x**3 / 24.0)
+                      * np.broadcast_to(phase, out.shape)[small])
+    return out
 
 
 def bin_sum_pump(structure: StructureSpec, pump_spec: PumpSpec,
@@ -196,20 +215,21 @@ def class_kernels(material: MaterialModel, length,
                   convention: str = "local-jump") -> dict:
     """Projected kernels at both edges of every layer of one (material,
     length) class, per unit pump weight, from ``bin_sum_pump``'s pump and
-    index: {edge: (volume, surface)}.
+    index: {edge: (chi, surface, ik)}.
 
-    volume has shape (2, 2, 2, *G, K, K) over (pump dir g, E/H row, col
-    dir, geometry, row bin, col bin), surface (2, *G, K, K) over g, where
-    G is the shape of length (() for a scalar; an array length spans a
-    geometry grid); forward rows sit at the right edge, backward rows at
-    the left one.  A layer of the class with pump weights a_g
-    (``pump_weights``) has the kernels sum_g a_g volume[g] and sum_g a_g
-    surface[g] (``weighted_kernels``).  The
-    electric row is the arriving kernel chi, the magnetic row its volume
-    attribution; surface is the magnetic surface attribution, the same
-    for both column directions.  Every kernel carries sqrt(dw_row dw_col)
-    (midpoint projection onto the top-hat bins).  Per side the two
-    magnetic attributions always sum to the exact total i k chi; the
+    chi, the arriving (electric-row) kernel, has shape (2, 2, *G, K, K)
+    over (pump dir g, col dir, geometry, row bin, col bin), surface
+    (2, *G, K, K) over g, where G is the shape of length (() for a
+    scalar; an array length spans a geometry grid, and may carry unit
+    axes for the grid's other dimensions); ik is i k_a per row bin, k_a
+    the signed wave number of the row direction.  Forward rows sit at the
+    right edge, backward rows at the left one.  A layer of the class with
+    pump weights a_g (``pump_weights``) has the kernels sum_g a_g chi[g]
+    and sum_g a_g surface[g].  surface is the magnetic surface
+    attribution, the same for both column directions; the magnetic
+    volume row is ik chi - surface, so that per side the two magnetic
+    attributions sum to the exact total i k chi.  Every kernel carries
+    sqrt(dw_row dw_col) (midpoint projection onto the top-hat bins).  The
     conventions distribute the bare source coefficient Q differently:
 
     * 'local-jump': surface rows carry +Q on both sides, so the surface
@@ -229,43 +249,36 @@ def class_kernels(material: MaterialModel, length,
     if convention not in SPLIT_CONVENTIONS:
         raise ConfigError(f"unknown split convention {convention!r}")
     widths = basis.widths
-    weight = np.sqrt(widths[:, None] * widths[None, :])
+    # conj(T_g) per unit chi2 and pump weight, with the bin weights
+    unit = coupling_unit(material, basis) * np.sqrt(widths[:, None]
+                                                    * widths[None, :])
     k_f = wavenumber(material, basis.centers, "F")
-    k = {a: DIR_SIGN[a] * k_f for a in DIRS}
-    k_p = pump_wavenumbers(material, pump)[:, index]
-    unit = coupling_unit(material, basis)
-    if isinstance(length, np.ndarray):  # geometry axes before the bin axes
-        length = length[..., None, None]
+    k = np.array([DIR_SIGN[a] * k_f for a in DIRS])  # signed, over dir
+    k_p = pump_wavenumbers(material, pump)
+    flat = (1,) * np.ndim(length)  # unit geometry axes of G-free arrays
+    zeta = np.asarray(length)[..., None]
+    # unit phases exp(i k L): per dir and bin, per g and distinct bin sum
+    phase = np.exp(1j * k.reshape((2,) + flat + (-1,)) * zeta)
+    pump_phase = np.exp(1j * k_p.reshape((2,) + flat + (-1,))
+                        * zeta)[..., index]
+    zeta = zeta[..., None]
+    k_p = k_p[:, index][:, None]
     out = {}
-    # the left edge's zero pump phase shift keeps length's geometry axes
-    for edge, a, shift, slot in (("right", "F", length, 1.0),
-                                 ("left", "B", 0.0 * length, -1.0)):
-        chi = []  # -i (e^{i dk L} - 1)/dk, the right edge with its phase
-        for kp_g in k_p:
-            per_b = []
-            for b in DIRS:
-                dk = kp_g - k[a][:, None] - k[b][None, :]
-                c = -1j * _bracket(dk, length)
-                if edge == "right":
-                    c = c * np.exp(1j * (k[a][:, None] + k[b][None, :])
-                                   * length)
-                per_b.append(c * weight)
-            chi.append(per_b)
-        chi = unit * np.array(chi)
-        q = unit * np.array([np.exp(1j * kp_g * shift) * weight
-                             for kp_g in k_p])
+    for edge, a, slot in (("right", "F", 1.0), ("left", "B", -1.0)):
+        k_a = k[DIRS.index(a)]
+        dk = k_p - k_a[:, None] - k[:, None, :]  # over (g, col dir)
+        dk = dk.reshape((2, 2) + flat + dk.shape[-2:])
+        if edge == "right":  # (e^{i dk L} - 1) e^{i (k_a + k_b) L}
+            edge_phase = phase[0][..., :, None] * phase[:, ..., None, :]
+            numerator = pump_phase[:, None] - edge_phase
+            q = unit * pump_phase
+        else:  # e^{i dk L} - 1, with e^{-i k_a L} = e^{i k_F L}
+            edge_phase = 1.0
+            numerator = (pump_phase[:, None] * phase[0][..., :, None]
+                         * phase[::-1, ..., None, :] - 1.0)
+            q = np.broadcast_to(unit, pump_phase.shape)
+        chi = -1j * unit * _bracket(dk, zeta, numerator, edge_phase)
         # per-slot: [+-1]_a of the arriving direction
         sigma = -1.0 if convention == "local-jump" else slot
-        hv = 1j * k[a][:, None] * chi + sigma * q[:, None]
-        out[edge] = (np.stack((chi, hv), axis=1), -sigma * q)
+        out[edge] = (chi, -sigma * q, 1j * k_a)
     return out
-
-
-def weighted_kernels(kernels, weights):
-    """Per-layer kernels sum_g a_g kernels[g] from ``class_kernels`` and
-    pump weights of shape (L, 2, *G, K, K): (volume (L, 2, 2, *G, K, K)
-    over (layer, E/H row, col dir, geometry, row bin, col bin), surface
-    (L, *G, K, K))."""
-    volume, surface = kernels
-    return (np.einsum("lg...kn,gxb...kn->lxb...kn", weights, volume),
-            np.einsum("lg...kn,g...kn->l...kn", weights, surface))

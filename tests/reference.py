@@ -8,7 +8,10 @@ z-derivative, the branch contractions by plain loops over the labelled
 dense F, a peak counter for the qualitative spectral checks, the
 boundary response through the left and right segments
 (``segment_response``), and the stepwise z-march of the oracle
-(``stepwise_pair_amplitude``), one midpoint update per sub-step.
+(``stepwise_pair_amplitude``), one midpoint update per sub-step, and the
+einsum emission assembly (``einsum_emission``): class kernels with one
+complex exponential and series per grid entry and a stored magnetic
+volume row, per-layer kernels, and an einsum class pass.
 ``LayerView`` reads one layer's coupling data (conj(T_g), wave numbers,
 kernels) through the pure functions of ``spectral``.  ``full_chi2``
 gives a stack whose every (signal, idler) polarization pair emits, and
@@ -16,6 +19,7 @@ gives a stack whose every (signal, idler) polarization pair emits, and
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 
@@ -31,21 +35,22 @@ from spdc1d.linear import (
     scalar_layer_amplitudes,
 )
 from spdc1d.materials import refractive_index, wavenumber
+import spdc1d.matrixcore as matrixcore
 from spdc1d.matrixcore import pair_block
 from spdc1d.observables import default_time_grid
 from spdc1d.spectral import (
+    _BRACKET_SWITCH,
     DIR_SIGN,
     DIRS,
     POLS,
+    SPLIT_CONVENTIONS,
     SpectralBasis,
-    _bracket,
     bin_sum_pump,
     chi2_matrix,
     class_kernels,
     coupling_unit,
     pump_weights,
     pump_wavenumbers,
-    weighted_kernels,
 )
 from spdc1d.structure import StructureSpec
 
@@ -135,14 +140,96 @@ class LayerView:
         """((volume_e, volume_h, surface_h), d) at one edge: kernels of
         shape (2, 2, K, K) over (row field, col dir, row bin, col bin),
         the same for both row fields, and d of shape (2, 2, 2) over (row
-        field, row pol, col pol), d.T for idler rows."""
-        kernels = class_kernels(self.material, self.length, self.basis,
-                                self.pump, self.index, convention)[edge]
-        volume, surface = weighted_kernels(kernels, self.weights)
-        chi, hv = volume[0]
-        hs = np.broadcast_to(surface[0], chi.shape)
+        field, row pol, col pol), d.T for idler rows.  The magnetic volume
+        row is i k_a chi - surface."""
+        chi, surface, ik = class_kernels(self.material, self.length,
+                                         self.basis, self.pump, self.index,
+                                         convention)[edge]
+        a = self.weights[0]
+        chi = np.einsum("g...kn,gb...kn->b...kn", a, chi)
+        surface = np.einsum("g...kn,g...kn->...kn", a, surface)
+        hv = ik[:, None] * chi - surface
+        hs = np.broadcast_to(surface, chi.shape)
         return (tuple(np.array([k, k]) for k in (chi, hv, hs)),
                 np.array([self.d, self.d.T]))
+
+
+def bracket(delta_k, zeta):
+    """(exp(i dk zeta) - 1)/dk with a series for small |dk zeta|, both
+    evaluated on every entry."""
+    delta_k = np.asarray(delta_k, dtype=complex)
+    x = delta_k * zeta
+    small = np.abs(x) < _BRACKET_SWITCH
+    safe = np.where(small, 1.0, delta_k)
+    exact = (np.exp(1j * x) - 1.0) / safe
+    series = zeta * (1j - x / 2.0 - 1j * x**2 / 6.0 + x**3 / 24.0)
+    return np.where(small, series, exact)
+
+
+def einsum_class_kernels(material, length, basis, pump, index,
+                         convention="local-jump"):
+    """{edge: (volume, surface)} of one (material, length) class per unit
+    pump weight: volume of shape (2, 2, 2, *G, K, K) over (g, E/H row,
+    col dir, ...), its magnetic row i k_a chi + sigma Q stored, surface
+    -sigma Q of shape (2, *G, K, K); one complex exponential and series
+    per entry of every bracket."""
+    if convention not in SPLIT_CONVENTIONS:
+        raise ConfigError(f"unknown split convention {convention!r}")
+    widths = basis.widths
+    weight = np.sqrt(widths[:, None] * widths[None, :])
+    k_f = wavenumber(material, basis.centers, "F")
+    k = {a: DIR_SIGN[a] * k_f for a in DIRS}
+    k_p = pump_wavenumbers(material, pump)[:, index]
+    unit = coupling_unit(material, basis)
+    if isinstance(length, np.ndarray):
+        length = length[..., None, None]
+    out = {}
+    for edge, a, shift, slot in (("right", "F", length, 1.0),
+                                 ("left", "B", 0.0 * length, -1.0)):
+        chi = []
+        for kp_g in k_p:
+            per_b = []
+            for b in DIRS:
+                dk = kp_g - k[a][:, None] - k[b][None, :]
+                c = -1j * bracket(dk, length)
+                if edge == "right":
+                    c = c * np.exp(1j * (k[a][:, None] + k[b][None, :])
+                                   * length)
+                per_b.append(c * weight)
+            chi.append(per_b)
+        chi = unit * np.array(chi)
+        q = unit * np.array([np.exp(1j * kp_g * shift) * weight
+                             for kp_g in k_p])
+        sigma = -1.0 if convention == "local-jump" else slot
+        hv = 1j * k[a][:, None] * chi + sigma * q[:, None]
+        out[edge] = (np.stack((chi, hv), axis=1), -sigma * q)
+    return out
+
+
+def einsum_weighted_kernels(kernels, weights):
+    """Per-layer kernels sum_g a_g kernels[g] of ``einsum_class_kernels``."""
+    volume, surface = kernels
+    return (np.einsum("lg...kn,gxb...kn->lxb...kn", weights, volume),
+            np.einsum("lg...kn,g...kn->l...kn", weights, surface))
+
+
+def einsum_class_pass(kernels, weights, feed, rows):
+    """``matrixcore._class_pass`` on ``einsum_class_kernels`` by einsums
+    over the stored electric and magnetic volume rows."""
+    j_v, j_s = einsum_weighted_kernels(kernels, weights)
+    k_v = np.einsum("lxb...kn,bcl...n->lxc...kn", j_v, feed)
+    p_v = np.einsum("dxl...k,lxc...kn->dc...kn", rows, k_v)
+    p_s = np.einsum("dl...k,l...kn,cl...n->dc...kn", rows[:, 1], j_s,
+                    feed.sum(axis=0))
+    return np.stack((p_v, p_s))
+
+
+def einsum_emission(*args, **kwargs):
+    """``build_emission`` with the einsum class kernels and class pass."""
+    with mock.patch.object(matrixcore, "class_kernels",
+                           einsum_class_kernels), \
+            mock.patch.object(matrixcore, "_class_pass", einsum_class_pass):
+        return matrixcore.build_emission(*args, **kwargs)
 
 
 def segment_response(maps, l):
@@ -193,7 +280,7 @@ def phase_functions(coupling: LayerView, a, b, alpha, beta, z,
         else:
             # phi_g = (k_p,g - k_col,b) L for backward rows
             phase = np.exp(-1j * (kp - k_col[None, :]) * l_len)
-        phi += 1j * DIR_SIGN[a] * t_g * phase * (-_bracket(-dk, z - z_a))
+        phi += 1j * DIR_SIGN[a] * t_g * phase * (-bracket(-dk, z - z_a))
         dphi += DIR_SIGN[a] * t_g * phase * np.exp(-1j * dk * (z - z_a))
     return phi, dphi
 

@@ -319,10 +319,8 @@ def test_verify_detects_corrupted_kernels(monkeypatch):
 
     def corrupted(*args, **kwargs):
         out = {}
-        for edge, (volume, surface) in orig(*args, **kwargs).items():
-            volume = volume.copy()
-            volume[:, 0] *= 1.02  # the arriving kernel chi (electric rows)
-            out[edge] = (volume, surface)
+        for edge, (chi, surface, ik) in orig(*args, **kwargs).items():
+            out[edge] = (1.02 * chi, surface, ik)  # the arriving kernel
         return out
 
     monkeypatch.setattr(matrixcore_mod, "class_kernels", corrupted)

@@ -34,7 +34,13 @@ from spdc1d.spectral import (
 )
 from spdc1d.structure import StructureSpec
 
-from reference import LayerView, polarized_kernels, segment_response
+from reference import (
+    LayerView,
+    einsum_emission,
+    full_chi2,
+    polarized_kernels,
+    segment_response,
+)
 
 C = CONSTANTS.c
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -372,22 +378,32 @@ def test_boundary_sources_reuse_kernels_across_repeated_layers(
     _assert_sources_match_per_block_loop(st, pump400, _basis(4))
 
 
+def _two_classes(gan, aln):
+    """GaN with every polarization pair and AlN with one (distinct d)."""
+    return (replace(gan, chi2={("y", "x", "y"): 4e-12,
+                               ("y", "y", "x"): 1.5e-12,
+                               ("y", "x", "x"): 2.5e-12,
+                               ("y", "y", "y"): -1e-12}),
+            replace(aln, chi2={("y", "y", "x"): 2e-12}))
+
+
+def _two_class_mixed_poling(gan, aln, air):
+    gan_full, aln_nl = _two_classes(gan, aln)
+    layers = ((gan_full, 60e-9, 1), (aln_nl, 25e-9, -1),
+              (gan_full, 60e-9, -1), (aln_nl, 25e-9, 1),
+              (gan_full, 60e-9, 1), (aln_nl, 25e-9, -1))
+    return StructureSpec(layers, air, air)
+
+
 @pytest.mark.parametrize("convention", ["local-jump", "per-slot"])
 def test_class_pass_two_classes_mixed_poling(gan, aln, air, pump400,
                                              convention):
     """Two nonlinear classes with distinct d (GaN with every polarization
     pair, AlN with one) and mixed poling inside each class, under both
     attributions."""
-    gan_full = replace(gan, chi2={("y", "x", "y"): 4e-12,
-                                  ("y", "y", "x"): 1.5e-12,
-                                  ("y", "x", "x"): 2.5e-12,
-                                  ("y", "y", "y"): -1e-12})
-    aln_nl = replace(aln, chi2={("y", "y", "x"): 2e-12})
-    layers = ((gan_full, 60e-9, 1), (aln_nl, 25e-9, -1),
-              (gan_full, 60e-9, -1), (aln_nl, 25e-9, 1),
-              (gan_full, 60e-9, 1), (aln_nl, 25e-9, -1))
-    st = StructureSpec(layers, air, air)
-    _assert_sources_match_per_block_loop(st, pump400, _basis(4), convention)
+    _assert_sources_match_per_block_loop(_two_class_mixed_poling(gan, aln,
+                                                                 air),
+                                         pump400, _basis(4), convention)
 
 
 @pytest.mark.parametrize("convention", ["local-jump", "per-slot"])
@@ -402,6 +418,56 @@ def test_class_pass_partial_last_chunk(gan, aln, air, pump400, convention):
     st = StructureSpec(sum(layers, ()), air, air)
     _assert_sources_match_per_block_loop(st, pump400, _basis(bins),
                                          convention)
+
+
+def _einsum_cases(gan, aln, air, stack4):
+    """name -> (structure, basis): the stacks on which the slab-arithmetic
+    assembly is held to the einsum one."""
+    cfg = load_config(EXAMPLE)
+    gan_full, aln_nl = _two_classes(gan, aln)
+    l1 = np.array([[10.0, 25.0], [40.0, 55.0], [70.0, 85.0]]) * 1e-9
+    grid = StructureSpec(sum((((gan_full, l1, (-1) ** p),
+                               (aln_nl, 33e-9, 1)) for p in range(3)), ()),
+                         air, air)
+    slab = constant_material("slab", 2.4, chi2={("y", "x", "y"): 4e-12})
+    return {
+        "shipped-k12": (cfg.structure, cfg.basis(bins=12)),
+        "shipped-k64": (cfg.structure, cfg.basis(bins=64)),
+        "full-chi2-stack4": (full_chi2(stack4), _basis(5)),
+        "two-class-mixed-poling": (_two_class_mixed_poling(gan, aln, air),
+                                   _basis(4)),
+        "2d-grid-scalar-class": (grid, _basis(5, 0.35, 0.65)),
+        "slab-n2.4": (StructureSpec(((slab, 400e-9, 1),), air, air),
+                      _basis(8, 0.05, 0.95)),
+    }
+
+
+@pytest.mark.parametrize("convention", ["local-jump", "per-slot"])
+@pytest.mark.parametrize("case", ["shipped-k12", "shipped-k64",
+                                  "full-chi2-stack4",
+                                  "two-class-mixed-poling",
+                                  "2d-grid-scalar-class", "slab-n2.4"])
+def test_emission_matches_einsum_assembly(gan, aln, air, stack4, pump400,
+                                          case, convention):
+    """G_V, G_S and every kept boundary source of the slab-arithmetic class
+    pass on class kernels without a stored magnetic volume row, against
+    the einsum assembly with per-entry exponentials (``einsum_emission``),
+    with the layers kept one per pass and run in chunks."""
+    structure, b = _einsum_cases(gan, aln, air, stack4)[case]
+    for keep in (True, False):
+        got, want = (build(structure, pump400, b, keep_sources=keep,
+                           convention=convention)
+                     for build in (build_emission, einsum_emission))
+        assert sorted(got.boundary_sources) == sorted(want.boundary_sources)
+        pairs = [(got.g_volume, want.g_volume),
+                 (got.g_surface, want.g_surface)]
+        for l, parts in want.boundary_sources.items():
+            pairs += zip(got.boundary_sources[l], parts)
+        for g, w in pairs:
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+        assert np.max(np.abs(want.g_volume)) > 0.0
+        assert np.max(np.abs(want.g_surface)) > 0.0
 
 
 @pytest.mark.parametrize("bins", [12, 64])

@@ -5,12 +5,14 @@ from spdc1d.blockmatrix import FIELDS
 from spdc1d.constants import CONSTANTS
 from spdc1d.errors import ConfigError, OutOfWindow
 from spdc1d.linear import PumpSpec, propagate_pump
-from spdc1d.materials import constant_material
+from spdc1d.materials import constant_material, wavenumber
 from spdc1d.spectral import (
+    _BRACKET_SWITCH,
     DIRS,
     POLS,
     SpectralBasis,
     bin_sum_pump,
+    class_kernels,
     photon_amplitude_tau,
     pump_wavenumbers,
 )
@@ -18,6 +20,7 @@ from spdc1d.structure import StructureSpec
 
 from reference import (
     LayerView,
+    einsum_class_kernels,
     eval_basis,
     phase_functions,
     polarized_kernels,
@@ -264,6 +267,41 @@ def test_project_single_bin_identity():
                         ), (edge, row, b, alpha, beta)
                         nonzero += lam != 0.0
         assert nonzero == 8  # (x, y) and (y, x) per row field and col dir
+
+
+@pytest.mark.parametrize("convention", ["local-jump", "per-slot"])
+@pytest.mark.parametrize("case", ["gan-k12", "gan-k64", "gan-grid",
+                                  "slab-n2.4"])
+def test_class_kernels_match_einsum_kernels(gan, air, pump400, case,
+                                            convention):
+    """chi and the surface kernel from separable phases, and the magnetic
+    volume row i k_a chi - surface that is no longer stored, against the
+    kernels with one exponential per entry, within 1e-13 of each array's
+    peak.  The n = 2.4 slab is phase matched in the forward rows (dk
+    rounds to zero), so its series branch runs."""
+    bins = {"gan-k12": 12, "gan-k64": 64}.get(case, 8)
+    length = {"gan-grid": np.array([[10.0, 25.0], [40.0, 55.0],
+                                    [70.0, 85.0]]) * 1e-9,
+              "slab-n2.4": 400e-9}.get(case, 60e-9)
+    mat = gan
+    if case == "slab-n2.4":
+        mat = constant_material("slab", 2.4, chi2={("y", "x", "y"): 4e-12})
+    st = StructureSpec(((mat, length, 1),), air, air)
+    basis = SpectralBasis(0.05 * pump400.omega0, 0.95 * pump400.omega0, bins)
+    pump, index = bin_sum_pump(st, pump400, basis)
+    got = class_kernels(mat, length, basis, pump, index, convention)
+    want = einsum_class_kernels(mat, length, basis, pump, index, convention)
+    for edge, (chi, surface, ik) in got.items():
+        volume, surface_want = want[edge]
+        hv = ik[:, None] * chi - surface[:, None]
+        for g, w in ((chi, volume[:, 0]), (hv, volume[:, 1]),
+                     (surface, surface_want)):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+    if case == "slab-n2.4":
+        k = wavenumber(mat, basis.centers, "F")
+        dk = pump_wavenumbers(mat, pump)[0][index] - k[:, None] - k[None, :]
+        assert np.any(np.abs(dk * length) < _BRACKET_SWITCH)
 
 
 def test_pump_wavenumbers_exactly_symmetric_on_bin_sum_grid(gan, aln):
