@@ -192,7 +192,10 @@ def marginals_and_counts(jd: JointDensity):
     }
 
 
-_PEAK_ROWS = 64  # grid rows per matmul in TemporalProfile.peak
+def _density(half, kernel_t, norm):
+    """|half @ kernel_t|^2 / norm: the joint detection-time density on the
+    rows of ``half`` and the columns of ``kernel_t``."""
+    return np.abs(half @ kernel_t) ** 2 / norm
 
 
 @dataclass(frozen=True)
@@ -200,18 +203,20 @@ class TemporalProfile:
     """Joint detection-time density on the alias-exact grid, held as its
     half transform.
 
-    ``half`` = kernel @ cont is the amplitude transformed over w_s only:
-    (t_s, idler bin), with ``kernel`` (t, bin) = exp(-i w t) dw.  The
-    joint amplitude is half @ kernel.T, and its density |.|^2 / norm
-    integrates to one over the grid; only ``rows`` and the one column of
-    ``conditional_cut`` form its values.  norm and the t_s marginal
-    p_signal come from discrete Parseval over t_i (see
+    ``half`` = kernel @ spectrum is the amplitude transformed over w_s
+    only: (t_s, idler bin), with ``kernel`` (t, bin) = exp(-i w t) dw and
+    ``spectrum`` the continuous K x K amplitude.  The joint amplitude is
+    half @ kernel.T, and its density |.|^2 / norm integrates to one over
+    the grid; only ``rows``, the one column of ``conditional_cut`` and
+    the candidate block of ``peak`` form its values.  norm and the t_s
+    marginal p_signal come from discrete Parseval over t_i (see
     temporal_profiles), so no n x n array is needed for them, for the
     conditional cut or for the peak.
     """
 
     t: np.ndarray
     kernel: np.ndarray
+    spectrum: np.ndarray
     half: np.ndarray
     widths: np.ndarray
     norm: float
@@ -221,40 +226,71 @@ class TemporalProfile:
 
     def rows(self, idx) -> np.ndarray:
         """Joint density p[t_s, t_i] on the rows idx, over all t_i."""
-        return np.abs(self.half[idx] @ self.kernel.T) ** 2 / self.norm
+        return _density(self.half[idx], self.kernel.T, self.norm)
 
     def conditional_cut(self, t_idler: float):
         idx = int(np.argmin(np.abs(self.t - t_idler)))
-        cut = np.abs(self.half @ self.kernel[idx]) ** 2 / self.norm
+        cut = _density(self.half, self.kernel[idx], self.norm)
         norm = cut.sum() * self.dt
         return self.t, cut / norm if norm > 0 else cut
 
     def peak(self):
         """(t_s, t_i) grid indices of the joint density's maximum.
 
-        Exact pruned search: a row's maximum is at most (sum_m |half[t,
-        m]| dw_m)^2 / norm, so rows are evaluated, _PEAK_ROWS per matmul,
-        in order of falling bound until the next bound is below the best
-        value found.  The bound is raised by a rounding allowance, so no
-        unevaluated row can hold a larger or tied computed value.  Ties
-        go to the lowest (row, col), as np.argmax of the full grid.
+        Exact block search.  An entry p[i, j] is computed row-first, as
+        ``rows`` does: |sum_m half[i, m] kernel[j, m]|^2 / norm.  It is at
+        most the row bound (sum_m |half[i, m]| dw_m)^2 / norm, and at most
+        the column bound (sum_k |g[j, k]| dw_k + a)^2 / norm, where g =
+        kernel @ spectrum.T is the w_i-first half transform.  Both orders
+        compute the same exact amplitude; each of the two matmuls behind
+        the row-first value errs by at most gamma_{K+4} sum_km |C_km| dw_k
+        dw_m (C the spectrum, gamma_n = n eps / (1 - n eps), the bound of
+        a complex dot product of K terms), and g by as much again, so the
+        allowance a = 4 (K + 4) eps sum |C| dw dw' covers the gap.  Both
+        bounds are also raised by the relative slack 1 + 8 (K + 4) eps,
+        against the rounding of the bounds and of |.|^2 / norm.
+
+        The full row with the top row bound gives a first maximum; only
+        entries whose row and column bounds both reach it can hold a
+        larger or tied value, so just that rows x columns block is
+        evaluated, in row slices no larger than ``kernel`` and ``half``
+        together.  The column bounds cost one n x K x K matmul, as much
+        as K full rows, so they are formed only when more than K rows are
+        candidates.  Should the block's maximum fall below the first one
+        (a block matmul rounding that entry differently), the threshold
+        drops to it and the block grows.  np.argmax of each slice in C
+        order, over ascending rows and columns, with a later slice kept
+        only when strictly larger, gives ties to the lowest (row, col),
+        as np.argmax of the full grid.
         """
-        slack = 1.0 + 8.0 * (self.widths.size + 4) * np.finfo(float).eps
-        bound = (np.abs(self.half) @ self.widths) ** 2 / self.norm * slack
-        order = np.argsort(-bound, kind="stable")
-        best, row, col = -np.inf, -1, -1
-        for start in range(0, order.size, _PEAK_ROWS):
-            idx = order[start:start + _PEAK_ROWS]
-            if bound[idx[0]] < best:
+        n, k = self.half.shape
+        eps = np.finfo(float).eps
+        slack = (1.0 + 8.0 * (k + 4) * eps) / self.norm
+        row_bound = (np.abs(self.half) @ self.widths) ** 2 * slack
+        threshold = self.rows(int(np.argmax(row_bound))).max()
+        col_bound = np.full(n, np.inf)
+        if np.count_nonzero(row_bound >= threshold) > k:
+            allowance = 4.0 * (k + 4) * eps * (
+                self.widths @ np.abs(self.spectrum) @ self.widths)
+            g = self.kernel @ self.spectrum.T
+            col_bound = (np.abs(g) @ self.widths + allowance) ** 2 * slack
+        while True:
+            rows = np.flatnonzero(row_bound >= threshold)
+            cols = np.flatnonzero(col_bound >= threshold)
+            kernel_t = self.kernel[cols].T
+            step = max(1, 2 * self.half.size // cols.size)
+            top, at = -np.inf, 0
+            for start in range(0, rows.size, step):
+                block = _density(self.half[rows[start:start + step]],
+                                 kernel_t, self.norm)
+                flat = int(np.argmax(block))
+                if block.flat[flat] > top:
+                    top, at = block.flat[flat], start * cols.size + flat
+            if top >= threshold:
                 break
-            p = self.rows(idx)
-            cols = np.argmax(p, axis=1)
-            vals = p[np.arange(idx.size), cols]
-            top = vals.max()
-            i = min(np.flatnonzero(vals == top), key=lambda h: idx[h])
-            if top > best or (top == best and idx[i] < row):
-                best, row, col = top, int(idx[i]), int(cols[i])
-        return row, col
+            threshold = top
+        i, j = divmod(at, cols.size)
+        return int(rows[i]), int(cols[j])
 
 
 def default_time_grid(widths, n_time: int = 2048):
@@ -279,7 +315,8 @@ def temporal_profiles(jsa: JointSpectralAmplitude, n_time: int = 2048,
     Uses the explicit kernel exp(-i w t) dw from the bin centers on the
     n_time-point alias-exact grid (see default_time_grid); raises
     GridTooCoarse when its dt exceeds pi / max(w).  Only the half
-    transform over w_s, half = kernel @ cont, is formed.  ``kernel`` may
+    transform over w_s, half = kernel @ spectrum, is formed; the profile
+    keeps the continuous K x K spectrum for ``peak``.  ``kernel`` may
     pass the ``kernel`` of an earlier profile on the same bins and
     n_time, so that amplitudes of one emission share one kernel.
 
@@ -305,7 +342,8 @@ def temporal_profiles(jsa: JointSpectralAmplitude, n_time: int = 2048,
     elif kernel.shape != (t.size, jsa.omega.size):
         raise ValueError(f"time kernel of shape {kernel.shape}, expected "
                          f"{(t.size, jsa.omega.size)}")
-    half = kernel @ jsa.continuous
+    spectrum = jsa.continuous
+    half = kernel @ spectrum
     row_power = t.size * (np.abs(half * jsa.widths) ** 2).sum(axis=1)
     norm = float(row_power.sum() * dt * dt)
     if norm <= 0.0:
@@ -317,8 +355,9 @@ def temporal_profiles(jsa: JointSpectralAmplitude, n_time: int = 2048,
         else float("nan")
     )
     return TemporalProfile(
-        t=t, kernel=kernel, half=half, widths=jsa.widths, norm=norm,
-        p_signal=row_power * dt / norm, dt=dt, parseval_ratio=parseval,
+        t=t, kernel=kernel, spectrum=spectrum, half=half, widths=jsa.widths,
+        norm=norm, p_signal=row_power * dt / norm, dt=dt,
+        parseval_ratio=parseval,
     )
 
 
@@ -363,12 +402,10 @@ def antidiagonal_profile(matrix, omega, omega_sum: float):
     """
     half_bin = 0.5 * float(np.median(np.diff(omega))) if omega.size > 1 \
         else np.inf
-    values = np.full(omega.size, np.nan)
-    for k, ws in enumerate(omega):
-        wi = omega_sum - ws
-        if wi < omega[0] - half_bin or wi > omega[-1] + half_bin:
-            continue
-        n = int(np.argmin(np.abs(omega - wi)))
-        values[k] = matrix[k, n]
+    wi = omega_sum - omega
+    outside = (wi < omega[0] - half_bin) | (wi > omega[-1] + half_bin)
+    partner = np.argmin(np.abs(omega[None, :] - wi[:, None]), axis=1)
+    values = np.where(outside, np.nan,
+                      matrix[np.arange(omega.size), partner])
     mask = np.isfinite(values)
     return omega[mask], values[mask]

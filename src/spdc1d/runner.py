@@ -44,12 +44,30 @@ _SCAN_CHUNK = 32768  # layers x cells x K^2 per emission build of a scan
 
 
 def write_csv(path, header, columns):
-    """Real-valued array columns, one %.17g-formatted row per line."""
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    """Real-valued array columns, one %.17g-formatted row per line.
+
+    A column that repeats values (the frequency axes of a joint density,
+    its pump-dark zeros) is formatted once per distinct bit pattern, so
+    -0.0 still prints as -0, and its cells are written as text; the
+    other columns are formatted row by row.  Columns of unequal length
+    raise ValueError.
+    """
+    cells, formats = [], []
+    for col in columns:
+        col = np.asarray(col, dtype=float)
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        if bits.size < col.size:
+            text = np.array(["%.17g" % v for v in bits.view(float).tolist()],
+                            dtype=object)
+            cells.append(text[inverse].tolist())
+            formats.append("%s")
+        else:
+            cells.append(col.tolist())
+            formats.append("%.17g")
+    row = ",".join(formats) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % values for values in
-                      zip(*(col.tolist() for col in columns), strict=True))
+        fh.writelines(row % values for values in zip(*cells, strict=True))
 
 
 def write_json(path, obj):
@@ -323,7 +341,9 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
     """Consistency report: oracle match, invariances, unitarity, Parseval.
 
     Returns (report, ok); every check carries its measured error and
-    tolerance.
+    tolerance.  ``density_nonnegative`` gates only n_total and reports
+    the n_V and n_S minima (signed, see ``observables``) beside it, all
+    relative to the n_total peak.
     """
     if bins < 2:
         raise ConfigError("verify needs at least 2 bins: its refinement "
@@ -428,12 +448,12 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
         "tol": 0.0,
         "ratio": float(min(ratio, 1e6)),
     }
+    peak = max(jd.n_total.max(), 1e-300)
     checks["density_nonnegative"] = {
-        "error": float(
-            max(0.0, -min(jd.n_volume.min(), jd.n_surface.min(),
-                          jd.n_total.min()) / max(jd.n_total.max(), 1e-300))
-        ),
+        "error": float(max(0.0, -jd.n_total.min() / peak)),
         "tol": 1e-15,
+        "n_volume_min": float(jd.n_volume.min() / peak),
+        "n_surface_min": float(jd.n_surface.min() / peak),
     }
 
     ok = all(c["error"] <= max(c["tol"], 0.0) for c in checks.values())

@@ -14,8 +14,9 @@ complex exponential and series per grid entry and a stored magnetic
 volume row, per-layer kernels, and an einsum class pass.
 ``LayerView`` reads one layer's coupling data (conj(T_g), wave numbers,
 kernels) through the pure functions of ``spectral``.  ``full_chi2``
-gives a stack whose every (signal, idler) polarization pair emits, and
-``explicit_time_grid`` the full n x n detection-time density.
+gives a stack whose every (signal, idler) polarization pair emits,
+``explicit_time_grid`` the full n x n detection-time density, and
+``rowwise_write_csv`` the CSV writer that formats every cell row by row.
 """
 
 from dataclasses import replace
@@ -344,6 +345,15 @@ def explicit_time_grid(jsa, n_time: int) -> np.ndarray:
         block = slice(start, start + 512)
         grid[block] = np.abs(half[block] @ kernel.T) ** 2
     return grid
+
+
+def rowwise_write_csv(path, header, columns):
+    """Real-valued array columns, one %.17g-formatted row per line."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % values for values in
+                      zip(*(col.tolist() for col in columns), strict=True))
 
 
 def count_peaks(y, floor_fraction: float = 1e-3) -> int:

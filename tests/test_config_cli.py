@@ -25,7 +25,7 @@ from spdc1d.runner import (
     write_csv,
 )
 
-from reference import explicit_time_grid
+from reference import explicit_time_grid, rowwise_write_csv
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs",
                        "gan_aln_20layer.json")
@@ -240,6 +240,65 @@ def test_write_csv_rows_are_round_trip_exact(tmp_path):
     assert np.array_equal(back[:, 0], values)
     with pytest.raises(ValueError):
         write_csv(path, ["a", "b"], [values, values[:-1]])
+
+
+_SIGNED = np.array([0.0, -0.0, 0.0, -0.0, 2.5, -0.0])
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, np.nan, 1.0, -np.inf])
+
+
+@pytest.mark.parametrize("columns", [
+    [_SIGNED, _SIGNED[::-1].copy()],
+    [_SPECIAL, np.array([np.nan, -np.nan, 0.5, np.inf, -1e-300, 3.0])],
+    [np.full(6, 0.1), np.full(6, -0.0), np.repeat([1.0, 2.0], 3)],
+    [np.linspace(0.1, 1.7, 6), np.arange(6.0) / 7.0, -np.arange(6.0)],
+    [np.zeros(0), np.zeros(0)],
+    [np.array([-0.0]), np.array([np.nan]), np.array([1.0 / 3.0])],
+], ids=["signed-zeros", "nan-inf", "all-repeated", "all-distinct",
+        "zero-rows", "one-row"])
+def test_write_csv_matches_rowwise_reference(tmp_path, columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    write_csv(tmp_path / "fast.csv", header, columns)
+    rowwise_write_csv(tmp_path / "ref.csv", header, columns)
+    assert ((tmp_path / "fast.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
+def test_write_csv_matches_rowwise_reference_on_run_outputs(tmp_path,
+                                                           monkeypatch):
+    """Every CSV of simulate --bins 16, scan and transmission-map."""
+    written = []
+    fast = runner_mod.write_csv
+
+    def both(path, header, columns):
+        fast(path, header, columns)
+        ref = tmp_path / f"ref{len(written)}.csv"
+        rowwise_write_csv(ref, header, columns)
+        written.append((os.path.basename(path), ref.read_bytes()
+                        == open(path, "rb").read()))
+
+    monkeypatch.setattr(runner_mod, "write_csv", both)
+    cfg = load_config(EXAMPLE)
+    simulate(cfg, tmp_path / "sim", bins=16)
+    runner_mod.scan(cfg, tmp_path / "scan", workers=1)
+    transmission_map(cfg, tmp_path / "tm")
+    assert sorted(name for name, _ in written) == sorted([
+        "joint_density.csv", "marginals.csv", "temporal_flux.csv",
+        "temporal_conditional.csv", "antidiagonal.csv", "ridge_scan.csv",
+        "transmission_map.csv", "transmission_map.csv"])
+    assert all(same for _, same in written)
+
+
+def test_verify_gates_only_the_observable_density():
+    """Under local-jump at 64 bins n_V dips to -8.8e-3 of the n_total
+    peak; density_nonnegative reports that minimum and gates n_total."""
+    with open(EXAMPLE) as fh:
+        raw = json.load(fh)
+    raw["surface_attribution"] = "local-jump"
+    report, ok = verify(parse_config(raw), bins=64)
+    check = report["checks"]["density_nonnegative"]
+    assert ok
+    assert check["error"] == 0.0 and check["tol"] == 1e-15
+    assert check["n_volume_min"] < -1e-3 <= check["n_surface_min"]
 
 
 def test_simulate_all_linear_flags_no_emission(tmp_path):

@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdc1d.constants import CONSTANTS
-from spdc1d.linear import PumpSpec
+from spdc1d.linear import PumpSpec, linear_transmission
 from spdc1d.materials import constant_material
-from spdc1d.matrixcore import build_emission
-from spdc1d.observables import branch_amplitudes
+from spdc1d.matrixcore import build_emission, linear_maps
+from spdc1d.observables import branch_amplitudes, joint_density
 from spdc1d.oracle import compare_with_emission, reference_pair_amplitude
 from spdc1d.spectral import DIRS, POLS, SPLIT_CONVENTIONS, SpectralBasis
 from spdc1d.structure import StructureSpec
@@ -146,3 +146,39 @@ def test_split_invariance_and_total_branch_conjugacy(structure, side, bins,
     total = f2v + f2s
     assert np.max(np.abs(f1v + f1s - np.conj(total))) <= (
         1e-12 * np.max(np.abs(total)))
+
+
+def _det2(m):
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(structure=stacks(), side=st.sampled_from("FB"), bins=st.integers(4, 6),
+       convention=st.sampled_from(SPLIT_CONVENTIONS),
+       channel=st.tuples(st.sampled_from(DIRS), st.sampled_from(DIRS),
+                         st.sampled_from(POLS), st.sampled_from(POLS)))
+def test_energy_wronskian_and_decomposition_identities(structure, side, bins,
+                                                       convention, channel):
+    """Per bin T + R = 1 on both sides of the lossless stack; every
+    boundary row map L_l at_left[l] of both fields has the Wronskian
+    det(L_0); and n_total = n_V + n_S + n_I holds exactly and is the
+    density of the total (V + S) branch factors."""
+    basis = _basis(bins)
+    for pump_side in "FB":
+        _, _, big_t, big_r = linear_transmission(structure, basis.centers,
+                                                 pump_side)
+        assert np.max(np.abs(big_t + big_r - 1.0)) <= 1e-12
+    for maps in linear_maps(structure, basis).values():
+        det0 = _det2(maps.interface[0])
+        for l in range(structure.n_layers + 2):
+            dev = np.abs(_det2(maps.boundary_rows(l)) / det0 - 1.0)
+            assert dev.max() <= 1e-12
+    emission = build_emission(structure, _pump(side), basis,
+                              convention=convention)
+    jd = joint_density(emission, channel)
+    assert np.array_equal(jd.n_total,
+                          jd.n_volume + jd.n_surface + jd.n_interf)
+    (f1v, f2v), (f1s, f2s) = (branch_amplitudes(emission, channel, w)
+                              for w in "VS")
+    n_sv = 2.0 * np.real((f1v + f1s) * (f2v + f2s))
+    assert np.max(np.abs(jd.n_total - n_sv)) <= 1e-12 * np.max(np.abs(n_sv))

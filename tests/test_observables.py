@@ -10,11 +10,11 @@ from spdc1d.constants import CONSTANTS
 from spdc1d.errors import GridTooCoarse, NoPeak
 from spdc1d.linear import PumpSpec
 from spdc1d.materials import constant_material
+from spdc1d import observables
 from spdc1d.matrixcore import build_emission, pair_block
 from spdc1d.observables import (
     JointDensity,
     JointSpectralAmplitude,
-    TemporalProfile,
     antidiagonal_profile,
     branch_amplitudes,
     default_time_grid,
@@ -326,39 +326,103 @@ def test_parseval_marginal_norm_and_cut_match_explicit_grid(
 
 def test_pruned_peak_equals_explicit_argmax(shipped_amplitudes, monkeypatch):
     evaluated = []
-    rows = TemporalProfile.rows
+    density = observables._density
 
-    def counting_rows(self, idx):
-        evaluated.append(len(idx))
-        return rows(self, idx)
+    def counting_density(half, kernel_t, norm):
+        out = density(half, kernel_t, norm)
+        evaluated.append(out.size)
+        return out
 
-    monkeypatch.setattr(TemporalProfile, "rows", counting_rows)
+    monkeypatch.setattr(observables, "_density", counting_density)
     n_shipped = shipped_amplitudes[0]
     for jsa, n_time in _fast_and_explicit_cases(shipped_amplitudes):
         evaluated.clear()
         peak = temporal_profiles(jsa, n_time=n_time).peak()
         grid = explicit_time_grid(jsa, n_time)
         assert peak == np.unravel_index(np.argmax(grid), grid.shape)
-        assert sum(evaluated) <= n_time
+        assert sum(evaluated) <= n_time + n_time**2
         if n_time == n_shipped:
-            assert sum(evaluated) < n_time
+            assert sum(evaluated) < n_time**2 / 16
+
+
+@pytest.mark.parametrize("attribution", ["per-slot", "local-jump"])
+@pytest.mark.parametrize("bins", [16, 32, 64])
+def test_peak_is_full_grid_argmax(attribution, bins):
+    """peak() against np.argmax of the explicit n x n grid on every
+    profile that ``simulate`` takes the peak of, and on random spectra."""
+    cfg = load_config(SHIPPED)
+    em = build_emission(cfg.structure, cfg.pump, cfg.basis(bins, None),
+                        convention=attribution)
+    amps = two_photon_amplitude(em, cfg.channel)
+    cases = [(amps[w], cfg.time_points) for w in ("SV", "V", "S")]
+    cases.append((_random_jsa(bins, bins), 8 * bins))
+    for jsa, n_time in cases:
+        grid = explicit_time_grid(jsa, n_time)
+        assert (temporal_profiles(jsa, n_time=n_time).peak()
+                == np.unravel_index(np.argmax(grid), grid.shape))
+
+
+@pytest.mark.parametrize("tight", ["row", "column"])
+def test_peak_block_is_one_line_where_a_bound_is_tight(monkeypatch, tight):
+    """A positive spectrum on one idler (signal) bin: the density is flat
+    along t_i (t_s), and at t = 0 every phase is one, so the row (column)
+    bound of t = 0 equals its values.  The block is then that one line,
+    and a bound set below its values would make the search fall back to
+    a larger block."""
+    bins, n_time = 4, 128
+    line = np.zeros((bins, bins))
+    line[:, 0] = np.linspace(1.0, 2.0, bins)
+    jsa = _jsa_from_matrix(line if tight == "row" else line.T,
+                           0.35 * OMEGA_P0, 0.65 * OMEGA_P0)
+    evaluated = []
+    density = observables._density
+
+    def counting_density(half, kernel_t, norm):
+        out = density(half, kernel_t, norm)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(observables, "_density", counting_density)
+    peak = temporal_profiles(jsa, n_time=n_time).peak()
+    assert peak[0 if tight == "row" else 1] == n_time // 2
+    assert sum(evaluated) == 2 * n_time
+
+
+@pytest.mark.parametrize("factor", [1.0 + 1e-9, 1.5])
+def test_peak_survives_a_first_row_rounded_high(shipped_amplitudes,
+                                                 monkeypatch, factor):
+    """A first full row evaluated above every value of the block (a
+    matmul rounding it differently) lowers the threshold, and the block
+    grows until it holds the maximum."""
+    density = observables._density
+
+    def high_first_row(half, kernel_t, norm):
+        out = density(half, kernel_t, norm)
+        return out * factor if half.ndim == 1 and kernel_t.ndim == 2 else out
+
+    monkeypatch.setattr(observables, "_density", high_first_row)
+    for jsa, n_time in _fast_and_explicit_cases(shipped_amplitudes)[::3]:
+        grid = explicit_time_grid(jsa, n_time)
+        assert (temporal_profiles(jsa, n_time=n_time).peak()
+                == np.unravel_index(np.argmax(grid), grid.shape))
 
 
 def test_peak_tie_goes_to_lowest_row():
+    """Rows and columns 17 and 90 of the time kernel are equal and
+    dominate, so the grid maximum sits bitwise-equal at (17, 17), (17, 90),
+    (90, 17) and (90, 90); the profile is built from its spectrum."""
     bins, n_time = 6, 128
-    basis = SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, bins)
-    t = default_time_grid(basis.widths, n_time)
-    kernel = np.exp(-1j * np.outer(t, basis.centers)) * basis.widths
-    rng = np.random.RandomState(7)
-    half = 1e-3 * (rng.randn(n_time, bins) + 1j * rng.randn(n_time, bins))
-    half[90] = rng.randn(bins) + 1j * rng.randn(bins)
-    half[17] = half[90]
-    prof = TemporalProfile(t=t, kernel=kernel, half=half, widths=basis.widths,
-                           norm=1.0, p_signal=np.zeros(n_time),
-                           dt=float(t[1] - t[0]), parseval_ratio=1.0)
+    jsa = _random_jsa(7, bins)
+    t = default_time_grid(jsa.widths, n_time)
+    kernel = np.exp(-1j * np.outer(t, jsa.omega)) * jsa.widths
+    kernel[17] *= 10.0
+    kernel[90] = kernel[17]
+    prof = temporal_profiles(jsa, n_time=n_time, kernel=kernel)
     p = prof.rows(np.arange(n_time))
     assert np.array_equal(p[17], p[90])
-    assert prof.peak() == (17, int(np.argmax(p[17])))
+    assert np.array_equal(p[:, 17], p[:, 90])
+    assert p[17, 17] == p.max() == p[90, 90]
+    assert prof.peak() == (17, 17)
 
 
 def test_simulate_profile_forms_no_time_grid(shipped_amplitudes):
