@@ -250,45 +250,42 @@ class TemporalProfile:
         bounds are also raised by the relative slack 1 + 8 (K + 4) eps,
         against the rounding of the bounds and of |.|^2 / norm.
 
-        The full row with the top row bound gives a first maximum; only
-        entries whose row and column bounds both reach it can hold a
-        larger or tied value, so just that rows x columns block is
-        evaluated, in row slices no larger than ``kernel`` and ``half``
-        together.  The column bounds cost one n x K x K matmul, as much
-        as K full rows, so they are formed only when more than K rows are
-        candidates.  Should the block's maximum fall below the first one
-        (a block matmul rounding that entry differently), the threshold
-        drops to it and the block grows.  np.argmax of each slice in C
-        order, over ascending rows and columns, with a later slice kept
-        only when strictly larger, gives ties to the lowest (row, col),
-        as np.argmax of the full grid.
+        The full row with the top row bound gives a first maximum.  The
+        block's matmul may round that row's entries differently, by less
+        than a in amplitude (two row-first sums over the same terms, each
+        within gamma_K sum_m |half[i, m]| dw_m of the exact one), so the
+        threshold is the first maximum lowered by a in amplitude and by
+        the slack.  Only entries whose row and column bounds both reach
+        it can hold the maximum or a tie, and the block of those rows x
+        columns holds the first maximum's own entry, so evaluating just
+        that block, in row slices no larger than ``kernel`` and ``half``
+        together, is exact.  np.argmax of each slice in C order, over
+        ascending rows and columns, with a later slice kept only when
+        strictly larger, gives ties to the lowest (row, col), as
+        np.argmax of the full grid.
         """
-        n, k = self.half.shape
+        k = self.half.shape[1]
         eps = np.finfo(float).eps
-        slack = (1.0 + 8.0 * (k + 4) * eps) / self.norm
+        grow = 1.0 + 8.0 * (k + 4) * eps
+        slack = grow / self.norm
+        allowance = 4.0 * (k + 4) * eps * (
+            self.widths @ np.abs(self.spectrum) @ self.widths)
         row_bound = (np.abs(self.half) @ self.widths) ** 2 * slack
-        threshold = self.rows(int(np.argmax(row_bound))).max()
-        col_bound = np.full(n, np.inf)
-        if np.count_nonzero(row_bound >= threshold) > k:
-            allowance = 4.0 * (k + 4) * eps * (
-                self.widths @ np.abs(self.spectrum) @ self.widths)
-            g = self.kernel @ self.spectrum.T
-            col_bound = (np.abs(g) @ self.widths + allowance) ** 2 * slack
-        while True:
-            rows = np.flatnonzero(row_bound >= threshold)
-            cols = np.flatnonzero(col_bound >= threshold)
-            kernel_t = self.kernel[cols].T
-            step = max(1, 2 * self.half.size // cols.size)
-            top, at = -np.inf, 0
-            for start in range(0, rows.size, step):
-                block = _density(self.half[rows[start:start + step]],
-                                 kernel_t, self.norm)
-                flat = int(np.argmax(block))
-                if block.flat[flat] > top:
-                    top, at = block.flat[flat], start * cols.size + flat
-            if top >= threshold:
-                break
-            threshold = top
+        g = self.kernel @ self.spectrum.T
+        col_bound = (np.abs(g) @ self.widths + allowance) ** 2 * slack
+        first = np.sqrt(self.rows(int(np.argmax(row_bound))).max() * self.norm)
+        threshold = max(first - allowance, 0.0) ** 2 / (grow * self.norm)
+        rows = np.flatnonzero(row_bound >= threshold)
+        cols = np.flatnonzero(col_bound >= threshold)
+        kernel_t = self.kernel[cols].T
+        step = max(1, 2 * self.half.size // cols.size)
+        top, at = -np.inf, 0
+        for start in range(0, rows.size, step):
+            block = _density(self.half[rows[start:start + step]], kernel_t,
+                             self.norm)
+            flat = int(np.argmax(block))
+            if block.flat[flat] > top:
+                top, at = block.flat[flat], start * cols.size + flat
         i, j = divmod(at, cols.size)
         return int(rows[i]), int(cols[j])
 

@@ -367,8 +367,7 @@ def test_peak_block_is_one_line_where_a_bound_is_tight(monkeypatch, tight):
     """A positive spectrum on one idler (signal) bin: the density is flat
     along t_i (t_s), and at t = 0 every phase is one, so the row (column)
     bound of t = 0 equals its values.  The block is then that one line,
-    and a bound set below its values would make the search fall back to
-    a larger block."""
+    which a bound set below its values would leave out."""
     bins, n_time = 4, 128
     line = np.zeros((bins, bins))
     line[:, 0] = np.linspace(1.0, 2.0, bins)
@@ -388,17 +387,17 @@ def test_peak_block_is_one_line_where_a_bound_is_tight(monkeypatch, tight):
     assert sum(evaluated) == 2 * n_time
 
 
-@pytest.mark.parametrize("factor", [1.0 + 1e-9, 1.5])
 def test_peak_survives_a_first_row_rounded_high(shipped_amplitudes,
-                                                 monkeypatch, factor):
-    """A first full row evaluated above every value of the block (a
-    matmul rounding it differently) lowers the threshold, and the block
-    grows until it holds the maximum."""
+                                                 monkeypatch):
+    """A first full row evaluated slightly above the block's values of
+    the same entries (a matmul rounding it differently) still leaves the
+    maximum in the one block evaluated."""
     density = observables._density
 
     def high_first_row(half, kernel_t, norm):
         out = density(half, kernel_t, norm)
-        return out * factor if half.ndim == 1 and kernel_t.ndim == 2 else out
+        high = half.ndim == 1 and kernel_t.ndim == 2
+        return out * (1.0 + 1e-9) if high else out
 
     monkeypatch.setattr(observables, "_density", high_first_row)
     for jsa, n_time in _fast_and_explicit_cases(shipped_amplitudes)[::3]:
@@ -407,22 +406,33 @@ def test_peak_survives_a_first_row_rounded_high(shipped_amplitudes,
                 == np.unravel_index(np.argmax(grid), grid.shape))
 
 
-def test_peak_tie_goes_to_lowest_row():
-    """Rows and columns 17 and 90 of the time kernel are equal and
-    dominate, so the grid maximum sits bitwise-equal at (17, 17), (17, 90),
-    (90, 17) and (90, 90); the profile is built from its spectrum."""
+def test_peak_tie_goes_to_lowest_row(monkeypatch):
+    """A real spectrum makes the amplitude at -t the conjugate of that at
+    t, bitwise on the symmetric grid, so p[i, j] = p[n - i, n - j] and
+    the off-diagonal maximum is tied with its mirror.  Both sit in the
+    pruned block, and the lower row wins, as in np.argmax of the grid."""
     bins, n_time = 6, 128
-    jsa = _random_jsa(7, bins)
-    t = default_time_grid(jsa.widths, n_time)
-    kernel = np.exp(-1j * np.outer(t, jsa.omega)) * jsa.widths
-    kernel[17] *= 10.0
-    kernel[90] = kernel[17]
-    prof = temporal_profiles(jsa, n_time=n_time, kernel=kernel)
+    jsa = _jsa_from_matrix(np.random.RandomState(0).randn(bins, bins),
+                           0.35 * OMEGA_P0, 0.65 * OMEGA_P0)
+    prof = temporal_profiles(jsa, n_time=n_time)
     p = prof.rows(np.arange(n_time))
-    assert np.array_equal(p[17], p[90])
-    assert np.array_equal(p[:, 17], p[:, 90])
-    assert p[17, 17] == p.max() == p[90, 90]
-    assert prof.peak() == (17, 17)
+    assert np.array_equal(p[1:, 1:], p[:0:-1, :0:-1])
+    i, j = np.unravel_index(np.argmax(p), p.shape)
+    assert 0 < i < n_time // 2 and i != j
+    assert p[i, j] == p[n_time - i, n_time - j]
+    blocks = []
+    density = observables._density
+
+    def recording_density(half, kernel_t, norm):
+        out = density(half, kernel_t, norm)
+        blocks.append(out)
+        return out
+
+    monkeypatch.setattr(observables, "_density", recording_density)
+    assert prof.peak() == (i, j)
+    searched = blocks[1:]
+    assert sum(b.size for b in searched) < n_time**2
+    assert sum(np.count_nonzero(b == p[i, j]) for b in searched) == 2
 
 
 def test_simulate_profile_forms_no_time_grid(shipped_amplitudes):
