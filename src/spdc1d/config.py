@@ -22,8 +22,16 @@ from .spectral import SPLIT_CONVENTIONS, SpectralBasis
 from .structure import StructureSpec
 
 
+def _typed(value, kind, where: str):
+    """value if it is a JSON object (kind dict) or list (kind list)."""
+    if not isinstance(value, kind):
+        name = "a JSON object" if kind is dict else "a list"
+        raise ConfigError(f"{where} must be {name}, got {value!r}")
+    return value
+
+
 def _require_keys(obj: dict, allowed, required, where: str):
-    unknown = set(obj) - set(allowed)
+    unknown = set(_typed(obj, dict, where)) - set(allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     missing = set(required) - set(obj)
@@ -77,6 +85,20 @@ def _scan_range(value, where: str) -> tuple:
     return lo, hi, _integer(count, 1, f"{where} count")
 
 
+def _positive(value, where: str) -> float:
+    """A finite JSON number > 0."""
+    if _number(value, where) <= 0.0:
+        raise ConfigError(f"{where} must be positive, got {value!r}")
+    return float(value)
+
+
+def _material(name, materials: dict, where: str):
+    """The material a config entry names."""
+    if not isinstance(name, str) or name not in materials:
+        raise ConfigError(f"{where}: unknown material {name!r}")
+    return materials[name]
+
+
 def _poling(value, where: str) -> int:
     """A poling sign: exactly +1 or -1."""
     if isinstance(value, bool) or value not in (-1, 1):
@@ -86,6 +108,8 @@ def _poling(value, where: str) -> int:
 
 def _parse_pol_triple(s: str):
     """'y;xy' -> ('y', 'x', 'y'): pump pol; signal pol, idler pol."""
+    if not isinstance(s, str):
+        raise ConfigError(f"bad chi2 pol triple {s!r}, expected 'g;ab'")
     try:
         gamma, rest = s.split(";")
         alpha, beta = rest[0], rest[1]
@@ -96,9 +120,9 @@ def _parse_pol_triple(s: str):
 
 def parse_material(name: str, obj: dict) -> MaterialModel:
     _require_keys(obj, ("dispersion", "chi2"), ("dispersion",), f"material {name}")
-    disp = obj["dispersion"]
+    disp = _typed(obj["dispersion"], dict, f"material {name} dispersion")
     chi2 = {}
-    for entry in obj.get("chi2", []):
+    for entry in _typed(obj.get("chi2", []), list, f"material {name} chi2"):
         _require_keys(entry, ("pol", "d_m_per_V"), ("pol", "d_m_per_V"),
                       f"material {name} chi2 entry")
         chi2[_parse_pol_triple(entry["pol"])] = _number(
@@ -120,11 +144,10 @@ def parse_material(name: str, obj: dict) -> MaterialModel:
         _require_keys(disp, ("type", "A", "terms", "window_um"),
                       ("type", "A", "terms", "window_um"),
                       f"material {name} dispersion")
-        if not isinstance(disp["terms"], list):
-            raise ConfigError(f"material {name} terms must be a list")
+        terms = _typed(disp["terms"], list, f"material {name} terms")
         return sellmeier_material(
             name, _number(disp["A"], f"material {name} A"),
-            [_numbers(t, 2, f"material {name} terms") for t in disp["terms"]],
+            [_numbers(t, 2, f"material {name} terms") for t in terms],
             chi2, _window_um(disp["window_um"], f"material {name} window_um"),
         )
     raise ConfigError(f"material {name}: dispersion type must be "
@@ -133,19 +156,16 @@ def parse_material(name: str, obj: dict) -> MaterialModel:
 
 def _expand_layers(items, materials, where="structure.layers"):
     out = []
-    for item in items:
-        if "repeat" in item:
+    for item in _typed(items, list, where):
+        if isinstance(item, dict) and "repeat" in item:
             _require_keys(item, ("repeat", "layers"), ("repeat", "layers"), where)
             for _ in range(_integer(item["repeat"], 1, f"{where} repeat")):
                 out.extend(_expand_layers(item["layers"], materials, where))
             continue
         _require_keys(item, ("material", "length_nm", "poling"),
                       ("material", "length_nm"), where)
-        mat = item["material"]
-        if mat not in materials:
-            raise ConfigError(f"{where}: unknown material {mat!r}")
         out.append(
-            (materials[mat],
+            (_material(item["material"], materials, where),
              _number(item["length_nm"], f"{where} length_nm") * 1e-9,
              _poling(item.get("poling", 1), where))
         )
@@ -198,19 +218,15 @@ TOP_KEYS = ("materials", "structure", "pump", "basis", "observe", "scan",
 def parse_config(raw: dict) -> RunConfig:
     _require_keys(raw, TOP_KEYS, ("materials", "structure", "pump", "basis"),
                   "config")
-    materials = {
-        name: parse_material(name, obj) for name, obj in raw["materials"].items()
-    }
+    materials = {name: parse_material(name, obj) for name, obj
+                 in _typed(raw["materials"], dict, "materials").items()}
     st = raw["structure"]
     _require_keys(st, ("ambient_in", "ambient_out", "layers"),
                   ("ambient_in", "ambient_out", "layers"), "structure")
-    for amb in ("ambient_in", "ambient_out"):
-        if st[amb] not in materials:
-            raise ConfigError(f"structure.{amb}: unknown material {st[amb]!r}")
+    ambient = [_material(st[amb], materials, f"structure.{amb}")
+               for amb in ("ambient_in", "ambient_out")]
     layers = _expand_layers(st["layers"], materials)
-    structure = StructureSpec(
-        tuple(layers), materials[st["ambient_in"]], materials[st["ambient_out"]]
-    )
+    structure = StructureSpec(tuple(layers), *ambient)
     p = raw["pump"]
     _require_keys(
         p,
@@ -220,9 +236,9 @@ def parse_config(raw: dict) -> RunConfig:
         "pump",
     )
     pump = PumpSpec.from_wavelength(
-        _number(p["wavelength_nm"], "pump.wavelength_nm") * 1e-9,
-        _number(p["fwhm_nm"], "pump.fwhm_nm") * 1e-9,
-        _number(p["energy_J_per_m2"], "pump.energy_J_per_m2"),
+        _positive(p["wavelength_nm"], "pump.wavelength_nm") * 1e-9,
+        _positive(p["fwhm_nm"], "pump.fwhm_nm") * 1e-9,
+        _positive(p["energy_J_per_m2"], "pump.energy_J_per_m2"),
         polarization=p.get("polarization", "y"),
         side=p.get("side", "F"),
         cutoff_nsigma=_number(p.get("cutoff_nsigma", 8.0),
@@ -269,8 +285,7 @@ def parse_config(raw: dict) -> RunConfig:
             "scan",
         )
         for m in (s["material_a"], s["material_b"]):
-            if m not in materials:
-                raise ConfigError(f"scan: unknown material {m!r}")
+            _material(m, materials, "scan")
         scan = ScanSpec(
             material_a=s["material_a"],
             material_b=s["material_b"],

@@ -2,22 +2,24 @@
 
 Per frequency and polarization the problem is scalar: forward/backward
 amplitudes per layer, joined by 2x2 interface relations and free phases.
-Two amplitude conventions are used:
-
-* ``field``  - classical electric-field amplitudes; the interface
-  invariants are (A_F + A_B) and n (A_F - A_B).  Used for the pump.
-* ``flux``   - photon-flux-normalized amplitudes (field / sqrt(n), the
-  normalization carried by the per-photon amplitude); invariants are
-  (A_F + A_B)/sqrt(n) and sqrt(n) (A_F - A_B).  Used for the quantum
-  signal/idler modes; the scattering matrix is unitary in this
-  convention for lossless stacks.
+Every amplitude is photon-flux normalized, A = sqrt(n) E for the
+classical electric-field amplitude E (the normalization carried by the
+per-photon amplitude), so the interface invariants are E = (A_F + A_B) /
+sqrt(n) and, up to a constant, H = sqrt(n) (A_F - A_B), and the
+scattering matrix is unitary for lossless stacks.  A field amplitude is
+the flux amplitude times the E-row entry 1/sqrt(n) of the layer's
+continuity rows.
 
 All per-layer amplitudes are referenced at the layer's left boundary
 (z_1 for the input medium, z_{N+1} for the output medium).
 
-The one scattering solve is here: the scattering form F
-(``input_output_map``) and the feed W (``feed_in_map``) of the total
-transfer serve the pump, ``linear_transmission`` and ``matrixcore``.
+The one linear solve is ``field_maps``: one ``layer_transfers`` march,
+the continuity rows of every layer (``continuity_rows``) and the
+scattering form F (``input_output_map``) and feed W (``feed_in_map``) of
+the total transfer, held in ``FieldMaps``.  It serves the pump
+(``propagate_pump``, through ``layer_amplitudes``),
+``linear_transmission``, the oracle's partner modes and
+``matrixcore.linear_maps``, whose idler maps are its conjugate.
 """
 
 from __future__ import annotations
@@ -31,28 +33,16 @@ from .errors import ConfigError, SingularMatrix
 from .materials import refractive_index
 from .structure import StructureSpec
 
-def _interface_weights(n, convention):
-    if convention == "field":
-        return np.ones_like(n), n
-    if convention == "flux":
-        return 1.0 / np.sqrt(n), np.sqrt(n)
-    raise ConfigError(f"unknown amplitude convention {convention!r}")
 
-
-def _crossing(n_from, n_to, convention):
-    """2x2 map of (A_F, A_B) across one interface, per frequency."""
-    w1, v1 = _interface_weights(n_from, convention)
-    w2, v2 = _interface_weights(n_to, convention)
-    p = w1 / w2
-    q = v1 / v2
-    half_sum = 0.5 * (p + q)
-    half_dif = 0.5 * (p - q)
-    out = np.empty((2, 2) + np.shape(p), dtype=complex)
-    out[0, 0] = half_sum
-    out[0, 1] = half_dif
-    out[1, 0] = half_dif
-    out[1, 1] = half_sum
-    return out
+def _crossing(n_from, n_to):
+    """2x2 map of flux amplitudes (A_F, A_B) across one interface, per
+    frequency: E = (A_F + A_B)/sqrt(n) and H = sqrt(n) (A_F - A_B) are
+    continuous."""
+    root_from, root_to = np.sqrt(n_from), np.sqrt(n_to)
+    p = (1.0 / root_from) / (1.0 / root_to)
+    q = root_from / root_to
+    half_sum, half_dif = 0.5 * (p + q), 0.5 * (p - q)
+    return np.array([[half_sum, half_dif], [half_dif, half_sum]])
 
 
 def mat2_mul(a, b):
@@ -76,13 +66,7 @@ def mat2_inv(m, context=""):
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
 
 
-def _layer_indices(structure: StructureSpec, omega):
-    """Complex n of layers 0..N+1 on omega, once per distinct material."""
-    return structure.per_material(
-        lambda mat: refractive_index(mat, omega) + 0j)
-
-
-def layer_transfers(structure: StructureSpec, omega, convention="field"):
+def layer_transfers(structure: StructureSpec, omega):
     """Cumulative 2x2 transfers from medium-0 amplitudes at z_1 into every
     layer, vectorized over omega.
 
@@ -101,9 +85,9 @@ def layer_transfers(structure: StructureSpec, omega, convention="field"):
     at_left = np.zeros((n_tot, 2, 2) + grid + (omega.size,), dtype=complex)
     at_left[0, 0, 0] = at_left[0, 1, 1] = 1.0
     at_right = at_left.copy()
-    n = _layer_indices(structure, omega)
+    n = structure.per_material(lambda mat: refractive_index(mat, omega) + 0j)
     # one crossing and phase per (material pair, length); n holds one
-    # array per material, so the ids of its entries name the materials,
+    # complex array per material, so the ids of its entries name them,
     # and a geometry-grid length is named by its array object
     steps = {}
     for l in range(1, n_tot):
@@ -114,12 +98,23 @@ def layer_transfers(structure: StructureSpec, omega, convention="field"):
             axes = (1,) * (len(grid) - np.ndim(length)) + np.shape(length)
             phase = np.exp(1j * omega / CONSTANTS.c * n[l]
                            * np.reshape(length, axes + (1,)))
-            steps[key] = (_crossing(n[l - 1], n[l], convention),
+            steps[key] = (_crossing(n[l - 1], n[l]),
                           np.array([phase, 1.0 / phase])[:, None])
         crossing, propagate = steps[key]
         at_left[l] = mat2_mul(crossing, at_right[l - 1])
         at_right[l] = propagate * at_left[l]
     return at_left, at_right
+
+
+def continuity_rows(material, omega):
+    """Boundary-continuity map L of one layer per frequency: (E, H) rows
+    from (F, B) flux amplitudes, shape (2, 2, len(omega)).  On the bin
+    centers these are the diagonal single-frequency overlaps of the
+    top-hat basis: 1/sqrt(n) in the E row, +-i k/sqrt(n) in the H row."""
+    n = refractive_index(material, omega)
+    i_e = 1.0 / np.sqrt(n)
+    i_h = 1j * omega / CONSTANTS.c * n / np.sqrt(n)
+    return np.array([[i_e, i_e], [i_h, -i_h]])
 
 
 def input_output_map(t):
@@ -142,27 +137,78 @@ def feed_in_map(f):
     return np.array([[one, np.zeros_like(one)], f[1]])
 
 
-def scalar_layer_amplitudes(
-    structure: StructureSpec, omega, convention="field", side="F", a_in=None
-):
-    """Solve the scattering problem and return per-layer amplitudes.
+@dataclass(frozen=True)
+class FieldMaps:
+    """Per-frequency 2x2 linear maps of one field sector.
 
-    Returns an array of shape (N+2, 2, *G, len(omega)); axis 1 is (F, B),
-    amplitudes referenced at each layer's left boundary, G the geometry
-    grid of the layer lengths (see ``layer_transfers``).  side='F' drives
-    from the left with amplitude a_in (default 1), side='B' from the
-    right; the opposite incoming amplitude is zero.
+    at_left[l] / at_right[l]: layer-l modes at z_l / z_{l+1} from medium-0
+    modes at z_1 (stacks of shape (N+2, 2, 2, *G, K) over a geometry grid
+    G, () for scalar lengths); interface[l]: the continuity rows L of
+    layer l, the same for every geometry (unit G axes).  scatter: F;
+    feed: W (shape (2, 2, *G, K)).  The boundary responses read t and r
+    from F.
     """
-    if side not in ("F", "B"):
-        raise ConfigError(f"side must be 'F' or 'B', got {side!r}")
+
+    at_left: np.ndarray
+    at_right: np.ndarray
+    interface: np.ndarray
+    scatter: np.ndarray
+    feed: np.ndarray
+
+    def conj(self) -> "FieldMaps":
+        """The maps of the conjugated transfers and continuity rows, with F
+        and W formed from them."""
+        return _solved(*(np.conj(a) for a in
+                         (self.at_left, self.at_right, self.interface)))
+
+    def boundary_rows(self, l):
+        """L_l at_left[l]: E/H rows at boundary l of the medium-0 modes at
+        z_1.  For an index array l the boundaries run along axis 2: shape
+        (2, 2, len(l), *G, K)."""
+        at_left, interface = (np.moveaxis(a, 0, 2)[:, :, l]
+                              for a in (self.at_left, self.interface))
+        return mat2_mul(interface, at_left)
+
+    def inverse_response(self, l, context="boundary response"):
+        """Output amplitudes (forward, backward) from E/H continuity
+        sources at boundary l: [[t, 0], [r, -1]] (L_l at_left[l])^-1 with
+        t = F[0, 0] and r = F[1, 0], shaped as ``boundary_rows``."""
+        t, r = self.scatter[0, 0], self.scatter[1, 0]
+        zero = np.zeros_like(t)
+        return mat2_mul(np.array([[t, zero], [r, zero - 1.0]]),
+                        mat2_inv(self.boundary_rows(l), context))
+
+    def fed(self, edge: str):
+        """Layer modes at their left or right edge from the inputs, every
+        layer at once: shape (2, 2, N+2, *G, K)."""
+        at = self.at_left if edge == "left" else self.at_right
+        return mat2_mul(np.moveaxis(at, 0, 2), self.feed)
+
+
+def _solved(at_left, at_right, interface) -> FieldMaps:
+    scatter = input_output_map(at_left[-1])
+    return FieldMaps(at_left, at_right, interface, scatter,
+                     feed_in_map(scatter))
+
+
+def field_maps(structure: StructureSpec, omega) -> FieldMaps:
+    """The linear solve of a stack at the given frequencies: the transfers
+    of one march, the continuity rows of every layer, F and W."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    if a_in is None:
-        a_in = np.ones_like(omega, dtype=complex)
-    a_in = np.broadcast_to(np.asarray(a_in, dtype=complex), omega.shape)
-    at_left = layer_transfers(structure, omega, convention)[0]
-    feed = feed_in_map(input_output_map(at_left[-1]))
-    amps = np.einsum("lij...w,j...w->li...w", at_left,
-                     feed[:, ("F", "B").index(side)] * a_in)
+    at_left, at_right = layer_transfers(structure, omega)
+    interface = np.array(
+        structure.per_material(lambda mat: continuity_rows(mat, omega)))
+    interface = interface.reshape(interface.shape[:3]
+                                  + (1,) * len(structure.grid) + (-1,))
+    return _solved(at_left, at_right, interface)
+
+
+def layer_amplitudes(maps: FieldMaps, side="F", a_in=1.0):
+    """Flux amplitudes of every layer, shape (N+2, 2, *G, K) with axis 1
+    (F, B), for input a_in in the forward mode at z_1 (side 'F') or the
+    backward mode at z_{N+1} (side 'B'); the other input is zero."""
+    amps = np.einsum("lij...w,j...w->li...w", maps.at_left,
+                     maps.feed[:, ("F", "B").index(side)] * a_in)
     # the undriven side is exactly dark; remove marching roundoff
     if side == "F":
         amps[-1, 1] = 0.0
@@ -174,25 +220,22 @@ def scalar_layer_amplitudes(
 def linear_transmission(structure: StructureSpec, omega, side="F"):
     """Complex t, r and intensity coefficients T, R at given frequencies.
 
-    t and r are field-amplitude ratios read from F; T includes the
-    n_out/n_in flux factor so that T + R = 1 for lossless stacks.  Each
-    is an array over (*G, len(omega)) for layer lengths over a geometry
-    grid G (see ``layer_transfers``), and a plain number for scalar
-    lengths and one frequency.
+    T = |t|^2 and R = |r|^2 are read from the unitary flux F, so T + R =
+    1 for lossless stacks; t and r are returned as field-amplitude
+    ratios.  Each is an array over (*G, len(omega)) for layer lengths
+    over a geometry grid G (see ``layer_transfers``), and a plain number
+    for scalar lengths and one frequency.
     """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    f = input_output_map(layer_transfers(structure, omega, "field")[0][-1])
-    n_in = refractive_index(structure.material(0), omega)
-    n_out = refractive_index(structure.material(structure.n_layers + 1), omega)
+    maps = field_maps(structure, omega)
+    f, e_row = maps.scatter, maps.interface[:, 0, 0]
     if side == "F":
-        t, r = f[0, 0], f[1, 0]
-        big_t = np.abs(t) ** 2 * n_out / n_in
+        t, r, ratio = f[0, 0], f[1, 0], e_row[-1] / e_row[0]
     elif side == "B":
-        t, r = f[1, 1], f[0, 1]
-        big_t = np.abs(t) ** 2 * n_in / n_out
+        t, r, ratio = f[1, 1], f[0, 1], e_row[0] / e_row[-1]
     else:
         raise ConfigError(f"side must be 'F' or 'B', got {side!r}")
-    big_r = np.abs(r) ** 2
+    big_t, big_r = np.abs(t) ** 2, np.abs(r) ** 2
+    t = t * ratio  # the flux ratio as a field ratio: sqrt(n_in / n_out)
     if t.shape == (1,):
         return complex(t[0]), complex(r[0]), float(big_t[0]), float(big_r[0])
     return t, r, big_t, big_r
@@ -278,11 +321,12 @@ def propagate_pump(structure: StructureSpec, pump: PumpSpec, omega) -> PumpField
                     + (omega.size,), dtype=complex)
     if np.any(mask):
         sub = omega[mask]
-        a_in = pump.amplitude(sub)
-        solved = scalar_layer_amplitudes(
-            structure, sub, convention="field", side=pump.side, a_in=a_in
-        )
-        amps[..., mask] = solved
-    return PumpField(
-        omega=omega, amps=amps, polarization=pump.polarization, mask=mask
-    )
+        maps = field_maps(structure, sub)
+        # field amplitude per flux amplitude: 1/sqrt(n) of each layer
+        e_row = maps.interface[:, 0, 0]
+        driven = 0 if pump.side == "F" else -1
+        flux = layer_amplitudes(maps, pump.side,
+                                pump.amplitude(sub) / e_row[driven])
+        amps[..., mask] = flux * e_row[:, None]
+    return PumpField(omega=omega, amps=amps, polarization=pump.polarization,
+                     mask=mask)

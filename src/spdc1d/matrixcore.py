@@ -5,10 +5,13 @@ creation sector, each with channels (F,x), (B,x), (F,y), (B,y) times the
 frequency bins.  At normal incidence in isotropic layers every linear map
 is a 2x2 per field and frequency bin, identical for both polarizations,
 so it is stored as an array of shape (2, 2, K) over (row channel, column
-channel, bin).  Signal and idler share one spectral basis, so the
-transfers come from one ``linear.layer_transfers`` march in the flux
-convention; because the idler entries are creation operators, every
-idler map is built from the complex conjugates of the signal transfers.
+channel, bin).  Signal and idler share one spectral basis, so their
+linear maps come from one ``linear.field_maps`` solve on the bin
+centers (one ``linear.layer_transfers`` march; flux-normalized
+amplitudes throughout), held in a ``linear.FieldMaps`` per field;
+because the idler entries are creation operators, every idler map is
+built from the complex conjugates of the signal transfers and
+continuity rows (``FieldMaps.conj``).
 
 The pair operators G_V, G_S and the per-boundary sources map one
 field's inputs to the other field's outputs.  Each is one complex array
@@ -41,7 +44,7 @@ every boundary (one Wronskian per bin), and det(response_l) =
 -det(L_0)/t.  Each boundary source is therefore the kernel array scaled
 by columns with the per-bin feed of its input modes and by rows with the
 per-bin inverse response: O(N K^2) work and no matrix solve.  F, the
-scattering form from ``linear.input_output_map``, is kept as it is
+scattering form of the solve, is kept as it is
 computed: one (2, 2, K) array per field over (out dir, in dir, bin), the
 same for both polarizations.
 
@@ -110,11 +113,10 @@ from .blockmatrix import FIELDS, BlockMatrix, mode_space
 from .constants import CONSTANTS
 from .errors import ConfigError, SingularMatrix
 from .linear import (
+    FieldMaps,
     PumpField,
     PumpSpec,
-    feed_in_map,
-    input_output_map,
-    layer_transfers,
+    field_maps,
     mat2_inv,
     mat2_mul,
 )
@@ -134,17 +136,6 @@ CONDITION_WARN = 1e12
 _CLASS_CHUNK = 4096  # layers x K^2 per class pass: the chunk's element budget
 
 
-def interface_bins(material, basis: SpectralBasis):
-    """Boundary-continuity map L of one layer per bin: (E, H) rows from
-    (F, B) mode amplitudes, shape (2, 2, K).  Its entries are the diagonal
-    single-frequency overlaps of the top-hat basis on the bin centers:
-    1/sqrt(n(w_k)) in the E row, +-i k(w_k)/sqrt(n(w_k)) in the H row."""
-    n = refractive_index(material, basis.centers)
-    i_e = 1.0 / np.sqrt(n)
-    i_h = 1j * basis.centers / CONSTANTS.c * n / np.sqrt(n)
-    return np.array([[i_e, i_e], [i_h, -i_h]])
-
-
 def propagator_bins(material, length, basis: SpectralBasis):
     """Free propagation across one layer per bin: diag(e^{ikL}, e^{-ikL})."""
     k = basis.centers / CONSTANTS.c * refractive_index(material, basis.centers)
@@ -153,61 +144,10 @@ def propagator_bins(material, length, basis: SpectralBasis):
     return np.array([[phase, zero], [zero, 1.0 / phase]])
 
 
-@dataclass(frozen=True)
-class FieldMaps:
-    """Per-bin 2x2 linear maps of one field sector, flux convention.
-
-    at_left[l] / at_right[l]: layer-l modes at z_l / z_{l+1} from medium-0
-    modes at z_1 (stacks of shape (N+2, 2, 2, *G, K) over a geometry grid
-    G, () for scalar lengths); interface[l]: L of layer l, the same for
-    every geometry (unit G axes).  scatter: F; feed: W (shape
-    (2, 2, *G, K)).  The boundary responses read t and r from F.
-    """
-
-    at_left: np.ndarray
-    at_right: np.ndarray
-    interface: np.ndarray
-    scatter: np.ndarray
-    feed: np.ndarray
-
-    def boundary_rows(self, l):
-        """L_l at_left[l]: E/H rows at boundary l of the medium-0 modes at
-        z_1.  For an index array l the boundaries run along axis 2: shape
-        (2, 2, len(l), *G, K)."""
-        at_left, interface = (np.moveaxis(a, 0, 2)[:, :, l]
-                              for a in (self.at_left, self.interface))
-        return mat2_mul(interface, at_left)
-
-    def inverse_response(self, l, context="boundary response"):
-        """Output amplitudes (forward, backward) from E/H continuity
-        sources at boundary l: [[t, 0], [r, -1]] (L_l at_left[l])^-1 with
-        t = F[0, 0] and r = F[1, 0], shaped as ``boundary_rows``."""
-        t, r = self.scatter[0, 0], self.scatter[1, 0]
-        zero = np.zeros_like(t)
-        return mat2_mul(np.array([[t, zero], [r, zero - 1.0]]),
-                        mat2_inv(self.boundary_rows(l), context))
-
-    def fed(self, edge: str):
-        """Layer modes at their left or right edge from the inputs, every
-        layer at once: shape (2, 2, N+2, *G, K)."""
-        at = self.at_left if edge == "left" else self.at_right
-        return mat2_mul(np.moveaxis(at, 0, 2), self.feed)
-
-
 def linear_maps(structure: StructureSpec, basis: SpectralBasis) -> dict:
-    """{'s': signal maps, 'i': idler maps from the conjugated transfers}."""
-    at_left, at_right = layer_transfers(structure, basis.centers, "flux")
-    interface = np.array(
-        structure.per_material(lambda mat: interface_bins(mat, basis)))
-    interface = interface.reshape(interface.shape[:3]
-                                  + (1,) * len(structure.grid) + (-1,))
-    maps = {}
-    for f, arrays in (("s", (at_left, at_right, interface)),
-                      ("i", (np.conj(at_left), np.conj(at_right),
-                             np.conj(interface)))):
-        scatter = input_output_map(arrays[0][-1])
-        maps[f] = FieldMaps(*arrays, scatter, feed_in_map(scatter))
-    return maps
+    """{'s': the linear solve on the bin centers, 'i': its conjugate}."""
+    signal = field_maps(structure, basis.centers)
+    return {"s": signal, "i": signal.conj()}
 
 
 def outward_maps(maps: FieldMaps, l: int):
@@ -307,10 +247,6 @@ class EmissionOperators:
     g_surface: np.ndarray
     boundary_sources: dict  # l -> (volume, surface) pair arrays
     warnings: list
-
-    @property
-    def bins(self) -> int:
-        return self.basis.bins
 
     @property
     def f_linear(self) -> BlockMatrix:

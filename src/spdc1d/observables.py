@@ -343,8 +343,9 @@ def temporal_profiles(jsa: JointSpectralAmplitude, n_time: int = 2048,
     half = kernel @ spectrum
     row_power = t.size * (np.abs(half * jsa.widths) ** 2).sum(axis=1)
     norm = float(row_power.sum() * dt * dt)
-    if norm <= 0.0:
-        raise NoPeak("two-photon amplitude is identically zero")
+    if not 0.0 < norm < np.inf:  # a nan or inf amplitude: nan or inf norm
+        raise NoPeak("two-photon amplitude is " + (
+            "identically zero" if norm == 0.0 else "not finite"))
     spectral_power = float(np.sum(np.abs(jsa.matrix) ** 2))
     parseval = (
         norm / (2.0 * np.pi) ** 2 / spectral_power

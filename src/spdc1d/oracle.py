@@ -46,7 +46,7 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ConfigError, StepTooCoarse
-from .linear import PumpSpec, _crossing, scalar_layer_amplitudes
+from .linear import PumpSpec, _crossing, field_maps, layer_amplitudes
 from .materials import refractive_index
 from .matrixcore import pair_block
 from .blockmatrix import FIELDS
@@ -211,17 +211,14 @@ def reference_pair_amplitude(
     layers = []
     for l, (d, n, k, kp_sums, unit) in enumerate(per_material):
         # the flux map into layer l across boundary z_l
-        cross = (_crossing(per_material[l - 1][1] + 0j, n + 0j, "flux")
-                 if l else None)
+        cross = _crossing(per_material[l - 1][1] + 0j, n + 0j) if l else None
         layers.append((d, k, unit * weights[l], cross))
         if np.any(d):  # never an ambient: those are linear
             length = structure.length(l)
             classes[(id(structure.material(l)), length)] = (k, kp_sums,
                                                             length)
-    partner = {
-        b0: scalar_layer_amplitudes(structure, centers, "flux", side=b0)
-        for b0 in DIRS
-    }
+    maps = field_maps(structure, centers)
+    partner = {b0: layer_amplitudes(maps, b0) for b0 in DIRS}
 
     def run(h):
         class_sums = {key: _class_sums(k, kp_sums, index, length, h)

@@ -30,10 +30,10 @@ from spdc1d.errors import ConfigError
 from spdc1d.linear import (
     PumpField,
     _crossing,
-    _interface_weights,
+    field_maps,
+    layer_amplitudes,
     mat2_inv,
     mat2_mul,
-    scalar_layer_amplitudes,
 )
 from spdc1d.materials import refractive_index, wavenumber
 import spdc1d.matrixcore as matrixcore
@@ -79,6 +79,17 @@ def eval_basis(basis, k: int, omega):
     omega = np.asarray(omega, dtype=float)
     inside = (omega >= e[k]) & (omega < e[k + 1])
     return np.where(inside, 1.0 / np.sqrt(basis.widths[k]), 0.0)
+
+
+def _interface_weights(n, convention):
+    """(E, H) weights of the amplitudes: the interface invariants are
+    w (A_F + A_B) and v (A_F - A_B).  'field' amplitudes are electric-field
+    amplitudes; 'flux' ones are normalized to photon flux (sqrt(n) E)."""
+    if convention == "field":
+        return np.ones_like(n), n
+    if convention == "flux":
+        return 1.0 / np.sqrt(n), np.sqrt(n)
+    raise ConfigError(f"unknown amplitude convention {convention!r}")
 
 
 def continuity_residual(structure, amps, omega, convention="field"):
@@ -316,7 +327,7 @@ def dense_branch_amplitudes(emission, channel, w):
     a, b, alpha, beta = channel
     g = {"V": emission.g_volume, "S": emission.g_surface}[w]
     f = emission.f_linear
-    k = emission.bins
+    k = emission.basis.bins
     idler = np.zeros((k, k), dtype=complex)
     signal = np.zeros((k, k), dtype=complex)
     for g_dir, g_pol in MODE_CHANNELS:
@@ -392,7 +403,7 @@ def _stepwise_march(structure, layers, basis, row_field, partner_amps, step):
     for l in range(1, structure.n_layers + 2):
         n_from = refractive_index(structure.material(l - 1), w)
         n_to = refractive_index(structure.material(l), w)
-        d = _crossing(n_from + 0j, n_to + 0j, "flux")
+        d = _crossing(n_from + 0j, n_to + 0j)
         c_f, c_b = state[:, :, 0], state[:, :, 1]
         state = np.stack((d[0, 0][:, None] * c_f + d[0, 1][:, None] * c_b,
                           d[1, 0][:, None] * c_f + d[1, 1][:, None] * c_b),
@@ -481,8 +492,8 @@ def stepwise_pair_amplitude(structure, pump_spec, basis, step,
         layers.append((chi2_matrix(mat, pump.polarization),
                        dict(zip(DIRS, pump_wavenumbers(mat, pump)[:, index])),
                        {g: unit * a for g, a in zip(DIRS, weights[l])}))
-    partner = {b0: scalar_layer_amplitudes(structure, centers, "flux", side=b0)
-               for b0 in DIRS}
+    maps = field_maps(structure, centers)
+    partner = {b0: layer_amplitudes(maps, b0) for b0 in DIRS}
 
     def run(h):
         return {f: _stepwise_march(structure, layers, basis, f, partner, h)

@@ -5,10 +5,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import spdc1d.linear as linear_mod
 import spdc1d.matrixcore as matrixcore_mod
 import spdc1d.runner as runner_mod
 from spdc1d.cli import main
 from spdc1d.config import ConfigError, load_config, parse_config
+from spdc1d.errors import NoPeak
 from spdc1d.blockmatrix import BlockMatrix, mode_space, row_space
 from spdc1d.matrixcore import build_emission
 from spdc1d.observables import (
@@ -390,8 +392,8 @@ def test_verify_detects_corrupted_kernels(monkeypatch):
 
 def test_verify_detects_non_unitary_scattering(monkeypatch):
     cfg = parse_config(_tiny_config())
-    orig = matrixcore_mod.input_output_map
-    monkeypatch.setattr(matrixcore_mod, "input_output_map",
+    orig = linear_mod.input_output_map
+    monkeypatch.setattr(linear_mod, "input_output_map",
                         lambda t: 1.001 * orig(t))
     report, ok = verify(cfg, bins=6)
     assert report["checks"]["scattering_unitary"]["error"] > 1e-9
@@ -747,3 +749,53 @@ def test_cli_scan_workers_below_one_exits_2(tmp_path, capsys, workers):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "workers must be at least 1" in err
     assert not out.exists()
+
+
+_MALFORMED = [  # (path of the entry, its bad value, what the error names)
+    (("materials",), 0, "materials"),
+    (("pump",), None, "pump"),
+    (("observe",), [], "observe"),
+    (("scan",), None, "scan"),
+    (("structure", "layers", 0), 0.5, "structure.layers"),
+    (("materials", "nl", "chi2"), 0, "material nl chi2"),
+    (("materials", "nl", "chi2", 0, "pol"), 5, "pol triple"),
+    (("pump", "wavelength_nm"), 0, "pump.wavelength_nm"),
+    (("pump", "fwhm_nm"), 0, "pump.fwhm_nm"),
+    (("pump", "energy_J_per_m2"), -1, "pump.energy_J_per_m2"),
+]
+
+
+@pytest.mark.parametrize("path,value,named", _MALFORMED,
+                         ids=[named.replace(" ", "-")
+                              for _, _, named in _MALFORMED])
+def test_cli_malformed_config_exits_2(tmp_path, capsys, path, value, named):
+    """A section or entry of the wrong type, or a nonpositive pump
+    parameter, is one error line and exit 2, never a traceback."""
+    raw = _tiny_config()
+    entry = raw
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    rc = main(["simulate", "--config", str(cfg_path), "--bins", "8",
+               "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err and "Traceback" not in err
+
+
+def test_simulate_nan_amplitude_raises_no_peak(tmp_path, monkeypatch):
+    """A nan two-photon amplitude is not skipped as dark: it stops the
+    run with NoPeak."""
+    orig = runner_mod.two_photon_amplitude
+
+    def poisoned(*args):
+        amps = orig(*args)
+        amps["SV"].matrix[0, 0] = np.nan
+        return amps
+
+    monkeypatch.setattr(runner_mod, "two_photon_amplitude", poisoned)
+    with pytest.raises(NoPeak, match="not finite"):
+        simulate(parse_config(_tiny_config()), tmp_path / "out")

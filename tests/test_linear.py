@@ -4,9 +4,10 @@ import pytest
 from spdc1d.constants import CONSTANTS
 from spdc1d.linear import (
     PumpSpec,
+    field_maps,
+    layer_amplitudes,
     linear_transmission,
     propagate_pump,
-    scalar_layer_amplitudes,
 )
 from spdc1d.materials import constant_material
 from spdc1d.structure import StructureSpec
@@ -152,6 +153,17 @@ def test_undriven_side_amplitudes_zero(stack4, pump400):
                       energy_per_area=1e3, side="B")
     field_b = propagate_pump(stack4, pump_b, omega)
     assert field_b.amps[0, 0, 0] == 0.0
+    # unequal ambients, driven from either side: the driven input is the
+    # pump's field amplitude in its own medium, and E and H are continuous
+    st = _stack(stack4.layers, n_in=1.0, n_out=1.5)
+    omega = pump400.omega0 * np.linspace(0.95, 1.05, 5)
+    for side, driven in (("F", (0, 0)), ("B", (-1, 1))):
+        pump = PumpSpec(omega0=pump400.omega0, sigma=pump400.sigma,
+                        energy_per_area=1e3, side=side)
+        amps = propagate_pump(st, pump, omega).amps
+        np.testing.assert_allclose(amps[driven], pump.amplitude(omega),
+                                   rtol=1e-14, atol=0.0)
+        assert continuity_residual(st, amps, omega, "field") < 1e-10
 
 
 def test_flux_convention_unitary_scattering():
@@ -163,8 +175,9 @@ def test_flux_convention_unitary_scattering():
     ]
     st = _stack(layers, n_in=1.0, n_out=3.0)
     omega = np.array([2 * np.pi * C / 500e-9])
-    amps_f = scalar_layer_amplitudes(st, omega, "flux", side="F")
-    amps_b = scalar_layer_amplitudes(st, omega, "flux", side="B")
+    maps = field_maps(st, omega)
+    amps_f = layer_amplitudes(maps, "F")
+    amps_b = layer_amplitudes(maps, "B")
     t_f, r_f = amps_f[-1, 0, 0], amps_f[0, 1, 0]
     t_b, r_b = amps_b[0, 1, 0], amps_b[-1, 0, 0]
     s = np.array([[r_f, t_b], [t_f, r_b]])

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import spdc1d.linear as linear_mod
 import spdc1d.matrixcore as matrixcore_mod
 import spdc1d.runner as runner_mod
 from spdc1d.blockmatrix import BlockMatrix, mode_space, row_space
@@ -11,6 +12,7 @@ from spdc1d.config import load_config
 from spdc1d.constants import CONSTANTS
 from spdc1d.linear import (
     PumpSpec,
+    continuity_rows,
     feed_in_map,
     input_output_map,
     linear_transmission,
@@ -20,7 +22,6 @@ from spdc1d.linear import (
 from spdc1d.materials import constant_material, refractive_index
 from spdc1d.matrixcore import (
     build_emission,
-    interface_bins,
     linear_maps,
     inverse_responses,
     outward_maps,
@@ -74,10 +75,11 @@ def test_overlap_matrices_constant_index():
     of the top-hat basis: 1/sqrt(n) in the E row, +-i k/sqrt(n) in the H
     row."""
     b = _basis(6)
-    (i_e, i_e2), (i_hf, i_hb) = interface_bins(constant_material("v", 1.0), b)
+    (i_e, i_e2), (i_hf, i_hb) = continuity_rows(constant_material("v", 1.0),
+                                                b.centers)
     assert np.allclose(i_e, 1.0)
     assert np.array_equal(i_e2, i_e)
-    (i_e4, _), _ = interface_bins(constant_material("m", 4.0), b)
+    (i_e4, _), _ = continuity_rows(constant_material("m", 4.0), b.centers)
     assert np.allclose(i_e4, 0.5)
     assert np.allclose(i_hb, -i_hf)
     assert np.allclose(i_hf, 1j * b.centers / C * 1.0)
@@ -85,7 +87,7 @@ def test_overlap_matrices_constant_index():
 
 def test_overlap_matrices_sellmeier_per_bin(gan):
     b = SpectralBasis(0.3 * OMEGA_P0, 0.8 * OMEGA_P0, 16)
-    (i_e, _), (i_hf, _) = interface_bins(gan, b)
+    (i_e, _), (i_hf, _) = continuity_rows(gan, b.centers)
     for k in range(16):
         n_k = refractive_index(gan, b.centers[k])
         assert i_e[k] == pytest.approx(1.0 / np.sqrt(n_k), rel=1e-14)
@@ -98,7 +100,7 @@ def test_interface_matrix_k1_layout():
     b = _basis(1, 0.499, 0.501)
     omega = b.centers[0]
     k = omega / C
-    per_bin = interface_bins(constant_material("v", 1.0), b)
+    per_bin = continuity_rows(constant_material("v", 1.0), b.centers)
     mat = BlockMatrix.from_bins(row_space("rows", 1), mode_space("modes", 1),
                                 {"s": per_bin, "i": np.conj(per_bin)})
     sig = mat.data[:4, :4]
@@ -123,8 +125,8 @@ def test_interface_matrix_invertible_random_lossless():
     b = _basis(3)
     for _ in range(20):
         n = 1.0 + 3.0 * rng.rand()
-        per_bin = np.moveaxis(interface_bins(constant_material("m", n), b),
-                              -1, 0)
+        per_bin = np.moveaxis(
+            continuity_rows(constant_material("m", n), b.centers), -1, 0)
         # rows carry the physical k scale (~1e7/m); normalize before
         # conditioning so the check probes genuine rank, not units
         scale = np.abs(per_bin).max(axis=2, keepdims=True)
@@ -133,7 +135,8 @@ def test_interface_matrix_invertible_random_lossless():
 
 def test_identical_adjacent_layers_same_interface(gan):
     b = _basis(3)
-    assert np.array_equal(interface_bins(gan, b), interface_bins(gan, b))
+    assert np.array_equal(continuity_rows(gan, b.centers),
+                          continuity_rows(gan, b.centers))
 
 
 def test_propagator_identity_additivity_unimodular(gan):
@@ -152,12 +155,13 @@ def test_propagator_identity_additivity_unimodular(gan):
 def _folded_transfer(structure, b, n, m):
     """Layer-n modes at z_n from layer-m modes at z_{m+1}, folded from
     the per-bin continuity rows and propagators of the layers between."""
-    acc = interface_bins(structure.material(m), b)
+    acc = continuity_rows(structure.material(m), b.centers)
     for l in range(m + 1, n):
-        lay = interface_bins(structure.material(l), b)
+        lay = continuity_rows(structure.material(l), b.centers)
         prop = propagator_bins(structure.material(l), structure.length(l), b)
         acc = mat2_mul(lay, mat2_mul(prop, mat2_mul(mat2_inv(lay), acc)))
-    return mat2_mul(mat2_inv(interface_bins(structure.material(n), b)), acc)
+    return mat2_mul(
+        mat2_inv(continuity_rows(structure.material(n), b.centers)), acc)
 
 
 def test_transfer_adjacent_identical_materials_is_identity():
@@ -196,18 +200,20 @@ def test_transfer_general_compose_consistency(stack4):
 
 
 def test_one_flux_transfer_march_per_build(stack4, pump400, monkeypatch):
-    """Signal and idler share one basis, so a build marches the flux
-    transfers once; the pump's field-convention march runs in linear."""
+    """Signal and idler share one basis, so a build solves the stack once
+    on the bin centers; the pump's own solve runs on its grid."""
     calls = []
-    orig = matrixcore_mod.layer_transfers
+    orig = linear_mod.field_maps
 
-    def counting(structure, omega, convention="field"):
-        calls.append(convention)
-        return orig(structure, omega, convention)
+    def counting(structure, omega):
+        calls.append(np.size(omega))
+        return orig(structure, omega)
 
-    monkeypatch.setattr(matrixcore_mod, "layer_transfers", counting)
-    build_emission(stack4, pump400, _basis(3))
-    assert calls == ["flux"]
+    monkeypatch.setattr(matrixcore_mod, "field_maps", counting)
+    monkeypatch.setattr(linear_mod, "field_maps", counting)
+    b = _basis(3)
+    em = build_emission(stack4, pump400, b)
+    assert calls == [b.bins, em.pump.omega[em.pump.mask].size]
 
 
 def test_idler_maps_are_conjugated_signal_maps(stack4):

@@ -51,7 +51,6 @@ class FakeEmission:
             return rng.randn(*shape) + 1j * rng.randn(*shape)
 
         eye = np.eye(2)[:, :, None] * np.ones(bins)
-        self.bins = bins
         self.scatter = {"s": eye, "i": eye}
         self.g_volume = g_v if g_v is not None else rand_pairs()
         self.g_surface = g_s if g_s is not None else rand_pairs()
@@ -469,6 +468,16 @@ def test_width_fwhm_two_peaks_uses_global():
         2 * np.sqrt(2 * np.log(2)) * 0.2, rel=2e-3
     )
     assert count_peaks(y, floor_fraction=0.1) == 2
+
+
+def test_nan_amplitude_has_no_peak():
+    """A nan entry gives a nan norm: NoPeak, not a profile whose peak()
+    divides by it."""
+    m = np.ones((4, 4), dtype=complex)
+    m[1, 2] = np.nan
+    jsa = _jsa_from_matrix(m, 0.4 * OMEGA_P0, 0.6 * OMEGA_P0)
+    with pytest.raises(NoPeak, match="not finite"):
+        temporal_profiles(jsa, n_time=256)
 
 
 def test_width_fwhm_no_peak():

@@ -161,20 +161,26 @@ def test_oracle_convergence_is_second_order(gan, aln, air, pump400):
 
 def test_partner_solutions_computed_once_per_input(stack4, pump400,
                                                    monkeypatch):
-    """One linear solution per input side serves both row fields, both
-    Richardson steps and the outgoing-wave corrections."""
+    """One linear solution per input side, both read from one linear
+    solve, serves both row fields, both Richardson steps and the
+    outgoing-wave corrections."""
     sides = []
-    orig = oracle.scalar_layer_amplitudes
+    orig = oracle.layer_amplitudes
 
-    def counting(structure, omega, convention="field", side="F", a_in=None):
+    def counting(maps, side="F", a_in=1.0):
         sides.append(side)
-        return orig(structure, omega, convention, side, a_in)
+        return orig(maps, side, a_in)
 
-    monkeypatch.setattr(oracle, "scalar_layer_amplitudes", counting)
+    monkeypatch.setattr(oracle, "layer_amplitudes", counting)
+    solves = []
+    orig_solve = oracle.field_maps
+    monkeypatch.setattr(oracle, "field_maps",
+                        lambda *args: solves.append(args) or orig_solve(*args))
     basis = SpectralBasis(0.45 * OMEGA_P0, 0.55 * OMEGA_P0, 2)
     ref = reference_pair_amplitude(stack4, pump400, basis, step=50e-9 / 16)
     assert ref["s"] and ref["i"]
     assert sorted(sides) == ["B", "F"]
+    assert len(solves) == 1
 
 
 def test_step_too_coarse_raises(stack4, pump400):
