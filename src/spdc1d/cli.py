@@ -7,10 +7,9 @@ Every run is deterministic (no randomness anywhere).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .config import load_config, parse_config, read_json
+from .config import load_config, parse_config, with_structure_file
 from .errors import ConfigError, SpdcError
 from .runner import MATRIX_NAMES, dump_matrix, scan, simulate, transmission_map, verify
 
@@ -80,56 +79,50 @@ def _window(args):
     return (args.window_lo, args.window_hi)
 
 
-def _override_scan_ranges(cfg, args):
-    if args.l1_range is None and args.l2_range is None:
-        return cfg
-    raw = json.loads(json.dumps(cfg.raw))  # deep copy
-    if "scan" not in raw:
-        raise ConfigError("config has no scan section to override")
-    if args.l1_range is not None:
-        raw["scan"]["l1_nm"] = list(args.l1_range)
-    if args.l2_range is not None:
-        raw["scan"]["l2_nm"] = list(args.l2_range)
-    return parse_config(raw)
+def _config(args):
+    """The --config run config, with the --structure file's sections and
+    the scan-range flags patched into its tree, which is then parsed
+    again whole: an override is checked as the file it patches."""
+    cfg = load_config(args.config)
+    raw = (cfg.raw if args.structure is None
+           else with_structure_file(cfg.raw, args.structure))
+    for key, flag in (("l1_nm", "l1_range"), ("l2_nm", "l2_range")):
+        if getattr(args, flag, None) is not None:
+            if "scan" not in raw:
+                raise ConfigError("config has no scan section to override")
+            raw = {**raw, "scan": {**raw["scan"],
+                                   key: list(getattr(args, flag))}}
+    return cfg if raw is cfg.raw else parse_config(raw)
 
 
-def _apply_structure_override(cfg, args):
-    if getattr(args, "structure", None) is None:
-        return cfg
-    override = read_json(args.structure, "structure file")
-    unknown = set(override) - {"structure", "materials"}
-    if unknown:
-        raise ConfigError(f"{args.structure}: unknown keys {sorted(unknown)}")
-    raw = json.loads(json.dumps(cfg.raw))
-    if "structure" in override:
-        raw["structure"] = override["structure"]
-    if "materials" in override:
-        raw["materials"].update(override["materials"])
-    return parse_config(raw)
+def _dark_cause(cfg, emission) -> str:
+    """Why a run emits nothing, as far as the stack and pump show it."""
+    if all(mat.is_linear() for mat, _, _ in cfg.structure.layers):
+        return "all-linear structure"
+    if not emission.pump.mask.any():
+        return "no lit bin sum: the pump is dark over the window"
+    return "no source couples into the observed channel"
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_structure_override(cfg, args)
+        cfg = _config(args)
         if args.command == "simulate":
-            summary, _, _ = simulate(cfg, args.out_dir, bins=args.bins,
-                                     window=_window(args))
+            summary, emission, _ = simulate(
+                cfg, args.out_dir, bins=args.bins, window=_window(args))
             ratio = summary["ratio_surface_volume"]
             r_txt = "n/a" if ratio is None else f"{ratio:.4g}"
             print(f"N_SV = {summary['counts_per_mm2']['SV']:.6g} per mm^2, "
                   f"R = {r_txt}")
             if summary["no_emission"]:
-                print("note: no emission (all-linear structure)")
+                print(f"note: no emission ({_dark_cause(cfg, emission)})")
             for w in summary["warnings"]:
                 print("warning:", w)
         elif args.command == "transmission-map":
-            cfg = _override_scan_ranges(cfg, args)
             transmission_map(cfg, args.out_dir)
             print(f"transmission map written to {args.out_dir}")
         elif args.command == "scan":
-            cfg = _override_scan_ranges(cfg, args)
             ridges, _, summary = scan(cfg, args.out_dir, workers=args.workers)
             lost = sum(1 for r in ridges if r["lost"])
             print(f"tracked {summary['ridges_tracked']} ridges "

@@ -1,8 +1,9 @@
 """Run configuration: JSON schema, validation, canonical hashing.
 
-Unknown keys are rejected everywhere so that typos fail loudly.  All
-geometry is given in nanometres and wavelengths in nanometres; the
-loader converts to SI.
+Every section is checked by one walk (``_walk``) against a declarative
+table of its keys, so unknown keys and values of the wrong kind fail
+loudly, naming the key.  All geometry is given in nanometres and
+wavelengths in nanometres; the loader converts to SI.
 """
 
 from __future__ import annotations
@@ -12,163 +13,212 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .constants import CONSTANTS
 from .errors import ConfigError
 from .linear import PumpSpec
-from .materials import MaterialModel, constant_material, sellmeier_material
-from .spectral import SPLIT_CONVENTIONS, SpectralBasis
+from .materials import (MaterialModel, constant_material, sellmeier_material,
+                        wavelength_window)
+from .spectral import DIRS, POLS, SPLIT_CONVENTIONS, SpectralBasis
 from .structure import StructureSpec
 
+REQUIRED = object()  # the default of a key that must be given
 
-def _typed(value, kind, where: str):
-    """value if it is a JSON object (kind dict) or list (kind list)."""
-    if not isinstance(value, kind):
-        name = "a JSON object" if kind is dict else "a list"
-        raise ConfigError(f"{where} must be {name}, got {value!r}")
+# A kind is a tuple (tag, *args), checked by ``_walk``:
+#   ("object", table)    a JSON object; table maps each key to (kind,
+#                        default) or (kind, default, its name in messages)
+#   ("union", key, tables)  an object walked with tables[its key]
+#   ("either", key, a, b)   an object walked with table a if it has key,
+#                        else with table b
+#   ("map", noun, kind)  an object of named entries of kind
+#   ("list", kind)       a list of items of kind
+#   ("number", positive)  a finite number, > 0 if positive
+#   ("integer", least)   an integer >= least
+#   ("numbers", count, rule)  a list of count finite numbers; rule
+#                        "window" asks 0 < lo < hi, "range" a (lo, hi,
+#                        count) with lo, hi > 0 and an integer count >= 1
+#   ("enum", options); ("pol",) a chi2 triple 'g;ab'; ("material",) a
+#   material name; ("nullable", kind) null or kind; ("any",) unchecked
+FINITE, POSITIVE = ("number", False), ("number", True)
+WINDOW, RANGE = ("numbers", 2, "window"), ("numbers", 3, "range")
+MATERIAL, DIR, POL = ("material",), ("enum", DIRS), ("enum", POLS)
+COUNT = ("integer", 1)
+_POL_TRIPLES = tuple(f"{g};{a}{b}" for g in POLS for a in POLS for b in POLS)
+
+_DISPERSIONS = {  # by the dispersion's type
+    "constant": {"type": (("enum", ("constant",)), REQUIRED),
+                 "n": (FINITE, REQUIRED, "dispersion n"),
+                 "window_um": (WINDOW, None)},
+    "sellmeier": {"type": (("enum", ("sellmeier",)), REQUIRED),
+                  "A": (FINITE, REQUIRED),
+                  "terms": (("list", ("numbers", 2, None)), REQUIRED),
+                  "window_um": (WINDOW, REQUIRED)},
+}
+_CHI2 = {"pol": (("pol",), REQUIRED), "d_m_per_V": (FINITE, REQUIRED)}
+_MATERIAL = ("object", {
+    "dispersion": (("union", "type", _DISPERSIONS), REQUIRED),
+    "chi2": (("list", ("object", _CHI2)), []),
+})
+_LAYER = {"material": (MATERIAL, REQUIRED), "length_nm": (POSITIVE, REQUIRED),
+          "poling": (("enum", (1, -1)), 1)}
+_REPEAT = {"repeat": (COUNT, REQUIRED)}
+_LAYERS = ("list", ("either", "repeat", _REPEAT, _LAYER))
+_REPEAT["layers"] = (_LAYERS, REQUIRED)
+_CONFIG = ("object", {
+    "materials": (("map", "material", _MATERIAL), REQUIRED),
+    "structure": (("object", {
+        "ambient_in": (MATERIAL, REQUIRED),
+        "ambient_out": (MATERIAL, REQUIRED),
+        "layers": (_LAYERS, REQUIRED),
+    }), REQUIRED),
+    "pump": (("object", {
+        "wavelength_nm": (POSITIVE, REQUIRED),
+        "fwhm_nm": (POSITIVE, REQUIRED),
+        "energy_J_per_m2": (POSITIVE, REQUIRED),
+        "polarization": (POL, "y"),
+        "side": (DIR, "F"),
+        "cutoff_nsigma": (POSITIVE, 8.0),
+    }), REQUIRED),
+    "basis": (("object", {"bins": (COUNT, REQUIRED),
+                          "window": (WINDOW, REQUIRED)}), REQUIRED),
+    "observe": (("object", {
+        "signal_dir": (DIR, "F"),
+        "idler_dir": (DIR, "F"),
+        "signal_pol": (POL, "x"),
+        "idler_pol": (POL, "y"),
+        "time_points": (("integer", 2), 2048),
+        "conditional_t_idler_fs": (("nullable", FINITE), None),
+    }), {}),
+    "scan": (("object", {
+        "material_a": (MATERIAL, REQUIRED),
+        "material_b": (MATERIAL, REQUIRED),
+        "pairs": (COUNT, REQUIRED),
+        "l1_nm": (RANGE, REQUIRED),
+        "l2_nm": (RANGE, REQUIRED),
+        "bins": (COUNT, 12),
+        "ridge_max_jump": (("integer", 0), 2),
+    }), None),
+    "surface_attribution": (("enum", SPLIT_CONVENTIONS), "local-jump"),
+    "notes": (("any",), None),
+})
+_STRUCTURE_FILE = ("object", {"structure": (("any",), None),
+                              "materials": (("map", "material", ("any",)), None)})
+
+
+def _join(where: str, key: str) -> str:
+    """The name of entry key of where: 'pump.fwhm_nm', 'material sm A'."""
+    if where == "config":
+        return key
+    return f"{where}{' ' if ' ' in where else '.'}{key}"
+
+
+def _walk(value, kind, where: str):
+    """value checked against kind, numbers as float or int, absent keys
+    filled with their defaults (an absent key whose default is None reads
+    None).  The result is a new tree: value is never written into."""
+    tag, *args = kind
+
+    def fail(what):
+        raise ConfigError(f"{where} {what}, got {value!r}")
+
+    if tag in ("object", "union", "either", "map"):
+        if not isinstance(value, dict):
+            fail("must be a JSON object")
+        if tag == "map":
+            return {name: _walk(v, args[1], f"{args[0]} {name}")
+                    for name, v in value.items()}
+        table, prefix = args[0], where
+        if tag == "union":  # its keys are named as its holder's
+            key, tables = args
+            pick = _walk(value.get(key), ("enum", tuple(tables)),
+                         _join(where, key))
+            table, prefix = tables[pick], where.rsplit(" ", 1)[0]
+        elif tag == "either":
+            table = args[1] if args[0] in value else args[2]
+        unknown = set(value) - set(table)
+        if unknown:
+            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        missing = {k for k, (_, default, *_) in table.items()
+                   if default is REQUIRED and k not in value}
+        if missing:
+            raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+        return {key: None if key not in value and default is None
+                else _walk(value.get(key, default), sub,
+                           _join(prefix, name[0] if name else key))
+                for key, (sub, default, *name) in table.items()}
+    if tag == "list":
+        if not isinstance(value, list):
+            fail("must be a list")
+        return [_walk(item, args[0], where) for item in value]
+    if tag == "number":
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            fail("must be a finite number")
+        if args[0] and value <= 0.0:
+            fail("must be positive")
+        return float(value)
+    if tag == "integer":
+        whole = (isinstance(value, int) and not isinstance(value, bool)
+                 or isinstance(value, float) and value.is_integer())
+        if not whole or value < args[0]:
+            fail(f"must be an integer >= {args[0]}")
+        return int(value)
+    if tag == "numbers":
+        count, rule = args
+        if not isinstance(value, (list, tuple)) or len(value) != count:
+            fail(f"must be a list of {count} numbers")
+        out = [_walk(x, FINITE, where) for x in value]
+        if rule == "window" and not 0.0 < out[0] < out[1]:
+            fail("must be increasing positive numbers")
+        if rule == "range":
+            if min(out[:2]) <= 0.0:
+                fail("ends must be positive lengths")
+            out[2] = _walk(value[2], COUNT, f"{where} count")
+        return tuple(out)
+    if tag == "enum":
+        if isinstance(value, bool) or value not in args[0]:
+            fail(f"must be one of {list(args[0])}")
+        return args[0][args[0].index(value)]
+    if tag == "pol":  # characters after 'g;ab' are ignored
+        if not (isinstance(value, str) and value.count(";") == 1
+                and value[:4] in _POL_TRIPLES):
+            fail("must be a chi2 pol triple 'g;ab' of x/y labels")
+        return value[0], value[2], value[3]
+    if tag == "material" and not isinstance(value, str):
+        fail("must be a material name")
+    if tag == "nullable" and value is not None:
+        return _walk(value, args[0], where)
     return value
 
 
-def _require_keys(obj: dict, allowed, required, where: str):
-    unknown = set(_typed(obj, dict, where)) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(obj)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-
-
-def _integer(value, least: int, where: str) -> int:
-    """A JSON integer >= least; anything else is a ConfigError."""
-    whole = (isinstance(value, int) and not isinstance(value, bool)
-             or isinstance(value, float) and value.is_integer())
-    if not whole or value < least:
-        raise ConfigError(f"{where} must be an integer >= {least}, "
-                          f"got {value!r}")
-    return int(value)
-
-
-def _number(value, where: str) -> float:
-    """A finite JSON number; strings, booleans, NaN and inf are a
-    ConfigError."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _numbers(value, count: int, where: str) -> tuple:
-    """A JSON list of exactly count finite numbers."""
-    if not isinstance(value, (list, tuple)) or len(value) != count:
-        raise ConfigError(f"{where} must be a list of {count} numbers, "
-                          f"got {value!r}")
-    return tuple(_number(x, where) for x in value)
-
-
-def _window_um(value, where: str) -> tuple:
-    """(lo, hi) validity window in um: 0 < lo < hi."""
-    lo, hi = _numbers(value, 2, where)
-    if not 0.0 < lo < hi:
-        raise ConfigError(f"{where} must be increasing positive wavelengths, "
-                          f"got {value!r}")
-    return lo, hi
-
-
-def _scan_range(value, where: str) -> tuple:
-    """(lo, hi, count) of a geometry axis: finite positive ends (layer
-    lengths), count >= 1."""
-    lo, hi, count = _numbers(value, 3, where)
-    if lo <= 0.0 or hi <= 0.0:
-        raise ConfigError(f"{where} ends must be positive lengths, "
-                          f"got {value!r}")
-    return lo, hi, _integer(count, 1, f"{where} count")
-
-
-def _positive(value, where: str) -> float:
-    """A finite JSON number > 0."""
-    if _number(value, where) <= 0.0:
-        raise ConfigError(f"{where} must be positive, got {value!r}")
-    return float(value)
-
-
-def _material(name, materials: dict, where: str):
-    """The material a config entry names."""
-    if not isinstance(name, str) or name not in materials:
+def _material(name: str, materials: dict, where: str) -> MaterialModel:
+    """The material a walked config entry names."""
+    if name not in materials:
         raise ConfigError(f"{where}: unknown material {name!r}")
     return materials[name]
 
 
-def _poling(value, where: str) -> int:
-    """A poling sign: exactly +1 or -1."""
-    if isinstance(value, bool) or value not in (-1, 1):
-        raise ConfigError(f"{where} poling must be +1 or -1, got {value!r}")
-    return int(value)
-
-
-def _parse_pol_triple(s: str):
-    """'y;xy' -> ('y', 'x', 'y'): pump pol; signal pol, idler pol."""
-    if not isinstance(s, str):
-        raise ConfigError(f"bad chi2 pol triple {s!r}, expected 'g;ab'")
-    try:
-        gamma, rest = s.split(";")
-        alpha, beta = rest[0], rest[1]
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"bad chi2 pol triple {s!r}, expected 'g;ab'") from exc
-    return gamma, alpha, beta
-
-
-def parse_material(name: str, obj: dict) -> MaterialModel:
-    _require_keys(obj, ("dispersion", "chi2"), ("dispersion",), f"material {name}")
-    disp = _typed(obj["dispersion"], dict, f"material {name} dispersion")
-    chi2 = {}
-    for entry in _typed(obj.get("chi2", []), list, f"material {name} chi2"):
-        _require_keys(entry, ("pol", "d_m_per_V"), ("pol", "d_m_per_V"),
-                      f"material {name} chi2 entry")
-        chi2[_parse_pol_triple(entry["pol"])] = _number(
-            entry["d_m_per_V"], f"material {name} chi2 d_m_per_V")
-    kind = disp.get("type")
-    if kind == "constant":
-        _require_keys(disp, ("type", "n", "window_um"), ("type", "n"),
-                      f"material {name} dispersion")
-        window = (0.0, np.inf)
-        if "window_um" in disp:
-            lo, hi = _window_um(disp["window_um"],
-                                f"material {name} window_um")
-            two_pi_c_um = 2 * np.pi * CONSTANTS.c * 1e6
-            window = (two_pi_c_um / hi, two_pi_c_um / lo)
-        return constant_material(
-            name, _number(disp["n"], f"material {name} dispersion n"), chi2,
-            window)
-    if kind == "sellmeier":
-        _require_keys(disp, ("type", "A", "terms", "window_um"),
-                      ("type", "A", "terms", "window_um"),
-                      f"material {name} dispersion")
-        terms = _typed(disp["terms"], list, f"material {name} terms")
-        return sellmeier_material(
-            name, _number(disp["A"], f"material {name} A"),
-            [_numbers(t, 2, f"material {name} terms") for t in terms],
-            chi2, _window_um(disp["window_um"], f"material {name} window_um"),
-        )
-    raise ConfigError(f"material {name}: dispersion type must be "
-                      f"'constant' or 'sellmeier', got {kind!r}")
+def parse_material(name: str, walked: dict) -> MaterialModel:
+    """The material of a walked ``materials`` entry."""
+    disp = walked["dispersion"]
+    chi2 = {entry["pol"]: entry["d_m_per_V"] for entry in walked["chi2"]}
+    if disp["type"] == "constant":
+        return constant_material(name, disp["n"], chi2,
+                                 wavelength_window(disp["window_um"]))
+    return sellmeier_material(name, disp["A"], disp["terms"], chi2,
+                              disp["window_um"])
 
 
 def _expand_layers(items, materials, where="structure.layers"):
+    """(material, length in m, poling) per layer of walked layer items,
+    repeat blocks expanded inline."""
     out = []
-    for item in _typed(items, list, where):
-        if isinstance(item, dict) and "repeat" in item:
-            _require_keys(item, ("repeat", "layers"), ("repeat", "layers"), where)
-            for _ in range(_integer(item["repeat"], 1, f"{where} repeat")):
-                out.extend(_expand_layers(item["layers"], materials, where))
-            continue
-        _require_keys(item, ("material", "length_nm", "poling"),
-                      ("material", "length_nm"), where)
-        out.append(
-            (_material(item["material"], materials, where),
-             _number(item["length_nm"], f"{where} length_nm") * 1e-9,
-             _poling(item.get("poling", 1), where))
-        )
+    for item in items:
+        if "repeat" in item:
+            out += item["repeat"] * _expand_layers(item["layers"], materials,
+                                                   f"{where}.layers")
+        else:
+            out.append((_material(item["material"], materials,
+                                  f"{where}.material"),
+                        item["length_nm"] * 1e-9, item["poling"]))
     return out
 
 
@@ -211,106 +261,34 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-TOP_KEYS = ("materials", "structure", "pump", "basis", "observe", "scan",
-            "surface_attribution", "notes")
-
-
 def parse_config(raw: dict) -> RunConfig:
-    _require_keys(raw, TOP_KEYS, ("materials", "structure", "pump", "basis"),
-                  "config")
-    materials = {name: parse_material(name, obj) for name, obj
-                 in _typed(raw["materials"], dict, "materials").items()}
-    st = raw["structure"]
-    _require_keys(st, ("ambient_in", "ambient_out", "layers"),
-                  ("ambient_in", "ambient_out", "layers"), "structure")
+    top = _walk(raw, _CONFIG, "config")
+    materials = {name: parse_material(name, walked)
+                 for name, walked in top["materials"].items()}
+    st, p, basis, obs, scan = (top[k] for k in ("structure", "pump", "basis",
+                                                "observe", "scan"))
     ambient = [_material(st[amb], materials, f"structure.{amb}")
                for amb in ("ambient_in", "ambient_out")]
-    layers = _expand_layers(st["layers"], materials)
-    structure = StructureSpec(tuple(layers), *ambient)
-    p = raw["pump"]
-    _require_keys(
-        p,
-        ("wavelength_nm", "fwhm_nm", "energy_J_per_m2", "polarization",
-         "side", "cutoff_nsigma"),
-        ("wavelength_nm", "fwhm_nm", "energy_J_per_m2"),
-        "pump",
-    )
+    structure = StructureSpec(tuple(_expand_layers(st["layers"], materials)),
+                              *ambient)
     pump = PumpSpec.from_wavelength(
-        _positive(p["wavelength_nm"], "pump.wavelength_nm") * 1e-9,
-        _positive(p["fwhm_nm"], "pump.fwhm_nm") * 1e-9,
-        _positive(p["energy_J_per_m2"], "pump.energy_J_per_m2"),
-        polarization=p.get("polarization", "y"),
-        side=p.get("side", "F"),
-        cutoff_nsigma=_number(p.get("cutoff_nsigma", 8.0),
-                              "pump.cutoff_nsigma"),
-    )
-    b = raw["basis"]
-    _require_keys(b, ("bins", "window"), ("bins", "window"), "basis")
-    window = _numbers(b["window"], 2, "basis.window")
-    if not (0.0 < window[0] < window[1]):
-        raise ConfigError("basis.window must be increasing positive fractions")
-    obs = raw.get("observe", {})
-    _require_keys(
-        obs,
-        ("signal_dir", "idler_dir", "signal_pol", "idler_pol",
-         "time_points", "conditional_t_idler_fs"),
-        (),
-        "observe",
-    )
-    channel = (
-        obs.get("signal_dir", "F"),
-        obs.get("idler_dir", "F"),
-        obs.get("signal_pol", "x"),
-        obs.get("idler_pol", "y"),
-    )
-    if channel[0] not in ("F", "B") or channel[1] not in ("F", "B"):
-        raise ConfigError("observe directions must be 'F' or 'B'")
-    if channel[2] not in ("x", "y") or channel[3] not in ("x", "y"):
-        raise ConfigError("observe polarizations must be 'x' or 'y'")
-    cond = obs.get("conditional_t_idler_fs")
-    attribution = raw.get("surface_attribution", "local-jump")
-    if attribution not in SPLIT_CONVENTIONS:
-        raise ConfigError(
-            f"surface_attribution must be 'local-jump' or 'per-slot', "
-            f"got {attribution!r}"
-        )
-    scan = None
-    if "scan" in raw:
-        s = raw["scan"]
-        _require_keys(
-            s,
-            ("material_a", "material_b", "pairs", "l1_nm", "l2_nm", "bins",
-             "ridge_max_jump"),
-            ("material_a", "material_b", "pairs", "l1_nm", "l2_nm"),
-            "scan",
-        )
-        for m in (s["material_a"], s["material_b"]):
-            _material(m, materials, "scan")
-        scan = ScanSpec(
-            material_a=s["material_a"],
-            material_b=s["material_b"],
-            pairs=_integer(s["pairs"], 1, "scan.pairs"),
-            l1_nm=_scan_range(s["l1_nm"], "scan.l1_nm"),
-            l2_nm=_scan_range(s["l2_nm"], "scan.l2_nm"),
-            bins=_integer(s.get("bins", 12), 1, "scan.bins"),
-            ridge_max_jump=_integer(s.get("ridge_max_jump", 2), 0,
-                                    "scan.ridge_max_jump"),
-        )
+        p["wavelength_nm"] * 1e-9, p["fwhm_nm"] * 1e-9, p["energy_J_per_m2"],
+        polarization=p["polarization"], side=p["side"],
+        cutoff_nsigma=p["cutoff_nsigma"])
+    if scan is not None:
+        for key in ("material_a", "material_b"):
+            _material(scan[key], materials, f"scan.{key}")
+        scan = ScanSpec(**scan)
+    cond = obs["conditional_t_idler_fs"]
     return RunConfig(
-        materials=materials,
-        structure=structure,
-        pump=pump,
-        bins=_integer(b["bins"], 1, "basis.bins"),
-        window=window,
-        channel=channel,
-        attribution=attribution,
-        time_points=_integer(obs.get("time_points", 2048), 2,
-                             "observe.time_points"),
-        conditional_t_idler=None if cond is None else _number(
-            cond, "observe.conditional_t_idler_fs") * 1e-15,
-        scan=scan,
-        raw=raw,
-    )
+        materials=materials, structure=structure, pump=pump,
+        bins=basis["bins"], window=basis["window"],
+        channel=tuple(obs[k] for k in ("signal_dir", "idler_dir",
+                                       "signal_pol", "idler_pol")),
+        attribution=top["surface_attribution"],
+        time_points=obs["time_points"],
+        conditional_t_idler=None if cond is None else cond * 1e-15,
+        scan=scan, raw=raw)
 
 
 def read_json(path, what: str = "config") -> dict:
@@ -332,3 +310,13 @@ def read_json(path, what: str = "config") -> dict:
 
 def load_config(path) -> RunConfig:
     return parse_config(read_json(path))
+
+
+def with_structure_file(raw: dict, path) -> dict:
+    """The tree of a loaded config with a structure file's sections patched
+    in: its structure replaces raw's, its materials join raw's.  raw
+    itself is kept as it is."""
+    override = read_json(path, "structure file")
+    _walk(override, _STRUCTURE_FILE, f"structure file {path}")
+    return {**raw, **override,
+            "materials": {**raw["materials"], **override.get("materials", {})}}

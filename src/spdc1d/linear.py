@@ -66,9 +66,10 @@ def mat2_inv(m, context=""):
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
 
 
-def layer_transfers(structure: StructureSpec, omega):
+def layer_transfers(structure: StructureSpec, omega, n):
     """Cumulative 2x2 transfers from medium-0 amplitudes at z_1 into every
-    layer, vectorized over omega.
+    layer, vectorized over omega, from the refractive index n of every
+    layer at omega (one array per material, as ``per_material`` gives).
 
     Returns (at_left, at_right), each of shape (N+2, 2, 2, len(omega)):
     the amplitudes of layer l at its left boundary z_l and at its right
@@ -85,20 +86,20 @@ def layer_transfers(structure: StructureSpec, omega):
     at_left = np.zeros((n_tot, 2, 2) + grid + (omega.size,), dtype=complex)
     at_left[0, 0, 0] = at_left[0, 1, 1] = 1.0
     at_right = at_left.copy()
-    n = structure.per_material(lambda mat: refractive_index(mat, omega) + 0j)
     # one crossing and phase per (material pair, length); n holds one
-    # complex array per material, so the ids of its entries name them,
-    # and a geometry-grid length is named by its array object
+    # array per material, so the ids of its entries name them, and a
+    # geometry-grid length is named by its array object
     steps = {}
     for l in range(1, n_tot):
         length = lengths[l]
         key = (id(n[l - 1]), id(n[l]),
                id(length) if isinstance(length, np.ndarray) else length)
         if key not in steps:
+            n_from, n_to = n[l - 1] + 0j, n[l] + 0j
             axes = (1,) * (len(grid) - np.ndim(length)) + np.shape(length)
-            phase = np.exp(1j * omega / CONSTANTS.c * n[l]
+            phase = np.exp(1j * omega / CONSTANTS.c * n_to
                            * np.reshape(length, axes + (1,)))
-            steps[key] = (_crossing(n[l - 1], n[l]),
+            steps[key] = (_crossing(n_from, n_to),
                           np.array([phase, 1.0 / phase])[:, None])
         crossing, propagate = steps[key]
         at_left[l] = mat2_mul(crossing, at_right[l - 1])
@@ -106,12 +107,12 @@ def layer_transfers(structure: StructureSpec, omega):
     return at_left, at_right
 
 
-def continuity_rows(material, omega):
-    """Boundary-continuity map L of one layer per frequency: (E, H) rows
-    from (F, B) flux amplitudes, shape (2, 2, len(omega)).  On the bin
-    centers these are the diagonal single-frequency overlaps of the
-    top-hat basis: 1/sqrt(n) in the E row, +-i k/sqrt(n) in the H row."""
-    n = refractive_index(material, omega)
+def continuity_rows(n, omega):
+    """Boundary-continuity map L of one layer of refractive index n(omega)
+    per frequency: (E, H) rows from (F, B) flux amplitudes, shape (2, 2,
+    len(omega)).  On the bin centers these are the diagonal
+    single-frequency overlaps of the top-hat basis: 1/sqrt(n) in the E
+    row, +-i k/sqrt(n) in the H row."""
     i_e = 1.0 / np.sqrt(n)
     i_h = 1j * omega / CONSTANTS.c * n / np.sqrt(n)
     return np.array([[i_e, i_e], [i_h, -i_h]])
@@ -193,11 +194,17 @@ def _solved(at_left, at_right, interface) -> FieldMaps:
 
 def field_maps(structure: StructureSpec, omega) -> FieldMaps:
     """The linear solve of a stack at the given frequencies: the transfers
-    of one march, the continuity rows of every layer, F and W."""
+    of one march, the continuity rows of every layer, F and W, from one
+    evaluation of each material's refractive index."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    at_left, at_right = layer_transfers(structure, omega)
-    interface = np.array(
-        structure.per_material(lambda mat: continuity_rows(mat, omega)))
+
+    def solve(material):
+        n = refractive_index(material, omega)
+        return n, continuity_rows(n, omega)
+
+    n, rows = zip(*structure.per_material(solve))
+    at_left, at_right = layer_transfers(structure, omega, n)
+    interface = np.array(rows)
     interface = interface.reshape(interface.shape[:3]
                                   + (1,) * len(structure.grid) + (-1,))
     return _solved(at_left, at_right, interface)

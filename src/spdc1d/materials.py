@@ -121,6 +121,15 @@ def chi2_effective(material: MaterialModel, gamma: str, alpha: str, beta: str) -
     return material.chi2.get(_pol_triple((gamma, alpha, beta)), 0.0)
 
 
+def wavelength_window(window_um):
+    """Validity window in rad/s of (lambda_min, lambda_max) in um; None is
+    unbounded."""
+    if window_um is None:
+        return (0.0, np.inf)
+    lo_um, hi_um = window_um
+    return (_TWO_PI_C_UM / hi_um, _TWO_PI_C_UM / lo_um)
+
+
 def constant_material(name: str, n: float, chi2=None, window=(0.0, np.inf)):
     return MaterialModel(
         name=name, constant_n=n, chi2=dict(chi2 or {}), window=window
@@ -129,15 +138,10 @@ def constant_material(name: str, n: float, chi2=None, window=(0.0, np.inf)):
 
 def sellmeier_material(name, a, terms, chi2=None, window_um=None):
     """Build a Sellmeier material; window_um = (lambda_min, lambda_max) in um."""
-    if window_um is None:
-        window = (0.0, np.inf)
-    else:
-        lo_um, hi_um = window_um
-        window = (_TWO_PI_C_UM / hi_um, _TWO_PI_C_UM / lo_um)
     return MaterialModel(
         name=name,
         sellmeier_a=float(a),
         sellmeier_terms=tuple((float(b), float(c)) for b, c in terms),
         chi2=dict(chi2 or {}),
-        window=window,
+        window=wavelength_window(window_um),
     )

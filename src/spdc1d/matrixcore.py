@@ -304,7 +304,8 @@ def build_emission(
         length = np.reshape(length, (1,) * (len(structure.grid)
                                             - np.ndim(length))
                             + np.shape(length))
-        pref = 1.0 / np.sqrt(refractive_index(mat, basis.centers))
+        # 1/sqrt(n): the E row of the layer's continuity rows
+        pref = maps["s"].interface[members[0], 0, 0].real
         kernels = class_kernels(mat, length, basis, pump, index, convention)
         for start in range(0, len(members), per_chunk):
             ls = members[start:start + per_chunk]

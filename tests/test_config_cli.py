@@ -73,6 +73,17 @@ def test_example_config_loads():
     assert cfg.channel == ("F", "F", "x", "y")
 
 
+def test_parse_leaves_raw_unchanged():
+    """Defaults are filled into the walked tree, never into raw, which
+    config_hash reads."""
+    raw = _tiny_config()
+    del raw["observe"]
+    before = json.dumps(raw, sort_keys=True)
+    cfg = parse_config(raw)
+    assert json.dumps(raw, sort_keys=True) == before
+    assert cfg.raw is raw and cfg.time_points == 2048
+
+
 def test_unknown_keys_rejected():
     raw = _tiny_config()
     raw["typo_section"] = {}
@@ -312,6 +323,45 @@ def test_simulate_all_linear_flags_no_emission(tmp_path):
     assert summary["counts_per_mm2"]["SV"] == 0.0
 
 
+@pytest.mark.parametrize("cutoff", [0, 0.0, -1, -8.0])
+def test_nonpositive_cutoff_nsigma_rejected_at_parse_time(cutoff):
+    """A pump cut off at or below its center would light no frequency:
+    it is a config error, not a silent N_SV = 0."""
+    raw = _tiny_config()
+    raw["pump"]["cutoff_nsigma"] = cutoff
+    with pytest.raises(ConfigError,
+                       match="pump.cutoff_nsigma must be positive"):
+        parse_config(raw)
+    raw["pump"]["cutoff_nsigma"] = 0.5
+    assert parse_config(raw).pump.cutoff_nsigma == 0.5
+
+
+def test_cli_no_emission_note_names_the_cause(tmp_path, capsys):
+    """N_SV = 0 has three causes that the run can tell apart; the note
+    names the one it sees, and the summary does not change with it."""
+    cases = []
+    raw = _tiny_config()
+    raw["materials"]["nl"]["chi2"] = []
+    cases.append((raw, [], "all-linear structure"))
+    with open(EXAMPLE) as fh:
+        shipped = json.load(fh)
+    cases.append((shipped, ["--window-lo", "0.05", "--window-hi", "0.3"],
+                  "no lit bin sum: the pump is dark over the window"))
+    raw = _tiny_config()
+    raw["observe"]["signal_pol"] = "y"  # the only chi2 entry is y;xy
+    cases.append((raw, [], "no source couples into the observed channel"))
+    for i, (raw, flags, cause) in enumerate(cases):
+        cfg_path = tmp_path / f"cfg{i}.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / f"out{i}"
+        assert main(["simulate", "--config", str(cfg_path), "--bins", "8",
+                     "--out-dir", str(out)] + flags) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"note: no emission ({cause})" in lines
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["no_emission"] and "note" not in summary
+
+
 def test_transmission_map_single_material_is_unity(tmp_path):
     raw = _tiny_config()
     raw["materials"]["lin"]["dispersion"]["n"] = 2.2  # same as nl
@@ -481,18 +531,23 @@ def test_cli_too_few_bins_is_config_error(tmp_path, capsys, command):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
-@pytest.mark.parametrize("content", [None, "{ not json }", "[1, 2]"])
+@pytest.mark.parametrize("content", [None, "{ not json }", "[1, 2]",
+                                     '{"materials": 0}'])
 def test_cli_bad_structure_file_is_config_error(tmp_path, capsys, content):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_tiny_config()))
     structure = tmp_path / "structure.json"
     if content is not None:
         structure.write_text(content)
-    rc = main(["simulate", "--config", str(cfg_path), "--structure",
-               str(structure), "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "structure.json" in err
+    for command in ("simulate", "transmission-map"):
+        rc = main([command, "--config", str(cfg_path), "--structure",
+                   str(structure), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "structure.json" in err
+        assert err.count("\n") == 1
+        if content == '{"materials": 0}':  # named, not a TypeError
+            assert "materials must be a JSON object" in err
 
 
 def test_cli_structure_file_unknown_key_is_config_error(tmp_path, capsys):
@@ -762,6 +817,7 @@ _MALFORMED = [  # (path of the entry, its bad value, what the error names)
     (("pump", "wavelength_nm"), 0, "pump.wavelength_nm"),
     (("pump", "fwhm_nm"), 0, "pump.fwhm_nm"),
     (("pump", "energy_J_per_m2"), -1, "pump.energy_J_per_m2"),
+    (("pump", "cutoff_nsigma"), -1, "pump.cutoff_nsigma"),
 ]
 
 

@@ -49,6 +49,10 @@ EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs",
 OMEGA_P0 = 2 * np.pi * C / 400e-9
 
 
+def material_rows(material, omega):
+    """The continuity rows of a material at omega."""
+    return continuity_rows(refractive_index(material, omega), omega)
+
 def _basis(bins=4, lo=0.4, hi=0.6):
     return SpectralBasis(lo * OMEGA_P0, hi * OMEGA_P0, bins)
 
@@ -75,11 +79,11 @@ def test_overlap_matrices_constant_index():
     of the top-hat basis: 1/sqrt(n) in the E row, +-i k/sqrt(n) in the H
     row."""
     b = _basis(6)
-    (i_e, i_e2), (i_hf, i_hb) = continuity_rows(constant_material("v", 1.0),
+    (i_e, i_e2), (i_hf, i_hb) = material_rows(constant_material("v", 1.0),
                                                 b.centers)
     assert np.allclose(i_e, 1.0)
     assert np.array_equal(i_e2, i_e)
-    (i_e4, _), _ = continuity_rows(constant_material("m", 4.0), b.centers)
+    (i_e4, _), _ = material_rows(constant_material("m", 4.0), b.centers)
     assert np.allclose(i_e4, 0.5)
     assert np.allclose(i_hb, -i_hf)
     assert np.allclose(i_hf, 1j * b.centers / C * 1.0)
@@ -87,7 +91,7 @@ def test_overlap_matrices_constant_index():
 
 def test_overlap_matrices_sellmeier_per_bin(gan):
     b = SpectralBasis(0.3 * OMEGA_P0, 0.8 * OMEGA_P0, 16)
-    (i_e, _), (i_hf, _) = continuity_rows(gan, b.centers)
+    (i_e, _), (i_hf, _) = material_rows(gan, b.centers)
     for k in range(16):
         n_k = refractive_index(gan, b.centers[k])
         assert i_e[k] == pytest.approx(1.0 / np.sqrt(n_k), rel=1e-14)
@@ -100,7 +104,7 @@ def test_interface_matrix_k1_layout():
     b = _basis(1, 0.499, 0.501)
     omega = b.centers[0]
     k = omega / C
-    per_bin = continuity_rows(constant_material("v", 1.0), b.centers)
+    per_bin = material_rows(constant_material("v", 1.0), b.centers)
     mat = BlockMatrix.from_bins(row_space("rows", 1), mode_space("modes", 1),
                                 {"s": per_bin, "i": np.conj(per_bin)})
     sig = mat.data[:4, :4]
@@ -126,7 +130,7 @@ def test_interface_matrix_invertible_random_lossless():
     for _ in range(20):
         n = 1.0 + 3.0 * rng.rand()
         per_bin = np.moveaxis(
-            continuity_rows(constant_material("m", n), b.centers), -1, 0)
+            material_rows(constant_material("m", n), b.centers), -1, 0)
         # rows carry the physical k scale (~1e7/m); normalize before
         # conditioning so the check probes genuine rank, not units
         scale = np.abs(per_bin).max(axis=2, keepdims=True)
@@ -135,8 +139,8 @@ def test_interface_matrix_invertible_random_lossless():
 
 def test_identical_adjacent_layers_same_interface(gan):
     b = _basis(3)
-    assert np.array_equal(continuity_rows(gan, b.centers),
-                          continuity_rows(gan, b.centers))
+    assert np.array_equal(material_rows(gan, b.centers),
+                          material_rows(gan, b.centers))
 
 
 def test_propagator_identity_additivity_unimodular(gan):
@@ -155,13 +159,13 @@ def test_propagator_identity_additivity_unimodular(gan):
 def _folded_transfer(structure, b, n, m):
     """Layer-n modes at z_n from layer-m modes at z_{m+1}, folded from
     the per-bin continuity rows and propagators of the layers between."""
-    acc = continuity_rows(structure.material(m), b.centers)
+    acc = material_rows(structure.material(m), b.centers)
     for l in range(m + 1, n):
-        lay = continuity_rows(structure.material(l), b.centers)
+        lay = material_rows(structure.material(l), b.centers)
         prop = propagator_bins(structure.material(l), structure.length(l), b)
         acc = mat2_mul(lay, mat2_mul(prop, mat2_mul(mat2_inv(lay), acc)))
     return mat2_mul(
-        mat2_inv(continuity_rows(structure.material(n), b.centers)), acc)
+        mat2_inv(material_rows(structure.material(n), b.centers)), acc)
 
 
 def test_transfer_adjacent_identical_materials_is_identity():
