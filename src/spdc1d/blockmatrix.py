@@ -9,7 +9,8 @@ label (field class 'E'|'H', polarization).
 The operators are computed and used as per-bin 2x2 maps and as pair
 arrays (see ``matrixcore``); they are expanded here only to be written
 out: ``from_bins`` into diagonal blocks, ``from_pairs`` into dense
-signal-idler blocks.  No module computes with the dense form.
+signal-idler blocks, its idler rows conjugated from the stored signal
+rows.  No module computes with the dense form.
 """
 
 from __future__ import annotations
@@ -100,16 +101,19 @@ class BlockMatrix:
     @classmethod
     def from_pairs(cls, row: Space, col: Space, pairs) -> "BlockMatrix":
         """Labelled dense form of a pair array (layout in ``matrixcore``):
-        block (f, a, alpha), (f', b, beta) with f' the other field is
-        pairs[f, a, alpha, b, beta]; same-field blocks stay zero."""
+        block (s, a, alpha), (i, b, beta) is pairs[a, alpha, b, beta] and
+        block (i, a, beta), (s, b, alpha) its conjugate, added to the zero
+        block so that no -0 appears; same-field blocks stay zero."""
         out = cls(row, col)
         dirs, pols = (tuple(dict.fromkeys(ch[i] for ch in MODE_CHANNELS))
                       for i in (0, 1))
-        for (fi, f), (a, alpha), (b, beta) in itertools.product(
-                enumerate(FIELDS), MODE_CHANNELS, MODE_CHANNELS):
-            out._set_block((f, a, alpha), (FIELDS[1 - fi], b, beta),
-                           pairs[fi, dirs.index(a), pols.index(alpha),
-                                 dirs.index(b), pols.index(beta)])
+        for (a, alpha), (b, beta) in itertools.product(MODE_CHANNELS,
+                                                       MODE_CHANNELS):
+            block = pairs[dirs.index(a), pols.index(alpha), dirs.index(b),
+                          pols.index(beta)]
+            out._set_block(("s", a, alpha), ("i", b, beta), block)
+            out.data[row.offset("i", a, beta),
+                     col.offset("s", b, alpha)] += np.conj(block)
         return out
 
     def write_csv(self, path):

@@ -177,9 +177,8 @@ def _walk(value, kind, where: str):
         if isinstance(value, bool) or value not in args[0]:
             fail(f"must be one of {list(args[0])}")
         return args[0][args[0].index(value)]
-    if tag == "pol":  # characters after 'g;ab' are ignored
-        if not (isinstance(value, str) and value.count(";") == 1
-                and value[:4] in _POL_TRIPLES):
+    if tag == "pol":
+        if value not in _POL_TRIPLES:
             fail("must be a chi2 pol triple 'g;ab' of x/y labels")
         return value[0], value[2], value[3]
     if tag == "material" and not isinstance(value, str):
@@ -200,11 +199,14 @@ def parse_material(name: str, walked: dict) -> MaterialModel:
     """The material of a walked ``materials`` entry."""
     disp = walked["dispersion"]
     chi2 = {entry["pol"]: entry["d_m_per_V"] for entry in walked["chi2"]}
-    if disp["type"] == "constant":
-        return constant_material(name, disp["n"], chi2,
-                                 wavelength_window(disp["window_um"]))
-    return sellmeier_material(name, disp["A"], disp["terms"], chi2,
-                              disp["window_um"])
+    try:  # n < 1 or a Sellmeier pole over the window
+        if disp["type"] == "constant":
+            return constant_material(name, disp["n"], chi2,
+                                     wavelength_window(disp["window_um"]))
+        return sellmeier_material(name, disp["A"], disp["terms"], chi2,
+                                  disp["window_um"])
+    except ConfigError as exc:
+        raise ConfigError(f"materials.{name}.dispersion: {exc}") from exc
 
 
 def _expand_layers(items, materials, where="structure.layers"):
@@ -269,8 +271,10 @@ def parse_config(raw: dict) -> RunConfig:
                                                 "observe", "scan"))
     ambient = [_material(st[amb], materials, f"structure.{amb}")
                for amb in ("ambient_in", "ambient_out")]
-    structure = StructureSpec(tuple(_expand_layers(st["layers"], materials)),
-                              *ambient)
+    layers = tuple(_expand_layers(st["layers"], materials))
+    if not layers:
+        raise ConfigError("structure.layers must hold at least one layer")
+    structure = StructureSpec(layers, *ambient)
     pump = PumpSpec.from_wavelength(
         p["wavelength_nm"] * 1e-9, p["fwhm_nm"] * 1e-9, p["energy_J_per_m2"],
         polarization=p["polarization"], side=p["side"],

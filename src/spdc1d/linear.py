@@ -19,7 +19,7 @@ scattering form F (``input_output_map``) and feed W (``feed_in_map``) of
 the total transfer, held in ``FieldMaps``.  It serves the pump
 (``propagate_pump``, through ``layer_amplitudes``),
 ``linear_transmission``, the oracle's partner modes and
-``matrixcore.linear_maps``, whose idler maps are its conjugate.
+``matrixcore.build_emission``.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ class FieldMaps:
 
     def conj(self) -> "FieldMaps":
         """The maps of the conjugated transfers and continuity rows, with F
-        and W formed from them."""
+        and W formed from them: the idler sector of the linear dumps."""
         return _solved(*(np.conj(a) for a in
                          (self.at_left, self.at_right, self.interface)))
 

@@ -2,27 +2,27 @@
 
 The mode super-space stacks the signal annihilation sector and the idler
 creation sector, each with channels (F,x), (B,x), (F,y), (B,y) times the
-frequency bins.  At normal incidence in isotropic layers every linear map
-is a 2x2 per field and frequency bin, identical for both polarizations,
-so it is stored as an array of shape (2, 2, K) over (row channel, column
-channel, bin).  Signal and idler share one spectral basis, so their
-linear maps come from one ``linear.field_maps`` solve on the bin
-centers (one ``linear.layer_transfers`` march; flux-normalized
-amplitudes throughout), held in a ``linear.FieldMaps`` per field;
-because the idler entries are creation operators, every idler map is
-built from the complex conjugates of the signal transfers and
-continuity rows (``FieldMaps.conj``).
+frequency bins.  In a lossless stack every idler creation-operator map is
+the complex conjugate of the signal map, so only the signal sector is
+stored; readers form the idler sector by conjugation.  At normal
+incidence in isotropic layers every linear map is a 2x2 per frequency
+bin, identical for both polarizations, so it is stored as an array of
+shape (2, 2, K) over (row channel, column channel, bin), from one
+``linear.field_maps`` solve on the bin centers (flux-normalized
+amplitudes throughout).
 
-The pair operators G_V, G_S and the per-boundary sources map one
-field's inputs to the other field's outputs.  Each is one complex array
-of shape (2, 2, 2, 2, 2, K, K) over
+The pair operators G_V, G_S and the per-boundary sources map idler
+inputs to signal outputs.  Each is one complex array of shape
+(2, 2, 2, 2, K, K) over
 
-    (row field, row dir, row pol, col dir, col pol, row bin, col bin)
+    (row dir, signal pol, col dir, idler pol, signal bin, idler bin)
 
-in ``FIELDS``/``DIRS``/``POLS`` order; the column field is always the
-other field (signal rows take idler columns and vice versa).
-``pair_block`` reads one K x K block and ``BlockMatrix.from_pairs``
-expands an array into the labelled dense form.
+in ``DIRS``/``POLS`` order.  The bin-sum grid is exactly symmetric, so
+the idler rows are the conjugates with the polarizations exchanged, bin
+for bin: idler row (b, beta), signal column (c, alpha) is
+conj(pairs[b, alpha, c, beta]).  ``pair_block`` reads one K x K block
+and ``BlockMatrix.from_pairs`` expands an array into the labelled dense
+form of both sectors.
 
 Boundary continuity (electric and magnetic rows, both polarizations,
 both fields) yields, per boundary l between layers l-1 and l:
@@ -44,9 +44,8 @@ every boundary (one Wronskian per bin), and det(response_l) =
 -det(L_0)/t.  Each boundary source is therefore the kernel array scaled
 by columns with the per-bin feed of its input modes and by rows with the
 per-bin inverse response: O(N K^2) work and no matrix solve.  F, the
-scattering form of the solve, is kept as it is
-computed: one (2, 2, K) array per field over (out dir, in dir, bin), the
-same for both polarizations.
+scattering form of the solve, is kept as it is computed: one (2, 2,
+K) array over (out dir, in dir, bin), the same for both polarizations.
 
 None of these maps depends on polarization, and every kernel is one
 polarization-free grid times the layer's chi2 matrix d (``spectral``).
@@ -54,14 +53,8 @@ So the feed and inverse-response scalings run on polarization-free
 arrays of shape (2, 2, 2, K, K) over (volume/surface, row dir, col dir,
 row bin, col bin), summed per distinct d; d is applied only in
 ``_expand``, once per distinct d for G_V and G_S and once per kept
-boundary source.
-
-Only the signal rows are assembled.  The idler maps are the complex
-conjugates of the signal maps, so the idler rows' boundary responses,
-their inverses, condition numbers and feeds are those of the signal
-rows conjugated (exactly); and the bin-sum grid is exactly symmetric,
-so the idler rows' kernels equal the signal rows'.  The idler rows of
-every source are therefore conj(P) with d.T, formed in ``_expand``.
+boundary source.  The columns are the idler inputs, so the feed is the
+conjugated signal feed.
 
 A layer's kernels depend on the layer only through its (material,
 length) class, except for the pump weight a_g, its poling sign times
@@ -91,7 +84,7 @@ is the same on both paths.
 A stack whose layer lengths are arrays over a geometry grid G
 (``StructureSpec.grid``) is built once for every geometry: each array
 then carries the axes *G just before its bin axes, so G_V is
-(2, 2, 2, 2, 2, *G, K, K), F is (2, 2, *G, K) per field, a boundary
+(2, 2, 2, 2, *G, K, K), F is (2, 2, *G, K), a boundary
 response (2, 2, *G, K) and a class pass holds its chunk's layers for
 every geometry.  A geometry-grid length keys its class by its array
 object, as in ``linear.layer_transfers``; the interface maps carry
@@ -109,7 +102,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmatrix import FIELDS, BlockMatrix, mode_space
+from .blockmatrix import BlockMatrix, mode_space
 from .constants import CONSTANTS
 from .errors import ConfigError, SingularMatrix
 from .linear import (
@@ -142,12 +135,6 @@ def propagator_bins(material, length, basis: SpectralBasis):
     phase = np.exp(1j * k * length)
     zero = np.zeros_like(phase)
     return np.array([[phase, zero], [zero, 1.0 / phase]])
-
-
-def linear_maps(structure: StructureSpec, basis: SpectralBasis) -> dict:
-    """{'s': the linear solve on the bin centers, 'i': its conjugate}."""
-    signal = field_maps(structure, basis.centers)
-    return {"s": signal, "i": signal.conj()}
 
 
 def outward_maps(maps: FieldMaps, l: int):
@@ -188,30 +175,28 @@ def inverse_responses(maps: FieldMaps, boundaries):
 
 
 def pair_block(pairs, row, col):
-    """K x K block of a pair array: row label (field, dir, pol), column
-    label (dir, pol) of the other field."""
-    field, a, alpha = row
-    b, beta = col
-    return pairs[FIELDS.index(field), DIRS.index(a), POLS.index(alpha),
-                 DIRS.index(b), POLS.index(beta)]
+    """K x K block of a pair array: signal row label (dir, pol), idler
+    column label (dir, pol)."""
+    (a, alpha), (b, beta) = row, col
+    return pairs[DIRS.index(a), POLS.index(alpha), DIRS.index(b),
+                 POLS.index(beta)]
 
 
 def _expand(parts, shape):
-    """(volume, surface) pair arrays sum_m d_m (x) P_m from signal-row
-    (d, P) parts: d of shape (2, 2) over (signal pol, idler pol), P of
-    shape (2, 2, 2, *G, K, K) over (volume/surface, row dir, col dir,
-    geometry, row bin, col bin).  The idler rows are conj(P) with d.T."""
+    """(volume, surface) pair arrays sum_m d_m (x) P_m from (d, P) parts:
+    d of shape (2, 2) over (signal pol, idler pol), P of shape (2, 2, 2,
+    *G, K, K) over (volume/surface, row dir, col dir, geometry, row bin,
+    col bin)."""
     out = np.zeros((2,) + shape, dtype=complex)
     for d, p in parts:
-        for f, (d_f, p_f) in enumerate(((d, p), (d.T, np.conj(p)))):
-            for alpha, beta in zip(*np.nonzero(d_f)):
-                out[:, f, :, alpha, :, beta] += d_f[alpha, beta] * p_f
+        for alpha, beta in zip(*np.nonzero(d)):
+            out[:, :, alpha, :, beta] += d[alpha, beta] * p
     return out[0], out[1]
 
 
 def _class_pass(kernels, weights, feed, rows):
-    """Signal-row output sources of a chunk of layers of one class at one
-    edge, summed over the layers (see ``_expand`` for the layout).
+    """Output sources of a chunk of layers of one class at one edge,
+    summed over the layers (see ``_expand`` for the layout).
 
     kernels: ``class_kernels`` of the class at the edge, (chi, surface,
     ik); weights: the layers' ``pump_weights``, shape (L, g, *G, K, K);
@@ -242,7 +227,7 @@ class EmissionOperators:
     structure: StructureSpec
     basis: SpectralBasis
     pump: PumpField
-    scatter: dict  # field -> per-bin F, shape (2, 2, K)
+    scatter: np.ndarray  # per-bin F, shape (2, 2, *G, K)
     g_volume: np.ndarray  # pair arrays (see the module docstring)
     g_surface: np.ndarray
     boundary_sources: dict  # l -> (volume, surface) pair arrays
@@ -250,12 +235,14 @@ class EmissionOperators:
 
     @property
     def f_linear(self) -> BlockMatrix:
-        """Labelled dense form of F, for readers outside the package.  Over
-        a geometry grid its bins run over (geometry, bin) in C order."""
-        bins = self.scatter["s"][0, 0].size
-        return BlockMatrix.from_bins(
-            mode_space("out", bins), mode_space("in", bins),
-            {f: m.reshape(2, 2, bins) for f, m in self.scatter.items()})
+        """Labelled dense form of F, its idler sector conj(F), for readers
+        outside the package.  Over a geometry grid its bins run over
+        (geometry, bin) in C order."""
+        bins = self.scatter[0, 0].size
+        f = self.scatter.reshape(2, 2, bins)
+        return BlockMatrix.from_bins(mode_space("out", bins),
+                                     mode_space("in", bins),
+                                     {"s": f, "i": np.conj(f)})
 
 
 def build_emission(
@@ -266,23 +253,19 @@ def build_emission(
     convention: str = "local-jump",
 ) -> EmissionOperators:
     """Assemble the scattering map and the volume/surface emission maps."""
-    maps = linear_maps(structure, basis)
+    maps = field_maps(structure, basis.centers)
     pump, index = bin_sum_pump(structure, pump_spec, basis)
     n_tot = structure.n_layers + 2
-    scatter = {f: m.scatter for f, m in maps.items()}
 
     d_of = structure.per_material(
         lambda mat: chi2_matrix(mat, pump.polarization))
     dark = [not np.any(d) for d in d_of]
     active = [l for l in range(1, n_tot) if not (dark[l - 1] and dark[l])]
-    # inverse responses of the signal rows at every active boundary; the
-    # idler rows' are the complex conjugates
-    inverse, cond = inverse_responses(maps["s"], active)
+    inverse, cond = inverse_responses(maps, active)
     warnings = [f"boundary {l}: response condition number {c:.2e}"
                 for l, c in zip(active, cond) if c > CONDITION_WARN]
-    # feed of every layer's modes at each edge for the signal rows, from
-    # the idler maps (their column field)
-    fed = {edge: maps["i"].fed(edge) for edge in ("left", "right")}
+    # feed of every layer's modes at each edge from the idler inputs
+    fed = {edge: np.conj(maps.fed(edge)) for edge in ("left", "right")}
     position = {l: i for i, l in enumerate(active)}
     # (material object, length) -> its nonlinear layers; a geometry-grid
     # length is named by its array object, as in ``layer_transfers``
@@ -294,8 +277,8 @@ def build_emission(
                    id(length) if isinstance(length, np.ndarray) else length)
             classes.setdefault(key, []).append(l)
     per_chunk = 1 if keep_sources else max(1, _CLASS_CHUNK // basis.bins**2)
-    shape = (2,) * 5 + structure.grid + (basis.bins, basis.bins)
-    totals = {}  # d.tobytes() -> [d, signal-row sum of its parts]
+    shape = (2,) * 4 + structure.grid + (basis.bins, basis.bins)
+    totals = {}  # d.tobytes() -> [d, sum of its parts]
     kept = {l: [] for l in range(1, n_tot)}  # boundary -> its (d, P) parts
     for members in classes.values():
         mat, d = structure.material(members[0]), d_of[members[0]]
@@ -305,7 +288,7 @@ def build_emission(
                                             - np.ndim(length))
                             + np.shape(length))
         # 1/sqrt(n): the E row of the layer's continuity rows
-        pref = maps["s"].interface[members[0], 0, 0].real
+        pref = maps.interface[members[0], 0, 0].real
         kernels = class_kernels(mat, length, basis, pump, index, convention)
         for start in range(0, len(members), per_chunk):
             ls = members[start:start + per_chunk]
@@ -323,15 +306,14 @@ def build_emission(
                if keep_sources else {})
     g_v, g_s = _expand(totals.values(), shape)
 
-    for name, mat in (("F", list(scatter.values())), ("G_V", g_v),
-                      ("G_S", g_s)):
+    for name, mat in (("F", maps.scatter), ("G_V", g_v), ("G_S", g_s)):
         if not np.all(np.isfinite(mat)):
             raise ConfigError(f"non-finite entries in {name}")
     return EmissionOperators(
         structure=structure,
         basis=basis,
         pump=pump,
-        scatter=scatter,
+        scatter=maps.scatter,
         g_volume=g_v,
         g_surface=g_s,
         boundary_sources=sources,

@@ -1,15 +1,18 @@
 """Measurable pair quantities derived from the emission operators.
 
-G_V and G_S are read as pair arrays (layout in ``matrixcore``), F as its
-per-bin 2x2 maps per field.  F keeps the polarization and is diagonal in
-the bin, so for an output channel (signal direction a, pol alpha; idler
-direction b, pol beta) each branch contraction of contribution w sums
-over the input direction of the scattered photon only:
+G_V and G_S are read as their stored signal rows (layout in
+``matrixcore``), F as its per-bin 2x2 maps.  F keeps the polarization and
+is diagonal in the bin, so for an output channel (signal direction a,
+pol alpha; idler direction b, pol beta) each branch contraction of
+contribution w sums over the input direction of the scattered photon
+only:
 
 * the signal-branch factor, the two-photon amplitude: pair born into the
-  idler-creation rows, signal scattered linearly;
+  idler-creation rows, signal scattered linearly.  Those rows are the
+  conjugated signal rows with the pols exchanged, so it reads the signal
+  rows (b, alpha; c, beta) without conjugation;
 * the idler-branch factor: pair born into the signal rows, idler
-  scattered linearly (conjugated).
+  scattered linearly by the idler-creation map conj(F), both conjugated.
 
 Their products (plus conjugate) give the joint spectral photon-number
 densities n^V, n^S and the interference term n^I; the three sum exactly
@@ -56,9 +59,9 @@ def branch_amplitudes(emission: EmissionOperators, channel, w: str):
     g = {"V": emission.g_volume, "S": emission.g_surface}[w]
     f = emission.scatter
     idler_branch = np.einsum("c...kn,c...n->...kn",
-                             np.conj(g[0, a, alpha, :, beta]), f["i"][b])
-    signal_branch = np.einsum("c...k,c...nk->...kn", f["s"][a],
-                              np.conj(g[1, b, beta, :, alpha]))
+                             np.conj(g[a, alpha, :, beta]), np.conj(f[b]))
+    signal_branch = np.einsum("c...k,c...nk->...kn", f[a],
+                              g[b, alpha, :, beta])
     return idler_branch, signal_branch
 
 

@@ -6,7 +6,10 @@ numerically as 2x2 mode re-mixing at every boundary, without using the
 closed-form layer kernels or the emission-operator assembly (only
 compare_with_emission reads its pair arrays).  Only the total (volume
 plus surface) output amplitude is physical at the structure ports, and
-that is what this module produces.
+that is what this module produces.  It marches the signal and the idler
+rows each on their own, so comparing its idler rows with the conjugated
+signal rows of the emission maps checks the conjugation identity those
+maps rest on.
 
 Method: the pair coefficients C(z) of the propagating field against the
 fixed input modes of the partner field obey
@@ -49,7 +52,6 @@ from .errors import ConfigError, StepTooCoarse
 from .linear import PumpSpec, _crossing, field_maps, layer_amplitudes
 from .materials import refractive_index
 from .matrixcore import pair_block
-from .blockmatrix import FIELDS
 from .spectral import (
     DIR_SIGN,
     DIRS,
@@ -182,10 +184,11 @@ def reference_pair_amplitude(
     """Total output pair amplitude, directly comparable to the emission maps.
 
     Returns {'s': {...}, 'i': {...}}: 's' entries (a, alpha, b0, beta)
-    match the signal-row blocks of G_V + G_S against idler input channel
-    (b0, beta); 'i' entries (b, beta, a0, alpha) match the idler
-    creation-sector rows against signal inputs.  All matrices carry the
-    sqrt(dw dw) bin projection of the pair arrays.
+    match the blocks of G_V + G_S against idler input channel (b0,
+    beta); 'i' entries (b, beta, a0, alpha) match the idler
+    creation-sector rows against signal inputs, the conjugated blocks
+    (b, alpha; a0, beta).  All matrices carry the sqrt(dw dw) bin
+    projection of the pair arrays.
     """
     if not 0.0 < step < np.inf:
         raise ConfigError(f"z-step must be finite and positive, got {step}")
@@ -224,7 +227,7 @@ def reference_pair_amplitude(
         class_sums = {key: _class_sums(k, kp_sums, index, length, h)
                       for key, (k, kp_sums, length) in classes.items()}
         return {f: _march_once(structure, layers, f, partner, class_sums)
-                for f in FIELDS}
+                for f in ("s", "i")}
 
     res = run(step)
     if richardson:
@@ -238,16 +241,15 @@ def reference_pair_amplitude(
 
 
 def compare_with_emission(reference, emission):
-    """Global relative Frobenius mismatch between oracle and pipeline totals."""
+    """Global relative Frobenius mismatch between oracle and pipeline
+    totals, the oracle's idler rows against the conjugated signal rows."""
     total = emission.g_volume + emission.g_surface
-    diff_sq = 0.0
-    ref_sq = 0.0
-    for (a, alpha, b0, beta), ref in reference["s"].items():
-        blk = pair_block(total, ("s", a, alpha), (b0, beta))
-        diff_sq += float(np.sum(np.abs(blk - ref) ** 2))
-        ref_sq += float(np.sum(np.abs(ref) ** 2))
-    for (b, beta, a0, alpha), ref in reference["i"].items():
-        blk = pair_block(total, ("i", b, beta), (a0, alpha))
+    pairs = [(pair_block(total, (a, alpha), (b0, beta)), ref)
+             for (a, alpha, b0, beta), ref in reference["s"].items()]
+    pairs += [(np.conj(pair_block(total, (b, alpha), (a0, beta))), ref)
+              for (b, beta, a0, alpha), ref in reference["i"].items()]
+    diff_sq = ref_sq = 0.0
+    for blk, ref in pairs:
         diff_sq += float(np.sum(np.abs(blk - ref) ** 2))
         ref_sq += float(np.sum(np.abs(ref) ** 2))
     if ref_sq == 0.0:

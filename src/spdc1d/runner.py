@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 
 import numpy as np
@@ -19,13 +18,8 @@ from . import __version__
 from .blockmatrix import BlockMatrix, mode_space, row_space
 from .config import RunConfig
 from .errors import ConfigError, NoPeak
-from .linear import linear_transmission
-from .matrixcore import (
-    build_emission,
-    linear_maps,
-    outward_maps,
-    propagator_bins,
-)
+from .linear import field_maps, linear_transmission
+from .matrixcore import build_emission, outward_maps, propagator_bins
 from .observables import (
     antidiagonal_profile,
     branch_amplitudes,
@@ -315,6 +309,10 @@ def scan(cfg: RunConfig, out_dir, workers=1, min_ridge_points=4):
     chunks = ([l1[i[s:s + per_chunk]] for s in starts],
               [l2[j[s:s + per_chunk]] for s in starts])
     if workers > 1 and len(starts) > 1:
+        # imported here, so that a plain import of the package does not
+        # load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             results = list(pool.map(ridge_yields, repeat(cfg), *chunks))
     else:
@@ -357,10 +355,11 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
 
     emission = build_emission(structure, cfg.pump, basis,
                               convention=cfg.attribution)
-    # F is 2x2 per bin and field: check F F-dagger = 1 block by block
-    dev = max(np.max(np.abs(np.einsum("ijk,ljk->ilk", f, np.conj(f))
-                            - np.eye(2)[:, :, None]))
-              for f in emission.scatter.values())
+    # F is 2x2 per bin: check F F-dagger = 1 block by block (its idler
+    # sector conj(F) deviates by as much)
+    f = emission.scatter
+    dev = np.max(np.abs(np.einsum("ijk,ljk->ilk", f, np.conj(f))
+                        - np.eye(2)[:, :, None]))
     checks["scattering_unitary"] = {"error": float(dev), "tol": 1e-9}
 
     omega_probe = np.linspace(basis.omega_min, basis.omega_max, 7)
@@ -482,7 +481,8 @@ def dump_matrix(cfg: RunConfig, name: str, out_path, bins=None):
 
     The linear maps (T, P, L, F, W, Z, Y, X) are expanded from their
     per-bin 2x2 form into labelled diagonal blocks, the pair maps (GV,
-    GS, SV, SS) from their pair arrays into dense signal-idler blocks.
+    GS, SV, SS) from their pair arrays into dense signal-idler blocks;
+    each idler sector is the conjugate of the signal one.
     """
     basis = cfg.basis(bins)
     structure = cfg.structure
@@ -511,7 +511,10 @@ def dump_matrix(cfg: RunConfig, name: str, out_path, bins=None):
         "Z": lambda m: outward_maps(m, 1)[2],
     }
     if key in picks:
-        maps = linear_maps(structure, basis)
+        # the idler sector is formed from the conjugated transfers and
+        # continuity rows, so its built 1 and 0 entries keep +0 parts
+        signal = field_maps(structure, basis.centers)
+        maps = {"s": signal, "i": signal.conj()}
         rows = row_space("continuity", basis.bins) if key == "L" else modes
         mat = BlockMatrix.from_bins(
             rows, modes, {f: picks[key](m) for f, m in maps.items()}

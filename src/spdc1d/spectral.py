@@ -192,7 +192,8 @@ def pump_wavenumbers(material: MaterialModel, pump: PumpField) -> np.ndarray:
     ``propagate_pump``, and zero where it is dark."""
     lit = pump.mask
     k_p = np.zeros((len(DIRS),) + pump.omega.shape)
-    k_p[:, lit] = [wavenumber(material, pump.omega[lit], g) for g in DIRS]
+    k_f = wavenumber(material, pump.omega[lit], "F")
+    k_p[:, lit] = [k_f, -k_f]  # k_B = -k_F exactly
     return k_p
 
 

@@ -13,18 +13,23 @@ einsum emission assembly (``einsum_emission``): class kernels with one
 complex exponential and series per grid entry and a stored magnetic
 volume row, per-layer kernels, and an einsum class pass.
 ``LayerView`` reads one layer's coupling data (conj(T_g), wave numbers,
-kernels) through the pure functions of ``spectral``.  ``full_chi2``
+kernels) through the pure functions of ``spectral``.  The two-sector
+references (``linear_maps``, ``two_sector_emission``,
+``two_sector_block``, ``two_sector_dense``) store the idler sector as
+well, with its rows assembled from conj(P) and d.T, the layout that the
+package stores only the signal half of.  ``full_chi2``
 gives a stack whose every (signal, idler) polarization pair emits,
 ``explicit_time_grid`` the full n x n detection-time density, and
 ``rowwise_write_csv`` the CSV writer that formats every cell row by row.
 """
 
+import itertools
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 
-from spdc1d.blockmatrix import FIELDS, MODE_CHANNELS
+from spdc1d.blockmatrix import FIELDS, MODE_CHANNELS, BlockMatrix, mode_space
 from spdc1d.constants import CONSTANTS
 from spdc1d.errors import ConfigError
 from spdc1d.linear import (
@@ -37,7 +42,6 @@ from spdc1d.linear import (
 )
 from spdc1d.materials import refractive_index, wavenumber
 import spdc1d.matrixcore as matrixcore
-from spdc1d.matrixcore import pair_block
 from spdc1d.observables import default_time_grid
 from spdc1d.spectral import (
     _BRACKET_SWITCH,
@@ -244,6 +248,54 @@ def einsum_emission(*args, **kwargs):
         return matrixcore.build_emission(*args, **kwargs)
 
 
+def linear_maps(structure, basis):
+    """{'s': the linear solve on the bin centers, 'i': the maps of its
+    conjugated transfers and continuity rows}."""
+    signal = field_maps(structure, basis.centers)
+    return {"s": signal, "i": signal.conj()}
+
+
+def two_sector_expand(parts, shape):
+    """``matrixcore._expand`` into both row sectors: arrays of shape (2,)
+    + shape over (row field, row dir, row pol, col dir, col pol, ...),
+    the idler rows conj(P) with d.T."""
+    out = np.zeros((2, 2) + shape, dtype=complex)
+    for d, p in parts:
+        for f, (d_f, p_f) in enumerate(((d, p), (d.T, np.conj(p)))):
+            for alpha, beta in zip(*np.nonzero(d_f)):
+                out[:, f, :, alpha, :, beta] += d_f[alpha, beta] * p_f
+    return out[0], out[1]
+
+
+def two_sector_emission(*args, **kwargs):
+    """``build_emission`` whose G_V, G_S and kept sources hold both row
+    sectors (``two_sector_expand``)."""
+    with mock.patch.object(matrixcore, "_expand", two_sector_expand):
+        return matrixcore.build_emission(*args, **kwargs)
+
+
+def two_sector_block(pairs, row, col):
+    """K x K block of a two-sector pair array: row label (field, dir,
+    pol), column label (dir, pol) of the other field."""
+    field, a, alpha = row
+    b, beta = col
+    return pairs[FIELDS.index(field), DIRS.index(a), POLS.index(alpha),
+                 DIRS.index(b), POLS.index(beta)]
+
+
+def two_sector_dense(row, col, pairs):
+    """Labelled dense form of a two-sector pair array: block (f, a, alpha),
+    (f', b, beta), f' the other field, is its (f, a, alpha; b, beta)
+    block."""
+    out = BlockMatrix(row, col)
+    for f, other in (("s", "i"), ("i", "s")):
+        for (a, alpha), (b, beta) in itertools.product(MODE_CHANNELS,
+                                                       MODE_CHANNELS):
+            out.data[row.offset(f, a, alpha), col.offset(other, b, beta)] = (
+                two_sector_block(pairs, (f, a, alpha), (b, beta)))
+    return out
+
+
 def segment_response(maps, l):
     """E/H continuity rows at boundary l from the output amplitudes of the
     pair waves emitted there, through the segments on either side: the
@@ -321,20 +373,24 @@ def full_chi2(structure):
 
 
 def dense_branch_amplitudes(emission, channel, w):
-    """(idler-branch, signal-branch) bin matrices of one channel by plain
-    loops over every mode channel and bin of the labelled dense F and the
-    K x K blocks of G."""
+    """(idler-branch, signal-branch) bin matrices of one channel of a
+    ``two_sector_emission`` by plain loops over every mode channel and bin
+    of the labelled dense F of ``linear_maps`` and the K x K blocks of
+    both sectors of G."""
     a, b, alpha, beta = channel
     g = {"V": emission.g_volume, "S": emission.g_surface}[w]
-    f = emission.f_linear
     k = emission.basis.bins
+    f = BlockMatrix.from_bins(
+        mode_space("out", k), mode_space("in", k),
+        {fld: m.scatter for fld, m in
+         linear_maps(emission.structure, emission.basis).items()})
     idler = np.zeros((k, k), dtype=complex)
     signal = np.zeros((k, k), dtype=complex)
     for g_dir, g_pol in MODE_CHANNELS:
-        gs = pair_block(g, ("s", a, alpha), (g_dir, g_pol))
+        gs = two_sector_block(g, ("s", a, alpha), (g_dir, g_pol))
         fi = f.data[f.row.offset("i", b, beta), f.col.offset("i", g_dir, g_pol)]
         fs = f.data[f.row.offset("s", a, alpha), f.col.offset("s", g_dir, g_pol)]
-        gi = pair_block(g, ("i", b, beta), (g_dir, g_pol))
+        gi = two_sector_block(g, ("i", b, beta), (g_dir, g_pol))
         for kk in range(k):
             for nn in range(k):
                 for mm in range(k):

@@ -19,7 +19,7 @@ from spdc1d.config import load_config, parse_config
 from spdc1d.constants import CONSTANTS
 from spdc1d.linear import PumpSpec, linear_transmission
 from spdc1d.materials import constant_material
-from spdc1d.matrixcore import build_emission, linear_maps, pair_block
+from spdc1d.matrixcore import build_emission, pair_block
 from spdc1d.observables import (
     antidiagonal_profile,
     joint_density,
@@ -33,7 +33,7 @@ from spdc1d.runner import ridge_yields, simulate, track_ridges, transmission_map
 from spdc1d.spectral import SpectralBasis
 from spdc1d.structure import StructureSpec
 
-from reference import count_peaks, explicit_time_grid
+from reference import count_peaks, explicit_time_grid, linear_maps
 
 C = CONSTANTS.c
 OMEGA_P0 = 2 * np.pi * C / 400e-9
@@ -168,7 +168,7 @@ def test_bulk_phase_matching_limit():
         * np.exp(1j * dk * length / 2) * np.sinc(dk * length / 2 / np.pi)
         * np.sqrt(basis.widths[:, None] * basis.widths[None, :])
     )
-    blk = pair_block(em.g_volume + em.g_surface, ("s", "F", "x"), ("F", "y"))
+    blk = pair_block(em.g_volume + em.g_surface, ("F", "x"), ("F", "y"))
     worst = 0.0
     for k in range(bins):
         n = bins - 1 - k

@@ -11,8 +11,7 @@ import spdc1d.runner as runner_mod
 from spdc1d.cli import main
 from spdc1d.config import ConfigError, load_config, parse_config
 from spdc1d.errors import NoPeak
-from spdc1d.blockmatrix import BlockMatrix, mode_space, row_space
-from spdc1d.matrixcore import build_emission
+from spdc1d.blockmatrix import mode_space, row_space
 from spdc1d.observables import (
     temporal_profiles,
     two_photon_amplitude,
@@ -27,7 +26,8 @@ from spdc1d.runner import (
     write_csv,
 )
 
-from reference import explicit_time_grid, rowwise_write_csv
+from reference import (explicit_time_grid, rowwise_write_csv, two_sector_dense,
+                       two_sector_emission)
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs",
                        "gan_aln_20layer.json")
@@ -489,14 +489,16 @@ def test_cli_dump_matrix_every_name(tmp_path, name):
     values = np.array([[complex(v) for v in line[1:]] for line in lines[1:]])
     assert np.all(np.isfinite(values))
     if name in ("F", "GV", "GS", "SV:1", "SS:1"):
+        # the pair dumps against the dense form of a build that stores
+        # both row sectors
         cfg = parse_config(_tiny_config())
         basis = cfg.basis(2)
-        em = build_emission(cfg.structure, cfg.pump, basis,
-                            keep_sources=True, convention=cfg.attribution)
+        em = two_sector_emission(cfg.structure, cfg.pump, basis,
+                                 keep_sources=True, convention=cfg.attribution)
         pairs = {"GV": em.g_volume, "GS": em.g_surface,
                  "SV:1": em.boundary_sources[1][0],
                  "SS:1": em.boundary_sources[1][1]}
-        expected = em.f_linear if name == "F" else BlockMatrix.from_pairs(
+        expected = em.f_linear if name == "F" else two_sector_dense(
             mode_space("r", 2), mode_space("c", 2), pairs[name])
         assert np.array_equal(values, expected.data)
 
@@ -814,6 +816,7 @@ _MALFORMED = [  # (path of the entry, its bad value, what the error names)
     (("structure", "layers", 0), 0.5, "structure.layers"),
     (("materials", "nl", "chi2"), 0, "material nl chi2"),
     (("materials", "nl", "chi2", 0, "pol"), 5, "pol triple"),
+    (("materials", "nl", "chi2", 0, "pol"), "y;xyz", "material nl chi2 pol"),
     (("pump", "wavelength_nm"), 0, "pump.wavelength_nm"),
     (("pump", "fwhm_nm"), 0, "pump.fwhm_nm"),
     (("pump", "energy_J_per_m2"), -1, "pump.energy_J_per_m2"),

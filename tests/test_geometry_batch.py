@@ -73,16 +73,13 @@ def test_batched_build_matches_per_structure_builds(example, stack,
     singles = [build_emission(make(a * 1e-9, b * 1e-9), cfg.pump, basis,
                               convention=convention)
                for a, b in zip(L1_NM, L2_NM)]
-    assert batch.g_volume.shape == (2,) * 5 + (cells, k, k)
-    assert batch.scatter["s"].shape == (2, 2, cells, k)
+    assert batch.g_volume.shape == (2,) * 4 + (cells, k, k)
+    assert batch.scatter.shape == (2, 2, cells, k)
     pairs = [
         (getattr(batch, attr), np.stack([getattr(e, attr) for e in singles],
                                         axis=-3))
         for attr in ("g_volume", "g_surface")
-    ] + [
-        (batch.scatter[f], np.stack([e.scatter[f] for e in singles], axis=-2))
-        for f in ("s", "i")
-    ]
+    ] + [(batch.scatter, np.stack([e.scatter for e in singles], axis=-2))]
     one = np.array([_observables(e, cfg.channel) for e in singles]).T
     pairs += list(zip(_observables(batch, cfg.channel), one))
     for got, want in pairs:

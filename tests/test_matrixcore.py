@@ -22,7 +22,6 @@ from spdc1d.linear import (
 from spdc1d.materials import constant_material, refractive_index
 from spdc1d.matrixcore import (
     build_emission,
-    linear_maps,
     inverse_responses,
     outward_maps,
     pair_block,
@@ -39,8 +38,10 @@ from reference import (
     LayerView,
     einsum_emission,
     full_chi2,
+    linear_maps,
     polarized_kernels,
     segment_response,
+    two_sector_emission,
 )
 
 C = CONSTANTS.c
@@ -298,9 +299,16 @@ def test_boundary_sources_sum_to_emission_maps(stack4, pump400):
     assert sorted(em.boundary_sources) == list(range(1, stack4.n_layers + 2))
     for w, g in enumerate((em.g_volume, em.g_surface)):
         total = sum(pair[w] for pair in em.boundary_sources.values())
-        assert total.shape == (2,) * 5 + (5, 5)
+        assert total.shape == (2,) * 4 + (5, 5)
         assert np.linalg.norm(g) > 0.0
         assert np.linalg.norm(total - g) <= 1e-13 * np.linalg.norm(g)
+
+
+def _sector(pairs, fi, d, p, c, q):
+    """Block (row dir d, row pol p; col dir c, col pol q) of row field fi
+    of a stored pair array: the idler rows are the conjugated signal rows
+    with the pols exchanged."""
+    return pairs[d, p, c, q] if fi == 0 else np.conj(pairs[d, q, c, p])
 
 
 def _assert_sources_match_per_block_loop(structure, pump_spec, b,
@@ -356,14 +364,14 @@ def _assert_sources_match_per_block_loop(structure, pump_spec, b,
                                 ref = (inv[d, 0][:, None] * rows[w, 0, c]
                                        + inv[d, 1][:, None] * rows[w, 1, c])
                                 totals[w, fi, d, pi, c, qi] += ref
-                                got = kept[w][fi, d, pi, c, qi]
+                                got = _sector(kept[w], fi, d, pi, c, qi)
                                 scale = max(np.abs(ref).max(), 1e-300)
                                 assert np.abs(got - ref).max() <= 1e-13 * scale
     for w, g in enumerate((chunked.g_volume, chunked.g_surface)):
         for block in np.ndindex((2,) * 5):
             ref = totals[w][block]
             scale = max(np.abs(ref).max(), 1e-300)
-            assert np.abs(g[block] - ref).max() <= 1e-13 * scale
+            assert np.abs(_sector(g, *block) - ref).max() <= 1e-13 * scale
 
 
 def test_boundary_sources_match_per_block_loop(stack4, pump400):
@@ -485,7 +493,9 @@ def test_idler_rows_are_conjugated_signal_rows(stack20, pump400, bins):
     """The emission assembly builds the inverse boundary responses and the
     feeds for the signal rows only and takes the idler rows' as complex
     conjugates: exact at every boundary and both edges, and so are the
-    idler rows of G_V and G_S (with the pols swapped, d.T)."""
+    idler rows of G_V and G_S (with the pols swapped, d.T) that the
+    two-sector assembly stores beside signal rows equal to the stored
+    ones, signed zeros included."""
     b = _basis(bins, 0.35, 0.65)
     maps = linear_maps(stack20, b)
     boundaries = np.arange(1, stack20.n_layers + 2)
@@ -494,9 +504,11 @@ def test_idler_rows_are_conjugated_signal_rows(stack20, pump400, bins):
     for edge in ("left", "right"):
         assert np.array_equal(maps["s"].fed(edge), np.conj(maps["i"].fed(edge)))
     em = build_emission(stack20, pump400, b)
-    for g in (em.g_volume, em.g_surface):
-        assert np.any(g[0])
-        assert np.array_equal(g[1], np.conj(g[0]).swapaxes(1, 3))
+    both = two_sector_emission(stack20, pump400, b)
+    for g, g2 in ((em.g_volume, both.g_volume), (em.g_surface, both.g_surface)):
+        assert np.any(g)
+        assert np.array_equal(g.view(np.int64), g2[0].view(np.int64))
+        assert np.array_equal(g2[1], np.conj(g).swapaxes(1, 3))
 
 
 def _wronskian_defect(maps, boundaries):
@@ -662,7 +674,7 @@ def test_bulk_sinc_limit_exact():
         * np.exp(1j * dk * length / 2) * np.sinc(dk * length / 2 / np.pi)
     )
     weight = np.sqrt(b.widths[:, None] * b.widths[None, :])
-    blk = pair_block(em.g_volume + em.g_surface, ("s", "F", "x"), ("F", "y"))
+    blk = pair_block(em.g_volume + em.g_surface, ("F", "x"), ("F", "y"))
     # along the anti-diagonal w_s + w_i = omega_p0 (symmetric window)
     k_bins = b.bins
     for k in range(k_bins):

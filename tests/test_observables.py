@@ -13,6 +13,7 @@ from spdc1d.materials import constant_material
 from spdc1d import observables
 from spdc1d.matrixcore import build_emission, pair_block
 from spdc1d.observables import (
+    CONTRIBUTIONS,
     JointDensity,
     JointSpectralAmplitude,
     antidiagonal_profile,
@@ -32,6 +33,7 @@ from reference import (
     dense_branch_amplitudes,
     explicit_time_grid,
     full_chi2,
+    two_sector_emission,
 )
 
 C = CONSTANTS.c
@@ -39,7 +41,7 @@ OMEGA_P0 = 2 * np.pi * C / 400e-9
 
 
 def _zero_pairs(bins):
-    return np.zeros((2,) * 5 + (bins, bins), dtype=complex)
+    return np.zeros((2,) * 4 + (bins, bins), dtype=complex)
 
 
 class FakeEmission:
@@ -47,11 +49,10 @@ class FakeEmission:
         rng = np.random.RandomState(seed)
 
         def rand_pairs():
-            shape = (2,) * 5 + (bins, bins)
+            shape = (2,) * 4 + (bins, bins)
             return rng.randn(*shape) + 1j * rng.randn(*shape)
 
-        eye = np.eye(2)[:, :, None] * np.ones(bins)
-        self.scatter = {"s": eye, "i": eye}
+        self.scatter = np.eye(2)[:, :, None] * np.ones(bins)
         self.g_volume = g_v if g_v is not None else rand_pairs()
         self.g_surface = g_s if g_s is not None else rand_pairs()
         lo, hi = 0.4 * OMEGA_P0, 0.6 * OMEGA_P0
@@ -73,24 +74,27 @@ def test_branch_factors_identity_scattering_reduce_to_g_blocks():
     f1, f2 = branch_amplitudes(em, CHANNEL, "V")
     g = em.g_volume
     a, b, alpha, beta = CHANNEL
-    assert np.allclose(f1, np.conj(pair_block(g, ("s", a, alpha), (b, beta))))
-    assert np.allclose(f2,
-                       np.conj(pair_block(g, ("i", b, beta), (a, alpha))).T)
+    assert np.allclose(f1, np.conj(pair_block(g, (a, alpha), (b, beta))))
+    # the idler row (b, beta; a, alpha) is conj(g[b, alpha, a, beta])
+    assert np.allclose(f2, pair_block(g, (b, alpha), (a, beta)).T)
 
 
 def test_branch_factors_match_naive_loop(stack4, pump400):
     basis = SpectralBasis(0.4 * OMEGA_P0, 0.6 * OMEGA_P0, 4)
     em = build_emission(stack4, pump400, basis)
     f1, f2 = branch_amplitudes(em, CHANNEL, "V")
-    naive1, naive2 = dense_branch_amplitudes(em, CHANNEL, "V")
+    naive1, naive2 = dense_branch_amplitudes(
+        two_sector_emission(stack4, pump400, basis), CHANNEL, "V")
     assert np.allclose(f1, naive1, rtol=1e-12)
     assert np.allclose(f2, naive2, rtol=1e-12)
 
 
 @pytest.fixture(scope="module")
 def full_chi2_emission(stack4, pump400):
+    """(the emission, its two-sector reference)."""
     basis = SpectralBasis(0.4 * OMEGA_P0, 0.6 * OMEGA_P0, 4)
-    return build_emission(full_chi2(stack4), pump400, basis)
+    return tuple(build(full_chi2(stack4), pump400, basis)
+                 for build in (build_emission, two_sector_emission))
 
 
 @pytest.mark.parametrize("w", ["V", "S"])
@@ -101,12 +105,56 @@ def test_branch_factors_match_dense_loop_on_every_channel(
         full_chi2_emission, channel, w):
     # every (signal, idler) polarization pair emits in GaN, so a swapped
     # polarization or an exchanged signal/idler F changes the result
-    em = full_chi2_emission
+    em, both = full_chi2_emission
     got = branch_amplitudes(em, channel, w)
-    for branch, naive in zip(got, dense_branch_amplitudes(em, channel, w)):
+    for branch, naive in zip(got, dense_branch_amplitudes(both, channel, w)):
         scale = np.max(np.abs(naive))
         assert scale > 0.0
         assert np.allclose(branch, naive, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _random_stack(seed):
+    """Three constant-index layers, each with a random chi2 entry for every
+    (signal, idler) polarization pair (so d != d.T) and random poling."""
+    rng = np.random.RandomState(seed)
+    air = constant_material("air", 1.0)
+    layers = tuple(
+        (constant_material("layer", rng.uniform(1.3, 2.6),
+                           chi2={("y", p, q): rng.uniform(-5e-12, 5e-12)
+                                 for p in POLS for q in POLS}),
+         rng.uniform(30e-9, 300e-9), int(rng.choice((1, -1))))
+        for _ in range(3))
+    return StructureSpec(layers, air, air)
+
+
+@pytest.mark.parametrize("convention", ["local-jump", "per-slot"])
+@pytest.mark.parametrize("case", ["shipped", "random"])
+def test_branch_amplitudes_match_two_sector_reference(pump400, case,
+                                                      convention):
+    """The readers form the idler sector from the stored signal rows: both
+    branch factors of every channel and contribution equal the dense
+    loops over a build that stores both row sectors and the idler F of
+    the conjugated solve.  A dropped conjugation or an exchanged pol pair
+    in a reader changes them."""
+    if case == "shipped":
+        cfg = load_config(SHIPPED)
+        args = (cfg.structure, cfg.pump, cfg.basis(bins=8))
+    else:
+        args = (_random_stack(5), pump400,
+                SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 6))
+    em, both = (build(*args, convention=convention)
+                for build in (build_emission, two_sector_emission))
+    emitting = 0
+    for channel in itertools.product(DIRS, DIRS, POLS, POLS):
+        for w in CONTRIBUTIONS:
+            got = branch_amplitudes(em, channel, w)
+            want = dense_branch_amplitudes(both, channel, w)
+            for branch, ref in zip(got, want, strict=True):
+                scale = np.max(np.abs(ref))
+                emitting += scale > 0.0
+                assert np.max(np.abs(branch - ref)) <= 1e-12 * scale, (
+                    channel, w)
+    assert emitting >= (16 if case == "shipped" else 64)
 
 
 def test_joint_density_structure_and_identity():
