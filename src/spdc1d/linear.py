@@ -146,8 +146,10 @@ class FieldMaps:
     modes at z_1 (stacks of shape (N+2, 2, 2, *G, K) over a geometry grid
     G, () for scalar lengths); interface[l]: the continuity rows L of
     layer l, the same for every geometry (unit G axes).  scatter: F;
-    feed: W (shape (2, 2, *G, K)).  The boundary responses read t and r
-    from F.
+    feed: W (shape (2, 2, *G, K)).  ``boundary_rows`` gives the E/H rows
+    of every boundary and ``fed`` the modes of every layer edge;
+    ``matrixcore.inverse_responses`` forms the boundary responses from
+    those rows and t and r of F.
     """
 
     at_left: np.ndarray
@@ -169,15 +171,6 @@ class FieldMaps:
         at_left, interface = (np.moveaxis(a, 0, 2)[:, :, l]
                               for a in (self.at_left, self.interface))
         return mat2_mul(interface, at_left)
-
-    def inverse_response(self, l, context="boundary response"):
-        """Output amplitudes (forward, backward) from E/H continuity
-        sources at boundary l: [[t, 0], [r, -1]] (L_l at_left[l])^-1 with
-        t = F[0, 0] and r = F[1, 0], shaped as ``boundary_rows``."""
-        t, r = self.scatter[0, 0], self.scatter[1, 0]
-        zero = np.zeros_like(t)
-        return mat2_mul(np.array([[t, zero], [r, zero - 1.0]]),
-                        mat2_inv(self.boundary_rows(l), context))
 
     def fed(self, edge: str):
         """Layer modes at their left or right edge from the inputs, every

@@ -20,9 +20,10 @@ inputs to signal outputs.  Each is one complex array of shape
 in ``DIRS``/``POLS`` order.  The bin-sum grid is exactly symmetric, so
 the idler rows are the conjugates with the polarizations exchanged, bin
 for bin: idler row (b, beta), signal column (c, alpha) is
-conj(pairs[b, alpha, c, beta]).  ``pair_block`` reads one K x K block
-and ``BlockMatrix.from_pairs`` expands an array into the labelled dense
-form of both sectors.
+conj(pairs[b, alpha, c, beta]).  ``pair_block`` reads one K x K block.
+``BlockMatrix.from_pairs`` expands an array into the labelled dense
+form of both sectors by two strided writes: the signal rows, and the
+idler rows conjugated and added into zeros.
 
 Boundary continuity (electric and magnetic rows, both polarizations,
 both fields) yields, per boundary l between layers l-1 and l:
@@ -102,7 +103,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmatrix import BlockMatrix, mode_space
+from .blockmatrix import BlockMatrix
 from .constants import CONSTANTS
 from .errors import ConfigError, SingularMatrix
 from .linear import (
@@ -153,21 +154,25 @@ def outward_maps(maps: FieldMaps, l: int):
 
 
 def inverse_responses(maps: FieldMaps, boundaries):
-    """(inverse, cond): ``FieldMaps.inverse_response`` of the boundaries
-    along axis 2, and the exact 1-norm condition number of each response
-    L_l at_left[l] [[1/t, 0], [r/t, -1]] at its worst geometry and bin.
-    A singular response raises SingularMatrix naming its boundary."""
-    ls = np.array(boundaries, dtype=int)
+    """(inverse, cond) of the boundaries along axis 2.  The inverse
+    response, from E/H continuity sources at boundary l to the outputs
+    (forward, backward), is [[t, 0], [r, -1]] (L_l at_left[l])^-1 with
+    t = F[0, 0] and r = F[1, 0]; cond is the exact 1-norm condition
+    number of the response L_l at_left[l] [[1/t, 0], [r/t, -1]] at its
+    worst geometry and bin.  The rows L_l at_left[l] are formed and
+    inverted once; a singular response raises SingularMatrix naming its
+    boundary."""
+    rows = maps.boundary_rows(np.array(boundaries, dtype=int))
     try:
-        inverse = maps.inverse_response(ls)
+        inverse_rows = mat2_inv(rows, "boundary response")
     except SingularMatrix:
-        for l in boundaries:  # name the first bad boundary
-            maps.inverse_response(l, f"boundary {l} response")
+        for i, l in enumerate(boundaries):  # name the first bad boundary
+            mat2_inv(rows[:, :, i], f"boundary {l} response")
         raise
     t, r = maps.scatter[0, 0], maps.scatter[1, 0]
     zero = np.zeros_like(t)
-    response = mat2_mul(maps.boundary_rows(ls),
-                        np.array([[1.0 / t, zero], [r / t, zero - 1.0]]))
+    inverse = mat2_mul(np.array([[t, zero], [r, zero - 1.0]]), inverse_rows)
+    response = mat2_mul(rows, np.array([[1.0 / t, zero], [r / t, zero - 1.0]]))
     norm_r, norm_inv = (np.abs(a).sum(axis=0).max(axis=0)
                         for a in (response, inverse))
     cond = norm_r * norm_inv
@@ -240,9 +245,7 @@ class EmissionOperators:
         (geometry, bin) in C order."""
         bins = self.scatter[0, 0].size
         f = self.scatter.reshape(2, 2, bins)
-        return BlockMatrix.from_bins(mode_space("out", bins),
-                                     mode_space("in", bins),
-                                     {"s": f, "i": np.conj(f)})
+        return BlockMatrix.from_bins({"s": f, "i": np.conj(f)})
 
 
 def build_emission(

@@ -15,7 +15,7 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__
-from .blockmatrix import BlockMatrix, mode_space, row_space
+from .blockmatrix import MODE_CHANNELS, ROW_CHANNELS, BlockMatrix
 from .config import RunConfig
 from .errors import ConfigError, NoPeak
 from .linear import field_maps, linear_transmission
@@ -500,7 +500,6 @@ def dump_matrix(cfg: RunConfig, name: str, out_path, bins=None):
         idx = int(text) if text.isdecimal() else -1
         if not lo <= idx <= hi:
             raise ConfigError(f"{name!r}: {key} needs an index in {lo}..{hi}")
-    modes = mode_space("modes", basis.bins)
     picks = {  # per-bin maps of one field sector
         "T": lambda m: m.at_left[-1 if idx is None else idx],
         "L": lambda m: m.interface[idx],
@@ -515,14 +514,13 @@ def dump_matrix(cfg: RunConfig, name: str, out_path, bins=None):
         # continuity rows, so its built 1 and 0 entries keep +0 parts
         signal = field_maps(structure, basis.centers)
         maps = {"s": signal, "i": signal.conj()}
-        rows = row_space("continuity", basis.bins) if key == "L" else modes
         mat = BlockMatrix.from_bins(
-            rows, modes, {f: picks[key](m) for f, m in maps.items()}
-        )
+            {f: picks[key](m) for f, m in maps.items()},
+            ROW_CHANNELS if key == "L" else MODE_CHANNELS)
     elif key == "P":
         p = propagator_bins(structure.material(idx), structure.length(idx),
                             basis)
-        mat = BlockMatrix.from_bins(modes, modes, {"s": p, "i": np.conj(p)})
+        mat = BlockMatrix.from_bins({"s": p, "i": np.conj(p)})
     else:  # GV, GS, SV, SS
         emission = build_emission(
             structure, cfg.pump, basis, keep_sources=True,
@@ -534,6 +532,6 @@ def dump_matrix(cfg: RunConfig, name: str, out_path, bins=None):
             pairs = emission.g_surface
         else:
             pairs = emission.boundary_sources[idx][0 if key == "SV" else 1]
-        mat = BlockMatrix.from_pairs(modes, modes, pairs)
+        mat = BlockMatrix.from_pairs(pairs)
     mat.write_csv(out_path)
     return out_path

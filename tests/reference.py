@@ -4,9 +4,11 @@ These evaluate the physics directly instead of through the production
 path: the layer boundary positions, the top-hat basis functions on a
 frequency grid, the interface continuity residual of a layer-amplitude
 solution, the pair phase function of one layer with its exact
-z-derivative, the branch contractions by plain loops over the labelled
-dense F, a peak counter for the qualitative spectral checks, the
-boundary response through the left and right segments
+z-derivative, the labelled dense forms of per-bin maps (``dense_bins``)
+and of two-sector pair arrays (``two_sector_dense``) by label lookups,
+the branch contractions by plain loops over the labelled dense F, a
+peak counter for the qualitative spectral checks, the boundary
+response through the left and right segments
 (``segment_response``), and the stepwise z-march of the oracle
 (``stepwise_pair_amplitude``), one midpoint update per sub-step, and the
 einsum emission assembly (``einsum_emission``): class kernels with one
@@ -15,10 +17,9 @@ volume row, per-layer kernels, and an einsum class pass.
 ``LayerView`` reads one layer's coupling data (conj(T_g), wave numbers,
 kernels) through the pure functions of ``spectral``.  The two-sector
 references (``linear_maps``, ``two_sector_emission``,
-``two_sector_block``, ``two_sector_dense``) store the idler sector as
-well, with its rows assembled from conj(P) and d.T, the layout that the
-package stores only the signal half of.  ``full_chi2``
-gives a stack whose every (signal, idler) polarization pair emits,
+``two_sector_block``) store the idler sector as well, with its rows
+assembled from conj(P) and d.T, the layout that the package stores only
+the signal half of.  ``full_chi2`` gives a stack whose every (signal, idler) polarization pair emits,
 ``explicit_time_grid`` the full n x n detection-time density, and
 ``rowwise_write_csv`` the CSV writer that formats every cell row by row.
 """
@@ -29,7 +30,7 @@ from unittest import mock
 
 import numpy as np
 
-from spdc1d.blockmatrix import FIELDS, MODE_CHANNELS, BlockMatrix, mode_space
+from spdc1d.blockmatrix import FIELDS, MODE_CHANNELS, ROW_CHANNELS, labels
 from spdc1d.constants import CONSTANTS
 from spdc1d.errors import ConfigError
 from spdc1d.linear import (
@@ -283,15 +284,43 @@ def two_sector_block(pairs, row, col):
                  DIRS.index(b), POLS.index(beta)]
 
 
-def two_sector_dense(row, col, pairs):
-    """Labelled dense form of a two-sector pair array: block (f, a, alpha),
-    (f', b, beta), f' the other field, is its (f, a, alpha; b, beta)
-    block."""
-    out = BlockMatrix(row, col)
+def _label_blocks(channels, bins):
+    """(field, c1, c2) -> the indices of that channel's bins along one
+    axis of a labelled dense form, looked up by label."""
+    at = {label: i for i, label in enumerate(labels(channels, bins))}
+    return lambda *channel: [at["/".join(channel + (str(n),))]
+                             for n in range(bins)]
+
+
+def dense_bins(maps, rows=MODE_CHANNELS):
+    """Labelled dense form, as a 2-D array, of per-bin 2x2 maps
+    {field: (2, 2, K)} over (row kind, column dir, bin), rows in mode or
+    continuity-row channels: entry (r, c, n) of field f sits at row
+    f/r/pol/n and column f/c/pol/n for both pols."""
+    k = maps["s"].shape[-1]
+    row_at, col_at = _label_blocks(rows, k), _label_blocks(MODE_CHANNELS, k)
+    kinds = ("E", "H") if rows == ROW_CHANNELS else DIRS
+    out = np.zeros((8 * k, 8 * k), dtype=complex)
+    for f, pol in itertools.product(FIELDS, POLS):
+        for (r, rk), (c, ck) in itertools.product(enumerate(kinds),
+                                                  enumerate(DIRS)):
+            for n, (i, j) in enumerate(zip(row_at(f, rk, pol),
+                                           col_at(f, ck, pol))):
+                out[i, j] = maps[f][r, c, n]
+    return out
+
+
+def two_sector_dense(pairs):
+    """Labelled dense form, as a 2-D array, of a two-sector pair array by
+    label lookups: block (f, a, alpha), (f', b, beta), f' the other
+    field, is its (f, a, alpha; b, beta) block."""
+    k = pairs.shape[-1]
+    at = _label_blocks(MODE_CHANNELS, k)
+    out = np.zeros((8 * k, 8 * k), dtype=complex)
     for f, other in (("s", "i"), ("i", "s")):
         for (a, alpha), (b, beta) in itertools.product(MODE_CHANNELS,
                                                        MODE_CHANNELS):
-            out.data[row.offset(f, a, alpha), col.offset(other, b, beta)] = (
+            out[np.ix_(at(f, a, alpha), at(other, b, beta))] = (
                 two_sector_block(pairs, (f, a, alpha), (b, beta)))
     return out
 
@@ -302,7 +331,7 @@ def segment_response(maps, l):
     forward output seen through the right segment (the inverse total
     transfer, then on to layer l at z_l) minus the backward output seen
     through the left segment (medium 0 on to layer l-1 at z_l).  Its
-    inverse is ``FieldMaps.inverse_response(l)``."""
+    inverse is the inverse response of ``matrixcore.inverse_responses``."""
     from_right = mat2_mul(maps.at_left[l], mat2_inv(maps.at_left[-1]))
     forward = mat2_mul(maps.interface[l], from_right)[:, 0]
     backward = mat2_mul(maps.interface[l - 1], maps.at_right[l - 1])[:, 1]
@@ -380,16 +409,15 @@ def dense_branch_amplitudes(emission, channel, w):
     a, b, alpha, beta = channel
     g = {"V": emission.g_volume, "S": emission.g_surface}[w]
     k = emission.basis.bins
-    f = BlockMatrix.from_bins(
-        mode_space("out", k), mode_space("in", k),
-        {fld: m.scatter for fld, m in
-         linear_maps(emission.structure, emission.basis).items()})
+    f = dense_bins({fld: m.scatter for fld, m in
+                    linear_maps(emission.structure, emission.basis).items()})
+    at = _label_blocks(MODE_CHANNELS, k)
     idler = np.zeros((k, k), dtype=complex)
     signal = np.zeros((k, k), dtype=complex)
     for g_dir, g_pol in MODE_CHANNELS:
         gs = two_sector_block(g, ("s", a, alpha), (g_dir, g_pol))
-        fi = f.data[f.row.offset("i", b, beta), f.col.offset("i", g_dir, g_pol)]
-        fs = f.data[f.row.offset("s", a, alpha), f.col.offset("s", g_dir, g_pol)]
+        fi = f[np.ix_(at("i", b, beta), at("i", g_dir, g_pol))]
+        fs = f[np.ix_(at("s", a, alpha), at("s", g_dir, g_pol))]
         gi = two_sector_block(g, ("i", b, beta), (g_dir, g_pol))
         for kk in range(k):
             for nn in range(k):

@@ -11,7 +11,8 @@ import spdc1d.runner as runner_mod
 from spdc1d.cli import main
 from spdc1d.config import ConfigError, load_config, parse_config
 from spdc1d.errors import NoPeak
-from spdc1d.blockmatrix import mode_space, row_space
+from spdc1d.blockmatrix import MODE_CHANNELS, ROW_CHANNELS, labels
+from spdc1d.matrixcore import outward_maps, propagator_bins
 from spdc1d.observables import (
     temporal_profiles,
     two_photon_amplitude,
@@ -26,7 +27,8 @@ from spdc1d.runner import (
     write_csv,
 )
 
-from reference import (explicit_time_grid, rowwise_write_csv, two_sector_dense,
+from reference import (dense_bins, explicit_time_grid, linear_maps,
+                       rowwise_write_csv, two_sector_dense,
                        two_sector_emission)
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -469,38 +471,61 @@ def test_cli_simulate_and_dump_and_verify(tmp_path, capsys):
     assert rc == 2
 
 
-def _labels(space):
-    return ["/".join(map(str, lab)) for lab in space.labels()]
+def _dump_reference(cfg, name, bins):
+    """The dense form of dump ``name`` built independently of
+    ``BlockMatrix``, by label lookups: the linear names from both sectors
+    of ``linear_maps`` (``outward_maps`` for X, Y, Z) or from
+    ``propagator_bins``, the pair names from a build that stores both row
+    sectors."""
+    key, _, text = name.partition(":")
+    idx = int(text) if text else None
+    basis, st = cfg.basis(bins), cfg.structure
+    if key == "P":
+        p = propagator_bins(st.material(idx), st.length(idx), basis)
+        return dense_bins({"s": p, "i": np.conj(p)})
+    if key in ("GV", "GS", "SV", "SS"):
+        em = two_sector_emission(st, cfg.pump, basis, keep_sources=True,
+                                 convention=cfg.attribution)
+        pairs = {"GV": em.g_volume, "GS": em.g_surface}.get(key)
+        if pairs is None:
+            pairs = em.boundary_sources[idx][("SV", "SS").index(key)]
+        return two_sector_dense(pairs)
+    pick = {
+        "T": lambda m: m.at_left[-1 if idx is None else idx],
+        "L": lambda m: m.interface[idx],
+        "F": lambda m: m.scatter,
+        "W": lambda m: m.feed,
+        "X": lambda m: outward_maps(m, idx)[0],
+        "Y": lambda m: outward_maps(m, 1)[1],
+        "Z": lambda m: outward_maps(m, 1)[2],
+    }[key]
+    return dense_bins({f: pick(m) for f, m in linear_maps(st, basis).items()},
+                      ROW_CHANNELS if key == "L" else MODE_CHANNELS)
 
 
 @pytest.mark.parametrize("name", MATRIX_NAMES)
 def test_cli_dump_matrix_every_name(tmp_path, name):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(_tiny_config()))
-    name = name.replace(":l", ":1")  # boundary / layer 1 exists in the stack
-    out = tmp_path / "m.csv"
-    rc = main(["dump-matrix", "--config", str(cfg_path), "--name", name,
-               "--out", str(out), "--bins", "2"])
-    assert rc == 0
-    lines = [line.split(",") for line in out.read_text().splitlines()]
-    rows = row_space("r", 2) if name.startswith("L") else mode_space("r", 2)
-    assert lines[0] == ["row\\col"] + _labels(mode_space("c", 2))
-    assert [line[0] for line in lines[1:]] == _labels(rows)
-    values = np.array([[complex(v) for v in line[1:]] for line in lines[1:]])
-    assert np.all(np.isfinite(values))
-    if name in ("F", "GV", "GS", "SV:1", "SS:1"):
-        # the pair dumps against the dense form of a build that stores
-        # both row sectors
-        cfg = parse_config(_tiny_config())
-        basis = cfg.basis(2)
-        em = two_sector_emission(cfg.structure, cfg.pump, basis,
-                                 keep_sources=True, convention=cfg.attribution)
-        pairs = {"GV": em.g_volume, "GS": em.g_surface,
-                 "SV:1": em.boundary_sources[1][0],
-                 "SS:1": em.boundary_sources[1][1]}
-        expected = em.f_linear if name == "F" else two_sector_dense(
-            mode_space("r", 2), mode_space("c", 2), pairs[name])
-        assert np.array_equal(values, expected.data)
+    """Every dump, on the tiny config at 2 bins (index 1) and on the
+    shipped one at 4 bins (index 2), has the labels of its channels and
+    values bit-equal, signed zeros included, to ``_dump_reference``."""
+    tiny = tmp_path / "cfg.json"
+    tiny.write_text(json.dumps(_tiny_config()))
+    for cfg_path, bins, index in ((str(tiny), 2, "1"), (EXAMPLE, 4, "2")):
+        dump = name.replace(":l", ":" + index)
+        out = tmp_path / "m.csv"
+        rc = main(["dump-matrix", "--config", cfg_path, "--name", dump,
+                   "--out", str(out), "--bins", str(bins)])
+        assert rc == 0
+        lines = [line.split(",") for line in out.read_text().splitlines()]
+        rows = ROW_CHANNELS if name.startswith("L") else MODE_CHANNELS
+        assert lines[0] == ["row\\col"] + labels(MODE_CHANNELS, bins)
+        assert [line[0] for line in lines[1:]] == labels(rows, bins)
+        values = np.array([[complex(v) for v in line[1:]]
+                           for line in lines[1:]])
+        assert np.all(np.isfinite(values))
+        expected = _dump_reference(load_config(cfg_path), dump, bins)
+        assert np.array_equal(values.view(np.int64),
+                              expected.view(np.int64)), dump
 
 
 @pytest.mark.parametrize("name", [

@@ -7,9 +7,10 @@ import pytest
 import spdc1d.linear as linear_mod
 import spdc1d.matrixcore as matrixcore_mod
 import spdc1d.runner as runner_mod
-from spdc1d.blockmatrix import BlockMatrix, mode_space, row_space
+from spdc1d.blockmatrix import ROW_CHANNELS, BlockMatrix, labels
 from spdc1d.config import load_config
 from spdc1d.constants import CONSTANTS
+from spdc1d.errors import SingularMatrix
 from spdc1d.linear import (
     PumpSpec,
     continuity_rows,
@@ -106,8 +107,10 @@ def test_interface_matrix_k1_layout():
     omega = b.centers[0]
     k = omega / C
     per_bin = material_rows(constant_material("v", 1.0), b.centers)
-    mat = BlockMatrix.from_bins(row_space("rows", 1), mode_space("modes", 1),
-                                {"s": per_bin, "i": np.conj(per_bin)})
+    mat = BlockMatrix.from_bins({"s": per_bin, "i": np.conj(per_bin)},
+                                ROW_CHANNELS)
+    assert labels(mat.rows, 1)[:4] == ["s/E/x/0", "s/E/y/0", "s/H/x/0",
+                                       "s/H/y/0"]
     sig = mat.data[:4, :4]
     expected = np.array(
         [
@@ -234,17 +237,15 @@ def test_idler_maps_are_conjugated_signal_maps(stack4):
 def test_input_output_identity_for_identity_transfer():
     eye = _eye2(2).astype(complex)
     assert np.allclose(input_output_map(eye), eye, atol=1e-14)
-    space = mode_space("modes", 2)
-    f = BlockMatrix.from_bins(space, space, {"s": eye, "i": eye})
-    assert np.allclose(f.data, np.eye(space.dim), atol=1e-14)
+    f = BlockMatrix.from_bins({"s": eye, "i": eye})
+    assert np.allclose(f.data, np.eye(16), atol=1e-14)
 
 
 def test_scattering_unitary_and_transmission_crosscheck(stack4):
     b = _basis(1, 0.497, 0.503)
     scatter = {fld: m.scatter for fld, m in linear_maps(stack4, b).items()}
-    f = BlockMatrix.from_bins(mode_space("out", 1), mode_space("in", 1),
-                              scatter)
-    dev = np.abs(f.data @ f.data.conj().T - np.eye(f.row.dim)).max()
+    f = BlockMatrix.from_bins(scatter)
+    dev = np.abs(f.data @ f.data.conj().T - np.eye(len(f.data))).max()
     assert dev < 1e-9
     t, r, big_t, big_r = linear_transmission(stack4, b.centers[0])
     f_ff, f_bf = scatter["s"][:, 0, 0]  # (out dir, in dir F, bin 0)
@@ -499,7 +500,8 @@ def test_idler_rows_are_conjugated_signal_rows(stack20, pump400, bins):
     b = _basis(bins, 0.35, 0.65)
     maps = linear_maps(stack20, b)
     boundaries = np.arange(1, stack20.n_layers + 2)
-    inv_s, inv_i = (maps[f].inverse_response(boundaries) for f in ("s", "i"))
+    inv_s, inv_i = (inverse_responses(maps[f], boundaries)[0]
+                    for f in ("s", "i"))
     assert np.array_equal(inv_i, np.conj(inv_s))
     for edge in ("left", "right"):
         assert np.array_equal(maps["s"].fed(edge), np.conj(maps["i"].fed(edge)))
@@ -509,6 +511,17 @@ def test_idler_rows_are_conjugated_signal_rows(stack20, pump400, bins):
         assert np.any(g)
         assert np.array_equal(g.view(np.int64), g2[0].view(np.int64))
         assert np.array_equal(g2[1], np.conj(g).swapaxes(1, 3))
+
+
+def test_singular_boundary_response_names_its_boundary(stack20):
+    """A singular boundary response raises SingularMatrix naming the first
+    bad boundary."""
+    maps = linear_maps(stack20, _basis(3))["s"]
+    at_left = maps.at_left.copy()
+    at_left[5] = 0.0
+    with pytest.raises(SingularMatrix, match="boundary 5 response"):
+        inverse_responses(replace(maps, at_left=at_left),
+                          range(1, stack20.n_layers + 2))
 
 
 def _wronskian_defect(maps, boundaries):
