@@ -143,6 +143,9 @@ def main(argv=None) -> int:
     except SpdcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

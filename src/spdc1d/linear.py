@@ -17,9 +17,9 @@ The one linear solve is ``field_maps``: one ``layer_transfers`` march,
 the continuity rows of every layer (``continuity_rows``) and the
 scattering form F (``input_output_map``) and feed W (``feed_in_map``) of
 the total transfer, held in ``FieldMaps``.  It serves the pump
-(``propagate_pump``, through ``layer_amplitudes``),
-``linear_transmission``, the oracle's partner modes and
-``matrixcore.build_emission``.
+(``pump_field``, through ``layer_amplitudes``), ``linear_transmission``,
+the oracle's partner modes and ``matrixcore.build_emission``, whose one
+march runs over the bin centers and the lit bin sums.
 """
 
 from __future__ import annotations
@@ -172,6 +172,10 @@ class FieldMaps:
                               for a in (self.at_left, self.interface))
         return mat2_mul(interface, at_left)
 
+    def select(self, bins) -> "FieldMaps":
+        """The maps at the frequencies bins (an index or slice)."""
+        return FieldMaps(*(a[..., bins] for a in vars(self).values()))
+
     def fed(self, edge: str):
         """Layer modes at their left or right edge from the inputs, every
         layer at once: shape (2, 2, N+2, *G, K)."""
@@ -308,6 +312,19 @@ class PumpField:
     mask: np.ndarray
 
 
+def pump_field(pump: PumpSpec, omega, maps: FieldMaps) -> PumpField:
+    """The pump on omega from ``maps``, the solve at its lit frequencies."""
+    mask = pump.active_mask(omega)
+    # field amplitude per flux amplitude: 1/sqrt(n) of each layer
+    e_row = maps.interface[:, 0, 0]
+    driven = 0 if pump.side == "F" else -1
+    flux = layer_amplitudes(maps, pump.side,
+                            pump.amplitude(omega[mask]) / e_row[driven])
+    amps = np.zeros(flux.shape[:-1] + omega.shape, dtype=complex)
+    amps[..., mask] = flux * e_row[:, None]
+    return PumpField(omega, amps, pump.polarization, mask)
+
+
 def propagate_pump(structure: StructureSpec, pump: PumpSpec, omega) -> PumpField:
     """Classical pump amplitudes in every layer at the given frequencies.
 
@@ -316,17 +333,5 @@ def propagate_pump(structure: StructureSpec, pump: PumpSpec, omega) -> PumpField
     beyond material validity windows as long as the pump is dark there.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    mask = pump.active_mask(omega)
-    amps = np.zeros((structure.n_layers + 2, 2) + structure.grid
-                    + (omega.size,), dtype=complex)
-    if np.any(mask):
-        sub = omega[mask]
-        maps = field_maps(structure, sub)
-        # field amplitude per flux amplitude: 1/sqrt(n) of each layer
-        e_row = maps.interface[:, 0, 0]
-        driven = 0 if pump.side == "F" else -1
-        flux = layer_amplitudes(maps, pump.side,
-                                pump.amplitude(sub) / e_row[driven])
-        amps[..., mask] = flux * e_row[:, None]
-    return PumpField(omega=omega, amps=amps, polarization=pump.polarization,
-                     mask=mask)
+    return pump_field(pump, omega,
+                      field_maps(structure, omega[pump.active_mask(omega)]))

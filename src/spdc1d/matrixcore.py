@@ -8,8 +8,8 @@ stored; readers form the idler sector by conjugation.  At normal
 incidence in isotropic layers every linear map is a 2x2 per frequency
 bin, identical for both polarizations, so it is stored as an array of
 shape (2, 2, K) over (row channel, column channel, bin), from one
-``linear.field_maps`` solve on the bin centers (flux-normalized
-amplitudes throughout).
+``linear.field_maps`` solve on the bin centers followed by the lit bin
+sums, whose part the pump takes (flux-normalized amplitudes throughout).
 
 The pair operators G_V, G_S and the per-boundary sources map idler
 inputs to signal outputs.  Each is one complex array of shape
@@ -50,11 +50,14 @@ K) array over (out dir, in dir, bin), the same for both polarizations.
 
 None of these maps depends on polarization, and every kernel is one
 polarization-free grid times the layer's chi2 matrix d (``spectral``).
-So the feed and inverse-response scalings run on polarization-free
-arrays of shape (2, 2, 2, K, K) over (volume/surface, row dir, col dir,
-row bin, col bin), summed per distinct d; d is applied only in
-``_expand``, once per distinct d for G_V and G_S and once per kept
-boundary source.  The columns are the idler inputs, so the feed is the
+Sources are formed only on the E lit entries (row bin, col bin) whose
+bin sum the pump lights (``spectral``), with the per-bin feeds and
+inverse responses gathered at the entries' col and row bins.  So the
+scalings run on arrays of shape (2, 2, 2, E) over (volume/surface, row
+dir, col dir, lit entry), summed per distinct d; ``_expand`` applies d,
+once per distinct d for G_V and G_S and once per kept boundary source,
+and scatters the entries into zeroed K x K grids (a dark entry is an
+exact +0).  The columns are the idler inputs, so the feed is the
 conjugated signal feed.
 
 A layer's kernels depend on the layer only through its (material,
@@ -72,19 +75,19 @@ arriving kernel chi and the surface kernel s only; the magnetic volume
 row is i k_a chi - s, so a pass forms the total source from the rows
 E + i k_a H times the fed chi and the surface source from the H rows
 times the fed s, and takes volume = total - surface.  A pass is plain
-broadcast arithmetic on arrays with the layer axis leading, (L, ...,
-*G, K, K), summed over that axis: a few multiply-adds per (layer,
-geometry, bin pair).  The layers go through in chunks of at most
-``_CLASS_CHUNK`` // K^2 layers (at least one), so a pass holds a
-bounded number of K x K grids: at K = 12 the 10 GaN layers of the
-example form one chunk, at K >= 64 every layer is its own.  With
+elementwise arithmetic on arrays with the layer axis leading, (L, ...,
+*G, E), summed over that axis: a few multiply-adds per (layer,
+geometry, lit entry).  The layers go through in chunks of at most
+``_CLASS_CHUNK`` // K^2 layers (at least one): at K = 12 the 10 GaN
+layers of the example form one chunk, at K >= 64 every layer is its
+own.  With
 ``keep_sources`` the same pass runs one layer per chunk and each result
 is also kept for its boundary.  The physics (kernels, feeds, responses)
 is the same on both paths.
 
 A stack whose layer lengths are arrays over a geometry grid G
 (``StructureSpec.grid``) is built once for every geometry: each array
-then carries the axes *G just before its bin axes, so G_V is
+then carries the axes *G just before its bin or entry axes, so G_V is
 (2, 2, 2, 2, *G, K, K), F is (2, 2, *G, K), a boundary
 response (2, 2, *G, K) and a class pass holds its chunk's layers for
 every geometry.  A geometry-grid length keys its class by its array
@@ -113,13 +116,14 @@ from .linear import (
     field_maps,
     mat2_inv,
     mat2_mul,
+    pump_field,
 )
 from .materials import refractive_index
 from .spectral import (
     DIRS,
     POLS,
     SpectralBasis,
-    bin_sum_pump,
+    bin_sums,
     chi2_matrix,
     class_kernels,
     pump_weights,
@@ -127,7 +131,8 @@ from .spectral import (
 from .structure import StructureSpec
 
 CONDITION_WARN = 1e12
-_CLASS_CHUNK = 4096  # layers x K^2 per class pass: the chunk's element budget
+# layers x K^2 per class pass, dark entries counted: layers group as on K x K
+_CLASS_CHUNK = 4096
 
 
 def propagator_bins(material, length, basis: SpectralBasis):
@@ -187,15 +192,16 @@ def pair_block(pairs, row, col):
                  POLS.index(beta)]
 
 
-def _expand(parts, shape):
+def _expand(parts, shape, lit):
     """(volume, surface) pair arrays sum_m d_m (x) P_m from (d, P) parts:
     d of shape (2, 2) over (signal pol, idler pol), P of shape (2, 2, 2,
-    *G, K, K) over (volume/surface, row dir, col dir, geometry, row bin,
-    col bin)."""
+    *G, E) over (volume/surface, row dir, col dir, geometry, lit entry),
+    scattered into zeros at the lit (row bin, col bin) entries."""
+    rows, cols, _ = lit
     out = np.zeros((2,) + shape, dtype=complex)
     for d, p in parts:
         for alpha, beta in zip(*np.nonzero(d)):
-            out[:, :, alpha, :, beta] += d[alpha, beta] * p
+            out[:, :, alpha, :, beta][..., rows, cols] += d[alpha, beta] * p
     return out[0], out[1]
 
 
@@ -204,21 +210,22 @@ def _class_pass(kernels, weights, feed, rows):
     summed over the layers (see ``_expand`` for the layout).
 
     kernels: ``class_kernels`` of the class at the edge, (chi, surface,
-    ik); weights: the layers' ``pump_weights``, shape (L, g, *G, K, K);
-    feed: the layers' modes at the edge from the inputs, shape (col dir,
-    channel, L, *G, col bin); rows: the inverse response of each layer's
-    boundary times 1/sqrt(n), shape (out dir, E/H, L, *G, row bin).
-    Volume is the total (E + ik H rows times the fed chi) minus the
-    surface source (H rows times the fed surface kernel).
+    ik); weights: the layers' ``pump_weights``, shape (L, g, *G, E);
+    feed: the layers' modes at the edge from the inputs at each lit
+    entry's col bin, (col dir, channel, L, *G, E); rows: the inverse
+    response of each layer's boundary times 1/sqrt(n) at its row bin,
+    (out dir, E/H, L, *G, E).  Volume is the total (E + ik H rows times
+    the fed chi) minus the surface source (H rows times the fed surface
+    kernel).
     """
     chi, surface, ik = kernels
     a = weights[:, :, None]
-    j0 = a[:, 0] * chi[0] + a[:, 1] * chi[1]  # (L, col dir, *G, K, K)
+    j0 = a[:, 0] * chi[0] + a[:, 1] * chi[1]  # (L, col dir, *G, E)
     j_s = weights[:, 0] * surface[0] + weights[:, 1] * surface[1]
-    fed = np.moveaxis(feed, 2, 0)[..., None, :]  # (L, b, c, *G, 1, K)
+    fed = np.moveaxis(feed, 2, 0)  # (L, b, c, *G, E)
     k0 = j0[:, :1] * fed[:, 0] + j0[:, 1:] * fed[:, 1]  # (L, c, ...)
-    r = np.moveaxis(rows, 2, 0)[..., None]  # (L, d, E/H, *G, K, 1)
-    r_t = r[:, :, 0] + ik[:, None] * r[:, :, 1]
+    r = np.moveaxis(rows, 2, 0)  # (L, d, E/H, *G, E)
+    r_t = r[:, :, 0] + ik * r[:, :, 1]
     p_total = (r_t[:, :, None] * k0[:, None]).sum(axis=0)
     p_s = (r[:, :, 1, None]
            * (j_s[:, None] * (fed[:, 0] + fed[:, 1]))[:, None]).sum(axis=0)
@@ -256,8 +263,14 @@ def build_emission(
     convention: str = "local-jump",
 ) -> EmissionOperators:
     """Assemble the scattering map and the volume/surface emission maps."""
-    maps = field_maps(structure, basis.centers)
-    pump, index = bin_sum_pump(structure, pump_spec, basis)
+    # one solve on the bin centers and the lit bin sums
+    sums, index = bin_sums(basis)
+    both = field_maps(structure, np.concatenate(
+        (basis.centers, sums[pump_spec.active_mask(sums)])))
+    maps = both.select(slice(basis.bins))
+    pump = pump_field(pump_spec, sums, both.select(slice(basis.bins, None)))
+    rows, cols = np.nonzero(pump.mask[index])
+    lit = (rows, cols, index[rows, cols])
     n_tot = structure.n_layers + 2
 
     d_of = structure.per_material(
@@ -292,22 +305,23 @@ def build_emission(
                             + np.shape(length))
         # 1/sqrt(n): the E row of the layer's continuity rows
         pref = maps.interface[members[0], 0, 0].real
-        kernels = class_kernels(mat, length, basis, pump, index, convention)
+        kernels = class_kernels(mat, length, basis, pump, lit, convention)
         for start in range(0, len(members), per_chunk):
             ls = members[start:start + per_chunk]
-            weights = pump_weights(structure, pump, index, ls)
+            weights = pump_weights(structure, pump, lit[2], ls)
             # a layer's right edge is boundary l + 1, its left edge boundary l
             for edge, sign, shift in (("right", 1.0, 1), ("left", -1.0, 0)):
-                rows = inverse[:, :, [position[l + shift] for l in ls]] * pref
+                resp = inverse[:, :, [position[l + shift] for l in ls]] * pref
                 p = sign * _class_pass(kernels[edge], weights,
-                                       fed[edge][:, :, ls], rows)
+                                       fed[edge][:, :, ls][..., cols],
+                                       resp[..., rows])
                 total = totals.setdefault(d.tobytes(), [d, 0.0])
                 total[1] = total[1] + p
                 if keep_sources:
                     kept[ls[0] + shift].append((d, p))
-    sources = ({l: _expand(parts, shape) for l, parts in kept.items()}
+    sources = ({l: _expand(parts, shape, lit) for l, parts in kept.items()}
                if keep_sources else {})
-    g_v, g_s = _expand(totals.values(), shape)
+    g_v, g_s = _expand(totals.values(), shape, lit)
 
     for name, mat in (("F", maps.scatter), ("G_V", g_v), ("G_S", g_s)):
         if not np.all(np.isfinite(mat)):

@@ -49,13 +49,15 @@ right-edge phase.  So ``class_kernels`` forms the kernels of a whole
 layer's kernels are sum_g a_g times them.  All of these are pure
 functions; nothing is kept between calls.
 
+Dark bin sums (pump weight exactly zero) are never assembled: kernels
+live on the E lit entries (row bin, col bin) of the grid, in C order.
 The class kernels of one edge are three arrays: the arriving kernel chi
-(g, col dir, *G, K, K), the surface kernel (g, *G, K, K) and i k_a per
-row bin.  The magnetic volume row is i k_a chi - surface under either
-attribution, so it is not stored.  Their phases are separable: e^{i dk
-L} is e^{i k_p L} e^{-i k_a L} e^{-i k_b L}, and the right-edge phase
-e^{i (k_a + k_b) L}, so the exponentials run once per bin and once per
-distinct bin sum (gathered through the bin-sum index), never per K x K
+(g, col dir, *G, E), the surface kernel (g, *G, E) and i k_a of each
+entry's row bin.  The magnetic volume row is i k_a chi - surface under
+either attribution, so it is not stored.  Their phases are separable:
+e^{i dk L} is e^{i k_p L} e^{-i k_a L} e^{-i k_b L}, and the right-edge
+phase e^{i (k_a + k_b) L}, so the exponentials run once per bin and once
+per distinct bin sum (gathered at the entries' bins and sums), never per
 entry; the bracket's series runs only on the entries near phase
 matching.
 """
@@ -159,16 +161,20 @@ def _bracket(delta_k, zeta, numerator, phase):
     return out
 
 
-def bin_sum_pump(structure: StructureSpec, pump_spec: PumpSpec,
-                 basis: SpectralBasis):
-    """(pump, index): the pump on the distinct bin sums w_k + w_n, and the
-    (K, K) index of every sum on that grid, so pump.omega[index] is the
-    bin-sum grid exactly."""
+def bin_sums(basis: SpectralBasis):
+    """(sums, index): the distinct bin sums w_k + w_n and the (K, K) index
+    of every sum on them."""
     centers = basis.centers
     sums, index = np.unique((centers[:, None] + centers[None, :]).ravel(),
                             return_inverse=True)
-    return (propagate_pump(structure, pump_spec, sums),
-            index.reshape(basis.bins, basis.bins))
+    return sums, index.reshape(basis.bins, basis.bins)
+
+
+def bin_sum_pump(structure: StructureSpec, pump_spec: PumpSpec,
+                 basis: SpectralBasis):
+    """(pump, index): the pump on ``bin_sums`` and their (K, K) index."""
+    sums, index = bin_sums(basis)
+    return propagate_pump(structure, pump_spec, sums), index
 
 
 def chi2_matrix(material: MaterialModel, pump_pol: str) -> np.ndarray:
@@ -199,10 +205,10 @@ def pump_wavenumbers(material: MaterialModel, pump: PumpField) -> np.ndarray:
 
 def pump_weights(structure: StructureSpec, pump: PumpField,
                  index: np.ndarray, ls) -> np.ndarray:
-    """a_g = poling times the pump amplitude of direction g on the (signal
-    bin, idler bin) grid, for layers ls: shape (L, 2, *G, K, K) over (layer,
-    g, the pump's geometry grid, row bin, col bin).  conj(T_g) per unit
-    chi2 is ``coupling_unit`` * a_g."""
+    """a_g = poling times the pump amplitude of direction g at the bin sums
+    index ((K, K) or the lit entries' sums), for layers ls: shape (L, 2,
+    *G, *index.shape) over (layer, g, the pump's geometry grid, entry).
+    conj(T_g) per unit chi2 is ``coupling_unit`` * a_g."""
     amps = pump.amps[ls][..., index]
     poling = np.array([structure.poling(l) for l in ls], dtype=float)
     return poling.reshape((-1,) + (1,) * (amps.ndim - 1)) * amps
@@ -212,18 +218,19 @@ SPLIT_CONVENTIONS = ("local-jump", "per-slot")
 
 
 def class_kernels(material: MaterialModel, length,
-                  basis: SpectralBasis, pump: PumpField, index: np.ndarray,
+                  basis: SpectralBasis, pump: PumpField, lit,
                   convention: str = "local-jump") -> dict:
     """Projected kernels at both edges of every layer of one (material,
-    length) class, per unit pump weight, from ``bin_sum_pump``'s pump and
-    index: {edge: (chi, surface, ik)}.
+    length) class, per unit pump weight, on the lit entries lit = (rows,
+    cols, sums): each entry's row and col bin and the index of its bin sum
+    on the pump's grid (``bin_sums``).  Returns {edge: (chi, surface, ik)}.
 
-    chi, the arriving (electric-row) kernel, has shape (2, 2, *G, K, K)
-    over (pump dir g, col dir, geometry, row bin, col bin), surface
-    (2, *G, K, K) over g, where G is the shape of length (() for a
-    scalar; an array length spans a geometry grid, and may carry unit
-    axes for the grid's other dimensions); ik is i k_a per row bin, k_a
-    the signed wave number of the row direction.  Forward rows sit at the
+    chi, the arriving (electric-row) kernel, has shape (2, 2, *G, E)
+    over (pump dir g, col dir, geometry, lit entry), surface (2, *G, E)
+    over g, where G is the shape of length (() for a scalar; an array
+    length spans a geometry grid, and may carry unit axes for the grid's
+    other dimensions); ik is i k_a of each entry's row bin, k_a the
+    signed wave number of the row direction.  Forward rows sit at the
     right edge, backward rows at the left one.  A layer of the class with
     pump weights a_g (``pump_weights``) has the kernels sum_g a_g chi[g]
     and sum_g a_g surface[g].  surface is the magnetic surface
@@ -249,10 +256,11 @@ def class_kernels(material: MaterialModel, length,
     """
     if convention not in SPLIT_CONVENTIONS:
         raise ConfigError(f"unknown split convention {convention!r}")
+    rows, cols, sums = lit
     widths = basis.widths
     # conj(T_g) per unit chi2 and pump weight, with the bin weights
-    unit = coupling_unit(material, basis) * np.sqrt(widths[:, None]
-                                                    * widths[None, :])
+    unit = (coupling_unit(material, basis)[rows, cols]
+            * np.sqrt(widths[rows] * widths[cols]))
     k_f = wavenumber(material, basis.centers, "F")
     k = np.array([DIR_SIGN[a] * k_f for a in DIRS])  # signed, over dir
     k_p = pump_wavenumbers(material, pump)
@@ -261,25 +269,24 @@ def class_kernels(material: MaterialModel, length,
     # unit phases exp(i k L): per dir and bin, per g and distinct bin sum
     phase = np.exp(1j * k.reshape((2,) + flat + (-1,)) * zeta)
     pump_phase = np.exp(1j * k_p.reshape((2,) + flat + (-1,))
-                        * zeta)[..., index]
-    zeta = zeta[..., None]
-    k_p = k_p[:, index][:, None]
+                        * zeta)[..., sums]
+    k_p = k_p[:, sums][:, None]
     out = {}
     for edge, a, slot in (("right", "F", 1.0), ("left", "B", -1.0)):
         k_a = k[DIRS.index(a)]
-        dk = k_p - k_a[:, None] - k[:, None, :]  # over (g, col dir)
-        dk = dk.reshape((2, 2) + flat + dk.shape[-2:])
+        dk = k_p - k_a[rows] - k[:, cols]  # over (g, col dir)
+        dk = dk.reshape((2, 2) + flat + dk.shape[-1:])
         if edge == "right":  # (e^{i dk L} - 1) e^{i (k_a + k_b) L}
-            edge_phase = phase[0][..., :, None] * phase[:, ..., None, :]
+            edge_phase = phase[0][..., rows] * phase[:, ..., cols]
             numerator = pump_phase[:, None] - edge_phase
             q = unit * pump_phase
         else:  # e^{i dk L} - 1, with e^{-i k_a L} = e^{i k_F L}
             edge_phase = 1.0
-            numerator = (pump_phase[:, None] * phase[0][..., :, None]
-                         * phase[::-1, ..., None, :] - 1.0)
+            numerator = (pump_phase[:, None] * phase[0][..., rows]
+                         * phase[::-1, ..., cols] - 1.0)
             q = np.broadcast_to(unit, pump_phase.shape)
         chi = -1j * unit * _bracket(dk, zeta, numerator, edge_phase)
         # per-slot: [+-1]_a of the arriving direction
         sigma = -1.0 if convention == "local-jump" else slot
-        out[edge] = (chi, -sigma * q, 1j * k_a)
+        out[edge] = (chi, -sigma * q, 1j * k_a[rows])
     return out

@@ -12,8 +12,13 @@ response through the left and right segments
 (``segment_response``), and the stepwise z-march of the oracle
 (``stepwise_pair_amplitude``), one midpoint update per sub-step, and the
 einsum emission assembly (``einsum_emission``): class kernels with one
-complex exponential and series per grid entry and a stored magnetic
-volume row, per-layer kernels, and an einsum class pass.
+complex exponential and series per lit entry and a stored magnetic
+volume row, per-layer kernels, and an einsum class pass.  The K x K
+assembly (``dense_emission``) forms the class kernels, class passes and
+expansion on every entry of the grid, dark bin sums included, by
+broadcasting the per-bin factors, as the package did before it
+assembled the pump's lit entries only; ``assert_bitwise_equal`` holds
+the two to the same bits.
 ``LayerView`` reads one layer's coupling data (conj(T_g), wave numbers,
 kernels) through the pure functions of ``spectral``.  The two-sector
 references (``linear_maps``, ``two_sector_emission``,
@@ -46,6 +51,7 @@ import spdc1d.matrixcore as matrixcore
 from spdc1d.observables import default_time_grid
 from spdc1d.spectral import (
     _BRACKET_SWITCH,
+    _bracket,
     DIR_SIGN,
     DIRS,
     POLS,
@@ -135,6 +141,9 @@ class LayerView:
         self.index = np.searchsorted(pump.omega, total)
         assert np.array_equal(pump.omega[self.index], total)
         self.weights = pump_weights(structure, pump, self.index, [l])
+        # every entry of the grid, flat in C order
+        rows, cols = np.indices(self.index.shape).reshape(2, -1)
+        self.every = (rows, cols, self.index.ravel())
         # conj(T_g) per unit chi2, over g
         self.t_unit = coupling_unit(self.material, basis) * self.weights[0]
 
@@ -159,13 +168,15 @@ class LayerView:
         the same for both row fields, and d of shape (2, 2, 2) over (row
         field, row pol, col pol), d.T for idler rows.  The magnetic volume
         row is i k_a chi - surface."""
-        chi, surface, ik = class_kernels(self.material, self.length,
-                                         self.basis, self.pump, self.index,
-                                         convention)[edge]
+        grid = self.index.shape
+        chi, surface, ik = (np.reshape(a, a.shape[:-1] + grid) for a in
+                            class_kernels(self.material, self.length,
+                                          self.basis, self.pump, self.every,
+                                          convention)[edge])
         a = self.weights[0]
         chi = np.einsum("g...kn,gb...kn->b...kn", a, chi)
         surface = np.einsum("g...kn,g...kn->...kn", a, surface)
-        hv = ik[:, None] * chi - surface
+        hv = ik * chi - surface
         hs = np.broadcast_to(surface, chi.shape)
         return (tuple(np.array([k, k]) for k in (chi, hv, hs)),
                 np.array([self.d, self.d.T]))
@@ -183,23 +194,24 @@ def bracket(delta_k, zeta):
     return np.where(small, series, exact)
 
 
-def einsum_class_kernels(material, length, basis, pump, index,
+def einsum_class_kernels(material, length, basis, pump, lit,
                          convention="local-jump"):
     """{edge: (volume, surface)} of one (material, length) class per unit
-    pump weight: volume of shape (2, 2, 2, *G, K, K) over (g, E/H row,
-    col dir, ...), its magnetic row i k_a chi + sigma Q stored, surface
-    -sigma Q of shape (2, *G, K, K); one complex exponential and series
-    per entry of every bracket."""
+    pump weight on the lit entries lit = (rows, cols, sums): volume of
+    shape (2, 2, 2, *G, E) over (g, E/H row, col dir, ...), its magnetic
+    row i k_a chi + sigma Q stored, surface -sigma Q of shape (2, *G, E);
+    one complex exponential and series per entry of every bracket."""
     if convention not in SPLIT_CONVENTIONS:
         raise ConfigError(f"unknown split convention {convention!r}")
+    rows, cols, sums = lit
     widths = basis.widths
-    weight = np.sqrt(widths[:, None] * widths[None, :])
+    weight = np.sqrt(widths[rows] * widths[cols])
     k_f = wavenumber(material, basis.centers, "F")
     k = {a: DIR_SIGN[a] * k_f for a in DIRS}
-    k_p = pump_wavenumbers(material, pump)[:, index]
-    unit = coupling_unit(material, basis)
+    k_p = pump_wavenumbers(material, pump)[:, sums]
+    unit = coupling_unit(material, basis)[rows, cols]
     if isinstance(length, np.ndarray):
-        length = length[..., None, None]
+        length = length[..., None]
     out = {}
     for edge, a, shift, slot in (("right", "F", length, 1.0),
                                  ("left", "B", 0.0 * length, -1.0)):
@@ -207,18 +219,17 @@ def einsum_class_kernels(material, length, basis, pump, index,
         for kp_g in k_p:
             per_b = []
             for b in DIRS:
-                dk = kp_g - k[a][:, None] - k[b][None, :]
+                dk = kp_g - k[a][rows] - k[b][cols]
                 c = -1j * bracket(dk, length)
                 if edge == "right":
-                    c = c * np.exp(1j * (k[a][:, None] + k[b][None, :])
-                                   * length)
+                    c = c * np.exp(1j * (k[a][rows] + k[b][cols]) * length)
                 per_b.append(c * weight)
             chi.append(per_b)
         chi = unit * np.array(chi)
         q = unit * np.array([np.exp(1j * kp_g * shift) * weight
                              for kp_g in k_p])
         sigma = -1.0 if convention == "local-jump" else slot
-        hv = 1j * k[a][:, None] * chi + sigma * q[:, None]
+        hv = 1j * k[a][rows] * chi + sigma * q[:, None]
         out[edge] = (np.stack((chi, hv), axis=1), -sigma * q)
     return out
 
@@ -226,17 +237,17 @@ def einsum_class_kernels(material, length, basis, pump, index,
 def einsum_weighted_kernels(kernels, weights):
     """Per-layer kernels sum_g a_g kernels[g] of ``einsum_class_kernels``."""
     volume, surface = kernels
-    return (np.einsum("lg...kn,gxb...kn->lxb...kn", weights, volume),
-            np.einsum("lg...kn,g...kn->l...kn", weights, surface))
+    return (np.einsum("lg...e,gxb...e->lxb...e", weights, volume),
+            np.einsum("lg...e,g...e->l...e", weights, surface))
 
 
 def einsum_class_pass(kernels, weights, feed, rows):
     """``matrixcore._class_pass`` on ``einsum_class_kernels`` by einsums
     over the stored electric and magnetic volume rows."""
     j_v, j_s = einsum_weighted_kernels(kernels, weights)
-    k_v = np.einsum("lxb...kn,bcl...n->lxc...kn", j_v, feed)
-    p_v = np.einsum("dxl...k,lxc...kn->dc...kn", rows, k_v)
-    p_s = np.einsum("dl...k,l...kn,cl...n->dc...kn", rows[:, 1], j_s,
+    k_v = np.einsum("lxb...e,bcl...e->lxc...e", j_v, feed)
+    p_v = np.einsum("dxl...e,lxc...e->dc...e", rows, k_v)
+    p_s = np.einsum("dl...e,l...e,cl...e->dc...e", rows[:, 1], j_s,
                     feed.sum(axis=0))
     return np.stack((p_v, p_s))
 
@@ -249,6 +260,148 @@ def einsum_emission(*args, **kwargs):
         return matrixcore.build_emission(*args, **kwargs)
 
 
+def dense_class_kernels(material, length, basis, pump, index,
+                        convention="local-jump"):
+    """``spectral.class_kernels`` on every entry of the K x K grid, from
+    the (K, K) bin-sum index: chi (2, 2, *G, K, K), surface (2, *G, K,
+    K) and ik per row bin, by broadcasting the per-bin factors."""
+    if convention not in SPLIT_CONVENTIONS:
+        raise ConfigError(f"unknown split convention {convention!r}")
+    widths = basis.widths
+    unit = coupling_unit(material, basis) * np.sqrt(widths[:, None]
+                                                    * widths[None, :])
+    k_f = wavenumber(material, basis.centers, "F")
+    k = np.array([DIR_SIGN[a] * k_f for a in DIRS])
+    k_p = pump_wavenumbers(material, pump)
+    flat = (1,) * np.ndim(length)
+    zeta = np.asarray(length)[..., None]
+    phase = np.exp(1j * k.reshape((2,) + flat + (-1,)) * zeta)
+    pump_phase = np.exp(1j * k_p.reshape((2,) + flat + (-1,))
+                        * zeta)[..., index]
+    zeta = zeta[..., None]
+    k_p = k_p[:, index][:, None]
+    out = {}
+    for edge, a, slot in (("right", "F", 1.0), ("left", "B", -1.0)):
+        k_a = k[DIRS.index(a)]
+        dk = k_p - k_a[:, None] - k[:, None, :]
+        dk = dk.reshape((2, 2) + flat + dk.shape[-2:])
+        if edge == "right":
+            edge_phase = phase[0][..., :, None] * phase[:, ..., None, :]
+            numerator = pump_phase[:, None] - edge_phase
+            q = unit * pump_phase
+        else:
+            edge_phase = 1.0
+            numerator = (pump_phase[:, None] * phase[0][..., :, None]
+                         * phase[::-1, ..., None, :] - 1.0)
+            q = np.broadcast_to(unit, pump_phase.shape)
+        chi = -1j * unit * _bracket(dk, zeta, numerator, edge_phase)
+        sigma = -1.0 if convention == "local-jump" else slot
+        out[edge] = (chi, -sigma * q, 1j * k_a)
+    return out
+
+
+def dense_class_pass(kernels, weights, feed, rows):
+    """``matrixcore._class_pass`` on every entry of the K x K grid: feed
+    (col dir, channel, L, *G, col bin) and rows (out dir, E/H, L, *G, row
+    bin) broadcast over the grid."""
+    chi, surface, ik = kernels
+    a = weights[:, :, None]
+    j0 = a[:, 0] * chi[0] + a[:, 1] * chi[1]
+    j_s = weights[:, 0] * surface[0] + weights[:, 1] * surface[1]
+    fed = np.moveaxis(feed, 2, 0)[..., None, :]
+    k0 = j0[:, :1] * fed[:, 0] + j0[:, 1:] * fed[:, 1]
+    r = np.moveaxis(rows, 2, 0)[..., None]
+    r_t = r[:, :, 0] + ik[:, None] * r[:, :, 1]
+    p_total = (r_t[:, :, None] * k0[:, None]).sum(axis=0)
+    p_s = (r[:, :, 1, None]
+           * (j_s[:, None] * (fed[:, 0] + fed[:, 1]))[:, None]).sum(axis=0)
+    return np.stack((p_total - p_s, p_s))
+
+
+def dense_expand(parts, shape):
+    """``matrixcore._expand`` of parts P of shape (2, 2, 2, *G, K, K)."""
+    out = np.zeros((2,) + shape, dtype=complex)
+    for d, p in parts:
+        for alpha, beta in zip(*np.nonzero(d)):
+            out[:, :, alpha, :, beta] += d[alpha, beta] * p
+    return out[0], out[1]
+
+
+def dense_emission(structure, pump_spec, basis, keep_sources=False,
+                   convention="local-jump"):
+    """``build_emission`` on every entry of the K x K grid, dark bin sums
+    included, with the stack solved on the bin centers and the pump on
+    its own grid: the same class grouping, chunks of layers and order of
+    sums, so every lit entry rounds as in the lit-entry assembly and
+    every dark one is an exact zero."""
+    maps = field_maps(structure, basis.centers)
+    pump, index = bin_sum_pump(structure, pump_spec, basis)
+    n_tot = structure.n_layers + 2
+    d_of = structure.per_material(
+        lambda mat: chi2_matrix(mat, pump.polarization))
+    dark = [not np.any(d) for d in d_of]
+    active = [l for l in range(1, n_tot) if not (dark[l - 1] and dark[l])]
+    inverse, _ = matrixcore.inverse_responses(maps, active)
+    fed = {edge: np.conj(maps.fed(edge)) for edge in ("left", "right")}
+    position = {l: i for i, l in enumerate(active)}
+    classes = {}
+    for l in range(1, n_tot - 1):
+        if not dark[l]:
+            length = structure.length(l)
+            key = (id(structure.material(l)),
+                   id(length) if isinstance(length, np.ndarray) else length)
+            classes.setdefault(key, []).append(l)
+    per_chunk = (1 if keep_sources
+                 else max(1, matrixcore._CLASS_CHUNK // basis.bins**2))
+    shape = (2,) * 4 + structure.grid + (basis.bins, basis.bins)
+    totals, kept = {}, {l: [] for l in range(1, n_tot)}
+    for members in classes.values():
+        mat, d = structure.material(members[0]), d_of[members[0]]
+        length = structure.length(members[0])
+        length = np.reshape(length, (1,) * (len(structure.grid)
+                                            - np.ndim(length))
+                            + np.shape(length))
+        pref = maps.interface[members[0], 0, 0].real
+        kernels = dense_class_kernels(mat, length, basis, pump, index,
+                                      convention)
+        for start in range(0, len(members), per_chunk):
+            ls = members[start:start + per_chunk]
+            weights = pump_weights(structure, pump, index, ls)
+            for edge, sign, shift in (("right", 1.0, 1), ("left", -1.0, 0)):
+                rows = inverse[:, :, [position[l + shift] for l in ls]] * pref
+                p = sign * dense_class_pass(kernels[edge], weights,
+                                            fed[edge][:, :, ls], rows)
+                total = totals.setdefault(d.tobytes(), [d, 0.0])
+                total[1] = total[1] + p
+                if keep_sources:
+                    kept[ls[0] + shift].append((d, p))
+    sources = ({l: dense_expand(parts, shape) for l, parts in kept.items()}
+               if keep_sources else {})
+    g_v, g_s = dense_expand(totals.values(), shape)
+    return matrixcore.EmissionOperators(structure, basis, pump, maps.scatter,
+                                        g_v, g_s, sources, [])
+
+
+def emission_arrays(emission):
+    """name -> array: F, G_V, G_S and every kept boundary source."""
+    out = {"F": emission.scatter, "G_V": emission.g_volume,
+           "G_S": emission.g_surface}
+    for l, (s_v, s_s) in emission.boundary_sources.items():
+        out[f"SV:{l}"], out[f"SS:{l}"] = s_v, s_s
+    return out
+
+
+def assert_bitwise_equal(got, want):
+    """F, G_V, G_S and every kept source of two emissions hold the same
+    bits, compared as int64 views so that signed zeros count."""
+    got, want = emission_arrays(got), emission_arrays(want)
+    assert sorted(got) == sorted(want)
+    for name, w in want.items():
+        g = got[name]
+        assert g.shape == w.shape and g.dtype == w.dtype, name
+        assert np.array_equal(g.view(np.int64), w.view(np.int64)), name
+
+
 def linear_maps(structure, basis):
     """{'s': the linear solve on the bin centers, 'i': the maps of its
     conjugated transfers and continuity rows}."""
@@ -256,15 +409,17 @@ def linear_maps(structure, basis):
     return {"s": signal, "i": signal.conj()}
 
 
-def two_sector_expand(parts, shape):
+def two_sector_expand(parts, shape, lit):
     """``matrixcore._expand`` into both row sectors: arrays of shape (2,)
     + shape over (row field, row dir, row pol, col dir, col pol, ...),
-    the idler rows conj(P) with d.T."""
+    the idler rows conj(P) with d.T at the same (row bin, col bin)."""
+    rows, cols, _ = lit
     out = np.zeros((2, 2) + shape, dtype=complex)
     for d, p in parts:
         for f, (d_f, p_f) in enumerate(((d, p), (d.T, np.conj(p)))):
             for alpha, beta in zip(*np.nonzero(d_f)):
-                out[:, f, :, alpha, :, beta] += d_f[alpha, beta] * p_f
+                out[:, f, :, alpha, :, beta][..., rows, cols] += (
+                    d_f[alpha, beta] * p_f)
     return out[0], out[1]
 
 

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import spdc1d.cli as cli_mod
 import spdc1d.linear as linear_mod
 import spdc1d.matrixcore as matrixcore_mod
 import spdc1d.runner as runner_mod
@@ -543,6 +544,26 @@ def test_cli_dump_matrix_bad_name_is_config_error(tmp_path, capsys, name):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch, command):
+    """An exception that is not an SpdcError is a fault of the program:
+    exit 3, not verify's FAIL code 1, with one error line and no
+    traceback."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("planted fault")
+
+    monkeypatch.setattr(cli_mod, command, broken)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    argv = [command, "--config", str(cfg_path)]
+    if command == "simulate":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: internal: RuntimeError: planted fault\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", [["simulate", "--bins", "0"],

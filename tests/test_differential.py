@@ -24,7 +24,7 @@ from spdc1d.oracle import compare_with_emission, reference_pair_amplitude
 from spdc1d.spectral import DIRS, POLS, SPLIT_CONVENTIONS, SpectralBasis
 from spdc1d.structure import StructureSpec
 
-from reference import linear_maps
+from reference import assert_bitwise_equal, dense_emission, linear_maps
 
 OMEGA_P0 = 2 * np.pi * CONSTANTS.c / 400e-9
 PAIRS = (("y", "x", "y"), ("y", "y", "x"), ("y", "x", "x"), ("y", "y", "y"))
@@ -183,3 +183,20 @@ def test_energy_wronskian_and_decomposition_identities(structure, side, bins,
                               for w in "VS")
     n_sv = 2.0 * np.real((f1v + f1s) * (f2v + f2s))
     assert np.max(np.abs(jd.n_total - n_sv)) <= 1e-12 * np.max(np.abs(n_sv))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(structure=st.one_of(stacks(), grid_stacks().map(lambda g: g[0])),
+       side=st.sampled_from("FB"), bins=st.integers(2, 12),
+       convention=st.sampled_from(SPLIT_CONVENTIONS), keep=st.booleans())
+def test_lit_entry_assembly_is_bitwise_the_dense_one(structure, side, bins,
+                                                     convention, keep):
+    """On random stacks, single and over geometry grids, the assembly on
+    the pump's lit entries holds the same bits in F, G_V, G_S and every
+    kept source as the K x K assembly on every entry."""
+    pump, basis = _pump(side), _basis(bins)
+    assert_bitwise_equal(
+        build_emission(structure, pump, basis, keep_sources=keep,
+                       convention=convention),
+        dense_emission(structure, pump, basis, keep_sources=keep,
+                       convention=convention))

@@ -8,7 +8,7 @@ import spdc1d.linear as linear_mod
 import spdc1d.matrixcore as matrixcore_mod
 import spdc1d.runner as runner_mod
 from spdc1d.blockmatrix import ROW_CHANNELS, BlockMatrix, labels
-from spdc1d.config import load_config
+from spdc1d.config import load_config, parse_config
 from spdc1d.constants import CONSTANTS
 from spdc1d.errors import SingularMatrix
 from spdc1d.linear import (
@@ -32,11 +32,14 @@ from spdc1d.spectral import (
     DIRS,
     POLS,
     SpectralBasis,
+    bin_sums,
 )
 from spdc1d.structure import StructureSpec
 
 from reference import (
     LayerView,
+    assert_bitwise_equal,
+    dense_emission,
     einsum_emission,
     full_chi2,
     linear_maps,
@@ -208,8 +211,9 @@ def test_transfer_general_compose_consistency(stack4):
 
 
 def test_one_flux_transfer_march_per_build(stack4, pump400, monkeypatch):
-    """Signal and idler share one basis, so a build solves the stack once
-    on the bin centers; the pump's own solve runs on its grid."""
+    """Signal and idler share one basis, and the pump is solved only on
+    its lit bin sums, so a build solves the stack once, on the bin
+    centers followed by the lit bin sums."""
     calls = []
     orig = linear_mod.field_maps
 
@@ -221,7 +225,7 @@ def test_one_flux_transfer_march_per_build(stack4, pump400, monkeypatch):
     monkeypatch.setattr(linear_mod, "field_maps", counting)
     b = _basis(3)
     em = build_emission(stack4, pump400, b)
-    assert calls == [b.bins, em.pump.omega[em.pump.mask].size]
+    assert calls == [b.bins + em.pump.omega[em.pump.mask].size]
 
 
 def test_idler_maps_are_conjugated_signal_maps(stack4):
@@ -487,6 +491,67 @@ def test_emission_matches_einsum_assembly(gan, aln, air, stack4, pump400,
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
         assert np.max(np.abs(want.g_volume)) > 0.0
         assert np.max(np.abs(want.g_surface)) > 0.0
+
+
+def _bitwise_cases(gan, aln, air):
+    """name -> (structure, pump, basis, keep_sources): the stacks, pumps
+    and windows on which the lit-entry assembly is pinned bit for bit to
+    the K x K one."""
+    cfg = load_config(EXAMPLE)
+    st, pump = cfg.structure, cfg.pump
+    wide = parse_config({**cfg.raw, "pump": {**cfg.raw["pump"],
+                                             "fwhm_nm": 20.0}}).pump
+    l1 = np.linspace(50.0, 70.0, 7)[:, None] * 1e-9
+    l2 = np.linspace(10.0, 16.0, 5)[None, :] * 1e-9
+    scan_grid = runner_mod._pair_stack(cfg, l1, l2)
+    cases = {f"shipped-k{k}-{keep}": (st, pump, cfg.basis(bins=k), keep)
+             for k in (2, 3, 5, 12, 36, 64, 128) for keep in (True, False)
+             if not (keep and k == 128)}
+    cases.update({
+        "scan-grid-7x5": (scan_grid, pump, cfg.basis(bins=12), False),
+        "scan-grid-7x5-kept": (scan_grid, pump, cfg.basis(bins=6), True),
+        "split-stack": (st.split_layer(1, 0.5), pump, cfg.basis(bins=12),
+                        True),
+        "dark-window": (st, pump, cfg.basis(bins=16, window=(0.05, 0.3)),
+                        True),
+        "fwhm-20nm": (st, wide, cfg.basis(bins=24), True),
+        "cutoff-6-sigma": (st, replace(pump, cutoff_nsigma=6.0),
+                           cfg.basis(bins=24), True),
+        "two-class-mixed-poling": (_two_class_mixed_poling(gan, aln, air),
+                                   pump, _basis(7), True),
+    })
+    return cases
+
+
+@pytest.mark.parametrize("convention", ["local-jump", "per-slot"])
+@pytest.mark.parametrize("case", ["shipped-k2-True", "shipped-k2-False",
+                                  "shipped-k3-True", "shipped-k3-False",
+                                  "shipped-k5-True", "shipped-k5-False",
+                                  "shipped-k12-True", "shipped-k12-False",
+                                  "shipped-k36-True", "shipped-k36-False",
+                                  "shipped-k64-True", "shipped-k64-False",
+                                  "shipped-k128-False", "scan-grid-7x5",
+                                  "scan-grid-7x5-kept", "split-stack",
+                                  "dark-window", "fwhm-20nm",
+                                  "cutoff-6-sigma", "two-class-mixed-poling"])
+def test_lit_entry_assembly_is_bitwise_the_dense_one(gan, aln, air, case,
+                                                     convention):
+    """F, G_V, G_S and every kept source of the assembly on the pump's lit
+    entries hold the same bits as the K x K assembly on every entry
+    (``dense_emission``), signed zeros included: the lit entries round
+    alike and every dark entry is +0.  The dark window lights no bin sum
+    (E = 0); the 20 nm and 6-sigma pumps move the band's edge."""
+    structure, pump, b, keep = _bitwise_cases(gan, aln, air)[case]
+    got = build_emission(structure, pump, b, keep_sources=keep,
+                         convention=convention)
+    want = dense_emission(structure, pump, b, keep_sources=keep,
+                          convention=convention)
+    assert_bitwise_equal(got, want)
+    lit = np.count_nonzero(got.pump.mask[bin_sums(b)[1]])
+    if case == "dark-window":
+        assert lit == 0 and not np.any(got.g_volume)
+    else:
+        assert 0 < lit and np.any(got.g_volume)
 
 
 @pytest.mark.parametrize("bins", [12, 64])

@@ -274,10 +274,10 @@ def test_project_single_bin_identity():
                                   "slab-n2.4"])
 def test_class_kernels_match_einsum_kernels(gan, air, pump400, case,
                                             convention):
-    """chi and the surface kernel from separable phases, and the magnetic
-    volume row i k_a chi - surface that is no longer stored, against the
-    kernels with one exponential per entry, within 1e-13 of each array's
-    peak.  The n = 2.4 slab is phase matched in the forward rows (dk
+    """chi and the surface kernel from separable phases on the pump's lit
+    entries, and the magnetic volume row i k_a chi - surface that is no
+    longer stored, against the kernels with one exponential per entry,
+    within 1e-13 of each array's peak.  The n = 2.4 slab is phase matched in the forward rows (dk
     rounds to zero), so its series branch runs."""
     bins = {"gan-k12": 12, "gan-k64": 64}.get(case, 8)
     length = {"gan-grid": np.array([[10.0, 25.0], [40.0, 55.0],
@@ -289,11 +289,14 @@ def test_class_kernels_match_einsum_kernels(gan, air, pump400, case,
     st = StructureSpec(((mat, length, 1),), air, air)
     basis = SpectralBasis(0.05 * pump400.omega0, 0.95 * pump400.omega0, bins)
     pump, index = bin_sum_pump(st, pump400, basis)
-    got = class_kernels(mat, length, basis, pump, index, convention)
-    want = einsum_class_kernels(mat, length, basis, pump, index, convention)
+    rows, cols = np.nonzero(pump.mask[index])
+    lit = (rows, cols, index[rows, cols])
+    assert 0 < rows.size < bins**2
+    got = class_kernels(mat, length, basis, pump, lit, convention)
+    want = einsum_class_kernels(mat, length, basis, pump, lit, convention)
     for edge, (chi, surface, ik) in got.items():
         volume, surface_want = want[edge]
-        hv = ik[:, None] * chi - surface[:, None]
+        hv = ik * chi - surface[:, None]
         for g, w in ((chi, volume[:, 0]), (hv, volume[:, 1]),
                      (surface, surface_want)):
             assert g.shape == w.shape
