@@ -201,39 +201,66 @@ def _density(half, kernel_t, norm):
     return np.abs(half @ kernel_t) ** 2 / norm
 
 
+SLICE = 1 << 14  # entries of one peak block slice
+
+
+def _slices(size: int, step: int):
+    """Slices of range(size), step long; a trailing single row joins the
+    one before, as a one-row product takes BLAS's matrix-vector path and
+    rounds differently from the rows of a larger product."""
+    bounds = list(range(0, max(size - 1, 1), step)) + [size]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _halves(kernel, spectrum):
+    """(rows, kernel[rows] @ spectrum) over chunks of 256 time rows."""
+    for rows in _slices(kernel.shape[0], 256):
+        yield rows, kernel[rows] @ spectrum
+
+
 @dataclass(frozen=True)
 class TemporalProfile:
-    """Joint detection-time density on the alias-exact grid, held as its
-    half transform.
+    """Joint detection-time density on the alias-exact grid.
 
-    ``half`` = kernel @ spectrum is the amplitude transformed over w_s
-    only: (t_s, idler bin), with ``kernel`` (t, bin) = exp(-i w t) dw and
-    ``spectrum`` the continuous K x K amplitude.  The joint amplitude is
-    half @ kernel.T, and its density |.|^2 / norm integrates to one over
-    the grid; only ``rows``, the one column of ``conditional_cut`` and
-    the candidate block of ``peak`` form its values.  norm and the t_s
-    marginal p_signal come from discrete Parseval over t_i (see
-    temporal_profiles), so no n x n array is needed for them, for the
-    conditional cut or for the peak.
+    The amplitude is half @ kernel.T, with ``kernel`` (t, bin) =
+    exp(-i w t) dw, ``spectrum`` the continuous K x K amplitude and half
+    = kernel @ spectrum the amplitude transformed over w_s only.  Its
+    density |.|^2 / norm integrates to one over the grid.  The kernel is
+    the only (n, K) array held: half is streamed in row chunks, and only
+    ``rows``, the one column of ``conditional_cut`` and the candidate
+    block of ``peak`` form density values.  norm, p_signal and the row
+    sums sum_m |half[t, m]| dw_m that bound ``peak`` come from discrete
+    Parseval over t_i (see temporal_profiles), with no n x n array.
     """
 
     t: np.ndarray
     kernel: np.ndarray
     spectrum: np.ndarray
-    half: np.ndarray
     widths: np.ndarray
     norm: float
     p_signal: np.ndarray
+    row_sums: np.ndarray
     dt: float
     parseval_ratio: float
+    cut: tuple = (None, None)  # (t_i index, density column) of the pass
+
+    def _half(self, idx):
+        """half[idx] by one product of two or more rows (see _slices)."""
+        pad = np.repeat(idx, 2) if idx.size == 1 else idx
+        return (self.kernel[pad] @ self.spectrum)[:idx.size]
 
     def rows(self, idx) -> np.ndarray:
         """Joint density p[t_s, t_i] on the rows idx, over all t_i."""
-        return _density(self.half[idx], self.kernel.T, self.norm)
+        half = self._half(np.ravel(idx)).reshape(np.shape(idx) + (-1,))
+        return _density(half, self.kernel.T, self.norm)
 
     def conditional_cut(self, t_idler: float):
         idx = int(np.argmin(np.abs(self.t - t_idler)))
-        cut = _density(self.half, self.kernel[idx], self.norm)
+        at, cut = self.cut
+        if at != idx:
+            cut = np.empty(self.t.size)
+            for rows, half in _halves(self.kernel, self.spectrum):
+                cut[rows] = _density(half, self.kernel[idx], self.norm)
         norm = cut.sum() * self.dt
         return self.t, cut / norm if norm > 0 else cut
 
@@ -261,34 +288,38 @@ class TemporalProfile:
         the slack.  Only entries whose row and column bounds both reach
         it can hold the maximum or a tie, and the block of those rows x
         columns holds the first maximum's own entry, so evaluating just
-        that block, in row slices no larger than ``kernel`` and ``half``
-        together, is exact.  np.argmax of each slice in C order, over
-        ascending rows and columns, with a later slice kept only when
-        strictly larger, gives ties to the lowest (row, col), as
-        np.argmax of the full grid.
+        that block is exact.  Its half rows come from one product and
+        it is evaluated in row slices of 2 n K / cols rows, or of SLICE
+        entries (never one row) where n K exceeds 2 SLICE.
+        np.argmax of each slice in C order, over ascending rows and
+        columns, with a later slice kept only when strictly larger, gives
+        ties to the lowest (row, col), as np.argmax of the full grid.
         """
-        k = self.half.shape[1]
+        k = self.kernel.shape[1]
         eps = np.finfo(float).eps
         grow = 1.0 + 8.0 * (k + 4) * eps
         slack = grow / self.norm
         allowance = 4.0 * (k + 4) * eps * (
             self.widths @ np.abs(self.spectrum) @ self.widths)
-        row_bound = (np.abs(self.half) @ self.widths) ** 2 * slack
-        g = self.kernel @ self.spectrum.T
-        col_bound = (np.abs(g) @ self.widths + allowance) ** 2 * slack
+        row_bound = self.row_sums ** 2 * slack
+        col_sums = np.empty(self.t.size)
+        for rows, g in _halves(self.kernel, self.spectrum.T):
+            col_sums[rows] = np.abs(g) @ self.widths
+        col_bound = (col_sums + allowance) ** 2 * slack
         first = np.sqrt(self.rows(int(np.argmax(row_bound))).max() * self.norm)
         threshold = max(first - allowance, 0.0) ** 2 / (grow * self.norm)
         rows = np.flatnonzero(row_bound >= threshold)
         cols = np.flatnonzero(col_bound >= threshold)
+        half = self._half(rows)
         kernel_t = self.kernel[cols].T
-        step = max(1, 2 * self.half.size // cols.size)
+        step = (max(2, SLICE // cols.size) if self.kernel.size > 2 * SLICE
+                else 2 * self.kernel.size // cols.size)
         top, at = -np.inf, 0
-        for start in range(0, rows.size, step):
-            block = _density(self.half[rows[start:start + step]], kernel_t,
-                             self.norm)
+        for part in _slices(rows.size, step):
+            block = _density(half[part], kernel_t, self.norm)
             flat = int(np.argmax(block))
             if block.flat[flat] > top:
-                top, at = block.flat[flat], start * cols.size + flat
+                top, at = block.flat[flat], part.start * cols.size + flat
         i, j = divmod(at, cols.size)
         return int(rows[i]), int(cols[j])
 
@@ -309,16 +340,17 @@ def default_time_grid(widths, n_time: int = 2048):
 
 
 def temporal_profiles(jsa: JointSpectralAmplitude, n_time: int = 2048,
-                      kernel=None) -> TemporalProfile:
+                      kernel=None, t_idler=None) -> TemporalProfile:
     """Fourier-transform a two-photon amplitude to detection times.
 
     Uses the explicit kernel exp(-i w t) dw from the bin centers on the
     n_time-point alias-exact grid (see default_time_grid); raises
-    GridTooCoarse when its dt exceeds pi / max(w).  Only the half
-    transform over w_s, half = kernel @ spectrum, is formed; the profile
-    keeps the continuous K x K spectrum for ``peak``.  ``kernel`` may
-    pass the ``kernel`` of an earlier profile on the same bins and
-    n_time, so that amplitudes of one emission share one kernel.
+    GridTooCoarse when its dt exceeds pi / max(w).  The half transform
+    over w_s, half = kernel @ spectrum, is streamed in row chunks and
+    never held whole.  ``kernel`` may pass the ``kernel`` of an earlier
+    profile on the same bins and n_time, so that amplitudes of one
+    emission share one kernel; with ``t_idler`` the same pass forms the
+    conditional cut there.
 
     The sum over t_i needs no second transform: on this grid (uniform
     bins, n dt dw = 2 pi) discrete Parseval gives
@@ -338,13 +370,20 @@ def temporal_profiles(jsa: JointSpectralAmplitude, n_time: int = 2048,
             f"dt = {dt:.3e} s exceeds Nyquist limit {np.pi / w_max:.3e} s"
         )
     if kernel is None:
-        kernel = np.exp(-1j * np.outer(t, jsa.omega)) * jsa.widths[None, :]
+        kernel = np.multiply.outer(t, -1j * jsa.omega)
+        np.exp(kernel, out=kernel)
+        kernel *= jsa.widths
     elif kernel.shape != (t.size, jsa.omega.size):
         raise ValueError(f"time kernel of shape {kernel.shape}, expected "
                          f"{(t.size, jsa.omega.size)}")
     spectrum = jsa.continuous
-    half = kernel @ spectrum
-    row_power = t.size * (np.abs(half * jsa.widths) ** 2).sum(axis=1)
+    col = None if t_idler is None else int(np.argmin(np.abs(t - t_idler)))
+    row_power, row_sums, cut = np.zeros((3, t.size))
+    for rows, half in _halves(kernel, spectrum):
+        row_power[rows] = t.size * (np.abs(half * jsa.widths) ** 2).sum(axis=1)
+        row_sums[rows] = np.abs(half) @ jsa.widths
+        if col is not None:
+            cut[rows] = np.abs(half @ kernel[col]) ** 2
     norm = float(row_power.sum() * dt * dt)
     if not 0.0 < norm < np.inf:  # a nan or inf amplitude: nan or inf norm
         raise NoPeak("two-photon amplitude is " + (
@@ -356,9 +395,9 @@ def temporal_profiles(jsa: JointSpectralAmplitude, n_time: int = 2048,
         else float("nan")
     )
     return TemporalProfile(
-        t=t, kernel=kernel, spectrum=spectrum, half=half, widths=jsa.widths,
-        norm=norm, p_signal=row_power * dt / norm, dt=dt,
-        parseval_ratio=parseval,
+        t=t, kernel=kernel, spectrum=spectrum, widths=jsa.widths,
+        norm=norm, p_signal=row_power * dt / norm, row_sums=row_sums, dt=dt,
+        parseval_ratio=parseval, cut=(col, cut / norm),
     )
 
 

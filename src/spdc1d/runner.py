@@ -123,7 +123,7 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
         if np.max(np.abs(amps[w].matrix)) == 0.0:
             continue
         prof = temporal_profiles(amps[w], n_time=cfg.time_points,
-                                 kernel=kernel)
+                                 kernel=kernel, t_idler=t_cond)
         kernel = prof.kernel
         t = prof.t
         peak = prof.peak()
@@ -138,6 +138,7 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
             "parseval_ratio": prof.parseval_ratio,
         }
         cond_widths[w] = _fwhm_fs(t, cut)
+        del prof  # before the next profile's arrays are allocated
     shown = [w for w in ("V", "S", "SV") if w in curves]
     if shown:
         write_csv(os.path.join(out_dir, "temporal_flux.csv"),

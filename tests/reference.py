@@ -25,8 +25,10 @@ references (``linear_maps``, ``two_sector_emission``,
 ``two_sector_block``) store the idler sector as well, with its rows
 assembled from conj(P) and d.T, the layout that the package stores only
 the signal half of.  ``full_chi2`` gives a stack whose every (signal, idler) polarization pair emits,
-``explicit_time_grid`` the full n x n detection-time density, and
-``rowwise_write_csv`` the CSV writer that formats every cell row by row.
+``explicit_time_grid`` the full n x n detection-time density,
+``resident_temporal_stage`` the temporal stage with its half transform
+held whole, and ``rowwise_write_csv`` the CSV writer that formats every
+cell row by row.
 """
 
 import itertools
@@ -746,3 +748,64 @@ def stepwise_pair_amplitude(structure, pump_spec, basis, step,
     weight = np.sqrt(widths[:, None] * widths[None, :])
     return {"s": {k: v * weight for k, v in res["s"].items()},
             "i": {k: np.conj(v) * weight for k, v in res["i"].items()}}
+
+
+def resident_temporal_stage(jsa, n_time: int, t_idler=None):
+    """The temporal stage with the half transform held whole.
+
+    kernel @ spectrum is formed at once, the row and column bounds of the
+    joint peak in one shot each, and the peak block in row slices of
+    2 n K / cols rows, as the package did before it streamed the
+    transform.  Returns p_signal, norm, parseval_ratio, the peak's
+    (t_s, t_i) indices and the conditional cut at t_idler (default: the
+    peak's t_i).
+    """
+    t = default_time_grid(jsa.widths, n_time)
+    dt = float(t[1] - t[0])
+    widths = jsa.widths
+    kernel = np.exp(-1j * np.outer(t, jsa.omega)) * widths[None, :]
+    spectrum = jsa.continuous
+    half = kernel @ spectrum
+    row_power = t.size * (np.abs(half * widths) ** 2).sum(axis=1)
+    norm = float(row_power.sum() * dt * dt)
+    spectral_power = float(np.sum(np.abs(jsa.matrix) ** 2))
+    parseval = (norm / (2.0 * np.pi) ** 2 / spectral_power
+                if spectral_power > 0 else float("nan"))
+
+    def density(rows, kernel_t):
+        return np.abs(rows @ kernel_t) ** 2 / norm
+
+    k = half.shape[1]
+    eps = np.finfo(float).eps
+    grow = 1.0 + 8.0 * (k + 4) * eps
+    slack = grow / norm
+    allowance = 4.0 * (k + 4) * eps * (widths @ np.abs(spectrum) @ widths)
+    row_bound = (np.abs(half) @ widths) ** 2 * slack
+    g = kernel @ spectrum.T
+    col_bound = (np.abs(g) @ widths + allowance) ** 2 * slack
+    first = np.sqrt(
+        density(half[int(np.argmax(row_bound))], kernel.T).max() * norm)
+    threshold = max(first - allowance, 0.0) ** 2 / (grow * norm)
+    rows = np.flatnonzero(row_bound >= threshold)
+    cols = np.flatnonzero(col_bound >= threshold)
+    kernel_t = kernel[cols].T
+    step = max(1, 2 * half.size // cols.size)
+    top, at = -np.inf, 0
+    for start in range(0, rows.size, step):
+        block = density(half[rows[start:start + step]], kernel_t)
+        flat = int(np.argmax(block))
+        if block.flat[flat] > top:
+            top, at = block.flat[flat], start * cols.size + flat
+    i, j = divmod(at, cols.size)
+    peak = (int(rows[i]), int(cols[j]))
+
+    col = peak[1] if t_idler is None else int(np.argmin(np.abs(t - t_idler)))
+    cut = density(half, kernel[col])
+    cut_norm = cut.sum() * dt
+    return {
+        "p_signal": row_power * dt / norm,
+        "norm": norm,
+        "parseval_ratio": parseval,
+        "peak": peak,
+        "cut": cut / cut_norm if cut_norm > 0 else cut,
+    }

@@ -33,6 +33,7 @@ from reference import (
     dense_branch_amplitudes,
     explicit_time_grid,
     full_chi2,
+    resident_temporal_stage,
     two_sector_emission,
 )
 
@@ -482,18 +483,112 @@ def test_peak_tie_goes_to_lowest_row(monkeypatch):
     assert sum(np.count_nonzero(b == p[i, j]) for b in searched) == 2
 
 
-def test_simulate_profile_forms_no_time_grid(shipped_amplitudes):
-    """Transform, peak and conditional cut at n = 2048 allocate less than
-    half of one real n x n array (32 MiB); they hold (n, K) arrays."""
+def test_simulate_profile_forms_no_time_grid():
+    """Transform, peak and conditional cut at n = 2048 allocate at most
+    twice the (n, K) complex kernel: the half transform kernel @ spectrum
+    is streamed in row chunks, not held beside it, and no n x n array is
+    formed."""
+    cfg = load_config(SHIPPED)
+    n_time = cfg.time_points
+    for bins in (64, 256):
+        em = build_emission(cfg.structure, cfg.pump, cfg.basis(bins, None),
+                            convention=cfg.attribution)
+        jsa = two_photon_amplitude(em, cfg.channel)["SV"]
+        tracemalloc.start()
+        try:
+            prof = temporal_profiles(jsa, n_time=n_time)
+            prof.conditional_cut(prof.t[prof.peak()[1]])
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak_bytes <= 2 * n_time * bins * 16, bins
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _assert_stage_is_resident(amps, n_time, ws):
+    """Every output of the streamed stage, taken as ``simulate`` takes it
+    (cut at the first amplitude's peak column; the later ones form it in
+    their construction pass), equals the resident stage bit for bit."""
+    t_cond, kernel = None, None
+    for w in ws:
+        prof = temporal_profiles(amps[w], n_time=n_time, kernel=kernel,
+                                 t_idler=t_cond)
+        kernel = prof.kernel
+        peak = prof.peak()
+        if t_cond is None:
+            t_cond = prof.t[peak[1]]
+        ref = resident_temporal_stage(amps[w], n_time, t_cond)
+        assert peak == ref["peak"]
+        for key in ("p_signal", "norm", "parseval_ratio"):
+            assert np.array_equal(_bits(getattr(prof, key)), _bits(ref[key]))
+        assert np.array_equal(_bits(prof.conditional_cut(t_cond)[1]),
+                              _bits(ref["cut"]))
+    streamed = temporal_profiles(amps[ws[-1]], n_time=n_time)
+    assert np.array_equal(_bits(streamed.conditional_cut(t_cond)[1]),
+                          _bits(ref["cut"]))
+
+
+@pytest.mark.parametrize("attribution", ["per-slot", "local-jump"])
+@pytest.mark.parametrize("bins", [2, 3, 4, 5, 8, 12, 16, 32, 64, 128])
+def test_streamed_stage_is_bitwise_the_resident_one(attribution, bins):
+    cfg = load_config(SHIPPED)
+    em = build_emission(cfg.structure, cfg.pump, cfg.basis(bins, None),
+                        convention=attribution)
+    amps = two_photon_amplitude(em, cfg.channel)
+    ws = [w for w in ("SV", "V", "S") if np.max(np.abs(amps[w].matrix))]
+    _assert_stage_is_resident(amps, cfg.time_points, ws)
+
+
+@pytest.mark.parametrize("n_time", [128, 512])
+@pytest.mark.parametrize("bins", [3, 8, 17, 28])
+def test_streamed_stage_is_bitwise_the_resident_one_on_random_spectra(
+        n_time, bins):
+    amps = {seed: _random_jsa(seed, bins) for seed in (1, 2, 3)}
+    _assert_stage_is_resident(amps, n_time, list(amps))
+
+
+def test_slices_never_end_in_one_row():
+    def spans(size, step):
+        return [(s.start, s.stop) for s in observables._slices(size, step)]
+
+    assert spans(1, 4) == [(0, 1)]
+    assert spans(6, 3) == [(0, 3), (3, 6)]
+    assert spans(7, 3) == [(0, 3), (3, 7)]
+    assert spans(8, 3) == [(0, 3), (3, 6), (6, 8)]
+
+
+def test_peak_block_slices_are_never_one_row(shipped_amplitudes,
+                                             monkeypatch):
+    """A slice budget that leaves rows.size % step == 1 merges the last
+    row into the slice before it (a one-row product rounds differently)
+    and gives the one-slice answer bit for bit."""
     n_time, amps = shipped_amplitudes
-    tracemalloc.start()
-    try:
-        prof = temporal_profiles(amps["SV"], n_time=n_time)
-        prof.conditional_cut(prof.t[prof.peak()[1]])
-        peak_bytes = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak_bytes < n_time * n_time * 8 / 2
+    prof = temporal_profiles(amps["SV"], n_time=n_time)
+    blocks = []
+    density = observables._density
+
+    def recording_density(half, kernel_t, norm):
+        out = density(half, kernel_t, norm)
+        if half.ndim == 2:
+            blocks.append(out)
+        return out
+
+    monkeypatch.setattr(observables, "_density", recording_density)
+    monkeypatch.setattr(observables, "SLICE", 1 << 40)
+    whole = prof.peak()
+    (block,) = blocks
+    rows, cols = block.shape
+    step = min(d for d in range(3, rows - 1) if (rows - 1) % d == 0)
+    assert prof.kernel.size > 2 * step * cols
+    blocks.clear()
+    monkeypatch.setattr(observables, "SLICE", step * cols)
+    assert prof.peak() == whole
+    assert [b.shape[0] for b in blocks] == [step] * (len(blocks) - 1) + [
+        step + 1]
+    assert np.array_equal(np.vstack(blocks), block)
 
 
 def test_width_fwhm_triangle_and_gaussian():
