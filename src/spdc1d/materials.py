@@ -89,8 +89,9 @@ class MaterialModel:
         if np.any(omega < lo) or np.any(omega > hi):
             bad = omega[(omega < lo) | (omega > hi)]
             raise OutOfWindow(
-                f"{self.name}: frequency {bad.flat[0]:.4e} rad/s outside "
-                f"validity window [{lo:.4e}, {hi:.4e}]"
+                f"materials.{self.name}.dispersion.window_um: frequency "
+                f"{bad.flat[0]:.4e} rad/s outside validity window "
+                f"[{lo:.4e}, {hi:.4e}]"
             )
 
     def is_linear(self) -> bool:

@@ -168,6 +168,10 @@ def marginals_and_counts(jd: JointDensity):
     eta_s with its validity mask, and R = N_S / N_V.  Over a geometry
     grid G the marginals, eta_s and its mask have shape (*G, K) and the
     counts and R shape G; with G = () counts and R are plain floats.
+    Each geometry's count is its own dot of its marginal with the bin
+    widths, so it is bitwise that of a build of that geometry alone,
+    whatever grid it sits in (one product over the (*G, K) stack
+    rounds by a row's position in it).
     """
     marginals = {}
     counts = {}
@@ -175,7 +179,8 @@ def marginals_and_counts(jd: JointDensity):
         cont = jd.continuous(which)
         marg = cont @ jd.widths
         marginals[which] = marg
-        counts[which] = _plain(marg @ jd.widths)
+        dots = [m @ jd.widths for m in marg.reshape(-1, marg.shape[-1])]
+        counts[which] = _plain(np.reshape(dots, marg.shape[:-1]))
     peak = np.abs(marginals["V"]).max(axis=-1, keepdims=True)
     valid = np.abs(marginals["V"]) > ETA_FLOOR * np.maximum(peak, 1e-300)
     eta = np.zeros_like(marginals["V"])

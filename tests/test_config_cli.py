@@ -891,6 +891,25 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, path, value, named):
     assert named in err and "Traceback" not in err
 
 
+def test_cli_pump_past_material_window_names_the_key(tmp_path, capsys):
+    """A 28 nm FWHM pump on the shipped config: its 8 sigma cutoff reaches
+    299.3 nm, past the 0.3 um end of GaN's window_um, and at 35 bins a lit
+    bin sum lies there.  One error line names that key; exit 2."""
+    with open(EXAMPLE) as fh:
+        raw = json.load(fh)
+    raw["pump"]["fwhm_nm"] = 28.0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    rc = main(["simulate", "--config", str(cfg_path), "--bins", "35",
+               "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert err.startswith("error: materials.GaN.dispersion.window_um: "
+                          "frequency ")
+    assert "outside validity window" in err
+
+
 def test_simulate_nan_amplitude_raises_no_peak(tmp_path, monkeypatch):
     """A nan two-photon amplitude is not skipped as dark: it stops the
     run with NoPeak."""

@@ -3,12 +3,14 @@
 A stack whose layer lengths are arrays over C cells is built once; every
 array then carries the cell axis before its bin axes.  Cell by cell it
 must equal the build of the stack with that cell's scalar lengths, and
-``runner.scan`` must give the same yields when it splits its ridge cells
-into chunks, the last one partial.
+``runner.scan`` must give bitwise the same yields however it splits its
+ridge cells into chunks, the last one partial.
 """
 
 import csv
+import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,26 +146,36 @@ def _small_scan_config():
     })
 
 
-def test_scan_chunks_with_partial_last_chunk(tmp_path, monkeypatch):
-    """scan makes one build per chunk of ridge cells; with a chunk size
-    that does not divide the cell count its yields still equal one build
-    per structure, row by row."""
-    cfg = _small_scan_config()
-    per_cell = 2 * cfg.scan.pairs * cfg.scan.bins**2  # layers x K^2
+def _scan(cfg, out_dir, monkeypatch, cells_per_build=None):
+    """``ridge_scan.csv``'s bytes and the build grids of a scan with
+    ``_SCAN_CHUNK`` set to give cells_per_build cells per build (None:
+    the shipped budget)."""
     builds = []
 
     def counted(*args, **kwargs):
         builds.append(args[0].grid)
         return build_emission(*args, **kwargs)
 
-    monkeypatch.setattr(runner_mod, "build_emission", counted)
-    monkeypatch.setattr(runner_mod, "_SCAN_CHUNK", 4 * per_cell)
-    _, _, summary = runner_mod.scan(cfg, tmp_path / "scan", workers=1)
-    cells = summary["cells"]
+    with monkeypatch.context() as mp:
+        mp.setattr(runner_mod, "build_emission", counted)
+        if cells_per_build is not None:
+            per_cell = 2 * cfg.scan.pairs * cfg.scan.bins**2  # layers x K^2
+            mp.setattr(runner_mod, "_SCAN_CHUNK", cells_per_build * per_cell)
+        runner_mod.scan(cfg, out_dir, workers=1)
+    with open(os.path.join(out_dir, "ridge_scan.csv"), "rb") as fh:
+        return fh.read(), builds
+
+
+def test_scan_chunks_with_partial_last_chunk(tmp_path, monkeypatch):
+    """scan makes one build per chunk of ridge cells; with a chunk size
+    that does not divide the cell count its yields still equal one build
+    per structure, row by row and bit for bit."""
+    cfg = _small_scan_config()
+    text, builds = _scan(cfg, tmp_path / "scan", monkeypatch, 4)
+    cells = sum(g[0] for g in builds)
     assert cells % 4 != 0 and cells > 4  # the last chunk is partial
     assert builds == [(4,)] * (cells // 4) + [(cells % 4,)]
-    with open(tmp_path / "scan" / "ridge_scan.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = list(csv.DictReader(io.StringIO(text.decode())))
     assert len(rows) == cells
     basis = cfg.basis(bins=cfg.scan.bins)
     keys = ("N_V_per_mm2", "N_S_per_mm2", "N_SV_per_mm2", "R")
@@ -180,5 +192,46 @@ def test_scan_chunks_with_partial_last_chunk(tmp_path, monkeypatch):
                      counts["SV"] * 1e-6, stats["ratio_surface_volume"]])
     want = np.array(want)
     assert np.all(np.isfinite(want))
-    peak = np.max(np.abs(want), axis=0)
-    assert np.all(np.abs(got - want) <= TOL * peak)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("which", ["small", "shipped"])
+def test_scan_yields_do_not_depend_on_the_chunk_size(example, tmp_path,
+                                                     monkeypatch, which):
+    """A cell's yields are bitwise the same whatever chunk it lands in:
+    ``ridge_scan.csv`` is byte-identical at 1, 4 and all cells per
+    build and at the shipped budget."""
+    cfg = _small_scan_config() if which == "small" else example
+    want, builds = _scan(cfg, tmp_path / "default", monkeypatch)
+    cells = sum(g[0] for g in builds)
+    for per_build in (1, 4, cells):
+        got, builds = _scan(cfg, tmp_path / str(per_build), monkeypatch,
+                            per_build)
+        assert len(builds) == -(-cells // per_build)
+        assert got == want, per_build
+
+
+def test_shipped_scan_makes_six_builds(example, tmp_path, monkeypatch):
+    """The shipped scan's 129 ridge cells go in 6 builds of at most 22
+    cells, the last one partial."""
+    _, builds = _scan(example, tmp_path, monkeypatch)
+    assert builds == [(22,)] * 5 + [(19,)]
+
+
+def test_shipped_scan_chunk_build_memory(example, tmp_path):
+    """One full chunk build of the shipped scan (``ridge_yields`` on its
+    first 22 ridge cells) peaks at no more than 6.5 MiB of tracemalloc,
+    below the benchmark warm-up's ``verify --bins 4`` (about 6.35 MiB):
+    a later growth per cell would lift the scan's peak above it."""
+    runner_mod.scan(example, tmp_path, workers=1)
+    with open(tmp_path / "ridge_scan.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))[:22]
+    l1 = np.array([float(r["l1_nm"]) for r in rows])
+    l2 = np.array([float(r["l2_nm"]) for r in rows])
+    tracemalloc.start()
+    try:
+        runner_mod.ridge_yields(example, l1, l2)
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak_bytes <= 6.5 * 2**20
