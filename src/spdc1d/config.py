@@ -209,6 +209,21 @@ def parse_material(name: str, walked: dict) -> MaterialModel:
         raise ConfigError(f"materials.{name}.dispersion: {exc}") from exc
 
 
+def _check_pump_band(pump: PumpSpec, used) -> None:
+    """Each material of used that has a window_um holds the pump's band
+    omega0 +- cutoff_nsigma sigma, every frequency at which a run may
+    evaluate it for the pump, whatever bin sums the run's grid lights."""
+    reach = pump.cutoff_nsigma * pump.sigma
+    lo, hi = pump.omega0 - reach, pump.omega0 + reach
+    for mat in used:
+        w_lo, w_hi = mat.window
+        if (w_lo, w_hi) != (0.0, math.inf) and not w_lo <= lo <= hi <= w_hi:
+            raise ConfigError(
+                f"materials.{mat.name}.dispersion.window_um: pump band "
+                f"[{lo:.4e}, {hi:.4e}] rad/s outside validity window "
+                f"[{w_lo:.4e}, {w_hi:.4e}]")
+
+
 def _expand_layers(items, materials, where="structure.layers"):
     """(material, length in m, poling) per layer of walked layer items,
     repeat blocks expanded inline."""
@@ -279,10 +294,12 @@ def parse_config(raw: dict) -> RunConfig:
         p["wavelength_nm"] * 1e-9, p["fwhm_nm"] * 1e-9, p["energy_J_per_m2"],
         polarization=p["polarization"], side=p["side"],
         cutoff_nsigma=p["cutoff_nsigma"])
+    used = structure.per_material(lambda mat: mat)
     if scan is not None:
-        for key in ("material_a", "material_b"):
-            _material(scan[key], materials, f"scan.{key}")
+        used += [_material(scan[key], materials, f"scan.{key}")
+                 for key in ("material_a", "material_b")]
         scan = ScanSpec(**scan)
+    _check_pump_band(pump, used)
     cond = obs["conditional_t_idler_fs"]
     return RunConfig(
         materials=materials, structure=structure, pump=pump,

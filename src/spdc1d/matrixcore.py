@@ -11,7 +11,7 @@ shape (2, 2, K) over (row channel, column channel, bin), from one
 ``linear.field_maps`` solve on the bin centers followed by the lit bin
 sums, whose part the pump takes (flux-normalized amplitudes throughout).
 
-The pair operators G_V, G_S and the per-boundary sources map idler
+The pair operators G_V, G_S and each boundary's sources map idler
 inputs to signal outputs.  Each is one complex array of shape
 (2, 2, 2, 2, K, K) over
 
@@ -54,11 +54,10 @@ Sources are formed only on the E lit entries (row bin, col bin) whose
 bin sum the pump lights (``spectral``), with the per-bin feeds and
 inverse responses gathered at the entries' col and row bins.  So the
 scalings run on arrays of shape (2, 2, 2, E) over (volume/surface, row
-dir, col dir, lit entry), summed per distinct d; ``_expand`` applies d,
-once per distinct d for G_V and G_S and once per kept boundary source,
-and scatters the entries into zeroed K x K grids (a dark entry is an
-exact +0).  The columns are the idler inputs, so the feed is the
-conjugated signal feed.
+dir, col dir, lit entry), summed in place into one zeroed buffer per
+distinct d; ``_expand`` applies d, once per buffer, and scatters the
+entries into zeroed K x K grids (a dark entry is an exact +0).  The
+columns are the idler inputs, so the feed is the conjugated signal feed.
 
 A layer's kernels depend on the layer only through its (material,
 length) class, except for the pump weight a_g, its poling sign times
@@ -69,7 +68,7 @@ and runs one class pass per class and edge: the class kernels of both
 edges are formed once; each layer's kernels are sum_g a_g kernels[g],
 scaled by columns with that layer's feed and by rows with the inverse
 response of its boundary (the right edge of layer l sits at boundary
-l+1 with sign +, the left edge at boundary l with sign -) times
+l+1 and is added, the left edge at boundary l and is subtracted) times
 1/sqrt(n); and the layers are summed.  The class kernels hold the
 arriving kernel chi and the surface kernel s only; the magnetic volume
 row is i k_a chi - s, so a pass forms the total source from the rows
@@ -80,10 +79,10 @@ elementwise arithmetic on arrays with the layer axis leading, (L, ...,
 geometry, lit entry).  The layers go through in chunks of at most
 ``_CLASS_CHUNK`` // K^2 layers (at least one): at K = 12 the 10 GaN
 layers of the example form one chunk, at K >= 64 every layer is its
-own.  With
-``keep_sources`` the same pass runs one layer per chunk and each result
-is also kept for its boundary.  The physics (kernels, feeds, responses)
-is the same on both paths.
+own.  With ``boundary`` = l, G_V and G_S are boundary l's source alone:
+the passes run over the right edge of layer l-1 and the left edge of
+layer l only, into a buffer each, and only boundary l's response is
+inverted.  Summed over the boundaries, the sources give G_V and G_S.
 
 A stack whose layer lengths are arrays over a geometry grid G
 (``StructureSpec.grid``) is built once for every geometry: each array
@@ -206,8 +205,8 @@ def _expand(parts, shape, lit):
 
 
 def _class_pass(kernels, weights, feed, rows):
-    """Output sources of a chunk of layers of one class at one edge,
-    summed over the layers (see ``_expand`` for the layout).
+    """(volume, surface) output sources of a chunk of layers of one class
+    at one edge, summed over the layers (see ``_expand`` for the layout).
 
     kernels: ``class_kernels`` of the class at the edge, (chi, surface,
     ik); weights: the layers' ``pump_weights``, shape (L, g, *G, E);
@@ -229,7 +228,8 @@ def _class_pass(kernels, weights, feed, rows):
     p_total = (r_t[:, :, None] * k0[:, None]).sum(axis=0)
     p_s = (r[:, :, 1, None]
            * (j_s[:, None] * (fed[:, 0] + fed[:, 1]))[:, None]).sum(axis=0)
-    return np.stack((p_total - p_s, p_s))
+    p_total -= p_s
+    return p_total, p_s
 
 
 @dataclass
@@ -242,7 +242,6 @@ class EmissionOperators:
     scatter: np.ndarray  # per-bin F, shape (2, 2, *G, K)
     g_volume: np.ndarray  # pair arrays (see the module docstring)
     g_surface: np.ndarray
-    boundary_sources: dict  # l -> (volume, surface) pair arrays
     warnings: list
 
     @property
@@ -259,10 +258,14 @@ def build_emission(
     structure: StructureSpec,
     pump_spec: PumpSpec,
     basis: SpectralBasis,
-    keep_sources: bool = False,
+    boundary: int | None = None,
     convention: str = "local-jump",
 ) -> EmissionOperators:
-    """Assemble the scattering map and the volume/surface emission maps."""
+    """Assemble the scattering map and the volume/surface emission maps;
+    with ``boundary`` = l, G_V and G_S are boundary l's source alone."""
+    n_tot = structure.n_layers + 2
+    if boundary is not None and not 1 <= boundary < n_tot:
+        raise ConfigError(f"no boundary {boundary} in 1..{n_tot - 1}")
     # one solve on the bin centers and the lit bin sums
     sums, index = bin_sums(basis)
     both = field_maps(structure, np.concatenate(
@@ -271,31 +274,32 @@ def build_emission(
     pump = pump_field(pump_spec, sums, both.select(slice(basis.bins, None)))
     rows, cols = np.nonzero(pump.mask[index])
     lit = (rows, cols, index[rows, cols])
-    n_tot = structure.n_layers + 2
 
     d_of = structure.per_material(
         lambda mat: chi2_matrix(mat, pump.polarization))
     dark = [not np.any(d) for d in d_of]
-    active = [l for l in range(1, n_tot) if not (dark[l - 1] and dark[l])]
+    active = [l for l in (range(1, n_tot) if boundary is None else [boundary])
+              if not (dark[l - 1] and dark[l])]
     inverse, cond = inverse_responses(maps, active)
     warnings = [f"boundary {l}: response condition number {c:.2e}"
                 for l, c in zip(active, cond) if c > CONDITION_WARN]
     # feed of every layer's modes at each edge from the idler inputs
     fed = {edge: np.conj(maps.fed(edge)) for edge in ("left", "right")}
     position = {l: i for i, l in enumerate(active)}
-    # (material object, length) -> its nonlinear layers; a geometry-grid
-    # length is named by its array object, as in ``layer_transfers``
+    # (material object, length) -> its nonlinear layers (next to boundary);
+    # a geometry-grid length is named by its array, as in layer_transfers
     classes = {}
     for l in range(1, n_tot - 1):
-        if not dark[l]:
+        if not dark[l] and boundary in (None, l, l + 1):
             length = structure.length(l)
             key = (id(structure.material(l)),
                    id(length) if isinstance(length, np.ndarray) else length)
             classes.setdefault(key, []).append(l)
-    per_chunk = 1 if keep_sources else max(1, _CLASS_CHUNK // basis.bins**2)
+    per_chunk = max(1, _CLASS_CHUNK // basis.bins**2)
     shape = (2,) * 4 + structure.grid + (basis.bins, basis.bins)
-    totals = {}  # d.tobytes() -> [d, sum of its parts]
-    kept = {l: [] for l in range(1, n_tot)}  # boundary -> its (d, P) parts
+    # d.tobytes() -> (d, its (volume, surface) sum); with boundary, one per
+    # edge, so the source is d P_right + d P_left, not d (P_right + P_left)
+    totals = {}
     for members in classes.values():
         mat, d = structure.material(members[0]), d_of[members[0]]
         # unit axes for the grid's dimensions that the length lacks
@@ -307,32 +311,29 @@ def build_emission(
         pref = maps.interface[members[0], 0, 0].real
         kernels = class_kernels(mat, length, basis, pump, lit, convention)
         for start in range(0, len(members), per_chunk):
-            ls = members[start:start + per_chunk]
+            ls = np.array(members[start:start + per_chunk])
             weights = pump_weights(structure, pump, lit[2], ls)
-            # a layer's right edge is boundary l + 1, its left edge boundary l
-            for edge, sign, shift in (("right", 1.0, 1), ("left", -1.0, 0)):
-                resp = inverse[:, :, [position[l + shift] for l in ls]] * pref
-                p = sign * _class_pass(kernels[edge], weights,
-                                       fed[edge][:, :, ls][..., cols],
-                                       resp[..., rows])
-                total = totals.setdefault(d.tobytes(), [d, 0.0])
-                total[1] = total[1] + p
-                if keep_sources:
-                    kept[ls[0] + shift].append((d, p))
-    sources = ({l: _expand(parts, shape, lit) for l, parts in kept.items()}
-               if keep_sources else {})
+            # a layer's right edge is boundary l + 1, added, its left edge
+            # boundary l, subtracted; with ``boundary`` only the edges on it
+            for edge, shift, op in (("right", 1, np.add),
+                                    ("left", 0, np.subtract)):
+                on = np.s_[:] if boundary is None else ls + shift == boundary
+                if not ls[on].size:
+                    continue
+                resp = inverse[:, :, [position[l + shift] for l in ls[on]]]
+                parts = _class_pass(kernels[edge], weights[on],
+                                    fed[edge][:, :, ls[on]][..., cols],
+                                    (resp * pref)[..., rows])
+                tag = d.tobytes() if boundary is None else (d.tobytes(), edge)
+                if tag not in totals:
+                    totals[tag] = (d, np.zeros((2,) + parts[0].shape,
+                                               dtype=complex))
+                for acc, part in zip(totals[tag][1], parts):
+                    op(acc, part, out=acc)
     g_v, g_s = _expand(totals.values(), shape, lit)
 
     for name, mat in (("F", maps.scatter), ("G_V", g_v), ("G_S", g_s)):
         if not np.all(np.isfinite(mat)):
             raise ConfigError(f"non-finite entries in {name}")
-    return EmissionOperators(
-        structure=structure,
-        basis=basis,
-        pump=pump,
-        scatter=maps.scatter,
-        g_volume=g_v,
-        g_surface=g_s,
-        boundary_sources=sources,
-        warnings=warnings,
-    )
+    return EmissionOperators(structure, basis, pump, maps.scatter, g_v, g_s,
+                             warnings)

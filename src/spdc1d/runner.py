@@ -349,9 +349,12 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
     """Consistency report: oracle match, invariances, unitarity, Parseval.
 
     Returns (report, ok); every check carries its measured error and
-    tolerance.  ``density_nonnegative`` gates only n_total and reports
-    the n_V and n_S minima (signed, see ``observables``) beside it, all
-    relative to the n_total peak.
+    tolerance.  The split invariance compares two builds assembled the
+    same way, of the stack and of the stack with its middle layer split;
+    the surface null reads a build of the split's boundary alone.
+    ``density_nonnegative`` gates only n_total and reports the n_V and
+    n_S minima (signed, see ``observables``) beside it, all relative to
+    the n_total peak.
     """
     if bins < 2:
         raise ConfigError("verify needs at least 2 bins: its refinement "
@@ -379,10 +382,9 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
     }
 
     mid = max(1, structure.n_layers // 2)
-    em_split = build_emission(
-        structure.split_layer(mid, 0.5), cfg.pump, basis,
-        keep_sources=True, convention="local-jump",
-    )
+    split = structure.split_layer(mid, 0.5)
+    em_split = build_emission(split, cfg.pump, basis,
+                              convention="local-jump")
     if cfg.attribution != "local-jump":
         emission_lj = build_emission(structure, cfg.pump, basis,
                                      convention="local-jump")
@@ -395,7 +397,8 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
         checks[f"split_invariance_{name}"] = {
             "error": float(np.linalg.norm(diff) / scale_g), "tol": 1e-9
         }
-    s_s = em_split.boundary_sources[mid + 1][1]
+    s_s = build_emission(split, cfg.pump, basis, boundary=mid + 1,
+                         convention="local-jump").g_surface
     checks["fictitious_surface_null"] = {
         "error": float(np.linalg.norm(s_s) / scale_g), "tol": 1e-10
     }
@@ -492,7 +495,8 @@ def dump_matrix(cfg: RunConfig, name: str, out_path, bins=None):
     The linear maps (T, P, L, F, W, Z, Y, X) are expanded from their
     per-bin 2x2 form into labelled diagonal blocks, the pair maps (GV,
     GS, SV, SS) from their pair arrays into dense signal-idler blocks;
-    each idler sector is the conjugate of the signal one.
+    each idler sector is the conjugate of the signal one.  SV:l and SS:l
+    come from a build of boundary l alone.
     """
     basis = cfg.basis(bins)
     structure = cfg.structure
@@ -532,16 +536,9 @@ def dump_matrix(cfg: RunConfig, name: str, out_path, bins=None):
                             basis)
         mat = BlockMatrix.from_bins({"s": p, "i": np.conj(p)})
     else:  # GV, GS, SV, SS
-        emission = build_emission(
-            structure, cfg.pump, basis, keep_sources=True,
-            convention=cfg.attribution,
-        )
-        if key == "GV":
-            pairs = emission.g_volume
-        elif key == "GS":
-            pairs = emission.g_surface
-        else:
-            pairs = emission.boundary_sources[idx][0 if key == "SV" else 1]
-        mat = BlockMatrix.from_pairs(pairs)
+        emission = build_emission(structure, cfg.pump, basis, boundary=idx,
+                                  convention=cfg.attribution)
+        mat = BlockMatrix.from_pairs(emission.g_volume if key in ("GV", "SV")
+                                     else emission.g_surface)
     mat.write_csv(out_path)
     return out_path

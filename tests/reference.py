@@ -18,7 +18,10 @@ assembly (``dense_emission``) forms the class kernels, class passes and
 expansion on every entry of the grid, dark bin sums included, by
 broadcasting the per-bin factors, as the package did before it
 assembled the pump's lit entries only; ``assert_bitwise_equal`` holds
-the two to the same bits.
+the two to the same bits.  With ``keep_sources`` it also keeps every
+boundary's source, its two edges summed apart one layer at a time, to
+which ``assert_sources_bitwise_equal`` holds each build with
+``boundary`` = l (``per_boundary`` gathers those builds).
 ``LayerView`` reads one layer's coupling data (conj(T_g), wave numbers,
 kernels) through the pure functions of ``spectral``.  The two-sector
 references (``linear_maps``, ``two_sector_emission``,
@@ -32,7 +35,7 @@ cell row by row.
 """
 
 import itertools
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from unittest import mock
 
 import numpy as np
@@ -251,7 +254,7 @@ def einsum_class_pass(kernels, weights, feed, rows):
     p_v = np.einsum("dxl...e,lxc...e->dc...e", rows, k_v)
     p_s = np.einsum("dl...e,l...e,cl...e->dc...e", rows[:, 1], j_s,
                     feed.sum(axis=0))
-    return np.stack((p_v, p_s))
+    return p_v, p_s
 
 
 def einsum_emission(*args, **kwargs):
@@ -329,13 +332,24 @@ def dense_expand(parts, shape):
     return out[0], out[1]
 
 
+@dataclass
+class KeptEmission(matrixcore.EmissionOperators):
+    """An emission with every boundary's (volume, surface) source kept:
+    boundary l -> its pair arrays."""
+
+    boundary_sources: dict = field(default_factory=dict)
+
+
 def dense_emission(structure, pump_spec, basis, keep_sources=False,
                    convention="local-jump"):
     """``build_emission`` on every entry of the K x K grid, dark bin sums
     included, with the stack solved on the bin centers and the pump on
     its own grid: the same class grouping, chunks of layers and order of
     sums, so every lit entry rounds as in the lit-entry assembly and
-    every dark one is an exact zero."""
+    every dark one is an exact zero.  With ``keep_sources`` the class
+    passes run one layer at a time and each boundary's two edges are
+    kept and expanded apart (a ``KeptEmission``): the per-boundary path
+    that ``build_emission(..., boundary=l)`` is held to bit for bit."""
     maps = field_maps(structure, basis.centers)
     pump, index = bin_sum_pump(structure, pump_spec, basis)
     n_tot = structure.n_layers + 2
@@ -380,17 +394,34 @@ def dense_emission(structure, pump_spec, basis, keep_sources=False,
     sources = ({l: dense_expand(parts, shape) for l, parts in kept.items()}
                if keep_sources else {})
     g_v, g_s = dense_expand(totals.values(), shape)
-    return matrixcore.EmissionOperators(structure, basis, pump, maps.scatter,
-                                        g_v, g_s, sources, [])
+    return KeptEmission(structure, basis, pump, maps.scatter, g_v, g_s, [],
+                        sources)
 
 
 def emission_arrays(emission):
     """name -> array: F, G_V, G_S and every kept boundary source."""
     out = {"F": emission.scatter, "G_V": emission.g_volume,
            "G_S": emission.g_surface}
-    for l, (s_v, s_s) in emission.boundary_sources.items():
+    for l, (s_v, s_s) in getattr(emission, "boundary_sources", {}).items():
         out[f"SV:{l}"], out[f"SS:{l}"] = s_v, s_s
     return out
+
+
+def per_boundary(build, structure, *args, **kwargs):
+    """A ``KeptEmission`` of ``build(structure, *args, **kwargs)`` whose
+    source of each boundary l is G_V and G_S of the build with
+    ``boundary`` = l."""
+    sources = {}
+    for l in range(1, structure.n_layers + 2):
+        em = build(structure, *args, boundary=l, **kwargs)
+        sources[l] = (em.g_volume, em.g_surface)
+    return KeptEmission(**vars(build(structure, *args, **kwargs)),
+                        boundary_sources=sources)
+
+
+def _assert_same_bits(got, want, name):
+    assert got.shape == want.shape and got.dtype == want.dtype, name
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
 
 
 def assert_bitwise_equal(got, want):
@@ -399,9 +430,22 @@ def assert_bitwise_equal(got, want):
     got, want = emission_arrays(got), emission_arrays(want)
     assert sorted(got) == sorted(want)
     for name, w in want.items():
-        g = got[name]
-        assert g.shape == w.shape and g.dtype == w.dtype, name
-        assert np.array_equal(g.view(np.int64), w.view(np.int64)), name
+        _assert_same_bits(got[name], w, name)
+
+
+def assert_sources_bitwise_equal(structure, pump_spec, basis, convention):
+    """Each boundary l's ``build_emission(..., boundary=l)`` holds in G_V
+    and G_S the bits of the source that ``dense_emission(...,
+    keep_sources=True)`` keeps for l."""
+    want = dense_emission(structure, pump_spec, basis, keep_sources=True,
+                          convention=convention).boundary_sources
+    assert sorted(want) == list(range(1, structure.n_layers + 2))
+    for l, parts in want.items():
+        got = matrixcore.build_emission(structure, pump_spec, basis,
+                                        boundary=l, convention=convention)
+        for name, g, w in zip(("SV", "SS"), (got.g_volume, got.g_surface),
+                              parts):
+            _assert_same_bits(g, w, f"{name}:{l}")
 
 
 def linear_maps(structure, basis):
@@ -426,8 +470,8 @@ def two_sector_expand(parts, shape, lit):
 
 
 def two_sector_emission(*args, **kwargs):
-    """``build_emission`` whose G_V, G_S and kept sources hold both row
-    sectors (``two_sector_expand``)."""
+    """``build_emission`` whose G_V and G_S hold both row sectors
+    (``two_sector_expand``)."""
     with mock.patch.object(matrixcore, "_expand", two_sector_expand):
         return matrixcore.build_emission(*args, **kwargs)
 

@@ -410,14 +410,19 @@ def test_verify_passes_on_small_config():
 @pytest.mark.parametrize("attribution", ["local-jump", "per-slot"])
 def test_verify_builds_each_emission_once(monkeypatch, attribution):
     """The bin-refinement study reuses the main emission at `bins`; the
-    other builds at `bins` are the split stack and, for per-slot, the
-    local-jump reference of the split-invariance check."""
+    other full builds at `bins` are the split stack and, for per-slot,
+    the local-jump reference of the split-invariance check.  One build
+    of the split stack's fictitious boundary alone gives its source."""
     cfg = parse_config(_tiny_config(surface_attribution=attribution))
-    built = []
+    built, boundaries = [], []
     orig = runner_mod.build_emission
 
     def counting(structure, pump, basis, *args, **kwargs):
-        built.append(basis.bins)
+        if kwargs.get("boundary") is None:
+            built.append(basis.bins)
+        else:
+            boundaries.append((structure.n_layers, kwargs["boundary"],
+                               basis.bins))
         return orig(structure, pump, basis, *args, **kwargs)
 
     monkeypatch.setattr(runner_mod, "build_emission", counting)
@@ -425,6 +430,8 @@ def test_verify_builds_each_emission_once(monkeypatch, attribution):
     assert ok, report["checks"]
     at_bins = 3 if attribution == "per-slot" else 2
     assert Counter(built) == {3: 1, 6: at_bins, 12: 1}
+    mid = max(1, cfg.structure.n_layers // 2)
+    assert boundaries == [(cfg.structure.n_layers + 1, mid + 1, 6)]
 
 
 def test_verify_detects_corrupted_kernels(monkeypatch):
@@ -477,7 +484,8 @@ def _dump_reference(cfg, name, bins):
     ``BlockMatrix``, by label lookups: the linear names from both sectors
     of ``linear_maps`` (``outward_maps`` for X, Y, Z) or from
     ``propagator_bins``, the pair names from a build that stores both row
-    sectors."""
+    sectors: GV and GS from the full build, as ``simulate`` makes it,
+    SV:l and SS:l from the build of boundary l."""
     key, _, text = name.partition(":")
     idx = int(text) if text else None
     basis, st = cfg.basis(bins), cfg.structure
@@ -485,12 +493,10 @@ def _dump_reference(cfg, name, bins):
         p = propagator_bins(st.material(idx), st.length(idx), basis)
         return dense_bins({"s": p, "i": np.conj(p)})
     if key in ("GV", "GS", "SV", "SS"):
-        em = two_sector_emission(st, cfg.pump, basis, keep_sources=True,
+        em = two_sector_emission(st, cfg.pump, basis, boundary=idx,
                                  convention=cfg.attribution)
-        pairs = {"GV": em.g_volume, "GS": em.g_surface}.get(key)
-        if pairs is None:
-            pairs = em.boundary_sources[idx][("SV", "SS").index(key)]
-        return two_sector_dense(pairs)
+        return two_sector_dense(em.g_volume if key in ("GV", "SV")
+                                else em.g_surface)
     pick = {
         "T": lambda m: m.at_left[-1 if idx is None else idx],
         "L": lambda m: m.interface[idx],
@@ -893,21 +899,62 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, path, value, named):
 
 def test_cli_pump_past_material_window_names_the_key(tmp_path, capsys):
     """A 28 nm FWHM pump on the shipped config: its 8 sigma cutoff reaches
-    299.3 nm, past the 0.3 um end of GaN's window_um, and at 35 bins a lit
-    bin sum lies there.  One error line names that key; exit 2."""
+    299.3 nm, past the 0.3 um end of GaN's window_um.  The band is checked
+    when the config loads, so every bin count exits 2 with the same one
+    error line naming that key, whether or not a lit bin sum of its grid
+    lies past the end (at 35 bins one does).  The shipped pump and a
+    20 nm one (band edge 322.5 nm) still load."""
     with open(EXAMPLE) as fh:
         raw = json.load(fh)
     raw["pump"]["fwhm_nm"] = 28.0
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
-    rc = main(["simulate", "--config", str(cfg_path), "--bins", "35",
-               "--out-dir", str(tmp_path / "out")])
+    runs = [["simulate", "--out-dir", str(tmp_path / "out"), "--bins", b]
+            for b in ("8", "17", "31", "35", "39", "64", "128")]
+    runs += [["verify", "--bins", b] for b in ("12", "31")]
+    errors = set()
+    for run in runs:
+        rc = main(run[:1] + ["--config", str(cfg_path)] + run[1:])
+        err = capsys.readouterr().err
+        assert rc == 2, run
+        assert err.count("\n") == 1
+        errors.add(err)
+    (err,) = errors
+    assert err.startswith("error: materials.GaN.dispersion.window_um: "
+                          "pump band [")
+    assert "outside validity window" in err
+    raw["pump"]["fwhm_nm"] = 20.0
+    parse_config(raw)
+
+
+def test_pump_band_checked_on_every_material_a_run_lights(tmp_path, capsys):
+    """The band check covers the layers, the ambients and the scan's
+    materials, and a --structure override is checked as it loads; a
+    material that no run evaluates at pump frequencies is not checked."""
+    narrow = {"dispersion": {"type": "constant", "n": 1.5,
+                             "window_um": [0.41, 2.0]}}
+    raw = _tiny_config()
+    raw["materials"]["narrow"] = narrow
+    parse_config(raw)  # defined but unused
+    for section, key in (("structure", "ambient_out"), ("scan", "material_b")):
+        bad = _tiny_config()
+        bad["materials"]["narrow"] = narrow
+        bad[section] = {**bad[section], key: "narrow"}
+        with pytest.raises(ConfigError,
+                           match=r"^materials\.narrow\.dispersion\.window_um: "
+                                 r"pump band "):
+            parse_config(bad)
+    cfg_path, override = tmp_path / "cfg.json", tmp_path / "st.json"
+    cfg_path.write_text(json.dumps(raw))
+    override.write_text(json.dumps({"structure": {
+        "ambient_in": "air", "ambient_out": "air",
+        "layers": [{"material": "narrow", "length_nm": 50.0}]}}))
+    rc = main(["simulate", "--config", str(cfg_path), "--structure",
+               str(override), "--out-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
+    assert err.startswith("error: materials.narrow.dispersion.window_um: ")
     assert err.count("\n") == 1
-    assert err.startswith("error: materials.GaN.dispersion.window_um: "
-                          "frequency ")
-    assert "outside validity window" in err
 
 
 def test_simulate_nan_amplitude_raises_no_peak(tmp_path, monkeypatch):

@@ -24,7 +24,8 @@ from spdc1d.oracle import compare_with_emission, reference_pair_amplitude
 from spdc1d.spectral import DIRS, POLS, SPLIT_CONVENTIONS, SpectralBasis
 from spdc1d.structure import StructureSpec
 
-from reference import assert_bitwise_equal, dense_emission, linear_maps
+from reference import (assert_bitwise_equal, assert_sources_bitwise_equal,
+                       dense_emission, linear_maps)
 
 OMEGA_P0 = 2 * np.pi * CONSTANTS.c / 400e-9
 PAIRS = (("y", "x", "y"), ("y", "y", "x"), ("y", "x", "x"), ("y", "y", "y"))
@@ -192,11 +193,12 @@ def test_energy_wronskian_and_decomposition_identities(structure, side, bins,
 def test_lit_entry_assembly_is_bitwise_the_dense_one(structure, side, bins,
                                                      convention, keep):
     """On random stacks, single and over geometry grids, the assembly on
-    the pump's lit entries holds the same bits in F, G_V, G_S and every
-    kept source as the K x K assembly on every entry."""
+    the pump's lit entries holds the same bits in F, G_V and G_S, and with
+    keep in each boundary's build, as the K x K assembly on every entry
+    (its sources kept one layer at a time)."""
     pump, basis = _pump(side), _basis(bins)
     assert_bitwise_equal(
-        build_emission(structure, pump, basis, keep_sources=keep,
-                       convention=convention),
-        dense_emission(structure, pump, basis, keep_sources=keep,
-                       convention=convention))
+        build_emission(structure, pump, basis, convention=convention),
+        dense_emission(structure, pump, basis, convention=convention))
+    if keep:
+        assert_sources_bitwise_equal(structure, pump, basis, convention)

@@ -235,3 +235,19 @@ def test_shipped_scan_chunk_build_memory(example, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak_bytes <= 6.5 * 2**20
+
+
+def test_shipped_verify_memory(example):
+    """``verify --bins 12`` on the shipped config peaks at no more than
+    7.25 MiB of tracemalloc (6.65 MiB measured; 8.14 MiB when every
+    boundary source of the split stack was expanded and held at once for
+    the one that the fictitious-boundary check reads)."""
+    runner_mod.verify(example, bins=4)  # first calls, as the benchmark's
+    tracemalloc.start()
+    try:
+        _, ok = runner_mod.verify(example, bins=12)
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak_bytes <= 7.25 * 2**20

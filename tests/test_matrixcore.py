@@ -10,7 +10,7 @@ import spdc1d.runner as runner_mod
 from spdc1d.blockmatrix import ROW_CHANNELS, BlockMatrix, labels
 from spdc1d.config import load_config, parse_config
 from spdc1d.constants import CONSTANTS
-from spdc1d.errors import SingularMatrix
+from spdc1d.errors import ConfigError, SingularMatrix
 from spdc1d.linear import (
     PumpSpec,
     continuity_rows,
@@ -39,10 +39,12 @@ from spdc1d.structure import StructureSpec
 from reference import (
     LayerView,
     assert_bitwise_equal,
+    assert_sources_bitwise_equal,
     dense_emission,
     einsum_emission,
     full_chi2,
     linear_maps,
+    per_boundary,
     polarized_kernels,
     segment_response,
     two_sector_emission,
@@ -290,7 +292,7 @@ def test_trivial_structure_feed_has_no_reflection_coupling():
 def test_pair_sources_zero_for_linear_layers(aln, air, pump400):
     st = StructureSpec(((aln, 60e-9, 1), (aln, 40e-9, 1)), air, air)
     b = _basis(3)
-    em = build_emission(st, pump400, b, keep_sources=True)
+    em = per_boundary(build_emission, st, pump400, b)
     assert np.linalg.norm(em.g_volume) == 0.0
     assert np.linalg.norm(em.g_surface) == 0.0
     for l in em.boundary_sources:
@@ -298,15 +300,27 @@ def test_pair_sources_zero_for_linear_layers(aln, air, pump400):
         assert np.linalg.norm(s_v) == 0.0 and np.linalg.norm(s_s) == 0.0
 
 
-def test_boundary_sources_sum_to_emission_maps(stack4, pump400):
-    b = _basis(5)
-    em = build_emission(stack4, pump400, b, keep_sources=True)
-    assert sorted(em.boundary_sources) == list(range(1, stack4.n_layers + 2))
-    for w, g in enumerate((em.g_volume, em.g_surface)):
-        total = sum(pair[w] for pair in em.boundary_sources.values())
-        assert total.shape == (2,) * 4 + (5, 5)
-        assert np.linalg.norm(g) > 0.0
-        assert np.linalg.norm(total - g) <= 1e-13 * np.linalg.norm(g)
+def test_boundary_sources_sum_to_emission_maps(gan, aln, air, stack4,
+                                               pump400):
+    """Each boundary's source, on stack4 and over a 3 x 2 geometry grid
+    (a scalar-length class among the grid lengths), carries the grid
+    axes; the sources sum to G_V and G_S of every geometry."""
+    for structure, b in ((stack4, _basis(5)),
+                         (_grid_stack(gan, aln, air), _basis(5, 0.35, 0.65))):
+        em = per_boundary(build_emission, structure, pump400, b)
+        assert sorted(em.boundary_sources) == list(
+            range(1, structure.n_layers + 2))
+        for w, g in enumerate((em.g_volume, em.g_surface)):
+            total = sum(pair[w] for pair in em.boundary_sources.values())
+            assert total.shape == (2,) * 4 + structure.grid + (b.bins,) * 2
+            assert np.linalg.norm(g) > 0.0
+            assert np.linalg.norm(total - g) <= 1e-13 * np.linalg.norm(g)
+
+
+def test_boundary_outside_the_stack_is_refused(stack4, pump400):
+    for l in (0, stack4.n_layers + 2):
+        with pytest.raises(ConfigError, match=f"no boundary {l} in 1..5"):
+            build_emission(stack4, pump400, _basis(3), boundary=l)
 
 
 def _sector(pairs, fi, d, p, c, q):
@@ -318,14 +332,14 @@ def _sector(pairs, fi, d, p, c, q):
 
 def _assert_sources_match_per_block_loop(structure, pump_spec, b,
                                          convention="local-jump"):
-    """Every kept source, and G_V/G_S of a build that keeps none (so its
-    class passes run in chunks of layers), against a plain loop over (row
-    field, row pol, col pol) built from the basis-projected kernel arrays
-    of couplings that share nothing: columns scaled by the feed of the
-    other field, rows by the inverse response."""
-    em = build_emission(structure, pump_spec, b, keep_sources=True,
-                        convention=convention)
-    chunked = build_emission(structure, pump_spec, b, convention=convention)
+    """Every boundary's source (the build with ``boundary`` = l), and G_V
+    and G_S of the full build (its class passes run in chunks of layers),
+    against a plain loop over (row field, row pol, col pol) built from the
+    basis-projected kernel arrays of couplings that share nothing:
+    columns scaled by the feed of the other field, rows by the inverse
+    response."""
+    em = per_boundary(build_emission, structure, pump_spec, b,
+                      convention=convention)
     maps = linear_maps(structure, b)
     couplings = [LayerView(structure, l, b, em.pump)
                  for l in range(structure.n_layers + 2)]
@@ -372,7 +386,7 @@ def _assert_sources_match_per_block_loop(structure, pump_spec, b,
                                 got = _sector(kept[w], fi, d, pi, c, qi)
                                 scale = max(np.abs(ref).max(), 1e-300)
                                 assert np.abs(got - ref).max() <= 1e-13 * scale
-    for w, g in enumerate((chunked.g_volume, chunked.g_surface)):
+    for w, g in enumerate((em.g_volume, em.g_surface)):
         for block in np.ndindex((2,) * 5):
             ref = totals[w][block]
             scale = max(np.abs(ref).max(), 1e-300)
@@ -443,15 +457,21 @@ def test_class_pass_partial_last_chunk(gan, aln, air, pump400, convention):
                                          convention)
 
 
+def _grid_stack(gan, aln, air):
+    """Three periods of a GaN layer over a 3 x 2 grid of lengths and an
+    AlN layer of one length, both nonlinear (distinct d)."""
+    gan_full, aln_nl = _two_classes(gan, aln)
+    l1 = np.array([[10.0, 25.0], [40.0, 55.0], [70.0, 85.0]]) * 1e-9
+    return StructureSpec(sum((((gan_full, l1, (-1) ** p),
+                               (aln_nl, 33e-9, 1)) for p in range(3)), ()),
+                         air, air)
+
+
 def _einsum_cases(gan, aln, air, stack4):
     """name -> (structure, basis): the stacks on which the slab-arithmetic
     assembly is held to the einsum one."""
     cfg = load_config(EXAMPLE)
-    gan_full, aln_nl = _two_classes(gan, aln)
-    l1 = np.array([[10.0, 25.0], [40.0, 55.0], [70.0, 85.0]]) * 1e-9
-    grid = StructureSpec(sum((((gan_full, l1, (-1) ** p),
-                               (aln_nl, 33e-9, 1)) for p in range(3)), ()),
-                         air, air)
+    grid = _grid_stack(gan, aln, air)
     slab = constant_material("slab", 2.4, chi2={("y", "x", "y"): 4e-12})
     return {
         "shipped-k12": (cfg.structure, cfg.basis(bins=12)),
@@ -472,31 +492,31 @@ def _einsum_cases(gan, aln, air, stack4):
                                   "2d-grid-scalar-class", "slab-n2.4"])
 def test_emission_matches_einsum_assembly(gan, aln, air, stack4, pump400,
                                           case, convention):
-    """G_V, G_S and every kept boundary source of the slab-arithmetic class
+    """G_V, G_S and every boundary's source of the slab-arithmetic class
     pass on class kernels without a stored magnetic volume row, against
-    the einsum assembly with per-entry exponentials (``einsum_emission``),
-    with the layers kept one per pass and run in chunks."""
+    the einsum assembly with per-entry exponentials (``einsum_emission``):
+    the full build, its layers run in chunks, and the build of each
+    boundary alone."""
     structure, b = _einsum_cases(gan, aln, air, stack4)[case]
-    for keep in (True, False):
-        got, want = (build(structure, pump400, b, keep_sources=keep,
-                           convention=convention)
-                     for build in (build_emission, einsum_emission))
-        assert sorted(got.boundary_sources) == sorted(want.boundary_sources)
-        pairs = [(got.g_volume, want.g_volume),
-                 (got.g_surface, want.g_surface)]
-        for l, parts in want.boundary_sources.items():
-            pairs += zip(got.boundary_sources[l], parts)
-        for g, w in pairs:
-            assert g.shape == w.shape
-            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
-        assert np.max(np.abs(want.g_volume)) > 0.0
-        assert np.max(np.abs(want.g_surface)) > 0.0
+    got, want = (per_boundary(build, structure, pump400, b,
+                              convention=convention)
+                 for build in (build_emission, einsum_emission))
+    assert sorted(got.boundary_sources) == sorted(want.boundary_sources)
+    pairs = [(got.g_volume, want.g_volume),
+             (got.g_surface, want.g_surface)]
+    for l, parts in want.boundary_sources.items():
+        pairs += zip(got.boundary_sources[l], parts)
+    for g, w in pairs:
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+    assert np.max(np.abs(want.g_volume)) > 0.0
+    assert np.max(np.abs(want.g_surface)) > 0.0
 
 
 def _bitwise_cases(gan, aln, air):
-    """name -> (structure, pump, basis, keep_sources): the stacks, pumps
-    and windows on which the lit-entry assembly is pinned bit for bit to
-    the K x K one."""
+    """name -> (structure, pump, basis, sources): the stacks, pumps and
+    windows on which the lit-entry assembly is pinned bit for bit to the
+    K x K one, with sources also each boundary's build."""
     cfg = load_config(EXAMPLE)
     st, pump = cfg.structure, cfg.pump
     wide = parse_config({**cfg.raw, "pump": {**cfg.raw["pump"],
@@ -519,6 +539,12 @@ def _bitwise_cases(gan, aln, air):
                            cfg.basis(bins=24), True),
         "two-class-mixed-poling": (_two_class_mixed_poling(gan, aln, air),
                                    pump, _basis(7), True),
+        "2d-grid-scalar-class": (_grid_stack(gan, aln, air), pump,
+                                 _basis(5, 0.35, 0.65), True),
+        "dark-neighbours": (StructureSpec(((gan, 60e-9, 1), (aln, 20e-9, 1),
+                                           (aln, 30e-9, 1), (gan, 45e-9, -1)),
+                                          air, air),
+                            pump, _basis(6), True),
     })
     return cases
 
@@ -533,20 +559,29 @@ def _bitwise_cases(gan, aln, air):
                                   "shipped-k128-False", "scan-grid-7x5",
                                   "scan-grid-7x5-kept", "split-stack",
                                   "dark-window", "fwhm-20nm",
-                                  "cutoff-6-sigma", "two-class-mixed-poling"])
+                                  "cutoff-6-sigma", "two-class-mixed-poling",
+                                  "2d-grid-scalar-class", "dark-neighbours"])
 def test_lit_entry_assembly_is_bitwise_the_dense_one(gan, aln, air, case,
                                                      convention):
-    """F, G_V, G_S and every kept source of the assembly on the pump's lit
-    entries hold the same bits as the K x K assembly on every entry
-    (``dense_emission``), signed zeros included: the lit entries round
-    alike and every dark entry is +0.  The dark window lights no bin sum
-    (E = 0); the 20 nm and 6-sigma pumps move the band's edge."""
-    structure, pump, b, keep = _bitwise_cases(gan, aln, air)[case]
-    got = build_emission(structure, pump, b, keep_sources=keep,
-                         convention=convention)
-    want = dense_emission(structure, pump, b, keep_sources=keep,
-                          convention=convention)
-    assert_bitwise_equal(got, want)
+    """F, G_V and G_S of the assembly on the pump's lit entries, and in
+    the cases with sources each boundary's build, hold the same bits as
+    the K x K assembly on every entry (``dense_emission``, its sources
+    kept one layer at a time), signed zeros included: the lit entries
+    round alike and every dark entry is +0.  The dark window lights no
+    bin sum (E = 0); the 20 nm and 6-sigma pumps move the band's edge;
+    boundary 3 of the dark-neighbours stack joins two linear AlN layers,
+    so its source is +0 throughout."""
+    structure, pump, b, sources = _bitwise_cases(gan, aln, air)[case]
+    got = build_emission(structure, pump, b, convention=convention)
+    assert_bitwise_equal(got, dense_emission(structure, pump, b,
+                                             convention=convention))
+    if sources:
+        assert_sources_bitwise_equal(structure, pump, b, convention)
+    if case == "dark-neighbours":
+        dark = build_emission(structure, pump, b, boundary=3,
+                              convention=convention)
+        for g in (dark.g_volume, dark.g_surface):
+            assert not np.any(g.view(np.int64))
     lit = np.count_nonzero(got.pump.mask[bin_sums(b)[1]])
     if case == "dark-window":
         assert lit == 0 and not np.any(got.g_volume)
@@ -668,10 +703,9 @@ def test_fictitious_boundary_surface_source_null(gan, aln, air, pump400):
     st = StructureSpec(((gan, 60e-9, 1), (aln, 40e-9, 1)), air, air)
     b = _basis(4)
     em = build_emission(st, pump400, b)
-    em_split = build_emission(st.split_layer(1, 0.5), pump400, b,
-                              keep_sources=True)
+    fict = build_emission(st.split_layer(1, 0.5), pump400, b, boundary=2)
     scale = np.linalg.norm(em.g_volume + em.g_surface)
-    s_v, s_s = em_split.boundary_sources[2]
+    s_v, s_s = fict.g_volume, fict.g_surface
     assert np.linalg.norm(s_s) / scale < 1e-10
     # the volume handover at the fictitious boundary is nonzero
     assert np.linalg.norm(s_v) / scale > 1e-3
