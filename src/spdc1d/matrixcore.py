@@ -285,6 +285,9 @@ def build_emission(
                 for l, c in zip(active, cond) if c > CONDITION_WARN]
     # feed of every layer's modes at each edge from the idler inputs
     fed = {edge: np.conj(maps.fed(edge)) for edge in ("left", "right")}
+    # drop the march; keep F and each layer's 1/sqrt(n) (its E row)
+    scatter, e_rows = maps.scatter, maps.interface[:, 0, 0].real
+    del both, maps
     position = {l: i for i, l in enumerate(active)}
     # (material object, length) -> its nonlinear layers (next to boundary);
     # a geometry-grid length is named by its array, as in layer_transfers
@@ -307,8 +310,7 @@ def build_emission(
         length = np.reshape(length, (1,) * (len(structure.grid)
                                             - np.ndim(length))
                             + np.shape(length))
-        # 1/sqrt(n): the E row of the layer's continuity rows
-        pref = maps.interface[members[0], 0, 0].real
+        pref = e_rows[members[0]]
         kernels = class_kernels(mat, length, basis, pump, lit, convention)
         for start in range(0, len(members), per_chunk):
             ls = np.array(members[start:start + per_chunk])
@@ -332,8 +334,8 @@ def build_emission(
                     op(acc, part, out=acc)
     g_v, g_s = _expand(totals.values(), shape, lit)
 
-    for name, mat in (("F", maps.scatter), ("G_V", g_v), ("G_S", g_s)):
+    for name, mat in (("F", scatter), ("G_V", g_v), ("G_S", g_s)):
         if not np.all(np.isfinite(mat)):
             raise ConfigError(f"non-finite entries in {name}")
-    return EmissionOperators(structure, basis, pump, maps.scatter, g_v, g_s,
+    return EmissionOperators(structure, basis, pump, scatter, g_v, g_s,
                              warnings)

@@ -200,13 +200,20 @@ def marginals_and_counts(jd: JointDensity):
     }
 
 
-def _density(half, kernel_t, norm):
-    """|half @ kernel_t|^2 / norm: the joint detection-time density on the
-    rows of ``half`` and the columns of ``kernel_t``."""
-    return np.abs(half @ kernel_t) ** 2 / norm
-
-
 SLICE = 1 << 14  # entries of one peak block slice
+
+
+def _density(half, kernel_t, norm):
+    """The joint detection-time density |half @ kernel_t|^2 / norm on the
+    rows of half and columns of kernel_t, bitwise np.abs(.) ** 2 / norm, as
+    a view of the complex product's real half.  np.absolute writes there
+    in blocks of SLICE entries: numpy copies an overlap of in and out."""
+    amp = half @ kernel_t
+    flat = amp.reshape(-1, amp.shape[-1])
+    for rows in _slices(len(flat), max(1, SLICE // flat.shape[1])):
+        np.absolute(flat[rows], out=flat[rows].real)
+    density = amp.real
+    return np.divide(np.square(density, out=density), norm, out=density)
 
 
 def _slices(size: int, step: int):

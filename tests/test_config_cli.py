@@ -450,6 +450,29 @@ def test_verify_detects_corrupted_kernels(monkeypatch):
     assert report["checks"]["oracle_total_amplitude"]["error"] > 1e-4
 
 
+def test_verify_surface_null_detects_a_left_edge_surface_offset(monkeypatch):
+    """verify splits the shipped stack's GaN layer 11, the first nonlinear
+    layer from the middle on, so a class pass runs at the fictitious
+    boundary: a left-edge surface kernel off by 1e-6 leaves a source there
+    (2.3e-7 of the emission) and fails the surface null and the split
+    invariance.  Split at the middle layer 10, linear AlN, no pass ran
+    there, the null read exactly 0 and every check passed."""
+    cfg = load_config(EXAMPLE)
+    orig = matrixcore_mod.class_kernels
+
+    def offset(*args, **kwargs):
+        kernels = orig(*args, **kwargs)
+        chi, surface, ik = kernels["left"]
+        return {**kernels, "left": (chi, (1.0 + 1e-6) * surface, ik)}
+
+    monkeypatch.setattr(matrixcore_mod, "class_kernels", offset)
+    report, ok = verify(cfg, bins=12)
+    failed = [n for n, c in report["checks"].items() if c["error"] > c["tol"]]
+    assert not ok
+    assert failed == ["split_invariance_GV", "split_invariance_GS",
+                      "fictitious_surface_null"]
+
+
 def test_verify_detects_non_unitary_scattering(monkeypatch):
     cfg = parse_config(_tiny_config())
     orig = linear_mod.input_output_map

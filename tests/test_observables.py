@@ -550,6 +550,27 @@ def test_streamed_stage_is_bitwise_the_resident_one_on_random_spectra(
     _assert_stage_is_resident(amps, n_time, list(amps))
 
 
+@pytest.mark.parametrize("half_shape, kernel_shape", [
+    ((37, 12), (12, 700)),  # blocks of 23 rows, the last one partial
+    ((300, 12), (12,)),  # one kernel column, as conditional_cut's
+    ((12,), (12, 512)),  # one half row, as rows() of one index
+    ((1, 12), (12, 512)),
+    ((512, 12), (12, 512)),  # verify's time_normalization grid
+])
+def test_density_is_bitwise_abs_squared(half_shape, kernel_shape):
+    """``_density`` writes |.|^2 / norm into the real half of the complex
+    product; every entry is np.abs(half @ kernel_t) ** 2 / norm bit for
+    bit."""
+    rng = np.random.default_rng(5)
+    half, kernel_t = (rng.standard_normal(s) + 1j * rng.standard_normal(s)
+                      for s in (half_shape, kernel_shape))
+    norm = 3.7e-3
+    got = observables._density(half, kernel_t, norm)
+    want = np.abs(half @ kernel_t) ** 2 / norm
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
 def test_slices_never_end_in_one_row():
     def spans(size, step):
         return [(s.start, s.stop) for s in observables._slices(size, step)]
