@@ -17,7 +17,7 @@ from .runner import MATRIX_NAMES, dump_matrix, scan, simulate, transmission_map,
 def _add_common(p):
     p.add_argument("--config", required=True, help="JSON run configuration")
     p.add_argument("--bins", type=int, default=None,
-                   help="override basis bin count")
+                   help="override basis bin count (scan: scan.bins)")
     p.add_argument("--structure", default=None,
                    help="JSON file whose 'structure' (and optional "
                         "'materials') sections override the config")
@@ -81,17 +81,22 @@ def _window(args):
 
 def _config(args):
     """The --config run config, with the --structure file's sections and
-    the scan-range flags patched into its tree, which is then parsed
+    the scan flags (ranges, scan's --bins) patched into its tree, parsed
     again whole: an override is checked as the file it patches."""
+    if args.command == "transmission-map" and args.bins is not None:
+        raise ConfigError("--bins does not apply to transmission-map: the "
+                          "pump transmission has no spectral basis")
     cfg = load_config(args.config)
     raw = (cfg.raw if args.structure is None
            else with_structure_file(cfg.raw, args.structure))
-    for key, flag in (("l1_nm", "l1_range"), ("l2_nm", "l2_range")):
-        if getattr(args, flag, None) is not None:
+    scan_bins = args.bins if args.command == "scan" else None
+    for key, value in (("l1_nm", getattr(args, "l1_range", None)),
+                       ("l2_nm", getattr(args, "l2_range", None)),
+                       ("bins", scan_bins)):
+        if value is not None:
             if "scan" not in raw:
                 raise ConfigError("config has no scan section to override")
-            raw = {**raw, "scan": {**raw["scan"],
-                                   key: list(getattr(args, flag))}}
+            raw = {**raw, "scan": {**raw["scan"], key: value}}
     return cfg if raw is cfg.raw else parse_config(raw)
 
 

@@ -18,7 +18,7 @@ the continuity rows of every layer (``continuity_rows``) and the
 scattering form F (``input_output_map``) and feed W (``feed_in_map``) of
 the total transfer, held in ``FieldMaps``.  It serves the pump
 (``pump_field``, through ``layer_amplitudes``), ``linear_transmission``,
-the oracle's partner modes and ``matrixcore.build_emission``, whose one
+the oracle's partner modes and ``matrixcore.solve_emission``, whose one
 march runs over the bin centers and the lit bin sums.
 """
 
@@ -47,14 +47,13 @@ def _crossing(n_from, n_to):
 
 def mat2_mul(a, b):
     """Product of 2x2 maps stacked over the trailing axes, which
-    broadcast."""
-    first = a[0, 0] * b[0, 0] + a[0, 1] * b[1, 0]
-    out = np.empty((2, 2) + first.shape, dtype=first.dtype)
-    out[0, 0] = first
-    out[0, 1] = a[0, 0] * b[0, 1] + a[0, 1] * b[1, 1]
-    out[1, 0] = a[1, 0] * b[0, 0] + a[1, 1] * b[1, 0]
-    out[1, 1] = a[1, 0] * b[0, 1] + a[1, 1] * b[1, 1]
-    return out
+    broadcast: the products a[i, j] b[j, k] in one broadcast multiply,
+    summed over j in one add."""
+    ndim = max(a.ndim, b.ndim)
+    a, b = (m.reshape(m.shape[:2] + (1,) * (ndim - m.ndim) + m.shape[2:])
+            for m in (a, b))
+    p = a[:, :, None] * b[None]
+    return np.add(p[:, 0], p[:, 1])
 
 
 def mat2_inv(m, context=""):
@@ -96,9 +95,8 @@ def layer_transfers(structure: StructureSpec, omega, n):
                id(length) if isinstance(length, np.ndarray) else length)
         if key not in steps:
             n_from, n_to = n[l - 1] + 0j, n[l] + 0j
-            axes = (1,) * (len(grid) - np.ndim(length)) + np.shape(length)
             phase = np.exp(1j * omega / CONSTANTS.c * n_to
-                           * np.reshape(length, axes + (1,)))
+                           * np.array(length, ndmin=len(grid))[..., None])
             steps[key] = (_crossing(n_from, n_to),
                           np.array([phase, 1.0 / phase])[:, None])
         crossing, propagate = steps[key]

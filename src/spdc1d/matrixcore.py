@@ -2,14 +2,11 @@
 
 The mode super-space stacks the signal annihilation sector and the idler
 creation sector, each with channels (F,x), (B,x), (F,y), (B,y) times the
-frequency bins.  In a lossless stack every idler creation-operator map is
-the complex conjugate of the signal map, so only the signal sector is
-stored; readers form the idler sector by conjugation.  At normal
-incidence in isotropic layers every linear map is a 2x2 per frequency
-bin, identical for both polarizations, so it is stored as an array of
-shape (2, 2, K) over (row channel, column channel, bin), from one
-``linear.field_maps`` solve on the bin centers followed by the lit bin
-sums, whose part the pump takes (flux-normalized amplitudes throughout).
+frequency bins.  In a lossless stack every idler map is the complex
+conjugate of the signal map, so only the signal sector is stored.  At
+normal incidence in isotropic layers every linear map is a 2x2 per bin,
+the same for both polarizations: an array of shape (2, 2, K) over (row
+channel, column channel, bin), of flux-normalized amplitudes.
 
 The pair operators G_V, G_S and each boundary's sources map idler
 inputs to signal outputs.  Each is one complex array of shape
@@ -18,85 +15,76 @@ inputs to signal outputs.  Each is one complex array of shape
     (row dir, signal pol, col dir, idler pol, signal bin, idler bin)
 
 in ``DIRS``/``POLS`` order.  The bin-sum grid is exactly symmetric, so
-the idler rows are the conjugates with the polarizations exchanged, bin
-for bin: idler row (b, beta), signal column (c, alpha) is
-conj(pairs[b, alpha, c, beta]).  ``pair_block`` reads one K x K block.
+idler row (b, beta), signal column (c, alpha) is conj(pairs[b, alpha,
+c, beta]), bin for bin.  ``pair_block`` reads one K x K block;
 ``BlockMatrix.from_pairs`` expands an array into the labelled dense
-form of both sectors by two strided writes: the signal rows, and the
-idler rows conjugated and added into zeros.
+form of both sectors.
 
-Boundary continuity (electric and magnetic rows, both polarizations,
-both fields) yields, per boundary l between layers l-1 and l:
+Boundary continuity (electric and magnetic rows) yields, per boundary l
+between layers l-1 and l, a linear interface relation L^(l-1) A^(l-1) =
+L^(l) A^(l), a volume pair source fed by the kernel content arriving
+with the ingoing mode of each side, and a surface pair source fed by
+the jump of the bare magnetic source coefficient across the boundary.
+The emitted pairs propagate as free fields to the outputs: a source s
+at boundary l is matched by the medium-0 modes c = (L_l at_left[l])^-1
+s at z_1, which leave as t c_F forward and r c_F - c_B backward (t =
+F[0, 0], r = F[1, 0]).  So the inverse response is [[t, 0], [r, -1]]
+(L_l at_left[l])^-1 per bin; the transfers are unimodular, so its
+determinant is -det(L_0)/t at every boundary.  Each boundary source is
+the kernel array scaled by columns with the per-bin feed of its input
+modes and by rows with the inverse response: O(N K^2) work and no
+matrix solve.
 
-* a linear interface relation  L^(l-1) A^(l-1) = L^(l) A^(l),
-* a volume pair source fed by the kernel content arriving with the
-  ingoing mode of each side, and
-* a surface pair source fed by the jump of the bare magnetic source
-  coefficient across the boundary.
+Every kernel is one polarization-free grid times the layer's chi2
+matrix d (``spectral``), formed only on the E lit entries (row bin, col
+bin) whose bin sum the pump lights, with the feeds and inverse
+responses gathered at the entries' col and row bins.  So the scalings
+run on arrays of shape (2, 2, 2, E) over (volume/surface, row dir, col
+dir, lit entry), summed in place into one zeroed buffer per distinct d;
+``_expand`` applies d, once per buffer, and scatters the entries into
+zeroed K x K grids (a dark entry is an exact +0).  The columns are the
+idler inputs, so the feed is the conjugated signal feed.
 
-The emitted pair waves of one boundary propagate as free fields to the
-structure outputs.  A continuity source s at boundary l is matched by the
-medium-0 modes c = (L_l at_left[l])^-1 s at z_1, and these leave as t c_F
-forward and r c_F - c_B backward, with t = F[0, 0] and r = F[1, 0] of the
-one scattering solve.  So the inverse response, from continuity sources
-to outputs, is [[t, 0], [r, -1]] (L_l at_left[l])^-1 per bin.  The flux
-transfers are unimodular, so det(L_l at_left[l]) = det(L_l) = -2iw/c at
-every boundary (one Wronskian per bin), and det(response_l) =
--det(L_0)/t.  Each boundary source is therefore the kernel array scaled
-by columns with the per-bin feed of its input modes and by rows with the
-per-bin inverse response: O(N K^2) work and no matrix solve.  F, the
-scattering form of the solve, is kept as it is computed: one (2, 2,
-K) array over (out dir, in dir, bin), the same for both polarizations.
-
-None of these maps depends on polarization, and every kernel is one
-polarization-free grid times the layer's chi2 matrix d (``spectral``).
-Sources are formed only on the E lit entries (row bin, col bin) whose
-bin sum the pump lights (``spectral``), with the per-bin feeds and
-inverse responses gathered at the entries' col and row bins.  So the
-scalings run on arrays of shape (2, 2, 2, E) over (volume/surface, row
-dir, col dir, lit entry), summed in place into one zeroed buffer per
-distinct d; ``_expand`` applies d, once per buffer, and scatters the
-entries into zeroed K x K grids (a dark entry is an exact +0).  The
-columns are the idler inputs, so the feed is the conjugated signal feed.
-
-A layer's kernels depend on the layer only through its (material,
+A build is two stages.  The solve (``solve_emission``) depends on no
+surface attribution: one ``linear.field_maps`` march on the bin centers
+and the lit bin sums gives F, the pump (sliced off at the sums), every
+boundary's inverse response and condition number and the edge feeds;
+then the class kernels.  A layer's kernels depend on it only through its (material,
 length) class, except for the pump weight a_g, its poling sign times
-the pump amplitude of direction g (``spectral.class_kernels``,
-``spectral.pump_weights``).  ``build_emission`` groups the nonlinear
-layers into these classes, keyed on the material object and the length,
-and runs one class pass per class and edge: the class kernels of both
-edges are formed once; each layer's kernels are sum_g a_g kernels[g],
-scaled by columns with that layer's feed and by rows with the inverse
-response of its boundary (the right edge of layer l sits at boundary
-l+1 and is added, the left edge at boundary l and is subtracted) times
-1/sqrt(n); and the layers are summed.  The class kernels hold the
-arriving kernel chi and the surface kernel s only; the magnetic volume
-row is i k_a chi - s, so a pass forms the total source from the rows
-E + i k_a H times the fed chi and the surface source from the H rows
-times the fed s, and takes volume = total - surface.  A pass is plain
-elementwise arithmetic on arrays with the layer axis leading, (L, ...,
-*G, E), summed over that axis: a few multiply-adds per (layer,
-geometry, lit entry).  The layers go through in chunks of at most
-``_CLASS_CHUNK`` // K^2 layers (at least one): at K = 12 the 10 GaN
-layers of the example form one chunk, at K >= 64 every layer is its
-own.  With ``boundary`` = l, G_V and G_S are boundary l's source alone:
-the passes run over the right edge of layer l-1 and the left edge of
-layer l only, into a buffer each, and only boundary l's response is
-inverted.  Summed over the boundaries, the sources give G_V and G_S.
+the pump amplitude of direction g (``spectral.pump_weights``), so the
+solve groups the nonlinear layers into classes keyed on the material
+object and the length and forms the kernels of both edges once per
+class, with the unsigned surface kernel +Q.  The assembly
+(``assemble_emission``) takes one attribution (per-slot negates the
+right edge's surface kernel, exactly) and optionally one boundary, and
+runs one class pass per class and edge: each layer's kernels are sum_g
+a_g kernels[g], scaled by columns with its feed and by rows with its
+boundary's inverse response times 1/sqrt(n) (the right edge of layer l
+is boundary l+1, added, the left edge boundary l, subtracted), summed
+over the layers.  The magnetic volume row is i k_a chi - s for the
+surface kernel s, so a pass forms the total source from the rows E + i
+k_a H times the fed chi and the surface source from the H rows times
+the fed s, and takes volume = total - surface: a few multiply-adds per
+(layer, geometry, lit entry) on arrays with the layer axis leading.
+The layers go in chunks of at most ``_CLASS_CHUNK`` // K^2 (at least
+one): at K = 12 the 10 GaN layers of the example form one chunk, at K
+>= 64 every layer is its own.  With ``boundary`` = l the passes run
+over the right edge of layer l-1 and the left edge of layer l only,
+into a buffer each, and only boundary l's warning is reported: G_V and
+G_S are boundary l's source, and the sources sum to the full G_V and
+G_S.  ``build_emission`` composes the two stages; ``runner.verify``
+assembles several attributions and boundaries of one stack from one
+solve.  Nothing is kept between calls.
 
 A stack whose layer lengths are arrays over a geometry grid G
 (``StructureSpec.grid``) is built once for every geometry: each array
-then carries the axes *G just before its bin or entry axes, so G_V is
-(2, 2, 2, 2, *G, K, K), F is (2, 2, *G, K), a boundary
-response (2, 2, *G, K) and a class pass holds its chunk's layers for
-every geometry.  A geometry-grid length keys its class by its array
-object, as in ``linear.layer_transfers``; the interface maps carry
-unit G axes, and a class length with fewer axes than G (a scalar among
-them) is given unit axes for the missing ones before its kernels are
-formed, so both broadcast; the condition warning of a boundary reports
-its worst geometry.  With G = () every shape is the single-structure
-one.  The caller bounds the size of G (``runner.scan`` builds its ridge
-cells in chunks).
+carries the axes *G just before its bin or entry axes (G_V is (2, 2, 2,
+2, *G, K, K), F (2, 2, *G, K)).  A geometry-grid length keys its class
+by its array object, as in ``linear.layer_transfers``; the interface
+maps carry unit G axes, and a class length with fewer axes than G gets
+unit axes for the missing ones, so both broadcast; a boundary's
+condition warning reports its worst geometry.  The caller bounds the
+size of G (``runner.scan`` builds its ridge cells in chunks).
 """
 
 from __future__ import annotations
@@ -121,6 +109,7 @@ from .materials import refractive_index
 from .spectral import (
     DIRS,
     POLS,
+    SPLIT_CONVENTIONS,
     SpectralBasis,
     bin_sums,
     chi2_matrix,
@@ -158,14 +147,12 @@ def outward_maps(maps: FieldMaps, l: int):
 
 
 def inverse_responses(maps: FieldMaps, boundaries):
-    """(inverse, cond) of the boundaries along axis 2.  The inverse
-    response, from E/H continuity sources at boundary l to the outputs
-    (forward, backward), is [[t, 0], [r, -1]] (L_l at_left[l])^-1 with
-    t = F[0, 0] and r = F[1, 0]; cond is the exact 1-norm condition
-    number of the response L_l at_left[l] [[1/t, 0], [r/t, -1]] at its
-    worst geometry and bin.  The rows L_l at_left[l] are formed and
-    inverted once; a singular response raises SingularMatrix naming its
-    boundary."""
+    """(inverse, cond) of the boundaries along axis 2: the inverse
+    response [[t, 0], [r, -1]] (L_l at_left[l])^-1 (t = F[0, 0], r =
+    F[1, 0]), from E/H continuity sources at boundary l to the outputs,
+    and the exact 1-norm condition number of the response L_l at_left[l]
+    [[1/t, 0], [r/t, -1]] at its worst geometry and bin.  A singular
+    response raises SingularMatrix naming its boundary."""
     rows = maps.boundary_rows(np.array(boundaries, dtype=int))
     try:
         inverse_rows = mat2_inv(rows, "boundary response")
@@ -208,14 +195,13 @@ def _class_pass(kernels, weights, feed, rows):
     """(volume, surface) output sources of a chunk of layers of one class
     at one edge, summed over the layers (see ``_expand`` for the layout).
 
-    kernels: ``class_kernels`` of the class at the edge, (chi, surface,
-    ik); weights: the layers' ``pump_weights``, shape (L, g, *G, E);
-    feed: the layers' modes at the edge from the inputs at each lit
-    entry's col bin, (col dir, channel, L, *G, E); rows: the inverse
-    response of each layer's boundary times 1/sqrt(n) at its row bin,
-    (out dir, E/H, L, *G, E).  Volume is the total (E + ik H rows times
-    the fed chi) minus the surface source (H rows times the fed surface
-    kernel).
+    kernels: the class's (chi, surface, ik) at the edge; weights: the
+    layers' ``pump_weights``, (L, g, *G, E); feed: the layers' modes at
+    the edge from the inputs at each lit entry's col bin, (col dir,
+    channel, L, *G, E); rows: each layer's boundary's inverse response
+    times 1/sqrt(n) at its row bin, (out dir, E/H, L, *G, E).  Volume is
+    the total (E + ik H rows times the fed chi) minus the surface source
+    (H rows times the fed surface kernel).
     """
     chi, surface, ik = kernels
     a = weights[:, :, None]
@@ -230,6 +216,15 @@ def _class_pass(kernels, weights, feed, rows):
            * (j_s[:, None] * (fed[:, 0] + fed[:, 1]))[:, None]).sum(axis=0)
     p_total -= p_s
     return p_total, p_s
+
+
+def _attributed(kernels, convention):
+    """``class_kernels`` (+Q at both edges) of one surface attribution:
+    per-slot's [+-1]_a Q of the arriving direction is -Q on the right."""
+    if convention == "local-jump":
+        return kernels
+    chi, q, ik = kernels["right"]
+    return {**kernels, "right": (chi, -q, ik)}
 
 
 @dataclass
@@ -254,18 +249,30 @@ class EmissionOperators:
         return BlockMatrix.from_bins({"s": f, "i": np.conj(f)})
 
 
-def build_emission(
-    structure: StructureSpec,
-    pump_spec: PumpSpec,
-    basis: SpectralBasis,
-    boundary: int | None = None,
-    convention: str = "local-jump",
-) -> EmissionOperators:
-    """Assemble the scattering map and the volume/surface emission maps;
-    with ``boundary`` = l, G_V and G_S are boundary l's source alone."""
+@dataclass
+class EmissionSolve:
+    """A build's attribution-free part: F, lit entries (rows, cols, sums),
+    boundaries with a nonlinear side, their inverse responses (axis 2)
+    and condition numbers, {edge: conjugated feeds}, and per class
+    (layers, d, 1/sqrt(n), unsigned class kernels)."""
+
+    structure: StructureSpec
+    basis: SpectralBasis
+    pump: PumpField
+    scatter: np.ndarray
+    lit: tuple
+    boundaries: list
+    inverse: np.ndarray
+    cond: np.ndarray
+    fed: dict
+    classes: list
+
+
+def solve_emission(structure: StructureSpec, pump_spec: PumpSpec,
+                   basis: SpectralBasis) -> EmissionSolve:
+    """The linear solve, pump, boundary responses, feeds and class kernels
+    of a stack, for ``assemble_emission``."""
     n_tot = structure.n_layers + 2
-    if boundary is not None and not 1 <= boundary < n_tot:
-        raise ConfigError(f"no boundary {boundary} in 1..{n_tot - 1}")
     # one solve on the bin centers and the lit bin sums
     sums, index = bin_sums(basis)
     both = field_maps(structure, np.concatenate(
@@ -278,43 +285,54 @@ def build_emission(
     d_of = structure.per_material(
         lambda mat: chi2_matrix(mat, pump.polarization))
     dark = [not np.any(d) for d in d_of]
-    active = [l for l in (range(1, n_tot) if boundary is None else [boundary])
-              if not (dark[l - 1] and dark[l])]
+    active = [l for l in range(1, n_tot) if not (dark[l - 1] and dark[l])]
     inverse, cond = inverse_responses(maps, active)
-    warnings = [f"boundary {l}: response condition number {c:.2e}"
-                for l, c in zip(active, cond) if c > CONDITION_WARN]
     # feed of every layer's modes at each edge from the idler inputs
     fed = {edge: np.conj(maps.fed(edge)) for edge in ("left", "right")}
-    # drop the march; keep F and each layer's 1/sqrt(n) (its E row)
-    scatter, e_rows = maps.scatter, maps.interface[:, 0, 0].real
-    del both, maps
-    position = {l: i for i, l in enumerate(active)}
-    # (material object, length) -> its nonlinear layers (next to boundary);
-    # a geometry-grid length is named by its array, as in layer_transfers
+    e_rows = maps.interface[:, 0, 0].real  # each layer's 1/sqrt(n)
+    # (material, length) -> (nonlinear layers, d, 1/sqrt(n), kernels); a
+    # grid length is keyed by its array, with unit axes for the grid's rest
     classes = {}
     for l in range(1, n_tot - 1):
-        if not dark[l] and boundary in (None, l, l + 1):
-            length = structure.length(l)
-            key = (id(structure.material(l)),
-                   id(length) if isinstance(length, np.ndarray) else length)
-            classes.setdefault(key, []).append(l)
+        if not dark[l]:
+            mat, length = structure.material(l), structure.length(l)
+            key = (id(mat), id(length) if isinstance(length, np.ndarray)
+                   else length)
+            if key not in classes:
+                classes[key] = ([], d_of[l], e_rows[l], class_kernels(
+                    mat, np.array(length, ndmin=len(structure.grid)), basis,
+                    pump, lit))
+            classes[key][0].append(l)
+    return EmissionSolve(structure, basis, pump, maps.scatter, lit, active,
+                         inverse, cond, fed, list(classes.values()))
+
+
+def assemble_emission(solve: EmissionSolve, convention: str = "local-jump",
+                      boundary: int | None = None) -> EmissionOperators:
+    """G_V and G_S of one surface attribution from a solve; with
+    ``boundary`` = l, boundary l's source alone."""
+    structure, basis = solve.structure, solve.basis
+    rows, cols, sums = solve.lit
+    n_tot = structure.n_layers + 2
+    if boundary is not None and not 1 <= boundary < n_tot:
+        raise ConfigError(f"no boundary {boundary} in 1..{n_tot - 1}")
+    if convention not in SPLIT_CONVENTIONS:
+        raise ConfigError(f"unknown split convention {convention!r}")
+    warnings = [f"boundary {l}: response condition number {c:.2e}"
+                for l, c in zip(solve.boundaries, solve.cond)
+                if c > CONDITION_WARN and boundary in (None, l)]
+    position = {l: i for i, l in enumerate(solve.boundaries)}
     per_chunk = max(1, _CLASS_CHUNK // basis.bins**2)
     shape = (2,) * 4 + structure.grid + (basis.bins, basis.bins)
     # d.tobytes() -> (d, its (volume, surface) sum); with boundary, one per
     # edge, so the source is d P_right + d P_left, not d (P_right + P_left)
     totals = {}
-    for members in classes.values():
-        mat, d = structure.material(members[0]), d_of[members[0]]
-        # unit axes for the grid's dimensions that the length lacks
-        length = structure.length(members[0])
-        length = np.reshape(length, (1,) * (len(structure.grid)
-                                            - np.ndim(length))
-                            + np.shape(length))
-        pref = e_rows[members[0]]
-        kernels = class_kernels(mat, length, basis, pump, lit, convention)
+    for members, d, pref, kernels in solve.classes:
+        members = [l for l in members if boundary in (None, l, l + 1)]
+        kernels = _attributed(kernels, convention)
         for start in range(0, len(members), per_chunk):
             ls = np.array(members[start:start + per_chunk])
-            weights = pump_weights(structure, pump, lit[2], ls)
+            weights = pump_weights(structure, solve.pump, sums, ls)
             # a layer's right edge is boundary l + 1, added, its left edge
             # boundary l, subtracted; with ``boundary`` only the edges on it
             for edge, shift, op in (("right", 1, np.add),
@@ -322,9 +340,10 @@ def build_emission(
                 on = np.s_[:] if boundary is None else ls + shift == boundary
                 if not ls[on].size:
                     continue
-                resp = inverse[:, :, [position[l + shift] for l in ls[on]]]
+                resp = solve.inverse[:, :, [position[l + shift]
+                                            for l in ls[on]]]
                 parts = _class_pass(kernels[edge], weights[on],
-                                    fed[edge][:, :, ls[on]][..., cols],
+                                    solve.fed[edge][:, :, ls[on]][..., cols],
                                     (resp * pref)[..., rows])
                 tag = d.tobytes() if boundary is None else (d.tobytes(), edge)
                 if tag not in totals:
@@ -332,10 +351,19 @@ def build_emission(
                                                dtype=complex))
                 for acc, part in zip(totals[tag][1], parts):
                     op(acc, part, out=acc)
-    g_v, g_s = _expand(totals.values(), shape, lit)
+    g_v, g_s = _expand(totals.values(), shape, solve.lit)
 
-    for name, mat in (("F", scatter), ("G_V", g_v), ("G_S", g_s)):
+    for name, mat in (("F", solve.scatter), ("G_V", g_v), ("G_S", g_s)):
         if not np.all(np.isfinite(mat)):
             raise ConfigError(f"non-finite entries in {name}")
-    return EmissionOperators(structure, basis, pump, scatter, g_v, g_s,
-                             warnings)
+    return EmissionOperators(structure, basis, solve.pump, solve.scatter,
+                             g_v, g_s, warnings)
+
+
+def build_emission(structure: StructureSpec, pump_spec: PumpSpec,
+                   basis: SpectralBasis, boundary: int | None = None,
+                   convention: str = "local-jump") -> EmissionOperators:
+    """Assemble the scattering map and the volume/surface emission maps;
+    with ``boundary`` = l, G_V and G_S are boundary l's source alone."""
+    return assemble_emission(solve_emission(structure, pump_spec, basis),
+                             convention, boundary)

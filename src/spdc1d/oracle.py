@@ -6,10 +6,11 @@ numerically as 2x2 mode re-mixing at every boundary, without using the
 closed-form layer kernels or the emission-operator assembly (only
 compare_with_emission reads its pair arrays).  Only the total (volume
 plus surface) output amplitude is physical at the structure ports, and
-that is what this module produces.  It marches the signal and the idler
-rows each on their own, so comparing its idler rows with the conjugated
-signal rows of the emission maps checks the conjugation identity those
-maps rest on.
+that is what this module produces.  It marches the idler rows on their
+own data, so comparing them with the conjugated signal rows of the
+emission maps checks the conjugation identity those maps rest on; the
+signal and idler rows at the step and the Richardson half step run
+along two leading axes of one march.
 
 Method: the pair coefficients C(z) of the propagating field against the
 fixed input modes of the partner field obey
@@ -21,26 +22,23 @@ inside each layer (M_partner = linear scattering solution of the partner
 field, flux-normalized).  A fixed-step midpoint rule integrates each
 layer; a particular solution marched from zero at z_1 is corrected by a
 homogeneous (linear-scattering) solution to enforce outgoing boundary
-conditions.  Signal and idler share one spectral basis, so one linear
-solution per input side serves as the partner of either propagating
-field and as its outgoing-wave correction.  Step halving plus
-Richardson extrapolation removes the leading O(h^2) error.
+conditions.  One linear solution per input side serves as the partner
+of either propagating field and as its outgoing-wave correction.  Step
+halving plus Richardson extrapolation removes the leading O(h^2) error.
 
 The midpoint update of a sub-step of size h is c_{n+1} = A c_n + b_n
 with A = 1 + ikh + (ikh)^2/2 and b_n = h s(zeta_n + h/2)
 + (h^2/2) ik s(zeta_n), so a layer of N sub-steps is summed in closed
 form: c_N = A^N c_0 + sum_n A^(N-1-n) b_n.  The source is sum_g
 T_g^* e^{i k_p,g zeta} conj(amp_F e^{ik zeta} + amp_B e^{-ik zeta});
-of its factors only T_g^* (poling times pump weight) and the partner
-amplitudes amp change from layer to layer.  The z-sums of everything
-else (pump and partner phases times A^(N-1-n)) are therefore done once
-per (material object, length) class and step size, and each layer then
-costs one K x K contraction with its own T_g^* and amp.  The pump phases
-are evaluated once per distinct bin sum and gathered onto the grid; the
-bin-sum grid is exactly symmetric, so the idler rows share the signal
-rows' sums.  Each class sum runs over chunks of at most BLOCK sub-steps,
-reduced in order on top of the running sum, so the block size does not
-change a bit of the result.
+only T_g^* (poling times pump weight) and the partner amplitudes amp
+change from layer to layer, so the z-sums of the rest (pump and partner
+phases times A^(N-1-n)) run once per (material object, length) class
+and step, and each layer costs one K x K contraction.  The pump phases
+are evaluated once per distinct bin sum; the bin-sum grid is exactly
+symmetric, so the idler rows share the signal rows' sums.  Each class
+sum runs over chunks of at most BLOCK sub-steps, reduced in order on
+top of the running sum, so the block size does not change a bit.
 """
 
 from __future__ import annotations
@@ -106,98 +104,15 @@ def _class_sums(k, kp_sums, index, length, step):
     return growth ** n_sub, weight * total
 
 
-def _march_once(structure, layers, row_field, partner_amps, class_sums):
-    """Particular pair solution for one propagating field, all pol pairs.
-
-    layers[l] = (d, k, t_unit, crossing) of layer l: its material's chi2
-    matrix d[signal pol, idler pol] and forward wave number on the bin
-    centers, conj(T_g) per unit chi2 t_unit, shape (2, K, K) over (g,
-    signal bin, idler bin), and the flux 2x2 map from layer l-1 into
-    layer l.  partner_amps[b0] = flux-normalized layer amplitudes for
-    unit input in channel b0 ('F' at z_1, 'B' at z_{N+1}) on the bin
-    centers, shape (N+2, 2, K): the partner field's modes, and with b0 =
-    'B' the outgoing-wave correction of the propagating field.
-    class_sums[(material id, length)] = _class_sums of every nonlinear
-    class at this step.  Returns the corrected output coefficients
-    out[(a_out, alpha, b0, beta)] as continuous kernels at bin centers.
-    """
-    pairs = sorted({(POLS[i], POLS[j]) for d, _, _, _ in layers[1:-1]
-                    for i, j in zip(*np.nonzero(d))})
-    if not pairs:
-        return {}
-    if row_field == "i":
-        # (alpha, beta) keys are (signal, idler); rows propagate the idler
-        row_pairs = [(beta, alpha) for (alpha, beta) in pairs]
-    else:
-        row_pairs = pairs
-    shape = layers[0][2].shape[1:]
-    # state[p, b0, a]: pol pair p, partner input b0, propagation direction a
-    state = np.zeros((len(row_pairs), 2, 2) + shape, dtype=complex)
-
-    for l in range(1, structure.n_layers + 2):
-        # continuity jump from layer l-1 into layer l at boundary z_l
-        chi2, k, t_unit, d = layers[l]
-        c_f, c_b = state[:, :, 0], state[:, :, 1]
-        state = np.stack((d[0, 0][:, None] * c_f + d[0, 1][:, None] * c_b,
-                          d[1, 0][:, None] * c_f + d[1, 1][:, None] * c_b),
-                         axis=2)
-        if l == structure.n_layers + 1:
-            break
-        length = structure.length(l)
-        if row_field == "i":
-            chi2, t_unit = chi2.T, np.swapaxes(t_unit, 1, 2)
-        coef = [chi2[POLS.index(pr), POLS.index(pc)] for pr, pc in row_pairs]
-        active = [p for p, c in enumerate(coef) if c != 0.0]
-        linear = [p for p, c in enumerate(coef) if c == 0.0]
-        if linear:
-            # linear layer for these pairs: free phases only
-            k_row = np.stack((k, -k))[:, :, None]
-            state[linear] *= np.exp(1j * k_row * length)
-        if not active:
-            continue
-        growth, weighted = class_sums[(id(structure.material(l)), length)]
-        amps = np.conj(np.stack([partner_amps[b0][l] for b0 in DIRS]))
-        source = np.einsum("agskm,gkm,bsm->bakm", weighted, t_unit, amps)
-        for p in active:
-            state[p] = growth * state[p] + coef[p] * source
-
-    # enforce outgoing boundary conditions with a homogeneous correction
-    sig_b = partner_amps["B"]
-    refl_right = sig_b[structure.n_layers + 1, 0]  # F amp at z_N+1 per unit B in
-    tran_left = sig_b[0, 1]                        # B amp at z_1 per unit B in
-    out = {}
-    for (pol_row, pol_col), c_pair in zip(row_pairs, state):
-        for b0, c in zip(DIRS, c_pair):
-            c_corr = -c[1]  # cancel the backward amplitude at z_{N+1}
-            out[("F", pol_row, b0, pol_col)] = c[0] + refl_right[:, None] * c_corr
-            out[("B", pol_row, b0, pol_col)] = tran_left[:, None] * c_corr
-    return out
-
-
-def reference_pair_amplitude(
-    structure: StructureSpec,
-    pump_spec: PumpSpec,
-    basis: SpectralBasis,
-    step: float,
-    richardson: bool = True,
-):
-    """Total output pair amplitude, directly comparable to the emission maps.
-
-    Returns {'s': {...}, 'i': {...}}: 's' entries (a, alpha, b0, beta)
-    match the blocks of G_V + G_S against idler input channel (b0,
-    beta); 'i' entries (b, beta, a0, alpha) match the idler
-    creation-sector rows against signal inputs, the conjugated blocks
-    (b, alpha; a0, beta).  All matrices carry the sqrt(dw dw) bin
-    projection of the pair arrays.
-    """
-    if not 0.0 < step < np.inf:
-        raise ConfigError(f"z-step must be finite and positive, got {step}")
-    min_len = min(structure.length(l) for l in range(1, structure.n_layers + 1))
-    if step > min_len / 16.0:
-        raise StepTooCoarse(
-            f"step {step:.3e} m exceeds min layer length / 16 = {min_len / 16:.3e} m"
-        )
-    centers, widths = basis.centers, basis.widths
+def _march_inputs(structure, pump_spec, basis):
+    """(layers, classes, partner, index): layers[l] = (d[signal pol, idler
+    pol], forward k on the bin centers, conj(T_g) per unit chi2 over (g,
+    signal bin, idler bin), flux map from layer l-1); classes[(material
+    id, length)] = (k, kp_sums, length) of each nonlinear class;
+    partner[b0] = layer amplitudes (N+2, 2, K) for unit input in channel
+    b0 ('F' at z_1, 'B' at z_{N+1}): the partner modes, and with 'B' the
+    outgoing-wave correction; index: the (K, K) bin-sum index."""
+    centers = basis.centers
     pump, index = bin_sum_pump(structure, pump_spec, basis)
     weights = pump_weights(structure, pump, index,
                            list(range(structure.n_layers + 2)))
@@ -222,22 +137,97 @@ def reference_pair_amplitude(
                                                             length)
     maps = field_maps(structure, centers)
     partner = {b0: layer_amplitudes(maps, b0) for b0 in DIRS}
+    return layers, classes, partner, index
 
-    def run(h):
-        class_sums = {key: _class_sums(k, kp_sums, index, length, h)
-                      for key, (k, kp_sums, length) in classes.items()}
-        return {f: _march_once(structure, layers, f, partner, class_sums)
-                for f in ("s", "i")}
 
-    res = run(step)
-    if richardson:
-        res2 = run(step / 2.0)
-        res = {f: {k: (4.0 * res2[f][k] - v) / 3.0 for k, v in r.items()}
-               for f, r in res.items()}
+def _march(structure, layers, pairs, partner_amps, class_sums):
+    """Particular pair solutions of both row fields at every step for the
+    (signal pol, idler pol) pairs, corrected to outgoing boundary
+    conditions: (S, 2, P, 2, 2, K, K) over (step, row field s/i, pol
+    pair, partner input b0, output dir, row bin, col bin), from the
+    ``_class_sums`` stacked over the steps.  An idler row propagates the
+    idler: pol pair (beta, alpha), the transposed conj(T_g)."""
+    shape = layers[0][2].shape[1:]
+    n_steps = len(next(iter(class_sums.values()))[0])
+    # state[s, f, p, b0, a]: step, row field, pol pair, partner input b0,
+    # propagation direction a
+    state = np.zeros((n_steps, 2, len(pairs), 2, 2) + shape, dtype=complex)
 
-    weight = np.sqrt(widths[:, None] * widths[None, :])
-    return {"s": {k: v * weight for k, v in res["s"].items()},
-            "i": {k: np.conj(v) * weight for k, v in res["i"].items()}}
+    for l in range(1, structure.n_layers + 2):
+        # continuity jump from layer l-1 into layer l at boundary z_l
+        chi2, k, t_unit, d = layers[l]
+        c_f, c_b = state[..., 0, :, :], state[..., 1, :, :]
+        state = np.stack((d[0, 0][:, None] * c_f + d[0, 1][:, None] * c_b,
+                          d[1, 0][:, None] * c_f + d[1, 1][:, None] * c_b),
+                         axis=-3)
+        if l == structure.n_layers + 1:
+            break
+        length = structure.length(l)
+        # an idler row's chi2.T[beta, alpha] is chi2[alpha, beta]
+        coef = [chi2[POLS.index(pr), POLS.index(pc)] for pr, pc in pairs]
+        active = [p for p, c in enumerate(coef) if c != 0.0]
+        linear = [p for p, c in enumerate(coef) if c == 0.0]
+        if linear:
+            # linear layer for these pairs: free phases only
+            k_row = np.stack((k, -k))[:, :, None]
+            state[:, :, linear] *= np.exp(1j * k_row * length)
+        if not active:
+            continue
+        growth, weighted = class_sums[(id(structure.material(l)), length)]
+        amps = np.conj(np.stack([partner_amps[b0][l] for b0 in DIRS]))
+        t_rows = np.stack((t_unit, np.swapaxes(t_unit, 1, 2)))
+        source = np.einsum("...agskm,...gkm,bsm->...bakm", weighted[:, None],
+                           t_rows, amps)
+        growth = growth[:, None, None]
+        for p in active:
+            state[:, :, p] = growth * state[:, :, p] + coef[p] * source
+
+    # enforce outgoing boundary conditions with a homogeneous correction
+    sig_b = partner_amps["B"]
+    refl_right = sig_b[structure.n_layers + 1, 0]  # F amp at z_N+1 per unit B in
+    tran_left = sig_b[0, 1]                        # B amp at z_1 per unit B in
+    c_corr = -state[..., 1, :, :]  # cancel the backward amplitude at z_{N+1}
+    return np.stack((state[..., 0, :, :] + refl_right[:, None] * c_corr,
+                     tran_left[:, None] * c_corr), axis=-3)
+
+
+def reference_pair_amplitude(structure: StructureSpec, pump_spec: PumpSpec,
+                             basis: SpectralBasis, step: float,
+                             richardson: bool = True):
+    """Total output pair amplitude, directly comparable to the emission maps.
+
+    Returns {'s': {...}, 'i': {...}}: 's' entries (a, alpha, b0, beta)
+    match the blocks of G_V + G_S against idler input channel (b0,
+    beta); 'i' entries (b, beta, a0, alpha) match the idler rows against
+    signal inputs, the conjugated blocks (b, alpha; a0, beta).  All
+    carry the sqrt(dw dw) bin projection of the pair arrays.
+    """
+    if not 0.0 < step < np.inf:
+        raise ConfigError(f"z-step must be finite and positive, got {step}")
+    min_len = min(structure.length(l) for l in range(1, structure.n_layers + 1))
+    if step > min_len / 16.0:
+        raise StepTooCoarse(
+            f"step {step:.3e} m exceeds min layer length / 16 = {min_len / 16:.3e} m"
+        )
+    layers, classes, partner, index = _march_inputs(structure, pump_spec,
+                                                    basis)
+    pairs = sorted({(POLS[i], POLS[j]) for d, _, _, _ in layers[1:-1]
+                    for i, j in zip(*np.nonzero(d))})
+    if not pairs:
+        return {"s": {}, "i": {}}
+    steps = (step, step / 2.0) if richardson else (step,)
+    class_sums = {key: tuple(np.stack(a) for a in zip(*(
+        _class_sums(k, kp_sums, index, length, h) for h in steps)))
+        for key, (k, kp_sums, length) in classes.items()}
+    res = _march(structure, layers, pairs, partner, class_sums)
+    res = (4.0 * res[1] - res[0]) / 3.0 if richardson else res[0]
+    weight = np.sqrt(basis.widths[:, None] * basis.widths[None, :])
+    res = (res[0] * weight, np.conj(res[1]) * weight)
+    rows = {"s": pairs, "i": [(beta, alpha) for alpha, beta in pairs]}
+    return {f: {(a, pr, b0, pc): res[i][p, j, m]
+                for p, (pr, pc) in enumerate(rows[f])
+                for j, b0 in enumerate(DIRS) for m, a in enumerate(DIRS)}
+            for i, f in enumerate(("s", "i"))}
 
 
 def compare_with_emission(reference, emission):

@@ -19,7 +19,13 @@ from .blockmatrix import MODE_CHANNELS, ROW_CHANNELS, BlockMatrix
 from .config import RunConfig
 from .errors import ConfigError, NoPeak
 from .linear import field_maps, linear_transmission
-from .matrixcore import build_emission, outward_maps, propagator_bins
+from .matrixcore import (
+    assemble_emission,
+    build_emission,
+    outward_maps,
+    propagator_bins,
+    solve_emission,
+)
 from .observables import (
     antidiagonal_profile,
     branch_amplitudes,
@@ -34,13 +40,11 @@ from .spectral import chi2_matrix, pump_wavenumbers
 from .structure import StructureSpec
 
 M2_PER_MM2 = 1e-6  # counts per quantization area (1 m^2) -> per mm^2
-# Bound on layers x cells x K^2 per emission build of a scan: how many
-# ridge cells share one build, trading each build's fixed work (the layer
-# march, the indices, the class passes) against its memory.  The shipped
-# scan (20 layers, 12 bins) makes 6 builds of at most 22 cells; one full
-# build peaks at 4.95 MiB of tracemalloc, above the 4.29 MiB of a
-# `verify --bins 4`.  98304 (34 cells) raised a scanning process's peak
-# RSS by 3.5 MiB and was no faster (2-core OpenBLAS host).
+# Bound on layers x cells x K^2 per emission build of a scan, trading a
+# build's fixed work against its memory: the shipped scan (20 layers, 12
+# bins) makes 6 builds of at most 22 cells, one peaking at 5.01 MiB of
+# tracemalloc.  98304 (34 cells) raised a scanning process's peak RSS by
+# 3.5 MiB and was no faster (2-core OpenBLAS host).
 _SCAN_CHUNK = 65536
 
 
@@ -349,9 +353,11 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
     """Consistency report: oracle match, invariances, unitarity, Parseval.
 
     Returns (report, ok); every check carries its measured error and
-    tolerance.  The split invariance compares two builds assembled the
-    same way, of the stack and of it with its first nonlinear layer from
-    the middle on split; the surface null builds that boundary alone.
+    tolerance.  The split invariance compares the local-jump builds of
+    the stack and of it with its first nonlinear layer from the middle on
+    split; the surface null reads that fictitious boundary's source.  One
+    solve per stack serves them: the stack's gives the configured
+    attribution and local-jump, the split stack's its build and source.
     ``density_nonnegative`` gates only n_total and reports the n_V and
     n_S minima (signed, see ``observables``) beside it, all relative to
     the n_total peak.
@@ -366,8 +372,10 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
     structure = cfg.structure
     checks = {}
 
-    emission = build_emission(structure, cfg.pump, basis,
-                              convention=cfg.attribution)
+    solve = solve_emission(structure, cfg.pump, basis)
+    emission = assemble_emission(solve, cfg.attribution)
+    emission_lj = (emission if cfg.attribution == "local-jump"
+                   else assemble_emission(solve, "local-jump"))
     # F is 2x2 per bin: check F F-dagger = 1 block by block (its idler
     # sector conj(F) deviates by as much)
     f = emission.scatter
@@ -385,14 +393,8 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
     mid = max(1, structure.n_layers // 2)
     mid = next((l for l in range(mid, structure.n_layers + 1) if np.any(
         chi2_matrix(structure.material(l), emission.pump.polarization))), mid)
-    split = structure.split_layer(mid, 0.5)
-    em_split = build_emission(split, cfg.pump, basis,
-                              convention="local-jump")
-    if cfg.attribution != "local-jump":
-        emission_lj = build_emission(structure, cfg.pump, basis,
-                                     convention="local-jump")
-    else:
-        emission_lj = emission
+    solve = solve_emission(structure.split_layer(mid, 0.5), cfg.pump, basis)
+    em_split = assemble_emission(solve)
     scale_g = max(np.linalg.norm(emission.g_volume + emission.g_surface),
                   1e-300)
     for name, attr in (("GV", "g_volume"), ("GS", "g_surface")):
@@ -400,8 +402,8 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
         checks[f"split_invariance_{name}"] = {
             "error": float(np.linalg.norm(diff) / scale_g), "tol": 1e-9
         }
-    s_s = build_emission(split, cfg.pump, basis, boundary=mid + 1,
-                         convention="local-jump").g_surface
+    s_s = assemble_emission(solve, boundary=mid + 1).g_surface
+    del solve, em_split, emission_lj
     checks["fictitious_surface_null"] = {
         "error": float(np.linalg.norm(s_s) / scale_g), "tol": 1e-10
     }

@@ -21,15 +21,16 @@ forward, right edge for backward) and accumulates along propagation:
 
 with T_g the pump-weighted coupling of the layer.  The magnetic (d/dz)
 content of the pair terms per side sums to i k_s,a chi exactly; the bare
-source coefficient Q(z) = sum_g T_g^* exp(i k_p,g (z - z_l)), which is
-the local pump field times tau_s tau_i chi2, can be distributed between the
-volume and surface channels in more than one exact way, which is what
-the surface-attribution conventions of class_kernels select.  Q is
-continuous across a boundary up to the jump of the material factors, so
-driving the surface channel with its jump ('local-jump') makes a
-fictitious boundary inside homogeneous material source nothing, while
-the literal per-mode assignment ('per-slot') reproduces the published
-volume/surface bookkeeping.  Only the summed output is observable.
+source coefficient Q(z) = sum_g T_g^* exp(i k_p,g (z - z_l)), the local
+pump field times tau_s tau_i chi2, can be split between the volume and
+surface channels in more than one exact way: the surface attributions
+(``class_kernels`` forms the 'local-jump' kernels, ``matrixcore`` signs
+them per attribution).  Q is continuous across a boundary up to the
+jump of the material factors, so driving the surface channel with its
+jump ('local-jump') makes a fictitious boundary inside homogeneous
+material source nothing, while the literal per-mode assignment
+('per-slot') reproduces the published volume/surface bookkeeping.  Only
+the summed output is observable.
 
 The layers are isotropic, so T_g depends on the polarizations only
 through the scalar chi2 coefficient: every kernel is one
@@ -51,13 +52,9 @@ functions; nothing is kept between calls.
 
 Dark bin sums (pump weight exactly zero) are never assembled: kernels
 live on the E lit entries (row bin, col bin) of the grid, in C order.
-The class kernels of one edge are three arrays: the arriving kernel chi
-(g, col dir, *G, E), the surface kernel (g, *G, E) and i k_a of each
-entry's row bin.  The magnetic volume row is i k_a chi - surface under
-either attribution, so it is not stored.  Their phases are separable:
-e^{i dk L} is e^{i k_p L} e^{-i k_a L} e^{-i k_b L}, and the right-edge
-phase e^{i (k_a + k_b) L}, so the exponentials run once per bin and once
-per distinct bin sum (gathered at the entries' bins and sums), never per
+Their phases are separable: e^{i dk L} is e^{i k_p L} e^{-i k_a L}
+e^{-i k_b L}, and the right-edge phase e^{i (k_a + k_b) L}, so the
+exponentials run once per bin and once per distinct bin sum, never per
 entry; the bracket's series runs only on the entries near phase
 matching.
 """
@@ -218,8 +215,7 @@ SPLIT_CONVENTIONS = ("local-jump", "per-slot")
 
 
 def class_kernels(material: MaterialModel, length,
-                  basis: SpectralBasis, pump: PumpField, lit,
-                  convention: str = "local-jump") -> dict:
+                  basis: SpectralBasis, pump: PumpField, lit) -> dict:
     """Projected kernels at both edges of every layer of one (material,
     length) class, per unit pump weight, on the lit entries lit = (rows,
     cols, sums): each entry's row and col bin and the index of its bin sum
@@ -233,29 +229,20 @@ def class_kernels(material: MaterialModel, length,
     signed wave number of the row direction.  Forward rows sit at the
     right edge, backward rows at the left one.  A layer of the class with
     pump weights a_g (``pump_weights``) has the kernels sum_g a_g chi[g]
-    and sum_g a_g surface[g].  surface is the magnetic surface
-    attribution, the same for both column directions; the magnetic
-    volume row is ik chi - surface, so that per side the two magnetic
-    attributions sum to the exact total i k chi.  Every kernel carries
-    sqrt(dw_row dw_col) (midpoint projection onto the top-hat bins).  The
-    conventions distribute the bare source coefficient Q differently:
+    and sum_g a_g surface[g].  The magnetic volume row is ik chi -
+    surface, so per side the two magnetic attributions sum to the exact
+    total i k chi; it is not stored.  Every kernel carries sqrt(dw_row
+    dw_col) (midpoint projection onto the top-hat bins).
 
-    * 'local-jump': surface rows carry +Q on both sides, so the surface
-      drive is the cross-boundary jump of Q (zero at a fictitious
-      boundary, proportional to the material discontinuity at a real
-      one).
-    * 'per-slot': the literal magnetic content of each mode slot
-      (volume rows i k chi + [+-1]_a Q of the arriving slot, surface
-      rows the departing slot's [+-1]_a Q).  Not fictitious-boundary
-      null; kept for comparison only.
-
-    The kernels are polarization-free (per unit chi2) signal rows.  Idler
-    rows are the same grids: the pump wave numbers live on the bin-sum
-    grid, which is exactly symmetric, so the idler rows' transposed pump
-    grid and dk equal the signal rows' ones.
+    surface is the bare source coefficient +Q at both edges, the same
+    for both column directions: the 'local-jump' attribution, whose
+    surface drive is the cross-boundary jump of Q (zero at a fictitious
+    boundary).  'per-slot' (each slot's literal magnetic content, [+-1]_a
+    Q of the arriving direction; not fictitious-boundary null, kept for
+    comparison) negates the right edge's surface, in ``matrixcore``.
+    The kernels are polarization-free signal rows; idler rows are the
+    same grids, as the bin-sum grid is exactly symmetric.
     """
-    if convention not in SPLIT_CONVENTIONS:
-        raise ConfigError(f"unknown split convention {convention!r}")
     rows, cols, sums = lit
     widths = basis.widths
     # conj(T_g) per unit chi2 and pump weight, with the bin weights
@@ -272,7 +259,7 @@ def class_kernels(material: MaterialModel, length,
                         * zeta)[..., sums]
     k_p = k_p[:, sums][:, None]
     out = {}
-    for edge, a, slot in (("right", "F", 1.0), ("left", "B", -1.0)):
+    for edge, a in (("right", "F"), ("left", "B")):
         k_a = k[DIRS.index(a)]
         dk = k_p - k_a[rows] - k[:, cols]  # over (g, col dir)
         dk = dk.reshape((2, 2) + flat + dk.shape[-1:])
@@ -286,7 +273,5 @@ def class_kernels(material: MaterialModel, length,
                          * phase[::-1, ..., cols] - 1.0)
             q = np.broadcast_to(unit, pump_phase.shape)
         chi = -1j * unit * _bracket(dk, zeta, numerator, edge_phase)
-        # per-slot: [+-1]_a of the arriving direction
-        sigma = -1.0 if convention == "local-jump" else slot
-        out[edge] = (chi, -sigma * q, 1j * k_a[rows])
+        out[edge] = (chi, q, 1j * k_a[rows])
     return out

@@ -10,7 +10,10 @@ the branch contractions by plain loops over the labelled dense F, a
 peak counter for the qualitative spectral checks, the boundary
 response through the left and right segments
 (``segment_response``), and the stepwise z-march of the oracle
-(``stepwise_pair_amplitude``), one midpoint update per sub-step, and the
+(``stepwise_pair_amplitude``), one midpoint update per sub-step, the
+closed-form z-march of one row field at one step (``_march_once``,
+composed four times over the row fields and Richardson steps by
+``marched_pair_amplitude``), and the
 einsum emission assembly (``einsum_emission``): class kernels with one
 complex exponential and series per lit entry and a stored magnetic
 volume row, per-layer kernels, and an einsum class pass.  The K x K
@@ -21,7 +24,9 @@ assembled the pump's lit entries only; ``assert_bitwise_equal`` holds
 the two to the same bits.  With ``keep_sources`` it also keeps every
 boundary's source, its two edges summed apart one layer at a time, to
 which ``assert_sources_bitwise_equal`` holds each build with
-``boundary`` = l (``per_boundary`` gathers those builds).
+``boundary`` = l (``per_boundary`` gathers those builds), and
+``assert_assemblies_are_builds`` holds the assemblies of one shared
+solve to separate builds.
 ``LayerView`` reads one layer's coupling data (conj(T_g), wave numbers,
 kernels) through the pure functions of ``spectral``.  The two-sector
 references (``linear_maps``, ``two_sector_emission``,
@@ -53,6 +58,7 @@ from spdc1d.linear import (
 )
 from spdc1d.materials import refractive_index, wavenumber
 import spdc1d.matrixcore as matrixcore
+import spdc1d.oracle as oracle
 from spdc1d.observables import default_time_grid
 from spdc1d.spectral import (
     _BRACKET_SWITCH,
@@ -175,9 +181,11 @@ class LayerView:
         row is i k_a chi - surface."""
         grid = self.index.shape
         chi, surface, ik = (np.reshape(a, a.shape[:-1] + grid) for a in
-                            class_kernels(self.material, self.length,
-                                          self.basis, self.pump, self.every,
-                                          convention)[edge])
+                            matrixcore._attributed(
+                                class_kernels(self.material, self.length,
+                                              self.basis, self.pump,
+                                              self.every),
+                                convention)[edge])
         a = self.weights[0]
         chi = np.einsum("g...kn,gb...kn->b...kn", a, chi)
         surface = np.einsum("g...kn,g...kn->...kn", a, surface)
@@ -257,12 +265,18 @@ def einsum_class_pass(kernels, weights, feed, rows):
     return p_v, p_s
 
 
-def einsum_emission(*args, **kwargs):
-    """``build_emission`` with the einsum class kernels and class pass."""
-    with mock.patch.object(matrixcore, "class_kernels",
-                           einsum_class_kernels), \
+def einsum_emission(*args, convention="local-jump", **kwargs):
+    """``build_emission`` with the einsum class kernels of the attribution
+    and class pass."""
+    def kernels(*args):
+        return einsum_class_kernels(*args, convention=convention)
+
+    with mock.patch.object(matrixcore, "class_kernels", kernels), \
+            mock.patch.object(matrixcore, "_attributed",
+                              lambda kernels, convention: kernels), \
             mock.patch.object(matrixcore, "_class_pass", einsum_class_pass):
-        return matrixcore.build_emission(*args, **kwargs)
+        return matrixcore.build_emission(*args, convention=convention,
+                                         **kwargs)
 
 
 def dense_class_kernels(material, length, basis, pump, index,
@@ -446,6 +460,21 @@ def assert_sources_bitwise_equal(structure, pump_spec, basis, convention):
         for name, g, w in zip(("SV", "SS"), (got.g_volume, got.g_surface),
                               parts):
             _assert_same_bits(g, w, f"{name}:{l}")
+
+
+def assert_assemblies_are_builds(structure, pump_spec, basis):
+    """Every assembly from one ``solve_emission``, under both attributions
+    and for the whole stack and each boundary alone, holds the bits of
+    F, G_V and G_S and the warnings of its own ``build_emission``."""
+    solve = matrixcore.solve_emission(structure, pump_spec, basis)
+    for convention in SPLIT_CONVENTIONS:
+        for boundary in (None, *range(1, structure.n_layers + 2)):
+            got = matrixcore.assemble_emission(solve, convention, boundary)
+            want = matrixcore.build_emission(structure, pump_spec, basis,
+                                             boundary=boundary,
+                                             convention=convention)
+            assert_bitwise_equal(got, want)
+            assert got.warnings == want.warnings, (convention, boundary)
 
 
 def linear_maps(structure, basis):
@@ -789,6 +818,89 @@ def stepwise_pair_amplitude(structure, pump_spec, basis, step,
         res2 = run(step / 2.0)
         res = {f: {k: (4.0 * res2[f][k] - v) / 3.0 for k, v in r.items()}
                for f, r in res.items()}
+    weight = np.sqrt(widths[:, None] * widths[None, :])
+    return {"s": {k: v * weight for k, v in res["s"].items()},
+            "i": {k: np.conj(v) * weight for k, v in res["i"].items()}}
+
+
+def _march_once(structure, layers, row_field, partner_amps, class_sums):
+    """Particular pair solution for one propagating field at one step, all
+    pol pairs: out[(a_out, alpha, b0, beta)] at bin centers.
+
+    layers, partner_amps: ``oracle._march_inputs``; class_sums[(material
+    id, length)] = ``oracle._class_sums`` of every nonlinear class at
+    this step.
+    """
+    pairs = sorted({(POLS[i], POLS[j]) for d, _, _, _ in layers[1:-1]
+                    for i, j in zip(*np.nonzero(d))})
+    if not pairs:
+        return {}
+    if row_field == "i":
+        # (alpha, beta) keys are (signal, idler); rows propagate the idler
+        row_pairs = [(beta, alpha) for (alpha, beta) in pairs]
+    else:
+        row_pairs = pairs
+    shape = layers[0][2].shape[1:]
+    # state[p, b0, a]: pol pair p, partner input b0, propagation direction a
+    state = np.zeros((len(row_pairs), 2, 2) + shape, dtype=complex)
+
+    for l in range(1, structure.n_layers + 2):
+        chi2, k, t_unit, d = layers[l]
+        c_f, c_b = state[:, :, 0], state[:, :, 1]
+        state = np.stack((d[0, 0][:, None] * c_f + d[0, 1][:, None] * c_b,
+                          d[1, 0][:, None] * c_f + d[1, 1][:, None] * c_b),
+                         axis=2)
+        if l == structure.n_layers + 1:
+            break
+        length = structure.length(l)
+        if row_field == "i":
+            chi2, t_unit = chi2.T, np.swapaxes(t_unit, 1, 2)
+        coef = [chi2[POLS.index(pr), POLS.index(pc)] for pr, pc in row_pairs]
+        active = [p for p, c in enumerate(coef) if c != 0.0]
+        linear = [p for p, c in enumerate(coef) if c == 0.0]
+        if linear:
+            k_row = np.stack((k, -k))[:, :, None]
+            state[linear] *= np.exp(1j * k_row * length)
+        if not active:
+            continue
+        growth, weighted = class_sums[(id(structure.material(l)), length)]
+        amps = np.conj(np.stack([partner_amps[b0][l] for b0 in DIRS]))
+        source = np.einsum("agskm,gkm,bsm->bakm", weighted, t_unit, amps)
+        for p in active:
+            state[p] = growth * state[p] + coef[p] * source
+
+    sig_b = partner_amps["B"]
+    refl_right = sig_b[structure.n_layers + 1, 0]
+    tran_left = sig_b[0, 1]
+    out = {}
+    for (pol_row, pol_col), c_pair in zip(row_pairs, state):
+        for b0, c in zip(DIRS, c_pair):
+            c_corr = -c[1]  # cancel the backward amplitude at z_{N+1}
+            out[("F", pol_row, b0, pol_col)] = c[0] + refl_right[:, None] * c_corr
+            out[("B", pol_row, b0, pol_col)] = tran_left[:, None] * c_corr
+    return out
+
+
+def marched_pair_amplitude(structure, pump_spec, basis, step,
+                           richardson=True):
+    """``oracle.reference_pair_amplitude`` with one ``_march_once`` per
+    row field and step: the same {'s': ..., 'i': ...} layout, Richardson
+    extrapolation and bin weights."""
+    layers, classes, partner, index = oracle._march_inputs(
+        structure, pump_spec, basis)
+
+    def run(h):
+        class_sums = {key: oracle._class_sums(k, kp_sums, index, length, h)
+                      for key, (k, kp_sums, length) in classes.items()}
+        return {f: _march_once(structure, layers, f, partner, class_sums)
+                for f in FIELDS}
+
+    res = run(step)
+    if richardson:
+        res2 = run(step / 2.0)
+        res = {f: {k: (4.0 * res2[f][k] - v) / 3.0 for k, v in r.items()}
+               for f, r in res.items()}
+    widths = basis.widths
     weight = np.sqrt(widths[:, None] * widths[None, :])
     return {"s": {k: v * weight for k, v in res["s"].items()},
             "i": {k: np.conj(v) * weight for k, v in res["i"].items()}}

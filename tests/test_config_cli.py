@@ -1,6 +1,5 @@
 import json
 import os
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ import pytest
 import spdc1d.cli as cli_mod
 import spdc1d.linear as linear_mod
 import spdc1d.matrixcore as matrixcore_mod
+import spdc1d.oracle as oracle_mod
 import spdc1d.runner as runner_mod
 from spdc1d.cli import main
 from spdc1d.config import ConfigError, load_config, parse_config
@@ -409,29 +409,70 @@ def test_verify_passes_on_small_config():
 
 @pytest.mark.parametrize("attribution", ["local-jump", "per-slot"])
 def test_verify_builds_each_emission_once(monkeypatch, attribution):
-    """The bin-refinement study reuses the main emission at `bins`; the
-    other full builds at `bins` are the split stack and, for per-slot,
-    the local-jump reference of the split-invariance check.  One build
-    of the split stack's fictitious boundary alone gives its source."""
+    """verify solves the stack and its split once each at `bins`.  The
+    stack's solve gives the configured attribution and, for per-slot,
+    the local-jump reference of the split-invariance check; the split
+    stack's solve gives its full build and its fictitious boundary's
+    source.  The bin-refinement study reuses the emission at `bins` and
+    builds the other two levels."""
     cfg = parse_config(_tiny_config(surface_attribution=attribution))
-    built, boundaries = [], []
-    orig = runner_mod.build_emission
+    solved, assembled, built = [], [], []
+    orig_solve = runner_mod.solve_emission
+    orig_assemble = runner_mod.assemble_emission
+    orig_build = runner_mod.build_emission
 
-    def counting(structure, pump, basis, *args, **kwargs):
-        if kwargs.get("boundary") is None:
-            built.append(basis.bins)
-        else:
-            boundaries.append((structure.n_layers, kwargs["boundary"],
-                               basis.bins))
-        return orig(structure, pump, basis, *args, **kwargs)
+    def solving(structure, pump, basis):
+        solved.append((structure.n_layers, basis.bins))
+        return orig_solve(structure, pump, basis)
 
-    monkeypatch.setattr(runner_mod, "build_emission", counting)
+    def assembling(solve, convention="local-jump", boundary=None):
+        assembled.append((solve.structure.n_layers, convention, boundary))
+        return orig_assemble(solve, convention, boundary)
+
+    def building(structure, pump, basis, *args, **kwargs):
+        built.append((basis.bins, kwargs.get("boundary")))
+        return orig_build(structure, pump, basis, *args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "solve_emission", solving)
+    monkeypatch.setattr(runner_mod, "assemble_emission", assembling)
+    monkeypatch.setattr(runner_mod, "build_emission", building)
     report, ok = verify(cfg, bins=6)
     assert ok, report["checks"]
-    at_bins = 3 if attribution == "per-slot" else 2
-    assert Counter(built) == {3: 1, 6: at_bins, 12: 1}
-    mid = max(1, cfg.structure.n_layers // 2)
-    assert boundaries == [(cfg.structure.n_layers + 1, mid + 1, 6)]
+    n = cfg.structure.n_layers
+    mid = max(1, n // 2)
+    assert solved == [(n, 6), (n + 1, 6)]
+    assert assembled == ([(n, attribution, None)]
+                         + [(n, "local-jump", None)] * (attribution
+                                                        == "per-slot")
+                         + [(n + 1, "local-jump", None),
+                            (n + 1, "local-jump", mid + 1)])
+    assert built == [(3, None), (12, None)]
+
+
+def test_shipped_verify_solves_seven_times_and_marches_once(monkeypatch):
+    """One ``verify --bins 12`` of the shipped config makes 7 linear
+    solves: the stack and its split at 12 bins, the refinement builds at
+    6 and 24, the energy probe and the oracle's pump and partner modes.
+    The oracle marches once, both row fields at both Richardson steps."""
+    cfg = load_config(EXAMPLE)
+    solves, marches, oracles = [], [], []
+    orig_solve = linear_mod.field_maps
+    for mod in (linear_mod, matrixcore_mod, oracle_mod, runner_mod):
+        monkeypatch.setattr(mod, "field_maps", lambda *args: solves.append(
+            args) or orig_solve(*args))
+    orig_march = oracle_mod._march
+    monkeypatch.setattr(oracle_mod, "_march", lambda *args: marches.append(
+        args[-1]) or orig_march(*args))
+    orig_oracle = runner_mod.reference_pair_amplitude
+    monkeypatch.setattr(runner_mod, "reference_pair_amplitude",
+                        lambda *args, **kwargs: oracles.append(args) or
+                        orig_oracle(*args, **kwargs))
+    report, ok = verify(cfg, bins=12)
+    assert ok, report["checks"]
+    assert len(solves) == 7
+    assert len(oracles) == len(marches) == 1
+    growth, weighted = next(iter(marches[0].values()))
+    assert len(growth) == len(weighted) == 2  # the step and its half
 
 
 def test_verify_detects_corrupted_kernels(monkeypatch):
@@ -730,6 +771,42 @@ def test_scan_cli_and_worker_independence(tmp_path):
     assert (out1 / "ridge_scan.csv").read_bytes() == (
         out2 / "ridge_scan.csv"
     ).read_bytes()
+
+
+def test_cli_scan_bins_overrides_scan_bins(tmp_path):
+    """scan --bins N runs the ridge yields at N bins: its ridge_scan.csv is
+    byte for byte that of a config with scan.bins = N, and not that of
+    the config's own scan.bins."""
+    raw = _tiny_config()
+    raw["scan"].update({"l1_nm": [30.0, 90.0, 5], "l2_nm": [30.0, 90.0, 5]})
+    paths = {}
+    for name, bins in (("own", 4), ("three", 3)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(
+            {**raw, "scan": {**raw["scan"], "bins": bins}}))
+    runs = {"own": ["--config", str(paths["own"])],
+            "three": ["--config", str(paths["three"])],
+            "flag": ["--config", str(paths["own"]), "--bins", "3"]}
+    csv_of = {}
+    for name, argv in runs.items():
+        assert main(["scan", "--out-dir", str(tmp_path / name)] + argv) == 0
+        csv_of[name] = (tmp_path / name / "ridge_scan.csv").read_bytes()
+    assert csv_of["flag"] == csv_of["three"]
+    assert csv_of["flag"] != csv_of["own"]
+
+
+def test_cli_transmission_map_bins_exits_2(tmp_path, capsys):
+    """transmission-map has no spectral basis: --bins exits 2 with one
+    error line naming the flag, before any output is written."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    out = tmp_path / "out"
+    rc = main(["transmission-map", "--config", str(cfg_path), "--out-dir",
+               str(out), "--bins", "8"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --bins ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["l1_nm", "l2_nm"])

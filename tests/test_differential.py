@@ -24,8 +24,9 @@ from spdc1d.oracle import compare_with_emission, reference_pair_amplitude
 from spdc1d.spectral import DIRS, POLS, SPLIT_CONVENTIONS, SpectralBasis
 from spdc1d.structure import StructureSpec
 
-from reference import (assert_bitwise_equal, assert_sources_bitwise_equal,
-                       dense_emission, linear_maps)
+from reference import (assert_assemblies_are_builds, assert_bitwise_equal,
+                       assert_sources_bitwise_equal, dense_emission,
+                       linear_maps)
 
 OMEGA_P0 = 2 * np.pi * CONSTANTS.c / 400e-9
 PAIRS = (("y", "x", "y"), ("y", "y", "x"), ("y", "x", "x"), ("y", "y", "y"))
@@ -202,3 +203,13 @@ def test_lit_entry_assembly_is_bitwise_the_dense_one(structure, side, bins,
         dense_emission(structure, pump, basis, convention=convention))
     if keep:
         assert_sources_bitwise_equal(structure, pump, basis, convention)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(structure=st.one_of(stacks(), grid_stacks().map(lambda g: g[0])),
+       side=st.sampled_from("FB"), bins=st.integers(2, 8))
+def test_assemblies_of_one_solve_are_the_builds(structure, side, bins):
+    """On random stacks, single and over geometry grids, each attribution
+    and each boundary assembled from one shared solve holds the bits of
+    its own build."""
+    assert_assemblies_are_builds(structure, _pump(side), _basis(bins))

@@ -221,9 +221,11 @@ def test_shipped_scan_makes_six_builds(example, tmp_path, monkeypatch):
 def test_shipped_scan_chunk_build_memory(example, tmp_path):
     """One full chunk build of the shipped scan (``ridge_yields`` on its
     first 22 ridge cells) peaks at no more than 5.5 MiB of tracemalloc
-    (4.95 MiB measured; 5.97 MiB while the layer march was held through
-    the class passes).  The benchmark warm-up's ``verify --bins 4`` peaks
-    near 4.3 MiB, so this build, not the warm-up, sets the scan's peak."""
+    (5.01 MiB measured, 4.95 MiB before the solve held every class's
+    kernels through the assembly; 5.97 MiB while the layer march was held
+    through the class passes).  The benchmark warm-up's ``verify --bins
+    4`` peaks near 4.3 MiB, so this build, not the warm-up, sets the
+    scan's peak."""
     runner_mod.scan(example, tmp_path, workers=1)
     with open(tmp_path / "ridge_scan.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))[:22]
@@ -240,7 +242,7 @@ def test_shipped_scan_chunk_build_memory(example, tmp_path):
 
 def test_shipped_verify_memory(example):
     """``verify --bins 12`` on the shipped config peaks at no more than
-    5.25 MiB of tracemalloc (4.78 MiB measured; 6.65 MiB when a float
+    5.25 MiB of tracemalloc (4.58 MiB measured; 6.65 MiB when a float
     |.|^2 of the 512 x 512 time_normalization grid sat beside its complex
     product, 8.14 MiB when every boundary source of the split stack was
     expanded and held at once for the one the surface null reads)."""

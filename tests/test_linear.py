@@ -7,6 +7,7 @@ from spdc1d.linear import (
     field_maps,
     layer_amplitudes,
     linear_transmission,
+    mat2_mul,
     propagate_pump,
 )
 from spdc1d.materials import constant_material
@@ -205,3 +206,41 @@ def test_geometry_grid_transmission_equals_per_structure_loop(gan, aln, air,
             single = linear_transmission(pairs(a, b), omega, side)
             for got, ref in zip(batched, single):
                 assert np.array_equal(got[i, j], ref)
+
+
+def _mat2_mul_explicit(a, b):
+    """The 2x2 product entry by entry: a[i, 0] b[0, k] + a[i, 1] b[1, k]."""
+    first = a[0, 0] * b[0, 0] + a[0, 1] * b[1, 0]
+    out = np.empty((2, 2) + first.shape, dtype=first.dtype)
+    out[0, 0] = first
+    out[0, 1] = a[0, 0] * b[0, 1] + a[0, 1] * b[1, 1]
+    out[1, 0] = a[1, 0] * b[0, 0] + a[1, 1] * b[1, 0]
+    out[1, 1] = a[1, 0] * b[0, 1] + a[1, 1] * b[1, 1]
+    return out
+
+
+@pytest.mark.parametrize("shape_a,shape_b,real_a", [
+    ((17,), (17,), False),
+    ((22, 17), (22, 17), False),
+    ((17,), (5, 1, 17), False),  # broadcast with fewer trailing axes
+    ((5, 3, 17), (17,), False),
+    ((3, 1, 17), (1, 4, 17), True),  # a real map times complex ones
+])
+def test_mat2_mul_is_bitwise_the_explicit_product(shape_a, shape_b, real_a):
+    """The broadcast product equals the explicit 2x2 formula bit for bit,
+    signed zeros included: half of the parts are +-0, so some products
+    are -0."""
+    rng = np.random.default_rng(7)
+
+    def stack(shape, real=False):
+        parts = rng.standard_normal((2, 2, 2) + shape)
+        zero = rng.random(parts.shape) < 0.5
+        parts[zero] = np.copysign(0.0, rng.standard_normal(zero.sum()))
+        return parts[0] if real else parts[0] + 1j * parts[1]
+
+    a, b = stack(shape_a, real_a), stack(shape_b)
+    got, want = mat2_mul(a, b), _mat2_mul_explicit(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    parts = np.concatenate((want.real.ravel(), want.imag.ravel()))
+    assert np.any(np.signbit(parts[parts == 0.0]))

@@ -38,6 +38,7 @@ from spdc1d.structure import StructureSpec
 
 from reference import (
     LayerView,
+    assert_assemblies_are_builds,
     assert_bitwise_equal,
     assert_sources_bitwise_equal,
     dense_emission,
@@ -587,6 +588,39 @@ def test_lit_entry_assembly_is_bitwise_the_dense_one(gan, aln, air, case,
         assert lit == 0 and not np.any(got.g_volume)
     else:
         assert 0 < lit and np.any(got.g_volume)
+
+
+@pytest.mark.parametrize("warn", [False, True])
+@pytest.mark.parametrize("case", ["shipped-k12", "shipped-k64", "scan-grid",
+                                  "2d-grid-scalar-class"])
+def test_assemblies_of_one_solve_are_the_builds(gan, aln, air, monkeypatch,
+                                                case, warn):
+    """Each attribution and each boundary assembled from one shared solve
+    holds the bits of its own build, warnings included; with ``warn``
+    the condition number of every boundary with a nonlinear side is over
+    the threshold, so a boundary's assembly must report its own warning
+    alone."""
+    cfg = load_config(EXAMPLE)
+    l1 = np.linspace(50.0, 70.0, 4)[:, None] * 1e-9
+    l2 = np.linspace(10.0, 16.0, 3)[None, :] * 1e-9
+    structure, b = {
+        "shipped-k12": (cfg.structure, cfg.basis(bins=12)),
+        "shipped-k64": (cfg.structure, cfg.basis(bins=64)),
+        "scan-grid": (runner_mod._pair_stack(cfg, l1, l2), cfg.basis(bins=6)),
+        "2d-grid-scalar-class": (_grid_stack(gan, aln, air),
+                                 _basis(5, 0.35, 0.65)),
+    }[case]
+    if warn:
+        monkeypatch.setattr(matrixcore_mod, "CONDITION_WARN", 0.0)
+    assert_assemblies_are_builds(structure, cfg.pump, b)
+    solve = matrixcore_mod.solve_emission(structure, cfg.pump, b)
+    warnings = build_emission(structure, cfg.pump, b).warnings
+    assert len(warnings) == (len(solve.boundaries) if warn else 0)
+    assert len(solve.boundaries) > 1
+    for l in range(1, structure.n_layers + 2):
+        own = [w for w in warnings if w.startswith(f"boundary {l}:")]
+        assert matrixcore_mod.assemble_emission(
+            solve, boundary=l).warnings == own
 
 
 @pytest.mark.parametrize("bins", [12, 64])

@@ -13,7 +13,8 @@ from spdc1d.oracle import compare_with_emission, reference_pair_amplitude
 from spdc1d.spectral import SPLIT_CONVENTIONS, SpectralBasis
 from spdc1d.structure import StructureSpec
 
-from reference import full_chi2, stepwise_pair_amplitude
+from reference import (full_chi2, marched_pair_amplitude,
+                       stepwise_pair_amplitude)
 
 C = CONSTANTS.c
 OMEGA_P0 = 2 * np.pi * C / 400e-9
@@ -133,6 +134,43 @@ def test_closed_form_march_shares_class_sums_across_layers(gan, aln, air,
                                     side=side)
     basis = SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 5)
     _assert_matches_stepwise(st, pump, basis, step=30e-9 / 20)
+
+
+def _full_chi2_cases(gan, aln, air, stack4):
+    """name -> (structure, basis, step): the full-chi2 stacks above."""
+    return {
+        "stack4": (full_chi2(stack4),
+                   SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 8),
+                   50e-9 / 20),
+        "three-layer": (full_chi2(StructureSpec(
+            ((gan, 40e-9, 1), (aln, 128e-9, 1), (gan, 200e-9, 1)), air, air)),
+            SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 4), 2e-9),
+        "shared-classes": (full_chi2(StructureSpec(
+            ((gan, 50e-9, 1), (aln, 30e-9, 1), (gan, 50e-9, -1),
+             (aln, 30e-9, -1), (gan, 50e-9, 1)), air, air)),
+            SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 5), 30e-9 / 20),
+    }
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("side", ["F", "B"])
+@pytest.mark.parametrize("case", ["stack4", "three-layer", "shared-classes"])
+def test_one_march_is_bitwise_the_per_field_per_step_marches(
+        gan, aln, air, stack4, case, side, richardson):
+    """The one z-march over (step, row field) holds the bits of one march
+    per row field and Richardson step (``marched_pair_amplitude``),
+    signed zeros included, in the same key order."""
+    st, basis, step = _full_chi2_cases(gan, aln, air, stack4)[case]
+    pump = PumpSpec.from_wavelength(400e-9, 7e-9, 1e3, polarization="y",
+                                    side=side)
+    got = reference_pair_amplitude(st, pump, basis, step, richardson)
+    want = marched_pair_amplitude(st, pump, basis, step, richardson)
+    for field in ("s", "i"):
+        assert len(want[field]) == 16
+        assert list(got[field]) == list(want[field])
+        for key, ref in want[field].items():
+            assert np.array_equal(got[field][key].view(np.int64),
+                                  ref.view(np.int64)), (field, key)
 
 
 def test_oracle_is_independent_of_the_emission_path():
