@@ -9,10 +9,10 @@ Columns are always mode channels; rows are mode or continuity-row
 channels.  ``labels`` names each index as field/channel/bin.
 
 The operators are computed and used as per-bin 2x2 maps and as pair
-arrays (see ``matrixcore``); they are expanded here only to be written
-out: ``from_bins`` onto block diagonals, ``from_pairs`` into dense
-signal-idler blocks, its idler rows conjugated from the stored signal
-rows.  No module computes with the dense form.
+parts (see ``matrixcore``); they are expanded here only to be written
+out: ``from_bins`` onto block diagonals, ``from_pairs`` a pair array
+formed from the parts into dense signal-idler blocks, its idler rows
+conjugated from the signal rows.  No module computes with the dense form.
 """
 
 from __future__ import annotations

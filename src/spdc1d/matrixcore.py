@@ -9,16 +9,17 @@ the same for both polarizations: an array of shape (2, 2, K) over (row
 channel, column channel, bin), of flux-normalized amplitudes.
 
 The pair operators G_V, G_S and each boundary's sources map idler
-inputs to signal outputs.  Each is one complex array of shape
-(2, 2, 2, 2, K, K) over
-
-    (row dir, signal pol, col dir, idler pol, signal bin, idler bin)
-
-in ``DIRS``/``POLS`` order.  The bin-sum grid is exactly symmetric, so
-idler row (b, beta), signal column (c, alpha) is conj(pairs[b, alpha,
-c, beta]), bin for bin.  ``pair_block`` reads one K x K block;
-``BlockMatrix.from_pairs`` expands an array into the labelled dense
-form of both sectors.
+inputs to signal outputs.  Each is kept as its parts (d, P): d the 2x2
+chi2 matrix over (signal pol, idler pol), P of shape (2, 2, 2, E) over
+(volume/surface, row dir, col dir, lit entry) on the E lit entries (row
+bin, col bin) whose bin sum the pump lights.  ``EmissionOperators.pairs``
+forms on demand the blocks of sum_m d_m (x) P_m, of shape (2, 2, 2, 2,
+K, K) over (row dir, signal pol, col dir, idler pol, signal bin, idler
+bin) in ``DIRS``/``POLS`` order, or their lit entries, adding the parts
+into zeros in turn (a dark entry is an exact +0).  The bin-sum grid is
+exactly symmetric, so idler row (b, beta), signal column (c, alpha) is
+conj(pairs[b, alpha, c, beta]), bin for bin.  ``BlockMatrix.from_pairs``
+expands a pair array into the labelled dense form of both sectors.
 
 Boundary continuity (electric and magnetic rows) yields, per boundary l
 between layers l-1 and l, a linear interface relation L^(l-1) A^(l-1) =
@@ -36,14 +37,11 @@ modes and by rows with the inverse response: O(N K^2) work and no
 matrix solve.
 
 Every kernel is one polarization-free grid times the layer's chi2
-matrix d (``spectral``), formed only on the E lit entries (row bin, col
-bin) whose bin sum the pump lights, with the feeds and inverse
-responses gathered at the entries' col and row bins.  So the scalings
-run on arrays of shape (2, 2, 2, E) over (volume/surface, row dir, col
-dir, lit entry), summed in place into one zeroed buffer per distinct d;
-``_expand`` applies d, once per buffer, and scatters the entries into
-zeroed K x K grids (a dark entry is an exact +0).  The columns are the
-idler inputs, so the feed is the conjugated signal feed.
+matrix d (``spectral``), formed only on the lit entries, with the feeds
+and inverse responses gathered at the entries' col and row bins.  So
+the scalings run on arrays of shape (2, 2, 2, E), summed in place into
+one zeroed P per distinct d.  The columns are the idler inputs, so the
+feed is the conjugated signal feed.
 
 A build is two stages.  The solve (``solve_emission``) depends on no
 surface attribution: one ``linear.field_maps`` march on the bin centers
@@ -70,7 +68,7 @@ The layers go in chunks of at most ``_CLASS_CHUNK`` // K^2 (at least
 one): at K = 12 the 10 GaN layers of the example form one chunk, at K
 >= 64 every layer is its own.  With ``boundary`` = l the passes run
 over the right edge of layer l-1 and the left edge of layer l only,
-into a buffer each, and only boundary l's warning is reported: G_V and
+into a part each, and only boundary l's warning is reported: G_V and
 G_S are boundary l's source, and the sources sum to the full G_V and
 G_S.  ``build_emission`` composes the two stages; ``runner.verify``
 assembles several attributions and boundaries of one stack from one
@@ -78,8 +76,8 @@ solve.  Nothing is kept between calls.
 
 A stack whose layer lengths are arrays over a geometry grid G
 (``StructureSpec.grid``) is built once for every geometry: each array
-carries the axes *G just before its bin or entry axes (G_V is (2, 2, 2,
-2, *G, K, K), F (2, 2, *G, K)).  A geometry-grid length keys its class
+carries the axes *G just before its bin or entry axes (P is (2, 2, 2,
+*G, E), F (2, 2, *G, K)).  A geometry-grid length keys its class
 by its array object, as in ``linear.layer_transfers``; the interface
 maps carry unit G axes, and a class length with fewer axes than G gets
 unit axes for the missing ones, so both broadcast; a boundary's
@@ -107,8 +105,6 @@ from .linear import (
 )
 from .materials import refractive_index
 from .spectral import (
-    DIRS,
-    POLS,
     SPLIT_CONVENTIONS,
     SpectralBasis,
     bin_sums,
@@ -170,30 +166,9 @@ def inverse_responses(maps: FieldMaps, boundaries):
     return inverse, cond.max(axis=tuple(range(1, cond.ndim)))
 
 
-def pair_block(pairs, row, col):
-    """K x K block of a pair array: signal row label (dir, pol), idler
-    column label (dir, pol)."""
-    (a, alpha), (b, beta) = row, col
-    return pairs[DIRS.index(a), POLS.index(alpha), DIRS.index(b),
-                 POLS.index(beta)]
-
-
-def _expand(parts, shape, lit):
-    """(volume, surface) pair arrays sum_m d_m (x) P_m from (d, P) parts:
-    d of shape (2, 2) over (signal pol, idler pol), P of shape (2, 2, 2,
-    *G, E) over (volume/surface, row dir, col dir, geometry, lit entry),
-    scattered into zeros at the lit (row bin, col bin) entries."""
-    rows, cols, _ = lit
-    out = np.zeros((2,) + shape, dtype=complex)
-    for d, p in parts:
-        for alpha, beta in zip(*np.nonzero(d)):
-            out[:, :, alpha, :, beta][..., rows, cols] += d[alpha, beta] * p
-    return out[0], out[1]
-
-
 def _class_pass(kernels, weights, feed, rows):
     """(volume, surface) output sources of a chunk of layers of one class
-    at one edge, summed over the layers (see ``_expand`` for the layout).
+    at one edge, summed over the layers: a part's P (module docstring).
 
     kernels: the class's (chi, surface, ik) at the edge; weights: the
     layers' ``pump_weights``, (L, g, *G, E); feed: the layers' modes at
@@ -227,6 +202,10 @@ def _attributed(kernels, convention):
     return {**kernels, "right": (chi, -q, ik)}
 
 
+# (row dir, signal pol, col dir, idler pol) of each block of a pair array
+_LABELS = np.stack(np.indices((2,) * 4), axis=-1)
+
+
 @dataclass
 class EmissionOperators:
     """Linear scattering and first-order pair-emission maps of a stack."""
@@ -235,9 +214,30 @@ class EmissionOperators:
     basis: SpectralBasis
     pump: PumpField
     scatter: np.ndarray  # per-bin F, shape (2, 2, *G, K)
-    g_volume: np.ndarray  # pair arrays (see the module docstring)
-    g_surface: np.ndarray
+    lit: tuple  # lit entries (rows, cols, sums)
+    parts: list  # (d, P) of G_V and G_S (see the module docstring)
     warnings: list
+
+    def pairs(self, w, index=..., lit_only=False):
+        """Blocks ``index`` (into row dir, signal pol, col dir, idler pol)
+        of the pair array of w, 'V' or 'S', or with ``lit_only`` their lit
+        entries (..., *G, E): the parts with nonzero d, in order, added
+        into zeros and scattered to the lit (row bin, col bin)."""
+        r, alpha, c, beta = np.moveaxis(_LABELS[index], -1, 0)
+        shape = r.shape + self.scatter.shape[2:-1]
+        lit = np.zeros(shape + self.lit[0].shape, dtype=complex)
+        for d, p in self.parts:
+            coef = d[alpha, beta].reshape(r.shape + (1,) * (lit.ndim - r.ndim))
+            np.add(lit, coef * p["VS".index(w)][r, c], out=lit,
+                   where=coef != 0)
+        if lit_only:
+            return lit
+        out = np.zeros(shape + (self.basis.bins,) * 2, dtype=complex)
+        out[(...,) + self.lit[:2]] = lit
+        return out
+
+    g_volume = property(lambda self: self.pairs("V"))
+    g_surface = property(lambda self: self.pairs("S"))
 
     @property
     def f_linear(self) -> BlockMatrix:
@@ -323,7 +323,6 @@ def assemble_emission(solve: EmissionSolve, convention: str = "local-jump",
                 if c > CONDITION_WARN and boundary in (None, l)]
     position = {l: i for i, l in enumerate(solve.boundaries)}
     per_chunk = max(1, _CLASS_CHUNK // basis.bins**2)
-    shape = (2,) * 4 + structure.grid + (basis.bins, basis.bins)
     # d.tobytes() -> (d, its (volume, surface) sum); with boundary, one per
     # edge, so the source is d P_right + d P_left, not d (P_right + P_left)
     totals = {}
@@ -351,13 +350,13 @@ def assemble_emission(solve: EmissionSolve, convention: str = "local-jump",
                                                dtype=complex))
                 for acc, part in zip(totals[tag][1], parts):
                     op(acc, part, out=acc)
-    g_v, g_s = _expand(totals.values(), shape, solve.lit)
-
-    for name, mat in (("F", solve.scatter), ("G_V", g_v), ("G_S", g_s)):
+    parts = list(totals.values())
+    for name, mat in [("F", solve.scatter)] + [
+            (f"G_{w}", p[i]) for i, w in enumerate("VS") for _, p in parts]:
         if not np.all(np.isfinite(mat)):
             raise ConfigError(f"non-finite entries in {name}")
     return EmissionOperators(structure, basis, solve.pump, solve.scatter,
-                             g_v, g_s, warnings)
+                             solve.lit, parts, warnings)
 
 
 def build_emission(structure: StructureSpec, pump_spec: PumpSpec,

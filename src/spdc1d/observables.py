@@ -1,6 +1,6 @@
 """Measurable pair quantities derived from the emission operators.
 
-G_V and G_S are read as their stored signal rows (layout in
+G_V and G_S are read as signal-row blocks formed from parts (layout in
 ``matrixcore``), F as its per-bin 2x2 maps.  F keeps the polarization and
 is diagonal in the bin, so for an output channel (signal direction a,
 pol alpha; idler direction b, pol beta) each branch contraction of
@@ -56,12 +56,11 @@ def branch_amplitudes(emission: EmissionOperators, channel, w: str):
     """
     a, b = (DIRS.index(d) for d in channel[:2])
     alpha, beta = (POLS.index(p) for p in channel[2:])
-    g = {"V": emission.g_volume, "S": emission.g_surface}[w]
+    g = emission.pairs(w, np.s_[[a, b], alpha, :, beta])
     f = emission.scatter
-    idler_branch = np.einsum("c...kn,c...n->...kn",
-                             np.conj(g[a, alpha, :, beta]), np.conj(f[b]))
-    signal_branch = np.einsum("c...k,c...nk->...kn", f[a],
-                              g[b, alpha, :, beta])
+    idler_branch = np.einsum("c...kn,c...n->...kn", np.conj(g[0]),
+                             np.conj(f[b]))
+    signal_branch = np.einsum("c...k,c...nk->...kn", f[a], g[1])
     return idler_branch, signal_branch
 
 

@@ -49,7 +49,6 @@ from .constants import CONSTANTS
 from .errors import ConfigError, StepTooCoarse
 from .linear import PumpSpec, _crossing, field_maps, layer_amplitudes
 from .materials import refractive_index
-from .matrixcore import pair_block
 from .spectral import (
     DIR_SIGN,
     DIRS,
@@ -234,9 +233,10 @@ def compare_with_emission(reference, emission):
     """Global relative Frobenius mismatch between oracle and pipeline
     totals, the oracle's idler rows against the conjugated signal rows."""
     total = emission.g_volume + emission.g_surface
-    pairs = [(pair_block(total, (a, alpha), (b0, beta)), ref)
+    at = {x: i for names in (DIRS, POLS) for i, x in enumerate(names)}
+    pairs = [(total[at[a], at[alpha], at[b0], at[beta]], ref)
              for (a, alpha, b0, beta), ref in reference["s"].items()]
-    pairs += [(np.conj(pair_block(total, (b, alpha), (a0, beta))), ref)
+    pairs += [(np.conj(total[at[b], at[alpha], at[a0], at[beta]]), ref)
               for (b, beta, a0, alpha), ref in reference["i"].items()]
     diff_sq = ref_sq = 0.0
     for blk, ref in pairs:

@@ -26,7 +26,11 @@ boundary's source, its two edges summed apart one layer at a time, to
 which ``assert_sources_bitwise_equal`` holds each build with
 ``boundary`` = l (``per_boundary`` gathers those builds), and
 ``assert_assemblies_are_builds`` holds the assemblies of one shared
-solve to separate builds.
+solve to separate builds.  ``expand`` scatters an emission's lit-entry
+parts into zeroed pair arrays, as the package did on every assembly
+before it kept the parts, and ``assert_pairs_are_expanded`` holds every
+block the package's accessor forms to it; ``pair_block`` reads one
+K x K block of a pair array.
 ``LayerView`` reads one layer's coupling data (conj(T_g), wave numbers,
 kernels) through the pure functions of ``spectral``.  The two-sector
 references (``linear_maps``, ``two_sector_emission``,
@@ -338,7 +342,7 @@ def dense_class_pass(kernels, weights, feed, rows):
 
 
 def dense_expand(parts, shape):
-    """``matrixcore._expand`` of parts P of shape (2, 2, 2, *G, K, K)."""
+    """``expand`` of parts P of shape (2, 2, 2, *G, K, K)."""
     out = np.zeros((2,) + shape, dtype=complex)
     for d, p in parts:
         for alpha, beta in zip(*np.nonzero(d)):
@@ -346,12 +350,77 @@ def dense_expand(parts, shape):
     return out[0], out[1]
 
 
-@dataclass
-class KeptEmission(matrixcore.EmissionOperators):
-    """An emission with every boundary's (volume, surface) source kept:
-    boundary l -> its pair arrays."""
+def expand(parts, shape, lit):
+    """(volume, surface) pair arrays sum_m d_m (x) P_m from (d, P) parts:
+    d of shape (2, 2) over (signal pol, idler pol), P of shape (2, 2, 2,
+    *G, E) over (volume/surface, row dir, col dir, geometry, lit entry),
+    scattered into zeros at the lit (row bin, col bin) entries.  The
+    package built these arrays on every assembly before it kept the
+    parts; ``assert_pairs_are_expanded`` holds its accessor to them."""
+    rows, cols, _ = lit
+    out = np.zeros((2,) + shape, dtype=complex)
+    for d, p in parts:
+        for alpha, beta in zip(*np.nonzero(d)):
+            out[:, :, alpha, :, beta][..., rows, cols] += d[alpha, beta] * p
+    return out[0], out[1]
 
+
+def pair_block(pairs, row, col):
+    """K x K block of a pair array: signal row label (dir, pol), idler
+    column label (dir, pol)."""
+    (a, alpha), (b, beta) = row, col
+    return pairs[DIRS.index(a), POLS.index(alpha), DIRS.index(b),
+                 POLS.index(beta)]
+
+
+def assert_pairs_are_expanded(emission):
+    """Every block that ``EmissionOperators.pairs`` forms holds the bits of
+    ``expand`` of the emission's parts, compared as int64 views so that
+    signed zeros count: each of the 16 blocks alone, the two row
+    directions that ``branch_amplitudes`` reads per (channel, pol pair),
+    the whole array (also through ``g_volume``/``g_surface``) and the lit
+    entries."""
+    rows, cols, _ = emission.lit
+    shape = ((2,) * 4 + emission.scatter.shape[2:-1]
+             + (emission.basis.bins,) * 2)
+    want = dict(zip("VS", expand(emission.parts, shape, emission.lit)))
+    for w, name in (("V", "g_volume"), ("S", "g_surface")):
+        _assert_same_bits(emission.pairs(w), want[w], w)
+        _assert_same_bits(getattr(emission, name), want[w], name)
+        _assert_same_bits(emission.pairs(w, lit_only=True),
+                          want[w][..., rows, cols], f"{w} lit")
+        for label in itertools.product(range(2), repeat=4):
+            _assert_same_bits(emission.pairs(w, label), want[w][label],
+                              f"{w} {label}")
+        for a, b, alpha, beta in itertools.product(range(2), repeat=4):
+            at = np.s_[[a, b], alpha, :, beta]
+            _assert_same_bits(emission.pairs(w, at), want[w][at],
+                              f"{w} {(a, b, alpha, beta)}")
+
+
+@dataclass
+class KeptEmission:
+    """An emission's F and pair arrays G_V and G_S, with every boundary's
+    (volume, surface) source kept: boundary l -> its pair arrays."""
+
+    structure: StructureSpec
+    basis: SpectralBasis
+    pump: PumpField
+    scatter: np.ndarray
+    g_volume: np.ndarray
+    g_surface: np.ndarray
+    warnings: list
     boundary_sources: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, emission, g_volume=None, g_surface=None, sources=None):
+        """The arrays of an emission, its pair arrays formed by its
+        accessor unless given."""
+        return cls(emission.structure, emission.basis, emission.pump,
+                   emission.scatter,
+                   emission.g_volume if g_volume is None else g_volume,
+                   emission.g_surface if g_surface is None else g_surface,
+                   emission.warnings, sources or {})
 
 
 def dense_emission(structure, pump_spec, basis, keep_sources=False,
@@ -429,13 +498,14 @@ def per_boundary(build, structure, *args, **kwargs):
     for l in range(1, structure.n_layers + 2):
         em = build(structure, *args, boundary=l, **kwargs)
         sources[l] = (em.g_volume, em.g_surface)
-    return KeptEmission(**vars(build(structure, *args, **kwargs)),
-                        boundary_sources=sources)
+    return KeptEmission.of(build(structure, *args, **kwargs),
+                           sources=sources)
 
 
 def _assert_same_bits(got, want, name):
     assert got.shape == want.shape and got.dtype == want.dtype, name
-    assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+    assert np.array_equal(*(np.ascontiguousarray(a).view(np.int64)
+                            for a in (got, want))), name
 
 
 def assert_bitwise_equal(got, want):
@@ -465,7 +535,8 @@ def assert_sources_bitwise_equal(structure, pump_spec, basis, convention):
 def assert_assemblies_are_builds(structure, pump_spec, basis):
     """Every assembly from one ``solve_emission``, under both attributions
     and for the whole stack and each boundary alone, holds the bits of
-    F, G_V and G_S and the warnings of its own ``build_emission``."""
+    F, G_V and G_S and the warnings of its own ``build_emission``, and
+    every block its accessor forms holds the bits of ``expand``."""
     solve = matrixcore.solve_emission(structure, pump_spec, basis)
     for convention in SPLIT_CONVENTIONS:
         for boundary in (None, *range(1, structure.n_layers + 2)):
@@ -475,6 +546,7 @@ def assert_assemblies_are_builds(structure, pump_spec, basis):
                                              convention=convention)
             assert_bitwise_equal(got, want)
             assert got.warnings == want.warnings, (convention, boundary)
+            assert_pairs_are_expanded(got)
 
 
 def linear_maps(structure, basis):
@@ -485,7 +557,7 @@ def linear_maps(structure, basis):
 
 
 def two_sector_expand(parts, shape, lit):
-    """``matrixcore._expand`` into both row sectors: arrays of shape (2,)
+    """``expand`` into both row sectors: arrays of shape (2,)
     + shape over (row field, row dir, row pol, col dir, col pol, ...),
     the idler rows conj(P) with d.T at the same (row bin, col bin)."""
     rows, cols, _ = lit
@@ -500,9 +572,10 @@ def two_sector_expand(parts, shape, lit):
 
 def two_sector_emission(*args, **kwargs):
     """``build_emission`` whose G_V and G_S hold both row sectors
-    (``two_sector_expand``)."""
-    with mock.patch.object(matrixcore, "_expand", two_sector_expand):
-        return matrixcore.build_emission(*args, **kwargs)
+    (``two_sector_expand`` of its parts)."""
+    em = matrixcore.build_emission(*args, **kwargs)
+    shape = (2,) * 4 + em.structure.grid + (em.basis.bins,) * 2
+    return KeptEmission.of(em, *two_sector_expand(em.parts, shape, em.lit))
 
 
 def two_sector_block(pairs, row, col):

@@ -19,7 +19,7 @@ from spdc1d.config import load_config, parse_config
 from spdc1d.constants import CONSTANTS
 from spdc1d.linear import PumpSpec, linear_transmission
 from spdc1d.materials import constant_material
-from spdc1d.matrixcore import build_emission, pair_block
+from spdc1d.matrixcore import build_emission
 from spdc1d.observables import (
     antidiagonal_profile,
     joint_density,
@@ -33,7 +33,7 @@ from spdc1d.runner import ridge_yields, simulate, track_ridges, transmission_map
 from spdc1d.spectral import SpectralBasis
 from spdc1d.structure import StructureSpec
 
-from reference import count_peaks, explicit_time_grid, linear_maps
+from reference import count_peaks, explicit_time_grid, linear_maps, pair_block
 
 C = CONSTANTS.c
 OMEGA_P0 = 2 * np.pi * C / 400e-9

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,6 @@ from spdc1d.matrixcore import (
     build_emission,
     inverse_responses,
     outward_maps,
-    pair_block,
     propagator_bins,
 )
 from spdc1d.spectral import (
@@ -45,6 +45,7 @@ from reference import (
     einsum_emission,
     full_chi2,
     linear_maps,
+    pair_block,
     per_boundary,
     polarized_kernels,
     segment_response,
@@ -834,3 +835,19 @@ def test_all_matrices_finite(stack20, pump400):
     em = build_emission(stack20, pump400, b)
     for mat in _maps(em).values():
         assert np.all(np.isfinite(mat))
+
+
+def test_build_keeps_only_its_lit_entry_parts():
+    """A 512-bin build of the shipped config keeps G_V and G_S as their
+    lit-entry parts: at most 16 MiB under tracemalloc, where the
+    zero-filled (2, 2, 2, 2, K, K) arrays alone took 128 MiB."""
+    cfg = load_config(EXAMPLE)
+    basis = cfg.basis(bins=512)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        em = build_emission(cfg.structure, cfg.pump, basis)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert em.parts and kept <= 16 * 2**20

@@ -11,7 +11,7 @@ from spdc1d.errors import GridTooCoarse, NoPeak
 from spdc1d.linear import PumpSpec
 from spdc1d.materials import constant_material
 from spdc1d import observables
-from spdc1d.matrixcore import build_emission, pair_block
+from spdc1d.matrixcore import EmissionOperators, build_emission
 from spdc1d.observables import (
     CONTRIBUTIONS,
     JointDensity,
@@ -33,6 +33,7 @@ from reference import (
     dense_branch_amplitudes,
     explicit_time_grid,
     full_chi2,
+    pair_block,
     resident_temporal_stage,
     two_sector_emission,
 )
@@ -45,7 +46,11 @@ def _zero_pairs(bins):
     return np.zeros((2,) * 4 + (bins, bins), dtype=complex)
 
 
-class FakeEmission:
+class FakeEmission(EmissionOperators):
+    """Identity F and given or random pair arrays G_V, G_S, kept as parts
+    on every (signal bin, idler bin) entry: one part per (signal pol,
+    idler pol), its d a unit matrix."""
+
     def __init__(self, bins, g_v=None, g_s=None, seed=0):
         rng = np.random.RandomState(seed)
 
@@ -53,11 +58,16 @@ class FakeEmission:
             shape = (2,) * 4 + (bins, bins)
             return rng.randn(*shape) + 1j * rng.randn(*shape)
 
-        self.scatter = np.eye(2)[:, :, None] * np.ones(bins)
-        self.g_volume = g_v if g_v is not None else rand_pairs()
-        self.g_surface = g_s if g_s is not None else rand_pairs()
+        g = [p if p is not None else rand_pairs() for p in (g_v, g_s)]
+        rows, cols = (i.ravel() for i in np.indices((bins, bins)))
+        parts = [(np.eye(4)[2 * alpha + beta].reshape(2, 2),
+                  np.stack([p[:, alpha, :, beta].reshape(2, 2, -1)
+                            for p in g]))
+                 for alpha, beta in np.ndindex(2, 2)]
         lo, hi = 0.4 * OMEGA_P0, 0.6 * OMEGA_P0
-        self.basis = SpectralBasis(lo, hi, bins)
+        super().__init__(None, SpectralBasis(lo, hi, bins), None,
+                         np.eye(2)[:, :, None] * np.ones(bins),
+                         (rows, cols, rows + cols), parts, [])
 
 
 CHANNEL = ("F", "F", "x", "y")

@@ -13,8 +13,8 @@ from spdc1d.oracle import compare_with_emission, reference_pair_amplitude
 from spdc1d.spectral import SPLIT_CONVENTIONS, SpectralBasis
 from spdc1d.structure import StructureSpec
 
-from reference import (full_chi2, marched_pair_amplitude,
-                       stepwise_pair_amplitude)
+from reference import (assert_assemblies_are_builds, full_chi2,
+                       marched_pair_amplitude, stepwise_pair_amplitude)
 
 C = CONSTANTS.c
 OMEGA_P0 = 2 * np.pi * C / 400e-9
@@ -232,3 +232,17 @@ def test_nonpositive_or_nonfinite_step_raises(stack4, pump400, step):
     basis = SpectralBasis(0.45 * OMEGA_P0, 0.55 * OMEGA_P0, 2)
     with pytest.raises(ConfigError, match="finite and positive"):
         reference_pair_amplitude(stack4, pump400, basis, step=step)
+
+
+@pytest.mark.parametrize("case", ["stack4", "three-layer", "shared-classes"])
+def test_pair_blocks_add_several_parts_as_the_expansion(gan, aln, air,
+                                                        stack4, pump400,
+                                                        case):
+    """On the full-chi2 stacks the GaN and AlN parts both emit into the
+    (y, x) block, so an entry sums two d P terms: every block the accessor
+    forms, under both attributions and for every boundary, holds the bits
+    of the zero-filled expansion."""
+    st, basis, _ = _full_chi2_cases(gan, aln, air, stack4)[case]
+    d = [d for d, _ in build_emission(st, pump400, basis).parts]
+    assert len(d) == 2 and all(m[1, 0] for m in d)
+    assert_assemblies_are_builds(st, pump400, basis)
