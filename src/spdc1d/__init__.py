@@ -21,8 +21,8 @@ from .errors import (
 )
 from .materials import MaterialModel, chi2_effective, refractive_index, wavenumber
 from .structure import StructureSpec
-from .linear import PumpField, PumpSpec, linear_transmission, propagate_pump
-from .spectral import SpectralBasis, photon_amplitude_tau
+from .linear import PumpField, PumpSpec, linear_transmission
+from .spectral import SpectralBasis
 
 __version__ = "0.1.0"
 
@@ -43,8 +43,6 @@ __all__ = [
     "PumpField",
     "PumpSpec",
     "linear_transmission",
-    "propagate_pump",
     "SpectralBasis",
-    "photon_amplitude_tau",
     "__version__",
 ]

@@ -16,10 +16,11 @@ All per-layer amplitudes are referenced at the layer's left boundary
 The one linear solve is ``field_maps``: one ``layer_transfers`` march,
 the continuity rows of every layer (``continuity_rows``) and the
 scattering form F (``input_output_map``) and feed W (``feed_in_map``) of
-the total transfer, held in ``FieldMaps``.  It serves the pump
-(``pump_field``, through ``layer_amplitudes``), ``linear_transmission``,
-the oracle's partner modes and ``matrixcore.solve_emission``, whose one
-march runs over the bin centers and the lit bin sums.
+the total transfer, held in ``FieldMaps``.  It serves
+``linear_transmission`` and ``spectral.bin_solve``, whose one march over
+the bin centers and the lit bin sums gives the emission build and the
+oracle both the maps on the centers and the pump (``pump_field``,
+through ``layer_amplitudes``) on the sums.
 """
 
 from __future__ import annotations
@@ -321,15 +322,3 @@ def pump_field(pump: PumpSpec, omega, maps: FieldMaps) -> PumpField:
     amps = np.zeros(flux.shape[:-1] + omega.shape, dtype=complex)
     amps[..., mask] = flux * e_row[:, None]
     return PumpField(omega, amps, pump.polarization, mask)
-
-
-def propagate_pump(structure: StructureSpec, pump: PumpSpec, omega) -> PumpField:
-    """Classical pump amplitudes in every layer at the given frequencies.
-
-    Frequencies outside the pump's cutoff window are skipped entirely
-    (amplitude zero, no material evaluation), so the grid may extend
-    beyond material validity windows as long as the pump is dark there.
-    """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    return pump_field(pump, omega,
-                      field_maps(structure, omega[pump.active_mask(omega)]))

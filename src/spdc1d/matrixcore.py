@@ -44,10 +44,10 @@ one zeroed P per distinct d.  The columns are the idler inputs, so the
 feed is the conjugated signal feed.
 
 A build is two stages.  The solve (``solve_emission``) depends on no
-surface attribution: one ``linear.field_maps`` march on the bin centers
-and the lit bin sums gives F, the pump (sliced off at the sums), every
-boundary's inverse response and condition number and the edge feeds;
-then the class kernels.  A layer's kernels depend on it only through its (material,
+surface attribution: one march on the bin centers and the lit bin sums
+(``spectral.bin_solve``) gives F, the pump, every boundary's inverse
+response and condition number and the edge feeds; then the class
+kernels.  A layer's kernels depend on it only through its (material,
 length) class, except for the pump weight a_g, its poling sign times
 the pump amplitude of direction g (``spectral.pump_weights``), so the
 solve groups the nonlinear layers into classes keyed on the material
@@ -94,20 +94,12 @@ import numpy as np
 from .blockmatrix import BlockMatrix
 from .constants import CONSTANTS
 from .errors import ConfigError, SingularMatrix
-from .linear import (
-    FieldMaps,
-    PumpField,
-    PumpSpec,
-    field_maps,
-    mat2_inv,
-    mat2_mul,
-    pump_field,
-)
+from .linear import FieldMaps, PumpField, PumpSpec, mat2_inv, mat2_mul
 from .materials import refractive_index
 from .spectral import (
     SPLIT_CONVENTIONS,
     SpectralBasis,
-    bin_sums,
+    bin_solve,
     chi2_matrix,
     class_kernels,
     pump_weights,
@@ -273,12 +265,7 @@ def solve_emission(structure: StructureSpec, pump_spec: PumpSpec,
     """The linear solve, pump, boundary responses, feeds and class kernels
     of a stack, for ``assemble_emission``."""
     n_tot = structure.n_layers + 2
-    # one solve on the bin centers and the lit bin sums
-    sums, index = bin_sums(basis)
-    both = field_maps(structure, np.concatenate(
-        (basis.centers, sums[pump_spec.active_mask(sums)])))
-    maps = both.select(slice(basis.bins))
-    pump = pump_field(pump_spec, sums, both.select(slice(basis.bins, None)))
+    maps, pump, index = bin_solve(structure, pump_spec, basis)
     rows, cols = np.nonzero(pump.mask[index])
     lit = (rows, cols, index[rows, cols])
 

@@ -23,7 +23,9 @@ field, flux-normalized).  A fixed-step midpoint rule integrates each
 layer; a particular solution marched from zero at z_1 is corrected by a
 homogeneous (linear-scattering) solution to enforce outgoing boundary
 conditions.  One linear solution per input side serves as the partner
-of either propagating field and as its outgoing-wave correction.  Step
+of either propagating field and as its outgoing-wave correction; it and
+the pump on the bin sums come from one linear march over the bin
+centers and the lit sums (``spectral.bin_solve``).  Step
 halving plus Richardson extrapolation removes the leading O(h^2) error.
 
 The midpoint update of a sub-step of size h is c_{n+1} = A c_n + b_n
@@ -47,14 +49,14 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ConfigError, StepTooCoarse
-from .linear import PumpSpec, _crossing, field_maps, layer_amplitudes
+from .linear import PumpSpec, _crossing, layer_amplitudes
 from .materials import refractive_index
 from .spectral import (
     DIR_SIGN,
     DIRS,
     POLS,
     SpectralBasis,
-    bin_sum_pump,
+    bin_solve,
     chi2_matrix,
     coupling_unit,
     pump_weights,
@@ -112,7 +114,7 @@ def _march_inputs(structure, pump_spec, basis):
     b0 ('F' at z_1, 'B' at z_{N+1}): the partner modes, and with 'B' the
     outgoing-wave correction; index: the (K, K) bin-sum index."""
     centers = basis.centers
-    pump, index = bin_sum_pump(structure, pump_spec, basis)
+    maps, pump, index = bin_solve(structure, pump_spec, basis)
     weights = pump_weights(structure, pump, index,
                            list(range(structure.n_layers + 2)))
 
@@ -134,7 +136,6 @@ def _march_inputs(structure, pump_spec, basis):
             length = structure.length(l)
             classes[(id(structure.material(l)), length)] = (k, kp_sums,
                                                             length)
-    maps = field_maps(structure, centers)
     partner = {b0: layer_amplitudes(maps, b0) for b0 in DIRS}
     return layers, classes, partner, index
 

@@ -46,6 +46,8 @@ M2_PER_MM2 = 1e-6  # counts per quantization area (1 m^2) -> per mm^2
 # tracemalloc.  98304 (34 cells) raised a scanning process's peak RSS by
 # 3.5 MiB and was no faster (2-core OpenBLAS host).
 _SCAN_CHUNK = 65536
+# ridges shorter than this many cells are tracked but not scanned
+_MIN_RIDGE_POINTS = 4
 
 
 def write_csv(path, header, columns):
@@ -102,10 +104,6 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
                               convention=cfg.attribution)
     channel = cfg.channel
     jd = joint_density(emission, channel)
-    decomp = np.max(
-        np.abs(jd.n_total - (jd.n_volume + jd.n_surface + jd.n_interf))
-    )
-    assert decomp == 0.0  # identity by construction
     stats = marginals_and_counts(jd)
 
     k = basis.bins
@@ -298,7 +296,7 @@ def ridge_yields(cfg: RunConfig, l1_nm, l2_nm):
     }
 
 
-def scan(cfg: RunConfig, out_dir, workers=1, min_ridge_points=4):
+def scan(cfg: RunConfig, out_dir, workers=1):
     """Transmission map, ridge tracking, and SPDC yields along ridges.
 
     The ridge cells go through ``ridge_yields`` in chunks of at most
@@ -315,7 +313,7 @@ def scan(cfg: RunConfig, out_dir, workers=1, min_ridge_points=4):
     ridges = track_ridges(l1, l2, tmap, max_jump=cfg.scan.ridge_max_jump)
     cells = np.array([(rid, i, j, ridge["lost"])
                       for rid, ridge in enumerate(ridges)
-                      if len(ridge["points"]) >= min_ridge_points
+                      if len(ridge["points"]) >= _MIN_RIDGE_POINTS
                       for (i, j) in ridge["points"]], dtype=int).reshape(-1, 4)
     rid, i, j, lost = cells.T
     per_chunk = max(1, _SCAN_CHUNK // (2 * cfg.scan.pairs * cfg.scan.bins**2))
@@ -360,7 +358,8 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
     attribution and local-jump, the split stack's its build and source.
     ``density_nonnegative`` gates only n_total and reports the n_V and
     n_S minima (signed, see ``observables``) beside it, all relative to
-    the n_total peak.
+    the n_total peak, as is ``decomposition_identity``: n_V + n_S + n_I
+    against the density of the summed (V + S) branch factors.
     """
     if bins < 2:
         raise ConfigError("verify needs at least 2 bins: its refinement "
@@ -435,16 +434,16 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
             "tol": 1e-6,
         }
     jd = joint_density(emission, cfg.channel)
-    checks["decomposition_identity"] = {
-        "error": float(
-            np.max(np.abs(jd.n_total - (jd.n_volume + jd.n_surface
-                                        + jd.n_interf)))
-        ),
-        "tol": 0.0,
-    }
+    peak = max(jd.n_total.max(), 1e-300)
     f1v, f2v = branch_amplitudes(emission, cfg.channel, "V")
     f1s, f2s = branch_amplitudes(emission, cfg.channel, "S")
     tot1, tot2 = f1v + f1s, f2v + f2s
+    # n_V + n_S + n_I against the density of the summed factors
+    checks["decomposition_identity"] = {
+        "error": float(np.max(np.abs(jd.n_total - 2.0 * np.real(tot1 * tot2)))
+                       / peak),
+        "tol": 1e-13,
+    }
     scale = max(np.max(np.abs(tot2)), 1e-300)
     checks["branch_conjugacy_total"] = {
         "error": float(np.max(np.abs(tot1 - np.conj(tot2))) / scale), "tol": 1e-8
@@ -469,7 +468,6 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
         "tol": 0.0,
         "ratio": float(min(ratio, 1e6)),
     }
-    peak = max(jd.n_total.max(), 1e-300)
     checks["density_nonnegative"] = {
         "error": float(max(0.0, -jd.n_total.min() / peak)),
         "tol": 1e-15,

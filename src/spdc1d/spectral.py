@@ -41,14 +41,15 @@ idler pol] (``chi2_matrix``; its transpose for idler rows), and
 Per unit chi2, conj(T_g) = -i tau_s tau_i (4 pi eps0 / hbar) a_g
 (``coupling_unit`` times a_g), where a_g, the poling sign times the pump
 amplitude of direction g on the bin-sum grid (``pump_weights``, gathered
-from the distinct sums by ``bin_sum_pump``), is the one per-layer factor.
-Everything else depends on a layer only through its material and length:
-the photon amplitudes, the signal/idler and pump wave numbers
-(``pump_wavenumbers``) and the brackets (e^{i dk L} - 1)/dk with the
-right-edge phase.  So ``class_kernels`` forms the kernels of a whole
-(material, length) class at both edges per unit pump weight, and a
-layer's kernels are sum_g a_g times them.  All of these are pure
-functions; nothing is kept between calls.
+from the distinct sums that ``bin_solve`` solves with the bin centers),
+is the one per-layer factor.  Everything else depends on a layer only
+through its material and length: the photon amplitudes, the
+signal/idler and pump wave numbers (``pump_wavenumbers``) and the
+brackets (e^{i dk L} - 1)/dk with the right-edge phase.  So
+``class_kernels`` forms the kernels of a whole (material, length) class
+at both edges per unit pump weight, and a layer's kernels are sum_g a_g
+times them.  All of these are pure functions; nothing is kept between
+calls.
 
 Dark bin sums (pump weight exactly zero) are never assembled: kernels
 live on the E lit entries (row bin, col bin) of the grid, in C order.
@@ -68,7 +69,7 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ConfigError
-from .linear import PumpField, PumpSpec, propagate_pump
+from .linear import PumpField, PumpSpec, field_maps, pump_field
 from .materials import (
     MaterialModel,
     chi2_effective,
@@ -118,21 +119,6 @@ class SpectralBasis:
         return _read_only(np.diff(self.edges))
 
 
-def _tau(omega, n, area):
-    return np.sqrt(
-        CONSTANTS.hbar
-        * np.asarray(omega)
-        / (4.0 * np.pi * CONSTANTS.eps0 * CONSTANTS.c * n * area)
-    )
-
-
-def photon_amplitude_tau(material: MaterialModel, omega, area: float):
-    """Electric-field amplitude per photon: sqrt(hbar w / (4 pi eps0 c n A))."""
-    if area <= 0.0:
-        raise ConfigError("quantization area must be positive")
-    return _tau(omega, refractive_index(material, omega), area)
-
-
 def _bracket(delta_k, zeta, numerator, phase):
     """(exp(i dk zeta) - 1)/dk times phase, from numerator = (exp(i dk
     zeta) - 1) phase formed from separable unit phases; the series
@@ -167,11 +153,16 @@ def bin_sums(basis: SpectralBasis):
     return sums, index.reshape(basis.bins, basis.bins)
 
 
-def bin_sum_pump(structure: StructureSpec, pump_spec: PumpSpec,
-                 basis: SpectralBasis):
-    """(pump, index): the pump on ``bin_sums`` and their (K, K) index."""
+def bin_solve(structure: StructureSpec, pump_spec: PumpSpec,
+              basis: SpectralBasis):
+    """(maps, pump, index): the linear solve on the bin centers, the pump
+    on ``bin_sums`` and their (K, K) index, from one ``field_maps`` march
+    over the centers and the lit sums (a dark sum is never solved)."""
     sums, index = bin_sums(basis)
-    return propagate_pump(structure, pump_spec, sums), index
+    both = field_maps(structure, np.concatenate(
+        (basis.centers, sums[pump_spec.active_mask(sums)])))
+    pump = pump_field(pump_spec, sums, both.select(slice(basis.bins, None)))
+    return both.select(slice(basis.bins)), pump, index
 
 
 def chi2_matrix(material: MaterialModel, pump_pol: str) -> np.ndarray:
@@ -184,7 +175,11 @@ def coupling_unit(material: MaterialModel, basis: SpectralBasis) -> np.ndarray:
     """-i tau_s tau_i (4 pi eps0 / hbar) on the (signal bin, idler bin) grid:
     conj(T_g) per unit chi2 and unit pump weight.  tau is taken at a 1 m^2
     cross-section; the area cancels in T_g."""
-    tau = _tau(basis.centers, refractive_index(material, basis.centers), 1.0)
+    omega = basis.centers
+    # photon amplitude sqrt(hbar w / (4 pi eps0 c n A)) at A = 1 m^2
+    tau = np.sqrt(CONSTANTS.hbar * omega / (
+        4.0 * np.pi * CONSTANTS.eps0 * CONSTANTS.c
+        * refractive_index(material, omega)))
     return -1j * (4.0 * np.pi * CONSTANTS.eps0 / CONSTANTS.hbar
                   * tau[:, None] * tau[None, :])
 
@@ -192,7 +187,7 @@ def coupling_unit(material: MaterialModel, basis: SpectralBasis) -> np.ndarray:
 def pump_wavenumbers(material: MaterialModel, pump: PumpField) -> np.ndarray:
     """Signed pump wave numbers on the pump grid, shape (2, n_omega) over
     the pump direction g; evaluated only where the pump is lit, as in
-    ``propagate_pump``, and zero where it is dark."""
+    ``bin_solve``, and zero where it is dark."""
     lit = pump.mask
     k_p = np.zeros((len(DIRS),) + pump.omega.shape)
     k_f = wavenumber(material, pump.omega[lit], "F")

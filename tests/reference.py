@@ -38,12 +38,14 @@ references (``linear_maps``, ``two_sector_emission``,
 assembled from conj(P) and d.T, the layout that the package stores only
 the signal half of.  ``full_chi2`` gives a stack whose every (signal, idler) polarization pair emits,
 ``explicit_time_grid`` the full n x n detection-time density,
+``count_field_maps`` every linear solve the package makes,
 ``resident_temporal_stage`` the temporal stage with its half transform
 held whole, and ``rowwise_write_csv`` the CSV writer that formats every
 cell row by row.
 """
 
 import itertools
+import sys
 from dataclasses import dataclass, field, replace
 from unittest import mock
 
@@ -72,7 +74,7 @@ from spdc1d.spectral import (
     POLS,
     SPLIT_CONVENTIONS,
     SpectralBasis,
-    bin_sum_pump,
+    bin_solve,
     chi2_matrix,
     class_kernels,
     coupling_unit,
@@ -426,15 +428,14 @@ class KeptEmission:
 def dense_emission(structure, pump_spec, basis, keep_sources=False,
                    convention="local-jump"):
     """``build_emission`` on every entry of the K x K grid, dark bin sums
-    included, with the stack solved on the bin centers and the pump on
-    its own grid: the same class grouping, chunks of layers and order of
-    sums, so every lit entry rounds as in the lit-entry assembly and
-    every dark one is an exact zero.  With ``keep_sources`` the class
-    passes run one layer at a time and each boundary's two edges are
-    kept and expanded apart (a ``KeptEmission``): the per-boundary path
-    that ``build_emission(..., boundary=l)`` is held to bit for bit."""
-    maps = field_maps(structure, basis.centers)
-    pump, index = bin_sum_pump(structure, pump_spec, basis)
+    included, from the build's one solve (``bin_solve``): the same class
+    grouping, chunks of layers and order of sums, so every lit entry
+    rounds as in the lit-entry assembly and every dark one is an exact
+    zero.  With ``keep_sources`` the class passes run one layer at a time
+    and each boundary's two edges are kept and expanded apart (a
+    ``KeptEmission``): the per-boundary path that ``build_emission(...,
+    boundary=l)`` is held to bit for bit."""
+    maps, pump, index = bin_solve(structure, pump_spec, basis)
     n_tot = structure.n_layers + 2
     d_of = structure.per_material(
         lambda mat: chi2_matrix(mat, pump.polarization))
@@ -868,8 +869,8 @@ def stepwise_pair_amplitude(structure, pump_spec, basis, step,
     """``oracle.reference_pair_amplitude`` with the z-march stepped one
     midpoint update at a time: the same {'s': ..., 'i': ...} layout,
     Richardson extrapolation and bin weights."""
-    centers, widths = basis.centers, basis.widths
-    pump, index = bin_sum_pump(structure, pump_spec, basis)
+    widths = basis.widths
+    maps, pump, index = bin_solve(structure, pump_spec, basis)
     weights = pump_weights(structure, pump, index,
                            list(range(structure.n_layers + 2)))
     layers = []
@@ -879,7 +880,6 @@ def stepwise_pair_amplitude(structure, pump_spec, basis, step,
         layers.append((chi2_matrix(mat, pump.polarization),
                        dict(zip(DIRS, pump_wavenumbers(mat, pump)[:, index])),
                        {g: unit * a for g, a in zip(DIRS, weights[l])}))
-    maps = field_maps(structure, centers)
     partner = {b0: layer_amplitudes(maps, b0) for b0 in DIRS}
 
     def run(h):
@@ -1038,3 +1038,20 @@ def resident_temporal_stage(jsa, n_time: int, t_idler=None):
         "peak": peak,
         "cut": cut / cut_norm if cut_norm > 0 else cut,
     }
+
+
+def count_field_maps(monkeypatch):
+    """The grid size of every ``linear.field_maps`` call the package makes
+    from here on, wherever it is reached from: the function is replaced
+    in every loaded spdc1d module that holds it."""
+    calls = []
+
+    def counting(structure, omega):
+        calls.append(np.size(omega))
+        return field_maps(structure, omega)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("spdc1d.")
+                and getattr(mod, "field_maps", None) is field_maps):
+            monkeypatch.setattr(mod, "field_maps", counting)
+    return calls

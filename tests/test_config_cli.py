@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from spdc1d.errors import NoPeak
 from spdc1d.blockmatrix import MODE_CHANNELS, ROW_CHANNELS, labels
 from spdc1d.matrixcore import outward_maps, propagator_bins
 from spdc1d.observables import (
+    branch_amplitudes,
     temporal_profiles,
     two_photon_amplitude,
     width_fwhm,
@@ -28,8 +30,8 @@ from spdc1d.runner import (
     write_csv,
 )
 
-from reference import (dense_bins, explicit_time_grid, linear_maps,
-                       rowwise_write_csv, two_sector_dense,
+from reference import (count_field_maps, dense_bins, explicit_time_grid,
+                       linear_maps, rowwise_write_csv, two_sector_dense,
                        two_sector_emission)
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -449,17 +451,14 @@ def test_verify_builds_each_emission_once(monkeypatch, attribution):
     assert built == [(3, None), (12, None)]
 
 
-def test_shipped_verify_solves_seven_times_and_marches_once(monkeypatch):
-    """One ``verify --bins 12`` of the shipped config makes 7 linear
+def test_shipped_verify_solves_six_times_and_marches_once(monkeypatch):
+    """One ``verify --bins 12`` of the shipped config makes 6 linear
     solves: the stack and its split at 12 bins, the refinement builds at
     6 and 24, the energy probe and the oracle's pump and partner modes.
     The oracle marches once, both row fields at both Richardson steps."""
     cfg = load_config(EXAMPLE)
-    solves, marches, oracles = [], [], []
-    orig_solve = linear_mod.field_maps
-    for mod in (linear_mod, matrixcore_mod, oracle_mod, runner_mod):
-        monkeypatch.setattr(mod, "field_maps", lambda *args: solves.append(
-            args) or orig_solve(*args))
+    marches, oracles = [], []
+    solves = count_field_maps(monkeypatch)
     orig_march = oracle_mod._march
     monkeypatch.setattr(oracle_mod, "_march", lambda *args: marches.append(
         args[-1]) or orig_march(*args))
@@ -469,7 +468,7 @@ def test_shipped_verify_solves_seven_times_and_marches_once(monkeypatch):
                         orig_oracle(*args, **kwargs))
     report, ok = verify(cfg, bins=12)
     assert ok, report["checks"]
-    assert len(solves) == 7
+    assert len(solves) == 6
     assert len(oracles) == len(marches) == 1
     growth, weighted = next(iter(marches[0].values()))
     assert len(growth) == len(weighted) == 2  # the step and its half
@@ -489,6 +488,26 @@ def test_verify_detects_corrupted_kernels(monkeypatch):
     report, ok = verify(cfg, bins=6)
     assert not ok
     assert report["checks"]["oracle_total_amplitude"]["error"] > 1e-4
+
+
+def test_verify_detects_a_broken_interference_term(monkeypatch):
+    """decomposition_identity holds n_V + n_S + n_I to the density of the
+    summed branch factors, so an interference term that doubles one cross
+    product instead of adding both fails it; every other check passes."""
+    cfg = load_config(EXAMPLE)
+    orig = runner_mod.joint_density
+
+    def broken(emission, channel):
+        f1, f2 = zip(*(branch_amplitudes(emission, channel, w) for w in "VS"))
+        # density(V, S) counted twice, density(S, V) never
+        return replace(orig(emission, channel),
+                       n_interf=2.0 * (2.0 * np.real(f1[0] * f2[1])))
+
+    monkeypatch.setattr(runner_mod, "joint_density", broken)
+    report, ok = verify(cfg, bins=12)
+    failed = [n for n, c in report["checks"].items() if c["error"] > c["tol"]]
+    assert not ok
+    assert failed == ["decomposition_identity"]
 
 
 def test_verify_surface_null_detects_a_left_edge_surface_offset(monkeypatch):

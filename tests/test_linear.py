@@ -8,7 +8,7 @@ from spdc1d.linear import (
     layer_amplitudes,
     linear_transmission,
     mat2_mul,
-    propagate_pump,
+    pump_field,
 )
 from spdc1d.materials import constant_material
 from spdc1d.structure import StructureSpec
@@ -16,6 +16,12 @@ from spdc1d.structure import StructureSpec
 from reference import boundaries, continuity_residual, z_reference
 
 C = CONSTANTS.c
+
+
+def _pump(structure, pump, omega):
+    """The pump on omega, from a solve at its lit frequencies only."""
+    return pump_field(pump, omega,
+                      field_maps(structure, omega[pump.active_mask(omega)]))
 
 
 def _stack(layers, n_in=1.0, n_out=None):
@@ -29,7 +35,7 @@ def test_index_matched_stack_is_phase_only():
     st = _stack([(m, 100e-9, 1), (m, 250e-9, 1)], n_in=2.0)
     omega = np.array([2 * np.pi * C / 500e-9])
     pump = PumpSpec(omega0=omega[0], sigma=1e13, energy_per_area=1.0)
-    field = propagate_pump(st, pump, omega)
+    field = _pump(st, pump, omega)
     a_in = pump.amplitude(omega)[0]
     z = boundaries(st)
     for l in range(st.n_layers + 2):
@@ -99,7 +105,7 @@ def test_twenty_layer_continuity_residual(stack20, pump400):
     omega = pump400.omega0 * np.linspace(0.9, 1.1, 7)
     pump = PumpSpec(omega0=pump400.omega0, sigma=pump400.sigma * 20,
                     energy_per_area=1e3)
-    field = propagate_pump(stack20, pump, omega)
+    field = _pump(stack20, pump, omega)
     res = continuity_residual(stack20, field.amps, omega, "field")
     assert res < 1e-10
 
@@ -148,11 +154,11 @@ def test_pump_fwhm_convention_gives_33fs_duration():
 
 def test_undriven_side_amplitudes_zero(stack4, pump400):
     omega = np.array([pump400.omega0])
-    field = propagate_pump(stack4, pump400, omega)
+    field = _pump(stack4, pump400, omega)
     assert field.amps[-1, 1, 0] == 0.0  # no backward input on the right
     pump_b = PumpSpec(omega0=pump400.omega0, sigma=pump400.sigma,
                       energy_per_area=1e3, side="B")
-    field_b = propagate_pump(stack4, pump_b, omega)
+    field_b = _pump(stack4, pump_b, omega)
     assert field_b.amps[0, 0, 0] == 0.0
     # unequal ambients, driven from either side: the driven input is the
     # pump's field amplitude in its own medium, and E and H are continuous
@@ -161,7 +167,7 @@ def test_undriven_side_amplitudes_zero(stack4, pump400):
     for side, driven in (("F", (0, 0)), ("B", (-1, 1))):
         pump = PumpSpec(omega0=pump400.omega0, sigma=pump400.sigma,
                         energy_per_area=1e3, side=side)
-        amps = propagate_pump(st, pump, omega).amps
+        amps = _pump(st, pump, omega).amps
         np.testing.assert_allclose(amps[driven], pump.amplitude(omega),
                                    rtol=1e-14, atol=0.0)
         assert continuity_residual(st, amps, omega, "field") < 1e-10

@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import spdc1d.linear as linear_mod
 import spdc1d.matrixcore as matrixcore_mod
 import spdc1d.runner as runner_mod
 from spdc1d.blockmatrix import ROW_CHANNELS, BlockMatrix, labels
@@ -41,6 +40,7 @@ from reference import (
     assert_assemblies_are_builds,
     assert_bitwise_equal,
     assert_sources_bitwise_equal,
+    count_field_maps,
     dense_emission,
     einsum_emission,
     full_chi2,
@@ -218,15 +218,7 @@ def test_one_flux_transfer_march_per_build(stack4, pump400, monkeypatch):
     """Signal and idler share one basis, and the pump is solved only on
     its lit bin sums, so a build solves the stack once, on the bin
     centers followed by the lit bin sums."""
-    calls = []
-    orig = linear_mod.field_maps
-
-    def counting(structure, omega):
-        calls.append(np.size(omega))
-        return orig(structure, omega)
-
-    monkeypatch.setattr(matrixcore_mod, "field_maps", counting)
-    monkeypatch.setattr(linear_mod, "field_maps", counting)
+    calls = count_field_maps(monkeypatch)
     b = _basis(3)
     em = build_emission(stack4, pump400, b)
     assert calls == [b.bins + em.pump.omega[em.pump.mask].size]

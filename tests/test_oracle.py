@@ -10,11 +10,12 @@ from spdc1d.materials import constant_material
 from spdc1d.matrixcore import build_emission
 from spdc1d import oracle
 from spdc1d.oracle import compare_with_emission, reference_pair_amplitude
-from spdc1d.spectral import SPLIT_CONVENTIONS, SpectralBasis
+from spdc1d.spectral import SPLIT_CONVENTIONS, SpectralBasis, bin_solve
 from spdc1d.structure import StructureSpec
 
-from reference import (assert_assemblies_are_builds, full_chi2,
-                       marched_pair_amplitude, stepwise_pair_amplitude)
+from reference import (assert_assemblies_are_builds, count_field_maps,
+                       full_chi2, marched_pair_amplitude,
+                       stepwise_pair_amplitude)
 
 C = CONSTANTS.c
 OMEGA_P0 = 2 * np.pi * C / 400e-9
@@ -43,11 +44,9 @@ def test_index_matched_bulk_sinc_lineshape():
     got = ref["s"][("F", "x", "F", "y")]
     # analytic first-order bulk amplitude (flux normalization drops out
     # for index-matched media)
-    from spdc1d.linear import propagate_pump
     from reference import LayerView
 
-    sums = np.unique((basis.centers[:, None] + basis.centers[None, :]).ravel())
-    field = propagate_pump(st, pump, sums)
+    _, field, _ = bin_solve(st, pump, basis)
     coup = LayerView(st, 1, basis, field)
     tst = coup.tstar("F", "x", "y")
     ws, wi = basis.centers[:, None], basis.centers[None, :]
@@ -199,9 +198,10 @@ def test_oracle_convergence_is_second_order(gan, aln, air, pump400):
 
 def test_partner_solutions_computed_once_per_input(stack4, pump400,
                                                    monkeypatch):
-    """One linear solution per input side, both read from one linear
-    solve, serves both row fields, both Richardson steps and the
-    outgoing-wave corrections."""
+    """One linear solution per input side serves both row fields, both
+    Richardson steps and the outgoing-wave corrections; it and the pump
+    come from the oracle's one linear march, over the bin centers and
+    the lit bin sums."""
     sides = []
     orig = oracle.layer_amplitudes
 
@@ -210,15 +210,14 @@ def test_partner_solutions_computed_once_per_input(stack4, pump400,
         return orig(maps, side, a_in)
 
     monkeypatch.setattr(oracle, "layer_amplitudes", counting)
-    solves = []
-    orig_solve = oracle.field_maps
-    monkeypatch.setattr(oracle, "field_maps",
-                        lambda *args: solves.append(args) or orig_solve(*args))
+    solves = count_field_maps(monkeypatch)
     basis = SpectralBasis(0.45 * OMEGA_P0, 0.55 * OMEGA_P0, 2)
     ref = reference_pair_amplitude(stack4, pump400, basis, step=50e-9 / 16)
     assert ref["s"] and ref["i"]
     assert sorted(sides) == ["B", "F"]
-    assert len(solves) == 1
+    lit = pump400.active_mask(np.unique(basis.centers[:, None]
+                                        + basis.centers[None, :]))
+    assert solves == [basis.bins + np.count_nonzero(lit)]
 
 
 def test_step_too_coarse_raises(stack4, pump400):

@@ -4,7 +4,7 @@ import pytest
 from spdc1d.blockmatrix import FIELDS
 from spdc1d.constants import CONSTANTS
 from spdc1d.errors import ConfigError, OutOfWindow
-from spdc1d.linear import PumpSpec, propagate_pump
+from spdc1d.linear import PumpSpec, field_maps, pump_field
 from spdc1d.materials import constant_material, wavenumber
 from spdc1d.matrixcore import _attributed
 from spdc1d.spectral import (
@@ -12,9 +12,9 @@ from spdc1d.spectral import (
     DIRS,
     POLS,
     SpectralBasis,
-    bin_sum_pump,
+    bin_solve,
     class_kernels,
-    photon_amplitude_tau,
+    coupling_unit,
     pump_wavenumbers,
 )
 from spdc1d.structure import StructureSpec
@@ -47,23 +47,28 @@ def test_basis_orthonormal_and_covering():
 
 
 def test_tau_scalings_and_value():
-    m1 = constant_material("m1", 1.0)
-    m4 = constant_material("m4", 4.0)
+    """coupling_unit is -i (4 pi eps0 / hbar) tau_s tau_i with the photon
+    amplitude tau = sqrt(hbar w / (4 pi eps0 c n A)) at A = 1 m^2; its
+    diagonal reads tau^2."""
     omega = 2 * np.pi * C / 800e-9
-    t1 = photon_amplitude_tau(m1, omega, 1.0)
-    t4 = photon_amplitude_tau(m4, omega, 1.0)
-    assert (t4 / t1) ** 2 == pytest.approx(0.25, rel=1e-12)
-    m2 = constant_material("m2", 2.0)
-    assert photon_amplitude_tau(m2, 2 * omega, 1.0) / photon_amplitude_tau(
-        m2, omega, 1.0
-    ) == pytest.approx(np.sqrt(2.0), rel=1e-12)
-    expected = np.sqrt(
-        CONSTANTS.hbar * omega
-        / (4 * np.pi * CONSTANTS.eps0 * C * 2.0 * 1.0)
-    )
-    assert photon_amplitude_tau(m2, omega, 1.0) == pytest.approx(
-        expected, rel=1e-14
-    )
+    basis = SpectralBasis(0.5 * omega, 2.5 * omega, 2)  # centers w, 2 w
+    assert np.allclose(basis.centers, [omega, 2 * omega], rtol=1e-15)
+
+    def unit(n):
+        return coupling_unit(constant_material(f"m{n}", n), basis)
+
+    def tau_sq(n):
+        return (1j * np.diag(unit(n)) * CONSTANTS.hbar
+                / (4 * np.pi * CONSTANTS.eps0)).real
+
+    assert tau_sq(4.0) / tau_sq(1.0) == pytest.approx([0.25] * 2, rel=1e-12)
+    t2 = tau_sq(2.0)
+    assert t2[1] / t2[0] == pytest.approx(2.0, rel=1e-12)
+    expected = CONSTANTS.hbar * omega / (4 * np.pi * CONSTANTS.eps0 * C * 2.0)
+    assert t2[0] == pytest.approx(expected, rel=1e-14)
+    u = unit(2.0)
+    assert u[0, 1] == u[1, 0]
+    assert u[0, 1] ** 2 == pytest.approx(u[0, 0] * u[1, 1], rel=1e-14)
 
 
 def _toy(chi=4e-12, n=2.0, length=1e-6, bins=5, window=(0.3, 0.7),
@@ -76,8 +81,7 @@ def _toy(chi=4e-12, n=2.0, length=1e-6, bins=5, window=(0.3, 0.7),
     omega_p0 = 2 * np.pi * C / 400e-9
     pump = PumpSpec.from_wavelength(400e-9, 7e-9, 1e3)
     basis = SpectralBasis(window[0] * omega_p0, window[1] * omega_p0, bins)
-    sums = np.unique((basis.centers[:, None] + basis.centers[None, :]).ravel())
-    field = propagate_pump(st, pump, sums)
+    _, field, _ = bin_solve(st, pump, basis)
     return st, pump, basis, field
 
 
@@ -97,20 +101,30 @@ def test_coupling_zero_cases_and_linearity():
     # doubling the pump amplitude doubles |T| (energy x4)
     pump4 = PumpSpec(omega0=pump.omega0, sigma=pump.sigma,
                      energy_per_area=4e3)
-    field4 = propagate_pump(st, pump4, field.omega)
+    _, field4, _ = bin_solve(st, pump4, basis)
     t4 = LayerView(st, 1, basis, field4).tstar("F", "x", "y")[2, 2]
     assert abs(t4) == pytest.approx(2 * abs(t1), rel=1e-12)
 
 
-def test_bin_sum_pump_index_reads_exact_bin_sums():
-    st, pump, basis, field = _toy()
-    got, index = bin_sum_pump(st, pump, basis)
+def test_bin_solve_index_reads_exact_bin_sums():
+    """The pump is held once per distinct bin sum, and the one march over
+    the bin centers and the lit sums gives the maps and the pump of
+    separate solves on each grid, bit for bit."""
+    st, pump, basis, _ = _toy()
+    maps, got, index = bin_solve(st, pump, basis)
     assert index.shape == (basis.bins, basis.bins)
+    sums = np.unique(basis.centers[:, None] + basis.centers[None, :])
+    assert np.array_equal(got.omega, sums)
     assert np.array_equal(got.omega[index],
                           basis.centers[:, None] + basis.centers[None, :])
-    # one pump solve per distinct bin sum
-    assert np.array_equal(got.omega, field.omega)
-    assert np.array_equal(got.amps, field.amps)
+    lit = pump.active_mask(sums)
+    assert 0 < np.count_nonzero(lit) < sums.size
+    want = pump_field(pump, sums, field_maps(st, sums[lit]))
+    assert np.array_equal(got.mask, lit)
+    assert got.amps.tobytes() == want.amps.tobytes()
+    centers = field_maps(st, basis.centers)
+    for name, a in vars(maps).items():
+        assert a.tobytes() == getattr(centers, name).tobytes(), name
 
 
 def test_pump_wavenumbers_only_where_the_pump_is_lit():
@@ -158,8 +172,7 @@ def test_phase_function_matches_green_function_quadrature(gan, aln, air,
     st = StructureSpec(((gan, 80e-9, 1),), air, air)
     omega_p0 = pump400.omega0
     basis = SpectralBasis(0.4 * omega_p0, 0.6 * omega_p0, 4)
-    sums = np.unique((basis.centers[:, None] + basis.centers[None, :]).ravel())
-    field = propagate_pump(st, pump400, sums)
+    _, field, _ = bin_solve(st, pump400, basis)
     coup = LayerView(st, 1, basis, field)
     z_l = z_reference(st, 1)
     length = st.length(1)
@@ -226,8 +239,7 @@ def test_phase_function_derivative_finite_at_reference_point():
 def test_project_to_basis_zero_for_linear_layer(aln, air, pump400):
     st = StructureSpec(((aln, 100e-9, 1),), air, air)
     basis = SpectralBasis(0.4 * pump400.omega0, 0.6 * pump400.omega0, 3)
-    sums = np.unique((basis.centers[:, None] + basis.centers[None, :]).ravel())
-    field = propagate_pump(st, pump400, sums)
+    _, field, _ = bin_solve(st, pump400, basis)
     coup = LayerView(st, 1, basis, field)
     (kernel, _, _), d = coup.project("right")
     assert kernel.shape == (2, 2, 3, 3) and d.shape == (2, 2, 2)
@@ -289,7 +301,7 @@ def test_class_kernels_match_einsum_kernels(gan, air, pump400, case,
         mat = constant_material("slab", 2.4, chi2={("y", "x", "y"): 4e-12})
     st = StructureSpec(((mat, length, 1),), air, air)
     basis = SpectralBasis(0.05 * pump400.omega0, 0.95 * pump400.omega0, bins)
-    pump, index = bin_sum_pump(st, pump400, basis)
+    _, pump, index = bin_solve(st, pump400, basis)
     rows, cols = np.nonzero(pump.mask[index])
     lit = (rows, cols, index[rows, cols])
     assert 0 < rows.size < bins**2
@@ -317,9 +329,8 @@ def test_pump_wavenumbers_exactly_symmetric_on_bin_sum_grid(gan, aln):
     st = StructureSpec(((gan, 60e-9, 1), (aln, 12e-9, 1)), amb, amb)
     omega_p0 = 2 * np.pi * C / 400e-9
     basis = SpectralBasis(0.05 * omega_p0, 0.95 * omega_p0, 64)
-    sums = np.unique((basis.centers[:, None] + basis.centers[None, :]).ravel())
-    field = propagate_pump(st, PumpSpec.from_wavelength(400e-9, 7e-9, 1e3),
-                           sums)
+    _, field, _ = bin_solve(st, PumpSpec.from_wavelength(400e-9, 7e-9, 1e3),
+                            basis)
     for l in (1, 2):
         coup = LayerView(st, l, basis, field)
         for g in DIRS:
@@ -332,7 +343,7 @@ def test_projection_linear_in_pump_amplitude():
     st, pump, basis, field = _toy()
     coup1 = LayerView(st, 1, basis, field)
     pump4 = PumpSpec(omega0=pump.omega0, sigma=pump.sigma, energy_per_area=4e3)
-    field4 = propagate_pump(st, pump4, field.omega)
+    _, field4, _ = bin_solve(st, pump4, basis)
     coup2 = LayerView(st, 1, basis, field4)
     ve1, vh1, sh1 = polarized_kernels(coup1.project("left"))
     ve2, vh2, sh2 = polarized_kernels(coup2.project("left"))
@@ -349,15 +360,8 @@ def test_projection_refinement_error_model(gan, air, pump400):
                               bins)
         sub = SpectralBasis(0.40 * pump400.omega0, 0.60 * pump400.omega0,
                             bins * 16)
-        sums = np.unique(
-            (sub.centers[:, None] + sub.centers[None, :]).ravel()
-        )
-        field = propagate_pump(st, pump400, sums)
-        coarse = LayerView(st, 1, basis,
-                               propagate_pump(st, pump400, np.unique(
-                                   basis.centers[:, None]
-                                   + basis.centers[None, :]).ravel()))
-        fine = LayerView(st, 1, sub, field)
+        coarse = LayerView(st, 1, basis, bin_solve(st, pump400, basis)[1])
+        fine = LayerView(st, 1, sub, bin_solve(st, pump400, sub)[1])
         block = (0, 0, 0, 1)  # signal rows, col dir F, pols (x, y)
         lam_c = (polarized_kernels(coarse.project("right"))[0][block]
                  / basis.widths[0])
