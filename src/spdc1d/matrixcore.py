@@ -64,15 +64,16 @@ surface kernel s, so a pass forms the total source from the rows E + i
 k_a H times the fed chi and the surface source from the H rows times
 the fed s, and takes volume = total - surface: a few multiply-adds per
 (layer, geometry, lit entry) on arrays with the layer axis leading.
-The layers go in chunks of at most ``_CLASS_CHUNK`` // K^2 (at least
-one): at K = 12 the 10 GaN layers of the example form one chunk, at K
->= 64 every layer is its own.  With ``boundary`` = l the passes run
-over the right edge of layer l-1 and the left edge of layer l only,
-into a part each, and only boundary l's warning is reported: G_V and
-G_S are boundary l's source, and the sources sum to the full G_V and
-G_S.  ``build_emission`` composes the two stages; ``runner.verify``
-assembles several attributions and boundaries of one stack from one
-solve.  Nothing is kept between calls.
+The layers go in chunks of at most ``_CLASS_CHUNK`` // E (at least
+one), a budget in lit entries: the 10 GaN layers of the example form
+one chunk up to K = 32 (E = 154), chunks of 3 at K = 64 (E = 674), and
+from K = 96 (E = 1560) every layer is its own.  With ``boundary`` = l
+the passes run over the right edge of layer l-1 and the left edge of
+layer l only, into a part each, and only boundary l's warning is
+reported: G_V and G_S are boundary l's source, and the sources sum to
+the full G_V and G_S.  ``build_emission`` composes the two stages;
+``runner.verify`` assembles several attributions and boundaries of one
+stack from one solve.  Nothing is kept between calls.
 
 A stack whose layer lengths are arrays over a geometry grid G
 (``StructureSpec.grid``) is built once for every geometry: each array
@@ -107,8 +108,9 @@ from .spectral import (
 from .structure import StructureSpec
 
 CONDITION_WARN = 1e12
-# layers x K^2 per class pass, dark entries counted: layers group as on K x K
-_CLASS_CHUNK = 4096
+# layers x lit entries per class pass: its (layers, 2, 2, E) complex
+# temporaries stay within 128 KiB; larger chunks ran slower at K >= 48
+_CLASS_CHUNK = 2048
 
 
 def propagator_bins(material, length, basis: SpectralBasis):
@@ -309,7 +311,7 @@ def assemble_emission(solve: EmissionSolve, convention: str = "local-jump",
                 for l, c in zip(solve.boundaries, solve.cond)
                 if c > CONDITION_WARN and boundary in (None, l)]
     position = {l: i for i, l in enumerate(solve.boundaries)}
-    per_chunk = max(1, _CLASS_CHUNK // basis.bins**2)
+    per_chunk = max(1, _CLASS_CHUNK // max(1, rows.size))
     # d.tobytes() -> (d, its (volume, surface) sum); with boundary, one per
     # edge, so the source is d P_right + d P_left, not d (P_right + P_left)
     totals = {}

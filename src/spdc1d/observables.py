@@ -229,15 +229,45 @@ def _halves(kernel, spectrum):
         yield rows, kernel[rows] @ spectrum
 
 
+def time_kernel(t, omega, widths):
+    """The (n, K) kernel exp(-i w_m t_j) dw_m on the alias-exact grid.
+
+    There w_m = w_r + (m - r) dw, r = K//2, and t_j = (j - n//2) dt with
+    n dt dw = 2 pi, so the kernel is the DFT dw_m e^{-i w_r t_j} W^{(j -
+    n//2)(m - r) mod n}, W = e^{-2 pi i / n}: exactly commensurate, and
+    the bins' rounding off a uniform grid enters only through (m - r).
+    The index is exact integer arithmetic, formed in blocks of 256 rows,
+    so the only phases evaluated are the n roots, with arguments in [0,
+    pi], and the row phases.  W^{n - u} is conj(W^u) bit for bit (W^{n/2}
+    = -1), so rows t and -t are exact conjugates.
+    """
+    n, r = t.size, omega.size // 2
+    roots = np.exp(-2j * np.pi / n * np.arange(n // 2 + 1))
+    if n % 2 == 0:
+        roots[-1] = -1.0
+    roots = np.concatenate((roots, np.conj(roots[(n - 1) // 2:0:-1])))
+    shift = np.exp(-1j * omega[r] * t)
+    m = np.arange(omega.size) - r
+    kernel = np.empty((n, omega.size), dtype=complex)
+    for rows in _slices(n, 256):
+        index = np.multiply.outer(np.arange(rows.start, rows.stop) - n // 2, m)
+        np.take(roots, np.remainder(index, n, out=index), out=kernel[rows],
+                mode="clip")
+        kernel[rows] *= shift[rows, None]
+        kernel[rows] *= widths
+    return kernel
+
+
 @dataclass(frozen=True)
 class TemporalProfile:
     """Joint detection-time density on the alias-exact grid.
 
     The amplitude is half @ kernel.T, with ``kernel`` (t, bin) =
-    exp(-i w t) dw, ``spectrum`` the continuous K x K amplitude and half
-    = kernel @ spectrum the amplitude transformed over w_s only.  Its
-    density |.|^2 / norm integrates to one over the grid.  The kernel is
-    the only (n, K) array held: half is streamed in row chunks, and only
+    exp(-i w t) dw gathered from the roots of unity (``time_kernel``),
+    ``spectrum`` the continuous K x K amplitude and half = kernel @
+    spectrum the amplitude transformed over w_s only.  Its density
+    |.|^2 / norm integrates to one over the grid.  The kernel is the
+    only (n, K) array held: half is streamed in row chunks, and only
     ``rows``, the one column of ``conditional_cut`` and the candidate
     block of ``peak`` form density values.  norm, p_signal and the row
     sums sum_m |half[t, m]| dw_m that bound ``peak`` come from discrete
@@ -253,7 +283,6 @@ class TemporalProfile:
     row_sums: np.ndarray
     dt: float
     parseval_ratio: float
-    cut: tuple = (None, None)  # (t_i index, density column) of the pass
 
     def _half(self, idx):
         """half[idx] by one product of two or more rows (see _slices)."""
@@ -266,12 +295,11 @@ class TemporalProfile:
         return _density(half, self.kernel.T, self.norm)
 
     def conditional_cut(self, t_idler: float):
+        """The density column at the grid t_i nearest t_idler, normalized
+        over t_s: |kernel @ (spectrum @ kernel[j])|^2, O(n K)."""
         idx = int(np.argmin(np.abs(self.t - t_idler)))
-        at, cut = self.cut
-        if at != idx:
-            cut = np.empty(self.t.size)
-            for rows, half in _halves(self.kernel, self.spectrum):
-                cut[rows] = _density(half, self.kernel[idx], self.norm)
+        cut = _density(self.kernel, self.spectrum @ self.kernel[idx],
+                       self.norm)
         norm = cut.sum() * self.dt
         return self.t, cut / norm if norm > 0 else cut
 
@@ -351,17 +379,17 @@ def default_time_grid(widths, n_time: int = 2048):
 
 
 def temporal_profiles(jsa: JointSpectralAmplitude, n_time: int = 2048,
-                      kernel=None, t_idler=None) -> TemporalProfile:
+                      kernel=None) -> TemporalProfile:
     """Fourier-transform a two-photon amplitude to detection times.
 
-    Uses the explicit kernel exp(-i w t) dw from the bin centers on the
-    n_time-point alias-exact grid (see default_time_grid); raises
-    GridTooCoarse when its dt exceeds pi / max(w).  The half transform
-    over w_s, half = kernel @ spectrum, is streamed in row chunks and
-    never held whole.  ``kernel`` may pass the ``kernel`` of an earlier
-    profile on the same bins and n_time, so that amplitudes of one
-    emission share one kernel; with ``t_idler`` the same pass forms the
-    conditional cut there.
+    Uses the kernel exp(-i w t) dw on the n_time-point alias-exact grid
+    (see default_time_grid), a DFT gathered from the n roots of unity
+    (``time_kernel``); raises GridTooCoarse when its dt exceeds pi /
+    max(w).  The half transform over w_s, half = kernel @ spectrum, is
+    streamed in row chunks and never held whole; each chunk's |half| is
+    formed once for its row sums and row power.  ``kernel`` may pass the
+    ``kernel`` of an earlier profile on the same bins and n_time, so that
+    amplitudes of one emission share one kernel.
 
     The sum over t_i needs no second transform: on this grid (uniform
     bins, n dt dw = 2 pi) discrete Parseval gives
@@ -381,20 +409,16 @@ def temporal_profiles(jsa: JointSpectralAmplitude, n_time: int = 2048,
             f"dt = {dt:.3e} s exceeds Nyquist limit {np.pi / w_max:.3e} s"
         )
     if kernel is None:
-        kernel = np.multiply.outer(t, -1j * jsa.omega)
-        np.exp(kernel, out=kernel)
-        kernel *= jsa.widths
+        kernel = time_kernel(t, jsa.omega, jsa.widths)
     elif kernel.shape != (t.size, jsa.omega.size):
         raise ValueError(f"time kernel of shape {kernel.shape}, expected "
                          f"{(t.size, jsa.omega.size)}")
     spectrum = jsa.continuous
-    col = None if t_idler is None else int(np.argmin(np.abs(t - t_idler)))
-    row_power, row_sums, cut = np.zeros((3, t.size))
+    row_power, row_sums = np.zeros((2, t.size))
     for rows, half in _halves(kernel, spectrum):
-        row_power[rows] = t.size * (np.abs(half * jsa.widths) ** 2).sum(axis=1)
-        row_sums[rows] = np.abs(half) @ jsa.widths
-        if col is not None:
-            cut[rows] = np.abs(half @ kernel[col]) ** 2
+        mag = np.abs(half)
+        row_sums[rows] = mag @ jsa.widths
+        row_power[rows] = t.size * (np.square(mag, out=mag) @ jsa.widths**2)
     norm = float(row_power.sum() * dt * dt)
     if not 0.0 < norm < np.inf:  # a nan or inf amplitude: nan or inf norm
         raise NoPeak("two-photon amplitude is " + (
@@ -408,7 +432,7 @@ def temporal_profiles(jsa: JointSpectralAmplitude, n_time: int = 2048,
     return TemporalProfile(
         t=t, kernel=kernel, spectrum=spectrum, widths=jsa.widths,
         norm=norm, p_signal=row_power * dt / norm, row_sums=row_sums, dt=dt,
-        parseval_ratio=parseval, cut=(col, cut / norm),
+        parseval_ratio=parseval,
     )
 
 

@@ -39,8 +39,9 @@ phases times A^(N-1-n)) run once per (material object, length) class
 and step, and each layer costs one K x K contraction.  The pump phases
 are evaluated once per distinct bin sum; the bin-sum grid is exactly
 symmetric, so the idler rows share the signal rows' sums.  Each class
-sum runs over chunks of at most BLOCK sub-steps, reduced in order on
-top of the running sum, so the block size does not change a bit.
+sum runs over chunks of at most BLOCK sub-steps and at most TERMS
+complex terms (4 MiB, so fewer sub-steps at large K), reduced in order
+on top of the running sum, so the block size does not change a bit.
 """
 
 from __future__ import annotations
@@ -64,9 +65,10 @@ from .spectral import (
 )
 from .structure import StructureSpec
 
-# sub-steps per chunk of a class sum; bounds its terms to
-# BLOCK x 8 x K_row x K_col complex values
+# sub-steps per chunk of a class sum, at most; a chunk's terms hold
+# sub-steps x 8 x K_row x K_col complex values, kept within TERMS
 BLOCK = 64
+TERMS = 1 << 18
 
 
 def _class_sums(k, kp_sums, index, length, step):
@@ -88,8 +90,9 @@ def _class_sums(k, kp_sums, index, length, step):
     growth = 1.0 + x + 0.5 * x * x
     ik_part = np.stack((-1j * k, 1j * k))  # (s, K)
     total = np.zeros((2, 2, 2) + index.shape, dtype=complex)
-    for n0 in range(0, n_sub, BLOCK):
-        n = np.arange(n0, min(n0 + BLOCK, n_sub))
+    block = max(1, min(BLOCK, TERMS // (8 * index.size)))
+    for n0 in range(0, n_sub, block):
+        n = np.arange(n0, min(n0 + block, n_sub))
         zeta = n * h
         pump = np.exp(1j * kp_sums[:, None, :] * zeta[:, None])[..., index]
         part = np.exp(ik_part[:, None, :] * zeta[:, None])

@@ -132,7 +132,7 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
         if np.max(np.abs(amps[w].matrix)) == 0.0:
             continue
         prof = temporal_profiles(amps[w], n_time=cfg.time_points,
-                                 kernel=kernel, t_idler=t_cond)
+                                 kernel=kernel)
         kernel = prof.kernel
         t = prof.t
         peak = prof.peak()

@@ -40,8 +40,9 @@ the signal half of.  ``full_chi2`` gives a stack whose every (signal, idler) pol
 ``explicit_time_grid`` the full n x n detection-time density,
 ``count_field_maps`` every linear solve the package makes,
 ``resident_temporal_stage`` the temporal stage with its half transform
-held whole, and ``rowwise_write_csv`` the CSV writer that formats every
-cell row by row.
+held whole, on the DFT time kernel formed at once
+(``resident_time_kernel``), and ``rowwise_write_csv`` the CSV writer
+that formats every cell row by row.
 """
 
 import itertools
@@ -451,8 +452,8 @@ def dense_emission(structure, pump_spec, basis, keep_sources=False,
             key = (id(structure.material(l)),
                    id(length) if isinstance(length, np.ndarray) else length)
             classes.setdefault(key, []).append(l)
-    per_chunk = (1 if keep_sources
-                 else max(1, matrixcore._CLASS_CHUNK // basis.bins**2))
+    lit = max(1, np.count_nonzero(pump.mask[index]))
+    per_chunk = 1 if keep_sources else max(1, matrixcore._CLASS_CHUNK // lit)
     shape = (2,) * 4 + structure.grid + (basis.bins, basis.bins)
     totals, kept = {}, {l: [] for l in range(1, n_tot)}
     for members in classes.values():
@@ -979,6 +980,20 @@ def marched_pair_amplitude(structure, pump_spec, basis, step,
             "i": {k: np.conj(v) * weight for k, v in res["i"].items()}}
 
 
+def resident_time_kernel(t, omega, widths):
+    """``observables.time_kernel`` with its (n, K) index array formed at
+    once and the roots W^s = e^{-2 pi i s / n} taken over the signed
+    residues s in [-n/2, n/2): e^{-2 pi i |s| / n}, conjugated for s < 0,
+    and W^{-n/2} = -1."""
+    n, r = t.size, omega.size // 2
+    signed = (np.arange(n) + n // 2) % n - n // 2
+    roots = np.exp(-2j * np.pi / n * np.abs(signed))
+    roots[signed < 0] = np.conj(roots[signed < 0])
+    roots[2 * signed == -n] = -1.0
+    index = np.outer(np.arange(n) - n // 2, np.arange(omega.size) - r) % n
+    return roots[index] * np.exp(-1j * omega[r] * t)[:, None] * widths
+
+
 def resident_temporal_stage(jsa, n_time: int, t_idler=None):
     """The temporal stage with the half transform held whole.
 
@@ -987,15 +1002,15 @@ def resident_temporal_stage(jsa, n_time: int, t_idler=None):
     2 n K / cols rows, as the package did before it streamed the
     transform.  Returns p_signal, norm, parseval_ratio, the peak's
     (t_s, t_i) indices and the conditional cut at t_idler (default: the
-    peak's t_i).
+    peak's t_i), the column kernel @ (spectrum @ kernel[t_i]).
     """
     t = default_time_grid(jsa.widths, n_time)
     dt = float(t[1] - t[0])
     widths = jsa.widths
-    kernel = np.exp(-1j * np.outer(t, jsa.omega)) * widths[None, :]
+    kernel = resident_time_kernel(t, jsa.omega, widths)
     spectrum = jsa.continuous
     half = kernel @ spectrum
-    row_power = t.size * (np.abs(half * widths) ** 2).sum(axis=1)
+    row_power = t.size * (np.abs(half) ** 2 @ widths ** 2)
     norm = float(row_power.sum() * dt * dt)
     spectral_power = float(np.sum(np.abs(jsa.matrix) ** 2))
     parseval = (norm / (2.0 * np.pi) ** 2 / spectral_power
@@ -1029,7 +1044,7 @@ def resident_temporal_stage(jsa, n_time: int, t_idler=None):
     peak = (int(rows[i]), int(cols[j]))
 
     col = peak[1] if t_idler is None else int(np.argmin(np.abs(t - t_idler)))
-    cut = density(half, kernel[col])
+    cut = density(kernel, spectrum @ kernel[col])
     cut_norm = cut.sum() * dt
     return {
         "p_signal": row_power * dt / norm,

@@ -439,14 +439,16 @@ def test_class_pass_two_classes_mixed_poling(gan, aln, air, pump400,
 
 @pytest.mark.parametrize("convention", ["local-jump", "per-slot"])
 def test_class_pass_partial_last_chunk(gan, aln, air, pump400, convention):
-    """At 36 bins a class pass takes 3 layers per chunk, so the 4 GaN
-    layers of this stack run as one full chunk and a partial one."""
-    bins, members = 36, 4
-    per_chunk = matrixcore_mod._CLASS_CHUNK // bins**2
-    assert 1 < per_chunk < members and members % per_chunk
+    """At 30 bins (594 lit entries) a class pass takes 3 layers per
+    chunk, so the 4 GaN layers of this stack run as one full chunk and a
+    partial one."""
+    bins, members = 30, 4
     layers = tuple(((gan, 60e-9, (-1) ** i), (aln, 12e-9, 1))
                    for i in range(members))
     st = StructureSpec(sum(layers, ()), air, air)
+    lit = matrixcore_mod.solve_emission(st, pump400, _basis(bins)).lit[0].size
+    per_chunk = matrixcore_mod._CLASS_CHUNK // lit
+    assert 1 < per_chunk < members and members % per_chunk
     _assert_sources_match_per_block_loop(st, pump400, _basis(bins),
                                          convention)
 

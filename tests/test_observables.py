@@ -355,6 +355,27 @@ def _random_jsa(seed, bins):
     return _jsa_from_matrix(m, 0.35 * OMEGA_P0, 0.65 * OMEGA_P0)
 
 
+def test_time_kernel_is_the_exponential_kernel(shipped_amplitudes):
+    """The DFT kernel matches exp(-i w t) dw to 1e-13 of its largest
+    entry, for even and odd n and K, and its rows t and -t are exact
+    conjugates (the row t = 0 is real)."""
+    amps = shipped_amplitudes[1]
+    cases = [(amps["SV"], n) for n in (2048, 2047)]
+    cases += [(_random_jsa(5, 17), n) for n in (128, 129)]
+    for jsa, n_time in cases:
+        t = default_time_grid(jsa.widths, n_time)
+        kernel = observables.time_kernel(t, jsa.omega, jsa.widths)
+        direct = np.exp(-1j * np.outer(t, jsa.omega)) * jsa.widths
+        assert (np.max(np.abs(kernel - direct))
+                <= 1e-13 * np.max(np.abs(direct))), n_time
+        later = np.flatnonzero(t > 0)
+        mirror = 2 * (n_time // 2) - later
+        assert np.array_equal(t[mirror], -t[later])
+        assert np.array_equal(kernel[later].view(np.int64),
+                              np.conj(kernel[mirror]).view(np.int64))
+        assert not np.any(kernel[n_time // 2].imag)
+
+
 def _fast_and_explicit_cases(shipped_amplitudes):
     n_time, amps = shipped_amplitudes
     cases = [(amps[w], n_time) for w in ("SV", "V", "S")]
@@ -404,7 +425,7 @@ def test_pruned_peak_equals_explicit_argmax(shipped_amplitudes, monkeypatch):
 
 
 @pytest.mark.parametrize("attribution", ["per-slot", "local-jump"])
-@pytest.mark.parametrize("bins", [16, 32, 64])
+@pytest.mark.parametrize("bins", [16, 32, 64, 128])
 def test_peak_is_full_grid_argmax(attribution, bins):
     """peak() against np.argmax of the explicit n x n grid on every
     profile that ``simulate`` takes the peak of, and on random spectra."""
@@ -520,12 +541,11 @@ def _bits(x):
 
 def _assert_stage_is_resident(amps, n_time, ws):
     """Every output of the streamed stage, taken as ``simulate`` takes it
-    (cut at the first amplitude's peak column; the later ones form it in
-    their construction pass), equals the resident stage bit for bit."""
+    (one shared kernel, every cut at the first amplitude's peak column),
+    equals the resident stage bit for bit."""
     t_cond, kernel = None, None
     for w in ws:
-        prof = temporal_profiles(amps[w], n_time=n_time, kernel=kernel,
-                                 t_idler=t_cond)
+        prof = temporal_profiles(amps[w], n_time=n_time, kernel=kernel)
         kernel = prof.kernel
         peak = prof.peak()
         if t_cond is None:

@@ -1,8 +1,11 @@
 import inspect
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spdc1d.config import load_config
 from spdc1d.constants import CONSTANTS
 from spdc1d.errors import ConfigError, StepTooCoarse
 from spdc1d.linear import PumpSpec
@@ -19,6 +22,8 @@ from reference import (assert_assemblies_are_builds, count_field_maps,
 
 C = CONSTANTS.c
 OMEGA_P0 = 2 * np.pi * C / 400e-9
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs",
+                       "gan_aln_20layer.json")
 
 
 def test_zero_chi_gives_zero_amplitude(aln, air, pump400):
@@ -98,6 +103,24 @@ def test_block_size_does_not_change_oracle(gan, aln, air, pump400,
         assert list(blocked[field]) == list(stepwise[field])
         for key, got in blocked[field].items():
             assert np.array_equal(got, stepwise[field][key]), (field, key)
+
+
+def test_oracle_memory_is_bounded_in_k():
+    """One oracle run of the shipped config at 64 bins, at the step that
+    ``verify`` takes (its thinnest layer / 20), peaks below 24 MiB of
+    tracemalloc: a class-sum chunk holds at most TERMS terms, where 64
+    sub-steps of 8 K^2 terms each took 92.5 MiB."""
+    cfg = load_config(SHIPPED)
+    st = cfg.structure
+    step = min(st.length(l) for l in range(1, st.n_layers + 1)) / 20.0
+    tracemalloc.start()
+    try:
+        ref = reference_pair_amplitude(st, cfg.pump, cfg.basis(bins=64),
+                                       step=step)
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ref["s"] and peak_bytes <= 24 * 2**20
 
 
 def _assert_matches_stepwise(st, pump, basis, step):
