@@ -9,11 +9,15 @@ the same for both polarizations: an array of shape (2, 2, K) over (row
 channel, column channel, bin), of flux-normalized amplitudes.
 
 The pair operators G_V, G_S and each boundary's sources map idler
-inputs to signal outputs.  Each is kept as its parts (d, P): d the 2x2
-chi2 matrix over (signal pol, idler pol), P of shape (2, 2, 2, E) over
-(volume/surface, row dir, col dir, lit entry) on the E lit entries (row
-bin, col bin) whose bin sum the pump lights.  ``EmissionOperators.pairs``
-forms on demand the blocks of sum_m d_m (x) P_m, of shape (2, 2, 2, 2,
+inputs to signal outputs.  They are kept as parts (d, P): d the 2x2
+chi2 matrix over (signal pol, idler pol), P of shape (3, 2, 2, E) over
+(slab, row dir, col dir, lit entry) on the E lit entries (row bin, col
+bin) whose bin sum the pump lights.  The slabs T (total), S_R (right-
+edge surface sum) and S_L (left-edge surface sum, subtracted) hold no
+attribution: ``EmissionOperators.pairs`` reads the emission's
+``attribution`` from them by one sign table, G_S = sigma S_R + S_L and
+G_V = T - G_S (sigma = +1 for 'local-jump', -1 for 'per-slot'), and
+forms on demand the blocks of sum_m d_m (x) G_m, of shape (2, 2, 2, 2,
 K, K) over (row dir, signal pol, col dir, idler pol, signal bin, idler
 bin) in ``DIRS``/``POLS`` order, or their lit entries, adding the parts
 into zeros in turn (a dark entry is an exact +0).  The bin-sum grid is
@@ -43,41 +47,38 @@ the scalings run on arrays of shape (2, 2, 2, E), summed in place into
 one zeroed P per distinct d.  The columns are the idler inputs, so the
 feed is the conjugated signal feed.
 
-A build is two stages.  The solve (``solve_emission``) depends on no
-surface attribution: one march on the bin centers and the lit bin sums
-(``spectral.bin_solve``) gives F, the pump, every boundary's inverse
-response and condition number and the edge feeds; then the class
-kernels.  A layer's kernels depend on it only through its (material,
-length) class, except for the pump weight a_g, its poling sign times
-the pump amplitude of direction g (``spectral.pump_weights``), so the
-solve groups the nonlinear layers into classes keyed on the material
-object and the length and forms the kernels of both edges once per
-class, with the unsigned surface kernel +Q.  The assembly
-(``assemble_emission``) takes one attribution (per-slot negates the
-right edge's surface kernel, exactly) and optionally one boundary, and
-runs one class pass per class and edge: each layer's kernels are sum_g
-a_g kernels[g], scaled by columns with its feed and by rows with its
-boundary's inverse response times 1/sqrt(n) (the right edge of layer l
-is boundary l+1, added, the left edge boundary l, subtracted), summed
-over the layers.  The magnetic volume row is i k_a chi - s for the
-surface kernel s, so a pass forms the total source from the rows E + i
-k_a H times the fed chi and the surface source from the H rows times
-the fed s, and takes volume = total - surface: a few multiply-adds per
-(layer, geometry, lit entry) on arrays with the layer axis leading.
-The layers go in chunks of at most ``_CLASS_CHUNK`` // E (at least
-one), a budget in lit entries: the 10 GaN layers of the example form
-one chunk up to K = 32 (E = 154), chunks of 3 at K = 64 (E = 674), and
-from K = 96 (E = 1560) every layer is its own.  With ``boundary`` = l
-the passes run over the right edge of layer l-1 and the left edge of
-layer l only, into a part each, and only boundary l's warning is
-reported: G_V and G_S are boundary l's source, and the sources sum to
-the full G_V and G_S.  ``build_emission`` composes the two stages;
-``runner.verify`` assembles several attributions and boundaries of one
-stack from one solve.  Nothing is kept between calls.
+A build is two stages, neither of them attribution-dependent.  The
+solve (``solve_emission``): one march on the bin centers and the lit
+bin sums (``spectral.bin_solve``) gives F, the pump, every boundary's
+inverse response and condition number and the edge feeds; then the
+class kernels.  A layer's kernels depend on it only through its
+(material, length) class, except for the pump weight a_g, its poling
+sign times the pump amplitude of direction g (``spectral.pump_weights``),
+so the solve groups the nonlinear layers into classes keyed on the
+material object and the length and forms the kernels of both edges once
+per class, with the surface kernel +Q.  The assembly
+(``assemble_emission``), optionally of one boundary, runs one class pass
+per class and edge: each layer's kernels are sum_g a_g kernels[g],
+scaled by columns with its feed and by rows with its boundary's inverse
+response times 1/sqrt(n) (the right edge of layer l is boundary l+1,
+added, the left edge boundary l, subtracted), summed over the layers.
+A pass forms the total source from the rows E + i k_a
+H times the fed chi and the surface source from the H rows times the fed
+Q: a few multiply-adds per (layer, geometry, lit entry) on arrays with
+the layer axis leading.  The layers go in chunks of at most
+``_CLASS_CHUNK`` // E (at least one), a budget in lit entries: the 10
+GaN layers of the example form one chunk up to K = 32 (E = 154), chunks
+of 3 at K = 64 (E = 674), and from K = 96 (E = 1560) every layer is its
+own.  With ``boundary`` = l the passes run over the right edge of layer
+l-1 and the left edge of layer l only, and only boundary l's warning is
+reported: the slabs are boundary l's source, and the sources sum to the
+full slabs.  ``build_emission`` composes the two stages;
+``runner.verify`` assembles several boundaries and stacks from their
+solves.  Nothing is kept between calls.
 
 A stack whose layer lengths are arrays over a geometry grid G
 (``StructureSpec.grid``) is built once for every geometry: each array
-carries the axes *G just before its bin or entry axes (P is (2, 2, 2,
+carries the axes *G just before its bin or entry axes (P is (3, 2, 2,
 *G, E), F (2, 2, *G, K)).  A geometry-grid length keys its class
 by its array object, as in ``linear.layer_transfers``; the interface
 maps carry unit G axes, and a class length with fewer axes than G gets
@@ -88,7 +89,7 @@ size of G (``runner.scan`` builds its ridge cells in chunks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -161,16 +162,16 @@ def inverse_responses(maps: FieldMaps, boundaries):
 
 
 def _class_pass(kernels, weights, feed, rows):
-    """(volume, surface) output sources of a chunk of layers of one class
-    at one edge, summed over the layers: a part's P (module docstring).
+    """(total, surface) output sources of a chunk of layers of one class
+    at one edge, summed over the layers (module docstring).
 
     kernels: the class's (chi, surface, ik) at the edge; weights: the
     layers' ``pump_weights``, (L, g, *G, E); feed: the layers' modes at
     the edge from the inputs at each lit entry's col bin, (col dir,
     channel, L, *G, E); rows: each layer's boundary's inverse response
-    times 1/sqrt(n) at its row bin, (out dir, E/H, L, *G, E).  Volume is
-    the total (E + ik H rows times the fed chi) minus the surface source
-    (H rows times the fed surface kernel).
+    times 1/sqrt(n) at its row bin, (out dir, E/H, L, *G, E).  The total
+    is the E + ik H rows times the fed chi, the surface source the H rows
+    times the fed surface kernel.
     """
     chi, surface, ik = kernels
     a = weights[:, :, None]
@@ -183,21 +184,13 @@ def _class_pass(kernels, weights, feed, rows):
     p_total = (r_t[:, :, None] * k0[:, None]).sum(axis=0)
     p_s = (r[:, :, 1, None]
            * (j_s[:, None] * (fed[:, 0] + fed[:, 1]))[:, None]).sum(axis=0)
-    p_total -= p_s
     return p_total, p_s
-
-
-def _attributed(kernels, convention):
-    """``class_kernels`` (+Q at both edges) of one surface attribution:
-    per-slot's [+-1]_a Q of the arriving direction is -Q on the right."""
-    if convention == "local-jump":
-        return kernels
-    chi, q, ik = kernels["right"]
-    return {**kernels, "right": (chi, -q, ik)}
 
 
 # (row dir, signal pol, col dir, idler pol) of each block of a pair array
 _LABELS = np.stack(np.indices((2,) * 4), axis=-1)
+# sigma of each surface attribution: G_S = sigma S_R + S_L, G_V = T - G_S
+_RIGHT_SIGN = dict(zip(SPLIT_CONVENTIONS, (1.0, -1.0)))
 
 
 @dataclass
@@ -209,20 +202,31 @@ class EmissionOperators:
     pump: PumpField
     scatter: np.ndarray  # per-bin F, shape (2, 2, *G, K)
     lit: tuple  # lit entries (rows, cols, sums)
-    parts: list  # (d, P) of G_V and G_S (see the module docstring)
+    parts: list  # (d, P), P the slabs T, S_R, S_L (module docstring)
     warnings: list
+    attribution: str = "local-jump"
+
+    def attributed(self, name):
+        """The same emission read under surface attribution ``name``."""
+        if name not in _RIGHT_SIGN:
+            raise ConfigError(f"unknown split convention {name!r}")
+        return replace(self, attribution=name)
 
     def pairs(self, w, index=..., lit_only=False):
         """Blocks ``index`` (into row dir, signal pol, col dir, idler pol)
         of the pair array of w, 'V' or 'S', or with ``lit_only`` their lit
-        entries (..., *G, E): the parts with nonzero d, in order, added
-        into zeros and scattered to the lit (row bin, col bin)."""
+        entries (..., *G, E): each part with nonzero d read under the
+        attribution, in order, added into zeros and scattered to the lit
+        (row bin, col bin)."""
         r, alpha, c, beta = np.moveaxis(_LABELS[index], -1, 0)
         shape = r.shape + self.scatter.shape[2:-1]
         lit = np.zeros(shape + self.lit[0].shape, dtype=complex)
+        sigma = _RIGHT_SIGN[self.attribution]
         for d, p in self.parts:
             coef = d[alpha, beta].reshape(r.shape + (1,) * (lit.ndim - r.ndim))
-            np.add(lit, coef * p["VS".index(w)][r, c], out=lit,
+            total, s_right, s_left = p[:, r, c]
+            g = s_left + sigma * s_right
+            np.add(lit, coef * (g if w == "S" else total - g), out=lit,
                    where=coef != 0)
         if lit_only:
             return lit
@@ -245,10 +249,10 @@ class EmissionOperators:
 
 @dataclass
 class EmissionSolve:
-    """A build's attribution-free part: F, lit entries (rows, cols, sums),
-    boundaries with a nonlinear side, their inverse responses (axis 2)
-    and condition numbers, {edge: conjugated feeds}, and per class
-    (layers, d, 1/sqrt(n), unsigned class kernels)."""
+    """A build's solve: F, lit entries (rows, cols, sums), boundaries
+    with a nonlinear side, their inverse responses (axis 2) and condition
+    numbers, {edge: conjugated feeds}, and per class (layers, d,
+    1/sqrt(n), class kernels)."""
 
     structure: StructureSpec
     basis: SpectralBasis
@@ -296,62 +300,57 @@ def solve_emission(structure: StructureSpec, pump_spec: PumpSpec,
                          inverse, cond, fed, list(classes.values()))
 
 
-def assemble_emission(solve: EmissionSolve, convention: str = "local-jump",
+def assemble_emission(solve: EmissionSolve,
                       boundary: int | None = None) -> EmissionOperators:
-    """G_V and G_S of one surface attribution from a solve; with
+    """The slabs T, S_R and S_L of a solve, read under local-jump; with
     ``boundary`` = l, boundary l's source alone."""
-    structure, basis = solve.structure, solve.basis
+    structure = solve.structure
     rows, cols, sums = solve.lit
     n_tot = structure.n_layers + 2
     if boundary is not None and not 1 <= boundary < n_tot:
         raise ConfigError(f"no boundary {boundary} in 1..{n_tot - 1}")
-    if convention not in SPLIT_CONVENTIONS:
-        raise ConfigError(f"unknown split convention {convention!r}")
     warnings = [f"boundary {l}: response condition number {c:.2e}"
                 for l, c in zip(solve.boundaries, solve.cond)
                 if c > CONDITION_WARN and boundary in (None, l)]
     position = {l: i for i, l in enumerate(solve.boundaries)}
     per_chunk = max(1, _CLASS_CHUNK // max(1, rows.size))
-    # d.tobytes() -> (d, its (volume, surface) sum); with boundary, one per
-    # edge, so the source is d P_right + d P_left, not d (P_right + P_left)
-    totals = {}
+    slabs = {}  # d.tobytes() -> (d, its slabs T, S_R, S_L)
     for members, d, pref, kernels in solve.classes:
         members = [l for l in members if boundary in (None, l, l + 1)]
-        kernels = _attributed(kernels, convention)
         for start in range(0, len(members), per_chunk):
             ls = np.array(members[start:start + per_chunk])
             weights = pump_weights(structure, solve.pump, sums, ls)
             # a layer's right edge is boundary l + 1, added, its left edge
             # boundary l, subtracted; with ``boundary`` only the edges on it
-            for edge, shift, op in (("right", 1, np.add),
-                                    ("left", 0, np.subtract)):
+            for edge, shift, op, slab in (("right", 1, np.add, 1),
+                                          ("left", 0, np.subtract, 2)):
                 on = np.s_[:] if boundary is None else ls + shift == boundary
                 if not ls[on].size:
                     continue
                 resp = solve.inverse[:, :, [position[l + shift]
                                             for l in ls[on]]]
-                parts = _class_pass(kernels[edge], weights[on],
-                                    solve.fed[edge][:, :, ls[on]][..., cols],
-                                    (resp * pref)[..., rows])
-                tag = d.tobytes() if boundary is None else (d.tobytes(), edge)
-                if tag not in totals:
-                    totals[tag] = (d, np.zeros((2,) + parts[0].shape,
-                                               dtype=complex))
-                for acc, part in zip(totals[tag][1], parts):
-                    op(acc, part, out=acc)
-    parts = list(totals.values())
-    for name, mat in [("F", solve.scatter)] + [
-            (f"G_{w}", p[i]) for i, w in enumerate("VS") for _, p in parts]:
+                total, surface = _class_pass(
+                    kernels[edge], weights[on],
+                    solve.fed[edge][:, :, ls[on]][..., cols],
+                    (resp * pref)[..., rows])
+                if d.tobytes() not in slabs:
+                    slabs[d.tobytes()] = (d, np.zeros((3,) + total.shape,
+                                                      dtype=complex))
+                p = slabs[d.tobytes()][1]
+                op(p[0], total, out=p[0])
+                op(p[slab], surface, out=p[slab])
+    parts = list(slabs.values())
+    for name, mat in [("F", solve.scatter)] + [("G", p) for _, p in parts]:
         if not np.all(np.isfinite(mat)):
             raise ConfigError(f"non-finite entries in {name}")
-    return EmissionOperators(structure, basis, solve.pump, solve.scatter,
-                             solve.lit, parts, warnings)
+    return EmissionOperators(structure, solve.basis, solve.pump,
+                             solve.scatter, solve.lit, parts, warnings)
 
 
 def build_emission(structure: StructureSpec, pump_spec: PumpSpec,
-                   basis: SpectralBasis, boundary: int | None = None,
-                   convention: str = "local-jump") -> EmissionOperators:
-    """Assemble the scattering map and the volume/surface emission maps;
-    with ``boundary`` = l, G_V and G_S are boundary l's source alone."""
+                   basis: SpectralBasis,
+                   boundary: int | None = None) -> EmissionOperators:
+    """Assemble the scattering map and the emission slabs, read under
+    local-jump; with ``boundary`` = l, boundary l's source alone."""
     return assemble_emission(solve_emission(structure, pump_spec, basis),
-                             convention, boundary)
+                             boundary)

@@ -68,8 +68,6 @@ def branch_amplitudes(emission: EmissionOperators, channel, w: str):
 class JointSpectralAmplitude:
     """Two-photon amplitude over (signal bin, idler bin) for one channel."""
 
-    channel: tuple
-    contribution: str
     matrix: np.ndarray  # dimensionless bin matrix
     omega: np.ndarray  # bin centers of both axes
     widths: np.ndarray
@@ -87,10 +85,8 @@ def two_photon_amplitude(emission: EmissionOperators, channel):
                 for w in CONTRIBUTIONS}
     matrices["SV"] = matrices["V"] + matrices["S"]
     return {
-        w: JointSpectralAmplitude(
-            channel=channel, contribution=w, matrix=m,
-            omega=emission.basis.centers, widths=emission.basis.widths,
-        )
+        w: JointSpectralAmplitude(m, emission.basis.centers,
+                                  emission.basis.widths)
         for w, m in matrices.items()
     }
 
@@ -104,7 +100,6 @@ class JointDensity:
     construction.  continuous() converts to per-(rad/s)^2.
     """
 
-    channel: tuple
     n_volume: np.ndarray
     n_surface: np.ndarray
     n_interf: np.ndarray
@@ -142,7 +137,6 @@ def joint_density(emission: EmissionOperators, channel) -> JointDensity:
     n_s = density("S", "S")
     n_i = density("V", "S") + density("S", "V")
     return JointDensity(
-        channel=channel,
         n_volume=n_v,
         n_surface=n_s,
         n_interf=n_i,

@@ -100,8 +100,8 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
     """Full single-structure run; writes CSV arrays plus a JSON summary."""
     os.makedirs(out_dir, exist_ok=True)
     basis = cfg.basis(bins, window)
-    emission = build_emission(cfg.structure, cfg.pump, basis,
-                              convention=cfg.attribution)
+    emission = build_emission(cfg.structure, cfg.pump,
+                              basis).attributed(cfg.attribution)
     channel = cfg.channel
     jd = joint_density(emission, channel)
     stats = marginals_and_counts(jd)
@@ -284,8 +284,8 @@ def ridge_yields(cfg: RunConfig, l1_nm, l2_nm):
     of ``ridge_scan.csv``; R is -1 where it is not finite."""
     st = _pair_stack(cfg, np.asarray(l1_nm) * 1e-9,
                      np.asarray(l2_nm) * 1e-9)
-    emission = build_emission(st, cfg.pump, cfg.basis(bins=cfg.scan.bins),
-                              convention=cfg.attribution)
+    emission = build_emission(st, cfg.pump, cfg.basis(
+        bins=cfg.scan.bins)).attributed(cfg.attribution)
     stats = marginals_and_counts(joint_density(emission, cfg.channel))
     counts, ratio = stats["counts"], stats["ratio_surface_volume"]
     return {
@@ -351,11 +351,14 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
     """Consistency report: oracle match, invariances, unitarity, Parseval.
 
     Returns (report, ok); every check carries its measured error and
-    tolerance.  The split invariance compares the local-jump builds of
-    the stack and of it with its first nonlinear layer from the middle on
-    split; the surface null reads that fictitious boundary's source.  One
-    solve per stack serves them: the stack's gives the configured
-    attribution and local-jump, the split stack's its build and source.
+    tolerance.  The split invariance compares the stack and the stack
+    with its first nonlinear layer from the middle on split, both read
+    under local-jump; the surface null reads that fictitious boundary's
+    source.  Each stack is solved and assembled once: an assembly keeps
+    the slabs T, S_R and S_L (``matrixcore``), so the stack's is read
+    under the configured attribution and under local-jump (G_S = sigma
+    S_R + S_L, G_V = T - G_S, sigma = +1 for local-jump and -1 for
+    per-slot), and the split stack's solve also gives its source.
     ``density_nonnegative`` gates only n_total and reports the n_V and
     n_S minima (signed, see ``observables``) beside it, all relative to
     the n_total peak, as is ``decomposition_identity``: n_V + n_S + n_I
@@ -371,10 +374,9 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
     structure = cfg.structure
     checks = {}
 
-    solve = solve_emission(structure, cfg.pump, basis)
-    emission = assemble_emission(solve, cfg.attribution)
-    emission_lj = (emission if cfg.attribution == "local-jump"
-                   else assemble_emission(solve, "local-jump"))
+    emission_lj = assemble_emission(solve_emission(structure, cfg.pump,
+                                                   basis))
+    emission = emission_lj.attributed(cfg.attribution)
     # F is 2x2 per bin: check F F-dagger = 1 block by block (its idler
     # sector conj(F) deviates by as much)
     f = emission.scatter
@@ -404,7 +406,7 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
             "error": float(np.linalg.norm(diff) / scale_g), "tol": 1e-9
         }
     s_s = assemble_emission(solve, boundary=mid + 1).pairs("S", lit_only=True)
-    del solve, em_split, emission_lj
+    del solve, em_split
     checks["fictitious_surface_null"] = {
         "error": float(np.linalg.norm(s_s) / scale_g), "tol": 1e-10
     }
@@ -456,9 +458,9 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
         if k_ref == bins:
             jd_k = jd
         else:
-            jd_k = joint_density(
-                build_emission(structure, cfg.pump, cfg.basis(bins=k_ref),
-                               convention=cfg.attribution), cfg.channel)
+            jd_k = joint_density(build_emission(
+                structure, cfg.pump, cfg.basis(bins=k_ref)).attributed(
+                    cfg.attribution), cfg.channel)
         counts.append(marginals_and_counts(jd_k)["counts"]["SV"])
     d_coarse = abs(counts[1] - counts[0])
     d_fine = abs(counts[2] - counts[1])
@@ -543,8 +545,8 @@ def dump_matrix(cfg: RunConfig, name: str, out_path, bins=None):
                             basis)
         mat = BlockMatrix.from_bins({"s": p, "i": np.conj(p)})
     else:  # GV, GS, SV, SS
-        emission = build_emission(structure, cfg.pump, basis, boundary=idx,
-                                  convention=cfg.attribution)
+        emission = build_emission(structure, cfg.pump, basis,
+                                  boundary=idx).attributed(cfg.attribution)
         mat = BlockMatrix.from_pairs(emission.g_volume if key in ("GV", "SV")
                                      else emission.g_surface)
     mat.write_csv(out_path)

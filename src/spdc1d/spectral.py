@@ -23,14 +23,14 @@ with T_g the pump-weighted coupling of the layer.  The magnetic (d/dz)
 content of the pair terms per side sums to i k_s,a chi exactly; the bare
 source coefficient Q(z) = sum_g T_g^* exp(i k_p,g (z - z_l)), the local
 pump field times tau_s tau_i chi2, can be split between the volume and
-surface channels in more than one exact way: the surface attributions
-(``class_kernels`` forms the 'local-jump' kernels, ``matrixcore`` signs
-them per attribution).  Q is continuous across a boundary up to the
-jump of the material factors, so driving the surface channel with its
-jump ('local-jump') makes a fictitious boundary inside homogeneous
-material source nothing, while the literal per-mode assignment
-('per-slot') reproduces the published volume/surface bookkeeping.  Only
-the summed output is observable.
+surface channels in more than one exact way: the surface attributions,
+which ``matrixcore`` reads after its assembly from the sign sigma of the
+right-edge surface sum (``class_kernels``).  Q is continuous across a
+boundary up to the jump of the material factors, so driving the surface
+channel with its jump ('local-jump') makes a fictitious boundary inside
+homogeneous material source nothing, while the literal per-mode
+assignment ('per-slot') reproduces the published volume/surface
+bookkeeping.  Only the summed output is observable.
 
 The layers are isotropic, so T_g depends on the polarizations only
 through the scalar chi2 coefficient: every kernel is one
@@ -230,13 +230,16 @@ def class_kernels(material: MaterialModel, length,
     dw_col) (midpoint projection onto the top-hat bins).
 
     surface is the bare source coefficient +Q at both edges, the same
-    for both column directions: the 'local-jump' attribution, whose
-    surface drive is the cross-boundary jump of Q (zero at a fictitious
-    boundary).  'per-slot' (each slot's literal magnetic content, [+-1]_a
-    Q of the arriving direction; not fictitious-boundary null, kept for
-    comparison) negates the right edge's surface, in ``matrixcore``.
-    The kernels are polarization-free signal rows; idler rows are the
-    same grids, as the bin-sum grid is exactly symmetric.
+    for both column directions.  ``matrixcore`` sums its sources into S_R
+    at the right edges and S_L at the left ones (subtracted) beside the
+    total T, and reads an attribution as G_S = sigma S_R + S_L, G_V = T -
+    G_S.  'local-jump' (sigma = +1) drives the surface with the
+    cross-boundary jump of Q, so a fictitious boundary sources nothing.
+    'per-slot' (sigma = -1, each slot's literal magnetic content [+-1]_a
+    Q of the arriving direction) gives instead a split that is covariant
+    under the mirror of a run (README).  The kernels are
+    polarization-free signal rows; idler rows are the same grids, as the
+    bin-sum grid is exactly symmetric.
     """
     rows, cols, sums = lit
     widths = basis.widths

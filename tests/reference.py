@@ -22,15 +22,21 @@ expansion on every entry of the grid, dark bin sums included, by
 broadcasting the per-bin factors, as the package did before it
 assembled the pump's lit entries only; ``assert_bitwise_equal`` holds
 the two to the same bits.  With ``keep_sources`` it also keeps every
-boundary's source, its two edges summed apart one layer at a time, to
-which ``assert_sources_bitwise_equal`` holds each build with
-``boundary`` = l (``per_boundary`` gathers those builds), and
+boundary's slabs, summed one layer at a time, to which
+``assert_sources_bitwise_equal`` holds each build with ``boundary`` = l
+(``per_boundary`` gathers those builds), and
 ``assert_assemblies_are_builds`` holds the assemblies of one shared
-solve to separate builds.  ``expand`` scatters an emission's lit-entry
-parts into zeroed pair arrays, as the package did on every assembly
-before it kept the parts, and ``assert_pairs_are_expanded`` holds every
-block the package's accessor forms to it; ``pair_block`` reads one
-K x K block of a pair array.
+solve to separate builds.  ``read_slabs`` reads (G_V, G_S) parts from
+the slabs T, S_R, S_L under an attribution by its own sign table;
+``expand`` scatters such parts into zeroed pair arrays, as the package
+did on every assembly before it kept the parts, and
+``assert_pairs_are_expanded`` holds every block the package's accessor
+forms to it; ``pair_block`` reads one K x K block of a pair array.
+``attributed_assembly`` is the assembly that signs the class kernels
+per attribution before its passes (``attributed_kernels``), as the
+package did before it read the attribution from its slabs;
+``assert_attribution_is_the_build_time_one`` holds the read-time
+attribution to it within rounding.
 ``LayerView`` reads one layer's coupling data (conj(T_g), wave numbers,
 kernels) through the pure functions of ``spectral``.  The two-sector
 references (``linear_maps``, ``two_sector_emission``,
@@ -188,7 +194,7 @@ class LayerView:
         row is i k_a chi - surface."""
         grid = self.index.shape
         chi, surface, ik = (np.reshape(a, a.shape[:-1] + grid) for a in
-                            matrixcore._attributed(
+                            attributed_kernels(
                                 class_kernels(self.material, self.length,
                                               self.basis, self.pump,
                                               self.every),
@@ -262,37 +268,29 @@ def einsum_weighted_kernels(kernels, weights):
 
 
 def einsum_class_pass(kernels, weights, feed, rows):
-    """``matrixcore._class_pass`` on ``einsum_class_kernels`` by einsums
-    over the stored electric and magnetic volume rows."""
+    """``matrixcore._class_pass`` on the local-jump (+Q)
+    ``einsum_class_kernels`` by einsums over the stored electric and
+    magnetic volume rows: (volume + surface, surface)."""
     j_v, j_s = einsum_weighted_kernels(kernels, weights)
     k_v = np.einsum("lxb...e,bcl...e->lxc...e", j_v, feed)
     p_v = np.einsum("dxl...e,lxc...e->dc...e", rows, k_v)
     p_s = np.einsum("dl...e,l...e,cl...e->dc...e", rows[:, 1], j_s,
                     feed.sum(axis=0))
-    return p_v, p_s
+    return p_v + p_s, p_s
 
 
-def einsum_emission(*args, convention="local-jump", **kwargs):
-    """``build_emission`` with the einsum class kernels of the attribution
-    and class pass."""
-    def kernels(*args):
-        return einsum_class_kernels(*args, convention=convention)
-
-    with mock.patch.object(matrixcore, "class_kernels", kernels), \
-            mock.patch.object(matrixcore, "_attributed",
-                              lambda kernels, convention: kernels), \
+def einsum_emission(*args, **kwargs):
+    """``build_emission`` with the einsum class kernels and class pass."""
+    with mock.patch.object(matrixcore, "class_kernels",
+                           einsum_class_kernels), \
             mock.patch.object(matrixcore, "_class_pass", einsum_class_pass):
-        return matrixcore.build_emission(*args, convention=convention,
-                                         **kwargs)
+        return matrixcore.build_emission(*args, **kwargs)
 
 
-def dense_class_kernels(material, length, basis, pump, index,
-                        convention="local-jump"):
+def dense_class_kernels(material, length, basis, pump, index):
     """``spectral.class_kernels`` on every entry of the K x K grid, from
     the (K, K) bin-sum index: chi (2, 2, *G, K, K), surface (2, *G, K,
     K) and ik per row bin, by broadcasting the per-bin factors."""
-    if convention not in SPLIT_CONVENTIONS:
-        raise ConfigError(f"unknown split convention {convention!r}")
     widths = basis.widths
     unit = coupling_unit(material, basis) * np.sqrt(widths[:, None]
                                                     * widths[None, :])
@@ -307,7 +305,7 @@ def dense_class_kernels(material, length, basis, pump, index,
     zeta = zeta[..., None]
     k_p = k_p[:, index][:, None]
     out = {}
-    for edge, a, slot in (("right", "F", 1.0), ("left", "B", -1.0)):
+    for edge, a in (("right", "F"), ("left", "B")):
         k_a = k[DIRS.index(a)]
         dk = k_p - k_a[:, None] - k[:, None, :]
         dk = dk.reshape((2, 2) + flat + dk.shape[-2:])
@@ -321,8 +319,7 @@ def dense_class_kernels(material, length, basis, pump, index,
                          * phase[::-1, ..., None, :] - 1.0)
             q = np.broadcast_to(unit, pump_phase.shape)
         chi = -1j * unit * _bracket(dk, zeta, numerator, edge_phase)
-        sigma = -1.0 if convention == "local-jump" else slot
-        out[edge] = (chi, -sigma * q, 1j * k_a)
+        out[edge] = (chi, q, 1j * k_a)
     return out
 
 
@@ -341,7 +338,22 @@ def dense_class_pass(kernels, weights, feed, rows):
     p_total = (r_t[:, :, None] * k0[:, None]).sum(axis=0)
     p_s = (r[:, :, 1, None]
            * (j_s[:, None] * (fed[:, 0] + fed[:, 1]))[:, None]).sum(axis=0)
-    return np.stack((p_total - p_s, p_s))
+    return p_total, p_s
+
+
+# sigma of each surface attribution, the sign of the right-edge surface sum
+SIGN = {"local-jump": 1.0, "per-slot": -1.0}
+
+
+def read_slabs(parts, convention):
+    """(d, (G_V, G_S)) parts of (d, P) ones whose P holds the slabs T, S_R
+    and S_L: G_S = sigma S_R + S_L and G_V = T - G_S under the
+    attribution."""
+    out = []
+    for d, (t, s_right, s_left) in parts:
+        g = s_left + SIGN[convention] * s_right
+        out.append((d, np.array([t - g, g])))
+    return out
 
 
 def dense_expand(parts, shape):
@@ -359,7 +371,8 @@ def expand(parts, shape, lit):
     *G, E) over (volume/surface, row dir, col dir, geometry, lit entry),
     scattered into zeros at the lit (row bin, col bin) entries.  The
     package built these arrays on every assembly before it kept the
-    parts; ``assert_pairs_are_expanded`` holds its accessor to them."""
+    parts; ``assert_pairs_are_expanded`` holds its accessor to them (the
+    parts ``read_slabs`` of the emission's)."""
     rows, cols, _ = lit
     out = np.zeros((2,) + shape, dtype=complex)
     for d, p in parts:
@@ -386,7 +399,9 @@ def assert_pairs_are_expanded(emission):
     rows, cols, _ = emission.lit
     shape = ((2,) * 4 + emission.scatter.shape[2:-1]
              + (emission.basis.bins,) * 2)
-    want = dict(zip("VS", expand(emission.parts, shape, emission.lit)))
+    want = dict(zip("VS", expand(read_slabs(emission.parts,
+                                            emission.attribution),
+                                 shape, emission.lit)))
     for w, name in (("V", "g_volume"), ("S", "g_surface")):
         _assert_same_bits(emission.pairs(w), want[w], w)
         _assert_same_bits(getattr(emission, name), want[w], name)
@@ -429,13 +444,13 @@ class KeptEmission:
 def dense_emission(structure, pump_spec, basis, keep_sources=False,
                    convention="local-jump"):
     """``build_emission`` on every entry of the K x K grid, dark bin sums
-    included, from the build's one solve (``bin_solve``): the same class
-    grouping, chunks of layers and order of sums, so every lit entry
-    rounds as in the lit-entry assembly and every dark one is an exact
-    zero.  With ``keep_sources`` the class passes run one layer at a time
-    and each boundary's two edges are kept and expanded apart (a
-    ``KeptEmission``): the per-boundary path that ``build_emission(...,
-    boundary=l)`` is held to bit for bit."""
+    included, from the build's one solve (``bin_solve``), read under the
+    attribution: the same class grouping, chunks of layers, slabs and
+    order of sums, so every lit entry rounds as in the lit-entry assembly
+    and every dark one is an exact zero.  With ``keep_sources`` the class
+    passes run one layer at a time and each boundary's slabs are kept
+    and expanded apart (a ``KeptEmission``): the per-boundary path that
+    ``build_emission(..., boundary=l)`` is held to bit for bit."""
     maps, pump, index = bin_solve(structure, pump_spec, basis)
     n_tot = structure.n_layers + 2
     d_of = structure.per_material(
@@ -455,7 +470,7 @@ def dense_emission(structure, pump_spec, basis, keep_sources=False,
     lit = max(1, np.count_nonzero(pump.mask[index]))
     per_chunk = 1 if keep_sources else max(1, matrixcore._CLASS_CHUNK // lit)
     shape = (2,) * 4 + structure.grid + (basis.bins, basis.bins)
-    totals, kept = {}, {l: [] for l in range(1, n_tot)}
+    totals, kept = {}, {l: {} for l in range(1, n_tot)}
     for members in classes.values():
         mat, d = structure.material(members[0]), d_of[members[0]]
         length = structure.length(members[0])
@@ -463,24 +478,80 @@ def dense_emission(structure, pump_spec, basis, keep_sources=False,
                                             - np.ndim(length))
                             + np.shape(length))
         pref = maps.interface[members[0], 0, 0].real
-        kernels = dense_class_kernels(mat, length, basis, pump, index,
-                                      convention)
+        kernels = dense_class_kernels(mat, length, basis, pump, index)
         for start in range(0, len(members), per_chunk):
             ls = members[start:start + per_chunk]
             weights = pump_weights(structure, pump, index, ls)
-            for edge, sign, shift in (("right", 1.0, 1), ("left", -1.0, 0)):
+            for edge, op, slab, shift in (("right", np.add, 1, 1),
+                                          ("left", np.subtract, 2, 0)):
                 rows = inverse[:, :, [position[l + shift] for l in ls]] * pref
-                p = sign * dense_class_pass(kernels[edge], weights,
-                                            fed[edge][:, :, ls], rows)
-                total = totals.setdefault(d.tobytes(), [d, 0.0])
-                total[1] = total[1] + p
-                if keep_sources:
-                    kept[ls[0] + shift].append((d, p))
-    sources = ({l: dense_expand(parts, shape) for l, parts in kept.items()}
-               if keep_sources else {})
-    g_v, g_s = dense_expand(totals.values(), shape)
+                total, surface = dense_class_pass(kernels[edge], weights,
+                                                  fed[edge][:, :, ls], rows)
+                for acc in [totals] + ([kept[ls[0] + shift]] if keep_sources
+                                       else []):
+                    if d.tobytes() not in acc:
+                        acc[d.tobytes()] = (d, np.zeros((3,) + total.shape,
+                                                        dtype=complex))
+                    p = acc[d.tobytes()][1]
+                    op(p[0], total, out=p[0])
+                    op(p[slab], surface, out=p[slab])
+    sources = ({l: dense_expand(read_slabs(parts.values(), convention), shape)
+                for l, parts in kept.items()} if keep_sources else {})
+    g_v, g_s = dense_expand(read_slabs(totals.values(), convention), shape)
     return KeptEmission(structure, basis, pump, maps.scatter, g_v, g_s, [],
                         sources)
+
+
+def attributed_kernels(kernels, convention):
+    """``class_kernels`` (+Q at both edges) signed for one surface
+    attribution before the class passes, as the package did before it
+    read the attribution from its slabs: per-slot's [+-1]_a Q of the
+    arriving direction is -Q on the right."""
+    if convention == "local-jump":
+        return kernels
+    chi, q, ik = kernels["right"]
+    return {**kernels, "right": (chi, -q, ik)}
+
+
+def attributed_assembly(solve, convention="local-jump", boundary=None):
+    """The package's emission assembly before the slabs, as a
+    ``KeptEmission``: the class kernels signed per attribution
+    (``attributed_kernels``), each class pass returning (volume =
+    total - surface, surface), summed into (G_V, G_S) per distinct d, and
+    with ``boundary`` one part per edge.  The reference the read-time
+    attribution is held to within rounding."""
+    structure = solve.structure
+    rows, cols, sums = solve.lit
+    position = {l: i for i, l in enumerate(solve.boundaries)}
+    per_chunk = max(1, matrixcore._CLASS_CHUNK // max(1, rows.size))
+    totals = {}
+    for members, d, pref, kernels in solve.classes:
+        members = [l for l in members if boundary in (None, l, l + 1)]
+        kernels = attributed_kernels(kernels, convention)
+        for start in range(0, len(members), per_chunk):
+            ls = np.array(members[start:start + per_chunk])
+            weights = pump_weights(structure, solve.pump, sums, ls)
+            for edge, shift, op in (("right", 1, np.add),
+                                    ("left", 0, np.subtract)):
+                on = np.s_[:] if boundary is None else ls + shift == boundary
+                if not ls[on].size:
+                    continue
+                resp = solve.inverse[:, :, [position[l + shift]
+                                            for l in ls[on]]]
+                p_total, p_s = matrixcore._class_pass(
+                    kernels[edge], weights[on],
+                    solve.fed[edge][:, :, ls[on]][..., cols],
+                    (resp * pref)[..., rows])
+                p_total -= p_s
+                tag = d.tobytes() if boundary is None else (d.tobytes(), edge)
+                if tag not in totals:
+                    totals[tag] = (d, np.zeros((2,) + p_s.shape,
+                                               dtype=complex))
+                for acc, part in zip(totals[tag][1], (p_total, p_s)):
+                    op(acc, part, out=acc)
+    shape = ((2,) * 4 + structure.grid + (solve.basis.bins,) * 2)
+    return KeptEmission(structure, solve.basis, solve.pump, solve.scatter,
+                        *expand(totals.values(), shape, solve.lit), [])
 
 
 def emission_arrays(emission):
@@ -492,16 +563,18 @@ def emission_arrays(emission):
     return out
 
 
-def per_boundary(build, structure, *args, **kwargs):
-    """A ``KeptEmission`` of ``build(structure, *args, **kwargs)`` whose
-    source of each boundary l is G_V and G_S of the build with
-    ``boundary`` = l."""
+def per_boundary(build, structure, *args, convention="local-jump",
+                 **kwargs):
+    """A ``KeptEmission`` of ``build(structure, *args, **kwargs)`` read
+    under the attribution, whose source of each boundary l is G_V and G_S
+    of the build with ``boundary`` = l."""
     sources = {}
     for l in range(1, structure.n_layers + 2):
-        em = build(structure, *args, boundary=l, **kwargs)
+        em = build(structure, *args, boundary=l, **kwargs).attributed(
+            convention)
         sources[l] = (em.g_volume, em.g_surface)
-    return KeptEmission.of(build(structure, *args, **kwargs),
-                           sources=sources)
+    return KeptEmission.of(build(structure, *args, **kwargs).attributed(
+        convention), sources=sources)
 
 
 def _assert_same_bits(got, want, name):
@@ -520,35 +593,62 @@ def assert_bitwise_equal(got, want):
 
 
 def assert_sources_bitwise_equal(structure, pump_spec, basis, convention):
-    """Each boundary l's ``build_emission(..., boundary=l)`` holds in G_V
-    and G_S the bits of the source that ``dense_emission(...,
-    keep_sources=True)`` keeps for l."""
+    """Each boundary l's ``build_emission(..., boundary=l)``, read under
+    the attribution, holds in G_V and G_S the bits of the source that
+    ``dense_emission(..., keep_sources=True)`` keeps for l."""
     want = dense_emission(structure, pump_spec, basis, keep_sources=True,
                           convention=convention).boundary_sources
     assert sorted(want) == list(range(1, structure.n_layers + 2))
     for l, parts in want.items():
         got = matrixcore.build_emission(structure, pump_spec, basis,
-                                        boundary=l, convention=convention)
+                                        boundary=l).attributed(convention)
         for name, g, w in zip(("SV", "SS"), (got.g_volume, got.g_surface),
                               parts):
             _assert_same_bits(g, w, f"{name}:{l}")
 
 
 def assert_assemblies_are_builds(structure, pump_spec, basis):
-    """Every assembly from one ``solve_emission``, under both attributions
-    and for the whole stack and each boundary alone, holds the bits of
-    F, G_V and G_S and the warnings of its own ``build_emission``, and
-    every block its accessor forms holds the bits of ``expand``."""
+    """Every assembly from one ``solve_emission``, for the whole stack and
+    each boundary alone and read under both attributions, holds the bits
+    of F, G_V and G_S and the warnings of its own ``build_emission``,
+    and every block its accessor forms holds the bits of ``expand``."""
     solve = matrixcore.solve_emission(structure, pump_spec, basis)
-    for convention in SPLIT_CONVENTIONS:
-        for boundary in (None, *range(1, structure.n_layers + 2)):
-            got = matrixcore.assemble_emission(solve, convention, boundary)
-            want = matrixcore.build_emission(structure, pump_spec, basis,
-                                             boundary=boundary,
-                                             convention=convention)
+    for boundary in (None, *range(1, structure.n_layers + 2)):
+        assembled = matrixcore.assemble_emission(solve, boundary)
+        built = matrixcore.build_emission(structure, pump_spec, basis,
+                                          boundary=boundary)
+        for convention in SPLIT_CONVENTIONS:
+            got, want = (em.attributed(convention)
+                         for em in (assembled, built))
             assert_bitwise_equal(got, want)
             assert got.warnings == want.warnings, (convention, boundary)
             assert_pairs_are_expanded(got)
+
+
+def assert_attribution_is_the_build_time_one(structure, pump_spec, basis,
+                                             tol=1e-14, of_slabs=False):
+    """G_V and G_S of the assembly of the whole stack and of each boundary
+    alone, read under each attribution, are within tol of each array's
+    peak of ``attributed_assembly`` of the same solve (exact zeros where
+    it is).  With ``of_slabs`` the scale is the larger of that peak and
+    the slabs' peak times max |d|: a surface source that cancels at a
+    fictitious boundary is a rounding residue of the slabs, which two
+    summation orders leave different."""
+    solve = matrixcore.solve_emission(structure, pump_spec, basis)
+    for boundary in (None, *range(1, structure.n_layers + 2)):
+        em = matrixcore.assemble_emission(solve, boundary)
+        slabs = max((np.abs(d).max() * np.abs(p).max() for d, p in em.parts),
+                    default=0.0) if of_slabs else 0.0
+        for convention in SPLIT_CONVENTIONS:
+            got = em.attributed(convention)
+            want = attributed_assembly(solve, convention, boundary)
+            for name in ("g_volume", "g_surface"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.shape == w.shape
+                err = np.max(np.abs(g - w), initial=0.0)
+                scale = max(np.max(np.abs(w), initial=0.0), slabs)
+                assert err <= tol * scale, (convention, boundary, name,
+                                            err / scale)
 
 
 def linear_maps(structure, basis):
@@ -572,12 +672,13 @@ def two_sector_expand(parts, shape, lit):
     return out[0], out[1]
 
 
-def two_sector_emission(*args, **kwargs):
-    """``build_emission`` whose G_V and G_S hold both row sectors
-    (``two_sector_expand`` of its parts)."""
+def two_sector_emission(*args, convention="local-jump", **kwargs):
+    """``build_emission`` read under the attribution, whose G_V and G_S
+    hold both row sectors (``two_sector_expand`` of its parts)."""
     em = matrixcore.build_emission(*args, **kwargs)
     shape = (2,) * 4 + em.structure.grid + (em.basis.bins,) * 2
-    return KeptEmission.of(em, *two_sector_expand(em.parts, shape, em.lit))
+    return KeptEmission.of(em, *two_sector_expand(
+        read_slabs(em.parts, convention), shape, em.lit))
 
 
 def two_sector_block(pairs, row, col):

@@ -214,7 +214,6 @@ def test_temporal_consistency(stack4, pump400):
     cont = np.exp(-((ws + wi - OMEGA_P0) ** 2) / (4 * sig_sum**2)
                   - ((ws - wi) ** 2) / (4 * sig_dif**2))
     jsa = JointSpectralAmplitude(
-        channel=("F", "F", "x", "y"), contribution="SV",
         matrix=cont * np.sqrt(gb.widths[:, None] * gb.widths[None, :]),
         omega=gb.centers, widths=gb.widths,
     )
@@ -235,8 +234,8 @@ def test_temporal_consistency(stack4, pump400):
 def example_run():
     cfg = load_config(EXAMPLE)
     basis = cfg.basis()
-    em = build_emission(cfg.structure, cfg.pump, basis,
-                        convention=cfg.attribution)
+    em = build_emission(cfg.structure, cfg.pump,
+                        basis).attributed(cfg.attribution)
     jd = joint_density(em, cfg.channel)
     return cfg, em, jd
 

@@ -412,11 +412,12 @@ def test_verify_passes_on_small_config():
 @pytest.mark.parametrize("attribution", ["local-jump", "per-slot"])
 def test_verify_builds_each_emission_once(monkeypatch, attribution):
     """verify solves the stack and its split once each at `bins`.  The
-    stack's solve gives the configured attribution and, for per-slot,
-    the local-jump reference of the split-invariance check; the split
-    stack's solve gives its full build and its fictitious boundary's
-    source.  The bin-refinement study reuses the emission at `bins` and
-    builds the other two levels."""
+    stack is assembled once, under either attribution: its slabs are read
+    under the configured attribution and, for per-slot, under local-jump
+    for the split-invariance check; the split stack's solve gives its
+    full build and its fictitious boundary's source.  The bin-refinement
+    study reuses the emission at `bins` and builds the other two
+    levels."""
     cfg = parse_config(_tiny_config(surface_attribution=attribution))
     solved, assembled, built = [], [], []
     orig_solve = runner_mod.solve_emission
@@ -427,9 +428,9 @@ def test_verify_builds_each_emission_once(monkeypatch, attribution):
         solved.append((structure.n_layers, basis.bins))
         return orig_solve(structure, pump, basis)
 
-    def assembling(solve, convention="local-jump", boundary=None):
-        assembled.append((solve.structure.n_layers, convention, boundary))
-        return orig_assemble(solve, convention, boundary)
+    def assembling(solve, boundary=None):
+        assembled.append((solve.structure.n_layers, boundary))
+        return orig_assemble(solve, boundary)
 
     def building(structure, pump, basis, *args, **kwargs):
         built.append((basis.bins, kwargs.get("boundary")))
@@ -443,11 +444,7 @@ def test_verify_builds_each_emission_once(monkeypatch, attribution):
     n = cfg.structure.n_layers
     mid = max(1, n // 2)
     assert solved == [(n, 6), (n + 1, 6)]
-    assert assembled == ([(n, attribution, None)]
-                         + [(n, "local-jump", None)] * (attribution
-                                                        == "per-slot")
-                         + [(n + 1, "local-jump", None),
-                            (n + 1, "local-jump", mid + 1)])
+    assert assembled == [(n, None), (n + 1, None), (n + 1, mid + 1)]
     assert built == [(3, None), (12, None)]
 
 

@@ -24,9 +24,10 @@ from spdc1d.oracle import compare_with_emission, reference_pair_amplitude
 from spdc1d.spectral import DIRS, POLS, SPLIT_CONVENTIONS, SpectralBasis
 from spdc1d.structure import StructureSpec
 
-from reference import (assert_assemblies_are_builds, assert_bitwise_equal,
-                       assert_sources_bitwise_equal, dense_emission,
-                       linear_maps)
+from reference import (assert_assemblies_are_builds,
+                       assert_attribution_is_the_build_time_one,
+                       assert_bitwise_equal, assert_sources_bitwise_equal,
+                       dense_emission, linear_maps)
 
 OMEGA_P0 = 2 * np.pi * CONSTANTS.c / 400e-9
 PAIRS = (("y", "x", "y"), ("y", "y", "x"), ("y", "x", "x"), ("y", "y", "y"))
@@ -95,7 +96,7 @@ def _basis(bins):
 def test_emission_matches_oracle_on_random_stacks(structure, side, bins,
                                                   convention):
     pump, basis = _pump(side), _basis(bins)
-    emission = build_emission(structure, pump, basis, convention=convention)
+    emission = build_emission(structure, pump, basis).attributed(convention)
     f = emission.scatter
     dev = np.abs(np.einsum("ijk,ljk->ilk", f, np.conj(f))
                  - np.eye(2)[:, :, None])
@@ -113,8 +114,8 @@ def test_geometry_grid_matches_per_structure_builds(grid, side, bins,
                                                     convention):
     structure, singles = grid
     pump, basis = _pump(side), _basis(bins)
-    batch = build_emission(structure, pump, basis, convention=convention)
-    ones = [build_emission(s, pump, basis, convention=convention)
+    batch = build_emission(structure, pump, basis).attributed(convention)
+    ones = [build_emission(s, pump, basis).attributed(convention)
             for s in singles]
     pairs = [(getattr(batch, a), np.stack([getattr(e, a) for e in ones],
                                           axis=-3))
@@ -176,8 +177,8 @@ def test_energy_wronskian_and_decomposition_identities(structure, side, bins,
         for l in range(structure.n_layers + 2):
             dev = np.abs(_det2(maps.boundary_rows(l)) / det0 - 1.0)
             assert dev.max() <= 1e-12
-    emission = build_emission(structure, _pump(side), basis,
-                              convention=convention)
+    emission = build_emission(structure, _pump(side),
+                              basis).attributed(convention)
     jd = joint_density(emission, channel)
     assert np.array_equal(jd.n_total,
                           jd.n_volume + jd.n_surface + jd.n_interf)
@@ -199,7 +200,7 @@ def test_lit_entry_assembly_is_bitwise_the_dense_one(structure, side, bins,
     (its sources kept one layer at a time)."""
     pump, basis = _pump(side), _basis(bins)
     assert_bitwise_equal(
-        build_emission(structure, pump, basis, convention=convention),
+        build_emission(structure, pump, basis).attributed(convention),
         dense_emission(structure, pump, basis, convention=convention))
     if keep:
         assert_sources_bitwise_equal(structure, pump, basis, convention)
@@ -213,3 +214,18 @@ def test_assemblies_of_one_solve_are_the_builds(structure, side, bins):
     and each boundary assembled from one shared solve holds the bits of
     its own build."""
     assert_assemblies_are_builds(structure, _pump(side), _basis(bins))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(structure=st.one_of(stacks(), grid_stacks().map(lambda g: g[0])),
+       side=st.sampled_from("FB"), bins=st.integers(2, 8))
+def test_read_time_attribution_matches_the_build_time_one(structure, side,
+                                                          bins):
+    """On random stacks, single and over geometry grids, G_V and G_S of
+    the whole stack and of each boundary read from the slabs under each
+    attribution are within 1e-14 of the assembly that signs the class
+    kernels before its passes, on the scale of each array's peak or of
+    its slabs' (a boundary between two layers of one class is
+    fictitious: its local-jump surface source cancels to rounding)."""
+    assert_attribution_is_the_build_time_one(structure, _pump(side),
+                                             _basis(bins), of_slabs=True)

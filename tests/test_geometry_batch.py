@@ -70,10 +70,10 @@ def test_batched_build_matches_per_structure_builds(example, stack,
     cfg, make = example, stack(example)
     basis = cfg.basis(bins=cfg.scan.bins)
     k, cells = basis.bins, L1_NM.size
-    batch = build_emission(make(L1_NM * 1e-9, L2_NM * 1e-9), cfg.pump, basis,
-                           convention=convention)
-    singles = [build_emission(make(a * 1e-9, b * 1e-9), cfg.pump, basis,
-                              convention=convention)
+    batch = build_emission(make(L1_NM * 1e-9, L2_NM * 1e-9), cfg.pump,
+                           basis).attributed(convention)
+    singles = [build_emission(make(a * 1e-9, b * 1e-9), cfg.pump,
+                              basis).attributed(convention)
                for a, b in zip(L1_NM, L2_NM)]
     assert batch.g_volume.shape == (2,) * 4 + (cells, k, k)
     assert batch.scatter.shape == (2, 2, cells, k)
@@ -115,8 +115,8 @@ def test_batched_build_over_2d_grid_with_a_scalar_length_class(example):
 def test_scalar_lengths_keep_plain_observables(example):
     """With no geometry axis the counts and R stay plain floats."""
     basis = example.basis(bins=4)
-    em = build_emission(example.structure, example.pump, basis,
-                        convention=example.attribution)
+    em = build_emission(example.structure, example.pump,
+                        basis).attributed(example.attribution)
     stats = marginals_and_counts(joint_density(em, example.channel))
     assert all(type(stats["counts"][w]) is float for w in WHICH)
     assert type(stats["ratio_surface_volume"]) is float
@@ -185,7 +185,7 @@ def test_scan_chunks_with_partial_last_chunk(tmp_path, monkeypatch):
         st = runner_mod._pair_stack(cfg, float(r["l1_nm"]) * 1e-9,
                                     float(r["l2_nm"]) * 1e-9)
         stats = marginals_and_counts(joint_density(
-            build_emission(st, cfg.pump, basis, convention=cfg.attribution),
+            build_emission(st, cfg.pump, basis).attributed(cfg.attribution),
             cfg.channel))
         counts = stats["counts"]
         want.append([counts["V"] * 1e-6, counts["S"] * 1e-6,

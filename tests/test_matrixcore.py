@@ -27,6 +27,7 @@ from spdc1d.matrixcore import (
     outward_maps,
     propagator_bins,
 )
+from spdc1d.observables import joint_density
 from spdc1d.spectral import (
     DIRS,
     POLS,
@@ -38,6 +39,7 @@ from spdc1d.structure import StructureSpec
 from reference import (
     LayerView,
     assert_assemblies_are_builds,
+    assert_attribution_is_the_build_time_one,
     assert_bitwise_equal,
     assert_sources_bitwise_equal,
     count_field_maps,
@@ -568,14 +570,14 @@ def test_lit_entry_assembly_is_bitwise_the_dense_one(gan, aln, air, case,
     boundary 3 of the dark-neighbours stack joins two linear AlN layers,
     so its source is +0 throughout."""
     structure, pump, b, sources = _bitwise_cases(gan, aln, air)[case]
-    got = build_emission(structure, pump, b, convention=convention)
+    got = build_emission(structure, pump, b).attributed(convention)
     assert_bitwise_equal(got, dense_emission(structure, pump, b,
                                              convention=convention))
     if sources:
         assert_sources_bitwise_equal(structure, pump, b, convention)
     if case == "dark-neighbours":
-        dark = build_emission(structure, pump, b, boundary=3,
-                              convention=convention)
+        dark = build_emission(structure, pump, b,
+                              boundary=3).attributed(convention)
         for g in (dark.g_volume, dark.g_surface):
             assert not np.any(g.view(np.int64))
     lit = np.count_nonzero(got.pump.mask[bin_sums(b)[1]])
@@ -832,9 +834,10 @@ def test_all_matrices_finite(stack20, pump400):
 
 
 def test_build_keeps_only_its_lit_entry_parts():
-    """A 512-bin build of the shipped config keeps G_V and G_S as their
-    lit-entry parts: at most 16 MiB under tracemalloc, where the
-    zero-filled (2, 2, 2, 2, K, K) arrays alone took 128 MiB."""
+    """A 512-bin build of the shipped config keeps G_V and G_S as the
+    lit-entry slabs T, S_R and S_L of its parts: at most 16 MiB under
+    tracemalloc, where the zero-filled (2, 2, 2, 2, K, K) arrays alone
+    took 128 MiB."""
     cfg = load_config(EXAMPLE)
     basis = cfg.basis(bins=512)
     tracemalloc.start()
@@ -845,3 +848,112 @@ def test_build_keeps_only_its_lit_entry_parts():
     finally:
         tracemalloc.stop()
     assert em.parts and kept <= 16 * 2**20
+
+
+def _attribution_cases(gan, aln, air):
+    """name -> (structure, basis) on which the read-time attribution is
+    held to the build-time one."""
+    cfg = load_config(EXAMPLE)
+    l1 = np.linspace(50.0, 70.0, 4)[:, None] * 1e-9
+    l2 = np.linspace(10.0, 16.0, 3)[None, :] * 1e-9
+    return {
+        "shipped-k12": (cfg.structure, cfg.basis(bins=12)),
+        "shipped-k64": (cfg.structure, cfg.basis(bins=64)),
+        "scan-grid": (runner_mod._pair_stack(cfg, l1, l2), cfg.basis(bins=6)),
+        "2d-grid-scalar-class": (_grid_stack(gan, aln, air),
+                                 _basis(5, 0.35, 0.65)),
+    }
+
+
+def _assert_within(got, want, tol, name):
+    assert got.shape == want.shape, name
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("case", ["shipped-k12", "shipped-k64", "scan-grid",
+                                  "2d-grid-scalar-class"])
+def test_read_time_attribution_matches_the_build_time_one(gan, aln, air,
+                                                          case):
+    """G_V and G_S of the whole stack and of every boundary alone, read
+    from the slabs under each attribution, against the assembly that signs
+    the class kernels per attribution before its passes, within 1e-14 of
+    each array's peak."""
+    structure, b = _attribution_cases(gan, aln, air)[case]
+    assert_attribution_is_the_build_time_one(structure,
+                                             load_config(EXAMPLE).pump, b)
+
+
+def test_attributed_reads_without_a_class_pass(monkeypatch):
+    """``attributed`` runs no class pass and keeps the parts; an unknown
+    attribution raises ConfigError."""
+    cfg = load_config(EXAMPLE)
+    calls = []
+    orig = matrixcore_mod._class_pass
+
+    def counting(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(matrixcore_mod, "_class_pass", counting)
+    em = build_emission(cfg.structure, cfg.pump, cfg.basis(bins=12))
+    passes = len(calls)
+    assert passes > 0 and em.attribution == "local-jump"
+    per_slot = em.attributed("per-slot")
+    assert per_slot.attribution == "per-slot" and per_slot.parts is em.parts
+    assert per_slot.pairs("V").shape == em.pairs("V").shape
+    assert len(calls) == passes
+    with pytest.raises(ConfigError, match="unknown split convention"):
+        em.attributed("per-layer")
+
+
+@pytest.mark.parametrize("bins", [12, 64])
+def test_total_is_the_same_under_both_attributions(bins):
+    """G_V + G_S does not depend on the attribution, within 1e-14 of its
+    peak, while G_V does."""
+    cfg = load_config(EXAMPLE)
+    em = build_emission(cfg.structure, cfg.pump, cfg.basis(bins=bins))
+    lj, ps = (em.attributed(c) for c in ("local-jump", "per-slot"))
+    total = lj.pairs("V") + lj.pairs("S")
+    _assert_within(ps.pairs("V") + ps.pairs("S"), total, 1e-14, "total")
+    assert np.max(np.abs(ps.pairs("V") - lj.pairs("V"))) > 0.1 * np.max(
+        np.abs(total))
+
+
+def _mirror(structure, pump, channel):
+    """The same run seen from the other side: layers reversed, ambients
+    swapped, pumped from the other side, observed directions mirrored."""
+    flip = {"F": "B", "B": "F"}
+    return (StructureSpec(tuple(reversed(structure.layers)),
+                          structure.ambient_out, structure.ambient_in),
+            replace(pump, side=flip[pump.side]),
+            (flip[channel[0]], flip[channel[1]]) + tuple(channel[2:]))
+
+
+@pytest.mark.parametrize("case", ["shipped", "gan-slab-600nm"])
+def test_mirror_split_per_attribution(case):
+    """At 64 bins the mirrored run has the same n_total under both
+    attributions, entrywise within 1e-12 of its peak.  Per-slot's n_V and
+    n_S are mirror-covariant too; local-jump keeps its n_S covariant, but
+    its n_V moves by more than 0.1 of the n_total peak (on the slab N_V
+    is 4.46e-3 pumped from the left and 1.07e-2 from the right): it keeps
+    the fictitious-boundary null instead of the mirror split."""
+    cfg = load_config(EXAMPLE)
+    structure = cfg.structure
+    if case == "gan-slab-600nm":
+        structure = StructureSpec(((structure.material(1), 600e-9, 1),),
+                                  structure.ambient_in, structure.ambient_in)
+    basis = cfg.basis(bins=64)
+    mirror, pump, channel = _mirror(structure, cfg.pump, cfg.channel)
+    ems = (build_emission(structure, cfg.pump, basis),
+           build_emission(mirror, pump, basis))
+    for convention in ("local-jump", "per-slot"):
+        jd, jd_m = (joint_density(em.attributed(convention), ch)
+                    for em, ch in zip(ems, (cfg.channel, channel)))
+        peak = jd.n_total.max()
+        err = {w: np.max(np.abs(jd.bin_matrix(w) - jd_m.bin_matrix(w))) / peak
+               for w in ("SV", "V", "S")}
+        assert err["SV"] <= 1e-12 and err["S"] <= 1e-12, (convention, err)
+        if convention == "per-slot":
+            assert err["V"] <= 1e-12, err
+        else:
+            assert err["V"] > 0.1, err

@@ -49,7 +49,8 @@ def _zero_pairs(bins):
 class FakeEmission(EmissionOperators):
     """Identity F and given or random pair arrays G_V, G_S, kept as parts
     on every (signal bin, idler bin) entry: one part per (signal pol,
-    idler pol), its d a unit matrix."""
+    idler pol), its d a unit matrix, its slabs T = G_V + G_S, S_R = 0
+    and S_L = G_S (so G_S is exact, G_V exact to rounding)."""
 
     def __init__(self, bins, g_v=None, g_s=None, seed=0):
         rng = np.random.RandomState(seed)
@@ -58,11 +59,11 @@ class FakeEmission(EmissionOperators):
             shape = (2,) * 4 + (bins, bins)
             return rng.randn(*shape) + 1j * rng.randn(*shape)
 
-        g = [p if p is not None else rand_pairs() for p in (g_v, g_s)]
+        g_v, g_s = (p if p is not None else rand_pairs() for p in (g_v, g_s))
         rows, cols = (i.ravel() for i in np.indices((bins, bins)))
         parts = [(np.eye(4)[2 * alpha + beta].reshape(2, 2),
                   np.stack([p[:, alpha, :, beta].reshape(2, 2, -1)
-                            for p in g]))
+                            for p in (g_v + g_s, np.zeros_like(g_s), g_s)]))
                  for alpha, beta in np.ndindex(2, 2)]
         lo, hi = 0.4 * OMEGA_P0, 0.6 * OMEGA_P0
         super().__init__(None, SpectralBasis(lo, hi, bins), None,
@@ -153,8 +154,8 @@ def test_branch_amplitudes_match_two_sector_reference(pump400, case,
     else:
         args = (_random_stack(5), pump400,
                 SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 6))
-    em, both = (build(*args, convention=convention)
-                for build in (build_emission, two_sector_emission))
+    em = build_emission(*args).attributed(convention)
+    both = two_sector_emission(*args, convention=convention)
     emitting = 0
     for channel in itertools.product(DIRS, DIRS, POLS, POLS):
         for w in CONTRIBUTIONS:
@@ -227,7 +228,7 @@ def _synthetic_density(n_v, n_s, n_i, lo=0.4, hi=0.6, bins=None):
     bins = bins or n_v.shape[0]
     basis = SpectralBasis(lo * OMEGA_P0, hi * OMEGA_P0, bins)
     return JointDensity(
-        channel=CHANNEL, n_volume=n_v, n_surface=n_s, n_interf=n_i,
+        n_volume=n_v, n_surface=n_s, n_interf=n_i,
         omega=basis.centers, widths=basis.widths,
     )
 
@@ -265,7 +266,7 @@ def _jsa_from_matrix(matrix, lo, hi):
     bins = matrix.shape[0]
     basis = SpectralBasis(lo, hi, bins)
     return JointSpectralAmplitude(
-        channel=CHANNEL, contribution="SV", matrix=matrix,
+        matrix=matrix,
         omega=basis.centers, widths=basis.widths,
     )
 
@@ -344,8 +345,8 @@ SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs",
 def shipped_amplitudes():
     """SV/V/S two-photon amplitudes of the shipped config at 64 bins."""
     cfg = load_config(SHIPPED)
-    em = build_emission(cfg.structure, cfg.pump, cfg.basis(64, None),
-                        convention=cfg.attribution)
+    em = build_emission(cfg.structure, cfg.pump,
+                        cfg.basis(64, None)).attributed(cfg.attribution)
     return cfg.time_points, two_photon_amplitude(em, cfg.channel)
 
 
@@ -430,8 +431,8 @@ def test_peak_is_full_grid_argmax(attribution, bins):
     """peak() against np.argmax of the explicit n x n grid on every
     profile that ``simulate`` takes the peak of, and on random spectra."""
     cfg = load_config(SHIPPED)
-    em = build_emission(cfg.structure, cfg.pump, cfg.basis(bins, None),
-                        convention=attribution)
+    em = build_emission(cfg.structure, cfg.pump,
+                        cfg.basis(bins, None)).attributed(attribution)
     amps = two_photon_amplitude(em, cfg.channel)
     cases = [(amps[w], cfg.time_points) for w in ("SV", "V", "S")]
     cases.append((_random_jsa(bins, bins), 8 * bins))
@@ -522,8 +523,8 @@ def test_simulate_profile_forms_no_time_grid():
     cfg = load_config(SHIPPED)
     n_time = cfg.time_points
     for bins in (64, 256):
-        em = build_emission(cfg.structure, cfg.pump, cfg.basis(bins, None),
-                            convention=cfg.attribution)
+        em = build_emission(cfg.structure, cfg.pump,
+                            cfg.basis(bins, None)).attributed(cfg.attribution)
         jsa = two_photon_amplitude(em, cfg.channel)["SV"]
         tracemalloc.start()
         try:
@@ -565,8 +566,8 @@ def _assert_stage_is_resident(amps, n_time, ws):
 @pytest.mark.parametrize("bins", [2, 3, 4, 5, 8, 12, 16, 32, 64, 128])
 def test_streamed_stage_is_bitwise_the_resident_one(attribution, bins):
     cfg = load_config(SHIPPED)
-    em = build_emission(cfg.structure, cfg.pump, cfg.basis(bins, None),
-                        convention=attribution)
+    em = build_emission(cfg.structure, cfg.pump,
+                        cfg.basis(bins, None)).attributed(attribution)
     amps = two_photon_amplitude(em, cfg.channel)
     ws = [w for w in ("SV", "V", "S") if np.max(np.abs(amps[w].matrix))]
     _assert_stage_is_resident(amps, cfg.time_points, ws)

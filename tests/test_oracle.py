@@ -79,7 +79,7 @@ def test_oracle_matches_pipeline_with_full_chi2_tensor(stack4, pump400,
                                                         convention):
     st = full_chi2(stack4)
     basis = SpectralBasis(0.35 * OMEGA_P0, 0.65 * OMEGA_P0, 8)
-    em = build_emission(st, pump400, basis, convention=convention)
+    em = build_emission(st, pump400, basis).attributed(convention)
     ref = reference_pair_amplitude(st, pump400, basis, step=50e-9 / 20)
     # 4 pol pairs x 2 output dirs x 2 input dirs per row field
     assert len(ref["s"]) == len(ref["i"]) == 16

@@ -6,7 +6,6 @@ from spdc1d.constants import CONSTANTS
 from spdc1d.errors import ConfigError, OutOfWindow
 from spdc1d.linear import PumpSpec, field_maps, pump_field
 from spdc1d.materials import constant_material, wavenumber
-from spdc1d.matrixcore import _attributed
 from spdc1d.spectral import (
     _BRACKET_SWITCH,
     DIRS,
@@ -21,6 +20,7 @@ from spdc1d.structure import StructureSpec
 
 from reference import (
     LayerView,
+    attributed_kernels,
     einsum_class_kernels,
     eval_basis,
     phase_functions,
@@ -305,8 +305,8 @@ def test_class_kernels_match_einsum_kernels(gan, air, pump400, case,
     rows, cols = np.nonzero(pump.mask[index])
     lit = (rows, cols, index[rows, cols])
     assert 0 < rows.size < bins**2
-    got = _attributed(class_kernels(mat, length, basis, pump, lit),
-                      convention)
+    got = attributed_kernels(class_kernels(mat, length, basis, pump, lit),
+                             convention)
     want = einsum_class_kernels(mat, length, basis, pump, lit, convention)
     for edge, (chi, surface, ik) in got.items():
         volume, surface_want = want[edge]
