@@ -15,6 +15,7 @@ from .errors import (
     ConfigError,
     GridTooCoarse,
     NoPeak,
+    NumericalBreakdown,
     OutOfWindow,
     SingularMatrix,
     StepTooCoarse,
@@ -32,6 +33,7 @@ __all__ = [
     "ConfigError",
     "GridTooCoarse",
     "NoPeak",
+    "NumericalBreakdown",
     "OutOfWindow",
     "SingularMatrix",
     "StepTooCoarse",

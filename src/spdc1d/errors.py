@@ -17,6 +17,10 @@ class GridTooCoarse(SpdcError):
     """Time grid violates the Nyquist criterion for the spectral window."""
 
 
+class NumericalBreakdown(SpdcError):
+    """A computed map is not finite: the numerics broke down."""
+
+
 class NoPeak(SpdcError):
     """A curve has no usable peak (flat or all below floor)."""
 

@@ -95,7 +95,7 @@ import numpy as np
 
 from .blockmatrix import BlockMatrix
 from .constants import CONSTANTS
-from .errors import ConfigError, SingularMatrix
+from .errors import ConfigError, NumericalBreakdown, SingularMatrix
 from .linear import FieldMaps, PumpField, PumpSpec, mat2_inv, mat2_mul
 from .materials import refractive_index
 from .spectral import (
@@ -342,7 +342,7 @@ def assemble_emission(solve: EmissionSolve,
     parts = list(slabs.values())
     for name, mat in [("F", solve.scatter)] + [("G", p) for _, p in parts]:
         if not np.all(np.isfinite(mat)):
-            raise ConfigError(f"non-finite entries in {name}")
+            raise NumericalBreakdown(f"non-finite entries in {name}")
     return EmissionOperators(structure, solve.basis, solve.pump,
                              solve.scatter, solve.lit, parts, warnings)
 

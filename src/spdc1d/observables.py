@@ -79,10 +79,19 @@ class JointSpectralAmplitude:
         return self.matrix / scale
 
 
-def two_photon_amplitude(emission: EmissionOperators, channel):
-    """Per-contribution and total two-photon amplitudes of one channel."""
-    matrices = {w: branch_amplitudes(emission, channel, w)[1]
-                for w in CONTRIBUTIONS}
+def branch_factors(emission: EmissionOperators, channel):
+    """{w: branch_amplitudes(emission, channel, w)} for V and S."""
+    return {w: branch_amplitudes(emission, channel, w) for w in CONTRIBUTIONS}
+
+
+def two_photon_amplitude(emission: EmissionOperators, channel, factors=None):
+    """Per-contribution and total two-photon amplitudes of one channel.
+
+    ``factors`` may pass the ``branch_factors`` of the same emission and
+    channel, so that a run contracts them once."""
+    if factors is None:
+        factors = branch_factors(emission, channel)
+    matrices = {w: factors[w][1] for w in CONTRIBUTIONS}
     matrices["SV"] = matrices["V"] + matrices["S"]
     return {
         w: JointSpectralAmplitude(m, emission.basis.centers,
@@ -123,15 +132,15 @@ class JointDensity:
         return self.bin_matrix(which) / area
 
 
-def joint_density(emission: EmissionOperators, channel) -> JointDensity:
-    """Joint densities n^V, n^S, n^I (and their sum) for one channel."""
-    f1 = {}
-    f2 = {}
-    for w in CONTRIBUTIONS:
-        f1[w], f2[w] = branch_amplitudes(emission, channel, w)
+def joint_density(emission: EmissionOperators, channel,
+                  factors=None) -> JointDensity:
+    """Joint densities n^V, n^S, n^I (and their sum) for one channel;
+    ``factors`` as in ``two_photon_amplitude``."""
+    if factors is None:
+        factors = branch_factors(emission, channel)
 
     def density(w, wp):
-        return 2.0 * np.real(f1[w] * f2[wp])
+        return 2.0 * np.real(factors[w][0] * factors[wp][1])
 
     n_v = density("V", "V")
     n_s = density("S", "S")
@@ -443,17 +452,16 @@ def width_fwhm(x, y) -> float:
         raise NoPeak("curve has no usable peak")
     imax = int(np.argmax(y))
     half = 0.5 * y[imax]
-    i = imax
-    while i > 0 and y[i - 1] >= half:
-        i -= 1
+    # the points nearest the peak on either side that are not >= half
+    lo = np.flatnonzero(~(y[:imax] >= half))
+    hi = np.flatnonzero(~(y[imax + 1:] >= half))
+    i = int(lo[-1]) + 1 if lo.size else 0
+    j = imax + int(hi[0]) if hi.size else y.size - 1
     if i == 0 and y[0] >= half:
         left = x[0]
     else:
         frac = (half - y[i - 1]) / (y[i] - y[i - 1])
         left = x[i - 1] + frac * (x[i] - x[i - 1])
-    j = imax
-    while j < y.size - 1 and y[j + 1] >= half:
-        j += 1
     if j == y.size - 1 and y[-1] >= half:
         right = x[-1]
     else:

@@ -28,7 +28,7 @@ from .matrixcore import (
 )
 from .observables import (
     antidiagonal_profile,
-    branch_amplitudes,
+    branch_factors,
     joint_density,
     marginals_and_counts,
     temporal_profiles,
@@ -48,33 +48,52 @@ M2_PER_MM2 = 1e-6  # counts per quantization area (1 m^2) -> per mm^2
 _SCAN_CHUNK = 65536
 # ridges shorter than this many cells are tracked but not scanned
 _MIN_RIDGE_POINTS = 4
+# cells of one % in write_csv, which bounds its row template: at 256
+# bins 4096 wrote 4 ms faster than 16384, 1024 8 ms slower (2-core host)
+_CSV_CELLS = 1 << 12
+_MAGNITUDE = np.int64(2**63 - 1)  # the bits of a double but its sign
+
+
+def format_cells(values):
+    """The %.17g text of each value, as an object array of str.
+
+    Each distinct magnitude is formatted once; a negative value takes a
+    "-" (-0.0 prints as -0), and a nan prints as nan whatever its sign
+    bit.  An axis written to several files is formatted once this way."""
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    mags, inverse = np.unique(bits & _MAGNITUDE, return_inverse=True)
+    text = np.array(["%.17g" % v for v in mags.view(float).tolist()],
+                    dtype=object)[inverse]
+    neg = (bits < 0) & ~np.isnan(bits.view(float))
+    text[neg] = "-" + text[neg]
+    return text
 
 
 def write_csv(path, header, columns):
-    """Real-valued array columns, one %.17g-formatted row per line.
+    """Equal-length columns, one %.17g-formatted row per line.
 
-    A column that repeats values (the frequency axes of a joint density,
-    its pump-dark zeros) is formatted once per distinct bit pattern, so
-    -0.0 still prints as -0, and its cells are written as text; the
-    other columns are formatted row by row.  Columns of unequal length
-    raise ValueError.
-    """
-    cells, formats = [], []
-    for col in columns:
-        col = np.asarray(col, dtype=float)
-        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        if bits.size < col.size:
-            text = np.array(["%.17g" % v for v in bits.view(float).tolist()],
-                            dtype=object)
-            cells.append(text[inverse].tolist())
-            formats.append("%s")
-        else:
-            cells.append(col.tolist())
-            formats.append("%.17g")
-    row = ",".join(formats) + "\n"
+    A column is real or ``format_cells`` text.  A real column that
+    repeats values is written as its ``format_cells`` text, an
+    all-distinct one by the row template; each block of _CSV_CELLS cells
+    is one %.  Columns of unequal length raise ValueError."""
+    n, size = len(columns), len(columns[0]) if columns else 0
+    lists, formats = [], []
+    for col in map(np.asarray, columns):
+        if col.dtype != object:
+            bits = np.sort(col.astype(float).view(np.int64))
+            col = format_cells(col) if np.any(bits[1:] == bits[:-1]) else col
+        if col.size != size:
+            raise ValueError(f"a column of {col.size} rows, not {size}")
+        lists.append(col.tolist())
+        formats.append("%s" if col.dtype == object else "%.17g")
+    row, rows = ",".join(formats) + "\n", max(1, _CSV_CELLS // max(n, 1))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % values for values in zip(*cells, strict=True))
+        for start in range(0, size, rows):
+            cells = [None] * (n * min(rows, size - start))
+            for j, col in enumerate(lists):
+                cells[j::n] = col[start:start + rows]
+            fh.write(row * (len(cells) // n) % tuple(cells))
 
 
 def write_json(path, obj):
@@ -103,28 +122,30 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
     emission = build_emission(cfg.structure, cfg.pump,
                               basis).attributed(cfg.attribution)
     channel = cfg.channel
-    jd = joint_density(emission, channel)
+    factors = branch_factors(emission, channel)
+    jd = joint_density(emission, channel, factors)
+    amps = two_photon_amplitude(emission, channel, factors)
+    del factors  # drop the idler-branch halves before the temporal stage
     stats = marginals_and_counts(jd)
 
     k = basis.bins
-    ws = np.repeat(jd.omega, k)
-    wi = np.tile(jd.omega, k)
+    omega_text = format_cells(jd.omega)  # the frequency axis of 3 files
     write_csv(
         os.path.join(out_dir, "joint_density.csv"),
         ["omega_s_rad_s", "omega_i_rad_s", "n_V_s2", "n_S_s2", "n_I_s2",
          "n_SV_s2"],
-        [ws, wi] + [jd.continuous(w).ravel() for w in ("V", "S", "I", "SV")],
+        [np.repeat(omega_text, k), np.tile(omega_text, k)]
+        + [jd.continuous(w).ravel() for w in ("V", "S", "I", "SV")],
     )
     write_csv(
         os.path.join(out_dir, "marginals.csv"),
         ["omega_s_rad_s", "n_s_V", "n_s_S", "n_s_I", "n_s_SV", "eta_s",
          "eta_valid"],
-        [jd.omega]
+        [omega_text]
         + [stats["marginals"][w] for w in ("V", "S", "I", "SV")]
         + [stats["eta_s"], stats["eta_valid"].astype(float)],
     )
 
-    amps = two_photon_amplitude(emission, channel)
     curves, peaks, cond_widths = {}, {}, {}
     t_cond = cfg.conditional_t_idler
     kernel = None  # one time kernel for all three, one profile held at a time
@@ -150,9 +171,10 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
         del prof  # before the next profile's arrays are allocated
     shown = [w for w in ("V", "S", "SV") if w in curves]
     if shown:
+        t_text = format_cells(t)  # the time axis of both temporal files
         write_csv(os.path.join(out_dir, "temporal_flux.csv"),
                   ["t_s"] + [f"p_s_{w}_per_s" for w in shown],
-                  [t] + [curves[w][0] for w in shown])
+                  [t_text] + [curves[w][0] for w in shown])
 
     summary = {
         "version": __version__,
@@ -178,7 +200,7 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
     if "SV" in curves:
         write_csv(os.path.join(out_dir, "temporal_conditional.csv"),
                   ["t_s"] + [f"p_cond_{w}_per_s" for w in shown],
-                  [t] + [curves[w][1] for w in shown])
+                  [t_text] + [curves[w][1] for w in shown])
         summary["temporal"] = {
             "grid_points": int(t.size),
             "grid_span_fs": float((t[-1] - t[0]) * 1e15),
@@ -197,7 +219,8 @@ def simulate(cfg: RunConfig, out_dir, bins=None, window=None):
         write_csv(
             os.path.join(out_dir, "antidiagonal.csv"),
             ["omega_s_rad_s", "n_V_s2", "n_S_s2", "n_SV_s2"],
-            [anti_ws, anti_v, anti_s, anti_sv],
+            [omega_text[np.searchsorted(jd.omega, anti_ws)], anti_v,
+             anti_s, anti_sv],
         )
     write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary, emission, jd
@@ -422,7 +445,8 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
         "error": float(compare_with_emission(ref, emission)), "tol": 1e-4
     }
 
-    amps = two_photon_amplitude(emission, cfg.channel)
+    factors = branch_factors(emission, cfg.channel)
+    amps = two_photon_amplitude(emission, cfg.channel, factors)
     if np.max(np.abs(amps["SV"].matrix)) > 0.0:
         prof = temporal_profiles(amps["SV"], n_time=max(512, 4 * bins))
         checks["parseval"] = {
@@ -435,10 +459,9 @@ def verify(cfg: RunConfig, bins=16, step_fraction=20.0, out_path=None):
                                * prof.dt**2 - 1.0)),
             "tol": 1e-6,
         }
-    jd = joint_density(emission, cfg.channel)
+    jd = joint_density(emission, cfg.channel, factors)
     peak = max(jd.n_total.max(), 1e-300)
-    f1v, f2v = branch_amplitudes(emission, cfg.channel, "V")
-    f1s, f2s = branch_amplitudes(emission, cfg.channel, "S")
+    (f1v, f2v), (f1s, f2s) = factors["V"], factors["S"]
     tot1, tot2 = f1v + f1s, f2v + f2s
     # n_V + n_S + n_I against the density of the summed factors
     checks["decomposition_identity"] = {

@@ -47,8 +47,9 @@ the signal half of.  ``full_chi2`` gives a stack whose every (signal, idler) pol
 ``count_field_maps`` every linear solve the package makes,
 ``resident_temporal_stage`` the temporal stage with its half transform
 held whole, on the DFT time kernel formed at once
-(``resident_time_kernel``), and ``rowwise_write_csv`` the CSV writer
-that formats every cell row by row.
+(``resident_time_kernel``), ``rowwise_write_csv`` the CSV writer
+that formats every cell row by row, and ``loop_width_fwhm`` the FWHM
+whose crossings are found by walking the curve.
 """
 
 import itertools
@@ -60,7 +61,7 @@ import numpy as np
 
 from spdc1d.blockmatrix import FIELDS, MODE_CHANNELS, ROW_CHANNELS, labels
 from spdc1d.constants import CONSTANTS
-from spdc1d.errors import ConfigError
+from spdc1d.errors import ConfigError, NoPeak
 from spdc1d.linear import (
     PumpField,
     _crossing,
@@ -855,6 +856,34 @@ def rowwise_write_csv(path, header, columns):
         fh.write(",".join(header) + "\n")
         fh.writelines(row % values for values in
                       zip(*(col.tolist() for col in columns), strict=True))
+
+
+def loop_width_fwhm(x, y) -> float:
+    """FWHM of the global peak of y(x), its half-maximum crossings found
+    by walking the curve point by point from the peak."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size < 3 or np.max(y) <= 0.0 or np.ptp(y) == 0.0:
+        raise NoPeak("curve has no usable peak")
+    imax = int(np.argmax(y))
+    half = 0.5 * y[imax]
+    i = imax
+    while i > 0 and y[i - 1] >= half:
+        i -= 1
+    if i == 0 and y[0] >= half:
+        left = x[0]
+    else:
+        frac = (half - y[i - 1]) / (y[i] - y[i - 1])
+        left = x[i - 1] + frac * (x[i] - x[i - 1])
+    j = imax
+    while j < y.size - 1 and y[j + 1] >= half:
+        j += 1
+    if j == y.size - 1 and y[-1] >= half:
+        right = x[-1]
+    else:
+        frac = (y[j] - half) / (y[j] - y[j + 1])
+        right = x[j] + frac * (x[j + 1] - x[j])
+    return float(right - left)
 
 
 def count_peaks(y, floor_fraction: float = 1e-3) -> int:

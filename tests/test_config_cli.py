@@ -1,9 +1,12 @@
 import json
 import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spdc1d.cli as cli_mod
 import spdc1d.linear as linear_mod
@@ -12,11 +15,13 @@ import spdc1d.oracle as oracle_mod
 import spdc1d.runner as runner_mod
 from spdc1d.cli import main
 from spdc1d.config import ConfigError, load_config, parse_config
-from spdc1d.errors import NoPeak
+from spdc1d.errors import NoPeak, NumericalBreakdown
 from spdc1d.blockmatrix import MODE_CHANNELS, ROW_CHANNELS, labels
 from spdc1d.matrixcore import outward_maps, propagator_bins
 from spdc1d.observables import (
+    antidiagonal_profile,
     branch_amplitudes,
+    marginals_and_counts,
     temporal_profiles,
     two_photon_amplitude,
     width_fwhm,
@@ -256,8 +261,11 @@ def test_write_csv_rows_are_round_trip_exact(tmp_path):
     assert lines[4] == "1.2e+17,1e-300"
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(back[:, 0], values)
-    with pytest.raises(ValueError):
-        write_csv(path, ["a", "b"], [values, values[:-1]])
+    block = runner_mod._CSV_CELLS // 2  # rows of one block of two columns
+    for columns in ([values, values[:-1]], [values, np.append(values, 1.0)],
+                    [np.zeros(block), np.zeros(block + 1)]):
+        with pytest.raises(ValueError):
+            write_csv(path, ["a", "b"], columns)
 
 
 _SIGNED = np.array([0.0, -0.0, 0.0, -0.0, 2.5, -0.0])
@@ -283,18 +291,35 @@ def test_write_csv_matches_rowwise_reference(tmp_path, columns):
 
 def test_write_csv_matches_rowwise_reference_on_run_outputs(tmp_path,
                                                            monkeypatch):
-    """Every CSV of simulate --bins 16, scan and transmission-map."""
-    written = []
-    fast = runner_mod.write_csv
+    """Every CSV of simulate --bins 16, scan and transmission-map, byte
+    for byte.  An axis that simulate formats once for several files
+    reaches write_csv as text: each format_cells call is held to the
+    row-wise %.17g text of its values, every text cell must come from
+    one, and the reference reads text columns back by float(), which
+    %.17g round-trips exactly."""
+    written, formatted = [], set()
+    fast, fast_format = runner_mod.write_csv, runner_mod.format_cells
+
+    def checked_format(values):
+        text = fast_format(values)
+        assert text.tolist() == ["%.17g" % v
+                                 for v in np.asarray(values).tolist()]
+        formatted.update(text.tolist())
+        return text
 
     def both(path, header, columns):
         fast(path, header, columns)
+        for col in columns:
+            if col.dtype == object:
+                assert formatted.issuperset(col.tolist())
         ref = tmp_path / f"ref{len(written)}.csv"
-        rowwise_write_csv(ref, header, columns)
+        rowwise_write_csv(ref, header, [np.asarray(col, dtype=float)
+                                        for col in columns])
         written.append((os.path.basename(path), ref.read_bytes()
                         == open(path, "rb").read()))
 
     monkeypatch.setattr(runner_mod, "write_csv", both)
+    monkeypatch.setattr(runner_mod, "format_cells", checked_format)
     cfg = load_config(EXAMPLE)
     simulate(cfg, tmp_path / "sim", bins=16)
     runner_mod.scan(cfg, tmp_path / "scan", workers=1)
@@ -304,6 +329,63 @@ def test_write_csv_matches_rowwise_reference_on_run_outputs(tmp_path,
         "temporal_conditional.csv", "antidiagonal.csv", "ridge_scan.csv",
         "transmission_map.csv", "transmission_map.csv"])
     assert all(same for _, same in written)
+    assert formatted  # the shared axes went through format_cells
+
+
+_CELL = st.floats(allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan, -np.nan])
+
+
+@st.composite
+def _csv_columns(draw):
+    """1-5 equal columns of 0-24 rows: any cells, all repeated (a pool of
+    at most three values), one constant or all distinct; each may be
+    passed as text from format_cells."""
+    rows = draw(st.integers(0, 24))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["any", "repeated", "constant",
+                                     "distinct"]))
+        if kind == "repeated":
+            cell = st.sampled_from(draw(st.lists(_CELL, min_size=1,
+                                                 max_size=3)))
+        elif kind == "constant":
+            cell = st.just(draw(_CELL))
+        else:
+            cell = _CELL if kind == "any" else st.floats(allow_nan=False)
+        col = np.array(draw(st.lists(cell, min_size=rows, max_size=rows,
+                                     unique=kind == "distinct")), dtype=float)
+        columns.append(runner_mod.format_cells(col) if draw(st.booleans())
+                       else col)
+    return columns
+
+
+# the 256-bin joint_density.csv grid: text frequency axes, pump-dark zeros
+_K = 256
+_GRID = [np.repeat(runner_mod.format_cells(np.linspace(1.1, 1.9, _K)), _K),
+         np.tile(runner_mod.format_cells(np.linspace(1.1, 1.9, _K)), _K)] + [
+    np.where(np.add.outer(np.arange(_K), np.arange(_K)).ravel() % 7 < 2,
+             np.random.default_rng(seed).standard_normal(_K * _K), 0.0)
+    for seed in range(4)]
+
+
+@settings(max_examples=200, deadline=None)
+@example(_GRID)
+@example([np.zeros(0), runner_mod.format_cells(np.zeros(0))])
+@example([np.array([-0.0]), runner_mod.format_cells([np.nan])])
+@given(_csv_columns())
+def test_write_csv_matches_rowwise_reference_on_generated_columns(columns):
+    """The writer against the row-wise one on ±0, subnormals, ±inf, nan,
+    repeated, constant and distinct columns, text columns, zero and one
+    row, and the 65,536-row grid of a 256-bin joint density."""
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, ref = os.path.join(tmp, "fast.csv"), os.path.join(tmp, "ref.csv")
+        write_csv(fast, header, columns)
+        rowwise_write_csv(ref, header, [np.asarray(col, dtype=float)
+                                        for col in columns])
+        with open(fast, "rb") as a, open(ref, "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_verify_gates_only_the_observable_density():
@@ -317,6 +399,34 @@ def test_verify_gates_only_the_observable_density():
     assert ok
     assert check["error"] == 0.0 and check["tol"] == 1e-15
     assert check["n_volume_min"] < -1e-3 <= check["n_surface_min"]
+
+
+def test_simulate_spectral_csvs_read_back_to_the_joint_density(tmp_path):
+    """joint_density.csv, marginals.csv and antidiagonal.csv, whose
+    frequency axis simulate formats once for all three, read back to the
+    bits of the run's joint density, its marginals and its antidiagonal
+    profiles.  The window is off-center, so that only signal bins 5-15
+    have an in-window partner on the antidiagonal."""
+    cfg = load_config(EXAMPLE)
+    _, _, jd = simulate(cfg, tmp_path, bins=16, window=(0.3, 0.6))
+    stats = marginals_and_counts(jd)
+    anti = [antidiagonal_profile(jd.continuous(w), jd.omega, cfg.omega_p0)
+            for w in ("V", "S", "SV")]
+    k = jd.omega.size
+    for name, rows, columns in (
+        ("joint_density.csv", k * k,
+         [np.repeat(jd.omega, k), np.tile(jd.omega, k)]
+         + [jd.continuous(w).ravel() for w in ("V", "S", "I", "SV")]),
+        ("marginals.csv", k, [jd.omega]
+         + [stats["marginals"][w] for w in ("V", "S", "I", "SV")]
+         + [stats["eta_s"], stats["eta_valid"]]),
+        ("antidiagonal.csv", 11,
+         [anti[0][0]] + [values for _, values in anti]),
+    ):
+        got = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+        want = np.column_stack(columns).astype(float)
+        assert got.shape == want.shape == (rows, len(columns))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
 
 
 def test_simulate_all_linear_flags_no_emission(tmp_path):
@@ -494,10 +604,10 @@ def test_verify_detects_a_broken_interference_term(monkeypatch):
     cfg = load_config(EXAMPLE)
     orig = runner_mod.joint_density
 
-    def broken(emission, channel):
+    def broken(emission, channel, *factors):
         f1, f2 = zip(*(branch_amplitudes(emission, channel, w) for w in "VS"))
         # density(V, S) counted twice, density(S, V) never
-        return replace(orig(emission, channel),
+        return replace(orig(emission, channel, *factors),
                        n_interf=2.0 * (2.0 * np.real(f1[0] * f2[1])))
 
     monkeypatch.setattr(runner_mod, "joint_density", broken)
@@ -1071,6 +1181,31 @@ def test_pump_band_checked_on_every_material_a_run_lights(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error: materials.narrow.dispersion.window_um: ")
     assert err.count("\n") == 1
+
+
+def test_nan_kernel_is_a_numerical_breakdown(tmp_path, monkeypatch,
+                                            capsys):
+    """A nan class kernel makes G non-finite: the assembly raises
+    NumericalBreakdown, not ConfigError, and the CLI exits 2 with one
+    error line."""
+    orig = matrixcore_mod.class_kernels
+
+    def planted(*args):
+        kernels = orig(*args)
+        kernels["right"][0].flat[0] = np.nan
+        return kernels
+
+    monkeypatch.setattr(matrixcore_mod, "class_kernels", planted)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    with pytest.raises(NumericalBreakdown,
+                       match="^non-finite entries in G$") as err:
+        simulate(load_config(cfg_path), tmp_path / "sim")
+    assert not isinstance(err.value, ConfigError)
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: non-finite entries in G\n"
 
 
 def test_simulate_nan_amplitude_raises_no_peak(tmp_path, monkeypatch):

@@ -33,6 +33,7 @@ from reference import (
     dense_branch_amplitudes,
     explicit_time_grid,
     full_chi2,
+    loop_width_fwhm,
     pair_block,
     resident_temporal_stage,
     two_sector_emission,
@@ -663,6 +664,42 @@ def test_width_fwhm_two_peaks_uses_global():
         2 * np.sqrt(2 * np.log(2)) * 0.2, rel=2e-3
     )
     assert count_peaks(y, floor_fraction=0.1) == 2
+
+
+_X5 = np.linspace(-1.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("x, y", [
+    (_X5, np.array([4.0, 3.0, 1.0, 0.5, 0.0])),  # peak at the left end
+    (_X5, np.array([0.0, 0.5, 1.0, 3.0, 4.0])),  # peak at the right end
+    (_X5, np.array([4.0, 4.0, 2.0, 2.0, 2.0])),  # ends at half, left peak
+    (_X5, np.array([1.0, 2.0, 4.0, 2.0, 1.0])),  # half maximum at one point
+    (np.linspace(0.0, 1.0, 9),  # plateaus at exactly half maximum
+     np.array([0.0, 1.5, 1.5, 1.5, 3.0, 1.5, 1.5, 0.5, 0.0])),
+    (np.array([0.0, 1.0, 3.0]), np.array([1.0, 3.0, 1.0])),  # 3 points
+    (np.array([0.0, 1.0, 3.0]), np.array([2.0, 1.0, 0.25])),
+    (_X5, np.array([0.0, 1.0, np.nan, 1.0, 0.0])),  # nan: the width is nan
+    (np.linspace(0, 10, 4001),  # two peaks: the global one's width
+     np.exp(-(np.linspace(0, 10, 4001) - 3) ** 2 / 0.08)
+     + 0.6 * np.exp(-(np.linspace(0, 10, 4001) - 7) ** 2 / 2.0)),
+], ids=["left-end", "right-end", "left-end-half-tail", "one-point-half",
+        "half-plateaus", "three-points", "three-points-left-end", "nan",
+        "two-peaks"])
+def test_width_fwhm_is_bitwise_the_loop_walk(x, y):
+    for xs in (x, x[::-1]):
+        got, want = np.float64([width_fwhm(xs, y), loop_width_fwhm(xs, y)])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_width_fwhm_is_bitwise_the_loop_walk_on_temporal_curves():
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..",
+                                   "configs", "gan_aln_20layer.json"))
+    em = build_emission(cfg.structure, cfg.pump, cfg.basis(bins=16))
+    amps = two_photon_amplitude(em, cfg.channel)
+    for w in ("V", "S", "SV"):
+        prof = temporal_profiles(amps[w], n_time=cfg.time_points)
+        for y in (prof.p_signal, prof.conditional_cut(0.0)[1]):
+            assert width_fwhm(prof.t, y) == loop_width_fwhm(prof.t, y)
 
 
 def test_nan_amplitude_has_no_peak():
