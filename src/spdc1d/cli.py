@@ -148,7 +148,13 @@ def main(argv=None) -> int:
     except SpdcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # a fault of the program, not of its input
+    except Exception as exc:
+        # input files are read through ConfigError: a path here is an output
+        if isinstance(exc, OSError) and exc.filename is not None:
+            print(f"error: cannot write {exc.filename}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
+        # any other exception is a fault of the program, not of its input
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0

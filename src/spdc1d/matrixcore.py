@@ -22,8 +22,7 @@ K, K) over (row dir, signal pol, col dir, idler pol, signal bin, idler
 bin) in ``DIRS``/``POLS`` order, or their lit entries, adding the parts
 into zeros in turn (a dark entry is an exact +0).  The bin-sum grid is
 exactly symmetric, so idler row (b, beta), signal column (c, alpha) is
-conj(pairs[b, alpha, c, beta]), bin for bin.  ``BlockMatrix.from_pairs``
-expands a pair array into the labelled dense form of both sectors.
+conj(pairs[b, alpha, c, beta]), bin for bin.
 
 Boundary continuity (electric and magnetic rows) yields, per boundary l
 between layers l-1 and l, a linear interface relation L^(l-1) A^(l-1) =
@@ -90,10 +89,10 @@ size of G (``runner.scan`` builds its ridge cells in chunks).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from .blockmatrix import BlockMatrix
 from .constants import CONSTANTS
 from .errors import ConfigError, NumericalBreakdown, SingularMatrix
 from .linear import FieldMaps, PumpField, PumpSpec, mat2_inv, mat2_mul
@@ -187,6 +186,25 @@ def _class_pass(kernels, weights, feed, rows):
     return p_total, p_s
 
 
+def dense_index(field, pol, direction, bins, n):
+    """Index of bin n of channel (direction, pol) of a field (0 signal, 1
+    idler) in the labelled dense form of a dump, (field, pol, direction,
+    bin) in C order; a continuity row (kind, pol) is (field, kind, pol, bin)."""
+    return ((field * 2 + pol) * 2 + direction) * bins + n
+
+
+def bin_entries(sectors, continuity=False):
+    """(rows, cols, values) in the dense form of per-bin 2x2 maps of both
+    fields, sectors (field, row kind, column dir, bin): entry (r, c, n) of
+    field f sits at row f/r/pol/n, a continuity row with ``continuity``,
+    and column f/c/pol/n, for both pols."""
+    bins = sectors.shape[-1]
+    f, pol, r, c, n = np.ix_(*map(range, (2, 2, 2, 2, bins)))
+    rows = (dense_index(f, r, pol, bins, n) if continuity
+            else dense_index(f, pol, r, bins, n))
+    return rows, dense_index(f, pol, c, bins, n), sectors[:, None]
+
+
 # (row dir, signal pol, col dir, idler pol) of each block of a pair array
 _LABELS = np.stack(np.indices((2,) * 4), axis=-1)
 # sigma of each surface attribution: G_S = sigma S_R + S_L, G_V = T - G_S
@@ -238,13 +256,16 @@ class EmissionOperators:
     g_surface = property(lambda self: self.pairs("S"))
 
     @property
-    def f_linear(self) -> BlockMatrix:
-        """Labelled dense form of F, its idler sector conj(F), for readers
-        outside the package.  Over a geometry grid its bins run over
-        (geometry, bin) in C order."""
+    def f_linear(self):
+        """``.data``: F and its idler sector conj(F) in the dense form of a
+        dump, bins over (geometry, bin) in C order.  Only the health hook of
+        ``perfbench/tracer.py`` reads it, until that hook reads ``scatter``."""
         bins = self.scatter[0, 0].size
         f = self.scatter.reshape(2, 2, bins)
-        return BlockMatrix.from_bins({"s": f, "i": np.conj(f)})
+        rows, cols, values = bin_entries(np.array([f, np.conj(f)]))
+        out = np.zeros((8 * bins, 8 * bins), dtype=complex)
+        out[rows, cols] = values
+        return SimpleNamespace(data=out)
 
 
 @dataclass

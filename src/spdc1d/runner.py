@@ -15,13 +15,14 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__
-from .blockmatrix import MODE_CHANNELS, ROW_CHANNELS, BlockMatrix
 from .config import RunConfig
 from .errors import ConfigError, NoPeak
 from .linear import field_maps, linear_transmission
 from .matrixcore import (
     assemble_emission,
+    bin_entries,
     build_emission,
+    dense_index,
     outward_maps,
     propagator_bins,
     solve_emission,
@@ -519,16 +520,45 @@ MATRIX_NAMES = (
 )
 # first ':l' of the indexed names: layers 0..N+1, boundaries 1..N+1
 INDEX_START = {"T": 0, "P": 0, "L": 0, "X": 1, "SV": 1, "SS": 1}
+FIELDS = ("s", "i")  # 'i' entries carry idler creation-operator components
+# label order of the mode channels (dir, pol), which label a dump's columns,
+# and of the continuity rows (kind, pol) of L
+MODE_CHANNELS = (("F", "x"), ("B", "x"), ("F", "y"), ("B", "y"))
+ROW_CHANNELS = (("E", "x"), ("E", "y"), ("H", "x"), ("H", "y"))
+
+
+def labels(channels, bins):
+    """CSV labels field/c1/c2/bin in index order."""
+    return [f"{f}/{c1}/{c2}/{k}" for f in FIELDS for c1, c2 in channels
+            for k in range(bins)]
+
+
+def _write_dump(path, channels, bins, entries):
+    """A dump written row by row from the broadcastable (rows, cols,
+    values) of its dense form: each value as the %.17g parts of its own
+    bits, signed zeros included, and every other cell as 0+0j."""
+    rows, cols, values = (a.ravel() for a in np.broadcast_arrays(*entries))
+    order = np.argsort(rows)
+    edges = np.searchsorted(rows, np.arange(8 * bins + 1), sorter=order)
+    blank = ["0+0j"] * (8 * bins)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(["row\\col"] + labels(MODE_CHANNELS, bins)) + "\n")
+        for label, lo, hi in zip(labels(channels, bins), edges, edges[1:]):
+            cells, row = blank.copy(), order[lo:hi]
+            for c, v in zip(cols[row].tolist(), values[row].tolist()):
+                cells[c] = f"{v.real:.17g}{v.imag:+.17g}j"
+            fh.write(label + "," + ",".join(cells) + "\n")
 
 
 def dump_matrix(cfg: RunConfig, name: str, out_path, bins=None):
     """Write one named pipeline matrix with labeled rows/columns to CSV.
 
-    The linear maps (T, P, L, F, W, Z, Y, X) are expanded from their
-    per-bin 2x2 form into labelled diagonal blocks, the pair maps (GV,
-    GS, SV, SS) from their pair arrays into dense signal-idler blocks;
-    each idler sector is the conjugate of the signal one.  SV:l and SS:l
-    come from a build of boundary l alone.
+    Each row is written from the entries the map holds, and no dense form
+    is built: a linear map (T, P, L, F, W, Z, Y, X) holds its per-bin 2x2
+    entries in one bin of the row's field and polarization, a pair map
+    (GV, GS, SV, SS) the row bin's lit entries; every other cell reads
+    0+0j.  Each idler sector is the conjugate of the signal one.  SV:l
+    and SS:l come from a build of boundary l alone.
     """
     basis = cfg.basis(bins)
     structure = cfg.structure
@@ -555,22 +585,31 @@ def dump_matrix(cfg: RunConfig, name: str, out_path, bins=None):
         "Y": lambda m: outward_maps(m, 1)[1],
         "Z": lambda m: outward_maps(m, 1)[2],
     }
+    k = basis.bins
     if key in picks:
         # the idler sector is formed from the conjugated transfers and
         # continuity rows, so its built 1 and 0 entries keep +0 parts
         signal = field_maps(structure, basis.centers)
-        maps = {"s": signal, "i": signal.conj()}
-        mat = BlockMatrix.from_bins(
-            {f: picks[key](m) for f, m in maps.items()},
-            ROW_CHANNELS if key == "L" else MODE_CHANNELS)
+        entries = bin_entries(np.array([picks[key](signal),
+                                        picks[key](signal.conj())]),
+                              continuity=key == "L")
     elif key == "P":
         p = propagator_bins(structure.material(idx), structure.length(idx),
                             basis)
-        mat = BlockMatrix.from_bins({"s": p, "i": np.conj(p)})
+        entries = bin_entries(np.array([p, np.conj(p)]))
     else:  # GV, GS, SV, SS
         emission = build_emission(structure, cfg.pump, basis,
                                   boundary=idx).attributed(cfg.attribution)
-        mat = BlockMatrix.from_pairs(emission.g_volume if key in ("GV", "SV")
-                                     else emission.g_surface)
-    mat.write_csv(out_path)
+        lit = emission.pairs("V" if key in ("GV", "SV") else "S",
+                             lit_only=True)
+        # at lit entry (m, n), signal row s/a/alpha/m holds lit[a, alpha, b,
+        # beta] at column i/b/beta/n, idler row i/a/beta/m its conjugate + 0
+        # (no -0) at column s/b/alpha/n
+        f, a, alpha, b, beta = (i[..., None] for i in np.indices((2,) * 5))
+        m, n = emission.lit[:2]
+        entries = (dense_index(f, np.where(f, beta, alpha), a, k, m),
+                   dense_index(1 - f, np.where(f, alpha, beta), b, k, n),
+                   np.stack([lit, np.conj(lit) + 0j]))
+    _write_dump(out_path, ROW_CHANNELS if key == "L" else MODE_CHANNELS, k,
+                entries)
     return out_path

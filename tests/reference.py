@@ -59,7 +59,6 @@ from unittest import mock
 
 import numpy as np
 
-from spdc1d.blockmatrix import FIELDS, MODE_CHANNELS, ROW_CHANNELS, labels
 from spdc1d.constants import CONSTANTS
 from spdc1d.errors import ConfigError, NoPeak
 from spdc1d.linear import (
@@ -74,6 +73,7 @@ from spdc1d.materials import refractive_index, wavenumber
 import spdc1d.matrixcore as matrixcore
 import spdc1d.oracle as oracle
 from spdc1d.observables import default_time_grid
+from spdc1d.runner import FIELDS, MODE_CHANNELS, ROW_CHANNELS, labels
 from spdc1d.spectral import (
     _BRACKET_SWITCH,
     _bracket,

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,6 @@ import spdc1d.runner as runner_mod
 from spdc1d.cli import main
 from spdc1d.config import ConfigError, load_config, parse_config
 from spdc1d.errors import NoPeak, NumericalBreakdown
-from spdc1d.blockmatrix import MODE_CHANNELS, ROW_CHANNELS, labels
 from spdc1d.matrixcore import outward_maps, propagator_bins
 from spdc1d.observables import (
     antidiagonal_profile,
@@ -28,6 +28,9 @@ from spdc1d.observables import (
 )
 from spdc1d.runner import (
     MATRIX_NAMES,
+    MODE_CHANNELS,
+    ROW_CHANNELS,
+    labels,
     simulate,
     track_ridges,
     transmission_map,
@@ -670,8 +673,8 @@ def test_cli_simulate_and_dump_and_verify(tmp_path, capsys):
 
 
 def _dump_reference(cfg, name, bins):
-    """The dense form of dump ``name`` built independently of
-    ``BlockMatrix``, by label lookups: the linear names from both sectors
+    """The dense form of dump ``name`` built without the package's dump
+    writer, by label lookups: the linear names from both sectors
     of ``linear_maps`` (``outward_maps`` for X, Y, Z) or from
     ``propagator_bins``, the pair names from a build that stores both row
     sectors: GV and GS from the full build, as ``simulate`` makes it,
@@ -703,11 +706,14 @@ def _dump_reference(cfg, name, bins):
 @pytest.mark.parametrize("name", MATRIX_NAMES)
 def test_cli_dump_matrix_every_name(tmp_path, name):
     """Every dump, on the tiny config at 2 bins (index 1) and on the
-    shipped one at 4 bins (index 2), has the labels of its channels and
-    values bit-equal, signed zeros included, to ``_dump_reference``."""
+    shipped one at 4 and 12 bins (index 2), has the labels of its channels
+    and values bit-equal, signed zeros included, to ``_dump_reference``.
+    At 12 bins the shipped config has 34 lit entries, 2 or 3 in a row, so
+    the pair rows hold several entries each."""
     tiny = tmp_path / "cfg.json"
     tiny.write_text(json.dumps(_tiny_config()))
-    for cfg_path, bins, index in ((str(tiny), 2, "1"), (EXAMPLE, 4, "2")):
+    for cfg_path, bins, index in ((str(tiny), 2, "1"), (EXAMPLE, 4, "2"),
+                                  (EXAMPLE, 12, "2")):
         dump = name.replace(":l", ":" + index)
         out = tmp_path / "m.csv"
         rc = main(["dump-matrix", "--config", cfg_path, "--name", dump,
@@ -760,6 +766,42 @@ def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch, command):
     captured = capsys.readouterr()
     assert captured.err == "error: internal: RuntimeError: planted fault\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["F", "GV"])
+def test_dump_matrix_builds_no_dense_form(tmp_path, name):
+    """A dump at 128 bins peaks below the size of one dense (8K, 8K)
+    complex array, 16 MiB, under tracemalloc: its rows are written from
+    the entries the map holds."""
+    cfg = load_config(EXAMPLE)
+    tracemalloc.start()
+    try:
+        runner_mod.dump_matrix(cfg, name, tmp_path / "m.csv", bins=128)
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak_bytes < 16 * 2**20, peak_bytes
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--out-dir", "{file}/x"],
+    ["scan", "--out-dir", "{file}/x"],
+    ["transmission-map", "--out-dir", "{file}/x"],
+    ["verify", "--bins", "4", "--out", "{missing}/v.json"],
+    ["dump-matrix", "--bins", "2", "--name", "F", "--out", "{missing}/F.csv"],
+])
+def test_cli_unwritable_output_is_input_error(tmp_path, capsys, command):
+    """An output path that cannot be written is bad input: exit 2 with one
+    error line naming the path, and nothing written."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    paths = {"file": str(cfg_path), "missing": str(tmp_path / "missing")}
+    argv = [arg.format(**paths) for arg in command]
+    assert main(argv + ["--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: cannot write ")
+    assert argv[-1] in err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command", [["simulate", "--bins", "0"],

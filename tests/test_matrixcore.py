@@ -7,7 +7,6 @@ import pytest
 
 import spdc1d.matrixcore as matrixcore_mod
 import spdc1d.runner as runner_mod
-from spdc1d.blockmatrix import ROW_CHANNELS, BlockMatrix, labels
 from spdc1d.config import load_config, parse_config
 from spdc1d.constants import CONSTANTS
 from spdc1d.errors import ConfigError, SingularMatrix
@@ -28,6 +27,7 @@ from spdc1d.matrixcore import (
     propagator_bins,
 )
 from spdc1d.observables import joint_density
+from spdc1d.runner import ROW_CHANNELS, labels
 from spdc1d.spectral import (
     DIRS,
     POLS,
@@ -43,6 +43,7 @@ from reference import (
     assert_bitwise_equal,
     assert_sources_bitwise_equal,
     count_field_maps,
+    dense_bins,
     dense_emission,
     einsum_emission,
     full_chi2,
@@ -74,9 +75,14 @@ def _stack(layers, n_in=1.0, n_out=None):
     return StructureSpec(tuple(layers), amb, out)
 
 
+def _dense_f(em):
+    """The labelled dense form of F, its idler sector conj(F)."""
+    return dense_bins({"s": em.scatter, "i": np.conj(em.scatter)})
+
+
 def _maps(em):
     """F (labelled dense) and the G_V/G_S pair arrays by attribute name."""
-    return {"f_linear": em.f_linear.data, "g_volume": em.g_volume,
+    return {"f_linear": _dense_f(em), "g_volume": em.g_volume,
             "g_surface": em.g_surface}
 
 
@@ -116,11 +122,10 @@ def test_interface_matrix_k1_layout():
     omega = b.centers[0]
     k = omega / C
     per_bin = material_rows(constant_material("v", 1.0), b.centers)
-    mat = BlockMatrix.from_bins({"s": per_bin, "i": np.conj(per_bin)},
-                                ROW_CHANNELS)
-    assert labels(mat.rows, 1)[:4] == ["s/E/x/0", "s/E/y/0", "s/H/x/0",
-                                       "s/H/y/0"]
-    sig = mat.data[:4, :4]
+    mat = dense_bins({"s": per_bin, "i": np.conj(per_bin)}, ROW_CHANNELS)
+    assert labels(ROW_CHANNELS, 1)[:4] == ["s/E/x/0", "s/E/y/0", "s/H/x/0",
+                                           "s/H/y/0"]
+    sig = mat[:4, :4]
     expected = np.array(
         [
             [1, 1, 0, 0],
@@ -131,10 +136,10 @@ def test_interface_matrix_k1_layout():
     )
     assert np.allclose(sig, expected, rtol=1e-14)
     # idler sector conjugated
-    idl = mat.data[4:, 4:]
+    idl = mat[4:, 4:]
     assert np.allclose(idl, np.conj(expected), rtol=1e-14)
     # the field sectors do not mix
-    assert np.all(mat.data[:4, 4:] == 0.0) and np.all(mat.data[4:, :4] == 0.0)
+    assert np.all(mat[:4, 4:] == 0.0) and np.all(mat[4:, :4] == 0.0)
 
 
 def test_interface_matrix_invertible_random_lossless():
@@ -239,15 +244,15 @@ def test_idler_maps_are_conjugated_signal_maps(stack4):
 def test_input_output_identity_for_identity_transfer():
     eye = _eye2(2).astype(complex)
     assert np.allclose(input_output_map(eye), eye, atol=1e-14)
-    f = BlockMatrix.from_bins({"s": eye, "i": eye})
-    assert np.allclose(f.data, np.eye(16), atol=1e-14)
+    f = dense_bins({"s": eye, "i": eye})
+    assert np.allclose(f, np.eye(16), atol=1e-14)
 
 
 def test_scattering_unitary_and_transmission_crosscheck(stack4):
     b = _basis(1, 0.497, 0.503)
     scatter = {fld: m.scatter for fld, m in linear_maps(stack4, b).items()}
-    f = BlockMatrix.from_bins(scatter)
-    dev = np.abs(f.data @ f.data.conj().T - np.eye(len(f.data))).max()
+    f = dense_bins(scatter)
+    dev = np.abs(f @ f.conj().T - np.eye(len(f))).max()
     assert dev < 1e-9
     t, r, big_t, big_r = linear_transmission(stack4, b.centers[0])
     f_ff, f_bf = scatter["s"][:, 0, 0]  # (out dir, in dir F, bin 0)
@@ -794,7 +799,15 @@ def test_poling_sign_flips_source_amplitude(gan, air, pump400):
     em_n = build_emission(st_neg, pump400, b)
     assert np.allclose(em_n.g_volume, -em_p.g_volume, rtol=1e-12)
     assert np.allclose(em_n.g_surface, -em_p.g_surface, rtol=1e-12)
-    assert np.allclose(em_n.f_linear.data, em_p.f_linear.data, rtol=1e-14)
+    assert np.allclose(_dense_f(em_n), _dense_f(em_p), rtol=1e-14)
+
+
+def test_f_linear_is_the_dense_scattering_map(stack4, pump400):
+    """``f_linear.data``, which the tracer's health hook reads, is the
+    labelled dense form of F and conj(F), bit for bit."""
+    em = build_emission(stack4, pump400, _basis(3))
+    assert np.array_equal(em.f_linear.data.view(np.int64),
+                          _dense_f(em).view(np.int64))
 
 
 def test_bulk_sinc_limit_exact():

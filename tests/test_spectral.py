@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from spdc1d.blockmatrix import FIELDS
 from spdc1d.constants import CONSTANTS
 from spdc1d.errors import ConfigError, OutOfWindow
 from spdc1d.linear import PumpSpec, field_maps, pump_field
 from spdc1d.materials import constant_material, wavenumber
+from spdc1d.runner import FIELDS
 from spdc1d.spectral import (
     _BRACKET_SWITCH,
     DIRS,
